@@ -6,20 +6,32 @@ pay for itself on the paper's iterative workloads: 10-iteration PageRank
 and GNMF should move at least 1.5x fewer ledgered shuffle bytes and finish
 in less simulated time, with byte-identical outputs.  Jacobi rides along
 as a no-regression check.
+
+The optimizer must also stay cheap.  Its work is reported as counts that
+repeat exactly -- coalescing candidates enumerated / applied (forked and
+costed) / accepted, and full ``PlanIndex`` builds -- and gated on the
+control-plane-bound SVD plan of ``benchmarks/e2e`` (96 candidates were
+cloned and costed there before the index existed).
 """
 
 from __future__ import annotations
+
+import collections
 
 import numpy as np
 
 from harness import bench_clock, fmt_bytes, fmt_secs, report
 from repro import ClusterConfig, DMacSession
+from repro.core.planner import DMacPlanner
+from repro.core.stages import schedule_stages
 from repro.lang.program import LoadOp
+from repro.planopt import optimize_plan
 from repro.programs import (
     build_gnmf_program,
     build_jacobi_program,
     build_pagerank_program,
 )
+from repro.programs.registry import WorkloadParams, build_workload
 
 ITERATIONS = 10
 CONFIG = dict(num_workers=4, threads_per_worker=2, block_size=128, clock=bench_clock())
@@ -58,6 +70,33 @@ def run_pair(name: str):
     return plain, opt, plain_shuffle, opt_shuffle
 
 
+def optimizer_counts(program) -> collections.Counter:
+    """The optimizer's deterministic work counts for one program."""
+    counters: collections.Counter = collections.Counter()
+    plan = schedule_stages(DMacPlanner(program, CONFIG["num_workers"]).plan())
+    optimized = optimize_plan(
+        plan, num_workers=CONFIG["num_workers"], counters=counters
+    )
+    # One index for the pipeline, one per costed candidate, one more when
+    # fusion swaps steps in place -- never one per query.
+    fused = any(rewrite.pass_name == "fuse" for rewrite in optimized.rewrites)
+    assert counters["index_builds"] == 1 + fused + counters["candidates_applied"]
+    assert counters["candidates_applied"] <= counters["candidates_enumerated"]
+    return counters
+
+
+def count_columns(counters: collections.Counter) -> list[str]:
+    return [
+        str(counters[key])
+        for key in (
+            "candidates_enumerated",
+            "candidates_applied",
+            "candidates_accepted",
+            "index_builds",
+        )
+    ]
+
+
 def test_planopt(benchmark):
     benchmark.pedantic(run_pair, args=("pagerank",), rounds=1, iterations=1)
     rows = []
@@ -80,18 +119,28 @@ def test_planopt(benchmark):
                 fmt_secs(plain.simulated_seconds),
                 fmt_secs(opt.simulated_seconds),
                 str(opt.cache["pins"] if opt.cache else 0),
+                *count_columns(optimizer_counts(APPS[name]())),
             ]
         )
+    svd = build_workload("svd", WorkloadParams(scale=3e-3, rank=5)).program
+    svd_counts = optimizer_counts(svd)
+    rows.append(["svd (plan only)"] + ["-"] * 6 + count_columns(svd_counts))
     report(
         "planopt",
         "Plan optimizer -- ledgered shuffle bytes and simulated time, off vs on",
-        ["app", "shuffle off", "shuffle on", "reduction", "time off", "time on", "pins"],
+        ["app", "shuffle off", "shuffle on", "reduction", "time off", "time on", "pins",
+         "cand. enumerated", "applied", "accepted", "index builds"],
         rows,
         notes=(
             "optimizer = CSE + hoist (Fig 9a reference-dependency caching) + "
             "DCE + repartition coalescing; outputs are byte-identical"
         ),
     )
+    assert svd_counts == optimizer_counts(svd), "counts must repeat exactly"
+    assert svd_counts["candidates_applied"] <= 40, svd_counts
+    assert svd_counts["index_builds"] <= (
+        svd_counts["pipeline_rounds"] + svd_counts["candidates_applied"]
+    ), svd_counts
     for name, (plain, opt, plain_shuffle, opt_shuffle) in results.items():
         for out in plain.matrices:
             assert (

@@ -42,6 +42,18 @@ class MatrixInstance:
     name: str  # program version name, e.g. "W@2"
     transposed: bool  # this instance holds the transpose of `name`
     scheme: Scheme
+    #: Instances key every planner / optimizer / verifier map; the
+    #: generated hash re-hashes the ``Scheme`` enum in Python on each
+    #: lookup, so it is computed once.  (Valid in this process only.)
+    _hash: int = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_hash", hash((self.name, self.transposed, self.scheme))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         suffix = "^T" if self.transposed else ""

@@ -34,6 +34,7 @@ from repro.lint.diagnostics import LintContext, LintReport
 from repro.lint.rules import RULES
 from repro.lint.runner import lint_plan, plan_for
 from repro.matrix.schemes import Scheme
+from repro.planopt.common import producer_map
 
 
 @dataclasses.dataclass
@@ -77,12 +78,6 @@ def _find_step(plan: Plan, predicate) -> int:
         if predicate(step):
             return index
     raise AssertionError("selftest reference plan lacks the expected step")
-
-
-def _producer_map(plan: Plan) -> dict[MatrixInstance, int]:
-    from repro.lint.facts import build_facts
-
-    return build_facts(plan).producer
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +150,7 @@ def _corrupt_block_size(plan: Plan, context: LintContext):
 def _corrupt_memory_budget(plan: Plan, context: LintContext):
     """Declare a per-worker budget every replica in the plan exceeds."""
     if not any(
-        instance.scheme is Scheme.BROADCAST for instance in _producer_map(plan)
+        instance.scheme is Scheme.BROADCAST for instance in producer_map(plan)
     ):
         raise AssertionError("plan holds no replicas to starve")
     return plan, dataclasses.replace(context, memory_limit_bytes=1)
@@ -165,7 +160,7 @@ def _corrupt_output(plan: Plan, context: LintContext):
     """Retarget a program output at an instance no step ever produces."""
     name = plan.program.outputs[0]
     ghost = MatrixInstance(name, False, Scheme.BROADCAST)
-    assert ghost not in _producer_map(plan)
+    assert ghost not in producer_map(plan)
     plan.outputs[name] = ghost
     return plan, context
 
@@ -196,7 +191,7 @@ def _corrupt_redundant_partition(plan: Plan, context: LintContext):
 
 def _corrupt_dead_operator(plan: Plan, context: LintContext):
     """Append a transpose whose result nothing consumes."""
-    producer = _producer_map(plan)
+    producer = producer_map(plan)
     for instance in producer:
         if instance.name in plan.program.outputs:
             continue
@@ -216,7 +211,7 @@ def _corrupt_dead_operator(plan: Plan, context: LintContext):
 
 def _corrupt_transpose_pair(plan: Plan, context: LintContext):
     """Append a transpose and its inverse: the pair round-trips."""
-    producer = _producer_map(plan)
+    producer = producer_map(plan)
     from repro.lint.facts import build_facts
 
     facts = build_facts(plan)

@@ -9,17 +9,21 @@ such rewrites with an *apply-and-evaluate* loop:
 * enumerate candidates -- flip a 1-D element-wise step to the opposite
   scheme, make a ``partition`` step's producer emit the target scheme
   natively, or merge a back-to-back conversion chain into one hop;
-* apply each candidate to a clone of the plan.  A flip *cascades*: the
-  flipped step demands its inputs in the new scheme (satisfied by flipping
-  flexible producers -- sources, element-wise steps, rmm1<->rmm2,
-  CPMM/row-agg output rebinds -- or by an explicit conversion chain), and
+* apply each candidate to the plan itself, through its :class:`PlanIndex`
+  and under an index *trial* that undoes it again (a cascade costs what it
+  touches, not a clone).  A flip *cascades*: the flipped step demands its
+  inputs in the new scheme (satisfied by flipping flexible producers --
+  sources, element-wise steps, rmm1<->rmm2, CPMM/row-agg output rebinds --
+  or by an explicit conversion chain), and
   every consumer of the old output is either re-derived from the new one,
   cascade-flipped (element-wise), or fed through a chain back to the old
   scheme.  Aggregations are always chained back: re-ordering their driver
   reduction would change floating-point summation order;
-* re-sort, CSE, DCE, then re-cost the clone with the dependency-oriented
-  cost model (`recompute_predicted_bytes`) and keep the best candidate only
-  if ``(predicted_bytes, step_count)`` strictly decreases -- the merge is
+* fork the rewritten plan -- unless an earlier candidate of the round left
+  the very same step list, whose cost is then already known -- re-sort,
+  CSE, DCE and re-cost the fork with the dependency-oriented cost model
+  (`recompute_predicted_bytes`); keep the best candidate only if
+  ``(predicted_bytes, step_count)`` strictly decreases -- the merge is
   provably never costlier under the model.
 
 Value-safety: every rewrite used here re-binds *where* blocks live, never
@@ -48,14 +52,12 @@ from repro.errors import PlanError
 from repro.matrix.schemes import Scheme
 from repro.planopt.common import (
     AppliedRewrite,
-    clone_plan,
     predicted_bytes_under,
-    producer_map,
     recompute_predicted_bytes,
-    toposort_steps,
 )
 from repro.planopt.cse import eliminate_common_steps
 from repro.planopt.dce import eliminate_dead_steps
+from repro.planopt.index import PlanIndex
 
 #: Element-wise step kinds: scheme-agnostic per-block arithmetic, so their
 #: output scheme may be flipped freely (inputs follow).
@@ -66,33 +68,44 @@ ELEMENTWISE = (CellwiseStep, ScalarMatrixStep, UnaryStep)
 MAX_ROUNDS = 8
 
 
+def _flippable(step: Step, required: Scheme) -> bool:
+    """Whether ``step`` can be rewritten to produce its output under
+    ``required`` (a different one-dimensional scheme) for free."""
+    output = step.output_instance()
+    if output is None or output.scheme is required:
+        return False
+    if not required.is_one_dimensional:
+        return False
+    if isinstance(step, (SourceStep, *ELEMENTWISE)):
+        return output.scheme.is_one_dimensional  # Row-or-Column for free
+    if isinstance(step, MatMulStep):
+        return step.strategy in ("rmm1", "rmm2", "cpmm")
+    if isinstance(step, RowAggStep):
+        return step.strategy.endswith("-opposed")  # flexible output
+    return False
+
+
 class _FlipSession:
-    """One candidate application: tracks flipped steps and emits chains."""
+    """One candidate application: tracks flipped steps and emits chains.
 
-    def __init__(self, plan: Plan) -> None:
-        self.plan = plan
-        self._done: set[int] = set()  # id(step) already rewritten
+    Works through a :class:`PlanIndex` only -- every query is a map lookup
+    and every edit one of the index's three mutations, so a cascade costs
+    what it touches and the index's trial can undo it.
+    """
+
+    def __init__(self, index: PlanIndex, outputs: dict[str, MatrixInstance]) -> None:
+        self.index = index
+        self.outputs = outputs  # the candidate's output table (a copy)
+        self._done: set[int] = set()  # handles of steps already rewritten
         self._demanding: set[MatrixInstance] = set()  # recursion guard
-
-    # -- queries ------------------------------------------------------------
-
-    def _producers(self) -> dict[MatrixInstance, Step]:
-        return producer_map(self.plan)
-
-    def _siblings(self, instance: MatrixInstance) -> list[MatrixInstance]:
-        return [
-            produced
-            for produced in self._producers()
-            if produced.name == instance.name
-            and produced.transposed == instance.transposed
-        ]
 
     # -- demand: make sure an instance exists -------------------------------
 
     def demand(self, instance: MatrixInstance) -> None:
         """Ensure some step produces ``instance``, preferring free producer
         flips over explicit conversion chains."""
-        if instance in self._producers():
+        index = self.index
+        if index.producer(instance) is not None:
             return
         if instance in self._demanding:
             self._chain_to(instance)  # cycle: break it with a conversion
@@ -100,20 +113,20 @@ class _FlipSession:
         self._demanding.add(instance)
         try:
             if instance.scheme.is_one_dimensional:
-                for sibling in self._siblings(instance):
-                    producer = self._producers().get(sibling)
+                for sibling in index.siblings(instance):
+                    producer = index.producer(sibling)
                     if producer is not None and self._can_flip(
                         producer, instance.scheme
                     ):
                         self._flip(producer, instance.scheme)
-                        if instance in self._producers():
+                        if index.producer(instance) is not None:
                             return
             self._chain_to(instance)
         finally:
             self._demanding.discard(instance)
 
     def _chain_to(self, instance: MatrixInstance) -> None:
-        siblings = self._siblings(instance)
+        siblings = self.index.siblings(instance)
         if not siblings:
             raise PlanError(f"cannot satisfy demand for {instance}: "
                             f"nothing produces {instance.name}")
@@ -135,95 +148,73 @@ class _FlipSession:
             source, target.name, target.transposed, target.scheme
         )
         current = source
-        producers = self._producers()
         for kind, hop in chain:
-            if hop in producers:
-                current = hop
-                continue
-            step = ExtendedStep(kind=kind, source=current, target=hop)
-            self.plan.steps.append(step)
-            producers[hop] = step
+            if self.index.producer(hop) is None:
+                self.index.append(ExtendedStep(kind=kind, source=current, target=hop))
             current = hop
 
     # -- flips --------------------------------------------------------------
 
     def _can_flip(self, step: Step, required: Scheme) -> bool:
-        if id(step) in self._done or not required.is_one_dimensional:
-            return False
-        output = step.output_instance()
-        if output is None or output.scheme is required:
-            return False
-        if isinstance(step, SourceStep):
-            return output.scheme.is_one_dimensional  # Row-or-Column for free
-        if isinstance(step, ELEMENTWISE):
-            return output.scheme.is_one_dimensional
-        if isinstance(step, MatMulStep):
-            return step.strategy in ("rmm1", "rmm2", "cpmm")
-        if isinstance(step, RowAggStep):
-            return step.strategy.endswith("-opposed")  # flexible output
-        return False
+        done = self.index.handle(step) in self._done
+        return not done and _flippable(step, required)
 
     def _flip(self, step: Step, required: Scheme) -> None:
         """Rewrite ``step`` to produce its output under ``required``."""
-        if id(step) in self._done:
+        index = self.index
+        handle = index.handle(step)
+        if handle in self._done:
             return
-        self._done.add(id(step))
+        self._done.add(handle)
         old = step.output_instance()
         new = MatrixInstance(old.name, old.transposed, required)
-        if isinstance(step, SourceStep):
-            step.output = new
-        elif isinstance(step, ELEMENTWISE):
+        if isinstance(step, ELEMENTWISE):
+            fields = {"output": new}
             for field in ("left", "right", "source"):
                 value = getattr(step, field, None)
                 if isinstance(value, MatrixInstance):
                     want = MatrixInstance(value.name, value.transposed, required)
                     self.demand(want)
-                    setattr(step, field, want)
-            step.output = new
-        elif isinstance(step, MatMulStep) and step.strategy == "cpmm":
-            step.output = new  # CPMM's shuffled output is Row-or-Column
-        elif isinstance(step, MatMulStep):
+                    fields[field] = want
+            index.rebind(step, **fields)
+        elif isinstance(step, MatMulStep) and step.strategy != "cpmm":
             # rmm1: A(b) @ B(c) -> C(c)  <->  rmm2: A(r) @ B(b) -> C(r).
             # Both fold per output block over the same per-block sequence,
             # so the swap is bit-identical; only operand layouts change.
             if required is Scheme.ROW:
-                step.strategy = "rmm2"
-                left = MatrixInstance(step.left.name, step.left.transposed, Scheme.ROW)
-                right = MatrixInstance(
-                    step.right.name, step.right.transposed, Scheme.BROADCAST
-                )
+                strategy, schemes = "rmm2", (Scheme.ROW, Scheme.BROADCAST)
             else:
-                step.strategy = "rmm1"
-                left = MatrixInstance(
-                    step.left.name, step.left.transposed, Scheme.BROADCAST
-                )
-                right = MatrixInstance(step.right.name, step.right.transposed, Scheme.COL)
+                strategy, schemes = "rmm1", (Scheme.BROADCAST, Scheme.COL)
+            left = MatrixInstance(step.left.name, step.left.transposed, schemes[0])
+            right = MatrixInstance(step.right.name, step.right.transposed, schemes[1])
             self.demand(left)
             self.demand(right)
-            step.left, step.right = left, right
-            step.output = new
-        elif isinstance(step, RowAggStep):
-            step.output = new  # "-opposed" shuffles partials; output flexible
+            index.rebind(step, strategy=strategy, left=left, right=right, output=new)
+        elif isinstance(step, (SourceStep, MatMulStep, RowAggStep)):
+            # Sources are Row-or-Column for free; CPMM's shuffled output and
+            # an "-opposed" aggregation's shuffled partials are flexible.
+            index.rebind(step, output=new)
         else:  # pragma: no cover - guarded by _can_flip
             raise PlanError(f"cannot flip {step}")
         self._replace_output(old, new)
 
     def _replace_output(self, old: MatrixInstance, new: MatrixInstance) -> None:
         """Rewire everything that read ``old`` now that only ``new`` exists."""
-        for name, instance in self.plan.outputs.items():
+        index = self.index
+        for name, instance in self.outputs.items():
             if instance == old:
-                self.plan.outputs[name] = new
+                self.outputs[name] = new
         consumers = [
             step
-            for step in self.plan.steps
-            if id(step) not in self._done and old in step.inputs()
+            for step in index.consumers(old)
+            if index.handle(step) not in self._done
         ]
         for consumer in consumers:
-            if isinstance(consumer, ExtendedStep) and consumer.source == old:
+            if isinstance(consumer, ExtendedStep):
                 # Re-derive the conversion from the new layout; if the
                 # conversion's whole purpose was producing `new`, drop it.
-                self.plan.steps.remove(consumer)
-                self._done.add(id(consumer))
+                self._done.add(index.handle(consumer))
+                index.remove(consumer)
                 if consumer.target != new:
                     self.emit_chain(new, consumer.target)
             elif (
@@ -242,61 +233,87 @@ class _FlipSession:
 # -- candidate enumeration ----------------------------------------------------
 
 
-def _candidates(plan: Plan) -> list[tuple]:
-    producers = producer_map(plan)
+def _candidates(index: PlanIndex) -> list[tuple]:
+    """``("flip", step, scheme, description)`` and ``("merge", step,
+    producer, description)`` rewrites to try, in step order.  Making a
+    ``partition``'s producer emit the target scheme natively *is* a flip
+    of that producer, and a flip is fully determined by its root (step,
+    scheme): each root is enumerated once, under the first description."""
     found: list[tuple] = []
-    for index, step in enumerate(plan.steps):
+    roots: set[tuple[int, Scheme]] = set()
+
+    def flip(step: Step, scheme: Scheme, description: str) -> None:
+        root = (index.handle(step), scheme)
+        if root not in roots:
+            roots.add(root)
+            found.append(("flip", step, scheme, description))
+
+    for step in index.steps():
         output = step.output_instance()
         if (
             isinstance(step, ELEMENTWISE)
             and output is not None
             and output.scheme.is_one_dimensional
         ):
-            found.append(("flip", index, output.scheme.opposite))
+            scheme = output.scheme.opposite
+            flip(step, scheme, f"flipped {step} to scheme {scheme}")
         if isinstance(step, ExtendedStep):
-            if step.kind == "partition":
-                found.append(("flip-producer", index))
-            producer = producers.get(step.source)
+            producer = index.producer(step.source)
+            if (
+                step.kind == "partition"
+                and producer is not None
+                and _flippable(producer, step.target.scheme)
+            ):
+                flip(
+                    producer,
+                    step.target.scheme,
+                    f"produced {step.target} natively instead of repartitioning",
+                )
             if isinstance(producer, ExtendedStep):
-                found.append(("merge", index))
+                found.append((
+                    "merge",
+                    step,
+                    producer,
+                    f"coalesced {producer} ; {step} into a direct conversion",
+                ))
     return found
 
 
-def _apply_candidate(
-    plan: Plan, candidate: tuple, num_workers: int, estimation_mode: str
-) -> tuple[Plan, str]:
-    clone = clone_plan(plan)
-    kind, index = candidate[0], candidate[1]
-    step = clone.steps[index]
-    session = _FlipSession(clone)
+def _apply_candidate(session: _FlipSession, candidate: tuple) -> None:
+    """Rewrite the session's plan by one candidate."""
+    kind, step, argument, __ = candidate
     if kind == "flip":
-        description = f"flipped {step} to scheme {candidate[2]}"
-        session._flip(step, candidate[2])
-    elif kind == "flip-producer":
-        producer = producer_map(clone).get(step.source)
-        if producer is None or not session._can_flip(producer, step.target.scheme):
-            raise PlanError("partition producer is not flippable")
-        description = (
-            f"produced {step.target} natively instead of repartitioning"
-        )
-        session._flip(producer, step.target.scheme)
-    elif kind == "merge":
-        producer = producer_map(clone).get(step.source)
-        if not isinstance(producer, ExtendedStep):
-            raise PlanError("conversion source is not itself a conversion")
-        description = (
-            f"coalesced {producer} ; {step} into a direct conversion"
-        )
-        clone.steps.remove(step)
-        session.emit_chain(producer.source, step.target)
-    else:  # pragma: no cover
-        raise PlanError(f"unknown candidate {kind}")
-    toposort_steps(clone)
-    eliminate_common_steps(clone)
-    eliminate_dead_steps(clone)
-    toposort_steps(clone)
-    recompute_predicted_bytes(clone, num_workers, estimation_mode)
-    return clone, description
+        session._flip(step, argument)
+    else:  # merge: drop the second hop, convert from the first hop's source
+        session.index.remove(step)
+        session.emit_chain(argument.source, step.target)
+
+
+def _evaluate(
+    index: PlanIndex,
+    candidate: tuple,
+    seen: set[tuple],
+    num_workers: int,
+    estimation_mode: str,
+) -> PlanIndex | None:
+    """Cost one candidate: apply it to the indexed plan itself under a
+    trial, and clean up / re-cost a fork only if no earlier candidate of
+    this round left the very same step list (``seen``) -- an identical
+    plan cannot beat the one already costed.  ``None`` for such repeats."""
+    with index.trial():
+        outputs = dict(index.plan.outputs)
+        _apply_candidate(_FlipSession(index, outputs), candidate)
+        signature = (*index.trial_signature(), tuple(outputs.values()))
+        if signature in seen:
+            return None
+        seen.add(signature)
+        fork = index.fork(outputs)
+    index.counters["candidates_applied"] += 1
+    eliminate_common_steps(fork.plan, fork)
+    eliminate_dead_steps(fork.plan, fork)
+    fork.toposort()
+    recompute_predicted_bytes(fork.plan, num_workers, estimation_mode)
+    return fork
 
 
 def _diff(before: Plan, after: Plan) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -308,27 +325,39 @@ def _diff(before: Plan, after: Plan) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 def coalesce_repartitions(
-    plan: Plan, *, num_workers: int, estimation_mode: str = "worst"
+    plan: Plan,
+    *,
+    num_workers: int,
+    estimation_mode: str = "worst",
+    index: PlanIndex | None = None,
 ) -> list[AppliedRewrite]:
     """Greedy best-first coalescing on ``plan`` (mutated in place)."""
+    index = index or PlanIndex(plan)
+    rewrites: list[AppliedRewrite] = []
+    search = ("coalesce", num_workers, estimation_mode)
+    if index.fixpoints.get(search) == index.version:
+        return rewrites  # nothing mutated since this search found nothing
     recompute_predicted_bytes(plan, num_workers, estimation_mode)
     # A candidate must win under the planning mode *without* losing under
     # the opposite sparsity model: worst-case and average-case disagree on
     # matmul-output sizes, and a rewrite that only wins in one model can
     # regress the measured ledger on real data.
     other_mode = "average" if estimation_mode == "worst" else "worst"
-    rewrites: list[AppliedRewrite] = []
     for __ in range(MAX_ROUNDS):
         base_cost = (plan.predicted_bytes, len(plan.steps))
         base_other = predicted_bytes_under(plan, num_workers, other_mode)
         best = None
-        for candidate in _candidates(plan):
+        seen: set[tuple] = set()  # outcomes already costed this round
+        candidates = _candidates(index)
+        index.counters["candidates_enumerated"] += len(candidates)
+        for candidate in candidates:
             try:
-                clone, description = _apply_candidate(
-                    plan, candidate, num_workers, estimation_mode
-                )
+                fork = _evaluate(index, candidate, seen, num_workers, estimation_mode)
             except PlanError:
                 continue  # candidate does not yield a valid plan
+            if fork is None:
+                continue
+            clone = fork.plan
             cost = (clone.predicted_bytes, len(clone.steps))
             if (
                 cost < base_cost
@@ -336,10 +365,12 @@ def coalesce_repartitions(
                 <= base_other
                 and (best is None or cost < best[0])
             ):
-                best = (cost, clone, description)
+                best = (cost, fork, candidate[3])
         if best is None:
+            index.fixpoints[search] = index.version
             return rewrites
-        __, clone, description = best
+        __, fork, description = best
+        clone = fork.plan
         removed, added = _diff(plan, clone)
         rewrites.append(AppliedRewrite(
             "coalesce",
@@ -348,7 +379,6 @@ def coalesce_repartitions(
             removed=removed,
             added=added,
         ))
-        plan.steps = clone.steps
-        plan.outputs = clone.outputs
-        plan.predicted_bytes = clone.predicted_bytes
+        index.adopt(fork)
+        index.counters["candidates_accepted"] += 1
     return rewrites

@@ -2,10 +2,11 @@
 
 Passes rewrite a :class:`~repro.core.plan.Plan` *in place on a clone* --
 :func:`clone_plan` shallow-copies every step (instances are frozen, so
-sharing them is safe) and the original plan is never mutated.  The helpers
-here answer the structural questions every pass asks: who produces an
-instance, who consumes it, what is a valid topological order, and what
-communication the rewritten plan predicts.
+sharing them is safe) and the original plan is never mutated.  The
+structural questions every pass asks -- who produces an instance, who
+consumes it, what is a valid topological order -- are answered by
+:class:`~repro.planopt.index.PlanIndex`; the helpers of those names here
+are one-shot views of it.  The rest is what the rewritten plan predicts.
 
 ``recompute_predicted_bytes`` re-derives ``plan.predicted_bytes`` with the
 exact per-step accounting the dependency-oriented cost model (paper
@@ -15,7 +16,6 @@ checks -- so an optimized plan always lints clean.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 
 from repro.core.estimator import SizeEstimator
@@ -27,7 +27,7 @@ from repro.core.plan import (
     RowAggStep,
     Step,
 )
-from repro.errors import PlanError
+from repro.planopt.index import PlanIndex, copy_step
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,88 +48,29 @@ class AppliedRewrite:
 
 def clone_plan(plan: Plan) -> Plan:
     """A mutation-safe copy: fresh step objects, shared frozen instances."""
-    return Plan(
-        program=plan.program,
-        steps=[copy.copy(step) for step in plan.steps],
+    return dataclasses.replace(
+        plan,
+        steps=[copy_step(step) for step in plan.steps],
         outputs=dict(plan.outputs),
-        predicted_bytes=plan.predicted_bytes,
         num_stages=0,
-        cache_pins=tuple(plan.cache_pins),
-        rewrites=tuple(plan.rewrites),
-        certificates=tuple(plan.certificates),
     )
 
 
 def producer_map(plan: Plan) -> dict[MatrixInstance, Step]:
-    """Instance -> the step that materialises it."""
-    producers: dict[MatrixInstance, Step] = {}
-    for step in plan.steps:
-        output = step.output_instance()
-        if output is not None:
-            producers[output] = step
-    return producers
+    """Instance -> the step that materialises it (the last one in step
+    order, should several); a one-shot view of :class:`PlanIndex`."""
+    return PlanIndex(plan).producer_map()
 
 
 def consumer_map(plan: Plan) -> dict[MatrixInstance, list[Step]]:
     """Instance -> every step that reads it (one entry per reading step)."""
-    consumers: dict[MatrixInstance, list[Step]] = {}
-    for step in plan.steps:
-        for instance in step.inputs():
-            consumers.setdefault(instance, []).append(step)
-    return consumers
+    return PlanIndex(plan).consumer_map()
 
 
 def toposort_steps(plan: Plan) -> None:
-    """Re-order ``plan.steps`` into a stable topological order.
-
-    Stable Kahn over matrix *and* scalar dependencies: among ready steps the
-    original relative order is kept, so a plan that is already sorted comes
-    back unchanged.  Raises :class:`PlanError` on a dependency cycle or a
-    step consuming an instance nothing produces (both indicate an optimizer
-    bug -- callers treat it as "abort this candidate").
-    """
-    produced: dict[MatrixInstance, int] = {}
-    scalar_produced: dict[str, int] = {}
-    for index, step in enumerate(plan.steps):
-        output = step.output_instance()
-        if output is not None:
-            produced[output] = index
-        scalar = step.scalar_output()
-        if scalar is not None:
-            scalar_produced[scalar] = index
-
-    dependents: dict[int, list[int]] = {i: [] for i in range(len(plan.steps))}
-    indegree = [0] * len(plan.steps)
-    for index, step in enumerate(plan.steps):
-        deps = set()
-        for instance in step.inputs():
-            if instance not in produced:
-                raise PlanError(
-                    f"rewritten plan consumes {instance} but nothing produces it"
-                )
-            deps.add(produced[instance])
-        for name in step.scalar_inputs():
-            if name in scalar_produced:  # program-level scalars need no step
-                deps.add(scalar_produced[name])
-        for dep in deps:
-            dependents[dep].append(index)
-            indegree[index] += 1
-
-    import heapq
-
-    ready = [i for i in range(len(plan.steps)) if indegree[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        index = heapq.heappop(ready)
-        order.append(index)
-        for succ in dependents[index]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-    if len(order) != len(plan.steps):
-        raise PlanError("rewritten plan has a dependency cycle")
-    plan.steps = [plan.steps[i] for i in order]
+    """Re-order ``plan.steps`` into a stable topological order
+    (:meth:`PlanIndex.toposorted`); raises :class:`PlanError` on a cycle."""
+    plan.steps = PlanIndex(plan).toposorted()
 
 
 def predicted_bytes_under(

@@ -19,33 +19,37 @@ from __future__ import annotations
 
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.planopt.common import AppliedRewrite
+from repro.planopt.index import PlanIndex
 from repro.planopt.structural import step_structural_key as structural_key
 
 #: Step fields that hold matrix instances (for renaming).
 INSTANCE_FIELDS = ("source", "target", "left", "right", "output")
 
 
-def rename_instances(plan: Plan, old_name: str, new_name: str) -> None:
+def rename_instances(index: PlanIndex, old_name: str, new_name: str) -> None:
     """Replace every instance named ``old_name`` (any layout) with the same
-    layout under ``new_name``, across all steps and the output table."""
+    layout under ``new_name``, in every step that mentions it and in the
+    output table."""
 
     def renamed(instance: MatrixInstance) -> MatrixInstance:
-        if instance.name != old_name:
-            return instance
         return MatrixInstance(new_name, instance.transposed, instance.scheme)
 
-    for step in plan.steps:
-        for field in INSTANCE_FIELDS:
-            value = getattr(step, field, None)
-            if isinstance(value, MatrixInstance):
-                setattr(step, field, renamed(value))
-    for output_name, instance in plan.outputs.items():
-        plan.outputs[output_name] = renamed(instance)
+    for step in index.mentions(old_name):
+        index.rebind(step, **{
+            field: renamed(value)
+            for field in INSTANCE_FIELDS
+            if isinstance(value := getattr(step, field, None), MatrixInstance)
+            and value.name == old_name
+        })
+    outputs = index.plan.outputs
+    for output_name, instance in outputs.items():
+        if instance.name == old_name:
+            outputs[output_name] = renamed(instance)
 
 
-def _find_duplicate(plan: Plan) -> tuple[Step, Step] | None:
+def _find_duplicate(index: PlanIndex) -> tuple[Step, Step] | None:
     seen: dict[tuple, Step] = {}
-    for step in plan.steps:
+    for step in index.steps():
         key = structural_key(step)
         if key is None:
             continue
@@ -55,15 +59,19 @@ def _find_duplicate(plan: Plan) -> tuple[Step, Step] | None:
     return None
 
 
-def eliminate_common_steps(plan: Plan) -> list[AppliedRewrite]:
+def eliminate_common_steps(
+    plan: Plan, index: PlanIndex | None = None
+) -> list[AppliedRewrite]:
     """Run CSE to a fixpoint on ``plan`` (mutated in place)."""
+    index = index or PlanIndex(plan)
     rewrites: list[AppliedRewrite] = []
     while True:
-        found = _find_duplicate(plan)
+        found = _find_duplicate(index)
         if found is None:
+            index.flush()
             return rewrites
         kept, dup = found
-        plan.steps.remove(dup)
+        index.remove(dup)
         dup_out = dup.output_instance()
         kept_out = kept.output_instance()
         if dup_out == kept_out:
@@ -74,7 +82,7 @@ def eliminate_common_steps(plan: Plan) -> list[AppliedRewrite]:
             continue
         # Distinct output names computing the same value: fold the
         # duplicate's whole name (all derived layouts) onto the kept name.
-        rename_instances(plan, dup_out.name, kept_out.name)
+        rename_instances(index, dup_out.name, kept_out.name)
         rewrites.append(AppliedRewrite(
             "cse",
             f"merged {dup_out.name} into {kept_out.name} "

@@ -11,33 +11,34 @@ from __future__ import annotations
 
 from repro.core.plan import Plan
 from repro.planopt.common import AppliedRewrite
+from repro.planopt.index import PlanIndex
 
 
-def eliminate_dead_steps(plan: Plan) -> list[AppliedRewrite]:
+def eliminate_dead_steps(
+    plan: Plan, index: PlanIndex | None = None
+) -> list[AppliedRewrite]:
     """Remove unreachable steps from ``plan`` (mutated in place)."""
+    index = index or PlanIndex(plan)
     live_instances = set(plan.outputs.values())
     live_scalars = set(plan.program.scalar_outputs)
-    kept_reversed = []
-    removed = []
-    for step in reversed(plan.steps):
-        output = step.output_instance()
-        scalar = step.scalar_output()
-        alive = (
-            (output is not None and output in live_instances)
-            or (scalar is not None and scalar in live_scalars)
-        )
-        if not alive:
-            removed.append(str(step))
-            continue
-        kept_reversed.append(step)
-        live_instances.update(step.inputs())
-        live_scalars.update(step.scalar_inputs())
-    if not removed:
+    dead = []
+    for step in reversed(index.steps()):
+        if (
+            step.output_instance() in live_instances
+            or step.scalar_output() in live_scalars
+        ):
+            live_instances.update(step.inputs())
+            live_scalars.update(step.scalar_inputs())
+        else:
+            dead.append(step)
+    if not dead:
         return []
-    plan.steps = list(reversed(kept_reversed))
-    removed.reverse()
+    dead.reverse()
+    for step in dead:
+        index.remove(step)
+    index.flush()
     return [AppliedRewrite(
         "dce",
-        f"removed {len(removed)} step(s) whose value never reaches an output",
-        removed=tuple(removed),
+        f"removed {len(dead)} step(s) whose value never reaches an output",
+        removed=tuple(str(step) for step in dead),
     )]

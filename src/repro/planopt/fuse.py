@@ -26,15 +26,17 @@ uncertifiable fusion aborts optimization.
 from __future__ import annotations
 
 from repro.core.plan import CellwiseStep, FusedCellwiseStep, Plan, Step
-from repro.planopt.common import AppliedRewrite, consumer_map
+from repro.planopt.common import AppliedRewrite
+from repro.planopt.index import PlanIndex
 
 
-def fuse_cellwise_chains(plan: Plan) -> list[AppliedRewrite]:
+def fuse_cellwise_chains(
+    plan: Plan, index: PlanIndex | None = None
+) -> list[AppliedRewrite]:
     """Merge fusable cellwise chains in place; one rewrite per chain."""
+    index = index or PlanIndex(plan)
     outputs = set(plan.outputs.values())
     pins = set(plan.cache_pins)
-    consumers = consumer_map(plan)
-    index_of = {id(step): index for index, step in enumerate(plan.steps)}
 
     # A cellwise step is absorbed into its consumer when its output is
     # invisible to everything else: single reading step, itself cellwise,
@@ -45,12 +47,9 @@ def fuse_cellwise_chains(plan: Plan) -> list[AppliedRewrite]:
             continue
         if step.output in outputs or step.output in pins:
             continue
-        readers = {id(reader): reader for reader in consumers.get(step.output, [])}
-        if len(readers) != 1:
-            continue
-        (consumer,) = readers.values()
-        if isinstance(consumer, CellwiseStep):
-            merged_into[id(step)] = consumer
+        readers = index.consumers(step.output)
+        if len(readers) == 1 and isinstance(readers[0], CellwiseStep):
+            merged_into[id(step)] = readers[0]
 
     producers_of: dict[int, list[CellwiseStep]] = {}
     for step in plan.steps:
@@ -73,7 +72,7 @@ def fuse_cellwise_chains(plan: Plan) -> list[AppliedRewrite]:
             current = frontier.pop()
             members.append(current)
             frontier.extend(producers_of.get(id(current), []))
-        members.sort(key=lambda member: index_of[id(member)])
+        members.sort(key=index.handle)
         fused = FusedCellwiseStep(chain=tuple(members), output=step.output)
         replaced[id(step)] = fused
         absorbed.update(id(member) for member in members if member is not step)
@@ -95,6 +94,7 @@ def fuse_cellwise_chains(plan: Plan) -> list[AppliedRewrite]:
         for step in plan.steps
         if id(step) not in absorbed
     ]
+    index.rebuild()  # a fused step replaces its chain in place: not a mutation
     return rewrites
 
 
@@ -108,17 +108,15 @@ def unfused_chain_heads(plan: Plan) -> list[tuple[CellwiseStep, Step, str]]:
     by the lint's DM401 rule."""
     outputs = set(plan.outputs.values())
     pins = set(plan.cache_pins)
-    consumers = consumer_map(plan)
+    index = PlanIndex(plan)
     heads: list[tuple[CellwiseStep, Step, str]] = []
     for step in plan.steps:
         if not isinstance(step, CellwiseStep):
             continue
-        readers = {id(reader): reader for reader in consumers.get(step.output, [])}
-        if len(readers) != 1:
+        readers = index.consumers(step.output)
+        if len(readers) != 1 or not isinstance(readers[0], CellwiseStep):
             continue
-        (consumer,) = readers.values()
-        if not isinstance(consumer, CellwiseStep):
-            continue
+        consumer = readers[0]
         if step.output in outputs:
             blocker = "output"
         elif step.output in pins:

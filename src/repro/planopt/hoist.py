@@ -23,24 +23,20 @@ while only the small rank vector moves each round.
 from __future__ import annotations
 
 from repro.core.plan import Plan
-from repro.planopt.common import (
-    AppliedRewrite,
-    consumer_map,
-    epoch_map,
-    producer_map,
-    step_version,
-)
+from repro.planopt.common import AppliedRewrite, epoch_map, step_version
+from repro.planopt.index import PlanIndex
 
 
-def pin_loop_invariants(plan: Plan) -> list[AppliedRewrite]:
+def pin_loop_invariants(
+    plan: Plan, index: PlanIndex | None = None
+) -> list[AppliedRewrite]:
     """Fill ``plan.cache_pins`` with the loop-invariant, cross-iteration
     instances (mutated in place; idempotent)."""
+    index = index or PlanIndex(plan)
     epochs = epoch_map(plan)
-    consumers = consumer_map(plan)
-    producers = producer_map(plan)
     pins = []
-    for instance, consuming_steps in consumers.items():
-        if instance not in producers:
+    for instance, consuming_steps in index.consumer_map().items():
+        if index.producer(instance) is None:
             continue  # inputs the plan never materialises itself
         if epochs.get(instance, 0) != 0:
             continue  # depends on a loop-carried version

@@ -20,22 +20,19 @@ explicit sequence.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Protocol, runtime_checkable
 
 from repro.core.plan import Plan
 from repro.core.stages import schedule_stages
 from repro.planopt.coalesce import coalesce_repartitions
-from repro.planopt.common import (
-    AppliedRewrite,
-    clone_plan,
-    recompute_predicted_bytes,
-    toposort_steps,
-)
+from repro.planopt.common import AppliedRewrite, clone_plan, recompute_predicted_bytes
 from repro.planopt.cse import eliminate_common_steps
 from repro.planopt.dce import eliminate_dead_steps
 from repro.planopt.fuse import fuse_cellwise_chains
 from repro.planopt.hoist import pin_loop_invariants
+from repro.planopt.index import PlanIndex
 
 #: Cap on CSE/coalesce/DCE fixpoint rounds.
 MAX_PIPELINE_ROUNDS = 3
@@ -43,10 +40,17 @@ MAX_PIPELINE_ROUNDS = 3
 
 @dataclasses.dataclass(frozen=True)
 class PassContext:
-    """What a pass may assume about the target cluster."""
+    """What a pass may assume about the target cluster -- and, inside
+    :func:`optimize_plan`, the one :class:`PlanIndex` every built-in pass
+    shares (kept in sync by their mutations, so no pass rebuilds it)."""
 
     num_workers: int
     estimation_mode: str = "worst"
+    index: PlanIndex | None = None
+
+    def index_for(self, plan: Plan) -> PlanIndex | None:
+        """The shared index if it is ``plan``'s (else the pass builds one)."""
+        return self.index if self.index and self.index.plan is plan else None
 
 
 @runtime_checkable
@@ -62,7 +66,7 @@ class CSEPass:
     name = "cse"
 
     def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return eliminate_common_steps(plan)
+        return eliminate_common_steps(plan, context.index_for(plan))
 
 
 class CoalescePass:
@@ -73,6 +77,7 @@ class CoalescePass:
             plan,
             num_workers=context.num_workers,
             estimation_mode=context.estimation_mode,
+            index=context.index_for(plan),
         )
 
 
@@ -80,21 +85,21 @@ class DeadStepPass:
     name = "dce"
 
     def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return eliminate_dead_steps(plan)
+        return eliminate_dead_steps(plan, context.index_for(plan))
 
 
 class HoistPass:
     name = "hoist"
 
     def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return pin_loop_invariants(plan)
+        return pin_loop_invariants(plan, context.index_for(plan))
 
 
 class FusePass:
     name = "fuse"
 
     def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return fuse_cellwise_chains(plan)
+        return fuse_cellwise_chains(plan, context.index_for(plan))
 
 
 DEFAULT_PASSES: tuple[Pass, ...] = (
@@ -113,6 +118,7 @@ def optimize_plan(
     estimation_mode: str = "worst",
     passes: tuple[Pass, ...] | None = None,
     validate: bool = True,
+    counters: collections.Counter | None = None,
 ) -> Plan:
     """Run the pass pipeline; returns a new, stage-scheduled plan.
 
@@ -124,12 +130,14 @@ def optimize_plan(
     optimization with :class:`~repro.errors.TranslationValidationError`
     before the broken plan can reach the executor.  A final end-to-end
     certificate covers the whole pipeline, snapshots included.
+
+    ``counters`` only *receives* the optimizer's deterministic work counts
+    (index builds, plan scans, candidates enumerated / applied / accepted,
+    pipeline rounds) for the benches and the complexity gate.
     """
-    context = PassContext(num_workers=num_workers, estimation_mode=estimation_mode)
-    if validate:
-        from repro.verify.certify import certify
-    original = clone_plan(plan) if validate else plan
     optimized = clone_plan(plan)
+    index = PlanIndex(optimized, counters=counters)
+    context = PassContext(num_workers, estimation_mode, index)
     pipeline = DEFAULT_PASSES if passes is None else tuple(passes)
     rewrites: list[AppliedRewrite] = list(optimized.rewrites)
     certificates: list = list(optimized.certificates)
@@ -137,25 +145,44 @@ def optimize_plan(
     # Fusion runs dead last: it must see the final cache-pin set, and the
     # instance-renaming passes cannot see inside a fused chain payload.
     fusers = [p for p in pipeline if isinstance(p, FusePass)]
-    rounds = [
-        p for p in pipeline if not isinstance(p, (HoistPass, FusePass))
-    ]
+    rounds = [p for p in pipeline if not isinstance(p, (HoistPass, FusePass))]
+
+    if validate:
+        from repro.verify.certify import PlanFacts, certify
+
+        # Each certificate's "before" is the previous one's "after".  The
+        # snapshot (a clone plus its analyses) stands for as long as the
+        # index says nothing has mutated, so a pass that does nothing costs
+        # no clone and a certified one hands its "after" facts forward.
+        original = snapshot = clone_plan(plan)
+        original_facts = snapshot_facts = PlanFacts.of(original)
+        snapshot_version = index.version
 
     def run_validated(the_pass: Pass) -> list[AppliedRewrite]:
-        snapshot = clone_plan(optimized) if validate else None
+        nonlocal snapshot, snapshot_facts, snapshot_version
         applied = the_pass.run(optimized, context)
-        if applied and snapshot is not None:
+        if type(the_pass) not in map(type, DEFAULT_PASSES):
+            index.rebuild()  # a foreign pass edits steps behind the index
+        if not validate or (not applied and index.version == snapshot_version):
+            return applied
+        facts = PlanFacts.of(optimized)
+        if applied:
             certificates.append(
                 certify(
                     snapshot,
                     optimized,
                     pass_name=the_pass.name,
                     rewrites=len(applied),
+                    facts_before=snapshot_facts,
+                    facts_after=facts,
                 )
             )
+        snapshot, snapshot_facts = clone_plan(optimized), facts
+        snapshot_version = index.version
         return applied
 
     for __ in range(MAX_PIPELINE_ROUNDS):
+        index.counters["pipeline_rounds"] += 1
         changed = False
         for the_pass in rounds:
             applied = run_validated(the_pass)
@@ -164,19 +191,20 @@ def optimize_plan(
                 rewrites.extend(applied)
         if not changed:
             break
-    for the_pass in hoisters:
+    for the_pass in hoisters + fusers:
         rewrites.extend(run_validated(the_pass))
-    for the_pass in fusers:
-        rewrites.extend(run_validated(the_pass))
-    toposort_steps(optimized)
+    index.toposort()
     recompute_predicted_bytes(optimized, num_workers, estimation_mode)
     if validate:
+        unchanged = index.version == snapshot_version
         certificates.append(
             certify(
                 original,
                 optimized,
                 pass_name="pipeline",
                 rewrites=len(rewrites) - len(plan.rewrites),
+                facts_before=original_facts,
+                facts_after=snapshot_facts if unchanged else None,
             )
         )
     optimized.rewrites = tuple(rewrites)

@@ -67,6 +67,11 @@ class CommunicationLedger:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: list[TransferRecord] = []
+        # Running sums over ``_records``, kept under the lock: the executor
+        # snapshots the total twice per run, and a long-lived service
+        # session never resets its ledger.
+        self._total_bytes = 0
+        self._unattributed_bytes = 0
 
     # -- scoping ------------------------------------------------------------
 
@@ -105,6 +110,9 @@ class CommunicationLedger:
         scope = "/".join(self._scope_stack())
         with self._lock:
             self._records.append(TransferRecord(kind, nbytes, scope, link))
+            self._total_bytes += nbytes
+            if link is None:
+                self._unattributed_bytes += nbytes
         tracer = active_tracer()
         if tracer is not None:
             tracer.event(
@@ -121,7 +129,7 @@ class CommunicationLedger:
     @property
     def total_bytes(self) -> int:
         with self._lock:
-            return sum(r.nbytes for r in self._records)
+            return self._total_bytes
 
     def bytes_by_kind(self) -> dict[str, int]:
         out: dict[str, int] = defaultdict(int)
@@ -153,7 +161,7 @@ class CommunicationLedger:
     def unattributed_bytes(self) -> int:
         """Bytes of records with no link attribution (broadcasts)."""
         with self._lock:
-            return sum(r.nbytes for r in self._records if r.link is None)
+            return self._unattributed_bytes
 
     def bytes_by_scope(self) -> dict[str, int]:
         out: dict[str, int] = defaultdict(int)
@@ -173,3 +181,4 @@ class CommunicationLedger:
     def reset(self) -> None:
         with self._lock:
             self._records.clear()
+            self._total_bytes = self._unattributed_bytes = 0

@@ -305,23 +305,43 @@ class Certificate:
         }
 
 
+@dataclasses.dataclass(frozen=True)
+class PlanFacts:
+    """Everything :func:`certify` derives from one plan alone.  Both parts
+    are keyed by instances and names, never by step identity, so the facts
+    of a plan hold for any clone of it: the optimizer pipeline computes
+    them once per distinct plan and hands a certificate's ``after`` facts
+    on as the next certificate's ``before``."""
+
+    analysis: PlanAnalysis
+    summary: ValueSummary
+
+    @classmethod
+    def of(cls, plan: Plan) -> "PlanFacts":
+        return cls(analyse_plan(plan), value_summary(plan))
+
+
 def certify(
     before: Plan,
     after: Plan,
     *,
     pass_name: str,
     rewrites: int = 0,
-    analysis_before: Optional[PlanAnalysis] = None,
-    analysis_after: Optional[PlanAnalysis] = None,
+    facts_before: Optional[PlanFacts] = None,
+    facts_after: Optional[PlanFacts] = None,
 ) -> Certificate:
     """Prove ``after`` computes what ``before`` computes, or raise.
 
     Raises :class:`~repro.errors.TranslationValidationError` naming every
     failed obligation; returns the :class:`Certificate` when all hold.
+    ``facts_before`` / ``facts_after`` must be the :class:`PlanFacts` of
+    exactly these plans (computed here when omitted).
     """
     failures: List[str] = []
-    summary_before = value_summary(before)
-    summary_after = value_summary(after)
+    facts_before = facts_before or PlanFacts.of(before)
+    facts_after = facts_after or PlanFacts.of(after)
+    summary_before, analysis_before = facts_before.summary, facts_before.analysis
+    summary_after, analysis_after = facts_after.summary, facts_after.analysis
 
     if set(after.outputs) != set(before.outputs):
         failures.append(
@@ -381,8 +401,6 @@ def certify(
         elif key_before is not None:
             proven_scalars += 1
 
-    analysis_before = analysis_before or analyse_plan(before)
-    analysis_after = analysis_after or analyse_plan(after)
     for name in sorted(set(before.outputs) & set(after.outputs)):
         inst_before, inst_after = before.outputs[name], after.outputs[name]
         shape_before = analysis_before.shape_of(inst_before)
