@@ -1,7 +1,7 @@
 """Elasticity benchmark — throughput vs worker-seconds (no paper figure).
 
 The paper's clusters are fixed-size: every experiment holds its worker
-count for the whole run.  The elastic backend relaxes that, so this
+count for the whole run.  A membership timeline relaxes that, so this
 benchmark prices the trade-off the paper never could: each elasticity
 policy turns the plan's per-stage flop profile into a join/leave
 timeline, and the sweep reports makespan (throughput) against
@@ -63,13 +63,12 @@ def elastic_clock() -> ClockConfig:
 
 
 def _run(load, spec, workers):
-    """One elastic run; empty ``spec`` is the fixed-membership baseline."""
+    """One run; empty ``spec`` is the fixed-membership (static) baseline."""
     config = ClusterConfig(
         num_workers=workers,
         threads_per_worker=1,
         block_size=16,
         clock=elastic_clock(),
-        backend="elastic",
         elastic=spec,
         elastic_seed=SEED,
     )

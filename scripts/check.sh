@@ -12,7 +12,7 @@ else
 fi
 
 if command -v mypy >/dev/null 2>&1; then
-    echo "== mypy (strict on repro.verify and repro.frontend) =="
+    echo "== mypy (strict overrides: see [[tool.mypy.overrides]] in pyproject.toml) =="
     mypy
 else
     echo "== mypy not installed; skipping type check =="

@@ -15,7 +15,6 @@ Public entry points::
 """
 
 from repro.config import ClockConfig, ClusterConfig, RecoveryConfig
-from repro.core.executor import ExecutionResult
 from repro.core.plan import Plan
 from repro.core.planner import DMacPlanner
 from repro.errors import (
@@ -42,6 +41,7 @@ from repro.lang.program import MatrixProgram, ProgramBuilder
 from repro.matrix.distributed import DistributedMatrix
 from repro.matrix.schemes import Scheme
 from repro.rdd.context import ClusterContext
+from repro.runtime.executor import ExecutionResult
 from repro.runtime.graph import StageGraph
 from repro.session import DMacSession
 

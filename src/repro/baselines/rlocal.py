@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from repro.config import ClockConfig
-from repro.core.executor import evaluate_scalar
 from repro.errors import ExecutionError
 from repro.lang.program import (
     AggregateOp,
@@ -30,6 +29,7 @@ from repro.lang.program import (
     ScalarMatrixOp,
     UnaryMatrixOp,
 )
+from repro.runtime.executor import evaluate_scalar
 
 #: Density below which the single-machine flop model counts only non-zeros.
 _SPARSE_FLOP_DENSITY = 0.5

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.core.cost import output_cost
 from repro.core.estimator import SizeEstimator
-from repro.core.executor import ExecutionResult, evaluate_scalar
 from repro.core.strategies import Strategy, candidate_strategies
 from repro.errors import ExecutionError
 from repro.lang.program import (
@@ -69,6 +68,7 @@ from repro.rdd.context import ClusterContext
 from repro.rdd.partitioner import HashPartitioner
 from repro.rdd.rdd import RDD
 from repro.rdd.shuffle import shuffle
+from repro.runtime.executor import ExecutionResult, evaluate_scalar
 
 
 class SystemMLSExecutor:

@@ -30,6 +30,7 @@ stdout; human-readable progress and diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -85,36 +86,37 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strassen-min-size", type=int, default=128,
                         help="dense-size crossover below which block products "
                              "stay on the naive BLAS kernel")
-    parser.add_argument("--backend", choices=["simulated", "elastic"],
-                        default="simulated",
-                        help="execution substrate: the static simulated "
-                             "cluster, or the elastic worker pool whose "
-                             "members may join and leave between stages")
+    _add_elastic_args(parser)
+
+
+def _add_elastic_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--elastic", default=None, metavar="SPEC",
-                        help="membership timeline for --backend elastic, "
-                             "e.g. 'join@2:count=2; leave@5:worker=0' "
+                        help="membership timeline: workers join and leave "
+                             "between stages, e.g. "
+                             "'join@2:count=2; leave@5:worker=0' "
                              "(kinds: join, leave; see repro.elastic.spec)")
     parser.add_argument("--elastic-seed", type=int, default=0,
-                        help="seed of the elastic pool's rendezvous slot "
+                        help="seed of the timeline's rendezvous slot "
                              "assignment (same seed + timeline = "
                              "byte-identical runs)")
 
 
-def _session(args: argparse.Namespace) -> DMacSession:
-    return DMacSession(
-        ClusterConfig(
-            num_workers=args.workers,
-            threads_per_worker=args.threads,
-            block_size=args.block_size,
-            batched_matmul=getattr(args, "batched_matmul", True),
-            strassen=getattr(args, "strassen", False),
-            strassen_min_size=getattr(args, "strassen_min_size", 128),
-            backend=getattr(args, "backend", "simulated"),
-            elastic=getattr(args, "elastic", None),
-            elastic_seed=getattr(args, "elastic_seed", 0),
-        ),
-        optimize=getattr(args, "optimize", False),
+def _cluster_config(args: argparse.Namespace) -> ClusterConfig:
+    """The cluster the flags describe (`serve` has no kernel flags)."""
+    return ClusterConfig(
+        num_workers=args.workers,
+        threads_per_worker=args.threads,
+        block_size=args.block_size,
+        batched_matmul=getattr(args, "batched_matmul", True),
+        strassen=getattr(args, "strassen", False),
+        strassen_min_size=getattr(args, "strassen_min_size", 128),
+        elastic=args.elastic,
+        elastic_seed=args.elastic_seed,
     )
+
+
+def _session(args: argparse.Namespace) -> DMacSession:
+    return DMacSession(_cluster_config(args), optimize=args.optimize)
 
 
 def _report(label: str, result, baseline=None) -> None:
@@ -155,11 +157,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("run --compare: the SystemML-S baseline cannot execute a "
               "staged convergence loop", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    if args.compare and getattr(args, "backend", "simulated") == "elastic":
-        print("run --compare: the SystemML-S baseline runs on the static "
-              "backend; drop --backend elastic to compare", file=sys.stderr)
-        return EXIT_PARSE_ERROR
     session = _session(args)
+    timeline = bool(session.context.pool.events)
+    if args.compare and timeline:
+        print("run --compare: the SystemML-S baseline runs on a static "
+              "cluster; drop --elastic to compare", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     tracer = None
     if getattr(args, "trace", False):
         if staged:
@@ -204,7 +207,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if staged:
             report["staged"] = True
             report["segments"] = result.num_segments
-        if result.elastic is not None:
+        if timeline:
             report["elastic"] = result.elastic
         if baseline is not None:
             report["baseline_comm_bytes"] = baseline.comm_bytes
@@ -219,7 +222,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2))
         return 0
     _report(f"DMac {args.app}", result, baseline)
-    if result.elastic is not None:
+    if timeline:
         summary = result.elastic
         print(f"elastic: {summary['initial_members']} -> "
               f"{summary['final_members']} members over {summary['slots']} "
@@ -577,24 +580,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"fault spec error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     program, inputs, __ = _workload(args)
-    config = ClusterConfig(
-        num_workers=args.workers,
-        threads_per_worker=args.threads,
-        block_size=args.block_size,
+    config = dataclasses.replace(
+        _cluster_config(args),
         recovery=RecoveryConfig(
             max_stage_attempts=args.retries,
             checkpoint_every=args.checkpoint_every,
             speculation_multiplier=args.speculation,
         ),
-        backend=getattr(args, "backend", "simulated"),
-        elastic=getattr(args, "elastic", None),
-        elastic_seed=getattr(args, "elastic_seed", 0),
     )
     # Two fresh sessions: the clean reference and the faulted run share
     # nothing but the program, the inputs and the config.
-    clean = DMacSession(config).run(program, inputs)
+    clean = DMacSession(config, optimize=args.optimize).run(program, inputs)
     engine = ChaosEngine(args.seed, clauses)
-    faulted = DMacSession(config).run(program, inputs, chaos=engine)
+    faulted = DMacSession(config, optimize=args.optimize).run(
+        program, inputs, chaos=engine
+    )
     results_match = set(clean.matrices) == set(faulted.matrices) and all(
         np.allclose(clean.matrices[name], faulted.matrices[name], atol=1e-9)
         for name in clean.matrices
@@ -705,14 +705,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             config = ServiceConfig(
                 tenants=tuple(_parse_tenant_flag(t) for t in args.tenant),
-                cluster=ClusterConfig(
-                    num_workers=args.workers,
-                    threads_per_worker=args.threads,
-                    block_size=args.block_size,
-                    backend=args.backend,
-                    elastic=args.elastic,
-                    elastic_seed=args.elastic_seed,
-                ),
+                cluster=_cluster_config(args),
                 plan_cache_entries=args.cache_entries,
                 optimize=args.optimize,
                 seed=args.seed if args.seed is not None else 0,
@@ -960,14 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4)
     serve.add_argument("--threads", type=int, default=4)
     serve.add_argument("--block-size", type=int, default=None)
-    serve.add_argument("--backend", choices=["simulated", "elastic"],
-                       default="simulated",
-                       help="execution substrate for scriptless mode "
-                            "(see `repro run --backend`)")
-    serve.add_argument("--elastic", default=None, metavar="SPEC",
-                       help="membership timeline for --backend elastic")
-    serve.add_argument("--elastic-seed", type=int, default=0,
-                       help="elastic pool rendezvous seed")
+    _add_elastic_args(serve)
     serve.add_argument("--optimize", action=argparse.BooleanOptionalAction,
                        default=False)
     serve.set_defaults(func=_cmd_serve)

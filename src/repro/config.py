@@ -101,7 +101,8 @@ class ClusterConfig:
     """Static description of the (simulated) cluster.
 
     Attributes:
-        num_workers: number of worker nodes ``K`` (paper: 4 default, up to 20).
+        num_workers: number of worker nodes ``K`` (paper: 4 default, up to
+            20); with an ``elastic`` timeline, the *initial* membership.
         threads_per_worker: local parallelism ``L`` (paper: 8).
         block_size: rows/columns per square block, or ``None`` to let the
             engine choose via Equation 3 of the paper.
@@ -139,15 +140,14 @@ class ClusterConfig:
             naive kernel only to relative tolerance), hence off by default.
         strassen_min_size: dense-size crossover below which block products
             always use the naive BLAS kernel.
-        backend: execution substrate -- ``"simulated"`` (the static
-            cluster) or ``"elastic"`` (the :mod:`repro.elastic` worker
-            pool, whose members may join and leave between stages).
-        elastic: membership-timeline spec for the elastic backend (the
-            ``--elastic`` grammar, e.g. ``"join@2; leave@5"``); ``None``
-            or ``""`` runs the elastic pool with static membership.
-            Only meaningful with ``backend="elastic"``.
-        elastic_seed: seed of the pool's rendezvous slot assignment (same
-            seed + same timeline = byte-identical runs).
+        elastic: membership-timeline spec (the ``--elastic`` grammar of
+            :mod:`repro.elastic.spec`, e.g. ``"join@2; leave@5"``): workers
+            join and leave between stages while partitions stay on their
+            static slots.  ``None`` or ``""`` is the timeline with no
+            events -- the static cluster.
+        elastic_seed: seed of the rendezvous slot assignment a timeline
+            with events uses (same seed + same timeline = byte-identical
+            runs).
     """
 
     num_workers: int = 4
@@ -163,7 +163,6 @@ class ClusterConfig:
     batched_matmul: bool = True
     strassen: bool = False
     strassen_min_size: int = 128
-    backend: str = "simulated"
     elastic: str | None = None
     elastic_seed: int = 0
 
@@ -196,12 +195,4 @@ class ClusterConfig:
         if self.strassen_min_size < 2:
             raise ClusterError(
                 f"strassen_min_size must be >= 2, got {self.strassen_min_size}"
-            )
-        if self.backend not in ("simulated", "elastic"):
-            raise ClusterError(
-                f"backend must be 'simulated' or 'elastic', got {self.backend!r}"
-            )
-        if self.elastic and self.backend != "elastic":
-            raise ClusterError(
-                "an elastic membership timeline requires backend='elastic'"
             )

@@ -19,7 +19,6 @@ from repro.core.dependency import (
 )
 from repro.core.estimator import SizeEstimator
 from repro.core.events import InputEvent, OutputEvent, precedes
-from repro.core.executor import ExecutionResult, PlanExecutor, StepTrace, evaluate_scalar
 from repro.core.optimal import free_closure, optimal_cost, paper_cost_of_plan
 from repro.core.plan import (
     AggregateStep,
@@ -50,6 +49,7 @@ from repro.core.strategies import (
     Strategy,
     candidate_strategies,
 )
+from repro.runtime.executor import ExecutionResult, PlanExecutor, StepTrace, evaluate_scalar
 
 __all__ = [
     "AGGREGATE_STRATEGIES",

@@ -1,14 +1,15 @@
-"""repro.elastic: an elastic worker pool for the simulated cluster.
+"""repro.elastic: cluster membership for the simulated cluster.
 
 Stateless workers pull block work from the static *slot* topology and may
 join or leave between (and during) stages, driven by a seeded
-deterministic membership timeline (the ``--elastic`` grammar).  See
+deterministic membership timeline (the ``--elastic`` grammar); a static
+cluster is the timeline with no events.  The pool is owned by every
+:class:`~repro.rdd.context.ClusterContext` and its transitions are applied
+by :class:`~repro.runtime.backend.SimulatedBackend`.  See
 ``docs/elastic.md`` for the membership grammar, the slot/member split,
 the elasticity policies and the determinism contract.
 """
 
-from repro.elastic.backend import ElasticBackend
-from repro.elastic.context import ElasticClusterContext
 from repro.elastic.policies import (
     CostCappedPolicy,
     ElasticityPolicy,
@@ -25,8 +26,6 @@ from repro.errors import ElasticSpecError
 __all__ = [
     "EVENT_KINDS",
     "CostCappedPolicy",
-    "ElasticBackend",
-    "ElasticClusterContext",
     "ElasticEvent",
     "ElasticPool",
     "ElasticityPolicy",

@@ -24,11 +24,13 @@ policy-driven elastic runs inherit the pool's determinism contract.
 from __future__ import annotations
 
 import dataclasses
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
-from repro.core.plan import Plan
 from repro.elastic.spec import ElasticEvent
 from repro.errors import ElasticSpecError
+
+if TYPE_CHECKING:
+    from repro.core.plan import Plan
 
 
 def plan_stage_weights(plan: Plan) -> list[float]:

@@ -98,7 +98,14 @@ class ElasticPool:
         self._members: list[int] = list(range(initial))
         self._next_id = initial
         self._applied = 0
-        self._assignment = self.assignment_for(tuple(self._members))
+        # A timeline with no events never moves a slot, so there is nothing
+        # for rendezvous hashing to minimise: every member keeps the slot of
+        # its own index and a static cluster's worker ids are its positions.
+        self._assignment = (
+            self.assignment_for(tuple(self._members))
+            if events
+            else {member: member for member in self._members}
+        )
         #: Cumulative stage offset across executed segments of a staged
         #: program -- event stages index the cumulative count.
         self.stage_offset = 0

@@ -186,9 +186,14 @@ class RecoveringResources:
         if self._checkpoints is not None:
             self._checkpoints.maybe_checkpoint(instance, matrix)
         if self._chaos.on_publish(instance):
-            self._manager.invalidate(instance)
-            with self._recovery_lock:
-                self.blocks_lost += 1
+            self.invalidate(instance)
+
+    def invalidate(self, instance: MatrixInstance) -> None:
+        """Lose a live instance's blocks (an injected ``lostblock``, or a
+        departed member's slots) and count it for the recovery summary."""
+        self._manager.invalidate(instance)
+        with self._recovery_lock:
+            self.blocks_lost += 1
 
     def get(self, instance: MatrixInstance) -> DistributedMatrix:
         try:

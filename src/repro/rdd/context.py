@@ -1,9 +1,10 @@
-"""The cluster context: workers, ledger, clock, broadcast.
+"""The cluster context: workers, membership, ledger, clock, broadcast.
 
 :class:`ClusterContext` is this reproduction's stand-in for a SparkContext
 over a physical cluster (see DESIGN.md, Substitutions).  It owns
 
-* ``K`` logical workers, each with its own
+* ``K`` logical worker *slots* and the :class:`~repro.elastic.pool.ElasticPool`
+  that says which live *member* owns each slot; every member has its own
   :class:`~repro.localexec.engine.LocalEngine` (``L`` threads, In-Place or
   Buffer aggregation, optional memory budget),
 * the single :class:`~repro.rdd.ledger.CommunicationLedger` through which
@@ -11,14 +12,22 @@ over a physical cluster (see DESIGN.md, Substitutions).  It owns
 * the :class:`~repro.rdd.clock.SimulatedClock` that converts metered bytes
   and flops into the execution-time series the benchmarks report.
 
-Partition ``p`` of any RDD lives on worker ``p % K``.
+Partition ``p`` of any RDD lives on slot ``p % K``, whoever owns it.  The
+slot count is the peak membership of the config's ``elastic`` timeline, so
+everything the ledger records is independent of churn; only the simulated
+compute time changes, because a member owning several slots accumulates
+all their flops on one engine and becomes the slowest worker of the phase.
+A static cluster is the timeline with no events: member ``w`` owns slot
+``w`` for the whole run.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import dataclasses
+from typing import TYPE_CHECKING, Iterable
 
 from repro.config import ClusterConfig
+from repro.elastic.pool import ElasticPool
 from repro.errors import ClusterError
 from repro.localexec.engine import LocalEngine
 from repro.rdd.broadcast import Broadcast
@@ -27,59 +36,95 @@ from repro.rdd.ledger import CommunicationLedger
 from repro.rdd.partitioner import Partitioner
 from repro.rdd.sizeof import model_sizeof
 
+if TYPE_CHECKING:
+    from repro.faults.chaos import ChaosEngine
+    from repro.rdd.rdd import RDD
+    from repro.runtime.backend import SimulatedBackend
+
 
 class ClusterContext:
     """Entry point to the simulated cluster."""
 
     def __init__(self, config: ClusterConfig | None = None) -> None:
-        self.config = config or ClusterConfig()
+        config = config or ClusterConfig()
+        #: Membership: ``config.num_workers`` initial members plus whatever
+        #: the ``elastic`` timeline admits.
+        self.pool = ElasticPool(
+            config.elastic or "",
+            initial=config.num_workers,
+            seed=config.elastic_seed,
+        )
+        # The slot topology is the timeline's peak membership, so planner,
+        # verifier and lint all size against the slot count.
+        self.config = dataclasses.replace(config, num_workers=self.pool.slots)
         self.ledger = CommunicationLedger()
-        self.clock = SimulatedClock(self.config.clock)
+        self.clock = SimulatedClock(config.clock)
         #: Installed fault-injection engine (see :mod:`repro.faults`);
         #: ``None`` means every hook below is inert.
-        self.chaos = None
-        self.engines = [
-            LocalEngine(
-                threads=self.config.threads_per_worker,
-                inplace=self.config.inplace,
-                memory_limit_bytes=self.config.memory_limit_bytes,
-                batched_matmul=getattr(self.config, "batched_matmul", True),
-                strassen=getattr(self.config, "strassen", False),
-                strassen_min_size=getattr(self.config, "strassen_min_size", 128),
+        self.chaos: ChaosEngine | None = None
+        # One engine per member the timeline will *ever* admit (statically
+        # known), so flop attribution built once at run start stays valid
+        # across joins, and a departed member's counters survive for the
+        # final books.
+        self._member_engines = {
+            member: LocalEngine(
+                threads=config.threads_per_worker,
+                inplace=config.inplace,
+                memory_limit_bytes=config.memory_limit_bytes,
+                batched_matmul=config.batched_matmul,
+                strassen=config.strassen,
+                strassen_min_size=config.strassen_min_size,
             )
-            for __ in range(self.config.num_workers)
-        ]
+            for member in self.pool.members_ever
+        }
 
     # -- topology -------------------------------------------------------------
 
     @property
     def num_workers(self) -> int:
+        """The static slot count ``K``."""
         return self.config.num_workers
 
     def workers(self) -> tuple[int, ...]:
-        """The live worker ids.
+        """Every member id the timeline ever admits (``0..K-1`` on a static
+        cluster).
 
-        On the static cluster these are dense ``0..K-1`` and never change;
-        an elastic context reports its *member* ids instead, which need not
-        be dense or stable across stages.  Accounting code (block-cache
-        charges, flop attribution) must key off this set rather than
-        assuming ``range(num_workers)``.
+        Accounting keyed off this set (flop sources, cache charges) uses
+        stable member ids; a departed member keeps its engine -- and its
+        books -- so charges and discharges always find the same tracker.
         """
-        return tuple(range(self.num_workers))
+        return self.pool.members_ever
 
     def engine_for_worker(self, worker: int) -> LocalEngine:
-        """The engine of one live worker id (see :meth:`workers`)."""
-        return self.engines[worker]
+        """The engine of one member id (see :meth:`workers`)."""
+        engine = self._member_engines.get(worker)
+        if engine is None:
+            raise ClusterError(f"unknown cluster member id {worker}")
+        return engine
+
+    @property
+    def engines(self) -> list[LocalEngine]:
+        """Slot index -> the engine of the member owning that slot *now*.
+
+        The primitives index this positionally; resolving through the
+        pool's current assignment is what makes a membership change take
+        effect without moving any partition.
+        """
+        return [
+            self._member_engines[self.pool.member_for_slot(slot)]
+            for slot in range(self.num_workers)
+        ]
 
     def worker_for_partition(self, partition_index: int) -> int:
-        """The worker hosting a given partition index."""
+        """The slot hosting a given partition index."""
         if partition_index < 0:
             raise ClusterError(f"negative partition index {partition_index}")
         return partition_index % self.num_workers
 
     def engine_for_partition(self, partition_index: int) -> LocalEngine:
-        """The local engine of the worker hosting ``partition_index``."""
-        return self.engines[self.worker_for_partition(partition_index)]
+        """The local engine of the member hosting ``partition_index``."""
+        slot = self.worker_for_partition(partition_index)
+        return self._member_engines[self.pool.member_for_slot(slot)]
 
     # -- data ingestion ---------------------------------------------------------
 
@@ -87,7 +132,7 @@ class ClusterContext:
         self,
         items: Iterable[tuple[object, object]],
         partitioner: Partitioner,
-    ) -> "RDD":
+    ) -> RDD:
         """Create an RDD from driver-side key/value pairs.
 
         Modelling a load from a distributed filesystem: the data lands
@@ -106,17 +151,17 @@ class ClusterContext:
 
     # -- execution backend -----------------------------------------------------
 
-    def make_backend(self):
+    def make_backend(self) -> SimulatedBackend:
         """The :class:`~repro.runtime.backend.Backend` that executes plans
         on this context (imported lazily: the runtime sits above the rdd
-        layer).  Subclasses pick their own backend implementation."""
+        layer)."""
         from repro.runtime.backend import SimulatedBackend
 
         return SimulatedBackend(self)
 
     # -- fault injection -------------------------------------------------------
 
-    def install_chaos(self, engine) -> None:
+    def install_chaos(self, engine: ChaosEngine | None) -> None:
         """Install (or clear, with ``None``) a fault-injection engine.
 
         The engine is consulted before every metered transfer and at the
@@ -158,10 +203,10 @@ class ClusterContext:
     # -- clock integration -----------------------------------------------------------
 
     def flops_snapshot(self) -> dict[int, tuple[int, int]]:
-        """Per-worker ``(dense_flops, sparse_flops)`` counters right now."""
+        """Per-member ``(dense_flops, sparse_flops)`` counters right now."""
         return {
-            w: (engine.stats.dense_flops, engine.stats.sparse_flops)
-            for w, engine in enumerate(self.engines)
+            member: (engine.stats.dense_flops, engine.stats.sparse_flops)
+            for member, engine in self._member_engines.items()
         }
 
     def charge_compute_since(self, snapshot: dict[int, tuple[int, int]]) -> None:
@@ -176,11 +221,14 @@ class ClusterContext:
 
     def peak_memory_bytes(self) -> int:
         """The largest per-worker peak (the paper reports per-node memory)."""
-        return max(engine.tracker.peak_bytes for engine in self.engines)
+        return max(self.peak_memory_by_worker())
 
     def peak_memory_by_worker(self) -> list[int]:
-        """Per-worker peak model bytes (for balance inspection)."""
-        return [engine.tracker.peak_bytes for engine in self.engines]
+        """Per-member peak model bytes, in :meth:`workers` order (for
+        balance inspection)."""
+        return [
+            engine.tracker.peak_bytes for engine in self._member_engines.values()
+        ]
 
     def reset_metrics(self) -> None:
         """Clear ledger and clock (typically between benchmark phases)."""

@@ -10,18 +10,37 @@ expose the metering surface (ledger, clock, per-worker flop counters) the
 scheduler charges simulated time through.
 
 :class:`SimulatedBackend` is the one shipping implementation: a thin
-adapter over today's :class:`~repro.rdd.context.ClusterContext` and the
-physical primitives of :mod:`repro.matrix.primitives`.
+adapter over :class:`~repro.rdd.context.ClusterContext` and the physical
+primitives of :mod:`repro.matrix.primitives`.  It also applies the
+context's membership timeline as stages execute:
+
+* before a stage-graph node runs, every timeline event due at or before
+  its (cumulative) stage is applied;
+* a **leave** loses the departed member's in-memory blocks: live
+  partitioned instances with blocks on its slots are invalidated, and the
+  first consumer recomputes them through lineage recovery (broadcast
+  replicas survive -- every member holds a full copy);
+* a **join** rendezvous-moves the joiner's fair share of slots: live
+  blocks on the moved slots are shipped to the joiner, metered as
+  ``rebalance`` traffic, and each joiner additionally fetches a replica
+  of every live broadcast matrix.
+
+Transition application is idempotent under stage retries: invalidation
+scans the *current* live set (an instance lost by a failed attempt is
+simply absent the second time), and the pool's cursor only advances once
+the side effects have completed.  A static cluster is the timeline with no
+events, for which all of this is a loop that finds nothing to do.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.blocks.memory import choose_block_size
 from repro.core.plan import Plan
+from repro.elastic.pool import Transition
 from repro.errors import ExecutionError
 from repro.lang.program import FullOp, LoadOp, RandomOp
 from repro.matrix.distributed import DistributedMatrix
@@ -48,6 +67,12 @@ from repro.rdd.clock import SimulatedClock
 from repro.rdd.context import ClusterContext
 from repro.rdd.ledger import CommunicationLedger
 from repro.rdd.sizeof import model_sizeof
+
+if TYPE_CHECKING:
+    from repro.faults.chaos import ChaosEngine
+    from repro.runtime.graph import StageNode
+    from repro.runtime.resources import ResourceManager
+    from repro.runtime.scheduler import SchedulerReport
 
 
 @runtime_checkable
@@ -105,8 +130,8 @@ class Backend(Protocol):
     # -- block cache accounting ---------------------------------------------
 
     def cached_bytes(self, matrix: DistributedMatrix) -> dict[int, int]:
-        """Worker index -> model bytes of the matrix's blocks resident
-        there (a Broadcast matrix charges every worker a full copy)."""
+        """Worker id -> model bytes of the matrix's blocks resident there
+        (a Broadcast matrix charges every worker a full copy)."""
         ...
 
     def charge_cache(self, worker: int, nbytes: int) -> None:
@@ -116,9 +141,29 @@ class Backend(Protocol):
 
     def discharge_cache(self, worker: int, nbytes: int) -> None: ...
 
+    # -- membership ---------------------------------------------------------
+
+    #: Cumulative rebalance traffic this backend charged (model bytes).
+    rebalance_bytes: int
+
+    def begin_node(self, node: StageNode, resources: ResourceManager) -> None:
+        """Apply every membership event due before this node's stage."""
+        ...
+
+    def elastic_summary(
+        self,
+        report: SchedulerReport,
+        *,
+        events_from: int = 0,
+        rebalance_bytes_before: int = 0,
+    ) -> dict[str, object]:
+        """What membership did to one run (worker-seconds, events fired,
+        rebalance traffic)."""
+        ...
+
     # -- fault injection ----------------------------------------------------
 
-    def install_chaos(self, engine) -> None:
+    def install_chaos(self, engine: ChaosEngine | None) -> None:
         """Install (or clear, with ``None``) a fault-injection engine on the
         substrate so transfer/shuffle hooks fire (see :mod:`repro.faults`)."""
         ...
@@ -143,11 +188,17 @@ class Backend(Protocol):
     def default_block_size(self, plan: Plan) -> int: ...
 
 
+def _slot_bytes(matrix: DistributedMatrix, slot: int) -> int:
+    """Model bytes of the matrix's blocks resident on one slot."""
+    return sum(model_sizeof(block) for block in matrix.worker_grid(slot).values())
+
+
 class SimulatedBackend:
     """The in-process metered cluster, adapted to the :class:`Backend` API."""
 
     def __init__(self, context: ClusterContext) -> None:
         self.context = context
+        self.rebalance_bytes = 0
 
     # -- kernels ------------------------------------------------------------
 
@@ -254,17 +305,16 @@ class SimulatedBackend:
     # -- block cache accounting ---------------------------------------------
 
     def cached_bytes(self, matrix: DistributedMatrix) -> dict[int, int]:
-        # Keyed off the context's live worker set, not range(num_workers):
-        # an elastic context's member ids are neither dense nor stable, and
-        # charge/discharge must land on the same workers' trackers.
+        # Resident bytes aggregated onto the slots' *current owner members*
+        # (a member owning several slots is charged for all of them), so
+        # charge and discharge land on the same members' trackers.
+        pool = self.context.pool
         out: dict[int, int] = {}
-        for worker in self.context.workers():
-            nbytes = sum(
-                model_sizeof(block)
-                for block in matrix.worker_grid(worker).values()
-            )
+        for slot in range(pool.slots):
+            nbytes = _slot_bytes(matrix, slot)
             if nbytes:
-                out[worker] = nbytes
+                member = pool.member_for_slot(slot)
+                out[member] = out.get(member, 0) + nbytes
         return out
 
     def charge_cache(self, worker: int, nbytes: int) -> None:
@@ -273,9 +323,113 @@ class SimulatedBackend:
     def discharge_cache(self, worker: int, nbytes: int) -> None:
         self.context.engine_for_worker(worker).tracker.release(nbytes)
 
+    # -- membership ---------------------------------------------------------
+
+    def begin_node(self, node: StageNode, resources: ResourceManager) -> None:
+        """Apply every timeline event due before this node's stage.
+
+        Called by the executor at the start of each stage-graph node (runs
+        with a timeline dispatch serially, so stages see transitions in a
+        deterministic order).  Safe to call again on a retried node: each
+        transition commits only after its side effects succeeded.
+        """
+        pool = self.context.pool
+        while True:
+            transition = pool.next_transition(node.stage)
+            if transition is None:
+                return
+            if transition.event.kind == "leave":
+                self._apply_leave(transition, resources)
+            else:
+                self._apply_join(transition, resources)
+            pool.commit(transition)
+
+    def _apply_leave(
+        self, transition: Transition, resources: ResourceManager
+    ) -> None:
+        """The departed member's in-memory blocks are gone: invalidate live
+        partitioned instances with blocks on its slots (lineage recovery
+        rebuilds them on first use).  Broadcast matrices survive -- every
+        remaining member holds a full replica."""
+        lost_slots = tuple(
+            sorted(
+                slot
+                for slot, owner in transition.moved_slots.items()
+                if owner == transition.departed
+            )
+        )
+        for instance, matrix in resources.live_items():
+            if matrix.scheme is Scheme.BROADCAST:
+                continue
+            if any(matrix.worker_grid(slot) for slot in lost_slots):
+                resources.invalidate(instance)
+
+    def _apply_join(
+        self, transition: Transition, resources: ResourceManager
+    ) -> None:
+        """Ship live blocks on the moved slots to their new owner and give
+        each joiner a replica of every live broadcast matrix; all of it is
+        metered as ``rebalance`` traffic (and subject to injected transfer
+        faults like any other transfer)."""
+        new_owner = self.context.pool.assignment_for(transition.members_after)
+        moved = sorted(transition.moved_slots)
+        links: dict[tuple[int, int], int] = {}
+        moved_bytes = 0
+        replica_bytes = 0
+        for __, matrix in resources.live_items():
+            if matrix.scheme is Scheme.BROADCAST:
+                replica_bytes += matrix.model_nbytes() * len(transition.joined)
+                continue
+            for slot in moved:
+                nbytes = _slot_bytes(matrix, slot)
+                if nbytes:
+                    link = (transition.moved_slots[slot], new_owner[slot])
+                    links[link] = links.get(link, 0) + nbytes
+                    moved_bytes += nbytes
+        if moved_bytes:
+            self.context.transfer("rebalance", moved_bytes, links)
+            self.rebalance_bytes += moved_bytes
+        if replica_bytes:
+            self.context.transfer("rebalance", replica_bytes)
+            self.rebalance_bytes += replica_bytes
+
+    def elastic_summary(
+        self,
+        report: SchedulerReport,
+        *,
+        events_from: int = 0,
+        rebalance_bytes_before: int = 0,
+    ) -> dict[str, object]:
+        """What membership did to one run (deterministic, simulation-only).
+
+        ``worker_seconds`` integrates each node's simulated duration over
+        the members live at its (cumulative) stage -- the "cluster cost"
+        axis the elasticity benchmarks trade against throughput;
+        ``slot_seconds`` is the same integral billed at the static slot
+        count, i.e. what a fixed peak-size cluster would have cost.  On a
+        static cluster the two are equal and ``events`` is empty.
+        """
+        pool = self.context.pool
+        worker_seconds = 0.0
+        slot_seconds = 0.0
+        for timing in report.timings:
+            live = len(pool.members_at(pool.stage_offset + timing.stage))
+            worker_seconds += timing.duration_seconds * live
+            slot_seconds += timing.duration_seconds * pool.slots
+        return {
+            "slots": pool.slots,
+            "seed": pool.seed,
+            "initial_members": pool.initial,
+            "final_members": len(pool.members),
+            "events": list(pool.applied_log[events_from:]),
+            "worker_seconds": worker_seconds,
+            "slot_seconds": slot_seconds,
+            "rebalance_bytes": self.rebalance_bytes - rebalance_bytes_before,
+        }
+
     # -- fault injection ----------------------------------------------------
 
-    def install_chaos(self, engine) -> None:
+    def install_chaos(self, engine: ChaosEngine | None) -> None:
         self.context.install_chaos(engine)
 
     # -- metering surface ---------------------------------------------------
@@ -293,9 +447,8 @@ class SimulatedBackend:
         return self.context.config.threads_per_worker
 
     def flop_sources(self) -> dict[int, object]:
-        # Worker ids come from the context's live worker set: enumerate()
-        # over the engines list would assume dense stable ids, which breaks
-        # flop attribution the moment membership can change.
+        # Keyed by member id, not slot position: a member owning several
+        # slots reports all their flops on its one engine.
         return {
             w: self.context.engine_for_worker(w).stats
             for w in self.context.workers()

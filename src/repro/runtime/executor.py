@@ -1,7 +1,6 @@
 """The runtime executor: stage-graph execution of DMac plans.
 
-This replaces the old serial step loop of ``repro.core.executor`` (kept as
-a compatibility shim).  An execution now flows through the runtime's parts:
+An execution flows through the runtime's parts:
 
 1. the plan is folded into a :class:`~repro.runtime.graph.StageGraph`,
 2. the :class:`~repro.runtime.scheduler.StageScheduler` dispatches ready
@@ -14,8 +13,8 @@ a compatibility shim).  An execution now flows through the runtime's parts:
 4. per-node :class:`~repro.runtime.metering.StageMeter` measurements are
    folded into the simulated clock as *critical-path* time.
 
-Ledgered bytes are unchanged from the serial executor -- same kernels,
-same scopes -- only the simulated seconds now reflect stage overlap.
+Ledgered bytes equal a serial step loop's -- same kernels, same scopes --
+only the simulated seconds reflect stage overlap.
 """
 
 from __future__ import annotations
@@ -80,9 +79,9 @@ class ExecutionResult:
     #: computed before execution under this run's exact block size and
     #: concurrency; ``None`` if the prediction was unavailable.
     predicted_peak_memory_bytes: int | None = None
-    #: Elastic-pool summary (slots, membership events, worker-seconds,
-    #: rebalance traffic) for runs on an elastic backend; ``None`` on the
-    #: static cluster.
+    #: Membership summary (slots, events fired, worker-seconds, rebalance
+    #: traffic); on a static cluster it has no events and worker-seconds
+    #: equal slot-seconds.
     elastic: dict | None = None
 
     @property
@@ -167,10 +166,7 @@ def _batched_pairs_total(backend) -> int:
 class PlanExecutor:
     """Executes DMac plans on a :class:`Backend` via the stage scheduler.
 
-    The default backend comes from ``context.make_backend()`` -- the
-    static :class:`~repro.runtime.backend.SimulatedBackend` for a plain
-    :class:`ClusterContext`, the elastic backend for an elastic context --
-    preserving the historical constructor.
+    The default backend comes from ``context.make_backend()``.
     """
 
     def __init__(
@@ -186,12 +182,10 @@ class PlanExecutor:
             block_size if block_size is not None else context.config.block_size
         )
         if max_concurrent_stages is None:
-            max_concurrent_stages = getattr(
-                context.config, "max_concurrent_stages", None
-            )
-        if getattr(self.backend, "pool", None) is not None:
-            # Elastic runs dispatch serially: membership transitions fire
-            # between stage-graph nodes in one deterministic order.  The
+            max_concurrent_stages = context.config.max_concurrent_stages
+        if context.pool.events:
+            # Runs with a membership timeline dispatch serially: transitions
+            # fire between stage-graph nodes in one deterministic order.  The
             # simulated schedule still reflects dependency-bound overlap.
             max_concurrent_stages = 1
         self.max_concurrent_stages = max_concurrent_stages
@@ -243,23 +237,23 @@ class PlanExecutor:
         predicted_peak = self._predict_peak(plan, graph, block_size, config)
         cache = None
         if getattr(plan, "cache_pins", ()):
-            budget = getattr(config, "cache_limit_bytes", None)
+            budget = config.cache_limit_bytes
             if budget is None:
-                budget = getattr(config, "memory_limit_bytes", None)
+                budget = config.memory_limit_bytes
             cache = BlockCache(plan.cache_pins, backend, budget_bytes=budget)
         manager = ResourceManager(
             plan,
             backend,
-            max_events=getattr(config, "resource_event_log_limit", None),
+            max_events=config.resource_event_log_limit,
             cache=cache,
         )
         resources = manager
-        pool = getattr(backend, "pool", None)
-        if pool is not None and pool.events and chaos is None:
+        pool = self.context.pool
+        if pool.events and chaos is None:
             # A leave loses blocks that only lineage recovery can rebuild,
-            # so elastic runs with a timeline always execute under the
-            # recovery machinery; an engine with no fault clauses never
-            # fires, keeping clean elastic runs deterministic.
+            # so runs with a timeline always execute under the recovery
+            # machinery; an engine with no fault clauses never fires,
+            # keeping clean runs deterministic.
             from repro.faults.chaos import ChaosEngine
 
             chaos = ChaosEngine(pool.seed, ())
@@ -269,13 +263,12 @@ class PlanExecutor:
         if chaos is not None:
             # Imported lazily: repro.faults sits above the runtime in the
             # layer diagram and must not be a hard import of the executor.
-            from repro.config import RecoveryConfig
             from repro.faults.recovery import CheckpointStore, RecoveringResources
             from repro.faults.report import RecoveryLog, summarise_recovery
 
             recovery_log = RecoveryLog()
             chaos.attach_sink(recovery_log.record)
-            recovery_config = getattr(config, "recovery", None) or RecoveryConfig()
+            recovery_config = config.recovery
             if recovery_config.checkpoint_every > 0:
                 checkpoints = CheckpointStore(
                     every=recovery_config.checkpoint_every,
@@ -311,10 +304,8 @@ class PlanExecutor:
 
         bytes_before = backend.ledger.snapshot()
         batched_before = _batched_pairs_total(backend)
-        elastic_events_before = len(pool.applied_log) if pool is not None else 0
-        rebalance_before = (
-            backend.rebalance_bytes if pool is not None else 0
-        )
+        elastic_events_before = len(pool.applied_log)
+        rebalance_before = backend.rebalance_bytes
         records_before = len(backend.ledger.records()) if tracer is not None else 0
         clock_window = backend.clock.begin_window() if tracer is not None else None
         wall_start = time.perf_counter()
@@ -363,16 +354,14 @@ class PlanExecutor:
                 resources=resources,
                 checkpoints=checkpoints,
             )
-        elastic = None
-        if pool is not None:
-            elastic = backend.elastic_summary(
-                report,
-                events_from=elastic_events_before,
-                rebalance_bytes_before=rebalance_before,
-            )
-            # Staged programs run segment after segment on one pool; event
-            # stages index the cumulative stage count.
-            pool.finish_segment(plan.num_stages)
+        elastic = backend.elastic_summary(
+            report,
+            events_from=elastic_events_before,
+            rebalance_bytes_before=rebalance_before,
+        )
+        # Staged programs run segment after segment on one pool; event
+        # stages index the cumulative stage count.
+        pool.finish_segment(plan.num_stages)
         scalars = state.scalars_snapshot()
         return ExecutionResult(
             matrices=matrices,
@@ -407,11 +396,11 @@ class PlanExecutor:
                 num_workers=config.num_workers,
                 threads_per_worker=config.threads_per_worker,
                 block_size=block_size,
-                inplace=getattr(config, "inplace", True),
+                inplace=config.inplace,
                 max_concurrent_stages=self.max_concurrent_stages,
                 graph=graph,
-                strassen=getattr(config, "strassen", False),
-                strassen_min_size=getattr(config, "strassen_min_size", 128),
+                strassen=config.strassen,
+                strassen_min_size=config.strassen_min_size,
             ).peak_bytes
         except ReproError:
             return None
@@ -444,24 +433,15 @@ class PlanExecutor:
                     )
                     stack.enter_context(stage_scope(node.index, node.stage))
                 stack.enter_context(metered(meter))
-                begin_node = getattr(state.backend, "begin_node", None)
-                if chaos is None:
-                    if begin_node is not None:
-                        begin_node(node, state.resources)
-                    self._run_steps(node, plan, state, worker_of_stats, trace, meter)
-                else:
-                    with chaos.stage_scope(node):
-                        chaos.on_stage_start()  # may raise an injected crash
-                        meter.slowdown_factor = chaos.slowdown_factor()
-                        if begin_node is not None:
-                            # Elastic membership transitions due before this
-                            # stage: applied under the node's meter and chaos
-                            # scope, so rebalance traffic is charged (and
-                            # fault-injectable) like any other stage work.
-                            begin_node(node, state.resources)
-                        self._run_steps(
-                            node, plan, state, worker_of_stats, trace, meter
-                        )
+                if chaos is not None:
+                    stack.enter_context(chaos.stage_scope(node))
+                    chaos.on_stage_start()  # may raise an injected crash
+                    meter.slowdown_factor = chaos.slowdown_factor()
+                # Membership transitions due before this stage: applied under
+                # the node's meter and chaos scope, so rebalance traffic is
+                # charged (and fault-injectable) like any other stage work.
+                state.backend.begin_node(node, state.resources)
+                self._run_steps(node, plan, state, worker_of_stats, trace, meter)
         except BaseException as error:
             # The failed attempt's metered cost: the scheduler charges it to
             # the node's simulated duration even though the attempt failed.

@@ -82,14 +82,10 @@ class StagedResult:
 
     @property
     def elastic(self) -> dict | None:
-        """Membership accounting aggregated over all segments (``None``
-        off the elastic backend): worker/slot-seconds and rebalance bytes
-        are summed, events concatenated, membership taken at the ends."""
-        summaries = [
-            record.result.elastic
-            for record in self.segments
-            if record.result.elastic is not None
-        ]
+        """Membership accounting aggregated over all segments:
+        worker/slot-seconds and rebalance bytes are summed, events
+        concatenated, membership taken at the ends."""
+        summaries = [record.result.elastic for record in self.segments]
         if not summaries:
             return None
         return {

@@ -45,7 +45,6 @@ _CLUSTER_KEYS = frozenset(
         "memory_limit_bytes",
         "max_concurrent_stages",
         "cache_limit_bytes",
-        "backend",
         "elastic",
         "elastic_seed",
     }

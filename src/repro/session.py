@@ -20,14 +20,12 @@ Typical use::
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 
 import numpy as np
 
 from repro.baselines.systemml import SystemMLSExecutor
 from repro.config import ClusterConfig
-from repro.core.executor import ExecutionResult, PlanExecutor
 from repro.core.plan import Plan
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
@@ -35,6 +33,7 @@ from repro.errors import ExecutionError, LintError, PlanError, VerificationError
 from repro.frontend.staged import StagedProgram
 from repro.lang.program import MatrixProgram
 from repro.rdd.context import ClusterContext
+from repro.runtime.executor import ExecutionResult, PlanExecutor
 
 #: Session lint modes: "off" skips analysis, "warn" prints findings to
 #: stderr, "error" additionally refuses to execute plans with error-severity
@@ -76,25 +75,11 @@ class DMacSession:
             raise PlanError(
                 f"unknown verify mode {verify!r} (choose from {VERIFY_MODES})"
             )
-        self.config = config or ClusterConfig()
-        if self.config.backend == "elastic":
-            from repro.elastic import ElasticClusterContext, ElasticPool
-
-            pool = ElasticPool(
-                self.config.elastic or "",
-                initial=self.config.num_workers,
-                seed=self.config.elastic_seed,
-            )
-            # The static slot topology is the pool's peak membership, so
-            # planner, verifier and lint all size against the slot count.
-            self.config = dataclasses.replace(
-                self.config, num_workers=pool.slots
-            )
-            self.context: ClusterContext = ElasticClusterContext(
-                self.config, pool
-            )
-        else:
-            self.context = ClusterContext(self.config)
+        self.context = ClusterContext(config)
+        #: The context's config: ``num_workers`` is the slot count (the peak
+        #: membership of an ``elastic`` timeline), which is what planner,
+        #: verifier and lint size against.
+        self.config = self.context.config
         self.pull_up_broadcast = pull_up_broadcast
         self.re_assignment = re_assignment
         self.estimation_mode = estimation_mode
@@ -296,10 +281,10 @@ class DMacSession:
     ) -> ExecutionResult:
         """Execute the same program under the SystemML-S baseline, on this
         session's cluster (same engines, same metered substrate)."""
-        if self.config.backend == "elastic":
+        if self.context.pool.events:
             raise ExecutionError(
-                "the SystemML-S baseline runs on the static backend; "
-                "compare against a session with backend='simulated'"
+                "the SystemML-S baseline runs on a static cluster; "
+                "compare against a session without an elastic timeline"
             )
         executor = SystemMLSExecutor(self.context, self.config.block_size)
         return executor.execute(program, inputs)

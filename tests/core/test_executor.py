@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig
-from repro.core.executor import PlanExecutor, evaluate_scalar
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.errors import ExecutionError
@@ -16,6 +15,7 @@ from repro.lang.expr import (
 )
 from repro.lang.program import ProgramBuilder
 from repro.rdd.context import ClusterContext
+from repro.runtime.executor import PlanExecutor, evaluate_scalar
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig
-from repro.core.executor import PlanExecutor
 from repro.core.plan import ExtendedStep, SourceStep
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
@@ -12,6 +11,7 @@ from repro.errors import PlanError
 from repro.lang.program import ProgramBuilder
 from repro.matrix.schemes import Scheme
 from repro.rdd.context import ClusterContext
+from repro.runtime.executor import PlanExecutor
 
 
 def plan_for(program, workers=4, **kwargs):

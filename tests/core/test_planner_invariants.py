@@ -166,8 +166,8 @@ def test_single_worker_plans_predict_nothing_physical(program):
     import numpy as np
 
     from repro.config import ClusterConfig
-    from repro.core.executor import PlanExecutor
     from repro.rdd.context import ClusterContext
+    from repro.runtime.executor import PlanExecutor
 
     plan = DMacPlanner(program, 1).plan()
     ctx = ClusterContext(ClusterConfig(num_workers=1, block_size=3))

@@ -13,11 +13,11 @@ from repro.baselines.rlocal import run_local
 from repro.baselines.systemml import SystemMLSExecutor
 from repro.config import ClusterConfig
 from repro.core.estimator import SizeEstimator
-from repro.core.executor import PlanExecutor
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages, validate_stage_invariant
 from repro.lang.program import ProgramBuilder
 from repro.rdd.context import ClusterContext
+from repro.runtime.executor import PlanExecutor
 
 
 @st.composite

@@ -1,10 +1,11 @@
-"""The elastic backend end to end: static equivalence, churn, recovery.
+"""Membership timelines end to end: static equivalence, churn, recovery.
 
-The determinism contract under test: an elastic run is a pure function of
+The determinism contract under test: a run is a pure function of
 ``(program, inputs, timeline, elastic_seed, fault seed)``.  With no
-timeline it is byte-identical to the static cluster; with one, same-seed
-repeats are byte-identical to each other -- clean and under injected
-faults alike.
+timeline it *is* the static cluster (``test_golden_books.py`` pins that
+against the books of the separate static path this design replaced); with
+one, same-seed repeats are byte-identical to each other -- clean and under
+injected faults alike.
 """
 
 from collections import Counter
@@ -14,11 +15,11 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, DMacSession
-from repro.elastic import ElasticBackend, ElasticClusterContext, ElasticPool
-from repro.errors import ClusterError, ExecutionError
+from repro.errors import ExecutionError
 from repro.faults import ChaosEngine, parse_fault_spec
 from repro.matrix.distributed import DistributedMatrix
 from repro.programs.registry import PAPER_APPS, WorkloadParams, build_workload
+from repro.rdd.context import ClusterContext
 from repro.runtime.resources import ResourceManager
 
 PARAMS = {"scale": 2e-3, "iterations": 3, "rows": 400, "features": 30}
@@ -28,12 +29,11 @@ def workload(app="gnmf"):
     return build_workload(app, WorkloadParams(**PARAMS))
 
 
-def session_for(backend="simulated", elastic=None, elastic_seed=0, workers=4):
+def session_for(elastic=None, elastic_seed=0, workers=4):
     return DMacSession(
         ClusterConfig(
             num_workers=workers,
             threads_per_worker=2,
-            backend=backend,
             elastic=elastic,
             elastic_seed=elastic_seed,
         )
@@ -42,8 +42,7 @@ def session_for(backend="simulated", elastic=None, elastic_seed=0, workers=4):
 
 def run(app="gnmf", elastic=None, elastic_seed=0, chaos_spec=None, fault_seed=0):
     load = workload(app)
-    backend = "elastic" if elastic is not None else "simulated"
-    session = session_for(backend, elastic, elastic_seed)
+    session = session_for(elastic, elastic_seed)
     chaos = None
     if chaos_spec is not None:
         chaos = ChaosEngine(fault_seed, parse_fault_spec(chaos_spec))
@@ -52,16 +51,6 @@ def run(app="gnmf", elastic=None, elastic_seed=0, chaos_spec=None, fault_seed=0)
 
 
 class TestStaticEquivalence:
-    def test_empty_timeline_matches_the_static_cluster_exactly(self):
-        """No events: same bytes, same simulated seconds, same arrays --
-        the slot topology is invisible when nobody joins or leaves."""
-        __, static = run(elastic=None)
-        __, elastic = run(elastic="")
-        assert elastic.comm_bytes == static.comm_bytes
-        assert elastic.simulated_seconds == static.simulated_seconds
-        for name in static.matrices:
-            assert np.array_equal(elastic.matrices[name], static.matrices[name])
-
     def test_churn_preserves_numerics(self):
         __, static = run(elastic=None)
         __, elastic = run(elastic="join@2:count=2; leave@5:worker=0")
@@ -71,26 +60,20 @@ class TestStaticEquivalence:
             )
 
     def test_systemml_baseline_refuses_the_elastic_backend(self):
+        """The baseline has no transition hook: it refuses a session whose
+        timeline has events rather than silently ignoring them."""
         load = workload()
-        session = session_for("elastic", "join@2")
-        with pytest.raises(ExecutionError, match="static backend"):
+        session = session_for("join@2")
+        with pytest.raises(ExecutionError, match="static cluster"):
             session.run_systemml(load.program, load.inputs)
 
 
 class TestSessionPlumbing:
     def test_session_sizes_the_cluster_at_peak_membership(self):
-        session = session_for("elastic", "join@2:count=3", workers=4)
+        session = session_for("join@2:count=3", workers=4)
         assert session.config.num_workers == 7  # slots = peak
-        assert isinstance(session.context, ElasticClusterContext)
+        assert session.context.num_workers == 7
         assert session.context.pool.members == (0, 1, 2, 3)
-
-    def test_timeline_requires_the_elastic_backend(self):
-        with pytest.raises(ClusterError, match="elastic"):
-            ClusterConfig(backend="simulated", elastic="join@2")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ClusterError, match="backend"):
-            ClusterConfig(backend="spark")
 
     def test_result_carries_the_elastic_summary(self):
         __, result = run(elastic="join@2; leave@5")
@@ -103,8 +86,19 @@ class TestSessionPlumbing:
         assert summary["worker_seconds"] < summary["slot_seconds"]
 
     def test_static_backend_reports_no_elastic_summary(self):
-        __, result = run(elastic=None)
-        assert result.elastic is None
+        """No timeline, nothing elastic to report: the always-built summary
+        has no events and bills exactly the fixed cluster's cost."""
+        session, result = run(elastic=None)
+        summary = result.elastic
+        assert summary["events"] == []
+        assert summary["rebalance_bytes"] == 0
+        assert summary["initial_members"] == summary["final_members"] == 4
+        assert summary["slots"] == 4
+        assert summary["worker_seconds"] == summary["slot_seconds"]
+        assert session.context.workers() == (0, 1, 2, 3)
+        assert [
+            session.context.pool.member_for_slot(slot) for slot in range(4)
+        ] == [0, 1, 2, 3], "a static cluster's worker ids are its positions"
 
 
 class TestJoin:
@@ -170,7 +164,7 @@ class TestLeaveAndRecovery:
                 created.append(self)
 
         load = workload()
-        session = session_for("elastic", self.TIMELINE)
+        session = session_for(self.TIMELINE)
         with mock.patch("repro.runtime.executor.ResourceManager", Recording):
             session.run(load.program, load.inputs)
         (manager,) = created
@@ -258,7 +252,7 @@ def test_every_paper_app_survives_churn(app):
 class TestStagedPrograms:
     def test_staged_run_aggregates_elastic_summaries(self):
         load = build_workload("powiter", WorkloadParams(rows=200, eps=1e-3))
-        session = session_for("elastic", "join@5; leave@20")
+        session = session_for("join@5; leave@20")
         result = session.run(load.program, load.inputs)
         summary = result.elastic
         assert summary is not None
@@ -273,11 +267,9 @@ class TestCacheAccounting:
     """Cache accounting keys off the live worker set, not range(K)."""
 
     def test_cached_bytes_follow_the_slot_owners(self):
-        pool = ElasticPool("join@1", initial=3, seed=0)
-        context = ElasticClusterContext(
-            ClusterConfig(num_workers=pool.slots, backend="elastic"), pool
-        )
-        backend = ElasticBackend(context)
+        context = ClusterContext(ClusterConfig(num_workers=3, elastic="join@1"))
+        pool = context.pool
+        backend = context.make_backend()
         matrix = DistributedMatrix.from_numpy(
             context, np.arange(64.0).reshape(8, 8), block_size=2
         )
@@ -294,9 +286,9 @@ class TestCacheAccounting:
         )
 
     def test_static_backend_accounts_by_context_workers(self):
-        """The static SimulatedBackend keys its books off the context's
-        worker set rather than a hardcoded range."""
-        session = session_for("simulated")
+        """On a static cluster the backend keys its books off the
+        context's worker set rather than a hardcoded range."""
+        session = session_for()
         backend = session.context.make_backend()
         matrix = DistributedMatrix.from_numpy(
             session.context, np.arange(64.0).reshape(8, 8), block_size=2

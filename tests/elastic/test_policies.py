@@ -142,7 +142,7 @@ class TestPolicyDrivenRuns:
 
         def run():
             elastic_session = DMacSession(
-                ClusterConfig(num_workers=4, backend="elastic", elastic=spec)
+                ClusterConfig(num_workers=4, elastic=spec)
             )
             return elastic_session.run(load.program, load.inputs)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig
+from repro.errors import ServiceError
 from repro.frontend import Matrix, matrix_input, matrix_program
 from repro.frontend.dsl import output
 from repro.serve import (
@@ -26,6 +27,22 @@ def small_batch(seed=7, **kwargs):
     for job in batch["jobs"]:
         job["params"].update(SMALL)
     return batch
+
+
+class TestBatchValidation:
+    def test_removed_backend_key_is_rejected(self):
+        """The timeline *is* the selection: a script still carrying the
+        old ``backend`` knob fails typed instead of being half-understood."""
+        batch = small_batch(jobs_per_tenant=1)
+        batch["cluster"] = {"backend": "elastic", "elastic": "join@2"}
+        with pytest.raises(ServiceError, match=r"unknown cluster keys.*backend"):
+            parse_batch(batch)
+
+    def test_timeline_alone_selects_elastic_membership(self):
+        batch = small_batch(jobs_per_tenant=1)
+        batch["cluster"] = {"elastic": "join@2"}
+        config, __ = parse_batch(batch)
+        assert config.cluster.elastic == "join@2"
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -54,6 +56,54 @@ class TestRunCommand:
     def test_svd_prints_singular_values(self, capsys):
         main(["run", "svd", "--scale", "1.5e-3", "--rank", "3"])
         assert "singular values" in capsys.readouterr().out
+
+
+class TestMembershipFlags:
+    GNMF = ["gnmf", "--scale", "1.5e-3", "--iterations", "2", "--factors", "4"]
+
+    def test_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", *self.GNMF, "--backend", "elastic"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_timeline_alone_selects_elastic_membership(self, capsys):
+        assert main(
+            ["run", *self.GNMF, "--elastic", "join@2;leave@4", "--format", "json"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["elastic"]["slots"] == 5
+        assert len(report["elastic"]["events"]) == 2
+
+    def test_static_run_report_has_no_elastic_key(self, capsys):
+        assert main(["run", *self.GNMF, "--format", "json"]) == 0
+        assert "elastic" not in json.loads(capsys.readouterr().out)
+
+    def test_compare_refuses_a_timeline(self, capsys):
+        assert main(["run", *self.GNMF, "--elastic", "join@2", "--compare"]) == 2
+        assert "static cluster" in capsys.readouterr().err
+
+
+class TestChaosCommand:
+    ARGV = ["pagerank", "--scale", "5e-4", "--iterations", "5", "--format", "json"]
+
+    def test_chaos_honours_the_cluster_flags(self, capsys):
+        """`repro chaos` used to hand-build its ClusterConfig and silently
+        drop --optimize (and the kernel flags): its clean run must equal
+        `repro run` under the same flags."""
+        books = {}
+        for optimize in ("--no-optimize", "--optimize"):
+            assert main(["run", *self.ARGV, optimize]) == 0
+            run_report = json.loads(capsys.readouterr().out)
+            assert main(
+                ["chaos", *self.ARGV, optimize, "--seed", "7",
+                 "--faults", "crash:stage=2"]
+            ) == 0
+            clean = json.loads(capsys.readouterr().out)["clean"]
+            assert clean["comm_bytes"] == run_report["comm_bytes"]
+            assert clean["num_stages"] == run_report["num_stages"]
+            books[optimize] = (clean["comm_bytes"], clean["num_stages"])
+        assert books["--optimize"] < books["--no-optimize"]
 
 
 class TestPlanCommand:
