@@ -14,7 +14,7 @@ import time
 
 from harness import fmt_secs, report
 from repro import ClusterConfig, DMacSession
-from repro.frontend.staged import StagedProgram
+from repro.frontend.staged import segments_of
 from repro.programs import (
     build_cf_program,
     build_gnmf_program,
@@ -49,12 +49,6 @@ def _program_of(built):
     return built[0] if isinstance(built, tuple) else built
 
 
-def _segments(program):
-    if isinstance(program, StagedProgram):
-        return program.segments()
-    return ((None, program),)
-
-
 def test_compile_overhead(benchmark):
     assert set(COMPILERS) == set(ALL_APPS), "registry drifted from benchmark"
     rows = []
@@ -69,17 +63,17 @@ def test_compile_overhead(benchmark):
         total_compile += compile_wall
 
         program = _program_of(built)
+        view = segments_of(program)
         session = DMacSession(ClusterConfig(num_workers=WORKERS))
         start = time.perf_counter()
-        for __, segment in _segments(program):
-            session.plan(segment)
+        session.plans(program)
         plan_wall = time.perf_counter() - start
         total_plan += plan_wall
 
         rows.append([
             app,
-            sum(len(seg.ops) for __, seg in _segments(program)),
-            "staged" if isinstance(program, StagedProgram) else "flat",
+            sum(len(segment.ops) for __, segment in view.programs),
+            "flat" if view.loop is None else "staged",
             fmt_secs(compile_wall),
             fmt_secs(plan_wall),
             f"{compile_wall / max(plan_wall, 1e-9):.2f}x",

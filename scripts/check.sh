@@ -32,7 +32,7 @@ for script in examples/*.py examples/*.dml; do
 done
 
 echo "== frontend smoke (registry compiles, staged run converges) =="
-for app in gnmf pagerank linreg logreg jacobi cf svd ridge; do
+for app in gnmf pagerank linreg logreg jacobi cf svd powiter ridge; do
     echo "-- lint $app"
     PYTHONPATH=src python -m repro lint "$app" --scale 1e-3 --iterations 2 \
         --factors 4 --rows 200 --features 20

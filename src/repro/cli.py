@@ -43,7 +43,7 @@ from repro.core.analysis import explain, format_statistics
 from repro.core.viz import plan_to_dot
 from repro.datasets import PAPER_GRAPHS
 from repro.errors import ProgramError
-from repro.frontend.staged import StagedProgram
+from repro.frontend.staged import segments_of
 from repro.programs import singular_values
 from repro.programs.registry import (
     ALL_APPS,
@@ -115,8 +115,8 @@ def _cluster_config(args: argparse.Namespace) -> ClusterConfig:
     )
 
 
-def _session(args: argparse.Namespace) -> DMacSession:
-    return DMacSession(_cluster_config(args), optimize=args.optimize)
+def _session(args: argparse.Namespace, trace: bool = False) -> DMacSession:
+    return DMacSession(_cluster_config(args), optimize=args.optimize, trace=trace)
 
 
 def _report(label: str, result, baseline=None) -> None:
@@ -139,48 +139,37 @@ def _workload(args: argparse.Namespace):
     return workload.program, workload.inputs, workload.extra
 
 
-def _segment_plans(session: DMacSession, program, target: str):
-    """Label/plan pairs: one pair for a plain program, the prologue and
-    the loop body for a staged convergence program."""
-    if isinstance(program, StagedProgram):
-        return [
-            (f"{target} [{label}]", session.plan(segment))
-            for label, segment in program.segments()
-        ]
-    return [(target, session.plan(program))]
+def _segment_plans(session: DMacSession, program, target: str | None = None):
+    """Label/plan pairs, one per segment: one unlabelled pair for a
+    straight-line program, the prologue and the loop body for a
+    convergence loop.  With a ``target`` the labels are display titles."""
+    labels = [label for label, __ in segments_of(program).programs]
+    if target is not None:
+        labels = [f"{target} [{label}]" if label else target for label in labels]
+    return list(zip(labels, session.plans(program)))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     program, inputs, svd_names = _workload(args)
-    staged = isinstance(program, StagedProgram)
-    if args.compare and staged:
+    if args.compare and segments_of(program).loop is not None:
         print("run --compare: the SystemML-S baseline cannot execute a "
               "staged convergence loop", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    session = _session(args)
+    tracing = getattr(args, "trace", False)
+    session = _session(args, trace=tracing)
     timeline = bool(session.context.pool.events)
     if args.compare and timeline:
         print("run --compare: the SystemML-S baseline runs on a static "
               "cluster; drop --elastic to compare", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    tracer = None
-    if getattr(args, "trace", False):
-        if staged:
-            session.trace = True  # one reconciled collector per segment
-        else:
-            from repro.trace import TraceCollector
-
-            tracer = TraceCollector()
-    result = session.run(program, inputs, tracer=tracer)
-    if getattr(args, "trace", False):
+    result = session.run(program, inputs)
+    staged = result.loop is not None
+    tracer = result.tracing  # the last segment's, for the reports below
+    if tracing:
         from repro.trace import assert_reconciled
 
-        if staged:
-            for record in result.segments:
-                assert_reconciled(record.result.tracing)
-            tracer = result.tracing  # last segment, for the reports below
-        else:
-            assert_reconciled(tracer)
+        for record in result.segments:
+            assert_reconciled(record.result.tracing)
     baseline = None
     if args.compare:
         baseline = _session(args).run_systemml(program, inputs)
@@ -212,7 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if baseline is not None:
             report["baseline_comm_bytes"] = baseline.comm_bytes
             report["baseline_simulated_seconds"] = baseline.simulated_seconds
-        if tracer is not None:
+        if tracing:
             from repro.trace import reconcile
 
             report["trace"] = {
@@ -236,7 +225,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if svd_names is not None:
         values = singular_values(result.scalars, svd_names)
         print("top singular values:", np.array2string(values[:5], precision=3))
-    if tracer is not None:
+    if tracing:
         from repro.trace import format_summary
 
         print(format_summary(tracer))
@@ -348,7 +337,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         for label, plan in plans:
             print(f"# {label}")
-            print(format_statistics(explain(plan, args.workers)))
+            print(format_statistics(explain(plan, session.config.num_workers)))
             print(plan.describe())
             if args.show_rewrites:
                 rewrites = getattr(plan, "rewrites", ())
@@ -368,13 +357,10 @@ def _cmd_stages(args: argparse.Namespace) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     session = _session(args)
-    if isinstance(program, StagedProgram):
-        graphs = [
-            (f"{args.app} [{label}]", session.stage_graph(segment))
-            for label, segment in program.segments()
-        ]
-    else:
-        graphs = [(args.app, session.stage_graph(program))]
+    graphs = [
+        (label, session.stage_graph(plan.program, plan))
+        for label, plan in _segment_plans(session, program, args.app)
+    ]
     if args.format == "json":
         if len(graphs) == 1:
             print(json.dumps(
@@ -405,7 +391,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         format_selftest,
         lint_path,
         lint_plan,
-        plan_for,
         run_selftest,
     )
 
@@ -417,10 +402,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("lint: a target (app name or script path) is required "
               "unless --selftest is given", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    context = LintContext(
-        num_workers=args.workers,
-        threads_per_worker=args.threads,
-        block_size=args.block_size,
+    session = _session(args)
+    context = dataclasses.replace(
+        LintContext.from_config(session.config),
         memory_limit_bytes=args.memory_limit,
     )
     suppress = tuple(args.suppress or ())
@@ -428,19 +412,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.target in ALL_APPS:
             args.app = args.target
             program, __, ___ = _workload(args)
-            segments = (
-                program.segments()
-                if isinstance(program, StagedProgram)
-                else ((None, program),)
-            )
-            reports = []
-            for label, segment in segments:
-                plan = plan_for(segment, context)
-                if args.optimize:
-                    from repro.planopt import optimize_plan
-
-                    plan = optimize_plan(plan, num_workers=args.workers)
-                reports.append((label, lint_plan(plan, context, suppress)))
+            reports = [
+                (label, lint_plan(plan, context, suppress))
+                for label, plan in _segment_plans(session, program)
+            ]
         elif os.path.exists(args.target):
             reports = [(None, lint_path(args.target, context, suppress))]
         else:
@@ -535,7 +510,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "faults": args.faults,
             "sound": predicted is not None and observed <= predicted,
         }
-        if isinstance(program, StagedProgram):
+        if result.loop is not None:
             execution["segments"] = result.num_segments
     if args.format == "json":
         if len(reports) == 1:
@@ -611,7 +586,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.trace import (
-        TraceCollector,
         assert_reconciled,
         format_summary,
         to_chrome_trace,
@@ -630,24 +604,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             return EXIT_PARSE_ERROR
         chaos = ChaosEngine(args.seed, clauses)
     program, inputs, __ = _workload(args)
-    session = _session(args)
+    session = _session(args, trace=True)  # one collector per segment
     print(f"tracing {args.app} on {args.workers} workers ...", file=sys.stderr)
     # The cross-check: trace-summed bytes/seconds must reconcile exactly
     # with the CommunicationLedger and the SimulatedClock.
-    if isinstance(program, StagedProgram):
-        session.trace = True  # one collector per segment
-        result = session.run(program, inputs, chaos=chaos)
-        for record in result.segments:
-            assert_reconciled(record.result.tracing)
-        print(f"trace reconciled against ledger and clock on "
-              f"{len(result.segments)} segment(s); exporting the final one",
-              file=sys.stderr)
-        tracer = result.tracing
-    else:
-        tracer = TraceCollector()
-        session.run(program, inputs, chaos=chaos, tracer=tracer)
-        assert_reconciled(tracer)
-        print("trace reconciled against ledger and clock", file=sys.stderr)
+    result = session.run(program, inputs, chaos=chaos)
+    for record in result.segments:
+        assert_reconciled(record.result.tracing)
+    print("trace reconciled against ledger and clock"
+          + (f" on {len(result.segments)} segment(s); exporting the final one"
+             if result.loop is not None else ""),
+          file=sys.stderr)
+    tracer = result.tracing
     if args.format == "chrome":
         payload = to_chrome_trace(tracer)
     elif args.format == "json":

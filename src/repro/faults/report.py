@@ -35,11 +35,16 @@ class RecoveryLog:
             return sum(1 for e in self._events if e.get("event") == event_kind)
 
 
-def summarise_recovery(log, chaos, resources, checkpoints=None) -> dict:
-    """The ``ExecutionResult.recovery`` summary of one chaos run."""
+def summarise_recovery(log, resources, checkpoints=None) -> dict:
+    """The ``ExecutionResult.recovery`` summary of one plan execution.
+
+    Every counter is this execution's own (``log`` is per execution), the
+    way ``comm_bytes`` is a ledger delta: the chaos engine may span many
+    executions of one run, whose summaries are then summed.
+    """
     return {
         "events": log.events(),
-        "injected": len(chaos.injected),
+        "injected": log.count("inject"),
         "retries": log.count("retry"),
         "speculations": log.count("speculation"),
         "blocks_lost": getattr(resources, "blocks_lost", 0),

@@ -12,13 +12,18 @@ a :class:`StagedProgram` --
   matrices, ending with the same condition scalars;
 * ``condition``: which scalar(s) to compare, and how.
 
-At run time :meth:`repro.session.DMacSession.run_staged` executes the
-prologue, then keeps appending body segments -- re-using the body's single
-plan, wiring each segment's carried outputs into the next segment's loads
--- until the condition scalar flips.  The plan is thereby extended
+At run time :meth:`repro.session.DMacSession.run` executes the prologue,
+then keeps appending body segments -- re-using the body's single plan,
+wiring each segment's carried outputs into the next segment's loads --
+until the condition scalar flips.  The plan is thereby extended
 dynamically, and every segment passes through the full static stack
 (lint, verification, peak-memory prediction, trace reconciliation)
 exactly like a standalone program.
+
+:func:`segments_of` is how the rest of the stack looks at *any* program:
+a straight-line :class:`~repro.lang.program.MatrixProgram` is the view
+with one segment and no loop.  It is the one place that asks which kind a
+program is.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ class StagedProgram:
     max_segments: int = 200
 
     def segments(self) -> tuple[tuple[str, MatrixProgram], ...]:
-        """The distinct programs a staged run plans (for CLI inspection)."""
+        """The distinct programs a staged run plans, in plan order."""
         return (("prologue", self.prologue), ("body", self.body))
 
     def describe(self) -> str:
@@ -126,3 +131,25 @@ class StagedProgram:
             self.body.describe(),
         ]
         return "\n".join(lines)
+
+
+@dataclasses.dataclass(frozen=True)
+class Segments:
+    """Any program as the session runs it.
+
+    ``programs`` are the labelled programs to plan, one plan each, in
+    order; the first executes once, and the last re-executes for as long
+    as ``loop.condition`` holds, fed through ``loop.carried``.  A
+    straight-line program has one unlabelled segment and no ``loop``: its
+    outputs keep their own names and nothing ever continues.
+    """
+
+    programs: tuple[tuple[str | None, MatrixProgram], ...]
+    loop: StagedProgram | None = None
+
+
+def segments_of(program: MatrixProgram | StagedProgram) -> Segments:
+    """View a straight-line or a ``while``-loop program as segments."""
+    if isinstance(program, StagedProgram):
+        return Segments(program.segments(), program)
+    return Segments(((None, program),))

@@ -3,7 +3,7 @@
 The first program in the repo whose iteration count is decided *at run
 time*: the ``while`` loop below compiles to a
 :class:`~repro.frontend.staged.StagedProgram` -- prologue plus a loop body
-compiled once -- and :meth:`repro.session.DMacSession.run_staged` keeps
+compiled once -- and :meth:`repro.session.DMacSession.run` keeps
 appending body segments, each one a fully planned/linted/verified plan,
 until the residual ``||A x - lambda x||`` drops below ``eps``.
 

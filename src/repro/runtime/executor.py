@@ -350,7 +350,6 @@ class PlanExecutor:
         if chaos is not None:
             recovery = summarise_recovery(
                 log=recovery_log,
-                chaos=chaos,
                 resources=resources,
                 checkpoints=checkpoints,
             )

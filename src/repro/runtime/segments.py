@@ -1,19 +1,14 @@
-"""Segment-wise execution of staged (while-convergence) programs.
+"""A run is a fold over plan executions.
 
-A :class:`~repro.frontend.staged.StagedProgram` cannot be planned as one
-fixed plan -- its iteration count is data-dependent.  The session instead
-*extends the plan dynamically*: the prologue runs once, then the loop body
-(planned exactly once and re-used) runs segment after segment, each
-segment's carried outputs wired into the next segment's loads, until the
-driver-evaluated condition scalar flips.  Every segment is an ordinary
-plan execution, so the whole static stack -- lint, verification,
-peak-memory prediction, trace reconciliation, chaos recovery -- applies
-per segment.
-
-This module holds the result types and the pure wiring logic
-(:func:`carried_inputs`, :func:`resolve_outputs`, :func:`merge_recovery`);
-the execution driver itself lives in
-:meth:`repro.session.DMacSession.run_staged`, next to ``run``.
+:meth:`repro.session.DMacSession.run` executes a program's first plan
+once and a ``while`` loop's body plan -- planned exactly once -- again and
+again, each execution's carried outputs wired into the next one's loads,
+until the driver-evaluated condition flips; a straight-line program is
+the one-execution case.  Every execution is an ordinary
+:class:`~repro.runtime.executor.PlanExecutor` one, so lint, verification,
+peak-memory prediction, trace reconciliation and chaos recovery apply per
+segment.  This module holds the result type (:class:`RunResult`), the
+:func:`fold` that builds it and the pure wiring logic.
 """
 
 from __future__ import annotations
@@ -23,88 +18,51 @@ import dataclasses
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.frontend.staged import StagedProgram
+from repro.frontend.staged import StagedOutput, StagedProgram
 from repro.rdd.clock import TimeBreakdown
 from repro.runtime.executor import ExecutionResult
 
 
 @dataclasses.dataclass(frozen=True)
 class SegmentRecord:
-    """One executed segment: the prologue or one body iteration."""
+    """One plan execution of a run."""
 
-    label: str  # "prologue" | "segment-1" | "segment-2" | ...
+    label: str  # "program" | "prologue" | "segment-1" | "segment-2" | ...
     result: ExecutionResult
     continued: bool  # the condition's verdict after this segment
 
 
 @dataclasses.dataclass
-class StagedResult:
-    """Aggregate result of a staged run, shaped like an ExecutionResult.
+class RunResult(ExecutionResult):
+    """What :meth:`DMacSession.run` returns: its executions, folded.
 
-    ``matrices``/``scalars`` are keyed by *user* variable names (the
-    staged outputs), resolved to whichever segment last defined them.
-    Cost metrics are summed over all segments; memory peaks are maxima.
-    The per-segment breakdown (including each segment's tracer) stays
-    available on ``segments``.
+    ``matrices``/``scalars`` are keyed by *user* variable names, resolved
+    to whichever segment last defined them.  Additive books (bytes,
+    simulated and wall seconds, stages, batched pairs, membership
+    worker/slot-seconds and rebalance bytes, recovery counters) are summed
+    in segment order; peaks and the predicted peak are maxima; ``trace``
+    and event lists are concatenated; the per-plan objects (``tracing``,
+    ``cache``, ``stage_timings``, ``critical_path``) are the last
+    execution's.  The per-execution results stay on ``segments``.
     """
 
-    program: StagedProgram
-    segments: list[SegmentRecord]
-    matrices: dict[str, np.ndarray]
-    scalars: dict[str, float]
-    comm_bytes: int
-    time: TimeBreakdown
-    num_stages: int
-    peak_memory_bytes: int
-    wall_seconds: float
-    predicted_peak_memory_bytes: int | None = None
-    recovery: dict | None = None
-
-    @property
-    def simulated_seconds(self) -> float:
-        return self.time.total_seconds
+    segments: tuple[SegmentRecord, ...] = ()
+    #: The ``while`` loop that drove the run; ``None`` for a straight-line
+    #: program (whose one segment never continues).
+    loop: StagedProgram | None = None
 
     @property
     def num_segments(self) -> int:
-        """Body iterations executed (the prologue is not counted)."""
+        """Loop-body executions (the first segment is not counted)."""
         return len(self.segments) - 1
 
-    @property
-    def tracing(self) -> object | None:
-        """The last segment's TraceCollector (per-segment ones are on
-        ``segments[i].result.tracing``)."""
-        return self.segments[-1].result.tracing if self.segments else None
-
-    @property
-    def cache(self) -> dict | None:
-        """The last segment's block-cache statistics."""
-        return self.segments[-1].result.cache if self.segments else None
-
-    @property
-    def elastic(self) -> dict | None:
-        """Membership accounting aggregated over all segments:
-        worker/slot-seconds and rebalance bytes are summed, events
-        concatenated, membership taken at the ends."""
-        summaries = [record.result.elastic for record in self.segments]
-        if not summaries:
-            return None
-        return {
-            "slots": summaries[0]["slots"],
-            "seed": summaries[0]["seed"],
-            "initial_members": summaries[0]["initial_members"],
-            "final_members": summaries[-1]["final_members"],
-            "events": [event for s in summaries for event in s["events"]],
-            "worker_seconds": sum(s["worker_seconds"] for s in summaries),
-            "slot_seconds": sum(s["slot_seconds"] for s in summaries),
-            "rebalance_bytes": sum(s["rebalance_bytes"] for s in summaries),
-        }
-
     def describe(self) -> str:
-        condition = self.program.condition.describe()
-        lines = [
-            f"staged run {self.program.name}: {self.num_segments} "
-            f"segment(s) until not ({condition})"
-        ]
+        lines = []
+        if self.loop is not None:
+            lines.append(
+                f"staged run {self.loop.name}: {self.num_segments} "
+                f"segment(s) until not ({self.loop.condition.describe()})"
+            )
         for record in self.segments:
             verdict = "continue" if record.continued else "stop"
             lines.append(
@@ -115,19 +73,19 @@ class StagedResult:
 
 
 def carried_inputs(
-    staged: StagedProgram,
+    loop: StagedProgram,
     inputs: dict[str, np.ndarray],
     prologue: ExecutionResult,
     previous: ExecutionResult | None,
 ) -> dict[str, np.ndarray]:
     """Bind the body program's loads for the next segment.
 
-    The first segment reads runtime inputs and prologue outputs; later
-    segments read the previous segment's carried outputs (loop-invariant
-    inputs keep their first source forever).
+    The first body segment reads runtime inputs and prologue outputs;
+    later segments read the previous segment's carried outputs
+    (loop-invariant inputs keep their first source forever).
     """
     bound: dict[str, np.ndarray] = {}
-    for var in staged.carried:
+    for var in loop.carried:
         if previous is not None and var.loop_version is not None:
             bound[var.name] = previous.matrices[var.loop_version]
         elif var.first_kind == "input":
@@ -141,46 +99,53 @@ def carried_inputs(
     return bound
 
 
+def _resolve(
+    kind: str,
+    outputs: tuple[StagedOutput, ...],
+    prologue: dict,
+    last: dict | None,
+) -> dict:
+    resolved = {}
+    for out in outputs:
+        if last is not None and out.body_version is not None:
+            resolved[out.name] = last[out.body_version]
+        elif out.prologue_version is not None:
+            resolved[out.name] = prologue[out.prologue_version]
+        else:
+            raise ExecutionError(
+                f"{kind} {out.name!r} is only defined inside the loop, and "
+                "no segment ran (the condition was false immediately)"
+            )
+    return resolved
+
+
 def resolve_outputs(
-    staged: StagedProgram,
-    prologue: ExecutionResult,
-    last: ExecutionResult | None,
+    loop: StagedProgram | None, results: list[ExecutionResult]
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Resolve the user-facing outputs against the segments that ran."""
-    matrices: dict[str, np.ndarray] = {}
-    for out in staged.matrix_outputs:
-        if last is not None and out.body_version is not None:
-            matrices[out.name] = last.matrices[out.body_version]
-        elif out.prologue_version is not None:
-            matrices[out.name] = prologue.matrices[out.prologue_version]
-        else:
-            raise ExecutionError(
-                f"output {out.name!r} is only defined inside the loop, "
-                "and no segment ran (the condition was false immediately)"
-            )
-    scalars: dict[str, float] = {}
-    for out in staged.scalar_outputs:
-        if last is not None and out.body_version is not None:
-            scalars[out.name] = last.scalars[out.body_version]
-        elif out.prologue_version is not None:
-            scalars[out.name] = prologue.scalars[out.prologue_version]
-        else:
-            raise ExecutionError(
-                f"scalar output {out.name!r} is only defined inside the "
-                "loop, and no segment ran (the condition was false "
-                "immediately)"
-            )
+    """The user-facing outputs of the executions that ran.  Without a
+    loop they are the one execution's, under their own names."""
+    prologue, final = results[0], results[-1]
+    if loop is None:
+        return prologue.matrices, prologue.scalars
+    ran = len(results) > 1
+    matrices = _resolve(
+        "output", loop.matrix_outputs, prologue.matrices,
+        final.matrices if ran else None,
+    )
+    scalars = _resolve(
+        "scalar output", loop.scalar_outputs, prologue.scalars,
+        final.scalars if ran else None,
+    )
     # The final condition scalars: how converged the run ended up.
-    final = last if last is not None else prologue
-    for term in (staged.condition.lhs, staged.condition.rhs):
+    for term in (loop.condition.lhs, loop.condition.rhs):
         if isinstance(term, str):
             scalars[term] = final.scalars[term]
     return matrices, scalars
 
 
-def merge_recovery(records: list[SegmentRecord]) -> dict | None:
-    """Fold per-segment recovery summaries: counters sum, events chain."""
-    summaries = [r.result.recovery for r in records if r.result.recovery]
+def merge_recovery(results: list[ExecutionResult]) -> dict | None:
+    """Fold per-execution recovery summaries: counters sum, events chain."""
+    summaries = [r.recovery for r in results if r.recovery]
     if not summaries:
         return None
     merged: dict = {}
@@ -188,50 +153,79 @@ def merge_recovery(records: list[SegmentRecord]) -> dict | None:
         for key, value in summary.items():
             if isinstance(value, list):
                 merged.setdefault(key, []).extend(value)
-            elif isinstance(value, (int, float)):
+            else:
                 merged[key] = merged.get(key, 0) + value
-            else:  # pragma: no cover - no other field kinds today
-                merged[key] = value
     return merged
 
 
-def aggregate(
-    staged: StagedProgram, records: list[SegmentRecord]
-) -> StagedResult:
-    """Fold segment results into one :class:`StagedResult`."""
-    prologue = records[0].result
-    last = records[-1].result if len(records) > 1 else None
-    matrices, scalars = resolve_outputs(staged, prologue, last)
-    time = TimeBreakdown(
-        network_seconds=sum(r.result.time.network_seconds for r in records),
-        compute_seconds=sum(r.result.time.compute_seconds for r in records),
-        overhead_seconds=sum(r.result.time.overhead_seconds for r in records),
-    )
+def merge_membership(results: list[ExecutionResult]) -> dict | None:
+    """Fold per-execution membership summaries: worker/slot-seconds and
+    rebalance bytes sum, events chain, membership is taken at the ends."""
+    summaries = [r.elastic for r in results if r.elastic is not None]
+    if not summaries:
+        return None
+    first, last = summaries[0], summaries[-1]
+    return {
+        "slots": first["slots"],
+        "seed": first["seed"],
+        "initial_members": first["initial_members"],
+        "final_members": last["final_members"],
+        "events": [event for s in summaries for event in s["events"]],
+        "worker_seconds": sum(s["worker_seconds"] for s in summaries),
+        "slot_seconds": sum(s["slot_seconds"] for s in summaries),
+        "rebalance_bytes": sum(s["rebalance_bytes"] for s in summaries),
+    }
+
+
+def fold(
+    loop: StagedProgram | None, records: list[SegmentRecord]
+) -> RunResult:
+    """Fold a run's executions, in segment order, into one result.  The
+    fold of one execution carries exactly that execution's values."""
+    results = [record.result for record in records]
+    last = results[-1]
+    matrices, scalars = resolve_outputs(loop, results)
     predictions = [
-        r.result.predicted_peak_memory_bytes
-        for r in records
-        if r.result.predicted_peak_memory_bytes is not None
+        r.predicted_peak_memory_bytes
+        for r in results
+        if r.predicted_peak_memory_bytes is not None
     ]
-    return StagedResult(
-        program=staged,
-        segments=records,
+    return RunResult(
         matrices=matrices,
         scalars=scalars,
-        comm_bytes=sum(r.result.comm_bytes for r in records),
-        time=time,
-        num_stages=sum(r.result.num_stages for r in records),
-        peak_memory_bytes=max(r.result.peak_memory_bytes for r in records),
-        wall_seconds=sum(r.result.wall_seconds for r in records),
+        comm_bytes=sum(r.comm_bytes for r in results),
+        time=TimeBreakdown(
+            network_seconds=sum(r.time.network_seconds for r in results),
+            compute_seconds=sum(r.time.compute_seconds for r in results),
+            overhead_seconds=sum(r.time.overhead_seconds for r in results),
+        ),
+        num_stages=sum(r.num_stages for r in results),
+        peak_memory_bytes=max(r.peak_memory_bytes for r in results),
+        wall_seconds=sum(r.wall_seconds for r in results),
+        batched_pairs=sum(r.batched_pairs for r in results),
+        trace=(
+            None
+            if last.trace is None
+            else [step for r in results for step in r.trace or ()]
+        ),
+        stage_timings=last.stage_timings,
+        critical_path=last.critical_path,
+        recovery=merge_recovery(results),
+        cache=last.cache,
+        tracing=last.tracing,
         predicted_peak_memory_bytes=max(predictions) if predictions else None,
-        recovery=merge_recovery(records),
+        elastic=merge_membership(results),
+        segments=tuple(records),
+        loop=loop,
     )
 
 
 __all__ = [
+    "RunResult",
     "SegmentRecord",
-    "StagedResult",
-    "aggregate",
     "carried_inputs",
+    "fold",
+    "merge_membership",
     "merge_recovery",
     "resolve_outputs",
 ]

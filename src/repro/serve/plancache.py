@@ -21,7 +21,6 @@ import time
 from typing import Optional
 
 from repro.core.plan import Plan
-from repro.frontend.staged import StagedProgram
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,10 +36,6 @@ class CacheEntry:
     #: Wall seconds the original planning took -- in-memory diagnostic for
     #: the throughput benchmark, never serialised into reports.
     plan_wall_seconds: float
-
-    @property
-    def staged(self) -> bool:
-        return len(self.plans) == 2
 
 
 class PlanCache:
@@ -113,10 +108,7 @@ def plan_for_cache(session, program) -> CacheEntry:
 
     config = session.config
     started = time.perf_counter()
-    if isinstance(program, StagedProgram):
-        plans = (session.plan(program.prologue), session.plan(program.body))
-    else:
-        plans = (session.plan(program),)
+    plans = session.plans(program)
     predictions = [
         predict_peak_memory(
             plan,

@@ -282,22 +282,12 @@ class MatrixService:
         started = time.perf_counter()
         try:
             with session.context.ledger.scope(scope):
-                if isinstance(pending.program, StagedProgram):
-                    result = session.run_staged(
-                        pending.program,
-                        pending.inputs,
-                        trace=True,
-                        prologue_plan=pending.entry.plans[0],
-                        body_plan=pending.entry.plans[1],
-                    )
-                    record.segments = result.num_segments
-                else:
-                    result = session.run(
-                        pending.program,
-                        pending.inputs,
-                        plan=pending.entry.plans[0],
-                        trace=True,
-                    )
+                result = session.run(
+                    pending.program,
+                    pending.inputs,
+                    plan=pending.entry.plans,
+                    trace=True,
+                )
         except Exception as exc:  # noqa: BLE001 - one job must not kill the service
             record.state = "failed"
             record.error = f"{type(exc).__name__}: {exc}"
@@ -306,8 +296,10 @@ class MatrixService:
             return
         record.run_wall_seconds = time.perf_counter() - started
         record.state = "done"
+        if result.loop is not None:
+            record.segments = result.num_segments
         record.comm_bytes = result.comm_bytes
-        record.flops = _traced_flops(result)
+        record.flops = sum(step.flops for step in result.trace)
         record.simulated_seconds = result.simulated_seconds
         record.num_stages = result.num_stages
         record.peak_memory_bytes = result.peak_memory_bytes
@@ -323,12 +315,3 @@ class MatrixService:
         from repro.serve.report import build_report
 
         return build_report(self)
-
-
-def _traced_flops(result) -> int:
-    """Sum step-trace flops over a run (all segments for staged runs)."""
-    if hasattr(result, "segments"):
-        return sum(
-            _traced_flops(segment.result) for segment in result.segments
-        )
-    return sum(record.flops for record in result.trace or ())

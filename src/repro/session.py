@@ -30,10 +30,11 @@ from repro.core.plan import Plan
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.errors import ExecutionError, LintError, PlanError, VerificationError
-from repro.frontend.staged import StagedProgram
+from repro.frontend.staged import StagedProgram, segments_of
 from repro.lang.program import MatrixProgram
 from repro.rdd.context import ClusterContext
 from repro.runtime.executor import ExecutionResult, PlanExecutor
+from repro.runtime.segments import RunResult, SegmentRecord, carried_inputs, fold
 
 #: Session lint modes: "off" skips analysis, "warn" prints findings to
 #: stderr, "error" additionally refuses to execute plans with error-severity
@@ -123,122 +124,111 @@ class DMacSession:
 
         return StageGraph.from_plan(plan or self.plan(program))
 
+    def plans(self, program: MatrixProgram | StagedProgram) -> tuple[Plan, ...]:
+        """One :meth:`plan` per segment of the program, in segment order:
+        ``(plan,)`` for a straight-line program, ``(prologue, body)`` for
+        a ``while`` loop.  This is what ``run(plan=...)`` takes back."""
+        return tuple(
+            self.plan(segment) for __, segment in segments_of(program).programs
+        )
+
     def run(
         self,
         program: MatrixProgram | StagedProgram,
         inputs: dict[str, np.ndarray] | None = None,
-        plan: Plan | None = None,
+        plan: Plan | tuple[Plan, ...] | None = None,
         trace: bool = False,
         chaos=None,
         tracer=None,
-    ) -> ExecutionResult:
-        """Plan (unless a plan is supplied) and execute under DMac.
+    ) -> RunResult:
+        """Plan (unless plans are supplied) and execute under DMac.
 
-        With ``lint="warn"`` or ``lint="error"``, the plan is statically
-        analysed first; error mode refuses to execute a plan carrying
-        error-severity findings.  ``verify="warn"``/``"error"`` likewise
-        runs the :mod:`repro.verify` suite (hazard detection, certificate
-        audit, peak-memory prediction) before execution; error mode
-        refuses plans with ordering hazards.
+        Every run is a fold over plan executions.  The program is viewed
+        as segments (:func:`~repro.frontend.staged.segments_of`): the first
+        plan executes once; a ``while`` loop's body -- planned exactly
+        once -- then executes again and again, each execution's carried
+        outputs bound to the next one's loads, until the driver evaluates
+        the condition scalars to false or ``max_segments`` is hit.  A
+        straight-line program is the one-execution case.  The executions
+        are folded, in order, into one
+        :class:`~repro.runtime.segments.RunResult` -- an
+        :class:`ExecutionResult` with additive books summed, peaks maxed,
+        traces concatenated and outputs under their user names -- and stay
+        available on ``result.segments``.
 
-        ``chaos`` installs a :class:`~repro.faults.ChaosEngine` for the
-        run: its faults fire at their seeded points, the runtime recovers
-        (retries, lineage recomputation, checkpoints), and the result's
-        ``recovery`` field reports what that cost.
-
-        ``tracer`` installs a :class:`~repro.trace.TraceCollector` for the
-        run; a session constructed with ``trace=True`` creates one per run
-        automatically.  Either way the collector comes back on
-        ``result.tracing``.
-
-        A :class:`~repro.frontend.staged.StagedProgram` (a frontend
-        ``while``-convergence program) is dispatched to
-        :meth:`run_staged`; its result quacks like an
-        :class:`ExecutionResult` for the common fields.
+        ``plan`` takes what :meth:`plans` returned (a bare :class:`Plan`
+        stands for the 1-tuple), so repeated runs skip planning.
+        ``lint``/``verify`` modes other than "off" check every plan before
+        anything executes; their error modes refuse to run.  One ``chaos``
+        :class:`~repro.faults.ChaosEngine` spans the whole run and
+        ``result.recovery`` reports what recovering cost.  A ``tracer``
+        (:class:`~repro.trace.TraceCollector`) holds one plan execution,
+        so it is refused for a program with a loop; a session constructed
+        with ``trace=True`` creates one per execution instead
+        (``result.tracing`` is the last one).
         """
-        if isinstance(program, StagedProgram):
-            if plan is not None:
-                raise PlanError(
-                    "staged programs plan their own segments; "
-                    "run() cannot take a pre-built plan for one"
-                )
-            if tracer is not None:
-                raise PlanError(
-                    "staged programs collect one tracer per segment; "
-                    "construct the session with trace=True instead of "
-                    "passing a tracer"
-                )
-            return self.run_staged(  # type: ignore[return-value]
-                program, inputs, trace=trace, chaos=chaos
+        view = segments_of(program)
+        loop = view.loop
+        if tracer is not None and loop is not None:
+            raise PlanError(
+                "staged programs collect one tracer per segment; "
+                "construct the session with trace=True instead of "
+                "passing a tracer"
             )
-        plan = plan or self.plan(program)
-        if self.lint != "off":
-            self._lint(plan)
-        if self.verify != "off":
-            self._verify(plan)
-        if tracer is None and self.trace:
-            from repro.trace import TraceCollector
-
-            tracer = TraceCollector()
-        executor = PlanExecutor(self.context, self.config.block_size)
-        return executor.execute(plan, inputs, trace=trace, chaos=chaos, tracer=tracer)
-
-    def run_staged(
-        self,
-        staged: StagedProgram,
-        inputs: dict[str, np.ndarray] | None = None,
-        trace: bool = False,
-        chaos=None,
-        prologue_plan: Plan | None = None,
-        body_plan: Plan | None = None,
-    ):
-        """Execute a while-convergence program by dynamic plan extension.
-
-        The prologue runs first; then the loop body -- planned exactly
-        once, the plan re-used -- runs segment after segment, each
-        segment's carried outputs bound to the next segment's loads, until
-        the driver evaluates the condition scalars (``_while_lhs`` /
-        ``_while_rhs``) to false or ``staged.max_segments`` is hit.  Every
-        segment goes through the session's full static stack: lint and
-        verify modes fire per segment, ``trace=True`` sessions collect a
-        fresh reconciled :class:`~repro.trace.TraceCollector` per segment,
-        and one ``chaos`` engine spans the whole run (its faults land in
-        whichever segment reaches the seeded points).
-
-        ``prologue_plan``/``body_plan`` inject pre-built segment plans
-        (e.g. from the :mod:`repro.serve` plan cache) so repeated staged
-        submissions skip planning; omitted segments are planned here.
-
-        Returns a :class:`~repro.runtime.segments.StagedResult`.
-        """
-        from repro.runtime.segments import SegmentRecord, aggregate, carried_inputs
-
+        if plan is None:
+            plan = self.plans(program)
+        plans = (plan,) if isinstance(plan, Plan) else tuple(plan)
+        if len(plans) != len(view.programs):
+            raise PlanError(
+                f"this program runs {len(view.programs)} plan(s), one per "
+                f"segment, but {len(plans)} were supplied; pass what "
+                "plans(program) returned"
+            )
+        for each in plans:
+            if self.lint != "off":
+                self._lint(each)
+            if self.verify != "off":
+                self._verify(each)
         inputs = dict(inputs or {})
-        prologue_plan = prologue_plan or self.plan(staged.prologue)
-        body_plan = body_plan or self.plan(staged.body)
-        prologue_result = self.run(
-            staged.prologue, inputs, plan=prologue_plan, trace=trace, chaos=chaos
-        )
-        keep_going = staged.condition.evaluate(prologue_result.scalars)
-        records = [SegmentRecord("prologue", prologue_result, keep_going)]
-        previous: ExecutionResult | None = None
-        while keep_going:
-            if len(records) - 1 >= staged.max_segments:
-                raise ExecutionError(
-                    f"staged program {staged.name!r} did not converge within "
-                    f"{staged.max_segments} segments "
-                    f"(while {staged.condition.describe()})"
+        executor = PlanExecutor(self.context, self.config.block_size)
+        records: list[SegmentRecord] = []
+        bound = inputs
+        while not records or records[-1].continued:
+            result = executor.execute(
+                plans[min(len(records), len(plans) - 1)],  # the last repeats
+                bound,
+                trace=trace,
+                chaos=chaos,
+                tracer=self._collector() if tracer is None else tracer,
+            )
+            if records:
+                label = f"segment-{len(records)}"
+            else:
+                label = view.programs[0][0] or "program"
+            continued = loop is not None and loop.condition.evaluate(result.scalars)
+            records.append(SegmentRecord(label, result, continued))
+            if continued:
+                if len(records) > loop.max_segments:
+                    raise ExecutionError(
+                        f"staged program {loop.name!r} did not converge within "
+                        f"{loop.max_segments} segments "
+                        f"(while {loop.condition.describe()})"
+                    )
+                bound = carried_inputs(
+                    loop,
+                    inputs,
+                    records[0].result,
+                    result if len(records) > 1 else None,
                 )
-            bound = carried_inputs(staged, inputs, prologue_result, previous)
-            segment_result = self.run(
-                staged.body, bound, plan=body_plan, trace=trace, chaos=chaos
-            )
-            keep_going = staged.condition.evaluate(segment_result.scalars)
-            records.append(
-                SegmentRecord(f"segment-{len(records)}", segment_result, keep_going)
-            )
-            previous = segment_result
-        return aggregate(staged, records)
+        return fold(loop, records)
+
+    def _collector(self):
+        """A fresh TraceCollector per execution on a ``trace=True`` session."""
+        if not self.trace:
+            return None
+        from repro.trace import TraceCollector
+
+        return TraceCollector()
 
     def _lint(self, plan: Plan) -> None:
         from repro.lint import LintContext, lint_plan

@@ -158,11 +158,142 @@ def test_tracer_kwarg_rejected_for_staged(staged, data):
         strict_session().run(staged, {"A": data}, tracer=TraceCollector())
 
 
-def test_plan_kwarg_rejected_for_staged(staged, data):
+def books(result) -> tuple:
+    """The deterministic books of a run, simulated seconds bit-exact."""
+    return (
+        result.comm_bytes,
+        result.simulated_seconds.hex(),
+        result.num_stages,
+        result.num_segments,
+        [(r.label, r.result.comm_bytes, r.continued) for r in result.segments],
+        sorted(result.scalars.items()),
+    )
+
+
+def test_prebuilt_plans_give_the_same_books(staged, data):
+    planned_here = strict_session().run(staged, {"A": data})
     session = strict_session()
-    prologue_plan = session.plan(staged.prologue)
-    with pytest.raises(PlanError, match="pre-built plan"):
-        session.run(staged, {"A": data}, plan=prologue_plan)
+    plans = session.plans(staged)
+    assert len(plans) == 2
+    prebuilt = session.run(staged, {"A": data}, plan=plans)
+    assert books(prebuilt) == books(planned_here)
+    np.testing.assert_array_equal(
+        prebuilt.matrices["x"], planned_here.matrices["x"]
+    )
+
+
+def test_wrong_number_of_plans_is_a_plan_error(staged, data):
+    session = strict_session()
+    only_prologue = session.plan(staged.prologue)
+    with pytest.raises(PlanError, match="runs 2 plan"):
+        session.run(staged, {"A": data}, plan=only_prologue)
+    with pytest.raises(PlanError, match="runs 2 plan"):
+        session.run(staged, {"A": data}, plan=(only_prologue,))
+    with pytest.raises(PlanError, match="runs 1 plan"):
+        session.run(staged.prologue, {"A": data}, plan=session.plans(staged))
+
+
+def test_trace_is_the_segment_traces_concatenated(staged, data):
+    result = strict_session().run(staged, {"A": data}, trace=True)
+    assert result.trace == [
+        step for record in result.segments for step in record.result.trace
+    ]
+    assert sum(step.comm_bytes for step in result.trace) == result.comm_bytes
+    assert sum(result.comm_by_stage().values()) == result.comm_bytes
+    assert strict_session().run(staged, {"A": data}).trace is None
+
+
+def small_straight_line_workload():
+    from repro.programs.registry import WorkloadParams, build_workload
+
+    return build_workload(
+        "gnmf", WorkloadParams(scale=1.5e-3, iterations=2, factors=4)
+    )
+
+
+def test_one_result_type_for_both_program_kinds(staged, data):
+    from repro import ExecutionResult
+    from repro.runtime.segments import RunResult
+
+    load = small_straight_line_workload()
+    looped = strict_session().run(staged, {"A": data}, trace=True)
+    straight = strict_session().run(load.program, load.inputs, trace=True)
+    for result in (looped, straight):
+        assert type(result) is RunResult
+        assert isinstance(result, ExecutionResult)
+        assert result.segments
+        for record in result.segments:
+            # jobs.py and friends tell a run from an execution by this
+            assert type(record.result) is ExecutionResult
+            assert not hasattr(record.result, "segments")
+        assert result.trace and result.stage_timings and result.critical_path
+        assert result.elastic is not None
+        assert result.predicted_peak_memory_bytes is not None
+        assert result.batched_pairs == sum(
+            record.result.batched_pairs for record in result.segments
+        )
+    assert looped.loop is staged and looped.num_segments >= 2
+    assert straight.loop is None and straight.num_segments == 0
+    assert [r.label for r in straight.segments] == ["program"]
+    assert straight.segments[0].continued is False
+
+
+def test_one_execution_folds_to_itself():
+    """session.run of a straight-line program carries, field by field, what
+    the executor returns for the same plan on a fresh session."""
+    import dataclasses
+
+    from repro.faults import ChaosEngine, parse_fault_spec
+    from repro.runtime.executor import ExecutionResult, PlanExecutor
+
+    load = small_straight_line_workload()
+
+    def chaos():
+        return ChaosEngine(7, parse_fault_spec("crash:stage=2"))
+
+    serial = ClusterConfig(
+        num_workers=2, threads_per_worker=1, max_concurrent_stages=1
+    )
+    session = DMacSession(serial, optimize=True)
+    folded = session.run(load.program, load.inputs, trace=True, chaos=chaos())
+    fresh = DMacSession(serial, optimize=True)
+    (plan,) = fresh.plans(load.program)
+    direct = PlanExecutor(fresh.context, fresh.config.block_size).execute(
+        plan, load.inputs, trace=True, chaos=chaos()
+    )
+    wall_clock = {"wall_seconds", "trace"}
+    for field in dataclasses.fields(ExecutionResult):
+        ours, theirs = getattr(folded, field.name), getattr(direct, field.name)
+        if field.name == "matrices":
+            assert list(ours) == list(theirs)
+            for name in ours:
+                np.testing.assert_array_equal(ours[name], theirs[name])
+        elif field.name not in wall_clock:
+            assert ours == theirs, field.name
+    assert [(t.step, t.stage, t.comm_bytes, t.flops) for t in folded.trace] == [
+        (t.step, t.stage, t.comm_bytes, t.flops) for t in direct.trace
+    ]
+    assert folded.recovery["injected"] == 1 and folded.cache is not None
+    assert folded.simulated_seconds.hex() == direct.simulated_seconds.hex()
+
+
+@pytest.mark.parametrize("looping", [True, False], ids=["loop", "no-loop"])
+def test_injected_counts_the_inject_events(staged, data, looping):
+    """One engine spans every execution of a run; each execution reports
+    its own injections, so the fold's sum is the number of faults."""
+    from repro.faults import ChaosEngine, parse_fault_spec
+
+    if looping:
+        program, inputs = staged, {"A": data}
+    else:
+        load = small_straight_line_workload()
+        program, inputs = load.program, load.inputs
+    engine = ChaosEngine(7, parse_fault_spec("crash:stage=2"))
+    result = strict_session().run(program, inputs, chaos=engine)
+    injects = [e for e in result.recovery["events"] if e["event"] == "inject"]
+    assert injects
+    assert result.recovery["injected"] == len(injects) == len(engine.injected)
+    assert result.recovery["retries"] == len(injects)
 
 
 def test_missing_input_names_the_load(staged):

@@ -48,7 +48,6 @@ class TestEntry:
     def test_entry_carries_predictions_and_hashes(self):
         entry = entry_for("pagerank")
         assert len(entry.plans) == 1
-        assert not entry.staged
         assert entry.structural_hashes == (entry.plans[0].structural_hash(),)
         assert entry.predicted_bytes == entry.plans[0].predicted_bytes
         assert entry.predicted_peak_bytes > 0
@@ -59,7 +58,6 @@ class TestEntry:
         session = DMacSession(ClusterConfig(num_workers=4))
         workload = build_workload("powiter", WorkloadParams(rows=60))
         entry = plan_for_cache(session, workload.program)
-        assert entry.staged
         assert len(entry.plans) == 2
         assert len(entry.structural_hashes) == 2
 

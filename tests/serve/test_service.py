@@ -226,6 +226,38 @@ class TestPrograms:
         assert first.segments == second.segments
         assert len(first.plan_hashes) == 2  # prologue + body
 
+    def test_staged_job_books_equal_a_direct_run(self):
+        """The service runs a loop program through the same one driver:
+        miss and hit report exactly the books of two direct runs."""
+        from repro.programs.registry import WorkloadParams, build_workload
+        from repro.session import DMacSession
+
+        config = ServiceConfig(tenants=(TenantSpec("t"),), seed=0)
+        client = ServiceClient(MatrixService(config))
+        records = [client.run("t", "powiter", params={"rows": 60}) for _ in range(2)]
+        assert [r.plan_cache for r in records] == ["miss", "hit"]
+        load = build_workload("powiter", WorkloadParams(rows=60))
+        session = DMacSession(config.cluster)
+        for record in records:
+            direct = session.run(load.program, load.inputs, trace=True)
+            assert record.state == "done"
+            assert record.segments == direct.num_segments >= 2
+            assert record.comm_bytes == direct.comm_bytes
+            assert record.simulated_seconds == direct.simulated_seconds
+            assert record.num_stages == direct.num_stages
+            assert record.flops == sum(step.flops for step in direct.trace) > 0
+            assert record.block_cache == direct.cache
+
+    def test_segments_are_reported_for_loop_programs_only(self):
+        client = ServiceClient(
+            MatrixService(ServiceConfig(tenants=(TenantSpec("t"),), seed=0))
+        )
+        straight = client.run("t", "pagerank", params=SMALL)
+        at_once = client.run("t", "powiter", params={"rows": 60, "eps": 1e9})
+        assert straight.state == at_once.state == "done"
+        assert straight.segments is None  # no loop: the key stays null
+        assert at_once.segments == 0  # a loop whose condition is false at once
+
     def test_accounts_aggregate_job_costs(self):
         service, report = run_batch(*parse_batch(small_batch(jobs_per_tenant=2)))
         for name, account in report["accounts"].items():

@@ -125,6 +125,41 @@ class TestPlanCommand:
               "--scale", "1.5e-3", "--workers", "2"])
         assert "stage" in capsys.readouterr().out
 
+    PLAN = ["plan", "gnmf", "--iterations", "1", "--scale", "2e-3"]
+
+    def test_timeline_plan_is_priced_for_its_slots(self, capsys):
+        """Under a timeline the plan is built for the slot count (peak
+        membership), so the per-stage table must be priced for it too."""
+        assert main([*self.PLAN, "--workers", "6"]) == 0
+        six = capsys.readouterr().out
+        assert main([*self.PLAN, "--workers", "4",
+                     "--elastic", "join@2:count=2"]) == 0
+        timeline = capsys.readouterr().out
+        assert main([*self.PLAN, "--workers", "4"]) == 0
+        four = capsys.readouterr().out
+
+        def by_stage(text):
+            (line,) = [l for l in text.splitlines()
+                       if l.startswith("communication by stage:")]
+            return line
+
+        assert by_stage(timeline) == by_stage(six) != by_stage(four)
+        assert timeline == six
+
+    def test_lint_plans_through_the_session_at_its_slot_count(self, capsys):
+        """`lint` analyses the plan `run` would execute: planned by the
+        session (where capture_plans observes it), for the slot count."""
+        from repro.lint.runner import capture_plans
+
+        for app, segments in (("gnmf", 1), ("powiter", 2)):
+            captured = []
+            with capture_plans(captured):
+                assert main(["lint", app, "--iterations", "1", "--scale", "2e-3",
+                             "--rows", "100", "--workers", "4",
+                             "--elastic", "join@2:count=2"]) == 0
+            assert [context.num_workers for __, context in captured] == [6] * segments
+            assert "0 error(s)" in capsys.readouterr().out
+
 
 class TestStagesCommand:
     def test_stages_listing(self, capsys):

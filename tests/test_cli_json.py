@@ -107,3 +107,23 @@ def test_run_with_trace_reports_reconciliation(capsys):
         document["trace"]["metrics"]["counters"]["bytes.total"]
         == document["comm_bytes"]
     )
+
+
+def test_segment_keys_mean_the_program_has_a_loop(capsys):
+    """`staged`/`segments` are keyed on "the program has a loop", not on
+    how many executions the run folded: a straight-line report has
+    neither, a loop whose condition is false at once reports 0."""
+    assert main(["run", "pagerank", "--scale", "1e-3", "--iterations", "2",
+                 "--format", "json"]) == 0
+    straight = json.loads(capsys.readouterr().out)
+    assert "staged" not in straight and "segments" not in straight
+    for eps, expected in (("1e9", 0), ("1e-5", None)):
+        assert main(["run", "powiter", "--rows", "100", "--eps", eps,
+                     "--trace", "--format", "json"]) == 0
+        looped = json.loads(capsys.readouterr().out)
+        assert looped["staged"] is True
+        assert looped["trace"]["reconciled"] is True
+        if expected is None:
+            assert looped["segments"] >= 1
+        else:
+            assert looped["segments"] == expected
