@@ -14,11 +14,14 @@ The first benchmark whose headline number is *wall-clock*, not simulated:
   batching targets in real programs (gated on a positive batched-pair
   count); LR and CF are sparse-dominated, so the gate there is the
   *opposite* observable — the planner must route zero pairs through the
-  batched path (sparsity-awareness) and add no overhead.
+  batched path (sparsity-awareness) and add no overhead.  PageRank rides
+  along for the sparse block kernel's own count: its dense x CSC products
+  must transpose no CSC block (docs/kernels.md, "Sparse block kernels").
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import numpy as np
@@ -32,6 +35,7 @@ from harness import (
     report,
 )
 from repro import ClusterConfig, DMacSession
+from repro.blocks.sparse import CSCBlock
 from repro.datasets import netflix_like, sparse_random
 from repro.lang.program import ProgramBuilder
 from repro.programs import build_cf_program, build_linreg_program
@@ -139,6 +143,7 @@ def run_apps_batched():
     byte-identical and overhead-free.
     """
     gnmf = registry_workload("gnmf", iterations=2)
+    pagerank = registry_workload("pagerank", scale=1e-3, iterations=3)
     design = sparse_random(4000, 100, 0.1, seed=6)
     target = sparse_random(4000, 1, 1.0, seed=7)
     ratings = netflix_like(scale=2.5e-3, seed=8).T
@@ -154,15 +159,19 @@ def run_apps_batched():
             {"R": ratings},
             False,
         ),
+        "PageRank": (pagerank.program, pagerank.inputs, False),
     }
     rows = []
     for label, (program, inputs, expect_batched) in workloads.items():
         measured = {}
-        for batched in (False, True):
-            config = ClusterConfig(block_size=64, batched_matmul=batched, **CONFIG)
-            session = DMacSession(config)
-            plan = session.plan(program)
-            measured[batched] = _best_run(session, program, inputs, plan)
+        with _counted_csc_transposes() as transposes:
+            for batched in (False, True):
+                config = ClusterConfig(block_size=64, batched_matmul=batched, **CONFIG)
+                session = DMacSession(config)
+                plan = session.plan(program)
+                measured[batched] = _best_run(session, program, inputs, plan)
+        if label == "PageRank":  # the only program here without a transpose of its own
+            assert not transposes, f"{len(transposes)} CSC transposes inside products"
         (serial_secs, serial), (batched_secs, batched) = (
             measured[False],
             measured[True],
@@ -184,6 +193,22 @@ def run_apps_batched():
             }
         )
     return rows
+
+
+@contextlib.contextmanager
+def _counted_csc_transposes():
+    """Every ``CSCBlock.transpose`` call made inside the block."""
+    calls, transpose = [], CSCBlock.transpose
+
+    def counted(block):
+        calls.append(block.shape)
+        return transpose(block)
+
+    CSCBlock.transpose = counted
+    try:
+        yield calls
+    finally:
+        CSCBlock.transpose = transpose
 
 
 def _bytes(result):
@@ -223,6 +248,7 @@ def test_fused_kernels_wall_clock(benchmark):
     assert chain["speedup"] >= 1.5, f"batched chain only {chain['speedup']:.2f}x"
     # On real apps the sparse stages dominate end-to-end time, so the
     # measurable win is the deterministic dispatch count (asserted per app
-    # inside run_apps_batched: GNMF > 0, LR/CF == 0); end-to-end time must
+    # inside run_apps_batched: GNMF > 0, LR/CF/PageRank == 0, and no CSC
+    # transpose inside PageRank's products); end-to-end time must
     # never really regress (noise floor).
     assert all(entry["speedup"] >= 0.8 for entry in apps)

@@ -80,10 +80,13 @@ def _wrap(piece: np.ndarray, storage: str, sparse_threshold: float) -> Block:
         return DenseBlock(piece)
     if storage == "sparse":
         return CSCBlock.from_dense(piece)
+    # One pass over the floats: the mask elects the format and, for a sparse
+    # block only, is what gets compressed (a dense block extracts nothing).
+    pattern = piece != 0
     size = piece.size
-    density = np.count_nonzero(piece) / size if size else 0.0
+    density = np.count_nonzero(pattern) / size if size else 0.0
     if density < sparse_threshold:
-        return CSCBlock.from_dense(piece)
+        return CSCBlock._from_mask(piece, pattern)
     return DenseBlock(piece)
 
 

@@ -53,25 +53,72 @@ def matmul(a: Block, b: Block) -> DenseBlock:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     if isinstance(a, DenseBlock) and isinstance(b, DenseBlock):
         return DenseBlock(a.data @ b.data)
-    if isinstance(a, CSCBlock) and isinstance(b, DenseBlock):
-        return _sparse_dense_matmul(a, b)
-    if isinstance(a, DenseBlock) and isinstance(b, CSCBlock):
-        # (A @ B) == (B^T @ A^T)^T; reuse the sparse-times-dense kernel.
-        product = _sparse_dense_matmul(b.transpose(), a.transpose())
-        return product.transpose()
-    assert isinstance(a, CSCBlock) and isinstance(b, CSCBlock)
-    return _sparse_dense_matmul(a, b.to_dense_block())
+    if isinstance(a, DenseBlock):
+        # out[:, c] += v * a[:, r] for every stored b[r, c] = v.
+        return DenseBlock(
+            _scatter_product(a.data, 1, b.row_idx, b.column_indices(), b.values, bn)
+        )
+    if isinstance(b, CSCBlock):
+        b = b.to_dense_block()
+    # out[r, :] += v * b[c, :] for every stored a[r, c] = v.
+    return DenseBlock(
+        _scatter_product(b.data, 0, a.column_indices(), a.row_idx, a.values, am)
+    )
 
 
-def _sparse_dense_matmul(a: CSCBlock, b: DenseBlock) -> DenseBlock:
-    """``C[r, :] += v * B[c, :]`` for every stored ``A[r, c] = v``."""
-    m, _ = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n), dtype=np.float64)
-    if a.nnz:
-        contributions = a.values[:, None] * b.data[a.column_indices(), :]
-        np.add.at(out, a.row_idx, contributions)
-    return DenseBlock(out)
+#: Weights handed to one ``np.bincount`` call by :func:`_scatter_product`:
+#: enough to amortise the call, few enough to stay in cache.
+_SCATTER_BATCH = 1 << 15
+
+
+def _scatter_product(
+    dense: np.ndarray,
+    axis: int,
+    gather: np.ndarray,
+    scatter: np.ndarray,
+    values: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """For every stored entry ``e`` of a sparse operand, add ``values[e]``
+    times slice ``gather[e]`` of ``dense`` onto slice ``scatter[e]`` of the
+    output, both slices taken along ``axis`` (0: rows, 1: columns).  The
+    output has ``width`` slices along ``axis`` and the extent of ``dense``
+    along the other axis; nothing is ever transposed.
+
+    ``np.bincount(weights=)`` adds its weights one after the other in the
+    order given, so every output cell sums its contributions in the sparse
+    operand's storage order however the work is cut (``np.add.reduceat``
+    sums pairwise and does not).  The cut is into windows of ``dense``
+    across ``axis``, which are independent: about ``_SCATTER_BATCH`` weights
+    per call -- one line of ``dense`` at a time under a large operand, a
+    single call under a hyper-sparse one.
+    """
+    free = 1 - axis
+    lines = dense.shape[free]
+    nnz = len(values)
+    if not nnz or not lines:
+        return np.zeros((lines, width) if axis else (width, lines), dtype=np.float64)
+    # Entries run along ``axis`` of every weight window, lines across it.
+    along, across = ((1, nnz), (-1, 1)) if axis else ((nnz, 1), (1, -1))
+    gather = gather.astype(np.intp)
+    scatter = scatter.astype(np.intp).reshape(along)
+    values = values.reshape(along)
+    step = max(1, min(lines, _SCATTER_BATCH // nnz))
+    span = 0
+    windows = []
+    for start in range(0, lines, step):
+        stop = min(start + step, lines)
+        window = dense[start:stop] if axis else dense[:, start:stop]
+        weights = np.take(window, gather, axis=axis)
+        weights *= values
+        if stop - start != span:  # the first window and a shorter last one
+            span = stop - start
+            line = np.arange(span, dtype=np.intp).reshape(across)
+            # Flat position of every weight inside a span-line output window.
+            cells = (line * width + scatter if axis else scatter * span + line).ravel()
+        sums = np.bincount(cells, weights=weights.ravel(), minlength=span * width)
+        windows.append(sums.reshape((span, width) if axis else (width, span)))
+    return windows[0] if len(windows) == 1 else np.concatenate(windows, axis=free)
 
 
 def matmul_flops(a: Block, b: Block) -> int:
@@ -122,8 +169,8 @@ def _sparse_times_dense(sparse: CSCBlock, dense: DenseBlock) -> CSCBlock:
     """Hadamard product with a sparse mask: the result keeps the sparse
     operand's pattern (entries where the dense factor is zero are dropped
     during canonicalisation)."""
-    rows, cols, values = sparse.to_coo()
-    scaled = values * dense.data[rows, cols]
+    rows, cols = sparse.row_idx, sparse.column_indices()
+    scaled = sparse.values * dense.data[rows, cols]
     return CSCBlock.from_coo(rows, cols, scaled, sparse.shape)
 
 
@@ -139,9 +186,9 @@ def _sparse_times_sparse(a: CSCBlock, b: CSCBlock) -> CSCBlock:
 
 def _cellwise_divide(a: Block, b: Block) -> Block:
     if isinstance(a, CSCBlock) and isinstance(b, DenseBlock):
-        rows, cols, values = a.to_coo()
+        rows, cols = a.row_idx, a.column_indices()
         with np.errstate(divide="ignore", invalid="ignore"):
-            quotient = values / b.data[rows, cols]
+            quotient = a.values / b.data[rows, cols]
         return CSCBlock.from_coo(rows, cols, quotient, a.shape)
     a_dense = a.to_dense_block() if isinstance(a, CSCBlock) else a
     b_dense = b.to_dense_block() if isinstance(b, CSCBlock) else b
@@ -152,11 +199,9 @@ def _cellwise_divide(a: Block, b: Block) -> Block:
 def _cellwise_additive(op: str, a: Block, b: Block) -> Block:
     sign = 1.0 if op == "add" else -1.0
     if isinstance(a, CSCBlock) and isinstance(b, CSCBlock):
-        a_rows, a_cols, a_vals = a.to_coo()
-        b_rows, b_cols, b_vals = b.to_coo()
-        rows = np.concatenate([a_rows, b_rows])
-        cols = np.concatenate([a_cols, b_cols])
-        vals = np.concatenate([a_vals, sign * b_vals])
+        rows = np.concatenate([a.row_idx, b.row_idx])
+        cols = np.concatenate([a.column_indices(), b.column_indices()])
+        vals = np.concatenate([a.values, sign * b.values])
         return CSCBlock.from_coo(rows, cols, vals, a.shape)
     a_dense = a.to_dense_block() if isinstance(a, CSCBlock) else a
     b_dense = b.to_dense_block() if isinstance(b, CSCBlock) else b
@@ -189,11 +234,9 @@ def scalar_op(op: str, block: Block, scalar: float) -> Block:
         raise BlockError("division by zero scalar")
     if isinstance(block, CSCBlock):
         if op == "multiply":
-            return CSCBlock(block.shape, block.values * scalar, block.row_idx.copy(),
-                            block.colptr.copy())
+            return block.with_values(block.values * scalar)
         if op == "divide":
-            return CSCBlock(block.shape, block.values / scalar, block.row_idx.copy(),
-                            block.colptr.copy())
+            return block.with_values(block.values / scalar)
         if scalar == 0:
             return block.copy()
         block = block.to_dense_block()
@@ -259,12 +302,7 @@ def unary_op(func: str, block: Block) -> Block:
         raise BlockError(f"unknown unary function {func!r}")
     if isinstance(block, CSCBlock):
         if func in ZERO_PRESERVING_UNARY:
-            return CSCBlock(
-                block.shape,
-                apply_unary(func, block.values),
-                block.row_idx.copy(),
-                block.colptr.copy(),
-            )
+            return block.with_values(apply_unary(func, block.values))
         block = block.to_dense_block()
     return DenseBlock(apply_unary(func, block.data))
 
@@ -336,7 +374,6 @@ def accumulate(target: DenseBlock, addition: Block) -> None:
     """
     _check_same_shape(target, addition, "accumulate")
     if isinstance(addition, CSCBlock):
-        rows, cols, values = addition.to_coo()
-        np.add.at(target.data, (rows, cols), values)
+        np.add.at(target.data, (addition.row_idx, addition.column_indices()), addition.values)
     else:
         target.data += addition.data

@@ -17,6 +17,16 @@ column-start entry per column plus 8 bytes per stored non-zero.
 
 Row indices are kept sorted within each column and duplicate coordinates
 are coalesced by summation, so every logical matrix has a unique CSC form.
+Every classmethod constructor produces that form; the raw constructor
+checks lengths and ranges only, so a caller that hands it arrays must hand
+it canonical ones (unique coordinates, rows ascending inside each column):
+every kernel, :meth:`CSCBlock.transpose` included, assumes it.
+
+The two index arrays of a block are its own and read-only once it is built
+(``values`` stays writable), so they -- and the per-entry column ids
+derived from them -- can be shared between blocks and kept instead of
+recomputed.  Every constructor does O(nnz) work and sorts only what is
+actually unsorted.
 """
 
 from __future__ import annotations
@@ -32,10 +42,31 @@ CSC_MODEL_BYTES_PER_COLUMN = 4
 CSC_MODEL_BYTES_PER_NNZ = 8
 
 
+def _index_array(array: np.ndarray) -> np.ndarray:
+    """A read-only ``int32`` array a block can share with its copies: one
+    that arrives read-only is another block's and is taken as is, anything
+    else is copied, so no later write of the caller's shows through."""
+    if isinstance(array, np.ndarray) and array.dtype == np.int32 and not array.flags.writeable:
+        return array
+    owned = np.array(array, dtype=np.int32)
+    owned.flags.writeable = False
+    return owned
+
+
+def _strictly_increasing(keys: np.ndarray) -> bool:
+    return bool(np.all(keys[1:] > keys[:-1]))
+
+
+def _colptr(cols: np.ndarray, width: int) -> np.ndarray:
+    """Column-start offsets for entries with the given column ids."""
+    counts = np.bincount(cols, minlength=width)
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+
+
 class CSCBlock:
     """A sparse sub-matrix block stored in compressed sparse column form."""
 
-    __slots__ = ("values", "row_idx", "colptr", "_shape")
+    __slots__ = ("values", "row_idx", "colptr", "_shape", "_column_idx")
 
     is_sparse = True
 
@@ -48,8 +79,8 @@ class CSCBlock:
     ) -> None:
         rows, cols = shape
         values = np.asarray(values, dtype=np.float64)
-        row_idx = np.asarray(row_idx, dtype=np.int32)
-        colptr = np.asarray(colptr, dtype=np.int32)
+        row_idx = _index_array(row_idx)
+        colptr = _index_array(colptr)
         if rows < 0 or cols < 0:
             raise BlockError(f"negative block shape {shape}")
         if values.ndim != 1 or row_idx.ndim != 1 or colptr.ndim != 1:
@@ -70,6 +101,7 @@ class CSCBlock:
         self.values = values
         self.row_idx = row_idx
         self.colptr = colptr
+        self._column_idx: np.ndarray | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -95,25 +127,25 @@ class CSCBlock:
         if len(rows) and (rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n):
             raise BlockError(f"COO coordinates out of range for shape {shape}")
 
-        # Sort column-major, coalesce duplicates, drop explicit zeros.
+        # Sort column-major, coalesce duplicates, drop explicit zeros -- each
+        # only when the triples need it: canonical input (what every
+        # pattern-preserving kernel passes) costs one comparison pass.
         keys = cols * m + rows
-        order = np.argsort(keys, kind="stable")
-        keys, values = keys[order], values[order]
-        if len(keys):
-            unique_keys, inverse = np.unique(keys, return_inverse=True)
-            summed = np.zeros(len(unique_keys), dtype=np.float64)
-            np.add.at(summed, inverse, values)
-            nonzero = summed != 0.0
-            unique_keys, summed = unique_keys[nonzero], summed[nonzero]
-        else:
-            unique_keys = keys.astype(np.int64)
-            summed = values
-
-        out_cols = unique_keys // m
-        out_rows = unique_keys % m
-        counts = np.bincount(out_cols, minlength=n)
-        colptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-        return cls(shape, summed, out_rows.astype(np.int32), colptr)
+        if not _strictly_increasing(keys):
+            order = np.argsort(keys, kind="stable")
+            keys, values = keys[order], values[order]
+            if not _strictly_increasing(keys):
+                keys, inverse = np.unique(keys, return_inverse=True)
+                summed = np.zeros(len(keys), dtype=np.float64)
+                np.add.at(summed, inverse, values)
+                values = summed
+        # ``!= 0`` drops -0.0 and keeps NaN: the entries a coalescing sum
+        # started at 0.0 keeps, so single and duplicated coordinates agree.
+        # The mask also copies, so the block never aliases the caller's arrays.
+        stored = values != 0.0
+        keys, values = keys[stored], values[stored]
+        out_cols, out_rows = np.divmod(keys, m)
+        return cls(shape, values, out_rows, _colptr(out_cols, n))
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "CSCBlock":
@@ -121,8 +153,31 @@ class CSCBlock:
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim != 2:
             raise BlockError(f"expected a 2-D array, got ndim={arr.ndim}")
-        rows, cols = np.nonzero(arr)
-        return cls.from_coo(rows, cols, arr[rows, cols], arr.shape)
+        return cls._from_mask(arr, arr != 0)
+
+    @classmethod
+    def _from_mask(cls, arr: np.ndarray, pattern: np.ndarray) -> "CSCBlock":
+        """:meth:`from_dense` for a caller that already holds
+        ``pattern = arr != 0`` (block cutting counts it first).  A row-major
+        scan of the mask: transposing it to scan column-major costs more
+        than sorting the hits."""
+        rows, cols = np.divmod(np.flatnonzero(pattern), arr.shape[1])
+        return cls._from_row_major(rows, cols, arr[rows, cols], arr.shape)
+
+    @classmethod
+    def _from_row_major(
+        cls,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+        shape: tuple[int, int],
+    ) -> "CSCBlock":
+        """A block from unique, non-zero triples sorted row-major: a stable
+        sort by column leaves the rows ascending inside every column, which
+        is the canonical form.  The column ids are sorted in the narrowest
+        dtype that holds them (numpy radix-sorts 8- and 16-bit keys)."""
+        order = np.argsort(cols.astype(np.min_scalar_type(shape[1])), kind="stable")
+        return cls(shape, values[order], rows[order], _colptr(cols, shape[1]))
 
     @classmethod
     def empty(cls, rows: int, cols: int) -> "CSCBlock":
@@ -181,13 +236,23 @@ class CSCBlock:
     # -- views and conversions ---------------------------------------------
 
     def column_indices(self) -> np.ndarray:
-        """The column index of each stored non-zero, in storage order."""
-        counts = np.diff(self.colptr)
-        return np.repeat(np.arange(self._shape[1], dtype=np.int32), counts)
+        """The column index of each stored non-zero, in storage order.
+
+        Computed on first use and kept (read-only, like the arrays it is
+        derived from); host-side only, not part of the memory model.  Two
+        threads racing here compute the same array.
+        """
+        if self._column_idx is None:
+            counts = np.diff(self.colptr)
+            column_idx = np.repeat(np.arange(self._shape[1], dtype=np.int32), counts)
+            column_idx.flags.writeable = False
+            self._column_idx = column_idx
+        return self._column_idx
 
     def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coordinate triples ``(rows, cols, values)`` in column-major order."""
-        return self.row_idx.copy(), self.column_indices(), self.values.copy()
+        """Coordinate triples ``(rows, cols, values)`` in column-major order
+        (copies: the caller may write to them)."""
+        return self.row_idx.copy(), self.column_indices().copy(), self.values.copy()
 
     def to_numpy(self) -> np.ndarray:
         """Decompress into a dense numpy array."""
@@ -200,15 +265,27 @@ class CSCBlock:
         return DenseBlock(self.to_numpy())
 
     def copy(self) -> "CSCBlock":
-        return CSCBlock(
-            self._shape, self.values.copy(), self.row_idx.copy(), self.colptr.copy()
-        )
+        """An independent block: own ``values``, shared (read-only) indices."""
+        return self.with_values(self.values.copy())
+
+    def with_values(self, values: np.ndarray) -> "CSCBlock":
+        """A block with this block's pattern and the given stored values
+        (one per stored entry, in storage order)."""
+        block = CSCBlock(self._shape, values, self.row_idx, self.colptr)
+        block._column_idx = self._column_idx
+        return block
 
     def transpose(self) -> "CSCBlock":
-        """The transposed block, rebuilt in canonical CSC form."""
-        rows, cols, values = self.to_coo()
+        """The transposed block in canonical CSC form (zeros written into
+        ``values`` are dropped): this block's storage order is row-major
+        order of the transpose.  Like every kernel it takes this block to
+        be canonical; duplicate coordinates forced through the raw
+        constructor are carried over, not coalesced."""
         m, n = self._shape
-        return CSCBlock.from_coo(cols, rows, values, (n, m))
+        stored = self.values != 0.0
+        return CSCBlock._from_row_major(
+            self.column_indices()[stored], self.row_idx[stored], self.values[stored], (n, m)
+        )
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Row indices and values of the stored entries of column ``j``."""

@@ -149,6 +149,21 @@ def _segment_plans(session: DMacSession, program, target: str | None = None):
     return list(zip(labels, session.plans(program)))
 
 
+def _segments_reconcile(result) -> bool:
+    """Cross-check every segment's trace against the ledger and the clock;
+    a mismatch is reported as one ``error:`` line, not a traceback."""
+    from repro.errors import TraceReconciliationError
+    from repro.trace import assert_reconciled
+
+    try:
+        for record in result.segments:
+            assert_reconciled(record.result.tracing)
+    except TraceReconciliationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     program, inputs, svd_names = _workload(args)
     if args.compare and segments_of(program).loop is not None:
@@ -165,11 +180,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = session.run(program, inputs)
     staged = result.loop is not None
     tracer = result.tracing  # the last segment's, for the reports below
-    if tracing:
-        from repro.trace import assert_reconciled
-
-        for record in result.segments:
-            assert_reconciled(record.result.tracing)
+    if tracing and not _segments_reconcile(result):
+        return EXIT_LINT_ERRORS
     baseline = None
     if args.compare:
         baseline = _session(args).run_systemml(program, inputs)
@@ -586,7 +598,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.trace import (
-        assert_reconciled,
         format_summary,
         to_chrome_trace,
         to_json_dict,
@@ -609,8 +620,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # The cross-check: trace-summed bytes/seconds must reconcile exactly
     # with the CommunicationLedger and the SimulatedClock.
     result = session.run(program, inputs, chaos=chaos)
-    for record in result.segments:
-        assert_reconciled(record.result.tracing)
+    if not _segments_reconcile(result):
+        return EXIT_LINT_ERRORS
     print("trace reconciled against ledger and clock"
           + (f" on {len(result.segments)} segment(s); exporting the final one"
              if result.loop is not None else ""),

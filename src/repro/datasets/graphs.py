@@ -86,8 +86,7 @@ def graph_like(
 def row_normalize(adjacency: np.ndarray) -> np.ndarray:
     """Row-normalise an adjacency matrix (the PageRank ``link`` matrix;
     dangling nodes keep an all-zero row)."""
-    out = adjacency.astype(np.float64, copy=True)
-    sums = out.sum(axis=1, keepdims=True)
-    nonzero = sums[:, 0] > 0
-    out[nonzero] /= sums[nonzero]
-    return out
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    sums = adjacency.sum(axis=1, keepdims=True)
+    # One pass, one allocation: rows that sum to <= 0 are divided by 1.
+    return adjacency / np.where(sums > 0, sums, 1.0)

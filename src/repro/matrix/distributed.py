@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blocks import assemble, grid_shape, split
+from repro.blocks import Block, assemble, grid_shape, split
 from repro.errors import ShapeError
 from repro.localexec.engine import Grid
 from repro.matrix.schemes import Scheme
@@ -26,6 +26,16 @@ from repro.rdd.rdd import RDD
 from repro.rdd.sizeof import model_sizeof
 
 BlockKey = tuple[int, int]
+
+
+def _all_zero(block: Block) -> bool:
+    """Whether a freshly cut block holds no non-zero.  A CSC block knows; a
+    dense one is almost never empty (the cut just elected it dense, or the
+    caller asked for dense storage), so its first row is probed before the
+    whole block is scanned."""
+    if block.is_sparse:
+        return block.nnz == 0
+    return not (block.data[:1].any() or block.data.any())
 
 
 class DistributedMatrix:
@@ -70,7 +80,7 @@ class DistributedMatrix:
         """
         arr = np.asarray(array, dtype=np.float64)
         grid = split(arr, block_size, storage=storage)
-        items = [(key, block) for key, block in sorted(grid.items()) if block.nnz > 0]
+        items = [(key, block) for key, block in sorted(grid.items()) if not _all_zero(block)]
         rows, cols = arr.shape
         if scheme.is_one_dimensional:
             rdd = context.parallelize(items, scheme.partitioner(context.num_workers))

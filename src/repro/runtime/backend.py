@@ -341,7 +341,10 @@ class SimulatedBackend:
             if transition.event.kind == "leave":
                 self._apply_leave(transition, resources)
             else:
-                self._apply_join(transition, resources)
+                # The joiners' traffic belongs to the stage that ships it,
+                # in the ledger as in the stage's trace context.
+                with self.ledger.scope(f"stage-{node.stage}"):
+                    self._apply_join(transition, resources)
             pool.commit(transition)
 
     def _apply_leave(

@@ -3,6 +3,7 @@ subcommand prints *exactly one* parseable JSON document on stdout, with
 any human-readable progress on stderr."""
 
 import json
+import sys
 
 import pytest
 
@@ -107,6 +108,39 @@ def test_run_with_trace_reports_reconciliation(capsys):
         document["trace"]["metrics"]["counters"]["bytes.total"]
         == document["comm_bytes"]
     )
+
+
+ELASTIC_TRACE = ["gnmf", "--scale", "2e-3", "--iterations", "2",
+                 "--elastic", "join@2;leave@4"]
+
+
+def test_run_with_trace_reconciles_under_a_membership_timeline(capsys):
+    assert main(["run", *ELASTIC_TRACE, "--trace", "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["trace"]["reconciled"] is True
+    assert document["elastic"]["rebalance_bytes"] > 0
+    assert main(["trace", *ELASTIC_TRACE, "--faults", "crash:stage=3",
+                 "--format", "chrome"]) == 0
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    assert "trace reconciled" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_a_failed_reconciliation_is_one_error_line(command, monkeypatch, capsys):
+    """Typed exit, not a traceback: exit 1 and a single ``error:`` line."""
+    # ``repro.trace.reconcile`` the attribute is the re-exported function.
+    reconcile_module = sys.modules["repro.trace.reconcile"]
+    broken = {"name": "bytes.total", "ok": False, "expected": 1, "actual": 2}
+    monkeypatch.setattr(
+        reconcile_module, "reconcile", lambda collector: {"ok": False, "checks": [broken]}
+    )
+    argv = [command, "linreg", "--rows", "120", "--features", "12", "--iterations", "2"]
+    assert main(argv + (["--trace"] if command == "run" else [])) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "bytes.total: expected 1, trace summed 2" in errors[0]
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_segment_keys_mean_the_program_has_a_loop(capsys):

@@ -6,8 +6,10 @@ import pytest
 
 from repro import ClusterConfig, DMacSession
 from repro.errors import TraceReconciliationError
-from repro.faults import ChaosEngine
+from repro.faults import ChaosEngine, parse_fault_spec
+from repro.programs.registry import WorkloadParams, build_workload
 from repro.trace import TraceCollector, assert_reconciled, reconcile
+from tests.elastic.test_golden_books import FAULT_SEED, FAULTS, PARAMS, TIMELINE
 
 from .conftest import seven_apps
 
@@ -61,6 +63,28 @@ def test_reconciles_with_concurrent_stages_and_optimizer():
     tracer = TraceCollector()
     session.run(program, inputs, tracer=tracer)
     assert_reconciled(tracer)
+
+
+@pytest.mark.parametrize("faults", [None, FAULTS], ids=["clean", "faults"])
+@pytest.mark.parametrize("app", ["gnmf", "pagerank"])
+def test_reconciles_under_a_membership_timeline(app, faults):
+    """A join ships live blocks to the joiners from inside a stage: the
+    rebalance records must carry that stage's ledger scope (they carried
+    none, so ``--elastic`` x ``--trace`` failed ``bytes.stage_attribution``
+    on every app)."""
+    load = build_workload(app, WorkloadParams(**PARAMS))
+    session = DMacSession(
+        ClusterConfig(num_workers=4, threads_per_worker=2, elastic=TIMELINE)
+    )
+    chaos = ChaosEngine(FAULT_SEED, parse_fault_spec(faults)) if faults else None
+    tracer = TraceCollector()
+    result = session.run(load.program, load.inputs, chaos=chaos, tracer=tracer)
+    rebalanced = [e for e in tracer.events("transfer") if e.name == "rebalance"]
+    assert rebalanced and result.elastic["rebalance_bytes"] > 0
+    assert all(e.attrs["scope"] == f"stage-{e.stage[1]}" for e in rebalanced)
+    report = assert_reconciled(tracer)
+    assert _checks(report)["bytes.stage_attribution"]["actual"] == []
+    assert _checks(report)["bytes.total"]["actual"] == result.comm_bytes
 
 
 def test_tampered_trace_fails_reconciliation(traced_session):
