@@ -25,8 +25,8 @@ def main() -> None:
     program = build_linreg_program(
         (examples, features), 0.1, iterations=features + 10, ridge=ridge
     )
-    session = DMacSession(ClusterConfig(num_workers=4, threads_per_worker=4))
-    result = session.run(program, {"V": design, "y": target})
+    with DMacSession(ClusterConfig(num_workers=4, threads_per_worker=4)) as session:
+        result = session.run(program, {"V": design, "y": target})
 
     w_cg = result.matrices[program.bindings["w"]]
     w_exact = np.linalg.solve(

@@ -38,8 +38,10 @@ def main() -> None:
     print(f"advisor picks {workers} workers\n")
 
     # Run on the advised cluster, with a per-step trace.
-    session = DMacSession(ClusterConfig(num_workers=workers, threads_per_worker=4))
-    result = session.run(program, {"V": design, "y": labels}, trace=True)
+    with DMacSession(
+        ClusterConfig(num_workers=workers, threads_per_worker=4)
+    ) as session:
+        result = session.run(program, {"V": design, "y": labels}, trace=True)
 
     learned = result.matrices[program.bindings["w"]]
     accuracy = np.mean(

@@ -34,6 +34,7 @@ def main() -> None:
           f"network {link_moves} times (rank vector broadcasts do the rest)")
 
     result = session.run(program, {"link": link})
+    session.close()  # or `with DMacSession(...) as session:`, as below
     ranks = result.matrices[program.bindings["rank"]].ravel()
     top = np.argsort(ranks)[::-1][:5]
     print("top-5 nodes by rank:")
@@ -41,8 +42,8 @@ def main() -> None:
         in_degree = int(adjacency[:, node].sum())
         print(f"  node {node:>5}  rank {ranks[node]:.5f}  in-degree {in_degree}")
 
-    baseline = DMacSession(ClusterConfig(num_workers=4, threads_per_worker=4))
-    systemml = baseline.run_systemml(program, {"link": link})
+    with DMacSession(ClusterConfig(num_workers=4, threads_per_worker=4)) as baseline:
+        systemml = baseline.run_systemml(program, {"link": link})
     print(f"\ncommunication: DMac {result.comm_bytes / 1e6:.2f} MB vs "
           f"SystemML-S {systemml.comm_bytes / 1e6:.2f} MB "
           f"({systemml.comm_bytes / max(result.comm_bytes, 1):.1f}x)")

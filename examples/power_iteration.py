@@ -42,11 +42,11 @@ def main() -> None:
     staged = power_iteration.compile(A=matrix_input((n, n)), eps=1e-9)
     print(f"compiled staged program: {staged.describe()}")
 
-    session = DMacSession(
+    with DMacSession(
         ClusterConfig(num_workers=4, threads_per_worker=4),
         lint="error", verify="error",
-    )
-    result = session.run(staged, {"A": data})
+    ) as session:
+        result = session.run(staged, {"A": data})
 
     lam = result.scalars["lam"]
     reference = np.linalg.eigvalsh(data)[-1]

@@ -24,17 +24,19 @@ def main() -> None:
     program = pb.build()
 
     # 2. Create a session over a simulated 4-worker cluster and plan.
-    session = DMacSession(ClusterConfig(num_workers=4, threads_per_worker=4))
-    plan = session.plan(program)
-    print(f"plan: {len(plan.steps)} steps in {plan.num_stages} stages, "
-          f"predicted communication {plan.predicted_bytes / 1024:.1f} KB")
-
-    # 3. Bind the input data and execute.
+    #    (`with` stops the session's host threads on exit; a session that is
+    #    just dropped gives them up when it is garbage-collected.)
     rng = np.random.default_rng(7)
     data = rng.random((600, 400))
     data[data < 0.7] = 0.0
     data[data != 0] += 0.05  # keep values positive for GNMF
-    result = session.run(program, {"V": data}, plan=plan)
+    with DMacSession(ClusterConfig(num_workers=4, threads_per_worker=4)) as session:
+        plan = session.plan(program)
+        print(f"plan: {len(plan.steps)} steps in {plan.num_stages} stages, "
+              f"predicted communication {plan.predicted_bytes / 1024:.1f} KB")
+
+        # 3. Bind the input data and execute.
+        result = session.run(program, {"V": data}, plan=plan)
 
     # 4. Inspect the outputs and the run's cost.
     w_out = result.matrices[program.bindings["W"]]
@@ -48,8 +50,8 @@ def main() -> None:
           f"{result.time.compute_seconds:.3f} s compute)")
 
     # 5. The same program under the dependency-blind baseline moves far more.
-    baseline = DMacSession(ClusterConfig(num_workers=4, threads_per_worker=4))
-    systemml = baseline.run_systemml(program, {"V": data})
+    with DMacSession(ClusterConfig(num_workers=4, threads_per_worker=4)) as baseline:
+        systemml = baseline.run_systemml(program, {"V": data})
     print(f"SystemML-S on the same program: {systemml.comm_bytes / 1024:.1f} KB "
           f"({systemml.comm_bytes / max(result.comm_bytes, 1):.1f}x DMac)")
 

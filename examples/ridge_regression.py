@@ -45,8 +45,8 @@ def main() -> None:
     )
     print(f"compiled {len(program.ops)} ops from a 9-line Python function")
 
-    session = DMacSession(ClusterConfig(num_workers=4, threads_per_worker=4))
-    result = session.run(program, {"V": design, "y": target})
+    with DMacSession(ClusterConfig(num_workers=4, threads_per_worker=4)) as session:
+        result = session.run(program, {"V": design, "y": target})
 
     w = result.matrices[program.bindings["w"]]
     closed_form = np.linalg.solve(

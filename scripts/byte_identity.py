@@ -10,11 +10,15 @@ host-side only -- a kernel, a load path -- each tree runs, with its own
 
 * every app in ``ALL_APPS`` x ``optimize`` {off, on} x ``block_size``
   {None, 37} on 4 workers x 2 threads: sha256 of every output matrix, every
-  scalar as ``float.hex``, ``comm_bytes``, ``simulated_seconds.hex()``,
-  ``num_stages``; and once more on a serial session (1 thread, 1 concurrent
-  stage), where ``peak_memory_bytes`` is deterministic and is compared too
-  (with pool threads it differs between two runs of one tree);
-* three CLI commands, stdout and stderr.
+  scalar as ``float.hex``, ``comm_bytes``, ``bytes_by_kind``,
+  ``simulated_seconds.hex()``, ``num_stages``, the recovery counters; and
+  once more on a serial session (1 thread, 1 concurrent stage), where
+  ``peak_memory_bytes`` is deterministic and is compared too (with pool
+  threads it differs between two runs of one tree);
+* the same apps x ``optimize`` under the ``tests/elastic`` churn timeline,
+  and under churn + faults (seed 11), 4 workers x 2 threads;
+* ``repro run`` / ``repro chaos`` / ``repro run --trace`` on three apps,
+  stdout and stderr (``peak_memory_bytes`` lines masked when threads > 1).
 
 Prints one IDENTICAL/DIFFERENT line per item; exit 1 if any differs.
 """
@@ -22,17 +26,30 @@ Prints one IDENTICAL/DIFFERENT line per item; exit 1 if any differs.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 PARAMS = dict(seed=3, scale=2e-3, rows=400, features=30, iterations=3, factors=8, rank=3)
 
+TIMELINE = "join@2:count=2; leave@5:worker=0"
+FAULTS = "crash:stage=3; flaky:p=0.4,times=1; straggler:stage=2,factor=3"
+FAULT_SEED = 11
+
+_SIZES = {
+    "pagerank": "--scale 1e-3 --iterations 3",
+    "gnmf": "--scale 2e-3 --iterations 2",
+    "linreg": "--rows 400 --features 30 --iterations 3",
+}
 COMMANDS = {
-    "run pagerank": "run pagerank --scale 1e-3 --iterations 3 --threads 1 --format json",
-    "chaos pagerank": "chaos pagerank --scale 1e-3 --iterations 3 --seed 7"
-    " --faults crash:stage=3 --format json",
-    "run gnmf --trace": "run gnmf --scale 2e-3 --iterations 2 --trace --format json",
+    f"{verb} {app}": f"{verb.split()[0]} {app} {sizes} {flags} --format json"
+    for app, sizes in _SIZES.items()
+    for verb, flags in (
+        ("run", "--threads 1"),
+        ("chaos", "--seed 7 --faults crash:stage=3"),
+        ("run --trace", "--trace"),
+    )
 }
 
 
@@ -41,9 +58,10 @@ def books() -> dict:
     import numpy as np
 
     from repro import ClusterConfig, DMacSession
+    from repro.faults import ChaosEngine, parse_fault_spec
     from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
 
-    def digest(result, peaks: bool) -> dict:
+    def digest(session, result, peaks: bool) -> dict:
         out = {
             "matrices": {
                 name: hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest() + str(m.shape)
@@ -51,8 +69,14 @@ def books() -> dict:
             },
             "scalars": {name: float(v).hex() for name, v in sorted(result.scalars.items())},
             "comm_bytes": result.comm_bytes,
+            "bytes_by_kind": session.context.ledger.bytes_by_kind(),
             "simulated_seconds": result.simulated_seconds.hex(),
             "num_stages": result.num_stages,
+            "recovery": {
+                key: value
+                for key, value in (result.recovery or {}).items()
+                if isinstance(value, int)
+            },
         }
         if peaks:
             out["peak_memory_bytes"] = result.peak_memory_bytes
@@ -70,8 +94,15 @@ def books() -> dict:
                     block_size=block_size,
                 )
                 for label, config in (("pooled", pooled), ("serial", serial)):
-                    result = DMacSession(config, optimize=optimize).run(load.program, load.inputs)
-                    report[f"{key} {label}"] = digest(result, peaks=label == "serial")
+                    session = DMacSession(config, optimize=optimize)
+                    result = session.run(load.program, load.inputs)
+                    report[f"{key} {label}"] = digest(session, result, peaks=label == "serial")
+            churn = ClusterConfig(num_workers=4, threads_per_worker=2, elastic=TIMELINE)
+            for label, faults in (("churn", None), ("churn-faults", FAULTS)):
+                chaos = ChaosEngine(FAULT_SEED, parse_fault_spec(faults)) if faults else None
+                session = DMacSession(churn, optimize=optimize)
+                result = session.run(load.program, load.inputs, chaos=chaos)
+                report[f"{app} optimize={optimize} {label}"] = digest(session, result, peaks=False)
     return report
 
 
@@ -90,7 +121,10 @@ def observe(tree: Path) -> dict:
     seen = dict(json.loads(digest.stdout))
     for label, command in COMMANDS.items():
         done = run("-m", "repro", *command.split())
-        seen[f"repro {label}"] = (done.returncode, done.stdout, done.stderr)
+        stdout = done.stdout
+        if "--threads 1" not in command:  # the peak follows host thread timing
+            stdout = re.sub(r'"peak_memory_bytes": \d+', '"peak_memory_bytes": "masked"', stdout)
+        seen[f"repro {label}"] = (done.returncode, stdout, done.stderr)
     return seen
 
 

@@ -171,20 +171,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "staged convergence loop", file=sys.stderr)
         return EXIT_PARSE_ERROR
     tracing = getattr(args, "trace", False)
-    session = _session(args, trace=tracing)
-    timeline = bool(session.context.pool.events)
-    if args.compare and timeline:
-        print("run --compare: the SystemML-S baseline runs on a static "
-              "cluster; drop --elastic to compare", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    result = session.run(program, inputs)
+    with _session(args, trace=tracing) as session:
+        timeline = bool(session.context.pool.events)
+        if args.compare and timeline:
+            print("run --compare: the SystemML-S baseline runs on a static "
+                  "cluster; drop --elastic to compare", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        result = session.run(program, inputs)
     staged = result.loop is not None
     tracer = result.tracing  # the last segment's, for the reports below
     if tracing and not _segments_reconcile(result):
         return EXIT_LINT_ERRORS
     baseline = None
     if args.compare:
-        baseline = _session(args).run_systemml(program, inputs)
+        with _session(args) as other:
+            baseline = other.run_systemml(program, inputs)
         for name in result.matrices:
             np.testing.assert_allclose(
                 result.matrices[name], baseline.matrices[name], atol=1e-7
@@ -272,8 +273,8 @@ def _cmd_script(args: argparse.Namespace) -> int:
                 f"(loads: {sorted(names)})"
             )
         inputs[names[name]] = _load_bound_array(path)
-    session = _session(args)
-    result = session.run(program, inputs)
+    with _session(args) as session:
+        result = session.run(program, inputs)
     _report(f"DMac script {args.path}", result)
     for name in program.scalar_outputs:
         print(f"scalar {name} = {result.scalars[name]:.6g}")
@@ -313,8 +314,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         return EXIT_PARSE_ERROR
     if args.show_rewrites:
         args.optimize = True  # rewrites only exist on optimized plans
-    session = _session(args)
-    plans = _segment_plans(session, program, args.app)
+    with _session(args) as session:
+        plans = _segment_plans(session, program, args.app)
     if args.dot:
         for label, plan in plans:
             print(plan_to_dot(plan, title=f"DMac plan: {label}"))
@@ -368,11 +369,11 @@ def _cmd_stages(args: argparse.Namespace) -> int:
     except ProgramError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    session = _session(args)
-    graphs = [
-        (label, session.stage_graph(plan.program, plan))
-        for label, plan in _segment_plans(session, program, args.app)
-    ]
+    with _session(args) as session:
+        graphs = [
+            (label, session.stage_graph(plan.program, plan))
+            for label, plan in _segment_plans(session, program, args.app)
+        ]
     if args.format == "json":
         if len(graphs) == 1:
             print(json.dumps(
@@ -414,35 +415,35 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("lint: a target (app name or script path) is required "
               "unless --selftest is given", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    session = _session(args)
-    context = dataclasses.replace(
-        LintContext.from_config(session.config),
-        memory_limit_bytes=args.memory_limit,
-    )
-    suppress = tuple(args.suppress or ())
-    try:
-        if args.target in ALL_APPS:
-            args.app = args.target
-            program, __, ___ = _workload(args)
-            reports = [
-                (label, lint_plan(plan, context, suppress))
-                for label, plan in _segment_plans(session, program)
-            ]
-        elif os.path.exists(args.target):
-            reports = [(None, lint_path(args.target, context, suppress))]
-        else:
-            print(
-                f"unknown lint target {args.target!r}: expected one of "
-                f"{', '.join(ALL_APPS)} or an existing .dml/.py file",
-                file=sys.stderr,
-            )
+    with _session(args) as session:
+        context = dataclasses.replace(
+            LintContext.from_config(session.config),
+            memory_limit_bytes=args.memory_limit,
+        )
+        suppress = tuple(args.suppress or ())
+        try:
+            if args.target in ALL_APPS:
+                args.app = args.target
+                program, __, ___ = _workload(args)
+                reports = [
+                    (label, lint_plan(plan, context, suppress))
+                    for label, plan in _segment_plans(session, program)
+                ]
+            elif os.path.exists(args.target):
+                reports = [(None, lint_path(args.target, context, suppress))]
+            else:
+                print(
+                    f"unknown lint target {args.target!r}: expected one of "
+                    f"{', '.join(ALL_APPS)} or an existing .dml/.py file",
+                    file=sys.stderr,
+                )
+                return EXIT_PARSE_ERROR
+        except ProgramError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
-    except ProgramError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except ValueError as exc:  # e.g. unknown rule id in --suppress
-        print(f"lint: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        except ValueError as exc:  # e.g. unknown rule id in --suppress
+            print(f"lint: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
     if args.format == "json":
         if len(reports) == 1:
             print(reports[0][1].to_json_string())
@@ -489,13 +490,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_PARSE_ERROR
         chaos = ChaosEngine(args.seed, clauses)
         args.execute = True  # a fault spec only matters on a real run
-    session = _session(args)
-    print(f"verifying {args.target} on {args.workers} workers ...", file=sys.stderr)
-    try:
-        plans = _segment_plans(session, program, args.target)
-    except TranslationValidationError as exc:
-        print(f"translation validation failed: {exc}", file=sys.stderr)
-        return EXIT_LINT_ERRORS
+    with _session(args) as session:
+        print(f"verifying {args.target} on {args.workers} workers ...", file=sys.stderr)
+        try:
+            plans = _segment_plans(session, program, args.target)
+        except TranslationValidationError as exc:
+            print(f"translation validation failed: {exc}", file=sys.stderr)
+            return EXIT_LINT_ERRORS
     reports = [
         (label, verify_plan(
             plan,
@@ -513,7 +514,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                   f"use one of {', '.join(ALL_APPS)}", file=sys.stderr)
             return EXIT_PARSE_ERROR
         __, inputs, ___ = _workload(args)  # same seed -> same data
-        result = _session(args).run(program, inputs, chaos=chaos)
+        with _session(args) as executing:
+            result = executing.run(program, inputs, chaos=chaos)
         observed = result.peak_memory_bytes
         predicted = result.predicted_peak_memory_bytes
         execution = {
@@ -577,11 +579,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     # Two fresh sessions: the clean reference and the faulted run share
     # nothing but the program, the inputs and the config.
-    clean = DMacSession(config, optimize=args.optimize).run(program, inputs)
+    with DMacSession(config, optimize=args.optimize) as session:
+        clean = session.run(program, inputs)
     engine = ChaosEngine(args.seed, clauses)
-    faulted = DMacSession(config, optimize=args.optimize).run(
-        program, inputs, chaos=engine
-    )
+    with DMacSession(config, optimize=args.optimize) as session:
+        faulted = session.run(program, inputs, chaos=engine)
     results_match = set(clean.matrices) == set(faulted.matrices) and all(
         np.allclose(clean.matrices[name], faulted.matrices[name], atol=1e-9)
         for name in clean.matrices
@@ -615,11 +617,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             return EXIT_PARSE_ERROR
         chaos = ChaosEngine(args.seed, clauses)
     program, inputs, __ = _workload(args)
-    session = _session(args, trace=True)  # one collector per segment
-    print(f"tracing {args.app} on {args.workers} workers ...", file=sys.stderr)
-    # The cross-check: trace-summed bytes/seconds must reconcile exactly
-    # with the CommunicationLedger and the SimulatedClock.
-    result = session.run(program, inputs, chaos=chaos)
+    with _session(args, trace=True) as session:  # one collector per segment
+        print(f"tracing {args.app} on {args.workers} workers ...", file=sys.stderr)
+        # The cross-check: trace-summed bytes/seconds must reconcile exactly
+        # with the CommunicationLedger and the SimulatedClock.
+        result = session.run(program, inputs, chaos=chaos)
     if not _segments_reconcile(result):
         return EXIT_LINT_ERRORS
     print("trace reconciled against ledger and clock"
@@ -705,9 +707,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         print(f"repro serve: listening on {args.socket} "
               f"({len(config.tenants)} tenant(s))", file=sys.stderr)
-        serve_forever(service, args.socket)
+        serve_forever(service, args.socket)  # closes the service on its way out
         print("repro serve: shut down", file=sys.stderr)
         return EXIT_OK
+    service.close()
     text = render_report(service.report())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -60,7 +60,7 @@ def summa_matmul(a: Grid2DMatrix, b: Grid2DMatrix) -> Grid2DMatrix:
     # Each worker accumulates exactly the result blocks it owns.
     partitions: list[list] = [[] for __ in range(layout.workers)]
     for worker in range(layout.workers):
-        engine = context.engines[worker]
+        engine = context.engine_for_partition(worker)
         row, col = layout.cell(worker)
         owned: dict[tuple[int, int], DenseBlock] = {}
         for bi in range(row, block_rows, layout.pr):

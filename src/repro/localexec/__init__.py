@@ -1,8 +1,8 @@
 """Per-worker local execution engine (paper Section 5.3).
 
-Task queue + thread pool + result-buffer pool, with the In-Place and Buffer
-aggregation strategies for block matrix multiplication and model-byte memory
-metering.
+Task queue + lanes of a shared thread pool + result-buffer pool, with the
+In-Place and Buffer aggregation strategies for block matrix multiplication
+and model-byte memory metering.
 """
 
 from repro.localexec.engine import EngineStats, Grid, LocalEngine

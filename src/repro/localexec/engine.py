@@ -1,7 +1,8 @@
 """The per-worker block execution engine (paper Section 5.3, Figure 4).
 
 Each worker turns a grid-level operation into independent per-block tasks,
-pushes them through a thread pool, and meters flops and (model) memory.
+runs them in at most ``threads`` lanes of a shared
+:class:`~repro.localexec.lanes.LanePool`, and meters flops and (model) memory.
 Two aggregation strategies are provided for block matrix multiplication:
 
 * ``inplace=True`` -- the paper's **In-Place** strategy.  One task per
@@ -21,10 +22,8 @@ caller invokes :meth:`LocalEngine.release_grid`.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -37,6 +36,7 @@ from repro.errors import BlockError
 from repro.kernels import batch as kernel_batch
 from repro.kernels import fused as kernel_fused
 from repro.kernels.strassen import recursion_base, strassen_matmul
+from repro.localexec.lanes import LanePool
 from repro.localexec.pool import MemoryTracker, ResultBufferPool
 from repro.localexec.tasks import (
     BlockKey,
@@ -58,7 +58,7 @@ class EngineStats:
     """Counters accumulated across all operations run by one engine.
 
     Internally locked: primitives and block tasks report from arbitrary
-    threads (the engine's own pool, and concurrently running stages).  Each
+    threads (the lane pool's, and concurrently running stages).  Each
     ``record`` also notifies the active
     :class:`~repro.runtime.metering.StageMeter`, if one is installed, so
     the stage scheduler can attribute flops to the stage that caused them.
@@ -97,7 +97,11 @@ class EngineStats:
 
 
 class LocalEngine:
-    """Block-parallel executor for one worker node."""
+    """Block-parallel executor for one worker node.
+
+    ``lanes`` is the cluster context's thread pool; an engine built without
+    one (tests, ``grid2d``) owns a private, equally lazy one.
+    """
 
     def __init__(
         self,
@@ -108,6 +112,7 @@ class LocalEngine:
         batched_matmul: bool = True,
         strassen: bool = False,
         strassen_min_size: int = 128,
+        lanes: LanePool | None = None,
     ) -> None:
         if threads < 1:
             raise BlockError(f"threads must be >= 1, got {threads}")
@@ -116,6 +121,7 @@ class LocalEngine:
                 f"strassen_min_size must be >= 2, got {strassen_min_size}"
             )
         self.threads = threads
+        self._lanes = lanes if lanes is not None else LanePool()
         self.inplace = inplace
         self.batched_matmul = batched_matmul
         self.strassen = strassen
@@ -217,18 +223,10 @@ class LocalEngine:
 
     # -- task plumbing ---------------------------------------------------------
 
-    def _run(
-        self,
-        tasks: Iterable,
-        runner: Callable,
-    ) -> list[TaskResult]:
+    def _run(self, tasks: Iterable, runner: Callable) -> list[TaskResult]:
         tasks = list(tasks)
         self.stats.add_tasks(len(tasks))
-        runner = _traced(runner)
-        if self.threads == 1 or len(tasks) <= 1:
-            return [runner(task) for task in tasks]
-        with ThreadPoolExecutor(max_workers=self.threads) as executor:
-            return _map_in_copied_contexts(executor, runner, tasks)
+        return self._lanes.map(_traced(runner), tasks, self.threads)
 
     def _run_inplace_task(self, task: MultiplyAccumulateTask) -> TaskResult:
         target = self.pool.acquire(*task.result_shape)
@@ -291,7 +289,7 @@ class LocalEngine:
         Per-element that is the exact float sequence of the serial fold
         (zeroed target, ``+=`` partial in ascending ``k``), so results are
         byte-identical.  Block rows are slabbed across the engine's
-        threads.
+        lanes.
 
         The warm stacking buffers live *outside* the paper's byte model:
         the model (and :mod:`repro.verify.memory`'s predictions) meters
@@ -350,31 +348,19 @@ class LocalEngine:
                 return results
 
             slabs = _row_slabs(num_rows, self.threads)
-            run_slab = _traced(run_slab)
-            if len(slabs) == 1:
-                return run_slab(slabs[0])
-            with ThreadPoolExecutor(max_workers=self.threads) as executor:
-                chunked = _map_in_copied_contexts(executor, run_slab, slabs)
+            chunked = self._lanes.map(_traced(run_slab), slabs, self.threads)
             return [result for chunk in chunked for result in chunk]
         finally:
             cache.checkin(a_base, b_base, acc_base)
 
     def _buffered_matmul(self, a_grid: Grid, b_grid: Grid) -> Grid:
-        tasks = buffered_matmul_tasks(a_grid, b_grid)
-        self.stats.add_tasks(len(tasks))
-
         def multiply(task: MultiplyTask) -> tuple[BlockKey, DenseBlock]:
             flops, partial = self._pair_product(task.left, task.right)
             self.tracker.allocate(partial.model_nbytes)
             self._record(flops, task.left.is_sparse or task.right.is_sparse)
             return task.result_key, partial
 
-        multiply = _traced(multiply)
-        if self.threads == 1 or len(tasks) <= 1:
-            partials = [multiply(task) for task in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as executor:
-                partials = _map_in_copied_contexts(executor, multiply, tasks)
+        partials = self._run(buffered_matmul_tasks(a_grid, b_grid), multiply)
 
         # All partials are alive here -- this is the Buffer strategy's peak.
         grouped: dict[BlockKey, list[DenseBlock]] = {}
@@ -478,29 +464,6 @@ def _row_slabs(num_rows: int, threads: int) -> list[tuple[int, int]]:
         for start, stop in zip(bounds, bounds[1:])
         if stop > start
     ]
-
-
-def _map_in_copied_contexts(
-    executor: ThreadPoolExecutor, runner: Callable, tasks: list
-) -> list:
-    """``executor.map(runner, tasks)``, with each task run under a fresh
-    copy of the submitting thread's :mod:`contextvars` context.
-
-    Context variables do not propagate into :class:`ThreadPoolExecutor`
-    workers by default, so without this the pool threads would lose the
-    submitting stage's entire execution context: its
-    :class:`~repro.runtime.metering.StageMeter`, the
-    :class:`~repro.rdd.ledger.CommunicationLedger` scope stack (block
-    tasks used to record transfers under an *empty* scope), and the
-    tracer's stage position.  Each task gets its own copy because a single
-    ``Context`` object cannot be entered by two threads at once.
-    """
-    contexts = [contextvars.copy_context() for _ in tasks]
-    futures = [
-        executor.submit(context.run, runner, task)
-        for context, task in zip(contexts, tasks)
-    ]
-    return [future.result() for future in futures]
 
 
 def _traced(runner: Callable) -> Callable:

@@ -171,7 +171,7 @@ def rmm1(a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
     context = a.context
 
     def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engines[worker]
+        engine = context.engine_for_partition(worker)
         ga, gb = a.worker_grid(worker), b.worker_grid(worker)
         engine.register_grid(ga)
         engine.register_grid(gb)
@@ -194,7 +194,7 @@ def rmm2(a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
     context = a.context
 
     def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engines[worker]
+        engine = context.engine_for_partition(worker)
         ga, gb = a.worker_grid(worker), b.worker_grid(worker)
         engine.register_grid(ga)
         engine.register_grid(gb)
@@ -232,7 +232,7 @@ def cpmm(
     context = a.context
 
     def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engines[worker]
+        engine = context.engine_for_partition(worker)
         ga, gb = a.worker_grid(worker), b.worker_grid(worker)
         engine.register_grid(ga)
         engine.register_grid(gb)
@@ -286,7 +286,7 @@ def cellwise_op(
     context = a.context
 
     def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engines[worker]
+        engine = context.engine_for_partition(worker)
         ga, gb = a.worker_grid(worker), b.worker_grid(worker)
         engine.register_grid(ga)
         engine.register_grid(gb)
@@ -333,7 +333,7 @@ def fused_cellwise_op(
     context = first.context
 
     def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engines[worker]
+        engine = context.engine_for_partition(worker)
         grids = tuple(operand.worker_grid(worker) for operand in operands)
         for grid in grids:
             engine.register_grid(grid)
@@ -368,7 +368,7 @@ def scalar_op_matrix(
     densifies = op in ("add", "subtract") and scalar != 0.0
 
     def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engines[worker]
+        engine = context.engine_for_partition(worker)
         grid = dict(matrix.worker_grid(worker))
         if densifies:
             for key in _owned_block_keys(matrix, worker):
@@ -426,7 +426,7 @@ def unary_op_matrix(func: str, matrix: DistributedMatrix) -> DistributedMatrix:
     densifies = func not in block_ops.ZERO_PRESERVING_UNARY
 
     def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engines[worker]
+        engine = context.engine_for_partition(worker)
         grid = dict(matrix.worker_grid(worker))
         if densifies:
             for key in _owned_block_keys(matrix, worker):
@@ -483,7 +483,7 @@ def _axis_sums(
     aligned_scheme = Scheme.ROW if axis == 0 else Scheme.COL
 
     def local_partials(worker: int) -> dict[BlockKey, DenseBlock]:
-        engine = context.engines[worker]
+        engine = context.engine_for_partition(worker)
         partials: dict[BlockKey, DenseBlock] = {}
         for (bi, bj), block in matrix.worker_grid(worker).items():
             key = (bi, 0) if axis == 0 else (0, bj)

@@ -8,9 +8,12 @@ over a physical cluster (see DESIGN.md, Substitutions).  It owns
   :class:`~repro.localexec.engine.LocalEngine` (``L`` threads, In-Place or
   Buffer aggregation, optional memory budget),
 * the single :class:`~repro.rdd.ledger.CommunicationLedger` through which
-  every cross-worker byte must pass, and
+  every cross-worker byte must pass,
 * the :class:`~repro.rdd.clock.SimulatedClock` that converts metered bytes
-  and flops into the execution-time series the benchmarks report.
+  and flops into the execution-time series the benchmarks report, and
+* the one host thread pool (:class:`~repro.localexec.lanes.LanePool`) its
+  engines' block tasks and the scheduler's stage nodes run on, for its
+  whole lifetime (:meth:`ClusterContext.close`).
 
 Partition ``p`` of any RDD lives on slot ``p % K``, whoever owns it.  The
 slot count is the peak membership of the config's ``elastic`` timeline, so
@@ -30,6 +33,7 @@ from repro.config import ClusterConfig
 from repro.elastic.pool import ElasticPool
 from repro.errors import ClusterError
 from repro.localexec.engine import LocalEngine
+from repro.localexec.lanes import LanePool
 from repro.rdd.broadcast import Broadcast
 from repro.rdd.clock import SimulatedClock
 from repro.rdd.ledger import CommunicationLedger
@@ -62,6 +66,7 @@ class ClusterContext:
         #: Installed fault-injection engine (see :mod:`repro.faults`);
         #: ``None`` means every hook below is inert.
         self.chaos: ChaosEngine | None = None
+        self.lanes = LanePool()  # all host concurrency of this cluster
         # One engine per member the timeline will *ever* admit (statically
         # known), so flop attribution built once at run start stays valid
         # across joins, and a departed member's counters survive for the
@@ -74,9 +79,17 @@ class ClusterContext:
                 batched_matmul=config.batched_matmul,
                 strassen=config.strassen,
                 strassen_min_size=config.strassen_min_size,
+                lanes=self.lanes,
             )
             for member in self.pool.members_ever
         }
+
+    def close(self) -> None:
+        """Stop this cluster's host threads.  Idempotent; a closed context
+        refuses new work with a :class:`~repro.errors.ClusterError`, its
+        books stay readable.  Optional: a context that is simply dropped
+        takes its threads with it."""
+        self.lanes.close()
 
     # -- topology -------------------------------------------------------------
 
@@ -106,14 +119,12 @@ class ClusterContext:
     def engines(self) -> list[LocalEngine]:
         """Slot index -> the engine of the member owning that slot *now*.
 
-        The primitives index this positionally; resolving through the
-        pool's current assignment is what makes a membership change take
-        effect without moving any partition.
+        Resolving through the pool's current assignment is what makes a
+        membership change take effect without moving any partition.  This
+        builds a list per access; hot paths ask
+        :meth:`engine_for_partition` for the one engine they need.
         """
-        return [
-            self._member_engines[self.pool.member_for_slot(slot)]
-            for slot in range(self.num_workers)
-        ]
+        return [self.engine_for_partition(slot) for slot in range(self.num_workers)]
 
     def worker_for_partition(self, partition_index: int) -> int:
         """The slot hosting a given partition index."""

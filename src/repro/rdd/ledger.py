@@ -27,8 +27,8 @@ TRANSFER_KINDS = ("shuffle", "broadcast", "rebalance")
 
 #: Scope stacks per ledger instance, keyed by ``id(ledger)``.  A
 #: :mod:`contextvars` variable -- not ``threading.local`` -- so that when
-#: :meth:`repro.localexec.engine.LocalEngine._run` copies the submitting
-#: stage's context into its pool threads, block tasks inherit the stage's
+#: :meth:`repro.localexec.lanes.LanePool.submit` copies the submitting
+#: stage's context into its helper lanes, block tasks inherit the stage's
 #: scope and tag their transfers correctly.  (The old thread-local stack
 #: made pool threads record under an *empty* scope; the trace
 #: reconciliation pass in :mod:`repro.trace.reconcile` catches exactly
@@ -59,8 +59,8 @@ class CommunicationLedger:
     The record list is guarded by a lock; the scope stack is a *context
     variable* (the same pattern as ``StageMeter`` in
     :mod:`repro.runtime.metering`), so concurrently executing stages --
-    each on its own scheduler thread -- tag their transfers independently,
-    and engine pool threads that run under a copy of the stage's context
+    each under its own context copy -- tag their transfers independently,
+    and block-task lanes that run under a copy of the stage's context
     inherit the stage's scope.
     """
 

@@ -189,6 +189,8 @@ class PlanExecutor:
             # simulated schedule still reflects dependency-bound overlap.
             max_concurrent_stages = 1
         self.max_concurrent_stages = max_concurrent_stages
+        #: id(plan) -> (plan, graph, block size, predicted peak), for this run.
+        self._per_plan: dict[int, tuple] = {}
 
     def execute(
         self,
@@ -224,17 +226,20 @@ class PlanExecutor:
         tracer,
     ) -> ExecutionResult:
         inputs = inputs or {}
-        if plan.num_stages == 0:
-            schedule_stages(plan)
-        graph = StageGraph.from_plan(plan)
         backend = self.backend
-        block_size = (
-            self.block_size
-            if self.block_size is not None
-            else backend.default_block_size(plan)
-        )
         config = self.context.config
-        predicted_peak = self._predict_peak(plan, graph, block_size, config)
+        if id(plan) not in self._per_plan:
+            if plan.num_stages == 0:
+                schedule_stages(plan)
+            graph = StageGraph.from_plan(plan)
+            block_size = (
+                self.block_size
+                if self.block_size is not None
+                else backend.default_block_size(plan)
+            )
+            predicted_peak = self._predict_peak(plan, graph, block_size, config)
+            self._per_plan[id(plan)] = (plan, graph, block_size, predicted_peak)
+        __, graph, block_size, predicted_peak = self._per_plan[id(plan)]
         cache = None
         if getattr(plan, "cache_pins", ()):
             budget = config.cache_limit_bytes
@@ -257,7 +262,7 @@ class PlanExecutor:
             from repro.faults.chaos import ChaosEngine
 
             chaos = ChaosEngine(pool.seed, ())
-        scheduler_kwargs: dict = {}
+        scheduler_kwargs: dict = dict(lanes=self.context.lanes)
         recovery_log = None
         checkpoints = None
         if chaos is not None:
@@ -283,7 +288,7 @@ class PlanExecutor:
                 checkpoints=checkpoints,
                 log=recovery_log,
             )
-            scheduler_kwargs = dict(
+            scheduler_kwargs.update(
                 max_attempts=recovery_config.max_stage_attempts,
                 backoff_base_sec=recovery_config.backoff_base_sec,
                 backoff_cap_sec=recovery_config.backoff_cap_sec,
@@ -332,6 +337,8 @@ class PlanExecutor:
             if plan_span is not None:
                 tracer.end_span(plan_span)
             state.resources.close()
+            # Cut the state <-> resources cycle: dropping a session frees it.
+            resources.bind_state(None)
             if chaos is not None:
                 backend.install_chaos(None)
         backend.clock.advance(report.elapsed)

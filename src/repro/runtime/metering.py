@@ -11,10 +11,10 @@ counters) the global state.  The scheduler then owns exact per-stage
 durations and can commit only the critical path to the global clock.
 
 A context variable -- not a plain thread-local -- because a worker engine
-fans block tasks out to its own thread pool; the engine runs each pool
-task under a copy of the submitting task's context, so the meter (and the
-ledger's scope stack, which follows the same pattern) travels with it
-(see :meth:`repro.localexec.engine.LocalEngine._run`).
+fans block tasks out to helper lanes of the cluster's thread pool; every
+lane runs under a copy of the submitting task's context, so the meter (and
+the ledger's scope stack, which follows the same pattern) travels with it
+(see :meth:`repro.localexec.lanes.LanePool.map`).
 
 This module intentionally imports nothing from :mod:`repro`: it sits below
 the clock and the engines in the import graph.
@@ -51,8 +51,8 @@ def metered(meter: "StageMeter") -> Iterator["StageMeter"]:
 class StageMeter:
     """Accumulates the simulated time, bytes and flops of one stage run.
 
-    Thread-safe: a stage's block tasks may report from several engine pool
-    threads at once.  ``take_step_*`` methods drain the per-step counters
+    Thread-safe: a stage's block tasks may report from several lanes at
+    once.  ``take_step_*`` methods drain the per-step counters
     (the stage runner calls them after each plan step to build traces and
     charge per-step compute time).
     """

@@ -1,8 +1,13 @@
 """The stage scheduler: dispatch ready stages concurrently, charge the
 critical path.
 
-Execution model.  Stage-graph nodes are submitted to a thread pool as soon
-as every dependency has finished (Kahn-style ready set).  Each node runs
+Execution model.  Stage-graph nodes are dispatched as soon as every
+dependency has finished (Kahn-style ready set, smallest index first, at
+most ``max_concurrent`` in flight) onto the cluster context's one
+:class:`~repro.localexec.lanes.LanePool` -- or, when exactly one node can
+start and nothing is in flight (every chain, and every ``max_concurrent=1``
+run, whose nodes therefore execute in index order), on the dispatching
+thread itself.  Each node runs
 under its own :class:`~repro.runtime.metering.StageMeter`, so its simulated
 duration (network + compute + per-stage overhead) is measured privately
 even while other nodes run on sibling threads; ledgered *bytes* still flow
@@ -41,14 +46,15 @@ slowdown, slowed == clean and speculation never changes anything.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
+import heapq
 import statistics
 import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Callable
 
 from repro.errors import StageExecutionError
+from repro.localexec.lanes import LanePool
 from repro.rdd.clock import TimeBreakdown
 from repro.runtime.graph import StageGraph, StageNode
 from repro.runtime.metering import StageMeter
@@ -56,8 +62,8 @@ from repro.trace.emit import active_tracer
 
 #: Upper bound on concurrently dispatched stages when the config does not
 #: pin one.  Stage concurrency is about overlapping *simulated* stages, not
-#: saturating host cores (block tasks already use the engine pools), so a
-#: modest width is plenty.
+#: saturating host cores (the lane pool is host-sized whatever this says),
+#: so a modest width is plenty.
 DEFAULT_MAX_CONCURRENT_STAGES = 8
 
 
@@ -114,6 +120,7 @@ class StageScheduler:
         backoff_cap_sec: float = 30.0,
         speculation_multiplier: float = 0.0,
         event_sink: Callable[[dict], None] | None = None,
+        lanes: LanePool | None = None,
     ) -> None:
         if max_concurrent is not None and max_concurrent < 1:
             raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
@@ -124,6 +131,7 @@ class StageScheduler:
                 f"speculation_multiplier must be >= 0, got {speculation_multiplier}"
             )
         self.max_concurrent = max_concurrent or DEFAULT_MAX_CONCURRENT_STAGES
+        self._lanes = lanes if lanes is not None else LanePool()
         self.max_attempts = max_attempts
         self.backoff_base_sec = backoff_base_sec
         self.backoff_cap_sec = backoff_cap_sec
@@ -151,59 +159,34 @@ class StageScheduler:
     ) -> list[NodeRun]:
         nodes = graph.nodes
         runs: list[NodeRun | None] = [None] * len(nodes)
-        if not nodes:
-            return []
-        if self.max_concurrent == 1:
-            # Serial dispatch in topological (node-index) order; the time
-            # simulation below is identical either way.
-            for node in nodes:
-                try:
-                    runs[node.index] = self._attempt(node, run_node)
-                except BaseException as error:
-                    raise self._wrap(error, graph) from error
-            return runs  # type: ignore[return-value]
-
         waiting = {node.index: len(node.deps) for node in nodes}
-        ready = sorted(i for i, n in waiting.items() if n == 0)
-        for i in ready:
-            del waiting[i]
-        failure: BaseException | None = None
-
-        def submit_attempt(pool: ThreadPoolExecutor, node: StageNode):
-            # Each node runs under a fresh copy of the dispatching thread's
-            # context, so caller-installed contextvars scopes (e.g. the
-            # ledger's) reach stage threads; a fresh copy per node because
-            # one Context object cannot be entered concurrently.
-            context = contextvars.copy_context()
-            return pool.submit(context.run, self._attempt, node, run_node)
-
-        with ThreadPoolExecutor(
-            max_workers=self.max_concurrent, thread_name_prefix="repro-stage"
-        ) as pool:
-            running = {submit_attempt(pool, nodes[i]): i for i in ready}
-            while running:
-                done, __ = wait(running, return_when=FIRST_COMPLETED)
-                freed: list[int] = []
-                for future in done:
-                    index = running.pop(future)
-                    error = future.exception()
-                    if error is not None:
-                        if failure is None:
-                            failure = error
-                        continue
-                    runs[index] = future.result()
-                    for dependent in nodes[index].dependents:
-                        if dependent in waiting:
-                            waiting[dependent] -= 1
-                            if waiting[dependent] == 0:
-                                freed.append(dependent)
-                                del waiting[dependent]
-                if failure is None:
-                    for i in sorted(freed):
-                        running[submit_attempt(pool, nodes[i])] = i
-                # After a failure: submit nothing more, drain what runs.
-        if failure is not None:
-            raise self._wrap(failure, graph) from failure
+        ready = sorted(i for i, n in waiting.items() if n == 0)  # a valid heap
+        running: dict[Future, int] = {}
+        failures: list[BaseException] = []
+        while ready or running:
+            room = min(len(ready), self.max_concurrent - len(running))
+            # One node to start, none in flight: nothing to overlap, run it here;
+            # either way under a copy of this thread's context (ledger scopes).
+            inline = room == 1 and not running
+            for __ in range(room):
+                node = nodes[heapq.heappop(ready)]
+                future = self._lanes.submit(self._attempt, node, run_node, inline=inline)
+                running[future] = node.index
+            done, __ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                index = running.pop(future)
+                if (error := future.exception()) is not None:
+                    failures.append(error)
+                    continue
+                runs[index] = future.result()
+                for dependent in nodes[index].dependents:
+                    waiting[dependent] -= 1
+                    if waiting[dependent] == 0:
+                        heapq.heappush(ready, dependent)
+            if failures:
+                ready.clear()  # submit nothing more, drain what runs
+        if failures:
+            raise self._wrap(failures[0], graph) from failures[0]
         return runs  # type: ignore[return-value]
 
     def _attempt(

@@ -83,7 +83,8 @@ def handle_request(service: MatrixService, request: dict) -> tuple[dict, bool]:
 
 
 def serve_forever(service: MatrixService, socket_path: str) -> None:
-    """Accept connections until a ``shutdown`` request arrives.
+    """Accept connections until a ``shutdown`` request arrives, then close
+    the service (no host thread outlives the daemon loop).
 
     One connection may carry many newline-separated requests; the daemon
     answers each in order and keeps the socket open until the client
@@ -118,6 +119,7 @@ def serve_forever(service: MatrixService, socket_path: str) -> None:
                         break
     finally:
         server.close()
+        service.close()
         if os.path.exists(socket_path):
             os.unlink(socket_path)
 

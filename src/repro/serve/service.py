@@ -103,6 +103,11 @@ class MatrixService:
         self._pending: dict[int, _PendingJob] = {}
         self._next_id = 1
 
+    def close(self) -> None:
+        """Close every tenant session; reports stay readable.  Idempotent."""
+        for session in self.sessions.values():
+            session.close()
+
     def _tenant_cluster(self, tenant: TenantSpec) -> ClusterConfig:
         if tenant.cache_quota_bytes is None:
             return self.config.cluster

@@ -13,13 +13,18 @@ Typical use::
         W = pb.assign("W", W * (V @ H.T) / (W @ H @ H.T))
     pb.output(W); pb.output(H)
 
-    session = DMacSession(ClusterConfig(num_workers=4))
-    result = session.run(pb.build(), inputs={"V": v_array})
+    with DMacSession(ClusterConfig(num_workers=4)) as session:
+        result = session.run(pb.build(), inputs={"V": v_array})
     print(result.comm_bytes, result.simulated_seconds)
+
+Leaving the ``with`` block (or calling ``close()``) stops the cluster's host
+threads at once; a session that is merely dropped gives them up when it is
+garbage-collected, so the un-closed form stays legal.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import numpy as np
@@ -48,7 +53,7 @@ LINT_MODES = ("off", "warn", "error")
 VERIFY_MODES = ("off", "warn", "error")
 
 
-class DMacSession:
+class DMacSession(contextlib.AbstractContextManager):
     """Owns a simulated cluster and plans/executes matrix programs on it.
 
     Metrics (communication ledger, simulated clock, per-worker memory
@@ -90,6 +95,14 @@ class DMacSession:
         #: With ``trace=True`` every run records a full structured trace
         #: (``result.tracing`` is its :class:`~repro.trace.TraceCollector`).
         self.trace = trace
+
+    def close(self) -> None:
+        """Close the cluster context (idempotent); results and books stay
+        readable, further runs raise :class:`~repro.errors.ClusterError`."""
+        self.context.close()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def plan(self, program: MatrixProgram) -> Plan:
         """Generate and stage-schedule the DMac plan for a program.

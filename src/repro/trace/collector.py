@@ -2,8 +2,8 @@
 
 One collector instance traces exactly one execution (the executor installs
 it via :func:`repro.trace.emit.install_tracer` for the duration of the
-run).  It is thread-safe -- spans and events arrive concurrently from the
-stage scheduler's pool and from every engine's block-task pool -- and it
+run).  It is thread-safe -- spans and events arrive concurrently from
+stage nodes and block-task lanes on the cluster's thread pool -- and it
 never *orders* anything at collection time: canonical, host-independent
 ordering is applied on read (:meth:`spans`, :meth:`events`), which is what
 keeps every export of a seeded run byte-identical.

@@ -3,20 +3,20 @@
 Design constraints, in order:
 
 1. **Zero cost when off.**  Every instrumented site (the ledger's
-   ``record``, the scheduler's retry loop, the engines' task pools) guards
+   ``record``, the scheduler's retry loop, the engines' task lanes) guards
    its emission with ``tracer = active_tracer(); if tracer is None: ...``.
    With no tracer installed that is a single module-global read -- the
    same discipline the chaos hooks follow, and what keeps a tracing-off
    run byte-identical (and benchmark-identical) to a build without this
    package (see ``benchmarks/bench_trace_overhead.py``).
 
-2. **Visible from every thread.**  One execution spans the scheduler's
-   stage pool and each engine's block-task pool.  The *tracer* is
-   process-global (installed around one execution, exactly like
-   ``Backend.install_chaos``); the *position* within the execution --
+2. **Visible from every thread.**  One execution spans the dispatching
+   thread and the cluster's lane pool (stage nodes and block tasks).  The
+   *tracer* is process-global (installed around one execution, exactly
+   like ``Backend.install_chaos``); the *position* within the execution --
    which stage-graph node this thread is working for -- is a
    :mod:`contextvars` variable, installed per node attempt and propagated
-   into engine pool threads by :meth:`repro.localexec.engine.LocalEngine._run`'s
+   into helper lanes by :meth:`repro.localexec.lanes.LanePool.submit`'s
    context copy.
 
 3. **No upward imports.**  Like :mod:`repro.runtime.metering`, this module
@@ -32,7 +32,7 @@ from typing import Iterator
 
 #: The process-wide tracer of the currently executing traced run (if any).
 #: A plain global, not a context variable: spans and events arrive from
-#: scheduler pool threads and engine pool threads alike, and all of them
+#: the dispatching thread and lane-pool threads alike, and all of them
 #: must see the same collector.
 _TRACER = None
 

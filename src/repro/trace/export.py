@@ -90,13 +90,20 @@ def to_chrome_trace(collector: TraceCollector) -> str:
 
 
 def to_json_dict(collector: TraceCollector) -> dict:
-    """The full structured trace document (``--format json``)."""
+    """The full structured trace document (``--format json``).
+
+    Spans are numbered by their position in the canonical export order
+    (``parent_id`` remapped to match): the collector's own ids follow the
+    order host threads happened to open spans in and stay internal.
+    """
+    ordered = collector.spans()
+    position = {span.span_id: index for index, span in enumerate(ordered)}
     spans = []
-    for span in collector.spans():
+    for span in ordered:
         spans.append(
             {
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
+                "span_id": position[span.span_id],
+                "parent_id": position.get(span.parent_id),
                 "kind": span.kind,
                 "name": span.name,
                 "sim_start": span.sim_start,

@@ -14,7 +14,7 @@ The span hierarchy mirrors the execution model::
     plan                      one per traced execution
     +- stage                  one per stage-graph node *attempt*
        +- step                one per plan step executed in the node
-          +- block-task       one per engine pool task (wall clock only)
+          +- block-task       one per engine block task (wall clock only)
 
 **Point events** are instants: a metered transfer, a cache transition, an
 injected fault, a retry.  They carry whatever attributes their reporting

@@ -244,7 +244,7 @@ def _transient_bytes(
         inner_blocks = max(1, math.ceil(inner / block_size))
         # Every partial is one dense result block held for one inner fold,
         # so all of them together weigh ``result * inner_blocks``; the
-        # In-Place engine keeps at most one in flight per pool thread.
+        # In-Place engine keeps at most one in flight per lane (<= L lanes).
         all_partials = result * inner_blocks
         if inplace:
             in_flight = threads_per_worker * dense_block_model_bytes(

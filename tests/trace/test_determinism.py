@@ -87,3 +87,29 @@ def test_raw_json_export_spans_are_ordered_canonically():
     stage_rows = [s for s in payload["spans"] if s["kind"] == "stage"]
     starts = [row["sim_start"] for row in stage_rows]
     assert starts == sorted(starts)
+
+
+def test_json_export_is_byte_identical_across_runs():
+    """Span ids are positions in the canonical export order, not the order
+    host threads opened spans in: five runs with two lanes per engine and
+    concurrent stages differ in nothing but ``wall_seconds``."""
+    __, program, inputs = seven_apps()[0]  # gnmf: parallel stages, many block tasks
+    exports = set()
+    for __ in range(5):
+        with DMacSession(
+            ClusterConfig(num_workers=4, threads_per_worker=2, block_size=8)
+        ) as session:
+            tracer = TraceCollector()
+            session.run(program, inputs, tracer=tracer)
+        document = to_json_dict(tracer)
+        del document["wall_seconds"]
+        exports.add(json.dumps(document, sort_keys=True))
+    assert len(exports) == 1
+    spans = json.loads(exports.pop())["spans"]
+    assert [span["span_id"] for span in spans] == list(range(len(spans)))
+    assert spans[0]["kind"] == "plan" and spans[0]["parent_id"] is None
+    by_id = {span["span_id"]: span for span in spans}
+    for span in spans[1:]:  # the remapped parents still form the plan > stage > step tree
+        parent = by_id[span["parent_id"]]
+        expected = {"stage": "plan", "step": "stage", "block-task": "step"}[span["kind"]]
+        assert parent["kind"] == expected
