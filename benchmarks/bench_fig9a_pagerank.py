@@ -13,7 +13,7 @@ from __future__ import annotations
 from harness import bench_clock, density, fmt_bytes, fmt_secs, report
 from repro import ClusterConfig, DMacSession
 from repro.core.plan import ExtendedStep
-from repro.datasets import PAPER_GRAPHS, graph_like, row_normalize
+from repro.datasets import PAPER_GRAPHS, graph_edges, row_normalize
 from repro.programs import build_pagerank_program
 
 SCALES = {
@@ -27,7 +27,7 @@ CONFIG = dict(num_workers=4, threads_per_worker=2, block_size=128, clock=bench_c
 
 
 def run_pair(name: str):
-    link = row_normalize(graph_like(name, scale=SCALES[name], seed=5))
+    link = row_normalize(graph_edges(name, scale=SCALES[name], seed=5))
     program = build_pagerank_program(link.shape[0], density(link), iterations=ITERATIONS)
     dmac = DMacSession(ClusterConfig(**CONFIG)).run(program, {"link": link})
     systemml = DMacSession(ClusterConfig(**CONFIG)).run_systemml(program, {"link": link})
@@ -67,7 +67,7 @@ def test_fig9a_link_cached_in_one_scheme(benchmark):
     """The mechanism behind the win: the plan never moves the link matrix."""
 
     def plan_for_link():
-        link = row_normalize(graph_like("soc-pokec", scale=SCALES["soc-pokec"], seed=5))
+        link = row_normalize(graph_edges("soc-pokec", scale=SCALES["soc-pokec"], seed=5))
         program = build_pagerank_program(
             link.shape[0], density(link), iterations=ITERATIONS
         )

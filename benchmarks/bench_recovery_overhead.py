@@ -21,7 +21,7 @@ from harness import bench_clock, density, fmt_bytes, fmt_secs, report
 
 from repro import ClusterConfig, DMacSession
 from repro.config import RecoveryConfig
-from repro.datasets import graph_like, netflix_like, row_normalize
+from repro.datasets import graph_edges, netflix_like, row_normalize
 from repro.faults import ChaosEngine
 from repro.programs import build_gnmf_program, build_pagerank_program
 
@@ -33,7 +33,7 @@ def _workloads():
     gnmf = build_gnmf_program(
         gnmf_data.shape, density(gnmf_data), factors=4, iterations=3
     )
-    link = row_normalize(graph_like("soc-pokec", scale=1e-3, seed=8))
+    link = row_normalize(graph_edges("soc-pokec", scale=1e-3, seed=8))
     pagerank = build_pagerank_program(link.shape[0], density(link), iterations=4)
     return [
         ("GNMF", gnmf, {"V": gnmf_data}, "lostblock:instance=H,iteration=3"),

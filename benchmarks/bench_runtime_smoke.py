@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from harness import bench_clock, density, fmt_secs, report
 from repro import ClusterConfig, DMacSession
-from repro.datasets import netflix_like, row_normalize, graph_like, sparse_random
+from repro.datasets import graph_edges, netflix_like, row_normalize, sparse_random
 from repro.programs import (
     build_gnmf_program,
     build_linreg_program,
@@ -30,7 +30,7 @@ def _workloads():
     gnmf = build_gnmf_program(
         gnmf_data.shape, density(gnmf_data), factors=4, iterations=2
     )
-    link = row_normalize(graph_like("soc-pokec", scale=1e-3, seed=8))
+    link = row_normalize(graph_edges("soc-pokec", scale=1e-3, seed=8))
     pagerank = build_pagerank_program(link.shape[0], density(link), iterations=2)
     design = sparse_random(200, 16, 0.1, seed=9)
     target = sparse_random(200, 1, 1.0, seed=10)

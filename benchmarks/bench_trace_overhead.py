@@ -15,7 +15,7 @@ import time
 
 from harness import bench_clock, fmt_secs, report
 from repro import ClusterConfig, DMacSession
-from repro.datasets import graph_like, row_normalize
+from repro.datasets import graph_edges, row_normalize
 from repro.programs import build_pagerank_program
 from repro.trace import TraceCollector, assert_reconciled
 from repro.trace.emit import active_tracer
@@ -27,7 +27,7 @@ ROUNDS = 3
 
 
 def _workload():
-    link = row_normalize(graph_like("soc-pokec", scale=2e-3, seed=4))
+    link = row_normalize(graph_edges("soc-pokec", scale=2e-3, seed=4))
     program = build_pagerank_program(link.shape[0], 0.05, iterations=5)
     return program, {"link": link}
 

@@ -96,10 +96,12 @@ def report(
 
 
 def density(array) -> float:
-    """Non-zero fraction of a numpy array."""
+    """Non-zero fraction of a numpy array or a coordinate matrix (which
+    knows its count: counting through numpy would densify it)."""
     import numpy as np
 
-    return float(np.count_nonzero(array)) / array.size
+    nnz = array.nnz if hasattr(array, "nnz") else np.count_nonzero(array)
+    return float(nnz) / array.size
 
 
 def registry_workload(app: str, **overrides):

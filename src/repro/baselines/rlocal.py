@@ -29,6 +29,7 @@ from repro.lang.program import (
     ScalarMatrixOp,
     UnaryMatrixOp,
 )
+from repro.runtime.backend import bound_input
 from repro.runtime.executor import evaluate_scalar
 
 #: Density below which the single-machine flop model counts only non-zeros.
@@ -76,15 +77,8 @@ def run_local(
 
     for op in program.ops:
         if isinstance(op, LoadOp):
-            if op.output not in inputs:
-                raise ExecutionError(f"no input array bound for load {op.output!r}")
-            array = np.asarray(inputs[op.output], dtype=np.float64)
-            if array.shape != (op.rows, op.cols):
-                raise ExecutionError(
-                    f"input {op.output!r} has shape {array.shape}, "
-                    f"program declared {(op.rows, op.cols)}"
-                )
-            env[op.output] = array
+            # R holds every matrix dense: a coordinate input is densified here.
+            env[op.output] = np.asarray(bound_input(op, inputs))
         elif isinstance(op, RandomOp):
             env[op.output] = np.random.default_rng(op.seed).random((op.rows, op.cols))
         elif isinstance(op, FullOp):

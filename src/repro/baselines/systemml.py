@@ -68,6 +68,7 @@ from repro.rdd.context import ClusterContext
 from repro.rdd.partitioner import HashPartitioner
 from repro.rdd.rdd import RDD
 from repro.rdd.shuffle import shuffle
+from repro.runtime.backend import bound_input
 from repro.runtime.executor import ExecutionResult, evaluate_scalar
 
 
@@ -246,15 +247,9 @@ class SystemMLSExecutor:
         block_size: int,
     ) -> DistributedMatrix:
         if isinstance(op, LoadOp):
-            if op.output not in inputs:
-                raise ExecutionError(f"no input array bound for load {op.output!r}")
-            array = np.asarray(inputs[op.output], dtype=np.float64)
-            if array.shape != (op.rows, op.cols):
-                raise ExecutionError(
-                    f"input {op.output!r} has shape {array.shape}, "
-                    f"program declared {(op.rows, op.cols)}"
-                )
-            return DistributedMatrix.from_numpy(self.context, array, block_size)
+            return DistributedMatrix.from_numpy(
+                self.context, bound_input(op, inputs), block_size
+            )
         if isinstance(op, RandomOp):
             return DistributedMatrix.random(
                 self.context, op.rows, op.cols, block_size, seed=op.seed

@@ -2,7 +2,8 @@
 
 Dense and CSC sparse blocks, the pure compute kernels that operate on them,
 the paper's memory model (Equation 2) and block-size rule (Equation 3), and
-helpers to split/assemble numpy matrices into block grids.
+helpers to split driver-side matrices (dense ndarrays or coordinate
+triples) into block grids and assemble them back.
 """
 
 from repro.blocks.conversion import (
@@ -13,6 +14,7 @@ from repro.blocks.conversion import (
     grid_shape,
     split,
 )
+from repro.blocks.coordinate import CoordinateMatrix, as_matrix
 from repro.blocks.dense import DenseBlock
 from repro.blocks.memory import (
     choose_block_size,
@@ -43,8 +45,10 @@ __all__ = [
     "BlockGrid",
     "CELLWISE_OPS",
     "CSCBlock",
+    "CoordinateMatrix",
     "DenseBlock",
     "accumulate",
+    "as_matrix",
     "assemble",
     "block_extent",
     "block_col_sums",

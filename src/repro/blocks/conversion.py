@@ -3,7 +3,8 @@
 DMac partitions every matrix twice (paper Section 5.3): first into square
 ``block_size`` x ``block_size`` blocks -- the base computing unit -- and then
 the *blocks* are distributed across workers by the partition scheme.  This
-module implements the first level: numpy array <-> block grid.
+module implements the first level: driver-side matrix (a dense ndarray or a
+:class:`~repro.blocks.coordinate.CoordinateMatrix`) -> block grid -> ndarray.
 
 Blocks are addressed by ``(block_row, block_col)`` indices.  Edge blocks are
 smaller when the matrix dimensions are not multiples of the block size.
@@ -16,6 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.blocks.coordinate import CoordinateMatrix, as_matrix
 from repro.blocks.dense import DenseBlock
 from repro.blocks.ops import Block
 from repro.blocks.sparse import CSCBlock
@@ -45,24 +47,30 @@ def block_extent(index: int, dim: int, block_size: int) -> tuple[int, int]:
 
 
 def split(
-    array: np.ndarray,
+    array: np.ndarray | CoordinateMatrix,
     block_size: int,
     storage: str = "auto",
     sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD,
 ) -> BlockGrid:
-    """Split a 2-D numpy array into a grid of blocks.
+    """Split a matrix into a grid of blocks.
 
     Args:
-        array: the matrix to split.
+        array: the matrix to split: a 2-D numpy array, or a
+            :class:`CoordinateMatrix`, which is cut without a dense
+            intermediate into the blocks its ``to_numpy()`` would be cut
+            into -- same storage class, same bytes -- except that its
+            all-zero blocks are left out of the grid, not built.
         block_size: rows/columns per square block.
         storage: ``"dense"``, ``"sparse"`` or ``"auto"`` (per-block choice by
             density against ``sparse_threshold``).
     """
-    arr = np.asarray(array, dtype=np.float64)
-    if arr.ndim != 2:
-        raise BlockError(f"expected a 2-D array, got ndim={arr.ndim}")
+    arr = as_matrix(array)
     if storage not in ("auto", "dense", "sparse"):
         raise BlockError(f"unknown storage policy {storage!r}")
+    if isinstance(arr, CoordinateMatrix):
+        return _split_coordinate(arr, block_size, storage, sparse_threshold)
+    if arr.ndim != 2:
+        raise BlockError(f"expected a 2-D array, got ndim={arr.ndim}")
     rows, cols = arr.shape
     block_rows, block_cols = grid_shape(rows, cols, block_size)
     grid: BlockGrid = {}
@@ -72,6 +80,46 @@ def split(
             c0, c1 = block_extent(bj, cols, block_size)
             piece = arr[r0:r1, c0:c1]
             grid[(bi, bj)] = _wrap(piece, storage, sparse_threshold)
+    return grid
+
+
+def _split_coordinate(
+    matrix: CoordinateMatrix, block_size: int, storage: str, sparse_threshold: float
+) -> BlockGrid:
+    """The non-empty blocks of a coordinate matrix, in O(nnz).
+
+    The triples are sorted by ``(col, row)`` and a block column is a run of
+    columns, so one stable sort by block row groups them by ``(block row,
+    block col)`` and leaves every group column-major: canonical triples,
+    which ``CSCBlock.from_coo`` compresses without sorting.  Block rows are
+    sorted in the narrowest dtype that holds them (numpy radix-sorts 8- and
+    16-bit keys).
+    """
+    rows, cols = matrix.shape
+    block_rows, block_cols = grid_shape(rows, cols, block_size)
+    bi = matrix.rows // block_size
+    order = np.argsort(bi.astype(np.min_scalar_type(block_rows)), kind="stable")
+    bi = bi[order]
+    bj = matrix.cols[order] // block_size
+    local_rows = matrix.rows[order] - bi * block_size
+    local_cols = matrix.cols[order] - bj * block_size
+    values = matrix.values[order]
+    key = bi * block_cols + bj
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    bounds = [*starts.tolist(), len(key)]
+    grid: BlockGrid = {}
+    for i, j, lo, hi in zip(bi[starts].tolist(), bj[starts].tolist(), bounds, bounds[1:]):
+        shape = (min(block_size, rows - i * block_size), min(block_size, cols - j * block_size))
+        cut = slice(lo, hi)
+        sparse = storage == "sparse" or (
+            storage == "auto" and (hi - lo) / (shape[0] * shape[1]) < sparse_threshold
+        )
+        if sparse:
+            grid[(i, j)] = CSCBlock.from_coo(local_rows[cut], local_cols[cut], values[cut], shape)
+        else:
+            data = np.zeros(shape, dtype=np.float64)
+            data[local_rows[cut], local_cols[cut]] = values[cut]
+            grid[(i, j)] = DenseBlock(data)
     return grid
 
 

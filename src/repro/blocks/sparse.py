@@ -63,6 +63,45 @@ def _colptr(cols: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
 
 
+def canonical_triples(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    shape: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unique form of coordinate triples: ``(rows, cols, values)`` sorted
+    column-major, duplicate coordinates coalesced by summing their values in
+    the order given, zeros dropped.  The arrays returned are new."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if not (len(rows) == len(cols) == len(values)):
+        raise BlockError("COO component arrays must have equal length")
+    m, n = shape
+    if len(rows) and (rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n):
+        raise BlockError(f"COO coordinates out of range for shape {shape}")
+
+    # Sort column-major, coalesce duplicates, drop explicit zeros -- each
+    # only when the triples need it: canonical input (what every
+    # pattern-preserving kernel passes) costs one comparison pass.
+    keys = cols * m + rows
+    if not _strictly_increasing(keys):
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        if not _strictly_increasing(keys):
+            keys, inverse = np.unique(keys, return_inverse=True)
+            summed = np.zeros(len(keys), dtype=np.float64)
+            np.add.at(summed, inverse, values)
+            values = summed
+    # ``!= 0`` drops -0.0 and keeps NaN: the entries a coalescing sum
+    # started at 0.0 keeps, so single and duplicated coordinates agree.
+    # The mask also copies, so the result never aliases the caller's arrays.
+    stored = values != 0.0
+    keys, values = keys[stored], values[stored]
+    out_cols, out_rows = np.divmod(keys, m)
+    return out_rows, out_cols, values
+
+
 class CSCBlock:
     """A sparse sub-matrix block stored in compressed sparse column form."""
 
@@ -118,34 +157,8 @@ class CSCBlock:
         Duplicate coordinates are coalesced by summing their values; explicit
         zeros are dropped so the stored non-zeros equal the logical ones.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if not (len(rows) == len(cols) == len(values)):
-            raise BlockError("COO component arrays must have equal length")
-        m, n = shape
-        if len(rows) and (rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n):
-            raise BlockError(f"COO coordinates out of range for shape {shape}")
-
-        # Sort column-major, coalesce duplicates, drop explicit zeros -- each
-        # only when the triples need it: canonical input (what every
-        # pattern-preserving kernel passes) costs one comparison pass.
-        keys = cols * m + rows
-        if not _strictly_increasing(keys):
-            order = np.argsort(keys, kind="stable")
-            keys, values = keys[order], values[order]
-            if not _strictly_increasing(keys):
-                keys, inverse = np.unique(keys, return_inverse=True)
-                summed = np.zeros(len(keys), dtype=np.float64)
-                np.add.at(summed, inverse, values)
-                values = summed
-        # ``!= 0`` drops -0.0 and keeps NaN: the entries a coalescing sum
-        # started at 0.0 keeps, so single and duplicated coordinates agree.
-        # The mask also copies, so the block never aliases the caller's arrays.
-        stored = values != 0.0
-        keys, values = keys[stored], values[stored]
-        out_cols, out_rows = np.divmod(keys, m)
-        return cls(shape, values, out_rows, _colptr(out_cols, n))
+        rows, cols, values = canonical_triples(rows, cols, values, shape)
+        return cls(shape, values, rows, _colptr(cols, shape[1]))
 
     @classmethod
     def from_dense(cls, array: np.ndarray) -> "CSCBlock":

@@ -245,17 +245,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bound_array(path: str) -> np.ndarray:
-    """Load an input array from .npy, or from a repro matrix .npz."""
+def _load_bound_array(path: str):
+    """Load an input matrix from .npy, or from a repro matrix .npz (kept in
+    the coordinate form the file stores)."""
+    from repro.errors import ReproError
+    from repro.matrix.io import read_matrix
+
     if path.endswith(".npy"):
         return np.load(path)
-    with np.load(path, allow_pickle=False) as payload:
-        if "format" in payload:  # repro.matrix.io format
-            rows, cols = (int(v) for v in payload["shape"])
-            array = np.zeros((rows, cols))
-            array[payload["rows"], payload["cols"]] = payload["values"]
-            return array
-        raise SystemExit(f"{path}: not a .npy or repro matrix .npz file")
+    try:
+        return read_matrix(path)
+    except ReproError as exc:
+        raise SystemExit(f"{exc} (--bind takes a .npy or a repro matrix .npz)") from exc
 
 
 def _cmd_script(args: argparse.Namespace) -> int:

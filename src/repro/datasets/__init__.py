@@ -4,6 +4,7 @@ Netflix-like ratings (see DESIGN.md, Substitutions)."""
 from repro.datasets.graphs import (
     PAPER_GRAPHS,
     GraphSpec,
+    graph_edges,
     graph_like,
     row_normalize,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "NETFLIX_USERS",
     "PAPER_GRAPHS",
     "dense_random",
+    "graph_edges",
     "graph_like",
     "netflix_like",
     "row_normalize",

@@ -4,10 +4,11 @@ The originals (soc-pokec, cit-Patents, LiveJournal, Wikipedia) are not
 bundled; what the experiments actually exercise is each graph's *shape
 statistics* -- node count, average degree, and a heavy-tailed degree
 distribution -- which drive block sparsity, memory, and communication.
-:func:`graph_like` generates a random adjacency matrix with the original
+:func:`graph_edges` generates a random adjacency matrix with the original
 node/edge **ratio** at a configurable scale, with out-degrees drawn from a
 Zipf-like tail (real graphs' degree skew is what makes the paper's
-block-size estimate deviate slightly from Equation 3; see Section 6.3).
+block-size estimate deviate slightly from Equation 3; see Section 6.3), as
+an edge list; :func:`graph_like` is the same matrix as a dense array.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.blocks import CoordinateMatrix
 from repro.errors import ReproError
 
 
@@ -41,22 +43,21 @@ PAPER_GRAPHS = {
 }
 
 
-def graph_like(
+def graph_edges(
     name: str,
     scale: float = 1e-3,
     seed: int = 0,
     zipf_exponent: float = 2.1,
-) -> np.ndarray:
-    """A random adjacency matrix with ``name``'s node/edge ratio.
+) -> CoordinateMatrix:
+    """A random adjacency matrix with ``name``'s node/edge ratio, as an
+    edge list: entry ``(source, target)`` is 1.0 for every edge.  Memory and
+    time follow the edge count, not the square of the node count.
 
     Args:
         name: one of the Table 3 graph names.
         scale: node-count scale factor relative to the real graph.
         seed: RNG seed.
         zipf_exponent: tail exponent of the out-degree distribution.
-
-    Returns a dense numpy array (entries in {0, 1}); split it into blocks
-    with ``storage="sparse"`` to exercise the CSC machinery.
     """
     if name not in PAPER_GRAPHS:
         raise ReproError(
@@ -72,20 +73,45 @@ def graph_like(
     degrees = rng.zipf(zipf_exponent, size=nodes).astype(np.float64)
     degrees = np.minimum(degrees, nodes - 1)
     degrees *= edges / degrees.sum()
-    degrees = np.maximum(1, np.round(degrees)).astype(np.int64)
+    degrees = np.minimum(np.maximum(1, np.round(degrees)).astype(np.int64), nodes - 1)
 
-    adjacency = np.zeros((nodes, nodes), dtype=np.float64)
-    for source in range(nodes):
-        out_degree = min(int(degrees[source]), nodes - 1)
-        targets = rng.choice(nodes, size=out_degree, replace=False)
-        adjacency[source, targets] = 1.0
-    np.fill_diagonal(adjacency, 0.0)
-    return adjacency
+    # One draw per node, in node order: the graph of a seed is pinned by
+    # this call sequence.  Self-loops are dropped.
+    targets = np.concatenate(
+        [rng.choice(nodes, size=out, replace=False) for out in degrees.tolist()]
+    )
+    sources = np.repeat(np.arange(nodes), degrees)
+    # Sources ascend, so a stable sort by target alone is column-major order
+    # (a radix sort up to 65 536 nodes), and the constructor finds nothing
+    # left to sort.
+    order = np.argsort(targets.astype(np.min_scalar_type(nodes)), kind="stable")
+    sources, targets = sources[order], targets[order]
+    edge = sources != targets
+    return CoordinateMatrix(
+        sources[edge], targets[edge], np.ones(np.count_nonzero(edge)), (nodes, nodes)
+    )
 
 
-def row_normalize(adjacency: np.ndarray) -> np.ndarray:
+def graph_like(
+    name: str,
+    scale: float = 1e-3,
+    seed: int = 0,
+    zipf_exponent: float = 2.1,
+) -> np.ndarray:
+    """:func:`graph_edges` as a dense numpy array (entries in {0, 1}); split
+    it into blocks with ``storage="sparse"`` to exercise the CSC machinery."""
+    return graph_edges(name, scale, seed, zipf_exponent).to_numpy()
+
+
+def row_normalize(adjacency: np.ndarray | CoordinateMatrix) -> np.ndarray | CoordinateMatrix:
     """Row-normalise an adjacency matrix (the PageRank ``link`` matrix;
-    dangling nodes keep an all-zero row)."""
+    dangling nodes keep an all-zero row), in the form it was given.  The
+    coordinate form adds up each row's stored entries in column order,
+    which for a 0/1 adjacency is exactly the dense row sum."""
+    if isinstance(adjacency, CoordinateMatrix):
+        sums = np.bincount(adjacency.rows, weights=adjacency.values, minlength=adjacency.shape[0])
+        scaled = adjacency.values / np.where(sums > 0, sums, 1.0)[adjacency.rows]
+        return CoordinateMatrix(adjacency.rows, adjacency.cols, scaled, adjacency.shape)
     adjacency = np.asarray(adjacency, dtype=np.float64)
     sums = adjacency.sum(axis=1, keepdims=True)
     # One pass, one allocation: rows that sum to <= 0 are divided by 1.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blocks import Block, assemble, grid_shape, split
+from repro.blocks import Block, CoordinateMatrix, as_matrix, assemble, grid_shape, split
 from repro.errors import ShapeError
 from repro.localexec.engine import Grid
 from repro.matrix.schemes import Scheme
@@ -67,18 +67,21 @@ class DistributedMatrix:
     def from_numpy(
         cls,
         context: ClusterContext,
-        array: np.ndarray,
+        array: np.ndarray | CoordinateMatrix,
         block_size: int,
         scheme: Scheme = Scheme.ROW,
         storage: str = "auto",
     ) -> "DistributedMatrix":
-        """Load a driver-side matrix into the cluster.
+        """Load a driver-side matrix -- a dense array or a
+        :class:`~repro.blocks.CoordinateMatrix`, which is cut without being
+        densified -- into the cluster.  Either form of one matrix yields the
+        same partitions: same keys, same block classes, same bytes.
 
         Loading into a Row or Column scheme is free (the distributed
         filesystem read is not cluster communication); loading straight into
         Broadcast charges the replication like a broadcast operator would.
         """
-        arr = np.asarray(array, dtype=np.float64)
+        arr = as_matrix(array)
         grid = split(arr, block_size, storage=storage)
         items = [(key, block) for key, block in sorted(grid.items()) if not _all_zero(block)]
         rows, cols = arr.shape

@@ -72,7 +72,8 @@ class Workload:
     """A runnable parameterisation of a registered program."""
 
     program: WorkloadProgram
-    inputs: dict[str, np.ndarray]
+    #: Load name -> dense array, or CoordinateMatrix (PageRank's link matrix).
+    inputs: dict[str, object]
     #: Program-specific companion data (the SVD's Lanczos scalar names).
     extra: object = None
 
@@ -110,14 +111,14 @@ def _gnmf_workload(params: WorkloadParams) -> Workload:
 
 
 def _pagerank_workload(params: WorkloadParams) -> Workload:
-    from repro.datasets import graph_like, row_normalize
+    from repro.datasets import graph_edges, row_normalize
     from repro.programs.pagerank import build_pagerank_program
 
     link = row_normalize(
-        graph_like(params.graph, scale=params.scale, seed=params.seed)
+        graph_edges(params.graph, scale=params.scale, seed=params.seed)
     )
     program = build_pagerank_program(
-        link.shape[0], _density(link), iterations=params.iterations
+        link.shape[0], link.nnz / link.size, iterations=params.iterations
     )
     return Workload(program, {"link": link})
 

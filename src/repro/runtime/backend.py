@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.blocks import CoordinateMatrix, as_matrix
 from repro.blocks.memory import choose_block_size
 from repro.core.plan import Plan
 from repro.elastic.pool import Transition
@@ -188,6 +189,20 @@ class Backend(Protocol):
     def default_block_size(self, plan: Plan) -> int: ...
 
 
+def bound_input(op: LoadOp, inputs: dict) -> np.ndarray | CoordinateMatrix:
+    """The driver-side matrix bound to a load, in the form it was given
+    (:func:`repro.blocks.as_matrix`), checked against the declared shape."""
+    if op.output not in inputs:
+        raise ExecutionError(f"no input array bound for load {op.output!r}")
+    array = as_matrix(inputs[op.output])
+    if array.shape != (op.rows, op.cols):
+        raise ExecutionError(
+            f"input {op.output!r} has shape {array.shape}, "
+            f"program declared {(op.rows, op.cols)}"
+        )
+    return array
+
+
 def _slot_bytes(matrix: DistributedMatrix, slot: int) -> int:
     """Model bytes of the matrix's blocks resident on one slot."""
     return sum(model_sizeof(block) for block in matrix.worker_grid(slot).values())
@@ -210,15 +225,9 @@ class SimulatedBackend:
         inputs: dict[str, np.ndarray],
     ) -> DistributedMatrix:
         if isinstance(op, LoadOp):
-            if op.output not in inputs:
-                raise ExecutionError(f"no input array bound for load {op.output!r}")
-            array = np.asarray(inputs[op.output], dtype=np.float64)
-            if array.shape != (op.rows, op.cols):
-                raise ExecutionError(
-                    f"input {op.output!r} has shape {array.shape}, "
-                    f"program declared {(op.rows, op.cols)}"
-                )
-            return DistributedMatrix.from_numpy(self.context, array, block_size, scheme)
+            return DistributedMatrix.from_numpy(
+                self.context, bound_input(op, inputs), block_size, scheme
+            )
         if isinstance(op, RandomOp):
             return DistributedMatrix.random(
                 self.context, op.rows, op.cols, block_size, scheme, seed=op.seed

@@ -82,7 +82,8 @@ def carried_inputs(
 
     The first body segment reads runtime inputs and prologue outputs;
     later segments read the previous segment's carried outputs
-    (loop-invariant inputs keep their first source forever).
+    (loop-invariant inputs keep their first source forever, in the form
+    the caller bound them: the backend validates and cuts them).
     """
     bound: dict[str, np.ndarray] = {}
     for var in loop.carried:
@@ -93,7 +94,7 @@ def carried_inputs(
                 raise ExecutionError(
                     f"no input array bound for load {var.first_version!r}"
                 )
-            bound[var.name] = np.asarray(inputs[var.first_version])
+            bound[var.name] = inputs[var.first_version]
         else:
             bound[var.name] = prologue.matrices[var.first_version]
     return bound

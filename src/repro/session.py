@@ -156,6 +156,11 @@ class DMacSession(contextlib.AbstractContextManager):
     ) -> RunResult:
         """Plan (unless plans are supplied) and execute under DMac.
 
+        ``inputs`` binds each load to a driver-side matrix: a dense array,
+        or a :class:`~repro.blocks.CoordinateMatrix`, which is cut into
+        blocks without ever being densified.  The form moves host time and
+        memory only: outputs and every book are the same bit for bit.
+
         Every run is a fold over plan executions.  The program is viewed
         as segments (:func:`~repro.frontend.staged.segments_of`): the first
         plan executes once; a ``while`` loop's body -- planned exactly

@@ -6,6 +6,7 @@ import pytest
 from repro.datasets import (
     PAPER_GRAPHS,
     dense_random,
+    graph_edges,
     graph_like,
     netflix_like,
     row_normalize,
@@ -97,6 +98,56 @@ class TestGraphLike:
         adjacency[0, 1] = 1.0
         link = row_normalize(adjacency)
         assert link[1].sum() == 0.0
+
+
+def dense_fill_reference(name: str, scale: float, seed: int) -> np.ndarray:
+    """The generator as it was while it filled a dense array: the RNG call
+    sequence (zipf, then one ``choice`` per node in node order) every
+    seeded graph, golden book and benchmark number since depends on."""
+    spec = PAPER_GRAPHS[name]
+    nodes = max(4, int(spec.nodes * scale))
+    edges = max(nodes, int(round(nodes * spec.average_degree)))
+    rng = np.random.default_rng(seed)
+    degrees = rng.zipf(2.1, size=nodes).astype(np.float64)
+    degrees = np.minimum(degrees, nodes - 1)
+    degrees *= edges / degrees.sum()
+    degrees = np.maximum(1, np.round(degrees)).astype(np.int64)
+    adjacency = np.zeros((nodes, nodes), dtype=np.float64)
+    for source in range(nodes):
+        out_degree = min(int(degrees[source]), nodes - 1)
+        adjacency[source, rng.choice(nodes, size=out_degree, replace=False)] = 1.0
+    np.fill_diagonal(adjacency, 0.0)
+    return adjacency
+
+
+class TestGraphEdges:
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    @pytest.mark.parametrize(
+        "name, scale",
+        [("soc-pokec", 2e-4), ("cit-Patents", 1e-4), ("LiveJournal", 8e-5), ("Wikipedia", 1.5e-5)],
+    )
+    def test_same_draws_as_the_dense_fill(self, name, scale, seed):
+        reference = dense_fill_reference(name, scale, seed)
+        edges = graph_edges(name, scale=scale, seed=seed)
+        assert np.asarray(edges).tobytes() == reference.tobytes()
+        assert graph_like(name, scale=scale, seed=seed).tobytes() == reference.tobytes()
+        assert edges.nnz == np.count_nonzero(reference)
+        link = row_normalize(edges)
+        assert np.asarray(link).tobytes() == row_normalize(reference).tobytes()
+
+    def test_memory_follows_the_edges(self):
+        edges = graph_edges("soc-pokec", scale=1e-2, seed=1)  # 16 328 nodes: 2.1 GB dense
+        assert edges.shape == (16_328, 16_328)
+        assert edges.nbytes == 24 * edges.nnz < 10e6
+
+    def test_row_normalize_keeps_the_form_and_dangling_rows(self):
+        from repro.blocks import CoordinateMatrix
+
+        link = row_normalize(CoordinateMatrix([0, 0, 2], [1, 2, 0], [1.0, 3.0, 5.0], (4, 3)))
+        assert isinstance(link, CoordinateMatrix)
+        assert np.asarray(link).tolist() == [
+            [0.0, 0.25, 0.75], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+        ]
 
 
 class TestNetflixLike:

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ProgramError
-from repro.frontend.staged import StagedProgram
-from repro.lang.program import MatrixProgram
+from repro.frontend.staged import StagedProgram, segments_of
+from repro.lang.program import LoadOp, MatrixProgram
 from repro.programs.registry import (
     ALL_APPS,
     PAPER_APPS,
@@ -68,8 +68,13 @@ def test_every_workload_builds_at_small_scale(name):
     expected = StagedProgram if spec.staged else MatrixProgram
     assert isinstance(workload.program, expected)
     assert workload.inputs
-    for array in workload.inputs.values():
-        assert isinstance(array, np.ndarray)
+    # Inputs are ndarrays or coordinate matrices: what a run needs of either
+    # is the shape its load declares (the first segment's, under a loop).
+    __, first = segments_of(workload.program).programs[0]
+    declared = {
+        op.output: (op.rows, op.cols) for op in first.ops if isinstance(op, LoadOp)
+    }
+    assert {name: array.shape for name, array in workload.inputs.items()} == declared
     if name == "svd":
         assert workload.extra is not None
 

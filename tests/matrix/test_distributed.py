@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.blocks import CoordinateMatrix
 from repro.config import ClusterConfig
 from repro.errors import ShapeError
 from repro.matrix.distributed import DistributedMatrix
 from repro.matrix.schemes import Scheme
 from repro.rdd.context import ClusterContext
+from tests.blocks.test_coordinate import assert_same_block, inf_minus_inf, triples
 from tests.conftest import random_sparse
 
 
@@ -53,6 +57,41 @@ class TestFromNumpy:
             DistributedMatrix(ctx, None, 0, 5, 4, Scheme.ROW)
         with pytest.raises(ShapeError):
             DistributedMatrix(ctx, None, 5, 5, 0, Scheme.ROW)
+
+
+class TestCoordinateInput:
+    """Loading a coordinate matrix yields the partitions loading its dense
+    form yields -- the guarantee every golden book rests on."""
+
+    @inf_minus_inf
+    @given(
+        triples(),
+        st.integers(1, 6),
+        st.sampled_from([Scheme.ROW, Scheme.COL, Scheme.BROADCAST]),
+        st.sampled_from(["auto", "dense", "sparse"]),
+    )
+    def test_same_partitions_and_same_charge(self, data, block_size, scheme, storage):
+        matrix = CoordinateMatrix(*data)
+        config = ClusterConfig(num_workers=3, threads_per_worker=1)
+        sparse_ctx, dense_ctx = ClusterContext(config), ClusterContext(config)
+        got = DistributedMatrix.from_numpy(sparse_ctx, matrix, block_size, scheme, storage)
+        expected = DistributedMatrix.from_numpy(
+            dense_ctx, matrix.to_numpy(), block_size, scheme, storage
+        )
+        assert (got.shape, got.scheme) == (expected.shape, expected.scheme)
+        assert got.rdd.num_partitions == expected.rdd.num_partitions
+        for index in range(expected.rdd.num_partitions):
+            mine, theirs = got.rdd.partition(index), expected.rdd.partition(index)
+            assert [key for key, __ in mine] == [key for key, __ in theirs]
+            for (__, block), (__, reference) in zip(mine, theirs):
+                assert_same_block(block, reference)
+        assert sparse_ctx.ledger.bytes_by_kind() == dense_ctx.ledger.bytes_by_kind()
+
+    def test_all_zero_matrix_has_no_blocks(self, ctx):
+        empty = CoordinateMatrix([], [], [], (9, 5))
+        mat = DistributedMatrix.from_numpy(ctx, empty, 4)
+        assert mat.driver_grid() == {}
+        assert not mat.to_numpy().any()
 
 
 class TestRandom:

@@ -1,15 +1,20 @@
 """Tests for distributed-matrix persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.blocks import CoordinateMatrix
+from repro.cli import main
 from repro.config import ClusterConfig
 from repro.errors import ReproError
 from repro.matrix.distributed import DistributedMatrix
-from repro.matrix.io import save_matrix, load_matrix
+from repro.matrix.io import load_matrix, read_matrix, save_matrix
 from repro.matrix.primitives import broadcast_matrix
 from repro.matrix.schemes import Scheme
 from repro.rdd.context import ClusterContext
+from tests.blocks.test_coordinate import assert_same_block
 from tests.conftest import random_sparse
 
 
@@ -67,6 +72,56 @@ class TestRoundTrip:
         save_matrix(tmp_path / "bare", DistributedMatrix.from_numpy(ctx, array, 4))
         loaded = load_matrix(ctx, tmp_path / "bare", block_size=4)
         np.testing.assert_array_equal(loaded.to_numpy(), array)
+
+
+class TestNoDenseIntermediate:
+    """The file holds coordinate triples; so does everything that reads or
+    writes it.  A 20 000 x 20 000 matrix is 3.2 GB dense."""
+
+    N, NNZ, LIMIT_MB = 20_000, 50_000, 50
+
+    def test_save_load_bind_round_trip_stays_small(self, ctx, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        flat = rng.choice(self.N * self.N, size=self.NNZ, replace=False)
+        original = CoordinateMatrix(
+            flat // self.N, flat % self.N, rng.random(self.NNZ) + 0.5, (self.N, self.N)
+        )
+        script = tmp_path / "prog.dml"
+        script.write_text(
+            f"A = load({self.N}, {self.N}, sparsity={self.NNZ / self.N**2})\n"
+            f"x = full({self.N}, 1, 1.0)\ny = A %*% x\ns = sum(y)\noutputScalar(s)\n"
+        )
+
+        tracemalloc.start()
+        try:
+            matrix = DistributedMatrix.from_numpy(ctx, original, 1_000)
+            save_matrix(tmp_path / "big.npz", matrix)
+            stored = read_matrix(tmp_path / "big.npz")
+            loaded = load_matrix(ctx, tmp_path / "big.npz", block_size=1_000)
+            assert main(["script", str(script), "--bind", f"A={tmp_path / 'big.npz'}"]) == 0
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        assert peak < self.LIMIT_MB * 2**20
+        for name in ("rows", "cols", "values"):
+            assert getattr(stored, name).tobytes() == getattr(original, name).tobytes()
+        before, after = matrix.driver_grid(), loaded.driver_grid()
+        assert before.keys() == after.keys() and len(before) > 300
+        for key, block in before.items():
+            assert_same_block(after[key], block)
+        total = float(capsys.readouterr().out.split("scalar s = ")[1].split()[0])
+        assert total == pytest.approx(original.values.sum(), rel=1e-5)
+
+    def test_sparse_blocks_are_written_from_their_triples(self, ctx, rng, tmp_path, monkeypatch):
+        from repro.blocks import CSCBlock
+
+        array = random_sparse(rng, 16, 16, 0.1)
+        matrix = DistributedMatrix.from_numpy(ctx, array, 4, storage="sparse")
+        monkeypatch.setattr(CSCBlock, "to_numpy", lambda self: pytest.fail("block densified"))
+        save_matrix(tmp_path / "m.npz", matrix)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(np.asarray(read_matrix(tmp_path / "m.npz")), array)
 
 
 class TestValidation:

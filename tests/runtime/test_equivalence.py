@@ -11,7 +11,7 @@ import pytest
 
 from repro import ClusterConfig, DMacSession
 from repro.core.plan import MatMulStep
-from repro.datasets import graph_like, netflix_like, row_normalize, sparse_random
+from repro.datasets import graph_edges, netflix_like, row_normalize, sparse_random
 from repro.programs import (
     build_gnmf_program,
     build_linreg_program,
@@ -24,7 +24,9 @@ def _workloads():
     gnmf = build_gnmf_program(
         gnmf_data.shape, 0.02, factors=4, iterations=2
     )
-    link = row_normalize(graph_like("soc-pokec", scale=1e-3, seed=4))
+    # 326 nodes: 1 681 blocks at block_size=8.  (At scale=1e-3 the 41 616
+    # blocks of a 1 632-node link cost these suites ~6 s per run.)
+    link = row_normalize(graph_edges("soc-pokec", scale=2e-4, seed=4))
     pagerank = build_pagerank_program(link.shape[0], 0.05, iterations=2)
     design = sparse_random(120, 12, 0.1, seed=5)
     target = sparse_random(120, 1, 1.0, seed=6)

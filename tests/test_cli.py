@@ -227,6 +227,15 @@ class TestScriptCommand:
         assert main(["script", script, "--bind", f"A={tmp_path / 'A.npz'}"]) == 0
         assert "matrix B" in capsys.readouterr().out
 
+    def test_foreign_or_missing_binding_file_exits_with_one_line(self, tmp_path):
+        import numpy as np
+
+        np.savez(tmp_path / "other.npz", data=np.zeros(3))
+        script = self.write_script(tmp_path, "A = load(6, 6)\noutput(A)\n")
+        for name in ("other.npz", "ghost.npz"):
+            with pytest.raises(SystemExit, match="--bind takes a .npy or a repro matrix .npz"):
+                main(["script", script, "--bind", f"A={tmp_path / name}"])
+
     def test_scalar_outputs_printed(self, tmp_path, capsys):
         script = self.write_script(
             tmp_path, "A = random(4, 4)\ns = sum(A)\noutputScalar(s)\n"
