@@ -25,11 +25,11 @@ from harness import fmt_bytes, fmt_secs, report, registry_workload
 
 from repro import ClusterConfig, DMacSession
 from repro.config import ClockConfig
+from repro.core.cost import CostModel
 from repro.elastic import (
     CostCappedPolicy,
     FixedPolicy,
     LoadTrackingPolicy,
-    plan_stage_flop_weights,
     timeline_spec,
 )
 
@@ -85,11 +85,8 @@ def _damped_weights(load, window: int = 2):
     ``+/- window`` stages is the hysteresis a real autoscaler applies:
     membership follows the load envelope, not its ripple.
     """
-    config = ClusterConfig(
-        num_workers=PEAK, threads_per_worker=1, block_size=16,
-        clock=elastic_clock(),
-    )
-    weights = plan_stage_flop_weights(DMacSession(config).plan(load.program))
+    plan = DMacSession(ClusterConfig(num_workers=PEAK)).plan(load.program)
+    weights = CostModel(load.program, PEAK).price(plan).flops_by_stage
     return [
         max(weights[max(0, i - window): i + window + 1])
         for i in range(len(weights))
@@ -163,7 +160,7 @@ def test_elastic_policy_sweep(benchmark):
         rows,
         seed=SEED,
         notes="Policies derive join/leave timelines from the plan's damped "
-        "per-stage flop profile (plan_stage_flop_weights); 'speedup' is "
+        "per-stage flop profile (CostTable.flops_by_stage); 'speedup' is "
         "makespan relative to the fixed one-member baseline, 'worker-s' "
         "sums duration x live members (the cloud bill), 'peak-held-s' "
         "prices the same duration at peak membership.  Every run's outputs "

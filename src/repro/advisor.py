@@ -1,9 +1,9 @@
 """Cluster-size advisor: what-if analysis over worker counts.
 
 Given a program, the advisor plans it for each candidate worker count and
-predicts the end-to-end cost from the plan alone (no execution): network
-time from the plan's predicted bytes, compute time from the program's flop
-estimate spread over the cluster, plus stage latency.  The result is the
+predicts the end-to-end cost from the plan alone (no execution): the plan's
+cost table (:mod:`repro.core.cost`) turned into network, compute and
+stage-latency seconds on the simulated clock.  The result is the
 kind of table an operator wants before renting a cluster -- and it captures
 the paper's scalability story analytically: DMac's communication barely
 grows with ``K`` while compute shrinks, so the sweet spot moves right as
@@ -15,11 +15,11 @@ from __future__ import annotations
 import dataclasses
 
 from repro.config import ClockConfig
-from repro.core.estimator import SizeEstimator
+from repro.core.cost import seconds
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.errors import PlanError
-from repro.lang.program import CellwiseOp, MatMulOp, MatrixProgram, UnaryMatrixOp
+from repro.lang.program import MatrixProgram
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,22 +42,6 @@ class WorkerAdvice:
         )
 
 
-def estimate_program_flops(program: MatrixProgram) -> int:
-    """Worst-case flop estimate for the whole program (from estimated
-    sizes; multiplication dominates)."""
-    estimator = SizeEstimator(program)
-    flops = 0
-    for op in program.ops:
-        if isinstance(op, MatMulOp):
-            rows, inner = program.dims_of(op.left)
-            cols = program.dims_of(op.right)[1]
-            flops += int(2 * rows * inner * cols * estimator.sparsity_of(op.left))
-        elif isinstance(op, (CellwiseOp, UnaryMatrixOp)):
-            rows, cols = program.dims[op.output]
-            flops += rows * cols
-    return flops
-
-
 def advise_workers(
     program: MatrixProgram,
     candidate_workers: tuple[int, ...] = (2, 4, 8, 16),
@@ -68,20 +52,22 @@ def advise_workers(
     if not candidate_workers:
         raise PlanError("no candidate worker counts given")
     clock = clock or ClockConfig()
-    flops = estimate_program_flops(program)
     advice = []
     for workers in sorted(set(candidate_workers)):
-        plan = schedule_stages(DMacPlanner(program, workers).plan())
-        network = plan.predicted_bytes / clock.network_bytes_per_sec
-        compute = flops / (workers * threads_per_worker * clock.dense_flops_per_sec)
-        overhead = plan.num_stages * clock.latency_per_stage_sec
+        planner = DMacPlanner(program, workers)
+        plan = schedule_stages(planner.plan())
+        table = planner.cost.price(plan)
+        predicted = seconds(
+            table.bytes, table.flops, plan.num_stages, clock, workers,
+            threads_per_worker,
+        )
         advice.append(
             WorkerAdvice(
                 workers=workers,
-                predicted_comm_bytes=plan.predicted_bytes,
-                predicted_network_seconds=network,
-                predicted_compute_seconds=compute,
-                predicted_overhead_seconds=overhead,
+                predicted_comm_bytes=table.bytes,
+                predicted_network_seconds=predicted.network,
+                predicted_compute_seconds=predicted.compute,
+                predicted_overhead_seconds=predicted.overhead,
                 stages=plan.num_stages,
             )
         )

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro import ClusterConfig, DMacSession
 from repro.core.analysis import explain, format_statistics
+from repro.core.cost import CostModel
 from repro.core.viz import plan_to_dot
 from repro.datasets import PAPER_GRAPHS
 from repro.errors import ProgramError
@@ -321,11 +322,18 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         for label, plan in plans:
             print(plan_to_dot(plan, title=f"DMac plan: {label}"))
     elif args.format == "json":
+        tables = [
+            CostModel(
+                plan.program, session.config.num_workers, session.estimation_mode
+            ).price(plan)
+            for __, plan in plans
+        ]
         documents = [
             {
                 "target": label,
                 "optimized": args.optimize,
                 "predicted_bytes": plan.predicted_bytes,
+                "predicted_flops": table.flops,
                 "num_stages": plan.num_stages,
                 "outputs": {k: str(v) for k, v in plan.outputs.items()},
                 "cache_pins": [str(i) for i in getattr(plan, "cache_pins", ())],
@@ -335,11 +343,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 ],
                 "steps": [
                     {"stage": step.stage, "communicates": step.communicates,
+                     "comm_bytes": row.comm_bytes, "flops": row.flops,
                      "description": str(step)}
-                    for step in plan.steps
+                    for step, row in zip(plan.steps, table.rows)
                 ],
             }
-            for label, plan in plans
+            for (label, plan), table in zip(plans, tables)
         ]
         if len(documents) == 1:
             print(json.dumps(documents[0], indent=2))
@@ -351,7 +360,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         for label, plan in plans:
             print(f"# {label}")
-            print(format_statistics(explain(plan, session.config.num_workers)))
+            print(format_statistics(explain(
+                plan, session.config.num_workers, session.estimation_mode
+            )))
             print(plan.describe())
             if args.show_rewrites:
                 rewrites = getattr(plan, "rewrites", ())

@@ -9,9 +9,9 @@ so tests, benchmarks and the CLI share one implementation.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter, defaultdict
+from collections import Counter
 
-from repro.core.estimator import SizeEstimator
+from repro.core.cost import CostModel
 from repro.core.plan import (
     ExtendedStep,
     MatMulStep,
@@ -47,14 +47,16 @@ class PlanStatistics:
         return 1.0 - paid / total
 
 
-def explain(plan: Plan, num_workers: int) -> PlanStatistics:
+def explain(
+    plan: Plan, num_workers: int, estimation_mode: str = "worst"
+) -> PlanStatistics:
     """Compute :class:`PlanStatistics` for a plan (stages are scheduled on
-    demand)."""
+    demand).  ``estimation_mode`` is the mode the plan was generated under,
+    so the by-stage communication sums to ``plan.predicted_bytes``."""
     if plan.num_stages == 0:
         schedule_stages(plan)
-    estimator = SizeEstimator(plan.program)
+    table = CostModel(plan.program, num_workers, estimation_mode).price(plan)
 
-    by_stage: dict[int, int] = defaultdict(int)
     strategies: Counter = Counter()
     extended: Counter = Counter()
     moves: Counter = Counter()
@@ -66,33 +68,18 @@ def explain(plan: Plan, num_workers: int) -> PlanStatistics:
             if step.communicates:
                 comm_steps += 1
                 moves[step.source.name] += 1
-                nbytes = estimator.nbytes(step.source.name)
-                by_stage[step.stage] += (
-                    (num_workers - 1) * nbytes if step.kind == "broadcast" else nbytes
-                )
-        elif isinstance(step, MatMulStep):
+        elif isinstance(step, (MatMulStep, RowAggStep)):
             strategies[step.strategy] += 1
             if step.communicates:
                 comm_steps += 1
                 moves[step.output.name] += 1
-                by_stage[step.stage] += (num_workers - 1) * estimator.nbytes(
-                    step.output.name
-                )
-        elif isinstance(step, RowAggStep):
-            strategies[step.strategy] += 1
-            if step.communicates:
-                comm_steps += 1
-                moves[step.output.name] += 1
-                by_stage[step.stage] += (num_workers - 1) * estimator.nbytes(
-                    step.output.name
-                )
 
     return PlanStatistics(
         steps=len(plan.steps),
         stages=plan.num_stages,
         predicted_bytes=plan.predicted_bytes,
         comm_steps=comm_steps,
-        predicted_bytes_by_stage=dict(by_stage),
+        predicted_bytes_by_stage=table.bytes_by_stage,
         strategy_counts=dict(strategies),
         extended_counts=dict(extended),
         matrix_moves=dict(moves),

@@ -1,8 +1,10 @@
-"""The dependency-oriented cost model (paper Section 4.1).
+"""The dependency-oriented cost model (paper Section 4.1): every price a
+plan step has is quoted here.
 
-For an input event ``In(A, p_i, op_i)`` depending on an output event
-already in the OutputSet, the communication it induces is determined by
-the dependency type alone::
+**Decision prices** -- what Algorithm 1 compares.  For an input event
+``In(A, p_i, op_i)`` depending on an output event already in the
+OutputSet, the communication it induces is determined by the dependency
+type alone::
 
     Cost(In) = 0          non-communication dependency        (Situation 1)
     Cost(In) = |A|        Partition / Transpose-Partition     (Situation 2)
@@ -12,16 +14,47 @@ The output event costs ``N x |C|`` for CPMM and nothing otherwise.  The
 strategy chosen for an operator is the argmin of the summed input and
 output event costs (Equation 1); ties are broken by catalog order, which
 prefers replication-based multiplication over CPMM.
+
+**Predicted prices** -- what a finished plan is expected to cost.
+:class:`CostModel` is bound once to ``(program, num_workers,
+estimation_mode)`` and holds the one
+:class:`~repro.core.estimator.SizeEstimator` (Section 5.1); it quotes each
+step's ledger bytes and flops, :meth:`CostModel.price` tabulates them
+(:class:`CostTable`) and :func:`seconds` turns totals into simulated time.
+The planner, the optimizer, lint rule DM104, ``repro plan``, the service's
+admission predictions, the elasticity policies' stage profile and the
+advisor all read these; none of them prices a step itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from typing import Iterable, NamedTuple
+
+from repro.config import ClockConfig
 from repro.core.dependency import (
     BROADCAST_DEPENDENCIES,
     DependencyType,
     is_communication,
 )
+from repro.core.estimator import SizeEstimator
+from repro.core.plan import (
+    AggregateStep,
+    CellwiseStep,
+    ExtendedStep,
+    FusedCellwiseStep,
+    MatMulStep,
+    Plan,
+    RowAggStep,
+    ScalarMatrixStep,
+    Step,
+    UnaryStep,
+)
 from repro.core.strategies import Strategy
+from repro.lang.program import MatrixProgram
+
+#: Steps whose work is one flop per cell of their first matrix operand.
+_PER_CELL_STEPS = (CellwiseStep, ScalarMatrixStep, UnaryStep, RowAggStep, AggregateStep)
 
 
 def dependency_cost(dependency: DependencyType, nbytes: int, num_workers: int) -> int:
@@ -45,13 +78,150 @@ def naive_matmul_flops(m: int, k: int, n: int) -> int:
     return 2 * m * k * n
 
 
-def strassen_matmul_flops(m: int, k: int, n: int, crossover: int) -> int:
-    """Flops of the Strassen kernel on an ``m x k @ k x n`` dense product.
+@dataclasses.dataclass(frozen=True)
+class StepCost:
+    """One row of a :class:`CostTable`: what ``plan.steps[index]`` costs."""
 
-    Mirrors the exact recursion :func:`repro.kernels.strassen.strassen_matmul`
-    performs (asymptotically ``O(n^2.807)``), so the flops the cost model
-    charges equal the flops the engine records.
+    index: int
+    stage: int
+    comm_bytes: int
+    flops: int
+
+
+@dataclasses.dataclass(frozen=True)
+class CostTable:
+    """The predicted price of a plan, step by step (one row per step, in
+    step order)."""
+
+    rows: tuple[StepCost, ...]
+
+    @property
+    def bytes(self) -> int:
+        """Predicted communication: what ``plan.predicted_bytes`` declares."""
+        return sum(row.comm_bytes for row in self.rows)
+
+    @property
+    def flops(self) -> int:
+        return sum(row.flops for row in self.rows)
+
+    @property
+    def bytes_by_stage(self) -> dict[int, int]:
+        """Stage -> predicted communication, for the stages that have any."""
+        by_stage: dict[int, int] = {}
+        for row in self.rows:
+            if row.comm_bytes:
+                by_stage[row.stage] = by_stage.get(row.stage, 0) + row.comm_bytes
+        return by_stage
+
+    @property
+    def flops_by_stage(self) -> list[int]:
+        """Work per stage, indexed by stage number (plans start at stage 1,
+        so entry 0 is zero): the load profile an
+        :class:`~repro.elastic.policies.ElasticityPolicy` sizes membership
+        from."""
+        if not self.rows:
+            return []
+        profile = [0] * (max(row.stage for row in self.rows) + 1)
+        for row in self.rows:
+            profile[row.stage] += row.flops
+        return profile
+
+
+class CostModel:
+    """Prices the steps of any plan of one program on one cluster size.
+
+    ``replicas`` is how many copies a broadcast or an output shuffle ships:
+    ``num_workers - 1`` on the ledger (the default: the owner keeps its own
+    copy), ``num_workers`` in the paper's decision model
+    (:func:`repro.core.optimal.paper_cost_of_plan`).
     """
-    from repro.kernels.strassen import recursion_base, strassen_flops
 
-    return strassen_flops(m, k, n, recursion_base(crossover))
+    def __init__(
+        self,
+        program: MatrixProgram,
+        num_workers: int,
+        estimation_mode: str = "worst",
+        *,
+        replicas: int | None = None,
+    ) -> None:
+        self.program = program
+        self.num_workers = num_workers
+        self.estimator = SizeEstimator(program, estimation_mode)
+        self.replicas = num_workers - 1 if replicas is None else replicas
+
+    def comm_bytes(self, step: Step) -> int:
+        """The charge the communication ledger will book for one step:
+        ``|A|`` for a partition, ``replicas x |A|`` for a broadcast,
+        ``replicas x |C|`` for a multiplication or row aggregation that
+        shuffles its output, nothing otherwise."""
+        if not step.communicates:
+            return 0
+        if isinstance(step, ExtendedStep):
+            nbytes = self.estimator.nbytes(step.source.name)
+            return self.replicas * nbytes if step.kind == "broadcast" else nbytes
+        assert isinstance(step, (MatMulStep, RowAggStep))  # cpmm / *-opposed
+        return self.replicas * self.estimator.nbytes(step.output.name)
+
+    def flops(self, step: Step) -> int:
+        """The work of one step: ``2 m k n`` scaled by the left operand's
+        estimated sparsity for a multiplication (the engines skip zero
+        rows), one flop per cell for element-wise operators and
+        aggregations, the sum over its chain for a fused step, nothing for
+        sources, extended operators and driver scalars."""
+        if isinstance(step, MatMulStep):
+            m, k = self.program.dims_of(step.op.left)
+            n = self.program.dims_of(step.op.right)[1]
+            density = min(1.0, self.estimator.sparsity_of(step.op.left))
+            return int(2 * m * k * n * density)
+        if isinstance(step, _PER_CELL_STEPS):
+            rows, cols = self.program.dims[step.op.matrix_inputs()[0].name]
+            return rows * cols
+        if isinstance(step, FusedCellwiseStep):
+            return sum(self.flops(inner) for inner in step.chain)
+        return 0
+
+    def bytes(self, steps: Iterable[Step]) -> int:
+        """Predicted communication of a whole step list: the total of
+        :meth:`price` without the table (the optimizer asks once per trial)."""
+        return sum(map(self.comm_bytes, steps))
+
+    def price(self, plan: Plan) -> CostTable:
+        """The per-step cost table of a plan of this model's program."""
+        return CostTable(
+            tuple(
+                StepCost(index, step.stage, self.comm_bytes(step), self.flops(step))
+                for index, step in enumerate(plan.steps)
+            )
+        )
+
+
+class PredictedSeconds(NamedTuple):
+    """Predicted time on the simulated clock, by component."""
+
+    network: float
+    compute: float
+    overhead: float
+
+
+def seconds(
+    comm_bytes: int,
+    flops: int,
+    stages: int,
+    clock: ClockConfig,
+    num_workers: int,
+    threads_per_worker: int,
+) -> PredictedSeconds:
+    """Planning-grade time for predicted totals on a given cluster.
+
+    Communication at the simulated network rate, dense compute spread over
+    every thread of every worker, one scheduling latency per stage -- the
+    rates the :class:`~repro.config.ClockConfig` bills measured bytes and
+    flops at, so the estimate and the eventual charge live on one scale.  It
+    is *not* a promise about the measured ``simulated_seconds``.
+    """
+    return PredictedSeconds(
+        network=comm_bytes / clock.network_bytes_per_sec,
+        compute=flops
+        / (clock.dense_flops_per_sec * threads_per_worker * num_workers),
+        overhead=stages * clock.latency_per_stage_sec,
+    )

@@ -21,14 +21,9 @@ from __future__ import annotations
 
 import functools
 
+from repro.core.cost import CostModel
 from repro.core.estimator import SizeEstimator
-from repro.core.plan import (
-    ExtendedStep,
-    MatMulStep,
-    MatrixInstance,
-    Plan,
-    RowAggStep,
-)
+from repro.core.plan import MatrixInstance, Plan
 from repro.core.strategies import candidate_strategies
 from repro.errors import PlanError
 from repro.lang.program import (
@@ -184,18 +179,8 @@ def paper_cost_of_plan(plan: Plan, num_workers: int) -> int:
     plans are comparable with :func:`optimal_cost`.
 
     partition: ``|A|``; broadcast: ``N x |A|``; CPMM output: ``N x |C|``;
-    everything else free.
+    everything else free -- the predicted ledger charge with ``N`` replicas
+    where the ledger books ``N - 1``.
     """
-    estimator = SizeEstimator(plan.program)
-    total = 0
-    for step in plan.steps:
-        if isinstance(step, ExtendedStep):
-            if step.kind == "partition":
-                total += estimator.nbytes(step.source.name)
-            elif step.kind == "broadcast":
-                total += num_workers * estimator.nbytes(step.source.name)
-        elif isinstance(step, MatMulStep) and step.strategy == "cpmm":
-            total += num_workers * estimator.nbytes(step.output.name)
-        elif isinstance(step, RowAggStep) and step.communicates:
-            total += num_workers * estimator.nbytes(step.output.name)
-    return total
+    model = CostModel(plan.program, num_workers, replicas=num_workers)
+    return model.bytes(plan.steps)

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.cost import dependency_cost, output_cost
+from repro.core.cost import CostModel, dependency_cost, output_cost
 from repro.core.dependency import classify
-from repro.core.estimator import SizeEstimator
 from repro.core.plan import (
     AggregateStep,
     CellwiseStep,
@@ -103,11 +102,11 @@ class DMacPlanner:
         self.num_workers = num_workers
         self.pull_up_broadcast = pull_up_broadcast
         self.re_assignment = re_assignment
-        self.estimator = SizeEstimator(program, mode=estimation_mode)
+        self.cost = CostModel(program, num_workers, estimation_mode)
+        self.estimator = self.cost.estimator
         self._steps: list[Step] = []
         self._table: dict[str, dict[MatrixInstance, _InstanceInfo]] = {}
         self._input_set: list[_InputRecord] = []
-        self._predicted_bytes = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -118,6 +117,10 @@ class DMacPlanner:
         operator's :class:`~repro.runtime.registry.OperatorSpec` names the
         planner method (``plan_hook``) that lowers it, so this loop needs
         no per-kind switch and new operators register in one place.
+
+        ``predicted_bytes`` is priced once, over the finished step list
+        (:meth:`~repro.core.cost.CostModel.bytes`): the heuristics rewrite
+        earlier steps, so only the final list says what will be shipped.
         """
         from repro.runtime.registry import spec_for_op
 
@@ -130,7 +133,7 @@ class DMacPlanner:
             program=self.program,
             steps=self._steps,
             outputs={name: self._readable_instance(name) for name in self.program.outputs},
-            predicted_bytes=self._predicted_bytes,
+            predicted_bytes=self.cost.bytes(self._steps),
         )
 
     # -- per-operator planning ---------------------------------------------------
@@ -157,10 +160,6 @@ class DMacPlanner:
         self._steps.append(step)
         flexible = strategy.output_schemes[1:]
         self._register(output, step, flexible=flexible)
-        if strategy.shuffles_output:
-            self._predicted_bytes += (self.num_workers - 1) * self.estimator.nbytes(
-                op.output
-            )
 
     def _plan_cellwise(self, op: CellwiseOp) -> None:
         strategy = self._choose_strategy(op)
@@ -194,10 +193,6 @@ class DMacPlanner:
         step = RowAggStep(op, strategy.name, source, output)
         self._steps.append(step)
         self._register(output, step, flexible=strategy.output_schemes[1:])
-        if strategy.shuffles_output:
-            self._predicted_bytes += (self.num_workers - 1) * self.estimator.nbytes(
-                op.output
-            )
 
     # -- strategy choice (Equation 1) ------------------------------------------------
 
@@ -347,9 +342,6 @@ class DMacPlanner:
         target_info = self._table[partition_step.target.name][partition_step.target]
         target_info.producer = extract_step
         record.converted = True
-        nbytes = self.estimator.nbytes(replica.name)
-        # The repartition becomes a replication: swap the predicted charge.
-        self._predicted_bytes += (self.num_workers - 1) * nbytes - nbytes
         return True
 
     def _emit_chain(
@@ -379,11 +371,6 @@ class DMacPlanner:
             self._register(target, step)
             if kind == "partition":
                 partition_step = step
-                self._predicted_bytes += self.estimator.nbytes(name)
-            elif kind == "broadcast":
-                self._predicted_bytes += (self.num_workers - 1) * self.estimator.nbytes(
-                    name
-                )
             current = target
         self._input_set.append(
             _InputRecord(name, target_transposed, required, cost, partition_step)

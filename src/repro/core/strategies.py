@@ -143,16 +143,22 @@ def choose_local_matmul(
     recursion's priced flop count actually undercuts ``2 m k n`` (near the
     crossover the 18 half-size additions can eat the saved product).
     """
-    from repro.core.cost import naive_matmul_flops, strassen_matmul_flops
+    from repro.core.cost import naive_matmul_flops
 
     naive = LocalMatmulStrategy("naive", naive_matmul_flops(m, k, n), 0)
     if not strassen or min(m, k, n) < crossover:
         return naive
-    priced = strassen_matmul_flops(m, k, n, crossover)
+    from repro.kernels.strassen import (
+        recursion_base,
+        strassen_flops,
+        strassen_temp_bytes,
+    )
+
+    # The exact recursion the kernel performs, so the flops the cost model
+    # charges equal the flops the engine records.
+    priced = strassen_flops(m, k, n, recursion_base(crossover))
     if priced >= naive.flops:
         return naive
-    from repro.kernels.strassen import strassen_temp_bytes
-
     return LocalMatmulStrategy("strassen", priced, strassen_temp_bytes(m, k, n))
 
 

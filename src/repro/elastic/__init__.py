@@ -15,8 +15,6 @@ from repro.elastic.policies import (
     ElasticityPolicy,
     FixedPolicy,
     LoadTrackingPolicy,
-    plan_stage_flop_weights,
-    plan_stage_weights,
     timeline_spec,
 )
 from repro.elastic.pool import ElasticPool, Transition
@@ -33,8 +31,6 @@ __all__ = [
     "LoadTrackingPolicy",
     "Transition",
     "parse_elastic_spec",
-    "plan_stage_flop_weights",
-    "plan_stage_weights",
     "ElasticSpecError",
     "timeline_spec",
 ]

@@ -2,9 +2,10 @@
 
 A policy decides how many members the pool should have at every stage,
 given the per-stage *weights* of the plan (how much work each stage
-carries), and emits the join/leave events that step membership toward
-those targets.  Three policies span the trade-off the elasticity
-benchmarks sweep:
+carries: :attr:`repro.core.cost.CostTable.flops_by_stage`, so membership
+scales toward the stages that actually burn compute), and emits the
+join/leave events that step membership toward those targets.  Three
+policies span the trade-off the elasticity benchmarks sweep:
 
 ``FixedPolicy``
     Never scales: the determinism baseline, and the worker-seconds
@@ -24,79 +25,10 @@ policy-driven elastic runs inherit the pool's determinism contract.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from repro.elastic.spec import ElasticEvent
 from repro.errors import ElasticSpecError
-
-if TYPE_CHECKING:
-    from repro.core.plan import Plan
-
-
-def plan_stage_weights(plan: Plan) -> list[float]:
-    """Per-stage work weights of a staged plan: the number of steps in
-    each stage (index 0 .. num_stages - 1; stages are 1-indexed in plans
-    that start at stage 1 -- the weight list is indexed by ``stage``
-    directly, so unused leading entries are simply zero)."""
-    if not plan.steps:
-        return []
-    top = max(step.stage for step in plan.steps)
-    weights = [0.0] * (top + 1)
-    for step in plan.steps:
-        weights[step.stage] += 1.0
-    return weights
-
-
-def plan_stage_flop_weights(plan: Plan, estimation_mode: str = "worst") -> list[float]:
-    """Per-stage *flop* weights of a staged plan.
-
-    :func:`plan_stage_weights` counts steps, which treats a scalar update
-    and a dense multiplication as equal load; this variant prices each
-    step with the admission cost model's conventions (``2 m k n`` scaled
-    by left-operand sparsity for multiplications, one flop per cell for
-    everything element-wise) so policies scale membership toward the
-    stages that actually burn compute.
-    """
-    from repro.core.estimator import SizeEstimator
-    from repro.core.plan import (
-        AggregateStep,
-        CellwiseStep,
-        FusedCellwiseStep,
-        MatMulStep,
-        RowAggStep,
-        ScalarMatrixStep,
-        UnaryStep,
-    )
-
-    if not plan.steps:
-        return []
-    program = plan.program
-    estimator = SizeEstimator(program, estimation_mode)
-
-    def cellwise_flops(step: CellwiseStep) -> float:
-        rows, cols = program.dims_of(step.op.left)
-        return float(rows * cols)
-
-    def step_flops(step: object) -> float:
-        if isinstance(step, MatMulStep):
-            m, k = program.dims_of(step.op.left)
-            __, n = program.dims_of(step.op.right)
-            density = min(1.0, estimator.sparsity_of(step.op.left))
-            return 2.0 * m * k * n * density
-        if isinstance(step, FusedCellwiseStep):
-            return sum(cellwise_flops(inner) for inner in step.chain)
-        if isinstance(step, CellwiseStep):
-            return cellwise_flops(step)
-        if isinstance(step, (ScalarMatrixStep, UnaryStep, RowAggStep, AggregateStep)):
-            rows, cols = program.dims_of(step.op.operand)
-            return float(rows * cols)
-        return 0.0  # sources, transfers, scalar computes: negligible
-
-    top = max(step.stage for step in plan.steps)
-    weights = [0.0] * (top + 1)
-    for step in plan.steps:
-        weights[step.stage] += step_flops(step)
-    return weights
 
 
 def timeline_spec(events: Sequence[ElasticEvent]) -> str:

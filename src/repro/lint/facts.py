@@ -10,8 +10,9 @@ check is derived here by one forward pass over the step list:
   the transfer functions themselves live in the operator registry
   (:mod:`repro.runtime.registry`), shared with the executor and planner;
 * **sizes** -- the worst-case byte estimate ``|A|`` of Section 5.1, via
-  the planner's own :class:`~repro.core.estimator.SizeEstimator`, so the
-  lint and the cost model can never disagree about what a matrix weighs;
+  the :class:`~repro.core.cost.CostModel` the planner itself prices with,
+  so the lint and the cost model can never disagree about what a matrix
+  weighs or a step ships;
 * **dataflow** -- producer step and consumer steps per instance, plus
   scalar producers/consumers, for liveness (dead-operator) analysis;
 * **stages** -- the stage each instance becomes *available* in, following
@@ -29,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 
-from repro.core.estimator import SizeEstimator
+from repro.core.cost import CostModel
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.errors import PlanError
 from repro.runtime.registry import OPERATORS
@@ -42,7 +43,7 @@ class PlanFacts:
     """Everything the static rules know about one plan."""
 
     plan: Plan
-    estimator: SizeEstimator
+    cost: CostModel
     #: interpreted shape per instance (absent if inputs were unknown)
     shapes: dict[MatrixInstance, Shape]
     #: index of the step that produced each instance (first producer wins)
@@ -62,7 +63,7 @@ class PlanFacts:
         """Estimated ``|A|``; 0 for names the program does not know (the
         shape rule reports those -- size-based rules stay quiet)."""
         try:
-            return self.estimator.nbytes(name)
+            return self.cost.estimator.nbytes(name)
         except PlanError:
             return 0
 
@@ -80,9 +81,12 @@ def step_output(step: Step) -> MatrixInstance | None:
     return step.output_instance()
 
 
-def build_facts(plan: Plan, estimation_mode: str = "worst") -> PlanFacts:
-    """One forward pass computing :class:`PlanFacts` for a plan."""
-    estimator = SizeEstimator(plan.program, estimation_mode)
+def build_facts(
+    plan: Plan, estimation_mode: str = "worst", num_workers: int = 4
+) -> PlanFacts:
+    """One forward pass computing :class:`PlanFacts` for a plan (sized and
+    priced as for :class:`~repro.lint.diagnostics.LintContext`'s cluster)."""
+    cost = CostModel(plan.program, num_workers, estimation_mode)
     shapes: dict[MatrixInstance, Shape] = {}
     producer: dict[MatrixInstance, int] = {}
     consumers: dict[MatrixInstance, list[int]] = defaultdict(list)
@@ -115,7 +119,7 @@ def build_facts(plan: Plan, estimation_mode: str = "worst") -> PlanFacts:
 
     return PlanFacts(
         plan=plan,
-        estimator=estimator,
+        cost=cost,
         shapes=shapes,
         producer=producer,
         consumers=dict(consumers),

@@ -54,6 +54,7 @@ from repro.core.strategies import (
     SOURCE_STRATEGY,
     Strategy,
 )
+from repro.errors import PlanError
 from repro.lang.program import (
     CellwiseOp,
     MatMulOp,
@@ -472,20 +473,16 @@ def check_ledger_agreement(inputs: LintInput) -> Iterator[Diagnostic]:
     facts = inputs.facts
     if facts is None:
         return
-    workers = inputs.context.num_workers
-    total = 0
-    for step in facts.plan.steps:
-        if isinstance(step, ExtendedStep) and step.communicates:
-            nbytes = facts.nbytes(step.source.name)
-            total += (workers - 1) * nbytes if step.kind == "broadcast" else nbytes
-        elif isinstance(step, (MatMulStep, RowAggStep)) and step.communicates:
-            total += (workers - 1) * facts.nbytes(step.output.name)
+    try:
+        total = facts.cost.bytes(facts.plan.steps)
+    except PlanError:
+        return  # a step names a matrix the program lacks: not a ledger fault
     if total != facts.plan.predicted_bytes:
         yield this.diagnostic(
             f"plan declares {facts.plan.predicted_bytes} predicted bytes but "
             f"its communicating steps account for {total} "
             f"(delta {facts.plan.predicted_bytes - total:+d}) at "
-            f"{workers} workers",
+            f"{facts.cost.num_workers} workers",
         )
 
 

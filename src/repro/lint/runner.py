@@ -63,7 +63,7 @@ def lint_plan(
     if plan.num_stages == 0:
         plan = schedule_stages(plan)
     context = context or LintContext()
-    facts = build_facts(plan, context.estimation_mode)
+    facts = build_facts(plan, context.estimation_mode, context.num_workers)
     inputs = LintInput(
         program=plan.program, context=context, plan=plan, facts=facts
     )

@@ -8,7 +8,6 @@ from repro.planopt.coalesce import coalesce_repartitions
 from repro.planopt.common import (
     AppliedRewrite,
     clone_plan,
-    recompute_predicted_bytes,
     toposort_steps,
 )
 from repro.planopt.cse import eliminate_common_steps
@@ -48,7 +47,6 @@ __all__ = [
     "pin_loop_invariants",
     "plan_structural_hash",
     "program_fingerprint",
-    "recompute_predicted_bytes",
     "step_structural_key",
     "structural_key",
     "toposort_steps",

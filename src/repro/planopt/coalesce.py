@@ -22,7 +22,7 @@ such rewrites with an *apply-and-evaluate* loop:
 * fork the rewritten plan -- unless an earlier candidate of the round left
   the very same step list, whose cost is then already known -- re-sort,
   CSE, DCE and re-cost the fork with the dependency-oriented cost model
-  (`recompute_predicted_bytes`); keep the best candidate only if
+  (:meth:`~repro.core.cost.CostModel.bytes`); keep the best candidate only if
   ``(predicted_bytes, step_count)`` strictly decreases -- the merge is
   provably never costlier under the model.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import collections
 
+from repro.core.cost import CostModel
 from repro.core.plan import (
     CellwiseStep,
     ExtendedStep,
@@ -50,11 +51,7 @@ from repro.core.plan import (
 from repro.core.planner import _lowering_targets
 from repro.errors import PlanError
 from repro.matrix.schemes import Scheme
-from repro.planopt.common import (
-    AppliedRewrite,
-    predicted_bytes_under,
-    recompute_predicted_bytes,
-)
+from repro.planopt.common import AppliedRewrite
 from repro.planopt.cse import eliminate_common_steps
 from repro.planopt.dce import eliminate_dead_steps
 from repro.planopt.index import PlanIndex
@@ -293,8 +290,7 @@ def _evaluate(
     index: PlanIndex,
     candidate: tuple,
     seen: set[tuple],
-    num_workers: int,
-    estimation_mode: str,
+    cost: CostModel,
 ) -> PlanIndex | None:
     """Cost one candidate: apply it to the indexed plan itself under a
     trial, and clean up / re-cost a fork only if no earlier candidate of
@@ -312,7 +308,7 @@ def _evaluate(
     eliminate_common_steps(fork.plan, fork)
     eliminate_dead_steps(fork.plan, fork)
     fork.toposort()
-    recompute_predicted_bytes(fork.plan, num_workers, estimation_mode)
+    fork.plan.predicted_bytes = cost.bytes(fork.plan.steps)
     return fork
 
 
@@ -327,45 +323,46 @@ def _diff(before: Plan, after: Plan) -> tuple[tuple[str, ...], tuple[str, ...]]:
 def coalesce_repartitions(
     plan: Plan,
     *,
-    num_workers: int,
-    estimation_mode: str = "worst",
+    cost: CostModel,
+    cross_cost: CostModel,
     index: PlanIndex | None = None,
 ) -> list[AppliedRewrite]:
-    """Greedy best-first coalescing on ``plan`` (mutated in place)."""
+    """Greedy best-first coalescing on ``plan`` (mutated in place).
+
+    ``cost`` prices the plan's program under the planning mode,
+    ``cross_cost`` under the opposite sparsity model: a candidate must win
+    under the first *without* losing under the second -- worst-case and
+    average-case disagree on matmul-output sizes, and a rewrite that only
+    wins in one model can regress the measured ledger on real data.
+    """
     index = index or PlanIndex(plan)
     rewrites: list[AppliedRewrite] = []
-    search = ("coalesce", num_workers, estimation_mode)
+    search = ("coalesce", cost.num_workers, cost.estimator.mode)
     if index.fixpoints.get(search) == index.version:
         return rewrites  # nothing mutated since this search found nothing
-    recompute_predicted_bytes(plan, num_workers, estimation_mode)
-    # A candidate must win under the planning mode *without* losing under
-    # the opposite sparsity model: worst-case and average-case disagree on
-    # matmul-output sizes, and a rewrite that only wins in one model can
-    # regress the measured ledger on real data.
-    other_mode = "average" if estimation_mode == "worst" else "worst"
+    plan.predicted_bytes = cost.bytes(plan.steps)
     for __ in range(MAX_ROUNDS):
         base_cost = (plan.predicted_bytes, len(plan.steps))
-        base_other = predicted_bytes_under(plan, num_workers, other_mode)
+        base_other = cross_cost.bytes(plan.steps)
         best = None
         seen: set[tuple] = set()  # outcomes already costed this round
         candidates = _candidates(index)
         index.counters["candidates_enumerated"] += len(candidates)
         for candidate in candidates:
             try:
-                fork = _evaluate(index, candidate, seen, num_workers, estimation_mode)
+                fork = _evaluate(index, candidate, seen, cost)
             except PlanError:
                 continue  # candidate does not yield a valid plan
             if fork is None:
                 continue
             clone = fork.plan
-            cost = (clone.predicted_bytes, len(clone.steps))
+            price = (clone.predicted_bytes, len(clone.steps))
             if (
-                cost < base_cost
-                and predicted_bytes_under(clone, num_workers, other_mode)
-                <= base_other
-                and (best is None or cost < best[0])
+                price < base_cost
+                and cross_cost.bytes(clone.steps) <= base_other
+                and (best is None or price < best[0])
             ):
-                best = (cost, fork, candidate[3])
+                best = (price, fork, candidate[3])
         if best is None:
             index.fixpoints[search] = index.version
             return rewrites

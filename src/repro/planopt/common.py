@@ -6,27 +6,15 @@ sharing them is safe) and the original plan is never mutated.  The
 structural questions every pass asks -- who produces an instance, who
 consumes it, what is a valid topological order -- are answered by
 :class:`~repro.planopt.index.PlanIndex`; the helpers of those names here
-are one-shot views of it.  The rest is what the rewritten plan predicts.
-
-``recompute_predicted_bytes`` re-derives ``plan.predicted_bytes`` with the
-exact per-step accounting the dependency-oriented cost model (paper
-Section 4.1) uses -- the same decomposition ``repro.lint``'s DM104 rule
-checks -- so an optimized plan always lints clean.
+are one-shot views of it.  What a rewritten plan is predicted to ship is
+priced by :class:`repro.core.cost.CostModel`, like every other plan.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.core.estimator import SizeEstimator
-from repro.core.plan import (
-    ExtendedStep,
-    MatMulStep,
-    MatrixInstance,
-    Plan,
-    RowAggStep,
-    Step,
-)
+from repro.core.plan import MatrixInstance, Plan, Step
 from repro.planopt.index import PlanIndex, copy_step
 
 
@@ -71,31 +59,6 @@ def toposort_steps(plan: Plan) -> None:
     """Re-order ``plan.steps`` into a stable topological order
     (:meth:`PlanIndex.toposorted`); raises :class:`PlanError` on a cycle."""
     plan.steps = PlanIndex(plan).toposorted()
-
-
-def predicted_bytes_under(
-    plan: Plan, num_workers: int, estimation_mode: str
-) -> int:
-    """The plan's communication under one estimation mode (pure; does not
-    touch ``plan.predicted_bytes``)."""
-    estimator = SizeEstimator(plan.program, estimation_mode)
-    total = 0
-    for step in plan.steps:
-        if isinstance(step, ExtendedStep) and step.communicates:
-            nbytes = estimator.nbytes(step.source.name)
-            total += (num_workers - 1) * nbytes if step.kind == "broadcast" else nbytes
-        elif isinstance(step, (MatMulStep, RowAggStep)) and step.communicates:
-            total += (num_workers - 1) * estimator.nbytes(step.output.name)
-    return total
-
-
-def recompute_predicted_bytes(
-    plan: Plan, num_workers: int, estimation_mode: str = "worst"
-) -> None:
-    """Re-derive ``plan.predicted_bytes`` from the rewritten step list."""
-    plan.predicted_bytes = predicted_bytes_under(
-        plan, num_workers, estimation_mode
-    )
 
 
 # -- iteration structure ------------------------------------------------------

@@ -2,9 +2,9 @@
 
 :func:`optimize_plan` is the one entry point the session and CLI use.  It
 never mutates the plan it is given: passes run on a clone, and the clone
-comes back stage-scheduled with a fresh ``predicted_bytes`` (recomputed
-with the cost model's own per-step accounting, so DM104 stays silent) and
-an ``AppliedRewrite`` audit trail in ``plan.rewrites``.
+comes back stage-scheduled with a fresh ``predicted_bytes`` (priced by the
+same :class:`~repro.core.cost.CostModel` every trial rewrite was costed
+with) and an ``AppliedRewrite`` audit trail in ``plan.rewrites``.
 
 The default pipeline interleaves CSE, repartition coalescing and dead-step
 elimination to a fixpoint -- coalescing exposes new common subexpressions
@@ -24,10 +24,11 @@ import collections
 import dataclasses
 from typing import Protocol, runtime_checkable
 
+from repro.core.cost import CostModel
 from repro.core.plan import Plan
 from repro.core.stages import schedule_stages
 from repro.planopt.coalesce import coalesce_repartitions
-from repro.planopt.common import AppliedRewrite, clone_plan, recompute_predicted_bytes
+from repro.planopt.common import AppliedRewrite, clone_plan
 from repro.planopt.cse import eliminate_common_steps
 from repro.planopt.dce import eliminate_dead_steps
 from repro.planopt.fuse import fuse_cellwise_chains
@@ -40,12 +41,15 @@ MAX_PIPELINE_ROUNDS = 3
 
 @dataclasses.dataclass(frozen=True)
 class PassContext:
-    """What a pass may assume about the target cluster -- and, inside
-    :func:`optimize_plan`, the one :class:`PlanIndex` every built-in pass
-    shares (kept in sync by their mutations, so no pass rebuilds it)."""
+    """What a pass may assume about the target cluster: the cost model of
+    the plan's program under the planning mode (``cost.num_workers``,
+    ``cost.estimator.mode``) and under the opposite sparsity model, both
+    built once per :func:`optimize_plan` call -- and, inside it, the one
+    :class:`PlanIndex` every built-in pass shares (kept in sync by their
+    mutations, so no pass rebuilds it)."""
 
-    num_workers: int
-    estimation_mode: str = "worst"
+    cost: CostModel
+    cross_cost: CostModel
     index: PlanIndex | None = None
 
     def index_for(self, plan: Plan) -> PlanIndex | None:
@@ -75,8 +79,8 @@ class CoalescePass:
     def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
         return coalesce_repartitions(
             plan,
-            num_workers=context.num_workers,
-            estimation_mode=context.estimation_mode,
+            cost=context.cost,
+            cross_cost=context.cross_cost,
             index=context.index_for(plan),
         )
 
@@ -137,7 +141,11 @@ def optimize_plan(
     """
     optimized = clone_plan(plan)
     index = PlanIndex(optimized, counters=counters)
-    context = PassContext(num_workers, estimation_mode, index)
+    cost = CostModel(plan.program, num_workers, estimation_mode)
+    other_mode = "average" if estimation_mode == "worst" else "worst"
+    context = PassContext(
+        cost, CostModel(plan.program, num_workers, other_mode), index
+    )
     pipeline = DEFAULT_PASSES if passes is None else tuple(passes)
     rewrites: list[AppliedRewrite] = list(optimized.rewrites)
     certificates: list = list(optimized.certificates)
@@ -194,7 +202,7 @@ def optimize_plan(
     for the_pass in hoisters + fusers:
         rewrites.extend(run_validated(the_pass))
     index.toposort()
-    recompute_predicted_bytes(optimized, num_workers, estimation_mode)
+    optimized.predicted_bytes = cost.bytes(optimized.steps)
     if validate:
         unchanged = index.version == snapshot_version
         certificates.append(

@@ -13,13 +13,7 @@ process, ``repro serve`` / ``repro submit`` on the command line, and
 """
 
 from repro.serve.accounting import Accountant, TenantAccount
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    Decision,
-    predict_flops,
-    predict_runtime_seconds,
-)
+from repro.serve.admission import AdmissionController, AdmissionPolicy, Decision
 from repro.serve.batch import parse_batch, run_batch, synthetic_batch
 from repro.serve.client import RemoteClient, ServiceClient
 from repro.serve.daemon import handle_request, serve_forever
@@ -49,8 +43,6 @@ __all__ = [
     "build_report",
     "handle_request",
     "parse_batch",
-    "predict_flops",
-    "predict_runtime_seconds",
     "render_report",
     "run_batch",
     "serve_forever",

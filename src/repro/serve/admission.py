@@ -1,9 +1,9 @@
 """Admission control: decide run / queue / reject before any execution.
 
 Decisions are driven entirely by *static* predictions -- the cost model's
-communication estimate (``plan.predicted_bytes``), a flops estimate from
-the :class:`~repro.core.estimator.SizeEstimator`, and the verifier's sound
-per-worker peak-memory bound
+communication and flop totals for the plans that will run
+(:class:`repro.core.cost.CostTable`) and the verifier's sound per-worker
+peak-memory bound
 (:func:`repro.verify.memory.predict_peak_memory`) -- so a job that would
 blow a tenant's memory quota is rejected *before* it runs, with a typed
 error, instead of aborting non-deterministically mid-execution.
@@ -18,9 +18,10 @@ Check order (first violation wins):
 
 The queue-depth checks come in two flavours: the *count* caps (3) bound
 how many jobs may wait, while ``max_backlog_seconds`` (4) bounds how much
-*predicted work* may wait -- :func:`predict_runtime_seconds` turns the
-cost model's byte/flop estimates into seconds via the cluster's simulated
-clock rates, so ten tiny jobs and one huge job are told apart.  The same
+*predicted work* may wait -- :func:`repro.core.cost.seconds` turns the
+cost model's byte/flop totals into network + compute seconds at the
+cluster's simulated clock rates (stage latency is left out), so ten tiny
+jobs and one huge job are told apart.  The same
 per-job prediction drives the scheduler's optional
 shortest-predicted-job-first order (``AdmissionPolicy.spjf``).
 """
@@ -30,8 +31,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.config import ClusterConfig
-from repro.core.estimator import SizeEstimator
 from repro.errors import (
     AdmissionError,
     BacklogExceededError,
@@ -39,67 +38,8 @@ from repro.errors import (
     QueueFullError,
     TenantQuotaExceededError,
 )
-from repro.lang.program import (
-    AggregateOp,
-    CellwiseOp,
-    MatMulOp,
-    MatrixProgram,
-    RowAggOp,
-    ScalarMatrixOp,
-    UnaryMatrixOp,
-)
 from repro.serve.job import TenantSpec
 from repro.serve.plancache import CacheEntry
-
-
-def predict_flops(program: MatrixProgram, estimation_mode: str = "worst") -> int:
-    """Estimated floating-point work for one program execution.
-
-    Follows the paper's cost-model conventions: a multiplication costs
-    ``2 m k n`` scaled by the left operand's estimated sparsity (the
-    engines skip zero rows), element-wise and unary operators cost one
-    flop per output cell, aggregations one per input cell.  This is a
-    planning-grade estimate for admission thresholds, not a promise about
-    the meter's measured flops.
-    """
-    estimator = SizeEstimator(program, estimation_mode)
-    total = 0
-    for op in program.ops:
-        if isinstance(op, MatMulOp):
-            m, k = program.dims_of(op.left)
-            _, n = program.dims_of(op.right)
-            density = min(1.0, estimator.sparsity_of(op.left))
-            total += int(2 * m * k * n * density)
-        elif isinstance(op, CellwiseOp):
-            rows, cols = program.dims_of(op.left)
-            total += rows * cols
-        elif isinstance(op, (ScalarMatrixOp, UnaryMatrixOp, RowAggOp, AggregateOp)):
-            rows, cols = program.dims_of(op.operand)
-            total += rows * cols
-        # loads / randoms / scalar computes: negligible
-    return total
-
-
-def predict_runtime_seconds(
-    predicted_bytes: int, predicted_flops: int, cluster: ClusterConfig
-) -> float:
-    """Planning-grade runtime estimate for one job on a given cluster.
-
-    Communication at the simulated network rate plus dense compute spread
-    over every thread of every worker -- the same rates the
-    :class:`~repro.config.ClockConfig` bills measured bytes/flops at, so
-    the estimate and the eventual charge live on one scale.  Used for the
-    admission backlog bound and shortest-predicted-job-first ordering;
-    it is *not* a promise about the measured ``simulated_seconds``.
-    """
-    clock = cluster.clock
-    network = predicted_bytes / clock.network_bytes_per_sec
-    compute = predicted_flops / (
-        clock.dense_flops_per_sec
-        * cluster.threads_per_worker
-        * cluster.num_workers
-    )
-    return network + compute
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,6 +20,7 @@ import dataclasses
 import time
 from typing import Optional
 
+from repro.core.cost import CostModel
 from repro.core.plan import Plan
 
 
@@ -122,16 +123,18 @@ def plan_for_cache(session, program) -> CacheEntry:
         for plan in plans
     ]
     elapsed = time.perf_counter() - started
-    from repro.serve.admission import predict_flops
-
+    tables = [
+        CostModel(plan.program, config.num_workers, session.estimation_mode).price(
+            plan
+        )
+        for plan in plans
+    ]
     return CacheEntry(
         fingerprint="",
         plans=plans,
         structural_hashes=tuple(plan.structural_hash() for plan in plans),
-        predicted_bytes=sum(plan.predicted_bytes for plan in plans),
-        predicted_flops=sum(
-            predict_flops(plan.program, session.estimation_mode) for plan in plans
-        ),
+        predicted_bytes=sum(table.bytes for table in tables),
+        predicted_flops=sum(table.flops for table in tables),
         predicted_peak_bytes=max(p.peak_bytes for p in predictions),
         plan_wall_seconds=elapsed,
     )

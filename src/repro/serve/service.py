@@ -29,17 +29,13 @@ import time
 from typing import Optional
 
 from repro.config import ClusterConfig
+from repro.core.cost import seconds
 from repro.errors import ServiceError
 from repro.frontend.staged import StagedProgram
 from repro.lang.program import MatrixProgram
 from repro.programs.registry import WorkloadParams, build_workload
 from repro.serve.accounting import Accountant
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    Decision,
-    predict_runtime_seconds,
-)
+from repro.serve.admission import AdmissionController, AdmissionPolicy, Decision
 from repro.serve.job import JobRecord, JobSpec, TenantSpec
 from repro.serve.plancache import CacheEntry, PlanCache, plan_for_cache
 from repro.serve.scheduler import StrideScheduler
@@ -147,9 +143,19 @@ class MatrixService:
         record.predicted_bytes = entry.predicted_bytes
         record.predicted_flops = entry.predicted_flops
         record.predicted_peak_bytes = entry.predicted_peak_bytes
-        record.predicted_seconds = predict_runtime_seconds(
-            entry.predicted_bytes, entry.predicted_flops, self.config.cluster
+        # Priced for the cluster the plans were sized for: the session's
+        # config counts the slots of an elastic timeline, the template does
+        # not.  Stage latency stays out of the admission scale.
+        config = session.config
+        predicted = seconds(
+            entry.predicted_bytes,
+            entry.predicted_flops,
+            sum(plan.num_stages for plan in entry.plans),
+            config.clock,
+            config.num_workers,
+            config.threads_per_worker,
         )
+        record.predicted_seconds = predicted.network + predicted.compute
         record.plan_hashes = entry.structural_hashes
 
         decision = self.admission.evaluate(

@@ -1,10 +1,19 @@
 """Tests for plan statistics / explain."""
 
+import pytest
 
+from repro import ClusterConfig, DMacSession
 from repro.core.analysis import explain, format_statistics
 from repro.core.planner import DMacPlanner
+from repro.frontend.staged import segments_of
 from repro.lang.program import ProgramBuilder
 from repro.programs import build_gnmf_program, build_linreg_program
+from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
+
+#: Small sizes for the sweep over every registry app.
+SMALL = WorkloadParams(
+    scale=1e-3, rows=400, features=40, iterations=3, factors=8, rank=4
+)
 
 
 def plan_for(program, workers=4):
@@ -57,6 +66,26 @@ class TestExplain:
         first = explain(plan, 4)
         second = explain(plan, 4)
         assert first == second
+
+    @pytest.mark.parametrize("app", ALL_APPS)
+    def test_stage_bytes_sum_to_the_plans_total(self, app):
+        """Under the plan's own estimation mode, raw and optimized (the
+        worst-case sizes used to be hard-coded: wrong under ``average``)."""
+        view = segments_of(build_workload(app, SMALL).program)
+        for mode in ("worst", "average"):
+            for optimize in (False, True):
+                session = DMacSession(
+                    ClusterConfig(num_workers=4),
+                    optimize=optimize,
+                    estimation_mode=mode,
+                )
+                for __, program in view.programs:
+                    plan = session.plan(program)
+                    stats = explain(plan, 4, mode)
+                    assert (
+                        sum(stats.predicted_bytes_by_stage.values())
+                        == plan.predicted_bytes
+                    ), f"{app}/{mode}/optimize={optimize}"
 
 
 class TestFormatStatistics:

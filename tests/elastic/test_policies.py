@@ -3,13 +3,12 @@
 import pytest
 
 from repro import ClusterConfig, DMacSession
+from repro.core.cost import CostModel
 from repro.elastic import (
     CostCappedPolicy,
     ElasticPool,
     FixedPolicy,
     LoadTrackingPolicy,
-    plan_stage_flop_weights,
-    plan_stage_weights,
     timeline_spec,
 )
 from repro.elastic.spec import parse_elastic_spec
@@ -24,21 +23,9 @@ def members_profile(events, initial, num_stages):
     return [len(pool.members_at(stage)) for stage in range(num_stages)]
 
 
-class TestPlanStageWeights:
-    def test_counts_steps_per_stage(self):
-        load = build_workload("gnmf", WorkloadParams(scale=2e-3, iterations=2))
-        plan = DMacSession(ClusterConfig(num_workers=4)).plan(load.program)
-        weights = plan_stage_weights(plan)
-        assert len(weights) == plan.num_stages + 1
-        assert sum(weights) == len(plan.steps)
-        assert weights[0] == 0.0  # stages are 1-indexed
-
-    def test_deterministic(self):
-        load = build_workload("pagerank", WorkloadParams(scale=1e-3, iterations=2))
-        session = DMacSession(ClusterConfig(num_workers=4))
-        assert plan_stage_weights(session.plan(load.program)) == plan_stage_weights(
-            session.plan(load.program)
-        )
+def flops_by_stage(plan, workers=4):
+    """The policies' input: the plan's per-stage work from its cost table."""
+    return CostModel(plan.program, workers).price(plan).flops_by_stage
 
 
 class TestPlanStageFlopWeights:
@@ -47,33 +34,30 @@ class TestPlanStageFlopWeights:
         return DMacSession(ClusterConfig(num_workers=4)).plan(load.program)
 
     def test_same_shape_as_step_counts(self):
+        """One entry per stage number, the shape a policy's timeline takes."""
         plan = self._plan()
-        flops = plan_stage_flop_weights(plan)
-        assert len(flops) == len(plan_stage_weights(plan))
-        assert flops[0] == 0.0  # stages are 1-indexed
+        flops = flops_by_stage(plan)
+        assert len(flops) == plan.num_stages + 1
+        assert flops[0] == 0  # stages are 1-indexed
         assert sum(flops) > 0
 
     def test_multiply_stages_outweigh_bookkeeping_stages(self):
-        """Step counts treat a scalar update and a dense multiply as equal
-        load; the flop profile must not."""
+        """Counting steps would treat a scalar update and a dense multiply
+        as equal load; the flop profile must not."""
         plan = self._plan()
-        flops = plan_stage_flop_weights(plan)
-        counts = plan_stage_weights(plan)
-        peak_by_flops = max(range(len(flops)), key=flops.__getitem__)
-        assert flops[peak_by_flops] > 100 * min(
-            f for f, c in zip(flops, counts) if c > 0 and f > 0
-        )
+        flops = flops_by_stage(plan)
+        assert max(flops) > 100 * min(f for f in flops if f > 0)
 
     def test_deterministic(self):
         plan = self._plan("pagerank")
-        assert plan_stage_flop_weights(plan) == plan_stage_flop_weights(plan)
+        assert flops_by_stage(plan) == flops_by_stage(plan)
 
     def test_empty_plan(self):
         import dataclasses
 
         plan = self._plan()
         empty = dataclasses.replace(plan, steps=[])
-        assert plan_stage_flop_weights(empty) == []
+        assert flops_by_stage(empty) == []
 
 
 class TestFixedPolicy:
@@ -136,7 +120,7 @@ class TestPolicyDrivenRuns:
     def test_policy_timeline_executes_deterministically(self):
         load = build_workload("gnmf", WorkloadParams(scale=2e-3, iterations=2))
         session = DMacSession(ClusterConfig(num_workers=4))
-        weights = plan_stage_weights(session.plan(load.program))
+        weights = flops_by_stage(session.plan(load.program))
         events = LoadTrackingPolicy(max_members=6).timeline(weights, initial=4)
         spec = timeline_spec(events)
 

@@ -220,6 +220,21 @@ def test_ghost_input_reported_once_per_step(context):
     assert any(d.rule == "DM107" and d.step is not None for d in report)
 
 
+def test_ledger_rule_is_total_on_unknown_matrices(context):
+    """A transfer of a matrix the program never declared has no price:
+    DM104 stays quiet (DM107 reports the ghost) instead of crashing."""
+    pb = ProgramBuilder()
+    a = pb.random("A", (8, 8))
+    pb.output(pb.assign("C", a @ a))
+    plan = plan_for(pb.build(), context)
+    ghost = MatrixInstance("ghost", False, Scheme.ROW)
+    stray = ExtendedStep("partition", ghost, ghost.with_scheme(Scheme.COL))
+    stray.stage = plan.num_stages
+    plan.steps.append(stray)
+    rules = {d.rule for d in lint_plan(plan, context)}
+    assert "DM107" in rules and "DM104" not in rules
+
+
 def test_hand_built_clean_plan_lints_clean(context):
     """A minimal hand-built plan satisfying every contract is clean."""
     pb = ProgramBuilder()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ClusterConfig, DMacSession
+from repro.core.cost import CostModel, seconds
 from repro.errors import (
     AdmissionError,
     BacklogExceededError,
@@ -19,18 +20,25 @@ from repro.serve import (
     ServiceClient,
     ServiceConfig,
     TenantSpec,
-    predict_flops,
-    predict_runtime_seconds,
 )
 from repro.serve.plancache import plan_for_cache
 
 PARAMS = {"scale": 5e-4, "iterations": 2, "rows": 300, "features": 30}
 
 
-def make_entry(app="pagerank"):
+def make_entry(app="pagerank", **params):
     session = DMacSession(ClusterConfig(num_workers=4))
-    workload = build_workload(app, WorkloadParams(**PARAMS))
+    workload = build_workload(app, WorkloadParams(**(params or PARAMS)))
     return plan_for_cache(session, workload.program)
+
+
+def admission_seconds(nbytes, flops, cluster):
+    """What the service publishes: network + compute, no stage latency."""
+    predicted = seconds(
+        nbytes, flops, 0, cluster.clock, cluster.num_workers,
+        cluster.threads_per_worker,
+    )
+    return predicted.network + predicted.compute
 
 
 def evaluate(policy=None, tenant=None, entry=None, **kwargs):
@@ -127,35 +135,33 @@ class TestDecisions:
 
 
 class TestPredictFlops:
+    """The flops an entry is admitted on (the formula itself:
+    tests/core/test_cost_table.py)."""
+
     def test_positive_and_deterministic(self):
-        program = build_workload("pagerank", WorkloadParams(**PARAMS)).program
-        assert predict_flops(program) > 0
-        assert predict_flops(program) == predict_flops(program)
+        assert make_entry().predicted_flops > 0
+        assert make_entry().predicted_flops == make_entry().predicted_flops
 
     def test_scales_with_work(self):
-        small = build_workload(
-            "pagerank", WorkloadParams(scale=5e-4, iterations=2)
-        ).program
-        large = build_workload(
-            "pagerank", WorkloadParams(scale=2e-3, iterations=2)
-        ).program
-        assert predict_flops(large) > predict_flops(small)
+        small = make_entry(scale=5e-4, iterations=2)
+        large = make_entry(scale=2e-3, iterations=2)
+        assert large.predicted_flops > small.predicted_flops
 
 
 class TestPredictRuntimeSeconds:
     def test_combines_network_and_compute_terms(self):
         cluster = ClusterConfig(num_workers=2, threads_per_worker=2)
         clock = cluster.clock
-        seconds = predict_runtime_seconds(1_000_000, 8_000_000, cluster)
+        predicted = admission_seconds(1_000_000, 8_000_000, cluster)
         expected = 1_000_000 / clock.network_bytes_per_sec + 8_000_000 / (
             clock.dense_flops_per_sec * 4
         )
-        assert seconds == pytest.approx(expected)
+        assert predicted == pytest.approx(expected)
 
     def test_more_workers_predict_faster_compute(self):
         small = ClusterConfig(num_workers=2)
         large = ClusterConfig(num_workers=8)
-        assert predict_runtime_seconds(0, 10**9, large) < predict_runtime_seconds(
+        assert admission_seconds(0, 10**9, large) < admission_seconds(
             0, 10**9, small
         )
 
@@ -233,13 +239,54 @@ class TestBacklogAndSpjfIntegration:
             JobSpec(tenant="t", app="pagerank", params=self.SHORT)
         )
         assert record.predicted_seconds == pytest.approx(
-            predict_runtime_seconds(
+            admission_seconds(
                 record.predicted_bytes,
                 record.predicted_flops,
                 service.config.cluster,
             )
         )
         assert record.to_json_dict()["predicted_seconds"] == record.predicted_seconds
+
+
+class TestPredictionsPriceWhatRuns:
+    def _record(self, cluster=None, app="pagerank", params=None, **config):
+        service = MatrixService(
+            ServiceConfig(
+                tenants=(TenantSpec("t"),),
+                cluster=cluster or ClusterConfig(),
+                **config,
+            )
+        )
+        with service.sessions["t"]:
+            return service.submit(
+                JobSpec(tenant="t", app=app, params=params or PARAMS)
+            )
+
+    def test_optimized_plans_are_priced_by_their_surviving_steps(self):
+        """``optimize: true`` used to admit on the program's operators,
+        charging work CSE had removed."""
+        cluster = ClusterConfig()
+        program = build_workload("pagerank", WorkloadParams(**PARAMS)).program
+        plan = DMacSession(cluster, optimize=True).plan(program)
+        table = CostModel(program, cluster.num_workers).price(plan)
+        raw = self._record()
+        optimized = self._record(optimize=True)
+        assert optimized.predicted_flops == table.flops < raw.predicted_flops
+        assert optimized.predicted_bytes == table.bytes == plan.predicted_bytes
+        assert optimized.predicted_seconds < raw.predicted_seconds
+
+    def test_elastic_timeline_is_priced_at_its_slot_count(self):
+        """A timeline that peaks at four members is planned, sized and
+        bounded for four slots; its compute seconds used to be priced for
+        the two configured initial workers."""
+        params = {"scale": 2e-3, "iterations": 1}
+        static = self._record(ClusterConfig(num_workers=4), "gnmf", params)
+        elastic = self._record(
+            ClusterConfig(num_workers=2, elastic="join@1:count=2"), "gnmf", params
+        )
+        assert elastic.predicted_bytes == static.predicted_bytes
+        assert elastic.predicted_peak_bytes == static.predicted_peak_bytes
+        assert elastic.predicted_seconds == static.predicted_seconds
 
 
 class TestServiceIntegration:

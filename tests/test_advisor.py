@@ -3,38 +3,11 @@
 import pytest
 
 from repro import ClusterConfig, DMacSession
-from repro.advisor import (
-    advise_workers,
-    best_worker_count,
-    estimate_program_flops,
-)
+from repro.advisor import advise_workers, best_worker_count
 from repro.config import ClockConfig
 from repro.datasets import sparse_random
 from repro.errors import ExecutionError, PlanError
-from repro.lang.program import ProgramBuilder
 from repro.programs import build_gnmf_program, build_linreg_program
-
-
-class TestFlopEstimate:
-    def test_single_dense_matmul(self):
-        pb = ProgramBuilder()
-        a = pb.load("A", (10, 20))
-        b = pb.load("B", (20, 5))
-        pb.output(pb.assign("C", a @ b))
-        assert estimate_program_flops(pb.build()) == 2 * 10 * 20 * 5
-
-    def test_sparse_matmul_discounted(self):
-        pb = ProgramBuilder()
-        a = pb.load("A", (10, 20), sparsity=0.1)
-        b = pb.load("B", (20, 5))
-        pb.output(pb.assign("C", a @ b))
-        assert estimate_program_flops(pb.build()) == int(2 * 10 * 20 * 5 * 0.1)
-
-    def test_cellwise_counted(self):
-        pb = ProgramBuilder()
-        a = pb.load("A", (8, 8))
-        pb.output(pb.assign("B", a + a))
-        assert estimate_program_flops(pb.build()) == 64
 
 
 class TestAdvice:

@@ -161,3 +161,28 @@ def test_segment_keys_mean_the_program_has_a_loop(capsys):
             assert looped["segments"] >= 1
         else:
             assert looped["segments"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "gnmf", "--scale", "1e-3", "--iterations", "1", "--factors", "4"],
+        ["plan", "powiter", "--rows", "100"],
+        ["plan", "svd", "--scale", "1e-3", "--rank", "4", "--optimize"],
+    ],
+    ids=["straight-line", "staged", "optimized"],
+)
+def test_plan_json_shows_the_cost_table(argv, capsys):
+    """Each step carries its predicted bytes and flops; they sum to the
+    document's totals (per segment for a program with a loop)."""
+    assert main([*argv, "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    segments = document.get("segments", [document])
+    assert len(segments) == (2 if document.get("staged") else 1)
+    for segment in segments:
+        steps = segment["steps"]
+        assert sum(step["comm_bytes"] for step in steps) == segment["predicted_bytes"]
+        assert sum(step["flops"] for step in steps) == segment["predicted_flops"]
+        assert segment["predicted_flops"] > 0
+        for step in steps:
+            assert bool(step["comm_bytes"]) <= step["communicates"]

@@ -92,3 +92,55 @@ class TestExamples:
         for script in (REPO / "examples").glob("*.dml"):
             program = parse_program(script.read_text())
             assert program.outputs or program.scalar_outputs, script.name
+
+
+class TestOneCostModel:
+    """A plan step is priced in ``repro/core/cost.py`` and nowhere else."""
+
+    #: The predicted ledger charge ``(N - 1) x |A|`` ...
+    CHARGE = re.compile(r"\(\s*(?:\w+\.)?(?:num_)?workers\s*-\s*1\s*\)\s*\*")
+    #: ... and the work formula ``2 m k n x density``.
+    WORK = re.compile(r"\b2(?:\.0)?(?:\s*\*\s*[\w.]+){4}")
+    #: ``lint/selftest.py`` builds corrupted plans and pays for them by hand.
+    EXEMPT = {"core/cost.py", "lint/selftest.py"}
+
+    def _sources(self):
+        root = REPO / "src" / "repro"
+        for package in ("core", "planopt", "lint", "serve", "elastic"):
+            yield from sorted((root / package).glob("*.py"))
+        yield root / "advisor.py"
+
+    def test_the_charge_and_work_formulas_are_spelled_once(self):
+        root = REPO / "src" / "repro"
+        hits = [
+            f"{path.relative_to(root)}:{number}: {line.strip()}"
+            for path in self._sources()
+            if str(path.relative_to(root)) not in self.EXEMPT
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if self.CHARGE.search(line) or self.WORK.search(line)
+        ]
+        assert not hits, "\n".join(hits)
+        cost = (root / "core" / "cost.py").read_text()
+        assert self.WORK.search(cost), "the gate's own pattern went stale"
+
+    def test_one_job_builds_a_handful_of_size_estimators(self, monkeypatch):
+        """The estimator of a frozen program used to be rebuilt once per
+        optimizer trial: 55 times for this job."""
+        from repro import ClusterConfig, DMacSession
+        from repro.core.estimator import SizeEstimator
+        from repro.programs.registry import WorkloadParams, build_workload
+
+        built = []
+        init = SizeEstimator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SizeEstimator, "__init__", counting)
+        load = build_workload("svd", WorkloadParams(scale=3e-3, rank=5))
+        with DMacSession(
+            ClusterConfig(num_workers=4), optimize=True, lint="error", verify="error"
+        ) as session:
+            session.run(load.program, load.inputs)
+        assert 0 < len(built) <= 8
