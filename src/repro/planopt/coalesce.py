@@ -19,12 +19,14 @@ such rewrites with an *apply-and-evaluate* loop:
   cascade-flipped (element-wise), or fed through a chain back to the old
   scheme.  Aggregations are always chained back: re-ordering their driver
   reduction would change floating-point summation order;
-* fork the rewritten plan -- unless an earlier candidate of the round left
-  the very same step list, whose cost is then already known -- re-sort,
-  CSE, DCE and re-cost the fork with the dependency-oriented cost model
-  (:meth:`~repro.core.cost.CostModel.bytes`); keep the best candidate only if
-  ``(predicted_bytes, step_count)`` strictly decreases -- the merge is
-  provably never costlier under the model.
+* price it inside the trial -- merge the duplicates and find the dead
+  steps the cascade left, read ``(predicted_bytes, step_count)`` off the
+  :meth:`~repro.core.cost.CostModel.comm_bytes` of the steps gone and new;
+* sort the round's candidates by ``(price, enumeration order)`` and build
+  only the head: fork, re-sort, CSE, DCE and re-price the cheapest one
+  below the plan's own price, then the next, until one orders (no
+  :class:`PlanError`) and does not lose under the other sparsity model.
+  The tuple strictly decreases: never costlier under the model.
 
 Value-safety: every rewrite used here re-binds *where* blocks live, never
 the per-block arithmetic or its order, so outputs stay byte-identical
@@ -34,6 +36,7 @@ the per-block arithmetic or its order, so outputs stay byte-identical
 from __future__ import annotations
 
 import collections
+import functools
 
 from repro.core.cost import CostModel
 from repro.core.plan import (
@@ -52,8 +55,8 @@ from repro.core.planner import _lowering_targets
 from repro.errors import PlanError
 from repro.matrix.schemes import Scheme
 from repro.planopt.common import AppliedRewrite
-from repro.planopt.cse import eliminate_common_steps
-from repro.planopt.dce import eliminate_dead_steps
+from repro.planopt.cse import eliminate_common_steps, merge_touched_duplicate
+from repro.planopt.dce import dead_among, dead_steps, eliminate_dead_steps
 from repro.planopt.index import PlanIndex
 
 #: Element-wise step kinds: scheme-agnostic per-block arithmetic, so their
@@ -63,6 +66,10 @@ ELEMENTWISE = (CellwiseStep, ScalarMatrixStep, UnaryStep)
 #: Cap on accepted rewrite rounds (each strictly reduces the cost tuple,
 #: so this only guards against pathological plans).
 MAX_ROUNDS = 8
+
+#: Interned: a cascade names the same few layouts over and over, and an
+#: instance met again by identity is hashed and compared without Python code.
+_layout = functools.lru_cache(maxsize=1 << 12)(MatrixInstance)
 
 
 def _flippable(step: Step, required: Scheme) -> bool:
@@ -90,9 +97,9 @@ class _FlipSession:
     what it touches and the index's trial can undo it.
     """
 
-    def __init__(self, index: PlanIndex, outputs: dict[str, MatrixInstance]) -> None:
+    def __init__(self, index: PlanIndex) -> None:
         self.index = index
-        self.outputs = outputs  # the candidate's output table (a copy)
+        self.outputs = index.plan.outputs  # a trial's own copy
         self._done: set[int] = set()  # handles of steps already rewritten
         self._demanding: set[MatrixInstance] = set()  # recursion guard
 
@@ -164,13 +171,13 @@ class _FlipSession:
             return
         self._done.add(handle)
         old = step.output_instance()
-        new = MatrixInstance(old.name, old.transposed, required)
+        new = _layout(old.name, old.transposed, required)
         if isinstance(step, ELEMENTWISE):
             fields = {"output": new}
             for field in ("left", "right", "source"):
                 value = getattr(step, field, None)
                 if isinstance(value, MatrixInstance):
-                    want = MatrixInstance(value.name, value.transposed, required)
+                    want = _layout(value.name, value.transposed, required)
                     self.demand(want)
                     fields[field] = want
             index.rebind(step, **fields)
@@ -182,8 +189,8 @@ class _FlipSession:
                 strategy, schemes = "rmm2", (Scheme.ROW, Scheme.BROADCAST)
             else:
                 strategy, schemes = "rmm1", (Scheme.BROADCAST, Scheme.COL)
-            left = MatrixInstance(step.left.name, step.left.transposed, schemes[0])
-            right = MatrixInstance(step.right.name, step.right.transposed, schemes[1])
+            left = _layout(step.left.name, step.left.transposed, schemes[0])
+            right = _layout(step.right.name, step.right.transposed, schemes[1])
             self.demand(left)
             self.demand(right)
             index.rebind(step, strategy=strategy, left=left, right=right, output=new)
@@ -286,25 +293,35 @@ def _apply_candidate(session: _FlipSession, candidate: tuple) -> None:
         session.emit_chain(argument.source, step.target)
 
 
-def _evaluate(
-    index: PlanIndex,
-    candidate: tuple,
-    seen: set[tuple],
-    cost: CostModel,
-) -> PlanIndex | None:
-    """Cost one candidate: apply it to the indexed plan itself under a
-    trial, and clean up / re-cost a fork only if no earlier candidate of
-    this round left the very same step list (``seen``) -- an identical
-    plan cannot beat the one already costed.  ``None`` for such repeats."""
+def _price(
+    index: PlanIndex, candidate: tuple, cost: CostModel, rows: dict[int, int], garbage: set[int]
+) -> tuple[int, int]:
+    """``(predicted bytes, step count)`` of the plan :func:`_build` makes of
+    a candidate, read off a trial: apply it, merge the duplicates, find the
+    dead steps (among what it touched and the ``garbage`` handles the plan
+    came with), then take the plan's ``rows`` (handle -> bytes, summing to
+    ``plan.predicted_bytes``) less the steps gone, plus the new."""
     with index.trial():
-        outputs = dict(index.plan.outputs)
-        _apply_candidate(_FlipSession(index, outputs), candidate)
-        signature = (*index.trial_signature(), tuple(outputs.values()))
-        if signature in seen:
-            return None
-        seen.add(signature)
-        fork = index.fork(outputs)
-    index.counters["candidates_applied"] += 1
+        _apply_candidate(_FlipSession(index), candidate)
+        handles, released = index.touched()
+        while merge_touched_duplicate(index, handles):
+            handles, released = index.touched()
+        live = {h: step for h in handles | garbage if (step := index.get(h)) is not None}
+        suspects = list(live.values())
+        for instance in released:
+            suspects.extend(index.producers(instance))
+        dead = dead_among(index, suspects, garbage)
+        gone = sum(rows[h] for h in (handles | dead) & rows.keys())
+        new = sum(cost.comm_bytes(live[h]) for h in handles & live.keys() - dead)
+        return index.plan.predicted_bytes - gone + new, len(index) - len(dead)
+
+
+def _build(index: PlanIndex, candidate: tuple, cost: CostModel) -> PlanIndex:
+    """The plan a candidate leaves: a fork, CSE'd, DCE'd, sorted and priced."""
+    with index.trial():
+        _apply_candidate(_FlipSession(index), candidate)
+        fork = index.fork()
+    index.counters["candidates_forked"] += 1
     eliminate_common_steps(fork.plan, fork)
     eliminate_dead_steps(fork.plan, fork)
     fork.toposort()
@@ -340,38 +357,38 @@ def coalesce_repartitions(
     search = ("coalesce", cost.num_workers, cost.estimator.mode)
     if index.fixpoints.get(search) == index.version:
         return rewrites  # nothing mutated since this search found nothing
-    plan.predicted_bytes = cost.bytes(plan.steps)
     for __ in range(MAX_ROUNDS):
+        rows = {index.handle(step): cost.comm_bytes(step) for step in plan.steps}
+        plan.predicted_bytes = sum(rows.values())
         base_cost = (plan.predicted_bytes, len(plan.steps))
         base_other = cross_cost.bytes(plan.steps)
-        best = None
-        seen: set[tuple] = set()  # outcomes already costed this round
+        garbage = {index.handle(s) for s in dead_steps(index)}
         candidates = _candidates(index)
         index.counters["candidates_enumerated"] += len(candidates)
-        for candidate in candidates:
+        priced = []
+        for order, candidate in enumerate(candidates):
             try:
-                fork = _evaluate(index, candidate, seen, cost)
+                price = _price(index, candidate, cost, rows, garbage)
+            except PlanError:
+                continue  # the cascade itself found no valid plan
+            if price < base_cost:
+                priced.append((price, order))
+        for __, order in sorted(priced):  # cheapest first, then first found
+            try:
+                fork = _build(index, candidates[order], cost)
             except PlanError:
                 continue  # candidate does not yield a valid plan
-            if fork is None:
-                continue
             clone = fork.plan
             price = (clone.predicted_bytes, len(clone.steps))
-            if (
-                price < base_cost
-                and cross_cost.bytes(clone.steps) <= base_other
-                and (best is None or price < best[0])
-            ):
-                best = (price, fork, candidate[3])
-        if best is None:
+            if price < base_cost and cross_cost.bytes(clone.steps) <= base_other:
+                break
+        else:
             index.fixpoints[search] = index.version
             return rewrites
-        __, fork, description = best
-        clone = fork.plan
         removed, added = _diff(plan, clone)
         rewrites.append(AppliedRewrite(
             "coalesce",
-            f"{description} "
+            f"{candidates[order][3]} "
             f"(predicted bytes {plan.predicted_bytes} -> {clone.predicted_bytes})",
             removed=removed,
             added=added,

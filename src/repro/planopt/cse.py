@@ -59,33 +59,42 @@ def _find_duplicate(index: PlanIndex) -> tuple[Step, Step] | None:
     return None
 
 
+def _merge(index: PlanIndex, kept: Step, dup: Step) -> AppliedRewrite:
+    index.remove(dup)
+    dup_out, kept_out = dup.output_instance(), kept.output_instance()
+    if dup_out == kept_out:
+        return AppliedRewrite("cse", f"removed exact duplicate of {kept}", removed=(str(dup),))
+    # Distinct output names computing the same value: fold the
+    # duplicate's whole name (all derived layouts) onto the kept name.
+    rename_instances(index, dup_out.name, kept_out.name)
+    description = f"merged {dup_out.name} into {kept_out.name} (identical computation)"
+    return AppliedRewrite("cse", description, removed=(str(dup),))
+
+
 def eliminate_common_steps(
     plan: Plan, index: PlanIndex | None = None
 ) -> list[AppliedRewrite]:
     """Run CSE to a fixpoint on ``plan`` (mutated in place)."""
     index = index or PlanIndex(plan)
     rewrites: list[AppliedRewrite] = []
-    while True:
-        found = _find_duplicate(index)
-        if found is None:
-            index.flush()
-            return rewrites
-        kept, dup = found
-        index.remove(dup)
-        dup_out = dup.output_instance()
-        kept_out = kept.output_instance()
-        if dup_out == kept_out:
-            rewrites.append(AppliedRewrite(
-                "cse", f"removed exact duplicate of {kept}",
-                removed=(str(dup),),
-            ))
+    while (found := _find_duplicate(index)) is not None:
+        rewrites.append(_merge(index, *found))
+    index.flush()
+    return rewrites
+
+
+def merge_touched_duplicate(index: PlanIndex, handles: set[int]) -> bool:
+    """Inside a trial of a plan that had no duplicates, merge one pair the
+    trial made (``False``: none).  Such a pair has a touched step (one of
+    ``handles``) in it, whose twin reads the same first operand."""
+    for handle in sorted(handles):
+        step = index.get(handle)
+        operands = step.inputs() if step is not None else ()
+        if not operands or len(index.readers(operands[0])) < 2:
             continue
-        # Distinct output names computing the same value: fold the
-        # duplicate's whole name (all derived layouts) onto the kept name.
-        rename_instances(index, dup_out.name, kept_out.name)
-        rewrites.append(AppliedRewrite(
-            "cse",
-            f"merged {dup_out.name} into {kept_out.name} "
-            f"(identical computation)",
-            removed=(str(dup),),
-        ))
+        key = structural_key(step)
+        for twin in index.consumers(operands[0]) if key is not None else ():
+            if twin is not step and structural_key(twin) == key:
+                _merge(index, *sorted((twin, step), key=index.handle))
+                return True
+    return False

@@ -23,8 +23,8 @@ two scan-order rules of the old ``producer_map`` loops without a scan:
 
 :meth:`trial` makes a block of mutations provisional: they are logged and
 undone on exit, so the coalescing pass can apply a candidate rewrite to
-the plan it is searching from, fingerprint its effect
-(:meth:`trial_signature`) and pay for a clone only when that effect is new.
+the plan it is searching from and read its price off the steps the trial
+:meth:`touched`; a clone is paid for only to build the one that wins.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import contextlib
 import dataclasses
 import heapq
 from bisect import insort
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Set
 
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.errors import PlanError
@@ -126,19 +126,15 @@ class PlanIndex:
             if not readers:
                 del self._consumers[instance]
 
-    def _set(self, step: Step, fields: dict) -> None:
-        """Assign ``fields`` and move only the edges that changed (a step's
-        scalar output is part of its operator and never rebound)."""
-        handle = self._handles[id(step)]
-        output, inputs = step.output_instance(), set(step.inputs())
-        for field, value in fields.items():
-            setattr(step, field, value)
-        if step.output_instance() != output:
+    def _relink(self, handle: int, before: tuple, after: tuple) -> None:
+        """Move a step's edges from one ``(output, inputs)`` to another
+        (its scalar output is part of its operator and never rebound)."""
+        (output, inputs), (new_output, new_inputs) = before, after
+        if new_output != output:
             self._unproduce(handle, output)
-            self._produce(handle, step.output_instance())
-        now = set(step.inputs())
-        self._unread(handle, inputs - now)
-        self._read(handle, now - inputs)
+            self._produce(handle, new_output)
+        self._unread(handle, set(inputs).difference(new_inputs))
+        self._read(handle, set(new_inputs).difference(inputs))
 
     def _drop(self, step: Step) -> int:
         handle = self._handles.pop(id(step))
@@ -155,10 +151,14 @@ class PlanIndex:
 
     def rebind(self, step: Step, **fields: object) -> None:
         """Set fields of ``step`` (operands, output, strategy)."""
-        old = {field: getattr(step, field) for field in fields}
-        self._set(step, fields)
+        handle, state = self._handles[id(step)], vars(step)
+        old = {field: state[field] for field in fields}
+        before = (step.output_instance(), step.inputs())
+        state.update(fields)
+        after = (step.output_instance(), step.inputs())
+        self._relink(handle, before, after)
         self._ordered = False
-        self._mutated(("rebind", self._handles[id(step)], step, old))
+        self._mutated(("rebind", handle, step, (old, before, after)))
 
     def append(self, step: Step) -> None:
         """Add ``step`` after every existing step."""
@@ -175,6 +175,13 @@ class PlanIndex:
 
     def handle(self, step: Step) -> int:
         return self._handles[id(step)]
+
+    def get(self, handle: int) -> Step | None:
+        """The live step of that handle, if it is (still) in the plan."""
+        return self._steps.get(handle)
+
+    def __len__(self) -> int:
+        return len(self._steps)
 
     def _live(self) -> list[Step]:
         return [self._steps[handle] for handle in sorted(self._steps)]
@@ -193,9 +200,18 @@ class PlanIndex:
         handles = self._producers.get(instance)
         return self._steps[handles[-1]] if handles else None
 
+    def producers(self, value: MatrixInstance | str) -> list[Step]:
+        """Every step producing an instance (by name: a scalar), in step order."""
+        table = self._scalars if isinstance(value, str) else self._producers
+        return [self._steps[h] for h in table.get(value, ())]
+
     def consumers(self, instance: MatrixInstance) -> list[Step]:
         """Every step reading ``instance`` (once each), in step order."""
         return [self._steps[h] for h in sorted(self._consumers.get(instance, ()))]
+
+    def readers(self, instance: MatrixInstance) -> Set[int]:
+        """The handles of :meth:`consumers`, unordered and not to be edited."""
+        return self._consumers.get(instance, frozenset())
 
     def siblings(self, instance: MatrixInstance) -> list[MatrixInstance]:
         """Produced instances of the same ``(name, transposed)``, in the
@@ -295,47 +311,48 @@ class PlanIndex:
 
     @contextlib.contextmanager
     def trial(self) -> Iterator[None]:
-        """Undo, on exit, every mutation made inside the block."""
+        """Undo, on exit, every mutation made inside the block; the block
+        edits a copy of the plan's output table."""
         assert self._log is None, "trials do not nest"
         saved = (self.version, self._ordered, self._next)
-        self._log, self._trial_start = [], self._next
+        self._log, outputs = [], self.plan.outputs
+        self.plan.outputs = dict(outputs)
         try:
             yield
         finally:
             for kind, handle, step, old in reversed(self._log):
                 if kind == "rebind":
-                    self._set(step, old)
+                    fields, before, after = old
+                    vars(step).update(fields)
+                    self._relink(handle, after, before)
                 elif kind == "append":
                     self._drop(step)
                 else:
                     self._insert(handle, step)
-            self._log = None
+            self._log, self.plan.outputs = None, outputs
             self.version, self._ordered, self._next = saved
 
-    def trial_signature(self) -> tuple:
-        """What the current trial changed: the final state of every earlier
-        step it touched (by handle; ``None`` = removed), then the states of
-        the appended steps that are still live, in order.  Two trials from
-        the same starting plan with equal signatures left identical step
-        lists."""
+    def touched(self) -> tuple[set[int], set[MatrixInstance]]:
+        """What the current trial changed: the handles of every step it
+        rebound, appended or removed, and the instances such a step used to
+        read (whose producers may have lost their last reader)."""
         assert self._log is not None
-        touched = sorted({handle for __, handle, ___, ____ in self._log})
-        appended = [h for h in touched if h >= self._trial_start]
-        return (
-            tuple(
-                (h, _state(self._steps.get(h)))
-                for h in touched[: len(touched) - len(appended)]
-            ),
-            tuple(_state(self._steps[h]) for h in appended if h in self._steps),
-        )
+        handles = {entry[1] for entry in self._log}
+        released: set[MatrixInstance] = set()
+        for kind, __, step, old in self._log:
+            if kind == "remove":
+                released.update(step.inputs())
+            elif kind == "rebind":
+                released.update(old[1][1])
+        return handles, released
 
-    def fork(self, outputs: dict[str, MatrixInstance]) -> "PlanIndex":
+    def fork(self) -> "PlanIndex":
         """A new plan holding copies of the live steps in topological order
         (what ``clone_plan`` + ``toposort_steps`` would give), with its own
         index.  Called inside a trial it snapshots the trial's effect."""
         steps = [copy_step(step) for step in self.toposorted()]
         plan = dataclasses.replace(
-            self.plan, steps=steps, outputs=outputs, num_stages=0
+            self.plan, steps=steps, outputs=dict(self.plan.outputs), num_stages=0
         )
         return PlanIndex(plan, ordered=True, counters=self.counters)
 
@@ -352,19 +369,8 @@ class PlanIndex:
 
 
 def copy_step(step: Step) -> Step:
-    """A shallow copy (``copy.copy`` minus its dispatch: plans are cloned
-    per costed candidate); the frozen instances stay shared."""
+    """A shallow copy (``copy.copy`` minus its dispatch: a plan is cloned
+    per certified pass); the frozen instances stay shared."""
     clone = object.__new__(type(step))
     clone.__dict__.update(step.__dict__)
     return clone
-
-
-def _state(step: Step | None) -> tuple | None:
-    """The mutable part of a step, for :meth:`PlanIndex.trial_signature`."""
-    if step is None:
-        return None
-    return (
-        step.inputs(),
-        step.output_instance(),
-        getattr(step, "strategy", None) or getattr(step, "kind", None),
-    )

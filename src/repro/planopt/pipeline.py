@@ -13,9 +13,9 @@ loop-invariant hoisting once the surviving step set is final, and finally
 cellwise fusion (:mod:`repro.planopt.fuse`), which must see the final
 cache-pin set and whose fused chain payloads no renaming pass may touch.
 
-Custom rewrites plug in through the :class:`Pass` protocol; later PRs add
-passes by appending to ``DEFAULT_PASSES`` or handing ``optimize_plan`` an
-explicit sequence.
+Custom rewrites plug in through the :class:`Pass` protocol and an explicit
+``passes`` sequence.  A pass that is not one of ``DEFAULT_PASSES`` may edit
+``plan.steps`` directly: the shared index is rebuilt after it.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def optimize_plan(
     certificate covers the whole pipeline, snapshots included.
 
     ``counters`` only *receives* the optimizer's deterministic work counts
-    (index builds, plan scans, candidates enumerated / applied / accepted,
+    (index builds, plan scans, candidates enumerated / forked / accepted,
     pipeline rounds) for the benches and the complexity gate.
     """
     optimized = clone_plan(plan)

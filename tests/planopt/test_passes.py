@@ -109,6 +109,41 @@ class TestDCE:
             assert out in consumed or out in outputs, f"dead step survives: {step}"
 
 
+    def test_liveness_does_not_depend_on_step_order(self):
+        """``eliminate_dead_steps`` walked the step list backwards, which is
+        right only on a sorted list: after the remove + append every flip
+        cascade does (here: linreg's first source step) it deleted that live
+        producer, and the next toposort found "nothing produces" its output."""
+        import random
+
+        from repro.planopt.common import clone_plan, toposort_steps
+        from repro.planopt.dce import eliminate_dead_steps
+        from repro.planopt.index import PlanIndex
+        from repro.programs import build_linreg_program
+
+        program = build_linreg_program((80, 12), 0.1, iterations=3)
+        base = DMacSession(ClusterConfig(num_workers=4)).plan(program)
+        reference = clone_plan(base)
+        (rewrite,) = eliminate_dead_steps(reference)
+        survivors = sorted(map(str, reference.steps))
+        assert len(rewrite.removed) == len(base.steps) - len(survivors) > 0
+
+        moved = clone_plan(base)
+        index = PlanIndex(moved)
+        source = moved.steps[0]
+        index.remove(source)
+        index.append(source)
+        assert eliminate_dead_steps(moved, index) == [rewrite]  # same text, same order
+        index.toposort()  # used to raise PlanError
+        assert sorted(map(str, moved.steps)) == survivors
+
+        shuffled = clone_plan(base)
+        random.Random(7).shuffle(shuffled.steps)
+        assert sorted(eliminate_dead_steps(shuffled)[0].removed) == sorted(rewrite.removed)
+        toposort_steps(shuffled)
+        assert sorted(map(str, shuffled.steps)) == survivors
+
+
 class TestHoist:
     def test_pagerank_pins_the_link_matrix(self):
         """Figure 9(a): the loop-invariant link matrix is cached once."""
