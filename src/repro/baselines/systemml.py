@@ -262,10 +262,9 @@ class SystemMLSExecutor:
     def _resolve_block_size(self, program: MatrixProgram) -> int:
         if self.block_size is not None:
             return self.block_size
-        from repro.blocks.memory import choose_block_size
+        from repro.blocks.memory import program_block_size
 
-        rows, cols = max(program.dims.values(), key=lambda shape: shape[0] * shape[1])
         config = self.context.config
-        return choose_block_size(
-            rows, cols, config.num_workers, config.threads_per_worker
+        return program_block_size(
+            program.dims, config.num_workers, config.threads_per_worker
         )

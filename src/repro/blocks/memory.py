@@ -89,3 +89,9 @@ def choose_block_size(
     bound = max_block_size(rows, cols, workers, local_parallelism)
     chosen = max(1, int(bound * fraction_of_bound))
     return min(chosen, max(rows, cols))
+
+
+def program_block_size(dims: dict, workers: int, local_parallelism: int) -> int:
+    """:func:`choose_block_size` for a program's largest declared matrix."""
+    rows, cols = max(dims.values(), key=lambda shape: shape[0] * shape[1])
+    return choose_block_size(rows, cols, workers, local_parallelism)

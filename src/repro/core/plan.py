@@ -46,18 +46,21 @@ class MatrixInstance:
     #: generated hash re-hashes the ``Scheme`` enum in Python on each
     #: lookup, so it is computed once.  (Valid in this process only.)
     _hash: int = dataclasses.field(init=False, repr=False, compare=False)
+    #: ``str(self)``, printed far more often than instances are made.
+    _text: str = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_hash", hash((self.name, self.transposed, self.scheme))
         )
+        suffix = "^T" if self.transposed else ""
+        object.__setattr__(self, "_text", f"{self.name}{suffix}({self.scheme._value_})")
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        suffix = "^T" if self.transposed else ""
-        return f"{self.name}{suffix}({self.scheme})"
+        return self._text
 
     def with_scheme(self, scheme: Scheme) -> "MatrixInstance":
         return dataclasses.replace(self, scheme=scheme)
@@ -323,9 +326,26 @@ class Plan:
     #: Translation-validation certificates issued by :mod:`repro.verify`:
     #: one per applied optimizer pass plus one end-to-end record.
     certificates: tuple = ()
+    #: ``(stamp(), PlanAnalysis)`` from the optimizer; good while the stamp is.
+    analysed: tuple = dataclasses.field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def communicating_steps(self) -> list[Step]:
         return [step for step in self.steps if step.communicates]
+
+    def stamp(self) -> tuple:
+        """Plans are edited in place; a fact derived from one is good while
+        the stamp it was derived under equals this.  Sees the step list
+        (insert / pop / append / reorder), every field of every step, and
+        ``num_stages``, ``cache_pins``, ``outputs``; not an edit *inside* an
+        operator or to the program's dims."""
+        return (
+            self.num_stages,
+            self.cache_pins,
+            tuple(self.outputs.items()),
+            [(type(step), *vars(step).values()) for step in self.steps],
+        )
 
     def structural_hash(self) -> str:
         """Stable digest of the plan's structure (steps, outputs, pins,

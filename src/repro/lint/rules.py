@@ -65,6 +65,7 @@ from repro.lang.program import (
 from repro.lint.diagnostics import Diagnostic, LintContext, Severity
 from repro.lint.facts import PlanFacts, step_output
 from repro.matrix.schemes import Scheme
+from repro.runtime.graph import StageGraph
 
 _EXTENDED_KINDS = ("partition", "broadcast", "transpose", "extract")
 
@@ -83,6 +84,8 @@ class LintInput:
     context: LintContext
     plan: Plan | None = None
     facts: PlanFacts | None = None
+    #: The plan's stage graph, built (or handed in) once per ``lint_plan``.
+    graph: StageGraph | None = None
 
 
 RuleCheck = Callable[[LintInput], Iterable[Diagnostic]]
@@ -439,14 +442,11 @@ def check_stage_purity(inputs: LintInput) -> Iterator[Diagnostic]:
     communicating edge -- in the same or a later stage.  The check is the
     runtime's own: :meth:`repro.runtime.graph.StageGraph.stage_violations`
     reports exactly the wide edges the concurrent scheduler cannot honour."""
-    from repro.runtime.graph import StageGraph
-
     this = _rule("DM103")
     facts = inputs.facts
     if facts is None:
         return
-    graph = StageGraph.from_plan(facts.plan)
-    for index, instance, available in graph.stage_violations():
+    for index, instance, available in inputs.graph.stage_violations():
         step = facts.plan.steps[index]
         yield this.diagnostic(
             f"step runs in stage {step.stage} but input {instance} "
@@ -802,6 +802,7 @@ def check_cache_pin_budget(inputs: LintInput) -> Iterator[Diagnostic]:
         block_size=inputs.context.block_size,
         max_concurrent_stages=1,
         estimation_mode=inputs.context.estimation_mode,
+        graph=inputs.graph,
     )
     if prediction.serial_peak_bytes > budget:
         yield this.diagnostic(
@@ -837,11 +838,9 @@ def check_read_before_publish(inputs: LintInput) -> Iterator[Diagnostic]:
     this = _rule("DM301")
     if inputs.facts is None:
         return
-    from repro.runtime.graph import StageGraph
     from repro.verify.hazards import READ_BEFORE_PUBLISH, find_hazards
 
-    graph = StageGraph.from_plan(inputs.facts.plan)
-    for hazard in find_hazards(graph):
+    for hazard in find_hazards(inputs.graph):
         if hazard.kind == READ_BEFORE_PUBLISH:
             yield this.diagnostic(
                 f"{hazard.subject} is {hazard.detail}",
@@ -867,11 +866,9 @@ def check_double_publish(inputs: LintInput) -> Iterator[Diagnostic]:
     this = _rule("DM302")
     if inputs.facts is None:
         return
-    from repro.runtime.graph import StageGraph
     from repro.verify.hazards import DOUBLE_PUBLISH, find_hazards
 
-    graph = StageGraph.from_plan(inputs.facts.plan)
-    for hazard in find_hazards(graph):
+    for hazard in find_hazards(inputs.graph):
         if hazard.kind == DOUBLE_PUBLISH:
             yield this.diagnostic(
                 f"{hazard.subject} is {hazard.detail}",

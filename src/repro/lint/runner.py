@@ -25,6 +25,7 @@ from repro.lang.program import MatrixProgram
 from repro.lint.diagnostics import Diagnostic, LintContext, LintReport, Severity
 from repro.lint.facts import build_facts
 from repro.lint.rules import RULES, LintInput
+from repro.runtime.graph import StageGraph
 
 
 def _apply_rules(inputs: LintInput, suppress: tuple[str, ...]) -> LintReport:
@@ -53,20 +54,22 @@ def lint_plan(
     plan: Plan,
     context: LintContext | None = None,
     suppress: tuple[str, ...] = (),
+    *,
+    graph: StageGraph | None = None,
 ) -> LintReport:
     """Run every rule over a generated plan (and its program).
 
     An unscheduled plan (``num_stages == 0``) is stage-scheduled first so
     the Section-5.2 purity rule has stages to check; already-scheduled
-    plans are analysed exactly as given.
+    plans are analysed exactly as given.  Every fact is built here from
+    the steps as they are; only ``graph`` may be handed in (built once if not).
     """
     if plan.num_stages == 0:
         plan = schedule_stages(plan)
     context = context or LintContext()
     facts = build_facts(plan, context.estimation_mode, context.num_workers)
-    inputs = LintInput(
-        program=plan.program, context=context, plan=plan, facts=facts
-    )
+    graph = graph or StageGraph.from_plan(plan)
+    inputs = LintInput(plan.program, context, plan, facts, graph)
     return _apply_rules(inputs, suppress)
 
 

@@ -32,7 +32,7 @@ class Scheme(enum.Enum):
     BROADCAST = "b"
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_  # the plain attribute; ``.value`` is a descriptor call
 
     @property
     def is_one_dimensional(self) -> bool:

@@ -205,6 +205,7 @@ def optimize_plan(
     optimized.predicted_bytes = cost.bytes(optimized.steps)
     if validate:
         unchanged = index.version == snapshot_version
+        facts = snapshot_facts if unchanged else PlanFacts.of(optimized)
         certificates.append(
             certify(
                 original,
@@ -212,9 +213,12 @@ def optimize_plan(
                 pass_name="pipeline",
                 rewrites=len(rewrites) - len(plan.rewrites),
                 facts_before=original_facts,
-                facts_after=snapshot_facts if unchanged else None,
+                facts_after=facts,
             )
         )
     optimized.rewrites = tuple(rewrites)
     optimized.certificates = tuple(certificates)
-    return schedule_stages(optimized)
+    schedule_stages(optimized)
+    if validate:  # the last analysis is the returned plan's: hand it on
+        optimized.analysed = (optimized.stamp(), facts.analysis)
+    return optimized

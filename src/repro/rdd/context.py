@@ -67,6 +67,8 @@ class ClusterContext:
         #: ``None`` means every hook below is inert.
         self.chaos: ChaosEngine | None = None
         self.lanes = LanePool()  # all host concurrency of this cluster
+        #: id(plan) -> the records :func:`repro.runtime.graph.prepare` keeps.
+        self.prepared: dict[int, tuple] = {}
         # One engine per member the timeline will *ever* admit (statically
         # known), so flop attribution built once at run start stays valid
         # across joins, and a departed member's counters survive for the

@@ -39,8 +39,6 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 import numpy as np
 
 from repro.blocks import CoordinateMatrix, as_matrix
-from repro.blocks.memory import choose_block_size
-from repro.core.plan import Plan
 from repro.elastic.pool import Transition
 from repro.errors import ExecutionError
 from repro.lang.program import FullOp, LoadOp, RandomOp
@@ -185,8 +183,6 @@ class Backend(Protocol):
         ...
 
     def peak_memory_bytes(self) -> int: ...
-
-    def default_block_size(self, plan: Plan) -> int: ...
 
 
 def bound_input(op: LoadOp, inputs: dict) -> np.ndarray | CoordinateMatrix:
@@ -468,12 +464,3 @@ class SimulatedBackend:
 
     def peak_memory_bytes(self) -> int:
         return self.context.peak_memory_bytes()
-
-    def default_block_size(self, plan: Plan) -> int:
-        rows, cols = max(
-            plan.program.dims.values(), key=lambda shape: shape[0] * shape[1]
-        )
-        config = self.context.config
-        return choose_block_size(
-            rows, cols, config.num_workers, config.threads_per_worker
-        )

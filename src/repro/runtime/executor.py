@@ -27,13 +27,12 @@ import time
 import numpy as np
 
 from repro.core.plan import MatrixInstance, Plan
-from repro.core.stages import schedule_stages
 from repro.errors import ExecutionError
 from repro.matrix.distributed import DistributedMatrix
 from repro.rdd.clock import TimeBreakdown
 from repro.rdd.context import ClusterContext
 from repro.runtime.backend import Backend
-from repro.runtime.graph import StageGraph, StageNode
+from repro.runtime.graph import StageNode, prepare
 from repro.runtime.metering import StageMeter, metered
 from repro.runtime.registry import spec_for
 from repro.runtime.resources import BlockCache, ResourceManager
@@ -108,11 +107,13 @@ class ExecutionState:
         resources: ResourceManager,
         inputs: dict[str, np.ndarray],
         block_size: int,
+        labels: tuple[str, ...],
     ) -> None:
         self.backend = backend
         self.resources = resources
         self.inputs = inputs
         self.block_size = block_size
+        self.labels = labels  # ``str(step)`` by plan index, from ``prepare``
         self._lock = threading.Lock()
         self._scalars: dict[str, float] = {}
         self._traces: dict[int, StepTrace] = {}
@@ -189,8 +190,6 @@ class PlanExecutor:
             # simulated schedule still reflects dependency-bound overlap.
             max_concurrent_stages = 1
         self.max_concurrent_stages = max_concurrent_stages
-        #: id(plan) -> (plan, graph, block size, predicted peak), for this run.
-        self._per_plan: dict[int, tuple] = {}
 
     def execute(
         self,
@@ -228,18 +227,13 @@ class PlanExecutor:
         inputs = inputs or {}
         backend = self.backend
         config = self.context.config
-        if id(plan) not in self._per_plan:
-            if plan.num_stages == 0:
-                schedule_stages(plan)
-            graph = StageGraph.from_plan(plan)
-            block_size = (
-                self.block_size
-                if self.block_size is not None
-                else backend.default_block_size(plan)
-            )
-            predicted_peak = self._predict_peak(plan, graph, block_size, config)
-            self._per_plan[id(plan)] = (plan, graph, block_size, predicted_peak)
-        __, graph, block_size, predicted_peak = self._per_plan[id(plan)]
+        graph, block_size, prediction, labels = prepare(
+            self.context,
+            plan,
+            block_size=self.block_size,
+            max_concurrent_stages=self.max_concurrent_stages,
+            strassen=config.strassen,
+        )
         cache = None
         if getattr(plan, "cache_pins", ()):
             budget = config.cache_limit_bytes
@@ -301,6 +295,7 @@ class PlanExecutor:
             resources=resources,
             inputs=inputs,
             block_size=block_size,
+            labels=labels,
         )
         resources.bind_state(state)
         worker_of_stats = {
@@ -384,32 +379,10 @@ class PlanExecutor:
             recovery=recovery,
             cache=cache_stats,
             tracing=tracer,
-            predicted_peak_memory_bytes=predicted_peak,
+            # Never fatal: a plan the analyser cannot size reports ``None``.
+            predicted_peak_memory_bytes=prediction and prediction.peak_bytes,
             elastic=elastic,
         )
-
-    def _predict_peak(self, plan, graph, block_size, config) -> int | None:
-        """Static per-worker peak bound for this exact run configuration.
-        Imported lazily -- repro.verify sits above the runtime -- and never
-        fatal: a plan the analyser cannot size simply reports ``None``."""
-        from repro.errors import ReproError
-
-        try:
-            from repro.verify.memory import predict_peak_memory
-
-            return predict_peak_memory(
-                plan,
-                num_workers=config.num_workers,
-                threads_per_worker=config.threads_per_worker,
-                block_size=block_size,
-                inplace=config.inplace,
-                max_concurrent_stages=self.max_concurrent_stages,
-                graph=graph,
-                strassen=config.strassen,
-                strassen_min_size=config.strassen_min_size,
-            ).peak_bytes
-        except ReproError:
-            return None
 
     # -- one stage-graph node ------------------------------------------------
 
@@ -470,12 +443,12 @@ class PlanExecutor:
         for plan_index in node.steps:
             if state.is_step_completed(plan_index):
                 continue  # a retried node re-runs only its unfinished steps
-            step = plan.steps[plan_index]
+            step, label = plan.steps[plan_index], state.labels[plan_index]
             step_wall = time.perf_counter()
             step_span = (
                 tracer.begin_span(
                     "step",
-                    str(step),
+                    label,
                     node=node.index,
                     stage=step.stage,
                     plan_index=plan_index,
@@ -489,7 +462,7 @@ class PlanExecutor:
             kernel = spec_for(step).kernel
             try:
                 with backend.ledger.scope(f"stage-{step.stage}"):
-                    with backend.ledger.scope(str(step)):
+                    with backend.ledger.scope(label):
                         kernel(step, state)
                 dense: dict[int, int] = {}
                 sparse: dict[int, int] = {}
@@ -520,7 +493,7 @@ class PlanExecutor:
                 state.record_trace(
                     plan_index,
                     StepTrace(
-                        step=str(step),
+                        step=label,
                         stage=step.stage,
                         comm_bytes=step_bytes,
                         flops=flops,

@@ -23,11 +23,15 @@ the lint's DM103 rule publishes.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import weakref
 from typing import Iterator
 
+from repro.blocks.memory import program_block_size
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.core.stages import schedule_stages
+from repro.errors import ReproError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,6 +246,68 @@ class StageGraph:
         total = sum(len(self.nodes[i].steps) for i in critical)
         lines.append(f"critical path (* above): {path} ({total} steps)")
         return "\n".join(lines)
+
+
+#: What a run of one plan under one sizing reads besides the plan: the stage
+#: graph (its ``plan`` a weak proxy -- a record never keeps its plan alive),
+#: the resolved block size, the MemoryPrediction (``None`` for a plan it
+#: cannot size) and ``str(step)`` by plan index.
+_Prepared = collections.namedtuple("_Prepared", "graph block_size prediction labels")
+
+
+def prepare(
+    context,
+    plan: Plan,
+    *,
+    block_size: int | None = None,
+    max_concurrent_stages: int | None = None,
+    estimation_mode: str = "worst",
+    strassen: bool = False,
+) -> _Prepared:
+    """The plan-static facts of a run, derived here and kept on ``context``
+    (a ClusterContext) while the plan lives and is not edited; ``block_size``
+    and ``max_concurrent_stages`` default to the configured ones.  A record
+    is keyed by plan identity plus every argument the prediction depends on
+    and served only while :meth:`Plan.stamp` -- taken after scheduling, which
+    writes ``step.stage`` -- still equals the one it was derived under
+    (docs/architecture.md, "A plan is prepared once")."""
+    from repro.verify.memory import predict_peak_memory  # verify sits above
+
+    if plan.num_stages == 0:
+        schedule_stages(plan)
+    config = context.config
+    sizing = dict(
+        num_workers=config.num_workers,
+        threads_per_worker=config.threads_per_worker,
+        block_size=block_size
+        or config.block_size
+        or program_block_size(
+            plan.program.dims, config.num_workers, config.threads_per_worker
+        ),
+        inplace=config.inplace,
+        max_concurrent_stages=max_concurrent_stages or config.max_concurrent_stages,
+        estimation_mode=estimation_mode,
+        strassen=strassen,
+        strassen_min_size=config.strassen_min_size,  # read only under strassen
+    )
+    key, stamp, table = tuple(sizing.values()), plan.stamp(), context.prepared
+    held = table.get(id(plan))
+    if held is None or held[0] != stamp:
+        gone = weakref.ref(plan, lambda __, k=id(plan): table.pop(k, None))
+        held = table[id(plan)] = (stamp, {}, gone)  # the entry dies with the plan
+    if key not in held[1]:
+        graph = StageGraph.from_plan(plan)
+        graph.plan = weakref.proxy(plan)
+        analysis = plan.analysed[1] if plan.analysed[:1] == (stamp,) else None
+        try:
+            prediction = predict_peak_memory(
+                plan, analysis=analysis, graph=graph, **sizing
+            )
+        except ReproError:
+            prediction = None
+        labels = tuple(map(str, plan.steps))
+        held[1][key] = _Prepared(graph, sizing["block_size"], prediction, labels)
+    return held[1][key]
 
 
 def _topo_order(members: list[list[int]], group_deps: list[set[int]]) -> list[int]:

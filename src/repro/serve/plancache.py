@@ -22,6 +22,7 @@ from typing import Optional
 
 from repro.core.cost import CostModel
 from repro.core.plan import Plan
+from repro.errors import PlanError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,28 +101,26 @@ class PlanCache:
 def plan_for_cache(session, program) -> CacheEntry:
     """Plan ``program`` on ``session`` and package the result for caching.
 
-    Returns an entry carrying every admission-relevant prediction so a
-    later hit admits without re-running the planner or the verifier's
-    peak-memory analysis.  (The fingerprint is filled by the caller, which
-    computed it before deciding to plan.)
+    The entry carries every admission-relevant prediction; the peak bound
+    is the record :func:`~repro.runtime.graph.prepare` keeps on the
+    session's cluster -- the one the executor reads -- so a miss sizes a
+    plan once and a later hit on that cluster runs it with no planner,
+    analyser, graph builder or predictor call.  (The fingerprint is filled
+    by the caller, which computed it before deciding to plan.)
     """
-    from repro.verify.memory import predict_peak_memory
+    from repro.runtime.graph import prepare
 
     config = session.config
     started = time.perf_counter()
     plans = session.plans(program)
     predictions = [
-        predict_peak_memory(
-            plan,
-            num_workers=config.num_workers,
-            threads_per_worker=config.threads_per_worker,
-            block_size=config.block_size,
-            inplace=config.inplace,
-            max_concurrent_stages=config.max_concurrent_stages,
-            estimation_mode=session.estimation_mode,
-        )
+        prepare(
+            session.context, plan, estimation_mode=session.estimation_mode
+        ).prediction
         for plan in plans
     ]
+    if None in predictions:  # the executor reports None; admission must refuse
+        raise PlanError("a plan's peak memory could not be predicted")
     elapsed = time.perf_counter() - started
     tables = [
         CostModel(plan.program, config.num_workers, session.estimation_mode).price(

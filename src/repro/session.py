@@ -39,6 +39,7 @@ from repro.frontend.staged import StagedProgram, segments_of
 from repro.lang.program import MatrixProgram
 from repro.rdd.context import ClusterContext
 from repro.runtime.executor import ExecutionResult, PlanExecutor
+from repro.runtime.graph import StageGraph, prepare
 from repro.runtime.segments import RunResult, SegmentRecord, carried_inputs, fold
 
 #: Session lint modes: "off" skips analysis, "warn" prints findings to
@@ -133,8 +134,6 @@ class DMacSession(contextlib.AbstractContextManager):
     def stage_graph(self, program: MatrixProgram, plan: Plan | None = None):
         """The :class:`~repro.runtime.graph.StageGraph` the runtime would
         schedule for a program (plans it first unless one is supplied)."""
-        from repro.runtime.graph import StageGraph
-
         return StageGraph.from_plan(plan or self.plan(program))
 
     def plans(self, program: MatrixProgram | StagedProgram) -> tuple[Plan, ...]:
@@ -251,8 +250,11 @@ class DMacSession(contextlib.AbstractContextManager):
     def _lint(self, plan: Plan) -> None:
         from repro.lint import LintContext, lint_plan
 
+        record = prepare(self.context, plan, estimation_mode=self.estimation_mode)
         report = lint_plan(
-            plan, LintContext.from_config(self.config, self.estimation_mode)
+            plan,
+            LintContext.from_config(self.config, self.estimation_mode),
+            graph=record.graph,
         )
         if not report.diagnostics:
             return
@@ -263,8 +265,11 @@ class DMacSession(contextlib.AbstractContextManager):
         print(report.format_human(), file=sys.stderr)
 
     def _verify(self, plan: Plan) -> None:
-        from repro.verify import verify_plan
+        from repro.verify import find_hazards, verify_plan
 
+        record = prepare(self.context, plan, estimation_mode=self.estimation_mode)
+        if not find_hazards(record.graph):
+            return  # the report is only ever shown for its hazards
         report = verify_plan(
             plan,
             num_workers=self.config.num_workers,
@@ -274,8 +279,6 @@ class DMacSession(contextlib.AbstractContextManager):
             max_concurrent_stages=self.config.max_concurrent_stages,
             estimation_mode=self.estimation_mode,
         )
-        if not report.has_errors:
-            return
         if self.verify == "error":
             raise VerificationError(
                 "plan failed static verification:\n" + report.format_human()

@@ -71,10 +71,10 @@ def solve_shapes(plan: Plan) -> FixpointResult[MatrixInstance, object]:
         spec = OPERATORS.get(type(step))
         if spec is None:  # unregistered operator: soundly unknown
             return {output: TOP}
+        # Shape rules index into pairs: feed them only real facts, and only
+        # of what the step reads (a copy of the whole env is O(steps^2)).
         concrete: Dict[MatrixInstance, Shape] = {
-            k: v  # shape rules index into pairs; feed them only real facts
-            for k, v in env.items()
-            if isinstance(v, tuple)
+            i: env[i] for i in step.inputs() if isinstance(env.get(i), tuple)
         }
         try:
             shape = spec.shape_rule(step, concrete)

@@ -43,9 +43,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.blocks.conversion import DEFAULT_SPARSE_THRESHOLD
 from repro.blocks.memory import (
-    choose_block_size,
     dense_block_model_bytes,
     matrix_model_bytes,
+    program_block_size,
 )
 from repro.core.estimator import SizeEstimator
 from repro.core.plan import (
@@ -319,10 +319,9 @@ def predict_peak_memory(
     analysis = analysis or analyse_plan(plan)
     graph = graph or StageGraph.from_plan(plan)
     if block_size is None:
-        rows, cols = max(
-            plan.program.dims.values(), key=lambda shape: shape[0] * shape[1]
+        block_size = program_block_size(
+            plan.program.dims, num_workers, threads_per_worker
         )
-        block_size = choose_block_size(rows, cols, num_workers, threads_per_worker)
     sizer = _Sizer(plan, analysis, block_size, num_workers, estimation_mode)
 
     transients = [

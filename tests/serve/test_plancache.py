@@ -1,11 +1,19 @@
 """Plan cache: fingerprints, hits/misses/bypasses, LRU eviction."""
 
+import collections
+import contextlib
 import dataclasses
+import sys
+from unittest import mock
 
 from repro import ClusterConfig, DMacSession
 from repro.planopt.structural import program_fingerprint
 from repro.programs.registry import WorkloadParams, build_workload
+from repro.runtime.graph import StageGraph
+from repro.serve import JobSpec, MatrixService, ServiceConfig, TenantSpec
 from repro.serve.plancache import PlanCache, plan_for_cache
+from repro.verify.analysis import analyse_plan
+from repro.verify.memory import predict_peak_memory
 
 PARAMS = WorkloadParams(scale=5e-4, iterations=2, rows=300, features=30)
 
@@ -93,3 +101,86 @@ class TestLRU:
         assert cache.lookup("b") is None
         assert cache.lookup("a") is not None
         assert cache.lookup("c") is not None
+
+
+@contextlib.contextmanager
+def counting_static_work():
+    """Calls to the three plan-static derivations, counted from outside
+    (the product carries no counter): every ``repro`` module that bound
+    ``analyse_plan`` / ``predict_peak_memory`` by name is patched, and
+    ``StageGraph.from_plan`` on the class."""
+    counts: collections.Counter = collections.Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    real_from_plan = StageGraph.from_plan.__func__
+    with contextlib.ExitStack() as stack:
+        for real in (analyse_plan, predict_peak_memory):
+            patched = counted(real.__name__, real)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("repro") and vars(module).get(real.__name__) is real:
+                    stack.enter_context(mock.patch.object(module, real.__name__, patched))
+        stack.enter_context(
+            mock.patch.object(
+                StageGraph,
+                "from_plan",
+                classmethod(counted("from_plan", real_from_plan)),
+            )
+        )
+        yield counts
+
+
+class TestAPlanIsPreparedOnce:
+    """The count gate of ``repro.runtime.graph.prepare``: the numbers below
+    were named before the change and repeat exactly run to run."""
+
+    def _serve(self, service, workload):
+        record = service.submit(
+            JobSpec(tenant="t", program=workload.program, inputs=workload.inputs)
+        )
+        assert service.drain(max_jobs=1) == [record] and record.state == "done"
+        return record
+
+    def test_a_hit_does_no_static_work_and_a_miss_does_it_once_per_plan(self):
+        service = MatrixService(ServiceConfig(tenants=(TenantSpec("t"),), seed=0))
+        with service.sessions["t"]:
+            for app, params, plans in (
+                ("linreg", PARAMS, 1),
+                ("powiter", WorkloadParams(rows=60), 2),  # prologue + body
+            ):
+                workload = build_workload(app, params)
+                with counting_static_work() as miss:
+                    first = self._serve(service, workload)
+                with counting_static_work() as hit:
+                    second = self._serve(service, workload)
+                assert (first.plan_cache, second.plan_cache) == ("miss", "hit")
+                assert miss == {
+                    "from_plan": plans,
+                    "predict_peak_memory": plans,
+                    "analyse_plan": plans,
+                }
+                assert hit == {}  # 0 / 0 / 0
+                assert second.predicted_peak_bytes == first.predicted_peak_bytes
+
+    def test_the_full_static_stack_builds_one_graph_and_one_prediction(self):
+        """svd rank 5, optimize + lint + verify: ``from_plan`` 1 (5 before),
+        ``predict_peak_memory`` 1 (2), ``analyse_plan`` <= 4 (6; what is
+        left is translation validation, one per pass that rewrote)."""
+        workload = build_workload("svd", WorkloadParams(scale=3e-3, rank=5))
+        seen = []
+        for __ in range(2):
+            with DMacSession(
+                ClusterConfig(num_workers=4), optimize=True, lint="error", verify="error"
+            ) as session, counting_static_work() as counts:
+                result = session.run(workload.program, workload.inputs)
+            assert result.predicted_peak_memory_bytes is not None
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["from_plan"] == 1
+        assert seen[0]["predict_peak_memory"] == 1
+        assert seen[0]["analyse_plan"] <= 4
