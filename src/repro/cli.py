@@ -336,10 +336,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 "predicted_flops": table.flops,
                 "num_stages": plan.num_stages,
                 "outputs": {k: str(v) for k, v in plan.outputs.items()},
-                "cache_pins": [str(i) for i in getattr(plan, "cache_pins", ())],
+                "cache_pins": [str(i) for i in plan.cache_pins],
                 "rewrites": [
                     {"pass": r.pass_name, "description": r.description}
-                    for r in getattr(plan, "rewrites", ())
+                    for r in plan.rewrites
                 ],
                 "steps": [
                     {"stage": step.stage, "communicates": step.communicates,
@@ -365,13 +365,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             )))
             print(plan.describe())
             if args.show_rewrites:
-                rewrites = getattr(plan, "rewrites", ())
-                print(f"\n# applied rewrites ({len(rewrites)})")
-                for rewrite in rewrites:
+                print(f"\n# applied rewrites ({len(plan.rewrites)})")
+                for rewrite in plan.rewrites:
                     print(rewrite.format_human())
-                pins = getattr(plan, "cache_pins", ())
-                if pins:
-                    print("# cache pins: " + ", ".join(str(i) for i in pins))
+                if plan.cache_pins:
+                    print("# cache pins: " + ", ".join(map(str, plan.cache_pins)))
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from collections import defaultdict
 from typing import Iterable
 
 from repro.core.plan import MatrixInstance, Plan
-from repro.core.stages import schedule_stages
+from repro.runtime.graph import StageGraph
 from repro.runtime.registry import spec_for
 
 
@@ -36,8 +36,7 @@ def plan_to_dot(
     With ``diagnostics``, nodes named by a finding's subject are coloured
     by its severity and annotated with the rule id(s).
     """
-    if plan.num_stages == 0:
-        schedule_stages(plan)
+    available = StageGraph.from_plan(plan).available_stage  # schedules if need be
     findings = _findings_by_subject(diagnostics)
 
     node_ids: dict[MatrixInstance, str] = {}
@@ -59,8 +58,7 @@ def plan_to_dot(
         style = _edge_style(step.communicates)
         sources = [node(instance, step.stage) for instance in step.inputs()]
         if output is not None:
-            out_stage = step.stage + (1 if step.communicates else 0)
-            target = node(output, out_stage)
+            target = node(output, available[output])
             for source in sources:
                 edges.append(f'{source} -> {target} [label="{label}"{style}]')
         elif scalar is not None and sources:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.core.defuse import DefUse
 from repro.core.plan import MatrixInstance, Plan
 from repro.errors import ShuffleBlockLost
 
@@ -22,17 +23,13 @@ from repro.errors import ShuffleBlockLost
 class LineageTracker:
     """Static provenance of every instance of one plan."""
 
-    def __init__(self, plan: Plan) -> None:
+    def __init__(self, plan: Plan, defuse: DefUse | None = None) -> None:
         self.plan = plan
-        self._producer: dict[MatrixInstance, int] = {}
-        for index, step in enumerate(plan.steps):
-            output = step.output_instance()
-            if output is not None:
-                self._producer.setdefault(output, index)
+        self._defuse = defuse or DefUse.of(plan)  # the plan's own, if at hand
 
     def producing_step(self, instance: MatrixInstance) -> int | None:
         """Plan index of the step that first produces ``instance``."""
-        return self._producer.get(instance)
+        return self._defuse.first(instance)
 
     def recovery_cone(
         self,
@@ -51,7 +48,7 @@ class LineageTracker:
         stack: list[MatrixInstance] = [instance]
         while stack:
             lost = stack.pop()
-            producer = self._producer.get(lost)
+            producer = self._defuse.first(lost)
             if producer is None:
                 raise ShuffleBlockLost(
                     f"cannot recover {lost}: no producing step in the plan"

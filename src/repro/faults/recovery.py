@@ -154,6 +154,7 @@ class RecoveringResources:
         backend,
         checkpoints: CheckpointStore | None = None,
         log=None,
+        defuse=None,
     ) -> None:
         self._manager = manager
         self._chaos = chaos
@@ -161,7 +162,7 @@ class RecoveringResources:
         self._backend = backend
         self._checkpoints = checkpoints
         self._log = log
-        self._lineage = LineageTracker(plan)
+        self._lineage = LineageTracker(plan, defuse)
         self._recovery_lock = threading.RLock()
         self._state = None  # bound by the executor before the run starts
         self.blocks_lost = 0

@@ -21,7 +21,6 @@ from repro.lint.diagnostics import (
     LintReport,
     Severity,
 )
-from repro.lint.facts import PlanFacts, build_facts
 from repro.lint.rules import RULES, LintInput, Rule
 from repro.lint.runner import (
     capture_plans,
@@ -39,8 +38,6 @@ __all__ = [
     "LintContext",
     "LintReport",
     "Severity",
-    "PlanFacts",
-    "build_facts",
     "RULES",
     "LintInput",
     "Rule",

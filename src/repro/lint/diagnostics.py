@@ -15,6 +15,8 @@ import enum
 import json
 from typing import Iterable, Iterator
 
+from repro.config import ClusterConfig
+
 
 class Severity(enum.Enum):
     """How bad a finding is.
@@ -80,7 +82,9 @@ class LintContext:
     estimation_mode: str = "worst"
 
     @classmethod
-    def from_config(cls, config, estimation_mode: str = "worst") -> "LintContext":
+    def from_config(
+        cls, config: ClusterConfig, estimation_mode: str = "worst"
+    ) -> "LintContext":
         """Build a context from a :class:`repro.config.ClusterConfig`."""
         return cls(
             num_workers=config.num_workers,

@@ -31,16 +31,20 @@ and exercised.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.blocks.memory import max_block_size
+from repro.core.cost import CostModel
+from repro.core.defuse import DefUse
 from repro.core.dependency import classify, is_communication
 from repro.core.plan import (
     CellwiseStep,
     ExtendedStep,
     FusedCellwiseStep,
     MatMulStep,
+    MatrixInstance,
     Plan,
     RowAggStep,
     ScalarMatrixStep,
@@ -63,9 +67,16 @@ from repro.lang.program import (
     op_input_names,
 )
 from repro.lint.diagnostics import Diagnostic, LintContext, Severity
-from repro.lint.facts import PlanFacts, step_output
 from repro.matrix.schemes import Scheme
 from repro.runtime.graph import StageGraph
+from repro.verify.analysis import Shape, declared_shape
+from repro.verify.hazards import (
+    DOUBLE_PUBLISH,
+    READ_BEFORE_PUBLISH,
+    Hazard,
+    find_hazards,
+)
+from repro.verify.memory import predict_peak_memory
 
 _EXTENDED_KINDS = ("partition", "broadcast", "transpose", "extract")
 
@@ -77,15 +88,39 @@ _ROWAGG_BY_NAME: dict[str, Strategy] = {
 
 @dataclasses.dataclass(frozen=True)
 class LintInput:
-    """Everything a rule may inspect.  ``plan``/``facts`` are ``None`` when
-    only the program AST is being analysed."""
+    """Everything a rule may inspect.  Only ``program`` and ``context`` are
+    set when the program AST alone is analysed; for a plan, ``lint_plan``
+    derives each fact once with the function that owns it
+    (docs/linting.md, "Plan facts")."""
 
     program: MatrixProgram
     context: LintContext
     plan: Plan | None = None
-    facts: PlanFacts | None = None
-    #: The plan's stage graph, built (or handed in) once per ``lint_plan``.
+    #: The plan's stage graph, built (or handed in) once per ``lint_plan``;
+    #: it carries the def-use record and the availability stages.
     graph: StageGraph | None = None
+    #: ``solve_shapes``' concrete ``(rows, cols)`` facts (absent if unknown).
+    shapes: Mapping[MatrixInstance, Shape] = dataclasses.field(default_factory=dict)
+    #: The planner's own pricing: lint and cost model cannot disagree.
+    cost: CostModel | None = None
+
+    @property
+    def defuse(self) -> DefUse:
+        """Who produces and reads what (rules mean the *first* producer)."""
+        return self.graph.defuse
+
+    @functools.cached_property
+    def hazards(self) -> list[Hazard]:
+        """One ``find_hazards`` per ``lint_plan``, shared by DM301 / DM302."""
+        return find_hazards(self.graph)
+
+    def nbytes(self, name: str) -> int:
+        """Estimated ``|A|``; 0 for names the program does not know (the
+        shape rule reports those -- size-based rules stay quiet)."""
+        try:
+            return self.cost.estimator.nbytes(name)
+        except PlanError:
+            return 0
 
 
 RuleCheck = Callable[[LintInput], Iterable[Diagnostic]]
@@ -168,13 +203,13 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
     program = inputs.program
     for op in program.ops:
         yield from _check_op_shapes(this, program, op)
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         return
-    for index, step in enumerate(facts.plan.steps):
+    shapes = inputs.shapes
+    for index, step in enumerate(inputs.plan.steps):
         if isinstance(step, MatMulStep):
-            left = facts.shapes.get(step.left)
-            right = facts.shapes.get(step.right)
+            left = shapes.get(step.left)
+            right = shapes.get(step.right)
             if left and right and left[1] != right[0]:
                 yield this.diagnostic(
                     f"matmul inner dimensions differ: {left[0]}x{left[1]} @ "
@@ -183,8 +218,8 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
                     subject=step.output,
                 )
         elif isinstance(step, CellwiseStep):
-            left = facts.shapes.get(step.left)
-            right = facts.shapes.get(step.right)
+            left = shapes.get(step.left)
+            right = shapes.get(step.right)
             if left and right and left != right:
                 yield this.diagnostic(
                     f"cell-wise {step.op.op} over unequal shapes "
@@ -196,7 +231,7 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
             known = {
                 instance: shape
                 for instance in step.inputs()
-                if (shape := facts.shapes.get(instance)) is not None
+                if (shape := shapes.get(instance)) is not None
             }
             if len(set(known.values())) > 1:
                 yield this.diagnostic(
@@ -208,11 +243,11 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
                     step=index,
                     subject=step.output,
                 )
-        output = step_output(step)
+        output = step.output_instance()
         if output is None:
             continue
-        interpreted = facts.shapes.get(output)
-        declared = facts.declared_shape(output)
+        interpreted = shapes.get(output)
+        declared = declared_shape(program, output)
         if declared is None:
             yield this.diagnostic(
                 f"instance {output} has no declared dimensions in the program",
@@ -270,9 +305,9 @@ def _check_op_shapes(
 def check_schemes(inputs: LintInput) -> Iterator[Diagnostic]:
     """Every step's instances must satisfy its operator's scheme contract."""
     this = _rule("DM102")
-    if inputs.facts is None:
+    if inputs.plan is None:
         return
-    for index, step in enumerate(inputs.facts.plan.steps):
+    for index, step in enumerate(inputs.plan.steps):
         if isinstance(step, ExtendedStep):
             yield from _check_extended_schemes(this, index, step)
         elif isinstance(step, SourceStep):
@@ -443,11 +478,10 @@ def check_stage_purity(inputs: LintInput) -> Iterator[Diagnostic]:
     runtime's own: :meth:`repro.runtime.graph.StageGraph.stage_violations`
     reports exactly the wide edges the concurrent scheduler cannot honour."""
     this = _rule("DM103")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         return
     for index, instance, available in inputs.graph.stage_violations():
-        step = facts.plan.steps[index]
+        step = inputs.plan.steps[index]
         yield this.diagnostic(
             f"step runs in stage {step.stage} but input {instance} "
             f"is only available from stage {available}: a "
@@ -470,19 +504,19 @@ def check_ledger_agreement(inputs: LintInput) -> Iterator[Diagnostic]:
     """The plan's predicted bytes must decompose exactly over its
     communicating steps under the declared dependency classes."""
     this = _rule("DM104")
-    facts = inputs.facts
-    if facts is None:
+    plan = inputs.plan
+    if plan is None:
         return
     try:
-        total = facts.cost.bytes(facts.plan.steps)
+        total = inputs.cost.bytes(plan.steps)
     except PlanError:
         return  # a step names a matrix the program lacks: not a ledger fault
-    if total != facts.plan.predicted_bytes:
+    if total != plan.predicted_bytes:
         yield this.diagnostic(
-            f"plan declares {facts.plan.predicted_bytes} predicted bytes but "
+            f"plan declares {plan.predicted_bytes} predicted bytes but "
             f"its communicating steps account for {total} "
-            f"(delta {facts.plan.predicted_bytes - total:+d}) at "
-            f"{facts.cost.num_workers} workers",
+            f"(delta {plan.predicted_bytes - total:+d}) at "
+            f"{inputs.cost.num_workers} workers",
         )
 
 
@@ -528,19 +562,18 @@ def check_block_size(inputs: LintInput) -> Iterator[Diagnostic]:
 def check_broadcast_budget(inputs: LintInput) -> Iterator[Diagnostic]:
     """Every replica must fit the declared per-worker memory budget."""
     this = _rule("DM106")
-    facts = inputs.facts
     budget = inputs.context.memory_limit_bytes
-    if facts is None or budget is None:
+    if inputs.plan is None or budget is None:
         return
-    for instance, index in facts.producer.items():
+    for instance, made in inputs.defuse.producers.items():
         if instance.scheme is not Scheme.BROADCAST:
             continue
-        nbytes = facts.nbytes(instance.name)
+        nbytes = inputs.nbytes(instance.name)
         if nbytes > budget:
             yield this.diagnostic(
                 f"replica {instance} weighs ~{nbytes} bytes on every worker, "
                 f"above the {budget}-byte budget",
-                step=index,
+                step=made[0],
                 subject=instance,
             )
 
@@ -557,17 +590,16 @@ def check_broadcast_budget(inputs: LintInput) -> Iterator[Diagnostic]:
 def check_dataflow(inputs: LintInput) -> Iterator[Diagnostic]:
     """Instances must be produced before use; program outputs must exist."""
     this = _rule("DM107")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         return
-    for index, instance in facts.unproduced:
+    for index, instance in inputs.defuse.unproduced:
         yield this.diagnostic(
             f"step consumes {instance} before any step produces it",
             step=index,
             subject=instance,
         )
-    for name, instance in facts.plan.outputs.items():
-        if instance not in facts.producer:
+    for name, instance in inputs.plan.outputs.items():
+        if instance not in inputs.defuse.producers:
             yield this.diagnostic(
                 f"program output {name!r} maps to {instance}, which no step "
                 f"produces",
@@ -592,10 +624,9 @@ def check_redundant_repartition(inputs: LintInput) -> Iterator[Diagnostic]:
     """A repartition whose source already has the target layout moves every
     byte of the matrix for nothing."""
     this = _rule("DM201")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         return
-    for index, step in enumerate(facts.plan.steps):
+    for index, step in enumerate(inputs.plan.steps):
         if not isinstance(step, ExtendedStep) or step.kind != "partition":
             continue
         transposed_access = step.source.transposed != step.target.transposed
@@ -605,7 +636,7 @@ def check_redundant_repartition(inputs: LintInput) -> Iterator[Diagnostic]:
             yield this.diagnostic(
                 f"repartition of {step.source} to its current scheme "
                 f"{step.target.scheme} shuffles "
-                f"~{facts.nbytes(step.source.name)} bytes for nothing",
+                f"~{inputs.nbytes(step.source.name)} bytes for nothing",
                 step=index,
                 subject=step.target,
             )
@@ -623,26 +654,24 @@ def check_dead_operators(inputs: LintInput) -> Iterator[Diagnostic]:
     """Work whose result nothing consumes is wasted compute (and possibly
     wasted communication)."""
     this = _rule("DM202")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         yield from _check_dead_program_ops(this, inputs.program)
         return
+    defuse = inputs.defuse
     live_names = set(inputs.program.outputs)
-    for instance, index in facts.producer.items():
-        if instance.name in live_names:
-            continue
-        if not facts.consumers.get(instance):
+    for instance, made in defuse.producers.items():
+        if instance.name not in live_names and instance not in defuse.consumers:
             yield this.diagnostic(
                 f"instance {instance} is produced but never consumed",
-                step=index,
+                step=made[0],
                 subject=instance,
             )
     live_scalars = set(inputs.program.scalar_outputs)
-    for name, index in facts.scalar_producer.items():
-        if name not in live_scalars and not facts.scalar_consumers.get(name):
+    for name, made in defuse.scalar_producers.items():
+        if name not in live_scalars and name not in defuse.scalar_consumers:
             yield this.diagnostic(
                 f"scalar {name!r} is computed but never consumed",
-                step=index,
+                step=made[0],
                 subject=name,
             )
 
@@ -675,14 +704,13 @@ def check_transpose_of_transpose(inputs: LintInput) -> Iterator[Diagnostic]:
     """Two chained local transposes cancel; the second recreates the first
     step's input layout."""
     this = _rule("DM203")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         return
-    steps = facts.plan.steps
+    steps = inputs.plan.steps
     for index, step in enumerate(steps):
         if not isinstance(step, ExtendedStep) or step.kind != "transpose":
             continue
-        producer_index = facts.producer.get(step.source)
+        producer_index = inputs.defuse.first(step.source)
         if producer_index is None:
             continue
         producer = steps[producer_index]
@@ -714,16 +742,15 @@ def check_cpmm_vs_rmm(inputs: LintInput) -> Iterator[Diagnostic]:
     laid out; when even the *worst-case* RMM total (broadcast one operand,
     repartition the other) beats that floor, CPMM can never win."""
     this = _rule("DM204")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         return
     workers = inputs.context.num_workers
-    for index, step in enumerate(facts.plan.steps):
+    for index, step in enumerate(inputs.plan.steps):
         if not isinstance(step, MatMulStep) or step.strategy != "cpmm":
             continue
-        left = facts.nbytes(step.left.name)
-        right = facts.nbytes(step.right.name)
-        out = facts.nbytes(step.output.name)
+        left = inputs.nbytes(step.left.name)
+        right = inputs.nbytes(step.right.name)
+        out = inputs.nbytes(step.output.name)
         cpmm_floor = workers * out
         rmm_ceiling = min(workers * left + right, workers * right + left)
         if rmm_ceiling < cpmm_floor:
@@ -749,11 +776,10 @@ def check_rebroadcast(inputs: LintInput) -> Iterator[Diagnostic]:
     """Matrix versions are immutable (SSA): broadcasting the same version
     twice pays ``(K-1) x |A|`` again for bytes every worker already holds."""
     this = _rule("DM205")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         return
     seen: Counter = Counter()
-    for index, step in enumerate(facts.plan.steps):
+    for index, step in enumerate(inputs.plan.steps):
         if not isinstance(step, ExtendedStep) or step.kind != "broadcast":
             continue
         key = (step.source.name, step.source.transposed)
@@ -786,17 +812,12 @@ def check_cache_pin_budget(inputs: LintInput) -> Iterator[Diagnostic]:
     (:func:`repro.verify.memory.predict_peak_memory`), not the pin shares
     alone."""
     this = _rule("DM206")
-    facts = inputs.facts
+    plan = inputs.plan
     budget = inputs.context.memory_limit_bytes
-    if facts is None or budget is None:
+    if plan is None or budget is None or not plan.cache_pins:
         return
-    pins = getattr(facts.plan, "cache_pins", ())
-    if not pins:
-        return
-    from repro.verify.memory import predict_peak_memory
-
     prediction = predict_peak_memory(
-        facts.plan,
+        plan,
         num_workers=inputs.context.num_workers,
         threads_per_worker=inputs.context.threads_per_worker,
         block_size=inputs.context.block_size,
@@ -835,18 +856,7 @@ def check_read_before_publish(inputs: LintInput) -> Iterator[Diagnostic]:
     serial order within a node, transitive ``deps`` edges across nodes.  A
     consumer no producer reaches may observe missing state when nodes run
     concurrently on pool threads."""
-    this = _rule("DM301")
-    if inputs.facts is None:
-        return
-    from repro.verify.hazards import READ_BEFORE_PUBLISH, find_hazards
-
-    for hazard in find_hazards(inputs.graph):
-        if hazard.kind == READ_BEFORE_PUBLISH:
-            yield this.diagnostic(
-                f"{hazard.subject} is {hazard.detail}",
-                step=hazard.step,
-                subject=hazard.subject,
-            )
+    return _hazards_of_kind(_rule("DM301"), inputs, READ_BEFORE_PUBLISH)
 
 
 @rule(
@@ -863,13 +873,14 @@ def check_double_publish(inputs: LintInput) -> Iterator[Diagnostic]:
     matrix race for its blocks.  Re-publications of the identical value
     (a duplicated broadcast, a transpose round-trip) are redundancy, not a
     race, and stay with the DM2xx inefficiency rules."""
-    this = _rule("DM302")
-    if inputs.facts is None:
-        return
-    from repro.verify.hazards import DOUBLE_PUBLISH, find_hazards
+    return _hazards_of_kind(_rule("DM302"), inputs, DOUBLE_PUBLISH)
 
-    for hazard in find_hazards(inputs.graph):
-        if hazard.kind == DOUBLE_PUBLISH:
+
+def _hazards_of_kind(this: Rule, inputs: LintInput, kind: str) -> Iterator[Diagnostic]:
+    if inputs.plan is None:
+        return
+    for hazard in inputs.hazards:
+        if hazard.kind == kind:
             yield this.diagnostic(
                 f"{hazard.subject} is {hazard.detail}",
                 step=hazard.step,
@@ -900,13 +911,13 @@ def check_unfused_chains(inputs: LintInput) -> Iterator[Diagnostic]:
     pinned -- so each hit names the blocker that kept a full intermediate
     block grid alive."""
     this = _rule("DM401")
-    facts = inputs.facts
-    if facts is None or not getattr(facts.plan, "certificates", ()):
+    plan = inputs.plan
+    if plan is None or not plan.certificates:
         return  # unoptimized plans have not had a chance to fuse yet
     from repro.planopt.fuse import unfused_chain_heads
 
-    index_of = {id(step): index for index, step in enumerate(facts.plan.steps)}
-    for producer, consumer, blocker in unfused_chain_heads(facts.plan):
+    index_of = {id(step): index for index, step in enumerate(plan.steps)}
+    for producer, consumer, blocker in unfused_chain_heads(plan):
         if blocker == "output":
             why = "its intermediate is published as a plan output"
         elif blocker == "pin":
@@ -915,23 +926,7 @@ def check_unfused_chains(inputs: LintInput) -> Iterator[Diagnostic]:
             why = "nothing blocks it, yet the fusion pass left it unfused"
         yield this.diagnostic(
             f"cellwise step {producer.output} feeds only the cellwise step "
-            f"producing {step_output(consumer)} but was not fused: {why}",
+            f"producing {consumer.output_instance()} but was not fused: {why}",
             step=index_of.get(id(producer)),
             subject=producer.output,
         )
-
-
-def invariant_rules() -> list[Rule]:
-    return [r for r in RULES.values() if r.family == "invariant"]
-
-
-def inefficiency_rules() -> list[Rule]:
-    return [r for r in RULES.values() if r.family == "inefficiency"]
-
-
-def hazard_rules() -> list[Rule]:
-    return [r for r in RULES.values() if r.family == "hazard"]
-
-
-def fusion_rules() -> list[Rule]:
-    return [r for r in RULES.values() if r.family == "fusion"]

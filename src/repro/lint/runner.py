@@ -1,8 +1,9 @@
 """Entry points: lint a program, a plan, a ``.dml`` script, or a ``.py``
 program builder -- without executing anything.
 
-``lint_plan`` is the workhorse: it abstract-interprets the plan DAG into
-:class:`~repro.lint.facts.PlanFacts` and applies every registered rule.
+``lint_plan`` is the workhorse: it gathers the plan's facts -- shapes, def-use
+and stages, sizes; each from the one function that derives it -- into a
+:class:`~repro.lint.rules.LintInput` and applies every registered rule.
 ``lint_program`` runs the (smaller) set of program-level checks when no
 plan exists yet.  ``lint_path`` dispatches on file type for the CLI, using
 :func:`capture_plans` to observe the plans a ``.py`` builder script
@@ -16,16 +17,18 @@ import contextlib
 import dataclasses
 import runpy
 import sys
+from typing import Iterator
 
-from repro.config import ClusterConfig
+from repro.core.cost import CostModel
 from repro.core.plan import Plan
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.lang.program import MatrixProgram
 from repro.lint.diagnostics import Diagnostic, LintContext, LintReport, Severity
-from repro.lint.facts import build_facts
 from repro.lint.rules import RULES, LintInput
 from repro.runtime.graph import StageGraph
+from repro.verify.analysis import solve_shapes
+from repro.verify.lattice import TOP
 
 
 def _apply_rules(inputs: LintInput, suppress: tuple[str, ...]) -> LintReport:
@@ -67,9 +70,18 @@ def lint_plan(
     if plan.num_stages == 0:
         plan = schedule_stages(plan)
     context = context or LintContext()
-    facts = build_facts(plan, context.estimation_mode, context.num_workers)
-    graph = graph or StageGraph.from_plan(plan)
-    inputs = LintInput(plan.program, context, plan, facts, graph)
+    inputs = LintInput(
+        plan.program,
+        context,
+        plan,
+        graph=graph or StageGraph.from_plan(plan),
+        shapes={
+            instance: shape
+            for instance, shape in solve_shapes(plan).values.items()
+            if shape is not TOP
+        },
+        cost=CostModel(plan.program, context.num_workers, context.estimation_mode),
+    )
     return _apply_rules(inputs, suppress)
 
 
@@ -99,7 +111,9 @@ def lint_dml_source(
 
 
 @contextlib.contextmanager
-def capture_plans(captured: list[tuple[Plan, LintContext]]):
+def capture_plans(
+    captured: list[tuple[Plan, LintContext]],
+) -> Iterator[list[tuple[Plan, LintContext]]]:
     """Observe every plan a :class:`DMacSession` generates in this scope.
 
     The session's ``plan`` method still returns real plans (so builder
@@ -207,8 +221,3 @@ def lint_path(
     with open(path, "r", encoding="utf-8") as handle:
         source = handle.read()
     return lint_dml_source(source, context, suppress)
-
-
-def lint_config_context(config: ClusterConfig, estimation_mode: str = "worst") -> LintContext:
-    """Convenience: the lint context matching a cluster configuration."""
-    return LintContext.from_config(config, estimation_mode)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
+from repro.core.defuse import DefUse
+from repro.core.estimator import SizeEstimator
 from repro.core.plan import (
     ExtendedStep,
     MatMulStep,
@@ -34,7 +36,7 @@ from repro.lint.diagnostics import LintContext, LintReport
 from repro.lint.rules import RULES
 from repro.lint.runner import lint_plan, plan_for
 from repro.matrix.schemes import Scheme
-from repro.planopt.common import producer_map
+from repro.runtime.graph import StageGraph
 
 
 @dataclasses.dataclass
@@ -80,6 +82,11 @@ def _find_step(plan: Plan, predicate) -> int:
     raise AssertionError("selftest reference plan lacks the expected step")
 
 
+def _nbytes(program: MatrixProgram, name: str) -> int:
+    """Worst-case ``|A|``, as the default lint context sizes it."""
+    return SizeEstimator(program).nbytes(name)
+
+
 # ---------------------------------------------------------------------------
 # Corruptions, one per rule
 # ---------------------------------------------------------------------------
@@ -120,16 +127,11 @@ def _corrupt_scheme(plan: Plan, context: LintContext):
 def _corrupt_stage(plan: Plan, context: LintContext):
     """Pull a consumer of a communicated instance down into the stage that
     sends it: a wide edge inside a stage."""
-    from repro.lint.facts import build_facts
-
-    facts = build_facts(plan)
-    for index, step in enumerate(plan.steps):
+    consumers = DefUse.of(plan).consumers
+    for step in plan.steps:
         if not step.communicates:
             continue
-        from repro.lint.facts import step_output
-
-        target = step_output(step)
-        for consumer in facts.consumers.get(target, ()):
+        for consumer in consumers.get(step.output_instance(), ()):
             if plan.steps[consumer].stage > step.stage:
                 plan.steps[consumer].stage = step.stage
                 return plan, context
@@ -150,7 +152,7 @@ def _corrupt_block_size(plan: Plan, context: LintContext):
 def _corrupt_memory_budget(plan: Plan, context: LintContext):
     """Declare a per-worker budget every replica in the plan exceeds."""
     if not any(
-        instance.scheme is Scheme.BROADCAST for instance in producer_map(plan)
+        instance.scheme is Scheme.BROADCAST for instance in DefUse.of(plan).producers
     ):
         raise AssertionError("plan holds no replicas to starve")
     return plan, dataclasses.replace(context, memory_limit_bytes=1)
@@ -160,7 +162,7 @@ def _corrupt_output(plan: Plan, context: LintContext):
     """Retarget a program output at an instance no step ever produces."""
     name = plan.program.outputs[0]
     ghost = MatrixInstance(name, False, Scheme.BROADCAST)
-    assert ghost not in producer_map(plan)
+    assert ghost not in DefUse.of(plan).producers
     plan.outputs[name] = ghost
     return plan, context
 
@@ -170,28 +172,26 @@ def _corrupt_redundant_partition(plan: Plan, context: LintContext):
     for it in the ledger, so only the waste is reportable).  The victim
     must already have a consumer: repartitioning a *dead* instance would
     give it one and thereby silence a legitimate DM202 baseline finding."""
-    from repro.lint.facts import build_facts, step_output
-
-    facts = build_facts(plan)
+    graph = StageGraph.from_plan(plan)
     index = _find_step(
         plan,
         lambda s: (
-            (out := step_output(s)) is not None
+            (out := s.output_instance()) is not None
             and out.scheme.is_one_dimensional
-            and facts.consumers.get(out)
+            and out in graph.defuse.consumers
         ),
     )
-    victim = step_output(plan.steps[index])
+    victim = plan.steps[index].output_instance()
     redundant = ExtendedStep("partition", victim, victim)
-    redundant.stage = facts.available_stage[victim]
+    redundant.stage = graph.available_stage[victim]
     plan.steps.insert(index + 1, redundant)
-    plan.predicted_bytes += facts.nbytes(victim.name)
+    plan.predicted_bytes += _nbytes(plan.program, victim.name)
     return plan, context
 
 
 def _corrupt_dead_operator(plan: Plan, context: LintContext):
     """Append a transpose whose result nothing consumes."""
-    producer = producer_map(plan)
+    producer = DefUse.of(plan).producers
     for instance in producer:
         if instance.name in plan.program.outputs:
             continue
@@ -211,14 +211,12 @@ def _corrupt_dead_operator(plan: Plan, context: LintContext):
 
 def _corrupt_transpose_pair(plan: Plan, context: LintContext):
     """Append a transpose and its inverse: the pair round-trips."""
-    producer = producer_map(plan)
-    from repro.lint.facts import build_facts
-
-    facts = build_facts(plan)
+    defuse = DefUse.of(plan)
+    producer = defuse.producers
     for instance in producer:
         if not instance.scheme.is_one_dimensional:
             continue
-        if not facts.consumers.get(instance):
+        if instance not in defuse.consumers:
             continue
         twin = MatrixInstance(
             instance.name, not instance.transposed, instance.scheme.opposite
@@ -254,14 +252,11 @@ def _corrupt_cpmm_choice(plan: Plan, context: LintContext):
         SourceStep(next(o for o in program.ops if o.output == b_name), b),
         MatMulStep(matmul, "cpmm", a, b, c),
     ]
-    from repro.core.estimator import SizeEstimator
-
-    nbytes = SizeEstimator(program).nbytes(c_name)
     bad = Plan(
         program=program,
         steps=steps,
         outputs={c_name: c},
-        predicted_bytes=(context.num_workers - 1) * nbytes,
+        predicted_bytes=(context.num_workers - 1) * _nbytes(program, c_name),
     )
     return bad, context
 
@@ -276,10 +271,8 @@ def _corrupt_rebroadcast(plan: Plan, context: LintContext):
     duplicate = ExtendedStep("broadcast", victim.source, victim.target)
     duplicate.stage = victim.stage
     plan.steps.insert(index + 1, duplicate)
-    from repro.lint.facts import build_facts
-
-    plan.predicted_bytes += (context.num_workers - 1) * build_facts(plan).nbytes(
-        victim.source.name
+    plan.predicted_bytes += (context.num_workers - 1) * _nbytes(
+        plan.program, victim.source.name
     )
     return plan, context
 
@@ -288,16 +281,12 @@ def _corrupt_cache_pins(plan: Plan, context: LintContext):
     """Pin every replica in the plan and declare a budget sized to the
     largest single replica: each replica fits on its own (DM106 silent,
     which requires strictly-over), but the pinned set as a whole cannot."""
-    from repro.lint.facts import build_facts
-
-    facts = build_facts(plan)
-    replicas = sorted(
-        (i for i in facts.producer if i.scheme is Scheme.BROADCAST), key=str
-    )
+    produced = DefUse.of(plan).producers
+    replicas = sorted((i for i in produced if i.scheme is Scheme.BROADCAST), key=str)
     if len(replicas) < 2:
         raise AssertionError("need >= 2 replicas for an overweight pin set")
     plan.cache_pins = tuple(replicas)
-    budget = max(facts.nbytes(i.name) for i in replicas)
+    budget = max(_nbytes(plan.program, i.name) for i in replicas)
     return plan, dataclasses.replace(context, memory_limit_bytes=budget)
 
 

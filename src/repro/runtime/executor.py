@@ -235,7 +235,7 @@ class PlanExecutor:
             strassen=config.strassen,
         )
         cache = None
-        if getattr(plan, "cache_pins", ()):
+        if plan.cache_pins:
             budget = config.cache_limit_bytes
             if budget is None:
                 budget = config.memory_limit_bytes
@@ -281,6 +281,7 @@ class PlanExecutor:
                 backend=backend,
                 checkpoints=checkpoints,
                 log=recovery_log,
+                defuse=graph.defuse,
             )
             scheduler_kwargs.update(
                 max_attempts=recovery_config.max_stage_attempts,

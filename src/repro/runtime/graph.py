@@ -26,12 +26,16 @@ from __future__ import annotations
 import collections
 import dataclasses
 import weakref
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.blocks.memory import program_block_size
+from repro.core.defuse import DefUse
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.core.stages import schedule_stages
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from repro.rdd.context import ClusterContext
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,6 +59,7 @@ class StageGraph:
         step_deps: dict[int, frozenset[int]],
         node_of_step: dict[int, int],
         available_stage: dict[MatrixInstance, int],
+        defuse: DefUse | None = None,
     ) -> None:
         self.plan = plan
         self.nodes = nodes
@@ -64,6 +69,9 @@ class StageGraph:
         self.node_of_step = node_of_step
         #: stage each instance becomes available in (first producer wins)
         self.available_stage = available_stage
+        #: who produces and reads what; rides here because whoever may keep
+        #: a graph keeps it under :meth:`Plan.stamp`, which sees every step
+        self.defuse = defuse
 
     # -- construction -------------------------------------------------------
 
@@ -74,30 +82,23 @@ class StageGraph:
             schedule_stages(plan)
         steps = plan.steps
 
-        producer: dict[MatrixInstance, int] = {}
-        scalar_producer: dict[str, int] = {}
+        # A step depends on the first producer of each thing it reads -- if
+        # that producer comes before it (a later one is DM107's finding).
+        defuse = DefUse.of(plan)
+        reads_from: list[set[int]] = [set() for __ in steps]
+        for producers, consumers in (
+            (defuse.producers, defuse.consumers),
+            (defuse.scalar_producers, defuse.scalar_consumers),
+        ):
+            for key, made in producers.items():
+                for index in consumers.get(key, ()):
+                    if made[0] < index:
+                        reads_from[index].add(made[0])
+        step_deps = {i: frozenset(found) for i, found in enumerate(reads_from)}
         available: dict[MatrixInstance, int] = {}
-        step_deps: dict[int, frozenset[int]] = {}
-        for index, step in enumerate(steps):
-            deps = set()
-            for instance in step.inputs():
-                j = producer.get(instance)
-                if j is not None and j < index:
-                    deps.add(j)
-            for name in step.scalar_inputs():
-                j = scalar_producer.get(name)
-                if j is not None and j < index:
-                    deps.add(j)
-            step_deps[index] = frozenset(deps)
-            output = step.output_instance()
-            if output is not None:
-                producer.setdefault(output, index)
-                available.setdefault(
-                    output, step.stage + (1 if step.communicates else 0)
-                )
-            scalar = step.scalar_output()
-            if scalar is not None:
-                scalar_producer.setdefault(scalar, index)
+        for instance, made in defuse.producers.items():
+            step = steps[made[0]]
+            available[instance] = step.stage + (1 if step.communicates else 0)
 
         # Union steps connected by an intra-stage dependency edge: those must
         # run in one dispatch.  Cross-stage edges become graph edges instead.
@@ -144,7 +145,7 @@ class StageGraph:
             for i, g in enumerate(order)
         ]
         node_of_step = {s: node_index[g] for s, g in group_of_step.items()}
-        return cls(plan, nodes, step_deps, node_of_step, available)
+        return cls(plan, nodes, step_deps, node_of_step, available, defuse)
 
     # -- structure ----------------------------------------------------------
 
@@ -256,7 +257,7 @@ _Prepared = collections.namedtuple("_Prepared", "graph block_size prediction lab
 
 
 def prepare(
-    context,
+    context: ClusterContext,
     plan: Plan,
     *,
     block_size: int | None = None,
@@ -265,8 +266,8 @@ def prepare(
     strassen: bool = False,
 ) -> _Prepared:
     """The plan-static facts of a run, derived here and kept on ``context``
-    (a ClusterContext) while the plan lives and is not edited; ``block_size``
-    and ``max_concurrent_stages`` default to the configured ones.  A record
+    while the plan lives and is not edited; ``block_size`` and
+    ``max_concurrent_stages`` default to the configured ones.  A record
     is keyed by plan identity plus every argument the prediction depends on
     and served only while :meth:`Plan.stamp` -- taken after scheduling, which
     writes ``step.stage`` -- still equals the one it was derived under

@@ -13,8 +13,8 @@ for one step kind:
 * ``op_types``   -- the :mod:`repro.lang.program` operator classes the
   planner lowers into this step, plus ``plan_hook``, the name of the
   :class:`~repro.core.planner.DMacPlanner` method that does it,
-* ``shape_rule`` -- the abstract shape transfer function (used by
-  :mod:`repro.lint.facts`),
+* ``shape_rule`` -- the abstract shape transfer function (driven by
+  :func:`repro.verify.analysis.solve_shapes` alone; the lint reads its facts),
 * ``edge_label`` -- how the step is drawn (used by :mod:`repro.core.viz`).
 
 Kernels talk to the cluster exclusively through the execution state's
@@ -154,7 +154,7 @@ def _run_scalar_compute(step: ScalarComputeStep, state: "ExecutionState") -> Non
 
 
 # ---------------------------------------------------------------------------
-# Abstract shape transfer functions (the lint's interpreter).  ``None``
+# Abstract shape transfer functions (for ``solve_shapes``).  ``None``
 # means an input shape was unknown; the anomaly is reported elsewhere.
 # ---------------------------------------------------------------------------
 

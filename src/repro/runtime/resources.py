@@ -253,7 +253,7 @@ class ResourceManager:
             # Pin program outputs until the driver has materialised them.
             self._refs[instance] = self._refs.get(instance, 0) + 1
         if cache is not None:
-            for instance in getattr(plan, "cache_pins", ()):
+            for instance in plan.cache_pins:
                 # Cache pins hold a reference for the whole run, like output
                 # pins; close() settles it.
                 self._refs[instance] = self._refs.get(instance, 0) + 1

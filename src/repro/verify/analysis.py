@@ -28,6 +28,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.errors import PlanError
+from repro.lang.program import MatrixProgram
 from repro.matrix.schemes import Scheme
 from repro.runtime.registry import OPERATORS
 from repro.verify.engine import FixpointResult, solve
@@ -42,6 +43,14 @@ from repro.verify.lattice import (
 Shape = Tuple[int, int]
 #: Version key for the layout analysis: (logical name, transposed).
 VersionKey = Tuple[str, bool]
+
+
+def declared_shape(program: MatrixProgram, instance: MatrixInstance) -> Optional[Shape]:
+    """The shape the program declares for an instance (transpose-adjusted);
+    ``None`` for a name it does not know."""
+    if instance.name not in program.dims:
+        return None
+    return program.dims_of(instance)
 
 
 def base_name(name: str) -> str:

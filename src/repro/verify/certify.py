@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.defuse import DefUse
 from repro.core.plan import (
     AggregateStep,
     CellwiseStep,
@@ -41,7 +42,6 @@ from repro.core.plan import (
     ScalarComputeStep,
     ScalarMatrixStep,
     SourceStep,
-    Step,
     UnaryStep,
 )
 from repro.errors import TranslationValidationError
@@ -137,15 +137,13 @@ class ValueConflict:
 
 @dataclasses.dataclass(frozen=True)
 class ValueSummary:
-    """Per-plan symbolic values: logical name -> term, plus anomalies."""
+    """Per-plan symbolic values: logical name -> term, plus conflicts.
+    (Reads no producer precedes are def-use facts:
+    :meth:`~repro.core.defuse.DefUse.order_violations`.)"""
 
     matrices: Dict[str, ValueKey]
     scalars: Dict[str, ValueKey]
     conflicts: Tuple[ValueConflict, ...]
-    #: (step index, instance) pairs consumed at an index no producer precedes.
-    order_violations: Tuple[Tuple[int, str], ...]
-    #: instance names consumed but never produced by any step.
-    dangling: Tuple[str, ...]
 
 
 def _canon_expr(expr: ScalarExpr, scalars: Dict[str, ValueKey]) -> ValueKey:
@@ -171,16 +169,6 @@ def value_summary(plan: Plan) -> ValueSummary:
     matrices: Dict[str, ValueKey] = {}
     scalars: Dict[str, ValueKey] = {}
     conflicts: List[ValueConflict] = []
-    order_violations: List[Tuple[int, str]] = []
-    produced_at: Dict[MatrixInstance, int] = {}
-    scalar_at: Dict[str, int] = {}
-    ever_produced = {
-        i for step in plan.steps if (i := step.output_instance()) is not None
-    }
-    scalar_ever = {
-        s for step in plan.steps if (s := step.scalar_output()) is not None
-    }
-    dangling: List[str] = []
 
     def read(instance: MatrixInstance) -> ValueKey:
         base = matrices.get(instance.name, term("free", instance.name))
@@ -202,17 +190,6 @@ def value_summary(plan: Plan) -> ValueSummary:
             )
 
     for index, step in enumerate(plan.steps):
-        for instance in step.inputs():
-            first = produced_at.get(instance)
-            if first is None:
-                if instance in ever_produced:
-                    order_violations.append((index, str(instance)))
-                else:
-                    dangling.append(str(instance))
-        for name in step.scalar_inputs():
-            if name not in scalar_at and name in scalar_ever:
-                order_violations.append((index, f"scalar {name}"))
-
         physical: Optional[ValueKey] = None
         if isinstance(step, SourceStep):
             op = step.op
@@ -257,24 +234,19 @@ def value_summary(plan: Plan) -> ValueSummary:
             scalars.setdefault(
                 step.op.output, term("agg", step.op.kind, read(step.source))
             )
-            scalar_at.setdefault(step.op.output, index)
         elif isinstance(step, ScalarComputeStep):
             scalars.setdefault(step.op.output, _canon_expr(step.op.expr, scalars))
-            scalar_at.setdefault(step.op.output, index)
         else:  # unknown step kind: opaque but deterministic
             physical = term("opaque", str(step))
 
         output = step.output_instance()
         if output is not None and physical is not None:
             define(index, output, physical)
-            produced_at.setdefault(output, index)
 
     return ValueSummary(
         matrices=matrices,
         scalars=scalars,
         conflicts=tuple(conflicts),
-        order_violations=tuple(order_violations),
-        dangling=tuple(sorted(set(dangling))),
     )
 
 
@@ -307,18 +279,20 @@ class Certificate:
 
 @dataclasses.dataclass(frozen=True)
 class PlanFacts:
-    """Everything :func:`certify` derives from one plan alone.  Both parts
-    are keyed by instances and names, never by step identity, so the facts
-    of a plan hold for any clone of it: the optimizer pipeline computes
-    them once per distinct plan and hands a certificate's ``after`` facts
-    on as the next certificate's ``before``."""
+    """Everything :func:`certify` derives from one plan alone, all of it at
+    :meth:`of` time.  The parts are keyed by instances, names and step
+    indices, never by step identity, so the facts of a plan hold for any
+    clone of it (``clone_plan`` keeps step order): the optimizer pipeline
+    computes them once per distinct plan and hands a certificate's
+    ``after`` facts on as the next certificate's ``before``."""
 
     analysis: PlanAnalysis
     summary: ValueSummary
+    defuse: DefUse
 
     @classmethod
     def of(cls, plan: Plan) -> "PlanFacts":
-        return cls(analyse_plan(plan), value_summary(plan))
+        return cls(analyse_plan(plan), value_summary(plan), DefUse.of(plan))
 
 
 def certify(
@@ -349,13 +323,16 @@ def certify(
             f"{sorted(before.outputs)} -> {sorted(after.outputs)}"
         )
 
-    if summary_after.order_violations:
-        index, subject = summary_after.order_violations[0]
+    violations = facts_after.defuse.order_violations()
+    if violations:
+        index, subject = violations[0]
         failures.append(
             f"dataflow-well-ordered: step {index} consumes {subject} "
             "before any producer has run"
         )
-    introduced = set(summary_after.dangling) - set(summary_before.dangling)
+    introduced = set(facts_after.defuse.dangling()) - set(
+        facts_before.defuse.dangling()
+    )
     if introduced:
         failures.append(
             f"dataflow-well-ordered: rewrite introduced dangling inputs {sorted(introduced)}"
@@ -427,13 +404,8 @@ def certify(
                 "not replay to the pre-rewrite value of its chain"
             )
 
-    produced = {
-        instance
-        for step in after.steps
-        if (instance := step.output_instance()) is not None
-    }
     for pin in after.cache_pins:
-        if pin not in produced:
+        if pin not in facts_after.defuse.producers:
             failures.append(
                 f"pins-produced: cache pin {pin} has no producer step"
             )

@@ -30,9 +30,8 @@ dataflow is DM107's finding, not an ordering defect.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.core.plan import MatrixInstance
 from repro.runtime.graph import StageGraph
 from repro.verify.certify import value_summary
 
@@ -87,19 +86,12 @@ def find_hazards(graph: StageGraph) -> List[Hazard]:
     """All read-before-publish and double-publish hazards in the graph."""
     plan = graph.plan
     masks = ancestor_masks(graph)
-    publishers: Dict[MatrixInstance, List[int]] = {}
-    scalar_publishers: Dict[str, List[int]] = {}
-    for index, step in enumerate(plan.steps):
-        output = step.output_instance()
-        if output is not None:
-            publishers.setdefault(output, []).append(index)
-        scalar = step.scalar_output()
-        if scalar is not None:
-            scalar_publishers.setdefault(scalar, []).append(index)
+    publishers = graph.defuse.producers  # a read is safe after *any* of them
+    scalar_publishers = graph.defuse.scalar_producers
 
     hazards: List[Hazard] = []
 
-    def check_read(consumer: int, producers: List[int], subject: str) -> None:
+    def check_read(consumer: int, producers: Tuple[int, ...], subject: str) -> None:
         if any(happens_before(graph, p, consumer, masks) for p in producers):
             return
         hazards.append(
@@ -108,7 +100,7 @@ def find_hazards(graph: StageGraph) -> List[Hazard]:
                 step=consumer,
                 subject=subject,
                 detail=(
-                    f"produced at step(s) {producers} but no ordering edge "
+                    f"produced at step(s) {list(producers)} but no ordering edge "
                     f"reaches step {consumer}; a pool thread may read the "
                     "instance before its publish is visible"
                 ),

@@ -60,7 +60,7 @@ from repro.core.plan import (
 from repro.errors import PlanError
 from repro.matrix.schemes import Scheme
 from repro.runtime.graph import StageGraph
-from repro.verify.analysis import PlanAnalysis, analyse_plan
+from repro.verify.analysis import PlanAnalysis, analyse_plan, declared_shape
 
 
 @dataclasses.dataclass(frozen=True)
@@ -170,22 +170,19 @@ class _Sizer:
         num_workers: int,
         estimation_mode: str,
     ) -> None:
-        self._plan = plan
+        self._program = plan.program
         self._analysis = analysis
         self._block_size = block_size
         self._num_workers = num_workers
-        self._estimator = SizeEstimator(plan.program, estimation_mode)
+        self._estimator = SizeEstimator(self._program, estimation_mode)
         self._cache: Dict[Tuple[MatrixInstance, bool], int] = {}
 
     def shape(self, instance: MatrixInstance) -> Tuple[int, int]:
-        fact = self._analysis.shape_of(instance)
-        if fact is not None:
-            return fact
-        declared = self._plan.program.dims.get(instance.name)
-        if declared is None:
-            return (0, 0)
-        rows, cols = declared
-        return (cols, rows) if instance.transposed else (rows, cols)
+        return (
+            self._analysis.shape_of(instance)
+            or declared_shape(self._program, instance)
+            or (0, 0)
+        )
 
     def sparsity(self, instance: MatrixInstance) -> float:
         try:
@@ -332,15 +329,11 @@ def predict_peak_memory(
         for step in plan.steps
     ]
 
-    # Pins charge at their producer's publish and stay resident to the end.
-    producer_of: Dict[MatrixInstance, int] = {}
-    for index, step in enumerate(plan.steps):
-        output = step.output_instance()
-        if output is not None:
-            producer_of.setdefault(output, index)
+    # Pins charge at their (first) producer's publish and stay resident to
+    # the end.
     admitted_at: Dict[int, int] = {}
     for pin in plan.cache_pins:
-        index = producer_of.get(pin, 0)
+        index = graph.defuse.first(pin) or 0
         admitted_at[index] = admitted_at.get(index, 0) + sizer.share(pin)
     pin_prefix: List[int] = []
     running = 0

@@ -88,11 +88,11 @@ class TestLookup:
 
 class TestSharedFacets:
     def test_shape_rules_agree_with_lint_facts(self):
-        """The lint's interpreter and the registry are the same table."""
-        from repro.lint.facts import build_facts
+        """The shapes the lint reads (``solve_shapes``, the one interpreter)
+        are a plain forward pass over the registry's table."""
+        from repro.verify.analysis import solve_shapes
 
         plan = staged_gnmf_plan()
-        facts = build_facts(plan)
         shapes = {}
         for step in plan.steps:
             output = step.output_instance()
@@ -101,7 +101,7 @@ class TestSharedFacets:
             shape = spec_for(step).shape_rule(step, shapes)
             if shape is not None:
                 shapes[output] = shape
-        assert shapes == facts.shapes
+        assert shapes == solve_shapes(plan).values
 
     def test_edge_labels_match_strategies(self):
         plan = staged_gnmf_plan()

@@ -7,12 +7,14 @@ import sys
 from unittest import mock
 
 from repro import ClusterConfig, DMacSession
+from repro.core.defuse import DefUse
 from repro.planopt.structural import program_fingerprint
 from repro.programs.registry import WorkloadParams, build_workload
 from repro.runtime.graph import StageGraph
 from repro.serve import JobSpec, MatrixService, ServiceConfig, TenantSpec
 from repro.serve.plancache import PlanCache, plan_for_cache
 from repro.verify.analysis import analyse_plan
+from repro.verify.hazards import find_hazards
 from repro.verify.memory import predict_peak_memory
 
 PARAMS = WorkloadParams(scale=5e-4, iterations=2, rows=300, features=30)
@@ -105,10 +107,11 @@ class TestLRU:
 
 @contextlib.contextmanager
 def counting_static_work():
-    """Calls to the three plan-static derivations, counted from outside
-    (the product carries no counter): every ``repro`` module that bound
-    ``analyse_plan`` / ``predict_peak_memory`` by name is patched, and
-    ``StageGraph.from_plan`` on the class."""
+    """Calls to the plan-static derivations, counted from outside (the
+    product carries no counter): every ``repro`` module that bound
+    ``analyse_plan`` / ``predict_peak_memory`` / ``find_hazards`` by name is
+    patched, and ``StageGraph.from_plan`` and ``DefUse.of`` -- the one loop
+    that builds a who-produces map -- on their classes."""
     counts: collections.Counter = collections.Counter()
 
     def counted(name, real):
@@ -118,20 +121,20 @@ def counting_static_work():
 
         return call
 
-    real_from_plan = StageGraph.from_plan.__func__
     with contextlib.ExitStack() as stack:
-        for real in (analyse_plan, predict_peak_memory):
+        for real in (analyse_plan, predict_peak_memory, find_hazards):
             patched = counted(real.__name__, real)
             for name, module in list(sys.modules.items()):
                 if name.startswith("repro") and vars(module).get(real.__name__) is real:
                     stack.enter_context(mock.patch.object(module, real.__name__, patched))
-        stack.enter_context(
-            mock.patch.object(
-                StageGraph,
-                "from_plan",
-                classmethod(counted("from_plan", real_from_plan)),
+        for owner, method, name in (
+            (StageGraph, "from_plan", "from_plan"),
+            (DefUse, "of", "DefUse.of"),
+        ):
+            real = getattr(owner, method).__func__
+            stack.enter_context(
+                mock.patch.object(owner, method, classmethod(counted(name, real)))
             )
-        )
         yield counts
 
 
@@ -163,14 +166,19 @@ class TestAPlanIsPreparedOnce:
                     "from_plan": plans,
                     "predict_peak_memory": plans,
                     "analyse_plan": plans,
+                    "DefUse.of": plans,  # the graph's; the predictor reads it
                 }
-                assert hit == {}  # 0 / 0 / 0
+                assert hit == {}  # 0 of each
                 assert second.predicted_peak_bytes == first.predicted_peak_bytes
 
     def test_the_full_static_stack_builds_one_graph_and_one_prediction(self):
-        """svd rank 5, optimize + lint + verify: ``from_plan`` 1 (5 before),
-        ``predict_peak_memory`` 1 (2), ``analyse_plan`` <= 4 (6; what is
-        left is translation validation, one per pass that rewrote)."""
+        """svd rank 5, optimize + lint + verify: ``from_plan`` 1 (5 before
+        PR 22), ``predict_peak_memory`` 1 (2), ``analyse_plan`` <= 4 (6; what
+        is left is translation validation, one per pass that rewrote).  Since
+        PR 23 a who-produces map is built by ``DefUse.of`` alone: <= 5 per
+        job (17 loops before: one per plan state the optimizer certifies plus
+        the graph's, which lint, verify and the predictor read), and
+        ``find_hazards`` runs twice (3: DM301 and DM302 share one)."""
         workload = build_workload("svd", WorkloadParams(scale=3e-3, rank=5))
         seen = []
         for __ in range(2):
@@ -184,3 +192,5 @@ class TestAPlanIsPreparedOnce:
         assert seen[0]["from_plan"] == 1
         assert seen[0]["predict_peak_memory"] == 1
         assert seen[0]["analyse_plan"] <= 4
+        assert seen[0]["DefUse.of"] <= 5
+        assert seen[0]["find_hazards"] == 2

@@ -6,6 +6,7 @@ import pytest
 
 from repro import ClusterConfig, DMacSession
 from repro.cli import APPS
+from repro.core.defuse import DefUse
 from repro.core.plan import CellwiseStep, MatMulStep
 from repro.errors import TranslationValidationError
 from repro.planopt import optimize_plan
@@ -54,7 +55,7 @@ def test_duplicate_publish_of_the_same_value_is_not_a_conflict():
     plan = _gnmf_plan()
     summary = value_summary(plan)
     assert summary.conflicts == ()
-    assert summary.order_violations == ()
+    assert DefUse.of(plan).order_violations() == ()
 
 
 class _EvilPass:
