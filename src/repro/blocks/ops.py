@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blocks.dense import DenseBlock
-from repro.blocks.sparse import CSCBlock
+from repro.blocks.sparse import CSCBlock, RankRounds
 from repro.errors import BlockError, ShapeError
 
 Block = DenseBlock | CSCBlock
@@ -46,29 +46,95 @@ def _check_same_shape(a: Block, b: Block, what: str) -> None:
 
 
 def matmul(a: Block, b: Block) -> DenseBlock:
-    """Block matrix product ``a @ b``; the result is always dense."""
-    am, ak = a.shape
-    bk, bn = b.shape
-    if ak != bk:
+    """Block matrix product ``a @ b``; the result is always dense, freshly
+    allocated, and holds no ``-0.0`` (every path starts its sums at ``+0.0``),
+    so the In-Place task may adopt it as its result block."""
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     if isinstance(a, DenseBlock) and isinstance(b, DenseBlock):
         return DenseBlock(a.data @ b.data)
     if isinstance(a, DenseBlock):
         # out[:, c] += v * a[:, r] for every stored b[r, c] = v.
-        return DenseBlock(
-            _scatter_product(a.data, 1, b.row_idx, b.column_indices(), b.values, bn)
-        )
+        return DenseBlock(_sparse_product(b, 1, a.data))
     if isinstance(b, CSCBlock):
         b = b.to_dense_block()
     # out[r, :] += v * b[c, :] for every stored a[r, c] = v.
-    return DenseBlock(
-        _scatter_product(b.data, 0, a.column_indices(), a.row_idx, a.values, am)
-    )
+    return DenseBlock(_sparse_product(a, 0, b.data))
 
 
-#: Weights handed to one ``np.bincount`` call by :func:`_scatter_product`:
-#: enough to amortise the call, few enough to stay in cache.
+#: Weights handed to one ``np.bincount`` call by :func:`_scatter_product`,
+#: or moved by one pass of :func:`_rounds_product`: enough to amortise the
+#: call, few enough to stay in cache.
 _SCATTER_BATCH = 1 << 15
+
+#: What one round of :func:`_rounds_product` costs beside its weights, in
+#: weights: three fancy-indexed numpy calls, ~8 us against the ~2 ns per
+#: weight a round saves.  Measured break-even is 2 500 - 4 500 by shape.
+_ROUND_COST = 1 << 12
+
+#: What one cell of the two transposes around a column scatter costs, in
+#: weights (0.7 - 0.9 ns against the same ~2 ns).
+_TRANSPOSE_COST = 1
+
+#: Lines of the dense operand from which a round's per-entry index cost is
+#: paid back by the contiguous line it moves (16 lines measure even).
+_ROUNDS_MIN_LINES = 32
+
+
+def _sparse_product(sparse: CSCBlock, axis: int, dense: np.ndarray) -> np.ndarray:
+    """``sparse @ dense`` (``axis`` 0) or ``dense @ sparse`` (``axis`` 1).
+
+    For every stored entry ``e`` of the sparse operand, ``values[e]`` times
+    slice ``gather[e]`` of ``dense`` is added onto slice ``scatter[e]`` of
+    the output, both slices taken along ``axis`` (0: rows, 1: columns), and
+    every output cell receives its contributions one at a time, in the
+    sparse operand's storage order, starting from ``0.0``.  Two kernels keep
+    that contract; which one runs is a property of ``(nnz, lines, deepest
+    row or column)`` of the operands, never a setting: rank rounds when the
+    dense operand is wide and what the rounds cost beside their weights --
+    ``_ROUND_COST`` each, plus ``_TRANSPOSE_COST`` per cell of the two
+    transposes a column scatter makes -- is at most the ``nnz * lines``
+    weights; the windowed ``bincount`` otherwise (mat-vecs, hyper-sparse
+    operands, a block with one deep row).
+    """
+    lines = dense.shape[1 - axis]
+    width = sparse.shape[axis]
+    spare = (sparse.nnz - axis * _TRANSPOSE_COST * sum(sparse.shape)) * lines
+    if (
+        lines >= _ROUNDS_MIN_LINES
+        and spare >= _ROUND_COST  # not even one round: do not look deeper
+        and sparse.line_depth(axis) * _ROUND_COST <= spare
+    ):
+        return _rounds_product(dense, axis, sparse.rank_rounds(axis), sparse.values, width)
+    index = sparse.row_idx, sparse.column_indices()
+    return _scatter_product(dense, axis, index[1 - axis], index[axis], sparse.values, width)
+
+
+def _rounds_product(
+    dense: np.ndarray, axis: int, rounds: RankRounds, values: np.ndarray, width: int
+) -> np.ndarray:
+    """The scatter cut by rank: round ``r`` holds the ``r``-th stored entry
+    of every output slice, so inside a round no slice appears twice and one
+    gather, one in-place scale and one ``out[scatter] += w`` move whole
+    lines; across rounds a cell still sums in storage order.  Round 0 adds
+    onto ``0.0`` like every other (a store would keep the ``-0.0`` of
+    ``v * 0`` with ``v < 0``).  A round of a tall block goes in pieces of
+    about ``_SCATTER_BATCH`` weights, which stay in cache.  Columns are
+    scattered as rows of the contiguous transpose."""
+    if axis:
+        dense = np.ascontiguousarray(dense.T)
+    order, gather, scatter, bounds = rounds
+    lines = dense.shape[1]
+    out = np.zeros((width, lines), dtype=np.float64)
+    scale = values[order].reshape(-1, 1)
+    step = max(1, _SCATTER_BATCH // max(lines, 1))
+    for first, last in zip(bounds, bounds[1:]):
+        for start in range(first, last, step):
+            stop = min(start + step, last)
+            weights = dense[gather[start:stop]]
+            weights *= scale[start:stop]
+            out[scatter[start:stop]] += weights
+    return np.ascontiguousarray(out.T) if axis else out
 
 
 def _scatter_product(
@@ -79,11 +145,9 @@ def _scatter_product(
     values: np.ndarray,
     width: int,
 ) -> np.ndarray:
-    """For every stored entry ``e`` of a sparse operand, add ``values[e]``
-    times slice ``gather[e]`` of ``dense`` onto slice ``scatter[e]`` of the
-    output, both slices taken along ``axis`` (0: rows, 1: columns).  The
-    output has ``width`` slices along ``axis`` and the extent of ``dense``
-    along the other axis; nothing is ever transposed.
+    """The scatter cut by lines of ``dense``: the output has ``width``
+    slices along ``axis`` and the extent of ``dense`` along the other axis;
+    nothing is ever transposed.
 
     ``np.bincount(weights=)`` adds its weights one after the other in the
     order given, so every output cell sums its contributions in the sparse
@@ -336,10 +400,9 @@ def block_row_sums(block: Block) -> DenseBlock:
     """Column vector of per-row sums (``m x 1``)."""
     rows, __ = block.shape
     if isinstance(block, CSCBlock):
-        out = np.zeros((rows, 1), dtype=np.float64)
-        if block.nnz:
-            np.add.at(out[:, 0], block.row_idx, block.values)
-        return DenseBlock(out)
+        # Every row sums its entries one after the other in storage order.
+        sums = np.bincount(block.row_idx, weights=block.values, minlength=rows)
+        return DenseBlock(sums.reshape(rows, 1))
     return DenseBlock(block.data.sum(axis=1, keepdims=True))
 
 

@@ -6,13 +6,18 @@ runs them in at most ``threads`` lanes of a shared
 Two aggregation strategies are provided for block matrix multiplication:
 
 * ``inplace=True`` -- the paper's **In-Place** strategy.  One task per
-  result block; every partial product is folded straight into a pooled
-  result block, so at any instant only the transient partial of each
-  *active* task exists.
+  result block and one charged result block per task: the first partial
+  product *is* that block, and every later one is folded straight into
+  it, so at any instant only the transient partial of each *active* task
+  exists.  The tracker sees what the model describes -- the result block
+  charged up front, every product a transient -- whichever array holds
+  the sum.  The batched path builds each result block from its
+  accumulator plane under the same charge.
 * ``inplace=False`` -- the traditional **Buffer** strategy.  One task per
   partial product; all ``M_A x N_A x N_B`` partial blocks are buffered and
-  aggregated at the end, which is what makes its peak memory blow up on
-  dense-ish intermediates (Figure 7).
+  aggregated at the end onto zeroed blocks from the
+  :class:`~repro.localexec.pool.ResultBufferPool`, which is what makes its
+  peak memory blow up on dense-ish intermediates (Figure 7).
 
 Memory is metered with the paper's byte model (Equation 2) through a
 :class:`~repro.localexec.pool.MemoryTracker`.  Input grids are charged via
@@ -30,6 +35,7 @@ import numpy as np
 
 from repro.blocks import ops
 from repro.blocks.dense import DenseBlock
+from repro.blocks.memory import dense_block_model_bytes
 from repro.blocks.ops import Block
 from repro.blocks.sparse import CSCBlock
 from repro.errors import BlockError
@@ -229,15 +235,23 @@ class LocalEngine:
         return self._lanes.map(_traced(runner), tasks, self.threads)
 
     def _run_inplace_task(self, task: MultiplyAccumulateTask) -> TaskResult:
-        target = self.pool.acquire(*task.result_shape)
+        # The result block is charged before it exists and every product as
+        # a transient, the first included: the books of a zeroed block that
+        # each product is folded into, which is what the model describes.
+        self.tracker.allocate(dense_block_model_bytes(*task.result_shape))
+        target = None
         for left, right in task.pairs:
             flops, partial = self._pair_product(left, right)
-            # The transient partial exists only while it is being folded in.
             self.tracker.allocate(partial.model_nbytes)
-            ops.accumulate(target, partial)
+            if target is None:
+                # A product is fresh and holds no -0.0, so 0.0 + partial is
+                # partial to the bit: the first one is the result block.
+                target = partial
+            else:
+                ops.accumulate(target, partial)
             self.tracker.release(partial.model_nbytes)
             self._record(flops, left.is_sparse or right.is_sparse)
-        return TaskResult(task.result_key, target, pooled=True)
+        return TaskResult(task.result_key, target)
 
     def _pair_product(self, left: Block, right: Block) -> tuple[int, DenseBlock]:
         """One block product, via the priced local matmul strategy."""
@@ -287,9 +301,10 @@ class LocalEngine:
         ``np.matmul`` -- the same per-slice dgemm the serial path calls --
         folded into the accumulator plane with plain elementwise adds.
         Per-element that is the exact float sequence of the serial fold
-        (zeroed target, ``+=`` partial in ascending ``k``), so results are
-        byte-identical.  Block rows are slabbed across the engine's
-        lanes.
+        (first product, ``+=`` partial in ascending ``k``: a product holds
+        no ``-0.0``, so the zeroed plane's ``0.0 +`` changes no bit), so
+        results are byte-identical.  Block rows are slabbed across the
+        engine's lanes.
 
         The warm stacking buffers live *outside* the paper's byte model:
         the model (and :mod:`repro.verify.memory`'s predictions) meters
@@ -338,12 +353,10 @@ class LocalEngine:
                 results: list[TaskResult] = []
                 for ri in range(start, stop):
                     for cj in range(num_cols):
-                        target = self.pool.acquire(m, n)
-                        np.copyto(target.data, acc[ri, cj])
+                        target = DenseBlock(acc[ri, cj].copy())
+                        self.tracker.allocate(target.model_nbytes)
                         self._record(plan.flops_per_task, False)
-                        results.append(
-                            TaskResult((rows[ri], cols[cj]), target, pooled=True)
-                        )
+                        results.append(TaskResult((rows[ri], cols[cj]), target))
                 cache.checkin(prod_base)
                 return results
 

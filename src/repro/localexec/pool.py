@@ -2,7 +2,14 @@
 
 The paper's local engine reuses inter-thread memory through a *result buffer
 pool*: a task acquires a clean result block at start and returns it to the
-pool when its output has been emitted.  :class:`MemoryTracker` meters every
+pool when its output has been emitted.  Here a result block leaves the engine
+as part of the grid it belongs to and nothing hands it back
+(:meth:`ResultBufferPool.release` has no caller in the engine), so
+:meth:`ResultBufferPool.acquire` is a charged, zero-filled allocation.  It
+serves the Buffer strategy's aggregation; an In-Place task needs no zeroed
+block at all -- its first product is its result block, charged directly on the
+tracker -- and the batched path copies each result out of its accumulator
+plane.  :class:`MemoryTracker` meters every
 allocation against the paper's byte model so the In-Place-vs-Buffer memory
 experiment (Figure 7) and the block-size experiment (Figure 8b) can be
 reproduced; it optionally enforces a budget, which reproduces the paper's

@@ -4,9 +4,10 @@ A *task* packages the metadata of operations that can run independently and
 produce exactly one result block.  The two matmul aggregation strategies of
 the paper differ only in how tasks are cut:
 
-* **In-Place** -- one :class:`MultiplyAccumulateTask` per *result* block; all
-  ``A[i,k] @ B[k,j]`` partial products contributing to result ``(i, j)`` are
-  folded into a single pooled block, so no intermediate buffer exists.
+* **In-Place** -- one :class:`MultiplyAccumulateTask` per *result* block; the
+  first ``A[i,k] @ B[k,j]`` partial product contributing to result ``(i, j)``
+  is the result block and the others are folded into it, so no intermediate
+  buffer exists.
 * **Buffer** -- one :class:`MultiplyTask` per *partial* product; every
   ``A[i,k] @ B[k,j]`` is materialised, buffered, and aggregated at the end.
 """
@@ -58,7 +59,6 @@ class TaskResult:
 
     result_key: BlockKey
     block: Block
-    pooled: bool = False  # True when the block was drawn from the buffer pool
 
 
 def inplace_matmul_tasks(

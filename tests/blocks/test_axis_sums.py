@@ -74,6 +74,28 @@ class TestSparseEdgeCases:
         )
 
 
+def test_sparse_row_sums_add_in_storage_order_bit_for_bit(rng):
+    """A row sums its stored entries one after the other, column by column
+    (``bincount`` order, the order of the ``np.add.at`` scatter it
+    replaced): on mixed magnitudes any other order shows in the last bits."""
+    array = rng.standard_normal((9, 40)) * 10.0 ** rng.integers(-12, 13, (9, 40))
+    array[rng.random((9, 40)) < 0.5] = 0.0
+    array[4, :] = 0.0  # an empty row
+    array[[2, 7], :] = 0.0
+    array[7, [3, 20]] = [1e16, -1e16]  # a row that cancels to 0.0 ...
+    array[2, [0, 1, 2]] = [1e16, 1.0, -1e16]  # ... and one that loses its 1.0
+    expected = []
+    for row in array:
+        total = 0.0
+        for value in row[row != 0].tolist():
+            total = total + value
+        expected.append([total])
+    sums = block_row_sums(CSCBlock.from_dense(array)).data
+    assert sums.dtype == np.float64 and sums.shape == (9, 1)
+    assert sums.tobytes() == np.array(expected).tobytes()
+    assert sums[4, 0] == sums[7, 0] == sums[2, 0] == 0.0
+
+
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 100), st.integers(0, 6))
 def test_property_matches_numpy(rows, cols, seed, density_tenths):
     rng = np.random.default_rng(seed)
