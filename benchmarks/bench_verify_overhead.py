@@ -1,7 +1,7 @@
 """Static verification must be cheap enough to leave on.
 
-``repro verify`` runs the full suite -- fixpoint analyses, hazard
-detection, memory prediction, plus translation validation inside the
+``repro verify`` runs the full suite -- hazard detection, memory
+prediction, plus translation validation inside the
 optimizer -- before a single block moves.  This benchmark times that
 static cost for every paper application and holds it to a budget: the
 whole 7-app sweep in under a second of analysis time, with per-app
@@ -59,7 +59,6 @@ def test_verify_overhead(benchmark):
         rows.append([
             app,
             len(optimized.steps),
-            result.iterations,
             len(result.certificates),
             fmt_secs(plan_wall),
             fmt_secs(optimize_wall),
@@ -78,12 +77,11 @@ def test_verify_overhead(benchmark):
     report(
         "verify_overhead",
         "Static verification cost per application",
-        ["app", "steps", "fixpoint pops", "certs", "plan", "optimize+validate",
-         "verify"],
+        ["app", "steps", "certs", "plan", "optimize+validate", "verify"],
         rows,
         notes=(
-            "verify = fixpoint analyses + hazard detection + memory "
-            "prediction over the optimized plan; optimize+validate includes "
+            "verify = hazard detection + memory prediction over the "
+            "optimized plan; optimize+validate includes "
             "per-pass translation validation.  Budget: the whole sweep "
             "under one second."
         ),

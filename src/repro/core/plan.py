@@ -326,10 +326,6 @@ class Plan:
     #: Translation-validation certificates issued by :mod:`repro.verify`:
     #: one per applied optimizer pass plus one end-to-end record.
     certificates: tuple = ()
-    #: ``(stamp(), PlanAnalysis)`` from the optimizer; good while the stamp is.
-    analysed: tuple = dataclasses.field(
-        default=(), init=False, repr=False, compare=False
-    )
 
     def communicating_steps(self) -> list[Step]:
         return [step for step in self.steps if step.communicates]

@@ -805,10 +805,10 @@ def check_rebroadcast(inputs: LintInput) -> Iterator[Diagnostic]:
     "or reduce the pin set",
 )
 def check_cache_pin_budget(inputs: LintInput) -> Iterator[Diagnostic]:
-    """The liveness-based peak-memory bound of a plan with cache pins must
-    fit the declared per-worker budget, or the cache thrashes: every pin
-    is resident from its publish to the end of the run, so the sound bound
-    is the pinned prefix *plus* the heaviest co-resident step transients
+    """The serial peak-memory bound of a plan with cache pins must fit the
+    declared per-worker budget, or the cache thrashes: every pin is
+    resident from its publish to the end of the run, so the sound bound of
+    a step is the pin prefix published so far *plus* that step's transient
     (:func:`repro.verify.memory.predict_peak_memory`), not the pin shares
     alone."""
     this = _rule("DM206")
@@ -828,8 +828,8 @@ def check_cache_pin_budget(inputs: LintInput) -> Iterator[Diagnostic]:
     if prediction.serial_peak_bytes > budget:
         yield this.diagnostic(
             f"predicted per-worker peak is ~{prediction.serial_peak_bytes} "
-            f"bytes (pinned working set ~{prediction.pinned_bytes} plus "
-            f"co-resident step transients, liveness serial bound), above "
+            f"bytes (serial bound: pin prefix plus one step's transient; "
+            f"pinned working set ~{prediction.pinned_bytes}), above "
             f"the {budget}-byte budget: the cache will spill and recompute "
             f"pins every iteration",
         )

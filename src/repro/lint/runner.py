@@ -77,7 +77,7 @@ def lint_plan(
         graph=graph or StageGraph.from_plan(plan),
         shapes={
             instance: shape
-            for instance, shape in solve_shapes(plan).values.items()
+            for instance, shape in solve_shapes(plan).items()
             if shape is not TOP
         },
         cost=CostModel(plan.program, context.num_workers, context.estimation_mode),

@@ -1,12 +1,12 @@
 """Per-worker local execution engine (paper Section 5.3).
 
-Task queue + lanes of a shared thread pool + result-buffer pool, with the
-In-Place and Buffer aggregation strategies for block matrix multiplication
-and model-byte memory metering.
+Task queue + lanes of a shared thread pool, with the In-Place and Buffer
+aggregation strategies for block matrix multiplication and model-byte
+memory metering.
 """
 
 from repro.localexec.engine import EngineStats, Grid, LocalEngine
-from repro.localexec.pool import MemoryTracker, ResultBufferPool
+from repro.localexec.pool import MemoryTracker
 from repro.localexec.tasks import (
     BlockKey,
     BlockTask,
@@ -26,7 +26,6 @@ __all__ = [
     "MemoryTracker",
     "MultiplyAccumulateTask",
     "MultiplyTask",
-    "ResultBufferPool",
     "TaskResult",
     "buffered_matmul_tasks",
     "inplace_matmul_tasks",

@@ -15,9 +15,9 @@ Two aggregation strategies are provided for block matrix multiplication:
   accumulator plane under the same charge.
 * ``inplace=False`` -- the traditional **Buffer** strategy.  One task per
   partial product; all ``M_A x N_A x N_B`` partial blocks are buffered and
-  aggregated at the end onto zeroed blocks from the
-  :class:`~repro.localexec.pool.ResultBufferPool`, which is what makes its
-  peak memory blow up on dense-ish intermediates (Figure 7).
+  aggregated at the end onto one charged zero block per result block,
+  which is what makes its peak memory blow up on dense-ish intermediates
+  (Figure 7).
 
 Memory is metered with the paper's byte model (Equation 2) through a
 :class:`~repro.localexec.pool.MemoryTracker`.  Input grids are charged via
@@ -43,7 +43,7 @@ from repro.kernels import batch as kernel_batch
 from repro.kernels import fused as kernel_fused
 from repro.kernels.strassen import recursion_base, strassen_matmul
 from repro.localexec.lanes import LanePool
-from repro.localexec.pool import MemoryTracker, ResultBufferPool
+from repro.localexec.pool import MemoryTracker
 from repro.localexec.tasks import (
     BlockKey,
     BlockTask,
@@ -114,7 +114,6 @@ class LocalEngine:
         threads: int = 1,
         inplace: bool = True,
         memory_limit_bytes: int | None = None,
-        pool_max_per_shape: int = 16,
         batched_matmul: bool = True,
         strassen: bool = False,
         strassen_min_size: int = 128,
@@ -135,7 +134,6 @@ class LocalEngine:
         self._strassen_base = recursion_base(strassen_min_size)
         self._stack_cache = kernel_batch.StackBufferCache()
         self.tracker = MemoryTracker(memory_limit_bytes)
-        self.pool = ResultBufferPool(self.tracker, pool_max_per_shape)
         self.stats = EngineStats()
 
     # -- memory bookkeeping --------------------------------------------------
@@ -381,7 +379,8 @@ class LocalEngine:
             grouped.setdefault(key, []).append(partial)
         result: Grid = {}
         for key, blocks in sorted(grouped.items()):
-            target = self.pool.acquire(*blocks[0].shape)
+            target = DenseBlock.zeros(*blocks[0].shape)
+            self.tracker.allocate(target.model_nbytes)
             for partial in blocks:
                 ops.accumulate(target, partial)
                 self._record(partial.shape[0] * partial.shape[1], sparse=False)

@@ -1,28 +1,24 @@
-"""Memory tracking and the result-buffer pool (paper Section 5.3, Figure 4).
+"""Memory tracking for the local engine (paper Section 5.3, Figure 4).
 
 The paper's local engine reuses inter-thread memory through a *result buffer
 pool*: a task acquires a clean result block at start and returns it to the
 pool when its output has been emitted.  Here a result block leaves the engine
-as part of the grid it belongs to and nothing hands it back
-(:meth:`ResultBufferPool.release` has no caller in the engine), so
-:meth:`ResultBufferPool.acquire` is a charged, zero-filled allocation.  It
-serves the Buffer strategy's aggregation; an In-Place task needs no zeroed
-block at all -- its first product is its result block, charged directly on the
-tracker -- and the batched path copies each result out of its accumulator
-plane.  :class:`MemoryTracker` meters every
-allocation against the paper's byte model so the In-Place-vs-Buffer memory
-experiment (Figure 7) and the block-size experiment (Figure 8b) can be
-reproduced; it optionally enforces a budget, which reproduces the paper's
-observation that the Buffer strategy cannot complete the Wikipedia workload
-within 48 GB per node.
+as part of the grid it belongs to and nothing would hand it back, so the
+engine keeps no pool: an In-Place task's first product is its result block,
+charged directly on the tracker; the Buffer strategy aggregates onto one
+charged zero block per result block; the batched path builds each result
+from its accumulator plane under the same charge.  :class:`MemoryTracker`
+meters every allocation against the paper's byte model so the
+In-Place-vs-Buffer memory experiment (Figure 7) and the block-size
+experiment (Figure 8b) can be reproduced; it optionally enforces a budget,
+which reproduces the paper's observation that the Buffer strategy cannot
+complete the Wikipedia workload within 48 GB per node.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 
-from repro.blocks.dense import DenseBlock
 from repro.errors import MemoryLimitExceeded
 
 
@@ -76,53 +72,3 @@ class MemoryTracker:
         with self._lock:
             self._peak = self._current
 
-
-class ResultBufferPool:
-    """A pool of reusable zeroed dense result blocks, keyed by shape.
-
-    The pool keeps at most ``max_per_shape`` free blocks per shape.  Pooled
-    blocks stay charged to the tracker while cached (they still occupy
-    memory); blocks evicted beyond the cap are released.
-    """
-
-    def __init__(self, tracker: MemoryTracker, max_per_shape: int = 16) -> None:
-        if max_per_shape < 0:
-            raise ValueError(f"max_per_shape must be >= 0, got {max_per_shape}")
-        self._tracker = tracker
-        self._max_per_shape = max_per_shape
-        self._lock = threading.Lock()
-        self._free: dict[tuple[int, int], list[DenseBlock]] = defaultdict(list)
-
-    def acquire(self, rows: int, cols: int) -> DenseBlock:
-        """Get a clean (all-zero) dense block of the requested shape."""
-        with self._lock:
-            free = self._free.get((rows, cols))
-            if free:
-                block = free.pop()
-                block.data[:] = 0.0
-                return block
-        block = DenseBlock.zeros(rows, cols)
-        self._tracker.allocate(block.model_nbytes)
-        return block
-
-    def release(self, block: DenseBlock) -> None:
-        """Return a block to the pool (or free it past the per-shape cap)."""
-        with self._lock:
-            free = self._free[block.shape]
-            if len(free) < self._max_per_shape:
-                free.append(block)
-                return
-        self._tracker.release(block.model_nbytes)
-
-    def drain(self) -> None:
-        """Free every pooled block and release its memory charge."""
-        with self._lock:
-            pooled = [b for blocks in self._free.values() for b in blocks]
-            self._free.clear()
-        for block in pooled:
-            self._tracker.release(block.model_nbytes)
-
-    @property
-    def cached_blocks(self) -> int:
-        with self._lock:
-            return sum(len(blocks) for blocks in self._free.values())

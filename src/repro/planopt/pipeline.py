@@ -159,7 +159,7 @@ def optimize_plan(
         from repro.verify.certify import PlanFacts, certify
 
         # Each certificate's "before" is the previous one's "after".  The
-        # snapshot (a clone plus its analyses) stands for as long as the
+        # snapshot (a clone plus its facts) stands for as long as the
         # index says nothing has mutated, so a pass that does nothing costs
         # no clone and a certified one hands its "after" facts forward.
         original = snapshot = clone_plan(plan)
@@ -219,6 +219,4 @@ def optimize_plan(
     optimized.rewrites = tuple(rewrites)
     optimized.certificates = tuple(certificates)
     schedule_stages(optimized)
-    if validate:  # the last analysis is the returned plan's: hand it on
-        optimized.analysed = (optimized.stamp(), facts.analysis)
     return optimized

@@ -299,11 +299,8 @@ def prepare(
     if key not in held[1]:
         graph = StageGraph.from_plan(plan)
         graph.plan = weakref.proxy(plan)
-        analysis = plan.analysed[1] if plan.analysed[:1] == (stamp,) else None
         try:
-            prediction = predict_peak_memory(
-                plan, analysis=analysis, graph=graph, **sizing
-            )
+            prediction = predict_peak_memory(plan, graph=graph, **sizing)
         except ReproError:
             prediction = None
         labels = tuple(map(str, plan.steps))

@@ -1,8 +1,9 @@
 """repro.verify -- static verification of DMac plans.
 
-A worklist fixpoint dataflow framework over the plan IR (shape, NNZ
-intervals with widening, layouts, liveness; transfer functions derived
-from the operator registry) with three clients:
+A worklist fixpoint engine over the plan IR runs one forward analysis --
+shapes, on one flat lattice, with transfer functions derived from the
+operator registry -- and a reverse liveness sweep sits beside the memory
+predictor.  Three clients:
 
 * **translation validation** (:mod:`repro.verify.certify`) -- certify
   every optimizer rewrite equivalence-preserving, or hard-fail
@@ -12,15 +13,16 @@ from the operator registry) with three clients:
   read-before-publish and conflicting double-publish defects (the lint's
   DM3xx rules);
 * **memory prediction** (:mod:`repro.verify.memory`) -- a sound
-  per-worker peak bound mirroring the engines' tracker charges, exposed
-  on ``ExecutionResult.predicted_peak_memory_bytes`` and behind DM206.
+  per-worker peak bound mirroring the engines' tracker charges, sizing
+  each matrix from the facts the cost model reads (declared dimensions,
+  Section-5.1 sparsity); exposed on
+  ``ExecutionResult.predicted_peak_memory_bytes`` and behind DM206.
 
 Entry points: :func:`verify_plan` for everything at once,
 ``repro verify <app>`` on the command line, ``DMacSession(verify=...)``
 in a session.
 """
 
-from repro.verify.analysis import PlanAnalysis, analyse_plan, base_name
 from repro.verify.certify import (
     Certificate,
     ValueConflict,
@@ -28,7 +30,7 @@ from repro.verify.certify import (
     certify,
     value_summary,
 )
-from repro.verify.engine import FixpointResult, solve
+from repro.verify.engine import solve
 from repro.verify.hazards import (
     DOUBLE_PUBLISH,
     READ_BEFORE_PUBLISH,
@@ -37,14 +39,7 @@ from repro.verify.hazards import (
     find_hazards,
     happens_before,
 )
-from repro.verify.lattice import (
-    TOP,
-    FlatLattice,
-    Interval,
-    IntervalLattice,
-    Lattice,
-    PowersetLattice,
-)
+from repro.verify.lattice import TOP, FlatLattice, Lattice
 from repro.verify.memory import (
     MemoryPrediction,
     StepFootprint,
@@ -55,24 +50,17 @@ from repro.verify.report import VerificationReport, verify_plan
 __all__ = [
     "Certificate",
     "DOUBLE_PUBLISH",
-    "FixpointResult",
     "FlatLattice",
     "Hazard",
-    "Interval",
-    "IntervalLattice",
     "Lattice",
     "MemoryPrediction",
-    "PlanAnalysis",
-    "PowersetLattice",
     "READ_BEFORE_PUBLISH",
     "StepFootprint",
     "TOP",
     "ValueConflict",
     "ValueSummary",
     "VerificationReport",
-    "analyse_plan",
     "ancestor_masks",
-    "base_name",
     "certify",
     "find_hazards",
     "happens_before",

@@ -54,7 +54,7 @@ from repro.lang.expr import (
     ScalarRefExpr,
     ScalarUnaryExpr,
 )
-from repro.verify.analysis import PlanAnalysis, analyse_plan
+from repro.verify.analysis import solve_shapes
 
 #: A symbolic value: an interned :class:`Term` or an atomic string/number.
 ValueKey = object
@@ -286,13 +286,23 @@ class PlanFacts:
     computes them once per distinct plan and hands a certificate's
     ``after`` facts on as the next certificate's ``before``."""
 
-    analysis: PlanAnalysis
+    shapes: Dict[MatrixInstance, object]  # (rows, cols) | TOP
     summary: ValueSummary
     defuse: DefUse
 
     @classmethod
     def of(cls, plan: Plan) -> "PlanFacts":
-        return cls(analyse_plan(plan), value_summary(plan), DefUse.of(plan))
+        return cls(solve_shapes(plan), value_summary(plan), DefUse.of(plan))
+
+
+def _logical_shape(
+    shapes: Dict[MatrixInstance, object], instance: MatrixInstance
+) -> Optional[Tuple[int, int]]:
+    """The shape fact of an output, untransposed; ``None`` if unknown."""
+    fact = shapes.get(instance)
+    if not isinstance(fact, tuple):
+        return None
+    return (fact[1], fact[0]) if instance.transposed else fact
 
 
 def certify(
@@ -314,8 +324,7 @@ def certify(
     failures: List[str] = []
     facts_before = facts_before or PlanFacts.of(before)
     facts_after = facts_after or PlanFacts.of(after)
-    summary_before, analysis_before = facts_before.summary, facts_before.analysis
-    summary_after, analysis_after = facts_after.summary, facts_after.analysis
+    summary_before, summary_after = facts_before.summary, facts_after.summary
 
     if set(after.outputs) != set(before.outputs):
         failures.append(
@@ -380,12 +389,8 @@ def certify(
 
     for name in sorted(set(before.outputs) & set(after.outputs)):
         inst_before, inst_after = before.outputs[name], after.outputs[name]
-        shape_before = analysis_before.shape_of(inst_before)
-        shape_after = analysis_after.shape_of(inst_after)
-        if shape_before is not None and inst_before.transposed:
-            shape_before = (shape_before[1], shape_before[0])
-        if shape_after is not None and inst_after.transposed:
-            shape_after = (shape_after[1], shape_after[0])
+        shape_before = _logical_shape(facts_before.shapes, inst_before)
+        shape_after = _logical_shape(facts_after.shapes, inst_after)
         if shape_before != shape_after:
             failures.append(
                 f"shape-agreement: output {name!r} shape fact changed: "

@@ -7,21 +7,15 @@ the current environment to the cells it (re)defines.  The engine chaotically
 iterates transfer functions until the environment stops changing, re-queuing
 exactly the consumers of every changed cell.
 
-Plans are DAGs step-by-step, but analyses may *summarise* SSA versions into
-one cell per logical matrix (the NNZ analysis does, so loop-carried updates
-feed back into their own inputs); that introduces genuine cycles, which is
-why the engine applies the lattice's widening operator to any cell updated
-more than ``widen_after`` times.  With widening every lattice here has
-finite ascending chains, so termination is structural; a defensive pop
-budget turns a broken transfer function into a hard error instead of a
-hang.
+On a lattice of finite height every cell changes a bounded number of times,
+so termination is structural; a defensive pop budget turns a broken
+(non-monotone) transfer function into a hard error instead of a hang.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
-from typing import Callable, Dict, FrozenSet, Generic, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Dict, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from repro.core.plan import Step
 from repro.errors import VerificationError
@@ -36,33 +30,17 @@ Transfer = Callable[[int, Step, Mapping[K, T]], Mapping[K, T]]
 Reads = Callable[[int, Step], Iterable[K]]
 
 
-@dataclasses.dataclass(frozen=True)
-class FixpointResult(Generic[K, T]):
-    """The stable environment plus convergence metadata."""
-
-    values: Dict[K, T]
-    iterations: int  # total worklist pops until stabilisation
-    widened: FrozenSet[K]  # cells the engine had to widen
-
-    def get(self, key: K, default: T) -> T:
-        return self.values.get(key, default)
-
-
 def solve(
     steps: Sequence[Step],
     lattice: Lattice[T],
     transfer: Transfer[K, T],
     reads: Reads[K],
-    *,
-    widen_after: int = 3,
-) -> FixpointResult[K, T]:
+) -> Dict[K, T]:
     """Run the worklist to a fixpoint and return the stable environment.
 
-    ``widen_after`` bounds how often a cell may change before updates to it
-    are widened; raise it for precision on deeply unrolled programs, lower
-    it for speed.  Raises :class:`~repro.errors.VerificationError` if the
-    environment fails to stabilise within the defensive pop budget (only
-    possible for a non-monotone transfer function).
+    Raises :class:`~repro.errors.VerificationError` if the environment
+    fails to stabilise within the defensive pop budget (only possible for
+    a non-monotone transfer function).
     """
     consumers: Dict[K, list[int]] = {}
     for index, step in enumerate(steps):
@@ -70,11 +48,11 @@ def solve(
             consumers.setdefault(key, []).append(index)
 
     env: Dict[K, T] = {}
-    updates: Dict[K, int] = {}
-    widened: set[K] = set()
     queued = [True] * len(steps)
     worklist: deque[int] = deque(range(len(steps)))
-    budget = max(64, len(steps) * (widen_after + 4) * 8)
+    # A step re-runs once per change of a cell it reads; on the flat
+    # lattice a cell changes at most twice, far inside this budget.
+    budget = max(64, len(steps) * 56)
     pops = 0
 
     while worklist:
@@ -90,19 +68,12 @@ def solve(
         for key, value in transfer(index, step, env).items():
             current = env.get(key, lattice.bottom())
             joined = lattice.join(current, value)
-            count = updates.get(key, 0)
-            if count >= widen_after:
-                accelerated = lattice.widen(current, joined)
-                if accelerated != joined:
-                    widened.add(key)
-                joined = accelerated
             if joined == current and key in env:
                 continue
             env[key] = joined
-            updates[key] = count + 1
             for consumer in consumers.get(key, ()):
                 if not queued[consumer]:
                     queued[consumer] = True
                     worklist.append(consumer)
 
-    return FixpointResult(values=env, iterations=pops, widened=frozenset(widened))
+    return env

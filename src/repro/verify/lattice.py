@@ -1,35 +1,22 @@
-"""Abstract domains for the :mod:`repro.verify` fixpoint engine.
+"""The abstract domain of the :mod:`repro.verify` fixpoint engine.
 
-Every analysis in the framework runs over one of four lattices:
-
-* :class:`FlatLattice` -- ``bottom < {concrete facts} < top``; used for
-  shapes (a ``(rows, cols)`` pair) and partition schemes, where two
-  disagreeing facts mean the analysis genuinely does not know.
-* :class:`IntervalLattice` -- integer ``[lo, hi]`` ranges with *widening*:
-  NNZ counts of loop-carried matrices grow each iteration, and after
-  ``widen_after`` observations the engine jumps the unstable bound to the
-  extreme so iterative programs (PageRank, GNMF updates) converge in a
-  bounded number of passes instead of one per unrolled iteration.
-* :class:`PowersetLattice` -- finite sets under union; used for
-  block-instance liveness.
-
-All three expose the same four-method surface (:meth:`Lattice.bottom`,
-:meth:`Lattice.join`, :meth:`Lattice.leq`, :meth:`Lattice.widen`) so the
-worklist engine is generic over the domain.
+The shape analysis runs over :class:`FlatLattice` -- ``bottom < {concrete
+facts} < top`` -- where two disagreeing ``(rows, cols)`` facts mean the
+analysis genuinely does not know.  The flat lattice has height two, so the
+engine needs no widening.  :class:`Lattice` is the surface the worklist
+engine is generic over (:meth:`Lattice.bottom`, :meth:`Lattice.join`).
 """
 
 from __future__ import annotations
 
 import abc
-import dataclasses
-from typing import FrozenSet, Generic, Hashable, Optional, TypeVar
+from typing import Generic, TypeVar
 
 T = TypeVar("T")
-E = TypeVar("E", bound=Hashable)
 
 
 class _Top:
-    """Singleton 'unknown' element shared by the flat lattices."""
+    """Singleton 'unknown' element of the flat lattice."""
 
     __slots__ = ()
 
@@ -42,7 +29,7 @@ TOP = _Top()
 
 
 class Lattice(Generic[T], abc.ABC):
-    """A join-semilattice with an explicit widening operator."""
+    """A join-semilattice."""
 
     @abc.abstractmethod
     def bottom(self) -> T:
@@ -55,10 +42,6 @@ class Lattice(Generic[T], abc.ABC):
     def leq(self, a: T, b: T) -> bool:
         """Partial order: ``a <= b`` iff joining adds nothing to ``b``."""
         return bool(self.join(a, b) == b)
-
-    def widen(self, old: T, new: T) -> T:
-        """Accelerated join; defaults to plain join for finite domains."""
-        return self.join(old, new)
 
 
 class FlatLattice(Lattice[object]):
@@ -75,63 +58,3 @@ class FlatLattice(Lattice[object]):
         if a is TOP or b is TOP:
             return TOP
         return a if a == b else TOP
-
-
-@dataclasses.dataclass(frozen=True)
-class Interval:
-    """Integer range ``[lo, hi]``; ``hi=None`` means unbounded above."""
-
-    lo: int
-    hi: Optional[int]
-
-    def clamp(self, lo: int, hi: int) -> "Interval":
-        """Intersect with ``[lo, hi]`` (e.g. ``[0, rows*cols]`` for NNZ)."""
-        new_lo = max(self.lo, lo)
-        new_hi = hi if self.hi is None else min(self.hi, hi)
-        return Interval(min(new_lo, new_hi), new_hi)
-
-    def __str__(self) -> str:
-        upper = "inf" if self.hi is None else str(self.hi)
-        return f"[{self.lo}, {upper}]"
-
-
-class IntervalLattice(Lattice[Optional[Interval]]):
-    """Intervals ordered by inclusion; bottom is ``None`` (no range yet).
-
-    :meth:`widen` is the classic jump-to-extreme operator: a lower bound
-    still sinking goes to 0, an upper bound still climbing goes to
-    unbounded.  Consumers clamp the result back to the structural range
-    (``[0, rows*cols]``) which stays sound and keeps the bound useful.
-    """
-
-    def bottom(self) -> Optional[Interval]:
-        return None
-
-    def join(self, a: Optional[Interval], b: Optional[Interval]) -> Optional[Interval]:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        hi: Optional[int] = None
-        if a.hi is not None and b.hi is not None:
-            hi = max(a.hi, b.hi)
-        return Interval(min(a.lo, b.lo), hi)
-
-    def widen(self, old: Optional[Interval], new: Optional[Interval]) -> Optional[Interval]:
-        joined = self.join(old, new)
-        if old is None or joined is None or joined == old:
-            return joined
-        lo = old.lo if joined.lo >= old.lo else 0
-        grew_hi = old.hi is not None and (joined.hi is None or joined.hi > old.hi)
-        hi = None if grew_hi else joined.hi
-        return Interval(lo, hi)
-
-
-class PowersetLattice(Lattice[FrozenSet[E]]):
-    """Finite sets under union (block-instance liveness)."""
-
-    def bottom(self) -> FrozenSet[E]:
-        return frozenset()
-
-    def join(self, a: FrozenSet[E], b: FrozenSet[E]) -> FrozenSet[E]:
-        return a | b

@@ -13,11 +13,16 @@ trackers charge at run time:
   they predict zero -- matching the meter, not an idealised cost model.
 * **Pins** -- every ``plan.cache_pins`` instance is charged to the
   BlockCache when its producer publishes and stays resident until the run
-  ends, so the prediction walks the plan with a liveness-style prefix: a
-  transient-heavy step *before* a pin's producer never pays for that pin.
+  ends, so the serial bound of a step is the *pin prefix* (the pins
+  published so far) plus that step's transient: a transient-heavy step
+  *before* a pin's producer never pays for that pin.
 
-Sizes follow the paper's Equation-2 model at the estimator's worst-case
-sparsity: blocks store sparse only below
+A matrix is sized from the two facts the cost model
+(:class:`~repro.core.cost.CostModel`) reads: the program's declared
+dimensions -- on any plan that lints, the shape analysis' answer (rule
+DM101) -- and the Section-5.1 worst-case sparsity of
+:class:`~repro.core.estimator.SizeEstimator`, priced by the paper's
+Equation-2 model: blocks store sparse only below
 :data:`~repro.blocks.conversion.DEFAULT_SPARSE_THRESHOLD` (8 bytes per
 non-zero, so at most ``2.4`` bytes per element) and dense at 4 bytes per
 element above it, so the per-matrix bound takes the sparse model below the
@@ -33,13 +38,15 @@ the concurrent bound adds the ``C`` largest per-node transients -- a
 superset of any antichain the scheduler can actually dispatch -- on top of
 the full pin set.  With ``max_concurrent_stages=1`` the serial bound
 applies and is tight enough to validate against observed tracker peaks.
+``live_peak_bytes`` -- the high water of every instance still to be read
+(:func:`solve_liveness`) -- is informational: no bound includes it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.blocks.conversion import DEFAULT_SPARSE_THRESHOLD
 from repro.blocks.memory import (
@@ -60,7 +67,7 @@ from repro.core.plan import (
 from repro.errors import PlanError
 from repro.matrix.schemes import Scheme
 from repro.runtime.graph import StageGraph
-from repro.verify.analysis import PlanAnalysis, analyse_plan, declared_shape
+from repro.verify.analysis import declared_shape
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,24 +172,20 @@ class _Sizer:
     def __init__(
         self,
         plan: Plan,
-        analysis: PlanAnalysis,
         block_size: int,
         num_workers: int,
         estimation_mode: str,
     ) -> None:
         self._program = plan.program
-        self._analysis = analysis
         self._block_size = block_size
         self._num_workers = num_workers
         self._estimator = SizeEstimator(self._program, estimation_mode)
         self._cache: Dict[Tuple[MatrixInstance, bool], int] = {}
 
     def shape(self, instance: MatrixInstance) -> Tuple[int, int]:
-        return (
-            self._analysis.shape_of(instance)
-            or declared_shape(self._program, instance)
-            or (0, 0)
-        )
+        """Declared dims; a name the program never declared (DM101's
+        finding) weighs nothing."""
+        return declared_shape(self._program, instance) or (0, 0)
 
     def sparsity(self, instance: MatrixInstance) -> float:
         try:
@@ -293,6 +296,22 @@ def _transient_bytes(
     return 0
 
 
+def solve_liveness(plan: Plan) -> Tuple[FrozenSet[MatrixInstance], ...]:
+    """``live_after[i]``: instances some step after ``i`` (or a program
+    output materialisation) still reads.  One reverse sweep -- the
+    per-instance dependency graph is acyclic by construction."""
+    live: set[MatrixInstance] = set(plan.outputs.values())
+    live_after: list[FrozenSet[MatrixInstance]] = [frozenset()] * len(plan.steps)
+    for index in range(len(plan.steps) - 1, -1, -1):
+        step = plan.steps[index]
+        live_after[index] = frozenset(live)
+        output = step.output_instance()
+        if output is not None:
+            live.discard(output)
+        live.update(step.inputs())
+    return tuple(live_after)
+
+
 def predict_peak_memory(
     plan: Plan,
     *,
@@ -302,7 +321,6 @@ def predict_peak_memory(
     inplace: bool = True,
     max_concurrent_stages: Optional[int] = None,
     estimation_mode: str = "worst",
-    analysis: Optional[PlanAnalysis] = None,
     graph: Optional[StageGraph] = None,
     strassen: bool = False,
     strassen_min_size: int = 128,
@@ -313,13 +331,12 @@ def predict_peak_memory(
     In-Place accumulation engine, and the scheduler's default stage
     concurrency.  Pass ``max_concurrent_stages=1`` for the serial bound.
     """
-    analysis = analysis or analyse_plan(plan)
     graph = graph or StageGraph.from_plan(plan)
     if block_size is None:
         block_size = program_block_size(
             plan.program.dims, num_workers, threads_per_worker
         )
-    sizer = _Sizer(plan, analysis, block_size, num_workers, estimation_mode)
+    sizer = _Sizer(plan, block_size, num_workers, estimation_mode)
 
     transients = [
         _transient_bytes(
@@ -376,18 +393,10 @@ def predict_peak_memory(
     # Liveness high water: every produced instance resident at some step,
     # under refcounting -- an *informational* floor-style curve; tracker
     # charges are the two bounds above.
-    share_cache: Dict[MatrixInstance, int] = {}
-
-    def resident(instance: MatrixInstance) -> int:
-        found = share_cache.get(instance)
-        if found is None:
-            found = sizer.share(instance)
-            share_cache[instance] = found
-        return found
-
-    live_peak = 0
-    for live in analysis.live_after:
-        live_peak = max(live_peak, sum(resident(i) for i in live))
+    live_peak = max(
+        (sum(map(sizer.share, live)) for live in solve_liveness(plan)),
+        default=0,
+    )
 
     return MemoryPrediction(
         peak_bytes=serial_peak if concurrency == 1 else concurrent_peak,

@@ -1,10 +1,10 @@
 """The aggregate verification entry point: one call, every client.
 
-:func:`verify_plan` runs the fixpoint analyses once and feeds all three
-framework clients from the shared facts: the hazard detector, the memory
-predictor, and the translation-validation audit trail the optimizer left
-on ``plan.certificates``.  The result renders to the CLI's human listing
-or ``--format json`` document.
+:func:`verify_plan` builds the plan's stage graph once and feeds all three
+framework clients from it: the hazard detector, the memory predictor, and
+the translation-validation audit trail the optimizer left on
+``plan.certificates``.  The result renders to the CLI's human listing or
+``--format json`` document.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.plan import Plan
 from repro.runtime.graph import StageGraph
-from repro.verify.analysis import PlanAnalysis, analyse_plan
 from repro.verify.certify import Certificate
 from repro.verify.hazards import Hazard, find_hazards
 from repro.verify.memory import MemoryPrediction, predict_peak_memory
@@ -31,8 +30,6 @@ class VerificationReport:
     hazards: Tuple[Hazard, ...]
     certificates: Tuple[Certificate, ...]
     memory: MemoryPrediction
-    iterations: int  # fixpoint engine pops across all analyses
-    widened: Tuple[str, ...]  # base names that needed interval widening
 
     @property
     def has_errors(self) -> bool:
@@ -57,10 +54,6 @@ class VerificationReport:
             ],
             "certificates": [c.to_json_dict() for c in self.certificates],
             "memory": self.memory.to_json_dict(),
-            "fixpoint": {
-                "iterations": self.iterations,
-                "widened": list(self.widened),
-            },
         }
 
     def to_json_string(self) -> str:
@@ -69,9 +62,7 @@ class VerificationReport:
     def format_human(self) -> str:
         lines = [
             f"verify {self.target}: {self.num_steps} steps, "
-            f"{self.num_nodes} stage-graph nodes, "
-            f"{self.iterations} fixpoint iterations"
-            + (f" (widened: {', '.join(self.widened)})" if self.widened else "")
+            f"{self.num_nodes} stage-graph nodes"
         ]
         if self.certificates:
             for certificate in self.certificates:
@@ -105,10 +96,8 @@ def verify_plan(
     max_concurrent_stages: Optional[int] = None,
     estimation_mode: str = "worst",
     target: str = "plan",
-    analysis: Optional[PlanAnalysis] = None,
 ) -> VerificationReport:
     """Run the full static verification suite over one (staged) plan."""
-    analysis = analysis or analyse_plan(plan)
     graph = StageGraph.from_plan(plan)
     hazards = tuple(find_hazards(graph))
     memory = predict_peak_memory(
@@ -119,7 +108,6 @@ def verify_plan(
         inplace=inplace,
         max_concurrent_stages=max_concurrent_stages,
         estimation_mode=estimation_mode,
-        analysis=analysis,
         graph=graph,
     )
     certificates = tuple(
@@ -132,6 +120,4 @@ def verify_plan(
         hazards=hazards,
         certificates=certificates,
         memory=memory,
-        iterations=analysis.iterations,
-        widened=tuple(sorted(analysis.widened)),
     )

@@ -1,11 +1,11 @@
-"""Tests for the memory tracker and result-buffer pool."""
+"""Tests for the memory tracker."""
 
 import threading
 
 import pytest
 
 from repro.errors import MemoryLimitExceeded
-from repro.localexec.pool import MemoryTracker, ResultBufferPool
+from repro.localexec.pool import MemoryTracker
 
 
 class TestMemoryTracker:
@@ -66,58 +66,3 @@ class TestMemoryTracker:
             t.join()
         assert tracker.current_bytes == 0
 
-
-class TestResultBufferPool:
-    def test_acquire_charges_tracker(self):
-        tracker = MemoryTracker()
-        pool = ResultBufferPool(tracker)
-        block = pool.acquire(10, 10)
-        assert tracker.current_bytes == block.model_nbytes
-
-    def test_release_then_acquire_reuses_block(self):
-        tracker = MemoryTracker()
-        pool = ResultBufferPool(tracker)
-        block = pool.acquire(5, 5)
-        block.data[0, 0] = 9.0
-        pool.release(block)
-        again = pool.acquire(5, 5)
-        assert again is block
-        assert again.data[0, 0] == 0.0  # zeroed on reuse
-
-    def test_pooled_blocks_stay_charged(self):
-        tracker = MemoryTracker()
-        pool = ResultBufferPool(tracker)
-        block = pool.acquire(5, 5)
-        pool.release(block)
-        assert tracker.current_bytes == block.model_nbytes
-        assert pool.cached_blocks == 1
-
-    def test_eviction_past_cap_releases_memory(self):
-        tracker = MemoryTracker()
-        pool = ResultBufferPool(tracker, max_per_shape=1)
-        a, b = pool.acquire(4, 4), pool.acquire(4, 4)
-        pool.release(a)
-        pool.release(b)  # beyond the cap: freed
-        assert pool.cached_blocks == 1
-        assert tracker.current_bytes == a.model_nbytes
-
-    def test_different_shapes_pooled_separately(self):
-        tracker = MemoryTracker()
-        pool = ResultBufferPool(tracker)
-        a = pool.acquire(2, 3)
-        pool.release(a)
-        b = pool.acquire(3, 2)
-        assert b is not a
-
-    def test_drain_frees_everything(self):
-        tracker = MemoryTracker()
-        pool = ResultBufferPool(tracker)
-        pool.release(pool.acquire(4, 4))
-        pool.release(pool.acquire(2, 2))
-        pool.drain()
-        assert pool.cached_blocks == 0
-        assert tracker.current_bytes == 0
-
-    def test_rejects_negative_cap(self):
-        with pytest.raises(ValueError):
-            ResultBufferPool(MemoryTracker(), max_per_shape=-1)

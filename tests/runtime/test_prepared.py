@@ -86,10 +86,8 @@ def test_a_clone_starts_clean():
     program = build_workload("linreg", SMALL).program
     with DMacSession(ClusterConfig(num_workers=4), optimize=True) as session:
         plan = session.plan(program)
-        assert plan.analysed and plan.analysed[0] == plan.stamp()
         record = prepare(session.context, plan)
         clone = clone_plan(plan)
-        assert clone.analysed == ()
         assert prepare(session.context, clone) is not record
         assert set(session.context.prepared) == {id(plan), id(clone)}
 

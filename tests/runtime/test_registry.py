@@ -101,7 +101,7 @@ class TestSharedFacets:
             shape = spec_for(step).shape_rule(step, shapes)
             if shape is not None:
                 shapes[output] = shape
-        assert shapes == solve_shapes(plan).values
+        assert shapes == solve_shapes(plan)
 
     def test_edge_labels_match_strategies(self):
         plan = staged_gnmf_plan()

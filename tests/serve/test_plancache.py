@@ -13,9 +13,9 @@ from repro.programs.registry import WorkloadParams, build_workload
 from repro.runtime.graph import StageGraph
 from repro.serve import JobSpec, MatrixService, ServiceConfig, TenantSpec
 from repro.serve.plancache import PlanCache, plan_for_cache
-from repro.verify.analysis import analyse_plan
+from repro.verify.analysis import solve_shapes
 from repro.verify.hazards import find_hazards
-from repro.verify.memory import predict_peak_memory
+from repro.verify.memory import predict_peak_memory, solve_liveness
 
 PARAMS = WorkloadParams(scale=5e-4, iterations=2, rows=300, features=30)
 
@@ -109,8 +109,8 @@ class TestLRU:
 def counting_static_work():
     """Calls to the plan-static derivations, counted from outside (the
     product carries no counter): every ``repro`` module that bound
-    ``analyse_plan`` / ``predict_peak_memory`` / ``find_hazards`` by name is
-    patched, and ``StageGraph.from_plan`` and ``DefUse.of`` -- the one loop
+    ``solve_shapes`` / ``solve_liveness`` / ``predict_peak_memory`` /
+    ``find_hazards`` by name is patched, and ``StageGraph.from_plan`` and ``DefUse.of`` -- the one loop
     that builds a who-produces map -- on their classes."""
     counts: collections.Counter = collections.Counter()
 
@@ -122,7 +122,7 @@ def counting_static_work():
         return call
 
     with contextlib.ExitStack() as stack:
-        for real in (analyse_plan, predict_peak_memory, find_hazards):
+        for real in (solve_shapes, solve_liveness, predict_peak_memory, find_hazards):
             patched = counted(real.__name__, real)
             for name, module in list(sys.modules.items()):
                 if name.startswith("repro") and vars(module).get(real.__name__) is real:
@@ -165,7 +165,7 @@ class TestAPlanIsPreparedOnce:
                 assert miss == {
                     "from_plan": plans,
                     "predict_peak_memory": plans,
-                    "analyse_plan": plans,
+                    "solve_liveness": plans,  # no shape analysis: no lint here
                     "DefUse.of": plans,  # the graph's; the predictor reads it
                 }
                 assert hit == {}  # 0 of each
@@ -173,8 +173,11 @@ class TestAPlanIsPreparedOnce:
 
     def test_the_full_static_stack_builds_one_graph_and_one_prediction(self):
         """svd rank 5, optimize + lint + verify: ``from_plan`` 1 (5 before
-        PR 22), ``predict_peak_memory`` 1 (2), ``analyse_plan`` <= 4 (6; what
-        is left is translation validation, one per pass that rewrote).  Since
+        the prepared record), ``predict_peak_memory`` 1 (2).
+        ``solve_shapes`` <= 5 (one per plan state translation validation
+        certifies, plus the lint's) and ``solve_liveness`` 1, the
+        predictor's (4 while every translation validation also ran a
+        liveness sweep nothing read).  Since
         PR 23 a who-produces map is built by ``DefUse.of`` alone: <= 5 per
         job (17 loops before: one per plan state the optimizer certifies plus
         the graph's, which lint, verify and the predictor read), and
@@ -191,6 +194,7 @@ class TestAPlanIsPreparedOnce:
         assert seen[0] == seen[1]
         assert seen[0]["from_plan"] == 1
         assert seen[0]["predict_peak_memory"] == 1
-        assert seen[0]["analyse_plan"] <= 4
+        assert seen[0]["solve_shapes"] <= 5
+        assert seen[0]["solve_liveness"] == 1
         assert seen[0]["DefUse.of"] <= 5
         assert seen[0]["find_hazards"] == 2

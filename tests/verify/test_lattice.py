@@ -1,12 +1,6 @@
-"""Unit tests for the abstract domains under the fixpoint engine."""
+"""Unit tests for the abstract domain under the fixpoint engine."""
 
-from repro.verify import (
-    TOP,
-    FlatLattice,
-    Interval,
-    IntervalLattice,
-    PowersetLattice,
-)
+from repro.verify import TOP, FlatLattice
 
 
 class TestFlatLattice:
@@ -30,51 +24,3 @@ class TestFlatLattice:
         assert lattice.leq(None, (3, 4))
         assert lattice.leq((3, 4), TOP)
         assert not lattice.leq(TOP, (3, 4))
-
-
-class TestInterval:
-    def test_clamp_intersects(self):
-        assert Interval(2, 10).clamp(0, 6) == Interval(2, 6)
-        assert Interval(-5, None).clamp(0, 100) == Interval(0, 100)
-
-    def test_clamp_keeps_lo_at_most_hi(self):
-        clamped = Interval(50, 80).clamp(0, 10)
-        assert clamped.lo <= clamped.hi == 10
-
-    def test_str_renders_unbounded(self):
-        assert str(Interval(0, None)) == "[0, inf]"
-
-
-class TestIntervalLattice:
-    def test_join_is_hull(self):
-        lattice = IntervalLattice()
-        assert lattice.join(Interval(2, 5), Interval(4, 9)) == Interval(2, 9)
-        assert lattice.join(Interval(2, 5), Interval(4, None)) == Interval(2, None)
-        assert lattice.join(None, Interval(1, 2)) == Interval(1, 2)
-
-    def test_widen_jumps_growing_upper_bound_to_unbounded(self):
-        lattice = IntervalLattice()
-        widened = lattice.widen(Interval(0, 10), Interval(0, 11))
-        assert widened == Interval(0, None)
-
-    def test_widen_jumps_sinking_lower_bound_to_zero(self):
-        lattice = IntervalLattice()
-        widened = lattice.widen(Interval(5, 10), Interval(3, 10))
-        assert widened == Interval(0, 10)
-
-    def test_widen_is_identity_once_stable(self):
-        lattice = IntervalLattice()
-        assert lattice.widen(Interval(0, 10), Interval(2, 8)) == Interval(0, 10)
-
-
-class TestPowersetLattice:
-    def test_join_is_union(self):
-        lattice = PowersetLattice()
-        assert lattice.bottom() == frozenset()
-        joined = lattice.join(frozenset({"a"}), frozenset({"b"}))
-        assert joined == frozenset({"a", "b"})
-
-    def test_partial_order_is_subset(self):
-        lattice = PowersetLattice()
-        assert lattice.leq(frozenset({"a"}), frozenset({"a", "b"}))
-        assert not lattice.leq(frozenset({"c"}), frozenset({"a", "b"}))
