@@ -16,6 +16,7 @@ from repro.core.plan import (
     ExtendedStep,
     MatMulStep,
     Plan,
+    ProductChainStep,
     RowAggStep,
 )
 from repro.core.stages import schedule_stages
@@ -68,6 +69,8 @@ def explain(
             if step.communicates:
                 comm_steps += 1
                 moves[step.source.name] += 1
+        elif isinstance(step, ProductChainStep):
+            strategies.update(link.strategy for link in step.chain)
         elif isinstance(step, (MatMulStep, RowAggStep)):
             strategies[step.strategy] += 1
             if step.communicates:

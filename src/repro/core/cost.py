@@ -45,6 +45,7 @@ from repro.core.plan import (
     FusedCellwiseStep,
     MatMulStep,
     Plan,
+    ProductChainStep,
     RowAggStep,
     ScalarMatrixStep,
     Step,
@@ -166,8 +167,8 @@ class CostModel:
         """The work of one step: ``2 m k n`` scaled by the left operand's
         estimated sparsity for a multiplication (the engines skip zero
         rows), one flop per cell for element-wise operators and
-        aggregations, the sum over its chain for a fused step, nothing for
-        sources, extended operators and driver scalars."""
+        aggregations, the sum over its chain for a fused step or a product
+        chain, nothing for sources, extended operators and driver scalars."""
         if isinstance(step, MatMulStep):
             m, k = self.program.dims_of(step.op.left)
             n = self.program.dims_of(step.op.right)[1]
@@ -176,7 +177,7 @@ class CostModel:
         if isinstance(step, _PER_CELL_STEPS):
             rows, cols = self.program.dims[step.op.matrix_inputs()[0].name]
             return rows * cols
-        if isinstance(step, FusedCellwiseStep):
+        if isinstance(step, (FusedCellwiseStep, ProductChainStep)):
             return sum(self.flops(inner) for inner in step.chain)
         return 0
 

@@ -22,7 +22,9 @@ kinds are rejected against the operator registry
 
 from __future__ import annotations
 
-from repro.core.plan import MatrixInstance, Plan
+from typing import Iterable
+
+from repro.core.plan import MatrixInstance, Plan, Step
 from repro.errors import PlanError
 from repro.runtime.registry import spec_for
 
@@ -32,26 +34,34 @@ def schedule_stages(plan: Plan) -> Plan:
 
     Idempotent; returns the same plan object for chaining.
     """
+    stages = step_stages(plan.steps)
+    for step, stage in zip(plan.steps, stages):
+        step.stage = stage
+    plan.num_stages = max(stages, default=1)
+    return plan
+
+
+def step_stages(steps: Iterable[Step]) -> list[int]:
+    """The stage each of a topologically ordered step list runs in, in
+    order; the steps are not annotated."""
     node_stage: dict[MatrixInstance, int] = {}
     scalar_stage: dict[str, int] = {}
-    max_stage = 1
-    for step in plan.steps:
+    stages: list[int] = []
+    for step in steps:
         spec_for(step)  # PlanError on unregistered step kinds
         base = 1
         for instance in step.inputs():
             base = max(base, _input_stage(node_stage, instance))
         for name in step.scalar_inputs():
             base = max(base, scalar_stage.get(name, 1))
-        step.stage = base
+        stages.append(base)
         output = step.output_instance()
         if output is not None:
             node_stage[output] = base + 1 if step.communicates else base
         scalar = step.scalar_output()
         if scalar is not None:
             scalar_stage[scalar] = base
-        max_stage = max(max_stage, base)
-    plan.num_stages = max_stage
-    return plan
+    return stages
 
 
 def _input_stage(node_stage: dict[MatrixInstance, int], instance: MatrixInstance) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.plan import MatrixInstance, Plan
+from repro.core.plan import MatrixInstance, Plan, ProductChainStep
 from repro.errors import ExecutionError, ShuffleBlockLost
 from repro.faults.lineage import LineageTracker
 from repro.matrix.distributed import DistributedMatrix
@@ -247,9 +247,15 @@ class RecoveringResources:
         bytes_before = (
             meter.network_bytes if meter is not None else ledger.snapshot()
         )
+        # A product chain re-runs as its links, counted as the steps they
+        # are: their flops then join the compute phase of the step that
+        # found the loss, as they did when the links ran as steps.
+        steps: list = []
+        for index in cone:
+            step = self._plan.steps[index]
+            steps.extend(step.chain if isinstance(step, ProductChainStep) else (step,))
         with ledger.scope("recovery"):
-            for index in cone:
-                step = self._plan.steps[index]
+            for step in steps:
                 with ledger.scope(str(step)):
                     spec_for(step).kernel(step, rstate)
         bytes_after = (
@@ -264,13 +270,13 @@ class RecoveringResources:
         self._manager.restore(instance, matrix)
         self.blocks_recovered += 1
         self.bytes_recomputed += bytes_after - bytes_before
-        self.steps_recomputed += len(cone)
+        self.steps_recomputed += len(steps)
         if self._log is not None:
             self._log.record(
                 {
                     "event": "recovered",
                     "instance": str(instance),
-                    "steps": len(cone),
+                    "steps": len(steps),
                     "bytes": bytes_after - bytes_before,
                 }
             )
@@ -281,7 +287,7 @@ class RecoveringResources:
                 "cone",
                 stage=current_stage(),
                 instance=str(instance),
-                steps=len(cone),
+                steps=len(steps),
                 bytes=bytes_after - bytes_before,
             )
         return matrix

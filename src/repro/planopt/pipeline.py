@@ -10,7 +10,8 @@ The default pipeline interleaves CSE, repartition coalescing and dead-step
 elimination to a fixpoint -- coalescing exposes new common subexpressions
 and strands dead conversions, so one round is rarely enough -- then runs
 loop-invariant hoisting once the surviving step set is final, and finally
-cellwise fusion (:mod:`repro.planopt.fuse`), which must see the final
+cellwise and row-local product-chain fusion (:mod:`repro.planopt.fuse`),
+which must see the final
 cache-pin set and whose fused chain payloads no renaming pass may touch.
 
 Custom rewrites plug in through the :class:`Pass` protocol and an explicit
@@ -31,7 +32,7 @@ from repro.planopt.coalesce import coalesce_repartitions
 from repro.planopt.common import AppliedRewrite, clone_plan
 from repro.planopt.cse import eliminate_common_steps
 from repro.planopt.dce import eliminate_dead_steps
-from repro.planopt.fuse import fuse_cellwise_chains
+from repro.planopt.fuse import fuse_chains
 from repro.planopt.hoist import pin_loop_invariants
 from repro.planopt.index import PlanIndex
 
@@ -103,7 +104,7 @@ class FusePass:
     name = "fuse"
 
     def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return fuse_cellwise_chains(plan, context.index_for(plan))
+        return fuse_chains(plan, context.index_for(plan))
 
 
 DEFAULT_PASSES: tuple[Pass, ...] = (

@@ -5,7 +5,9 @@ trackers charge at run time:
 
 * **Transients** -- only the three charging kernel families register block
   grids with a worker's tracker for the duration of the operation: matmul
-  (both operand grids + the result, plus accumulation partials), cellwise
+  (both operand grids + the result, plus accumulation partials; a product
+  chain holds every operand grid and its result, and per lane one block
+  row of each intermediate and of one link's partials), cellwise
   (both operands + result) and scalar-matrix (operand + result, with the
   zero-fill densification ``add``/``subtract`` performs on sparse
   operands).  Sources, extended operators, unary maps, row/col aggregations
@@ -61,6 +63,7 @@ from repro.core.plan import (
     MatMulStep,
     MatrixInstance,
     Plan,
+    ProductChainStep,
     ScalarMatrixStep,
     Step,
 )
@@ -240,37 +243,29 @@ def _transient_bytes(
             result = sizer.full(step.output, dense=True)
         else:
             result = sizer.share(step.output, dense=True)
-        inner = sizer.shape(step.left)[1]
-        inner_blocks = max(1, math.ceil(inner / block_size))
-        # Every partial is one dense result block held for one inner fold,
-        # so all of them together weigh ``result * inner_blocks``; the
-        # In-Place engine keeps at most one in flight per lane (<= L lanes).
-        all_partials = result * inner_blocks
-        if inplace:
-            in_flight = threads_per_worker * dense_block_model_bytes(
-                block_size, block_size
-            )
-            partials = min(in_flight, all_partials)
-        else:  # the Buffer strategy holds every partial until the merge
-            partials = all_partials
-        extra = 0
-        if strassen:
-            # Strassen's recursion holds padded operand copies plus seven
-            # half-size products per in-flight block product -- physical
-            # temporaries beyond the tracker's model, charged here so the
-            # admission bound stays sound when the kernel is enabled.
-            from repro.core.strategies import choose_local_matmul
-
-            chosen = choose_local_matmul(
-                block_size,
-                block_size,
-                block_size,
-                strassen=True,
-                crossover=strassen_min_size,
-            )
-            if chosen.name == "strassen":
-                extra = threads_per_worker * chosen.temp_bytes
+        partials = _partial_bytes(step, result, sizer, block_size, threads_per_worker, inplace)
+        extra = _strassen_bytes(block_size, threads_per_worker, strassen, strassen_min_size)
         return operands + result + partials + extra
+    if isinstance(step, ProductChainStep):
+        links = step.chain
+        operands = sizer.share(links[0].left) + sum(sizer.share(link.right) for link in links)
+        # Each lane pushes one block row of the first left operand through
+        # every link, so of each link's product -- and of its partials --
+        # a lane holds one block row at a time.
+        held = [
+            min(
+                sizer.share(link.output, dense=True),
+                threads_per_worker * _block_row_bytes(link.output, sizer, block_size),
+            )
+            for link in links
+        ]
+        partials = max(
+            _partial_bytes(link, product, sizer, block_size, threads_per_worker, inplace)
+            for link, product in zip(links, held)
+        )
+        extra = _strassen_bytes(block_size, threads_per_worker, strassen, strassen_min_size)
+        result = sizer.share(step.output, dense=True)
+        return operands + result + sum(held[:-1]) + partials + extra
     if isinstance(step, CellwiseStep):
         return (
             sizer.share(step.left)
@@ -294,6 +289,50 @@ def _transient_bytes(
     # Sources, extended operators, unary maps, row/col aggregations and
     # driver aggregates never register grids with the trackers.
     return 0
+
+
+def _partial_bytes(
+    link: MatMulStep,
+    result: int,
+    sizer: _Sizer,
+    block_size: int,
+    threads_per_worker: int,
+    inplace: bool,
+) -> int:
+    """The accumulation partials of ``result`` bytes of one product."""
+    inner = sizer.shape(link.left)[1]
+    inner_blocks = max(1, math.ceil(inner / block_size))
+    # Every partial is one dense result block held for one inner fold,
+    # so all of them together weigh ``result * inner_blocks``; the
+    # In-Place engine keeps at most one in flight per lane (<= L lanes).
+    all_partials = result * inner_blocks
+    if inplace:
+        in_flight = threads_per_worker * dense_block_model_bytes(block_size, block_size)
+        return min(in_flight, all_partials)
+    return all_partials  # the Buffer strategy holds every partial until the merge
+
+
+def _strassen_bytes(
+    block_size: int, threads_per_worker: int, strassen: bool, strassen_min_size: int
+) -> int:
+    """Strassen's recursion holds padded operand copies plus seven
+    half-size products per in-flight block product -- physical temporaries
+    beyond the tracker's model, charged so the admission bound stays sound
+    when the kernel is enabled."""
+    if not strassen:
+        return 0
+    from repro.core.strategies import choose_local_matmul
+
+    chosen = choose_local_matmul(
+        block_size, block_size, block_size, strassen=True, crossover=strassen_min_size
+    )
+    return threads_per_worker * chosen.temp_bytes if chosen.name == "strassen" else 0
+
+
+def _block_row_bytes(instance: MatrixInstance, sizer: _Sizer, block_size: int) -> int:
+    """One dense block row of a matrix."""
+    rows, cols = sizer.shape(instance)
+    return dense_block_model_bytes(min(block_size, rows), cols)
 
 
 def solve_liveness(plan: Plan) -> Tuple[FrozenSet[MatrixInstance], ...]:

@@ -6,10 +6,17 @@ produce *byte-identical* outputs (bitwise -- NaN patterns included, which
 ledgered bytes than the unoptimized one.
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import ClusterConfig, DMacSession
+from repro.core.plan import ProductChainStep
+from repro.core.stages import schedule_stages
+from repro.faults import ChaosEngine, parse_fault_spec
+from repro.faults.lineage import LineageTracker
 from repro.lang.program import LoadOp
 from repro.programs import (
     build_cf_program,
@@ -20,6 +27,9 @@ from repro.programs import (
     build_pagerank_program,
     build_svd_program,
 )
+from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
+from repro.trace import TraceCollector, assert_reconciled
+from tests.elastic.test_golden_books import FAULT_SEED, FAULTS, TIMELINE
 
 PROGRAMS = {
     "gnmf": lambda: build_gnmf_program((60, 40), 0.05, factors=8, iterations=2),
@@ -71,3 +81,99 @@ def test_optimizer_preserves_results_and_never_moves_more(name):
         f"{name}: optimizer moved more bytes "
         f"({opt.comm_bytes} > {plain.comm_bytes})"
     )
+
+
+# -- product chains against their links --------------------------------------
+
+#: Registry sizes small enough to run every app four times.
+CHAIN_PARAMS = {"scale": 2e-3, "iterations": 3, "rows": 300, "features": 30, "eps": 1e-4}
+
+
+def expand_chains(plan):
+    """The plan with every product chain expanded back into its links."""
+    steps = [
+        copy.copy(link)
+        for step in plan.steps
+        for link in (step.chain if isinstance(step, ProductChainStep) else (step,))
+    ]
+    return schedule_stages(dataclasses.replace(plan, steps=steps))
+
+
+def chain_books(app, *, expand, inplace=True, elastic=None, faults=None, tracer=None):
+    """Outputs and every deterministic book of one optimized run, with the
+    chain steps fused (as planned) or expanded into their links."""
+    load = build_workload(app, WorkloadParams(**CHAIN_PARAMS))
+    session = DMacSession(
+        ClusterConfig(
+            num_workers=4, threads_per_worker=2, inplace=inplace, elastic=elastic
+        ),
+        optimize=True,
+    )
+    plans = session.plans(load.program)
+    # A chain's label reads as its first link's: the link that fetched the
+    # inputs (and recovered a lost one) when the links ran as steps.
+    labels = {
+        str(step): str(step.chain[0])
+        for plan in plans
+        for step in plan.steps
+        if isinstance(step, ProductChainStep)
+    }
+    if expand:
+        plans = tuple(map(expand_chains, plans))
+    chaos = ChaosEngine(FAULT_SEED, parse_fault_spec(faults)) if faults else None
+    result = session.run(
+        load.program, load.inputs, plan=plans, trace=True, chaos=chaos, tracer=tracer
+    )
+    records = sorted(
+        (
+            record.kind,
+            record.nbytes,
+            "/".join(labels.get(part, part) for part in record.scope.split("/")),
+            record.link,
+        )
+        for record in session.context.ledger.records()
+    )
+    return len(labels), result, {
+        "outputs": {name: array.tobytes() for name, array in result.matrices.items()},
+        "scalars": {name: float(value).hex() for name, value in result.scalars.items()},
+        "comm_bytes": result.comm_bytes,
+        "simulated_seconds": result.simulated_seconds.hex(),
+        "ledger": records,
+        "flops": sum(
+            step.flops for segment in result.segments for step in segment.result.trace
+        ),
+    }
+
+
+@pytest.mark.parametrize("inplace", [True, False], ids=["inplace", "buffer"])
+@pytest.mark.parametrize("app", ALL_APPS)
+def test_a_fused_chain_runs_as_its_links_did(app, inplace):
+    chains, __, fused = chain_books(app, expand=False, inplace=inplace)
+    assert chains == (3 if app == "gnmf" else 0)
+    assert chain_books(app, expand=True, inplace=inplace)[2] == fused
+
+
+@pytest.mark.parametrize("faults", [None, FAULTS], ids=["churn", "churn-faults"])
+def test_a_recovered_chain_runs_as_its_links_did(monkeypatch, faults):
+    """The timeline's leave loses ``W@2``, whose recovery cone re-runs the
+    chain that produced ``_t9``."""
+    cones = []
+    cone = LineageTracker.recovery_cone
+
+    def recorded(self, instance, available):
+        steps = cone(self, instance, available)
+        cones.append([self.plan.steps[index] for index in steps])
+        return steps
+
+    monkeypatch.setattr(LineageTracker, "recovery_cone", recorded)
+    tracer = TraceCollector()
+    __, fused, books = chain_books(
+        "gnmf", expand=False, elastic=TIMELINE, faults=faults, tracer=tracer
+    )
+    assert any(isinstance(step, ProductChainStep) for steps in cones for step in steps)
+    __, links, expanded_books = chain_books(
+        "gnmf", expand=True, elastic=TIMELINE, faults=faults
+    )
+    assert books == expanded_books
+    assert fused.recovery == links.recovery
+    assert_reconciled(tracer)
