@@ -29,8 +29,7 @@ import time
 
 import numpy as np
 
-from repro.core.cost import output_cost
-from repro.core.estimator import SizeEstimator
+from repro.core.cost import CostModel, output_cost
 from repro.core.strategies import Strategy, candidate_strategies
 from repro.errors import ExecutionError
 from repro.lang.program import (
@@ -81,18 +80,19 @@ class SystemMLSExecutor:
 
     # -- strategy choice (no dependency information) -------------------------
 
-    def choose_strategy(self, op, estimator: SizeEstimator) -> Strategy:
+    def choose_strategy(self, op, cost: CostModel) -> Strategy:
         """Argmin of the dependency-blind cost: every 1-D input costs
         ``|A|``, every Broadcast input ``N x |A|`` (plus CPMM's output)."""
         workers = self.context.num_workers
+        nbytes = cost.estimator.nbytes
         best, best_cost = None, None
         for strategy in candidate_strategies(op):
-            cost = output_cost(strategy, estimator.nbytes(op.output), workers)
+            total = output_cost(strategy, nbytes(op.output), workers)
             for operand, scheme in zip(op.matrix_inputs(), strategy.input_schemes):
-                nbytes = estimator.nbytes(operand.name)
-                cost += workers * nbytes if scheme is Scheme.BROADCAST else nbytes
-            if best_cost is None or cost < best_cost:
-                best, best_cost = strategy, cost
+                size = nbytes(operand.name)
+                total += workers * size if scheme is Scheme.BROADCAST else size
+            if best_cost is None or total < best_cost:
+                best, best_cost = strategy, total
         assert best is not None
         return best
 
@@ -104,7 +104,7 @@ class SystemMLSExecutor:
         inputs: dict[str, np.ndarray] | None = None,
     ) -> ExecutionResult:
         inputs = inputs or {}
-        estimator = SizeEstimator(program)
+        cost = CostModel(program, self.context.num_workers)
         block_size = self._resolve_block_size(program)
         env: dict[str, DistributedMatrix] = {}
         scalars: dict[str, float] = {}
@@ -130,7 +130,7 @@ class SystemMLSExecutor:
                 else:
                     scalars[op.output] = matrix.value()
             elif isinstance(op, MatMulOp):
-                strategy = self.choose_strategy(op, estimator)
+                strategy = self.choose_strategy(op, cost)
                 left = self._prepare(env, op.left, strategy.input_schemes[0])
                 right = self._prepare(env, op.right, strategy.input_schemes[1])
                 if strategy.name == "rmm1":
@@ -141,25 +141,25 @@ class SystemMLSExecutor:
                     env[op.output] = cpmm(left, right, strategy.primary_output)
                 stages += 1
             elif isinstance(op, CellwiseOp):
-                strategy = self.choose_strategy(op, estimator)
+                strategy = self.choose_strategy(op, cost)
                 left = self._prepare(env, op.left, strategy.input_schemes[0])
                 right = self._prepare(env, op.right, strategy.input_schemes[1])
                 env[op.output] = cellwise_op(op.op, left, right)
                 stages += 1
             elif isinstance(op, ScalarMatrixOp):
-                strategy = self.choose_strategy(op, estimator)
+                strategy = self.choose_strategy(op, cost)
                 source = self._prepare(env, op.operand, strategy.input_schemes[0])
                 scalar = op.scalar
                 value = scalars[scalar] if isinstance(scalar, str) else float(scalar)
                 env[op.output] = scalar_op_matrix(op.op, source, value)
                 stages += 1
             elif isinstance(op, UnaryMatrixOp):
-                strategy = self.choose_strategy(op, estimator)
+                strategy = self.choose_strategy(op, cost)
                 source = self._prepare(env, op.operand, strategy.input_schemes[0])
                 env[op.output] = unary_op_matrix(op.func, source)
                 stages += 1
             elif isinstance(op, RowAggOp):
-                strategy = self.choose_strategy(op, estimator)
+                strategy = self.choose_strategy(op, cost)
                 source = self._prepare(env, op.operand, strategy.input_schemes[0])
                 aggregate = row_sums if op.kind == "rowsum" else col_sums
                 if strategy.shuffles_output:

@@ -24,13 +24,20 @@ step's ledger bytes and flops, :meth:`CostModel.price` tabulates them
 The planner, the optimizer, lint rule DM104, ``repro plan``, the service's
 admission predictions, the elasticity policies' stage profile and the
 advisor all read these; none of them prices a step itself.
+
+**Memory quotes** -- the same two facts priced by Equation 2: what a
+matrix weighs whole (:meth:`CostModel.matrix_bytes`) and on one worker
+(:meth:`CostModel.share_bytes`).  The peak-memory bound sizes through them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable, NamedTuple
 
+from repro.blocks.conversion import DEFAULT_SPARSE_THRESHOLD
+from repro.blocks.memory import matrix_model_bytes
 from repro.config import ClockConfig
 from repro.core.dependency import (
     BROADCAST_DEPENDENCIES,
@@ -44,6 +51,7 @@ from repro.core.plan import (
     ExtendedStep,
     FusedCellwiseStep,
     MatMulStep,
+    MatrixInstance,
     Plan,
     ProductChainStep,
     RowAggStep,
@@ -52,7 +60,9 @@ from repro.core.plan import (
     UnaryStep,
 )
 from repro.core.strategies import Strategy
+from repro.errors import PlanError
 from repro.lang.program import MatrixProgram
+from repro.matrix.schemes import Scheme
 
 #: Steps whose work is one flop per cell of their first matrix operand.
 _PER_CELL_STEPS = (CellwiseStep, ScalarMatrixStep, UnaryStep, RowAggStep, AggregateStep)
@@ -77,6 +87,29 @@ def output_cost(strategy: Strategy, nbytes: int, num_workers: int) -> int:
 def naive_matmul_flops(m: int, k: int, n: int) -> int:
     """Flops of the classical dense block product: ``2 m k n``."""
     return 2 * m * k * n
+
+
+def _stored_bytes(rows: int, cols: int, sparsity: float, block_size: int) -> int:
+    """Equation 2 for a whole matrix, bounding the engine's per-block storage
+    choice: below ``DEFAULT_SPARSE_THRESHOLD`` every block stays sparse (the
+    sparse formula is monotone in density); at or above it a block is dense
+    or sparse *under* the threshold, so the bound is ``max(dense,
+    sparse-at-threshold)`` -- never 8 bytes per element at a density the
+    engine would not store sparse."""
+    if rows <= 0 or cols <= 0:
+        return 0
+    if sparsity < DEFAULT_SPARSE_THRESHOLD:
+        return matrix_model_bytes(rows, cols, sparsity, block_size, sparse=True)
+    dense = matrix_model_bytes(rows, cols, sparsity, block_size, sparse=False)
+    sparse_cap = matrix_model_bytes(
+        rows, cols, DEFAULT_SPARSE_THRESHOLD, block_size, sparse=True
+    )
+    return max(dense, sparse_cap)
+
+
+def _owned(extent: int, block_size: int, workers: int) -> int:
+    """One worker's part of ``extent`` dealt out in ``block_size`` lines."""
+    return min(extent, math.ceil(math.ceil(extent / block_size) / workers) * block_size)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,6 +182,7 @@ class CostModel:
         self.num_workers = num_workers
         self.estimator = SizeEstimator(program, estimation_mode)
         self.replicas = num_workers - 1 if replicas is None else replicas
+        self._shares: dict[tuple[MatrixInstance, int, bool], int] = {}
 
     def comm_bytes(self, step: Step) -> int:
         """The charge the communication ledger will book for one step:
@@ -194,6 +228,53 @@ class CostModel:
                 for index, step in enumerate(plan.steps)
             )
         )
+
+    def dims(self, instance: MatrixInstance) -> tuple[int, int]:
+        """An instance's declared dimensions (transpose-adjusted); ``(0, 0)``
+        for a name the program does not declare, so it weighs nothing."""
+        if instance.name not in self.program.dims:
+            return (0, 0)
+        return self.program.dims_of(instance)
+
+    def matrix_bytes(
+        self, instance: MatrixInstance, block_size: int, *, dense: bool = False
+    ) -> int:
+        """Equation-2 bytes of a whole matrix (``dense``: stored dense)."""
+        rows, cols = self.dims(instance)
+        return _stored_bytes(rows, cols, self._sparsity(instance, dense), block_size)
+
+    def share_bytes(
+        self, instance: MatrixInstance, block_size: int, *, dense: bool = False
+    ) -> int:
+        """One worker's Equation-2 share of a matrix under its scheme, with
+        non-zeros spread uniformly over blocks (the paper's own assumption):
+        a broadcast replica is the whole matrix, a 1-D layout owns
+        ``ceil(block_rows / N)`` block rows (resp. columns).  Memoised: the
+        memory bound asks for a share once per step that holds it."""
+        key = (instance, block_size, dense)
+        share = self._shares.get(key)
+        if share is None:
+            rows, cols = self.dims(instance)
+            sparsity = self._sparsity(instance, dense)
+            share = _stored_bytes(rows, cols, sparsity, block_size)
+            if instance.scheme is not Scheme.BROADCAST and self.num_workers > 1:
+                if instance.scheme is Scheme.ROW:
+                    rows = _owned(rows, block_size, self.num_workers)
+                else:
+                    cols = _owned(cols, block_size, self.num_workers)
+                share = min(share, _stored_bytes(rows, cols, sparsity, block_size))
+            self._shares[key] = share
+        return share
+
+    def _sparsity(self, instance: MatrixInstance, dense: bool) -> float:
+        """The Section-5.1 estimate; 1 when ``dense`` or when the name has
+        no estimate (sized dense)."""
+        if not dense:
+            try:
+                return self.estimator.sparsity(instance.name)
+            except PlanError:
+                pass
+        return 1.0
 
 
 class PredictedSeconds(NamedTuple):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 
 from repro.core.cost import CostModel
-from repro.core.estimator import SizeEstimator
 from repro.core.plan import MatrixInstance, Plan
 from repro.core.strategies import candidate_strategies
 from repro.errors import PlanError
@@ -82,7 +81,7 @@ def optimal_cost(program: MatrixProgram, num_workers: int) -> int:
             f"exhaustive search limited to {MAX_OPERATORS} operators, "
             f"got {len(ops)}"
         )
-    estimator = SizeEstimator(program)
+    model = CostModel(program, num_workers)
 
     @functools.lru_cache(maxsize=None)
     def search(index: int, state: State) -> int:
@@ -103,11 +102,11 @@ def optimal_cost(program: MatrixProgram, num_workers: int) -> int:
             # any scheme works; some instance of the operand always exists
             return search(index + 1, state)
 
-        nbytes_out = estimator.nbytes(op.output)
+        nbytes_out = model.estimator.nbytes(op.output)
         best = None
         for strategy in candidate_strategies(op):
             input_options = [
-                _satisfaction_options(state, operand, required, estimator, num_workers)
+                _satisfaction_options(state, operand, required, model)
                 for operand, required in zip(op.matrix_inputs(), strategy.input_schemes)
             ]
             for combo_cost, combo_added in _combine(input_options):
@@ -135,8 +134,7 @@ def _satisfaction_options(
     state: State,
     operand: Operand,
     required: Scheme,
-    estimator: SizeEstimator,
-    num_workers: int,
+    model: CostModel,
 ) -> list[tuple[int, frozenset]]:
     """Ways to make ``operand`` available under ``required``:
     ``(cost, instances added)`` alternatives."""
@@ -145,7 +143,7 @@ def _satisfaction_options(
         return [(0, frozenset())]
     if not any(inst.name == operand.name for inst in state):
         raise PlanError(f"operand {operand} used before production")
-    nbytes = estimator.nbytes(operand.name)
+    nbytes = model.estimator.nbytes(operand.name)
     options: list[tuple[int, frozenset]] = []
     if required.is_one_dimensional:
         # (a) repartition into the required 1-D scheme
@@ -153,11 +151,9 @@ def _satisfaction_options(
         # (b) speculatively broadcast instead (the Pull-Up Broadcast move):
         #     pay N x |A| now, gain the replica for every later event
         replica = MatrixInstance(operand.name, operand.transposed, Scheme.BROADCAST)
-        options.append((num_workers * nbytes, frozenset({replica})))
+        options.append((model.num_workers * nbytes, frozenset({replica})))
     else:
-        options.append(
-            (num_workers * nbytes, frozenset({target}))
-        )
+        options.append((model.num_workers * nbytes, frozenset({target})))
     return options
 
 

@@ -70,7 +70,7 @@ from repro.lang.program import (
 from repro.lint.diagnostics import Diagnostic, LintContext, Severity
 from repro.matrix.schemes import Scheme
 from repro.runtime.graph import StageGraph
-from repro.verify.analysis import Shape, declared_shape
+from repro.verify.analysis import Shape
 from repro.verify.hazards import (
     DOUBLE_PUBLISH,
     READ_BEFORE_PUBLISH,
@@ -251,17 +251,16 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
         if output is None:
             continue
         interpreted = shapes.get(output)
-        declared = declared_shape(program, output)
-        if declared is None:
+        if output.name not in program.dims:
             yield this.diagnostic(
                 f"instance {output} has no declared dimensions in the program",
                 step=index,
                 subject=output,
             )
-        elif interpreted is not None and interpreted != declared:
+        elif interpreted is not None and interpreted != program.dims_of(output):
             yield this.diagnostic(
                 f"instance {output} flows with shape {interpreted} but the "
-                f"program declares {declared}",
+                f"program declares {program.dims_of(output)}",
                 step=index,
                 subject=output,
             )

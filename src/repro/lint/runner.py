@@ -28,7 +28,6 @@ from repro.lint.diagnostics import Diagnostic, LintContext, LintReport, Severity
 from repro.lint.rules import RULES, LintInput
 from repro.runtime.graph import StageGraph
 from repro.verify.analysis import solve_shapes
-from repro.verify.lattice import TOP
 
 
 def _apply_rules(inputs: LintInput, suppress: tuple[str, ...]) -> LintReport:
@@ -75,11 +74,7 @@ def lint_plan(
         context,
         plan,
         graph=graph or StageGraph.from_plan(plan),
-        shapes={
-            instance: shape
-            for instance, shape in solve_shapes(plan).items()
-            if shape is not TOP
-        },
+        shapes=solve_shapes(plan),
         cost=CostModel(plan.program, context.num_workers, context.estimation_mode),
     )
     return _apply_rules(inputs, suppress)

@@ -22,8 +22,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
+from repro.core.cost import CostModel
 from repro.core.defuse import DefUse
-from repro.core.estimator import SizeEstimator
 from repro.core.plan import (
     ExtendedStep,
     MatMulStep,
@@ -82,9 +82,9 @@ def _find_step(plan: Plan, predicate) -> int:
     raise AssertionError("selftest reference plan lacks the expected step")
 
 
-def _nbytes(program: MatrixProgram, name: str) -> int:
-    """Worst-case ``|A|``, as the default lint context sizes it."""
-    return SizeEstimator(program).nbytes(name)
+def _cost(program: MatrixProgram, context: LintContext) -> CostModel:
+    """The lint's own pricing (what DM104 holds ``predicted_bytes`` to)."""
+    return CostModel(program, context.num_workers, context.estimation_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def _corrupt_redundant_partition(plan: Plan, context: LintContext):
     redundant = ExtendedStep("partition", victim, victim)
     redundant.stage = graph.available_stage[victim]
     plan.steps.insert(index + 1, redundant)
-    plan.predicted_bytes += _nbytes(plan.program, victim.name)
+    plan.predicted_bytes += _cost(plan.program, context).comm_bytes(redundant)
     return plan, context
 
 
@@ -256,7 +256,7 @@ def _corrupt_cpmm_choice(plan: Plan, context: LintContext):
         program=program,
         steps=steps,
         outputs={c_name: c},
-        predicted_bytes=(context.num_workers - 1) * _nbytes(program, c_name),
+        predicted_bytes=_cost(program, context).bytes(steps),
     )
     return bad, context
 
@@ -271,9 +271,7 @@ def _corrupt_rebroadcast(plan: Plan, context: LintContext):
     duplicate = ExtendedStep("broadcast", victim.source, victim.target)
     duplicate.stage = victim.stage
     plan.steps.insert(index + 1, duplicate)
-    plan.predicted_bytes += (context.num_workers - 1) * _nbytes(
-        plan.program, victim.source.name
-    )
+    plan.predicted_bytes += _cost(plan.program, context).comm_bytes(duplicate)
     return plan, context
 
 
@@ -286,7 +284,8 @@ def _corrupt_cache_pins(plan: Plan, context: LintContext):
     if len(replicas) < 2:
         raise AssertionError("need >= 2 replicas for an overweight pin set")
     plan.cache_pins = tuple(replicas)
-    budget = max(_nbytes(plan.program, i.name) for i in replicas)
+    estimator = _cost(plan.program, context).estimator
+    budget = max(estimator.nbytes(i.name) for i in replicas)
     return plan, dataclasses.replace(context, memory_limit_bytes=budget)
 
 

@@ -1,9 +1,8 @@
 """repro.verify -- static verification of DMac plans.
 
-A worklist fixpoint engine over the plan IR runs one forward analysis --
-shapes, on one flat lattice, with transfer functions derived from the
-operator registry -- and a reverse liveness sweep sits beside the memory
-predictor.  Three clients:
+One forward pass over the plan's steps derives shapes from the operator
+registry's shape rules (:func:`repro.verify.analysis.solve_shapes`), and a
+reverse liveness sweep sits beside the memory predictor.  Three clients:
 
 * **translation validation** (:mod:`repro.verify.certify`) -- certify
   every optimizer rewrite equivalence-preserving, or hard-fail
@@ -14,8 +13,8 @@ predictor.  Three clients:
   DM3xx rules);
 * **memory prediction** (:mod:`repro.verify.memory`) -- a sound
   per-worker peak bound mirroring the engines' tracker charges, sizing
-  each matrix from the facts the cost model reads (declared dimensions,
-  Section-5.1 sparsity); exposed on
+  each matrix through the cost model's Equation-2 quotes
+  (:class:`~repro.core.cost.CostModel`); exposed on
   ``ExecutionResult.predicted_peak_memory_bytes`` and behind DM206.
 
 Entry points: :func:`verify_plan` for everything at once,
@@ -30,7 +29,6 @@ from repro.verify.certify import (
     certify,
     value_summary,
 )
-from repro.verify.engine import solve
 from repro.verify.hazards import (
     DOUBLE_PUBLISH,
     READ_BEFORE_PUBLISH,
@@ -39,7 +37,6 @@ from repro.verify.hazards import (
     find_hazards,
     happens_before,
 )
-from repro.verify.lattice import TOP, FlatLattice, Lattice
 from repro.verify.memory import (
     MemoryPrediction,
     StepFootprint,
@@ -50,13 +47,10 @@ from repro.verify.report import VerificationReport, verify_plan
 __all__ = [
     "Certificate",
     "DOUBLE_PUBLISH",
-    "FlatLattice",
     "Hazard",
-    "Lattice",
     "MemoryPrediction",
     "READ_BEFORE_PUBLISH",
     "StepFootprint",
-    "TOP",
     "ValueConflict",
     "ValueSummary",
     "VerificationReport",
@@ -65,7 +59,6 @@ __all__ = [
     "find_hazards",
     "happens_before",
     "predict_peak_memory",
-    "solve",
     "value_summary",
     "verify_plan",
 ]

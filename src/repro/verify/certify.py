@@ -12,7 +12,7 @@ a transpose wraps the term in a self-cancelling ``("T", .)`` marker.
 
 Two plans are certified equivalent when, for every program output (matrix
 and scalar), the value keys agree, the dataflow stays well-ordered, no
-name acquires conflicting definitions, and the fixpoint shape facts of the
+name acquires conflicting definitions, and the shape facts of the
 outputs survive.  Scheme/strategy choices are deliberately *absent* from
 the keys: they are the degrees of freedom the optimizer is allowed to
 exercise.  Operand order is deliberately *present*, even for commutative
@@ -55,7 +55,7 @@ from repro.lang.expr import (
     ScalarRefExpr,
     ScalarUnaryExpr,
 )
-from repro.verify.analysis import solve_shapes
+from repro.verify.analysis import Shape, solve_shapes
 
 #: A symbolic value: an interned :class:`Term` or an atomic string/number.
 ValueKey = object
@@ -292,7 +292,7 @@ class PlanFacts:
     computes them once per distinct plan and hands a certificate's
     ``after`` facts on as the next certificate's ``before``."""
 
-    shapes: Dict[MatrixInstance, object]  # (rows, cols) | TOP
+    shapes: Dict[MatrixInstance, Shape]  # absent if unknown
     summary: ValueSummary
     defuse: DefUse
 
@@ -302,13 +302,13 @@ class PlanFacts:
 
 
 def _logical_shape(
-    shapes: Dict[MatrixInstance, object], instance: MatrixInstance
-) -> Optional[Tuple[int, int]]:
+    shapes: Dict[MatrixInstance, Shape], instance: MatrixInstance
+) -> Optional[Shape]:
     """The shape fact of an output, untransposed; ``None`` if unknown."""
     fact = shapes.get(instance)
-    if not isinstance(fact, tuple):
-        return None
-    return (fact[1], fact[0]) if instance.transposed else fact
+    if fact is None or not instance.transposed:
+        return fact
+    return (fact[1], fact[0])
 
 
 def certify(

@@ -19,21 +19,13 @@ trackers charge at run time:
   published so far) plus that step's transient: a transient-heavy step
   *before* a pin's producer never pays for that pin.
 
-A matrix is sized from the two facts the cost model
-(:class:`~repro.core.cost.CostModel`) reads: the program's declared
+Every matrix is sized by one :class:`~repro.core.cost.CostModel`'s
+Equation-2 quotes (:meth:`~repro.core.cost.CostModel.share_bytes`,
+:meth:`~repro.core.cost.CostModel.matrix_bytes`): the program's declared
 dimensions -- on any plan that lints, the shape analysis' answer (rule
-DM101) -- and the Section-5.1 worst-case sparsity of
-:class:`~repro.core.estimator.SizeEstimator`, priced by the paper's
-Equation-2 model: blocks store sparse only below
-:data:`~repro.blocks.conversion.DEFAULT_SPARSE_THRESHOLD` (8 bytes per
-non-zero, so at most ``2.4`` bytes per element) and dense at 4 bytes per
-element above it, so the per-matrix bound takes the sparse model below the
-threshold and ``max(dense, sparse-at-threshold)`` above -- never the
-8-bytes-per-element sparse formula at a density the engine would refuse to
-store sparse.  Per-worker shares assume Equation 2's
-uniform distribution of non-zeros over blocks (the paper's own modelling
-assumption): a BROADCAST replica charges its full size, a 1-D layout
-``ceil(block_rows / K)`` block rows (resp. columns).
+DM101) -- and the Section-5.1 worst-case sparsity, under the engine's
+per-block storage choice.  A name the program does not declare weighs
+nothing; a name with no sparsity estimate is sized dense.
 
 Under concurrent scheduling up to ``C`` stage-graph nodes run at once, so
 the concurrent bound adds the ``C`` largest per-node transients -- a
@@ -47,16 +39,12 @@ applies and is tight enough to validate against observed tracker peaks.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.blocks.conversion import DEFAULT_SPARSE_THRESHOLD
-from repro.blocks.memory import (
-    dense_block_model_bytes,
-    matrix_model_bytes,
-    program_block_size,
-)
-from repro.core.estimator import SizeEstimator
+from repro.blocks.memory import dense_block_model_bytes, program_block_size
+from repro.core.cost import CostModel
 from repro.core.plan import (
     CellwiseStep,
     FusedCellwiseStep,
@@ -67,10 +55,7 @@ from repro.core.plan import (
     ScalarMatrixStep,
     Step,
 )
-from repro.errors import PlanError
-from repro.matrix.schemes import Scheme
 from repro.runtime.graph import StageGraph
-from repro.verify.analysis import declared_shape
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,99 +108,6 @@ class MemoryPrediction:
         }
 
 
-def _model_bytes(rows: int, cols: int, sparsity: float, block_size: int) -> int:
-    """Equation-2 bound for one whole matrix under auto storage choice.
-
-    The engine picks storage per block by *actual* density against
-    ``DEFAULT_SPARSE_THRESHOLD``; the estimator only over-approximates
-    density.  Below the threshold every block stays sparse and the sparse
-    formula is monotone in density, so it bounds the charge.  At or above,
-    a block is either dense (4 bytes/element) or sparse at a density
-    *under* the threshold (at most ``4N + 2.4MN`` per block), so the bound
-    is ``max(dense, sparse-at-threshold)`` -- not the sparse formula at the
-    estimated density, which would double-count dense matrices at 8
-    bytes/element."""
-    if rows <= 0 or cols <= 0:
-        return 0
-    if sparsity < DEFAULT_SPARSE_THRESHOLD:
-        return matrix_model_bytes(rows, cols, sparsity, block_size, sparse=True)
-    dense = matrix_model_bytes(rows, cols, sparsity, block_size, sparse=False)
-    sparse_cap = matrix_model_bytes(
-        rows, cols, DEFAULT_SPARSE_THRESHOLD, block_size, sparse=True
-    )
-    return max(dense, sparse_cap)
-
-
-def _share_bytes(
-    rows: int,
-    cols: int,
-    sparsity: float,
-    scheme: Scheme,
-    block_size: int,
-    num_workers: int,
-) -> int:
-    """Per-worker share of a matrix under its scheme (Equation-2 model)."""
-    total = _model_bytes(rows, cols, sparsity, block_size)
-    if rows <= 0 or cols <= 0 or num_workers <= 1:
-        return total
-    if scheme is Scheme.ROW:
-        block_rows = math.ceil(rows / block_size)
-        owned = min(rows, math.ceil(block_rows / num_workers) * block_size)
-        return min(total, _model_bytes(owned, cols, sparsity, block_size))
-    if scheme is Scheme.COL:
-        block_cols = math.ceil(cols / block_size)
-        owned = min(cols, math.ceil(block_cols / num_workers) * block_size)
-        return min(total, _model_bytes(rows, owned, sparsity, block_size))
-    return total  # BROADCAST (or unknown): a full replica everywhere
-
-
-class _Sizer:
-    """Caches per-instance share computations for one prediction run."""
-
-    def __init__(
-        self,
-        plan: Plan,
-        block_size: int,
-        num_workers: int,
-        estimation_mode: str,
-    ) -> None:
-        self._program = plan.program
-        self._block_size = block_size
-        self._num_workers = num_workers
-        self._estimator = SizeEstimator(self._program, estimation_mode)
-        self._cache: Dict[Tuple[MatrixInstance, bool], int] = {}
-
-    def shape(self, instance: MatrixInstance) -> Tuple[int, int]:
-        """Declared dims; a name the program never declared (DM101's
-        finding) weighs nothing."""
-        return declared_shape(self._program, instance) or (0, 0)
-
-    def sparsity(self, instance: MatrixInstance) -> float:
-        try:
-            return self._estimator.sparsity(instance.name)
-        except PlanError:
-            return 1.0  # unknown matrix: assume dense
-
-    def share(self, instance: MatrixInstance, *, dense: bool = False) -> int:
-        key = (instance, dense)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        rows, cols = self.shape(instance)
-        sparsity = 1.0 if dense else self.sparsity(instance)
-        nbytes = _share_bytes(
-            rows, cols, sparsity, instance.scheme,
-            self._block_size, self._num_workers,
-        )
-        self._cache[key] = nbytes
-        return nbytes
-
-    def full(self, instance: MatrixInstance, *, dense: bool = False) -> int:
-        rows, cols = self.shape(instance)
-        sparsity = 1.0 if dense else self.sparsity(instance)
-        return _model_bytes(rows, cols, sparsity, self._block_size)
-
-
 def _scalar_matrix_densifies(step: ScalarMatrixStep) -> bool:
     """Does ``add``/``subtract`` zero-fill sparse operands?  A scalar read
     from the driver at run time is conservatively assumed non-zero."""
@@ -227,65 +119,63 @@ def _scalar_matrix_densifies(step: ScalarMatrixStep) -> bool:
 
 def _transient_bytes(
     step: Step,
-    sizer: _Sizer,
+    cost: CostModel,
     block_size: int,
     threads_per_worker: int,
     inplace: bool,
-    strassen: bool = False,
-    strassen_min_size: int = 128,
+    strassen_bytes: int,
 ) -> int:
     """Tracker bytes this step holds on one worker while it runs."""
+    share = cost.share_bytes
     if isinstance(step, MatMulStep):
-        operands = sizer.share(step.left) + sizer.share(step.right)
+        operands = share(step.left, block_size) + share(step.right, block_size)
         if step.strategy == "cpmm":
             # Every worker materialises a full dense partial of C before
             # the aggregation shuffle merges strips on the consumers.
-            result = sizer.full(step.output, dense=True)
+            result = cost.matrix_bytes(step.output, block_size, dense=True)
         else:
-            result = sizer.share(step.output, dense=True)
-        partials = _partial_bytes(step, result, sizer, block_size, threads_per_worker, inplace)
-        extra = _strassen_bytes(block_size, threads_per_worker, strassen, strassen_min_size)
-        return operands + result + partials + extra
+            result = share(step.output, block_size, dense=True)
+        partials = _partial_bytes(step, result, cost, block_size, threads_per_worker, inplace)
+        return operands + result + partials + strassen_bytes
     if isinstance(step, ProductChainStep):
         links = step.chain
-        operands = sizer.share(links[0].left) + sum(sizer.share(link.right) for link in links)
+        operands = share(links[0].left, block_size) + sum(
+            share(link.right, block_size) for link in links
+        )
         # Each lane pushes one block row of the first left operand through
         # every link, so of each link's product -- and of its partials --
         # a lane holds one block row at a time.
-        held = [
-            min(
-                sizer.share(link.output, dense=True),
-                threads_per_worker * _block_row_bytes(link.output, sizer, block_size),
+        held = []
+        for link in links:
+            rows, cols = cost.dims(link.output)
+            block_row = dense_block_model_bytes(min(block_size, rows), cols)
+            held.append(
+                min(share(link.output, block_size, dense=True), threads_per_worker * block_row)
             )
-            for link in links
-        ]
         partials = max(
-            _partial_bytes(link, product, sizer, block_size, threads_per_worker, inplace)
+            _partial_bytes(link, product, cost, block_size, threads_per_worker, inplace)
             for link, product in zip(links, held)
         )
-        extra = _strassen_bytes(block_size, threads_per_worker, strassen, strassen_min_size)
-        result = sizer.share(step.output, dense=True)
-        return operands + result + sum(held[:-1]) + partials + extra
+        result = share(step.output, block_size, dense=True)
+        return operands + result + sum(held[:-1]) + partials + strassen_bytes
     if isinstance(step, CellwiseStep):
         return (
-            sizer.share(step.left)
-            + sizer.share(step.right)
-            + sizer.share(step.output)
+            share(step.left, block_size)
+            + share(step.right, block_size)
+            + share(step.output, block_size)
         )
     if isinstance(step, FusedCellwiseStep):
         # The fused kernel registers every external operand grid and the
         # final result; chain intermediates are per-block temporaries that
         # never reach the tracker.
-        return sum(
-            sizer.share(instance) for instance in step.inputs()
-        ) + sizer.share(step.output)
+        return sum(share(i, block_size) for i in (*step.inputs(), step.output))
     if isinstance(step, ScalarMatrixStep):
         if _scalar_matrix_densifies(step):
             # Zero-fill: the registered operand grid carries its sparse
             # blocks plus explicit dense zero blocks for absent keys.
-            operand = sizer.share(step.source) + sizer.share(step.source, dense=True)
-            return operand + sizer.share(step.output, dense=True)
-        return sizer.share(step.source) + sizer.share(step.output)
+            operand = share(step.source, block_size) + share(step.source, block_size, dense=True)
+            return operand + share(step.output, block_size, dense=True)
+        return share(step.source, block_size) + share(step.output, block_size)
     # Sources, extended operators, unary maps, row/col aggregations and
     # driver aggregates never register grids with the trackers.
     return 0
@@ -294,14 +184,13 @@ def _transient_bytes(
 def _partial_bytes(
     link: MatMulStep,
     result: int,
-    sizer: _Sizer,
+    cost: CostModel,
     block_size: int,
     threads_per_worker: int,
     inplace: bool,
 ) -> int:
     """The accumulation partials of ``result`` bytes of one product."""
-    inner = sizer.shape(link.left)[1]
-    inner_blocks = max(1, math.ceil(inner / block_size))
+    inner_blocks = max(1, math.ceil(cost.dims(link.left)[1] / block_size))
     # Every partial is one dense result block held for one inner fold,
     # so all of them together weigh ``result * inner_blocks``; the
     # In-Place engine keeps at most one in flight per lane (<= L lanes).
@@ -327,12 +216,6 @@ def _strassen_bytes(
         block_size, block_size, block_size, strassen=True, crossover=strassen_min_size
     )
     return threads_per_worker * chosen.temp_bytes if chosen.name == "strassen" else 0
-
-
-def _block_row_bytes(instance: MatrixInstance, sizer: _Sizer, block_size: int) -> int:
-    """One dense block row of a matrix."""
-    rows, cols = sizer.shape(instance)
-    return dense_block_model_bytes(min(block_size, rows), cols)
 
 
 def solve_liveness(plan: Plan) -> Tuple[FrozenSet[MatrixInstance], ...]:
@@ -375,28 +258,20 @@ def predict_peak_memory(
         block_size = program_block_size(
             plan.program.dims, num_workers, threads_per_worker
         )
-    sizer = _Sizer(plan, block_size, num_workers, estimation_mode)
-
+    cost = CostModel(plan.program, num_workers, estimation_mode)
+    extra = _strassen_bytes(block_size, threads_per_worker, strassen, strassen_min_size)
     transients = [
-        _transient_bytes(
-            step, sizer, block_size, threads_per_worker, inplace,
-            strassen=strassen, strassen_min_size=strassen_min_size,
-        )
+        _transient_bytes(step, cost, block_size, threads_per_worker, inplace, extra)
         for step in plan.steps
     ]
 
     # Pins charge at their (first) producer's publish and stay resident to
     # the end.
-    admitted_at: Dict[int, int] = {}
+    admitted = [0] * len(plan.steps)
     for pin in plan.cache_pins:
-        index = graph.defuse.first(pin) or 0
-        admitted_at[index] = admitted_at.get(index, 0) + sizer.share(pin)
-    pin_prefix: List[int] = []
-    running = 0
-    for index in range(len(plan.steps)):
-        running += admitted_at.get(index, 0)
-        pin_prefix.append(running)
-    pinned_total = running
+        admitted[graph.defuse.first(pin) or 0] += cost.share_bytes(pin, block_size)
+    pin_prefix = list(itertools.accumulate(admitted))
+    pinned_total = pin_prefix[-1] if pin_prefix else 0
 
     footprints = tuple(
         StepFootprint(
@@ -432,10 +307,9 @@ def predict_peak_memory(
     # Liveness high water: every produced instance resident at some step,
     # under refcounting -- an *informational* floor-style curve; tracker
     # charges are the two bounds above.
-    live_peak = max(
-        (sum(map(sizer.share, live)) for live in solve_liveness(plan)),
-        default=0,
-    )
+    live_after = solve_liveness(plan)
+    weight = {i: cost.share_bytes(i, block_size) for i in set().union(*live_after)}
+    live_peak = max((sum(map(weight.__getitem__, live)) for live in live_after), default=0)
 
     return MemoryPrediction(
         peak_bytes=serial_peak if concurrency == 1 else concurrent_peak,

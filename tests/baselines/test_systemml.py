@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.systemml import SystemMLSExecutor
 from repro.config import ClusterConfig
-from repro.core.estimator import SizeEstimator
+from repro.core.cost import CostModel
 from repro.errors import ExecutionError
 from repro.lang.program import MatMulOp, ProgramBuilder
 from repro.rdd.context import ClusterContext
@@ -26,7 +26,7 @@ class TestStrategyChoice:
         program = pb.build()
         executor = SystemMLSExecutor(ctx, 8)
         op = next(op for op in program.ops if isinstance(op, MatMulOp))
-        strategy = executor.choose_strategy(op, SizeEstimator(program))
+        strategy = executor.choose_strategy(op, CostModel(program, 4))
         # RMM2 broadcasts the small B: N|B| + |A| beats broadcasting A.
         assert strategy.name == "rmm2"
 
@@ -37,7 +37,7 @@ class TestStrategyChoice:
         pb.output(pb.assign("C", a @ b))
         program = pb.build()
         op = next(op for op in program.ops if isinstance(op, MatMulOp))
-        strategy = SystemMLSExecutor(ctx, 8).choose_strategy(op, SizeEstimator(program))
+        strategy = SystemMLSExecutor(ctx, 8).choose_strategy(op, CostModel(program, 4))
         assert strategy.name == "rmm1"  # broadcast the small A
 
 

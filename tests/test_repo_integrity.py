@@ -101,8 +101,7 @@ class TestOneCostModel:
     CHARGE = re.compile(r"\(\s*(?:\w+\.)?(?:num_)?workers\s*-\s*1\s*\)\s*\*")
     #: ... and the work formula ``2 m k n x density``.
     WORK = re.compile(r"\b2(?:\.0)?(?:\s*\*\s*[\w.]+){4}")
-    #: ``lint/selftest.py`` builds corrupted plans and pays for them by hand.
-    EXEMPT = {"core/cost.py", "lint/selftest.py"}
+    EXEMPT = {"core/cost.py"}
 
     def _sources(self):
         root = REPO / "src" / "repro"
@@ -122,6 +121,17 @@ class TestOneCostModel:
         assert not hits, "\n".join(hits)
         cost = (root / "core" / "cost.py").read_text()
         assert self.WORK.search(cost), "the gate's own pattern went stale"
+
+    def test_only_the_cost_model_builds_a_size_estimator(self):
+        """Every size a plan decision or the memory bound reads comes from a
+        :class:`~repro.core.cost.CostModel`'s one estimator."""
+        root = REPO / "src" / "repro"
+        hits = sorted(
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if "SizeEstimator(" in path.read_text()
+        )
+        assert hits == ["core/cost.py"]
 
     def test_one_job_builds_a_handful_of_size_estimators(self, monkeypatch):
         """The estimator of a frozen program used to be rebuilt once per

@@ -16,7 +16,7 @@ import hashlib
 import json
 import pathlib
 
-from repro.core.plan import ExtendedStep, MatrixInstance
+from repro.core.plan import ExtendedStep, MatrixInstance, SourceStep
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.frontend.staged import segments_of
@@ -28,7 +28,6 @@ from repro.planopt import optimize_plan
 from repro.programs.registry import ALL_APPS, build_workload
 from repro.runtime.registry import OPERATORS
 from repro.verify.analysis import solve_shapes
-from repro.verify.lattice import TOP
 from repro.verify.memory import solve_liveness
 
 GOLDEN = json.loads(
@@ -42,8 +41,7 @@ def render(plan) -> dict:
     live_after = [sorted(str(i) for i in live) for live in solve_liveness(plan)]
     return {
         "shapes": {
-            str(instance): list(fact) if isinstance(fact, tuple) else "TOP"
-            for instance, fact in solve_shapes(plan).items()
+            str(instance): list(fact) for instance, fact in solve_shapes(plan).items()
         },
         "live_after_sha256": hashlib.sha256(
             json.dumps(live_after).encode()
@@ -69,7 +67,7 @@ def test_every_analysis_equals_the_parents_field_for_field():
 
 
 def test_shape_rules_never_see_top(monkeypatch):
-    """An unregistered step's output is ``TOP``; its reader must be fed
+    """An unregistered step's output is unknown; its reader must be fed
     "unknown", not a sentinel to index into -- and only what it reads."""
     pb = ProgramBuilder()
     a = pb.random("A", (6, 4))
@@ -97,10 +95,47 @@ def test_shape_rules_never_see_top(monkeypatch):
         ),
     )
     shapes = solve_shapes(plan)
-    assert shapes[ghost] is TOP
+    assert ghost not in shapes
     assert MatrixInstance("ghost", True, Scheme.COL) not in shapes
     assert fed
     for step, seen in fed:
         assert set(seen) <= set(step.inputs())
         assert all(isinstance(fact, tuple) for fact in seen.values())
-    assert fed[-1] == (plan.steps[-1], {})  # the reader of the TOP cell
+    assert fed[-1] == (plan.steps[-1], {})  # the reader of the unknown cell
+
+
+def test_malformed_plans_leave_their_shapes_unknown():
+    """One forward pass: a read before its producer learns nothing, two
+    producers that disagree make an instance unknown for good (a third that
+    agrees with the first does not bring it back), and an unregistered
+    step's output is unknown."""
+    pb = ProgramBuilder()
+    pb.output(pb.random("A", (6, 4)))
+    plan = schedule_stages(DMacPlanner(pb.build(), WORKERS).plan())
+    a = next(s.output for s in plan.steps if isinstance(s, SourceStep))
+    x, y = (MatrixInstance(name, False, Scheme.ROW) for name in "XY")
+
+    def shapes(before=(), after=()):
+        steps = [*before, *plan.steps, *after]
+        return solve_shapes(dataclasses.replace(plan, steps=steps))
+
+    assert shapes() == {a: (6, 4)}
+    out_of_order = shapes(
+        before=[ExtendedStep("partition", x, y)],
+        after=[ExtendedStep("partition", a, x)],
+    )
+    assert out_of_order == {a: (6, 4), x: (6, 4)}
+    disagreeing = shapes(
+        after=[
+            ExtendedStep("partition", a, x),
+            ExtendedStep("transpose", a, x),
+            ExtendedStep("partition", a, x),
+            ExtendedStep("partition", x, y),
+        ]
+    )
+    assert disagreeing == {a: (6, 4)}
+
+    class AlienStep(ExtendedStep):
+        pass
+
+    assert shapes(after=[AlienStep("partition", a, x)]) == {a: (6, 4)}
