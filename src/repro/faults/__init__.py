@@ -9,13 +9,17 @@ recomputation, periodic checkpoints, speculative re-execution), and every
 recovery cost is charged to the simulated clock and the communication
 ledger so "what does a failure cost?" is a reproducible number.
 
+The recomputation itself is the runtime's ``ResourceManager._rebuild``,
+the one path a lost block and a spilled cache pin share; this package
+gives it its cones (:class:`LineageTracker`) and fault collaborators.
+
 Entry points: ``repro chaos <app> --seed S --faults SPEC`` on the command
 line, or ``session.run(program, chaos=ChaosEngine(seed, spec))`` in code.
 """
 
 from repro.faults.chaos import ChaosEngine
 from repro.faults.lineage import LineageTracker
-from repro.faults.recovery import CheckpointStore, RecoveringResources
+from repro.faults.recovery import CheckpointStore
 from repro.faults.report import (
     RecoveryLog,
     build_chaos_report,
@@ -30,7 +34,6 @@ __all__ = [
     "CheckpointStore",
     "FaultClause",
     "LineageTracker",
-    "RecoveringResources",
     "RecoveryLog",
     "build_chaos_report",
     "format_chaos_report",

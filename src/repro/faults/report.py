@@ -38,19 +38,20 @@ class RecoveryLog:
 def summarise_recovery(log, resources, checkpoints=None) -> dict:
     """The ``ExecutionResult.recovery`` summary of one plan execution.
 
-    Every counter is this execution's own (``log`` is per execution), the
-    way ``comm_bytes`` is a ledger delta: the chaos engine may span many
-    executions of one run, whose summaries are then summed.
+    Every counter is this execution's own (``log`` and the
+    :class:`~repro.runtime.resources.ResourceManager` ``resources`` are per
+    execution), the way ``comm_bytes`` is a ledger delta: the chaos engine
+    may span many executions of one run, whose summaries are then summed.
     """
     return {
         "events": log.events(),
         "injected": log.count("inject"),
         "retries": log.count("retry"),
         "speculations": log.count("speculation"),
-        "blocks_lost": getattr(resources, "blocks_lost", 0),
-        "blocks_recovered": getattr(resources, "blocks_recovered", 0),
-        "steps_recomputed": getattr(resources, "steps_recomputed", 0),
-        "bytes_recomputed": getattr(resources, "bytes_recomputed", 0),
+        "blocks_lost": resources.blocks_lost,
+        "blocks_recovered": resources.blocks_recovered,
+        "steps_recomputed": resources.steps_recomputed,
+        "bytes_recomputed": resources.bytes_recomputed,
         "checkpoints": checkpoints.count if checkpoints is not None else 0,
         "checkpoint_bytes": checkpoints.bytes_written if checkpoints is not None else 0,
     }

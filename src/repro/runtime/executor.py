@@ -240,13 +240,6 @@ class PlanExecutor:
             if budget is None:
                 budget = config.memory_limit_bytes
             cache = BlockCache(plan.cache_pins, backend, budget_bytes=budget)
-        manager = ResourceManager(
-            plan,
-            backend,
-            max_events=config.resource_event_log_limit,
-            cache=cache,
-        )
-        resources = manager
         pool = self.context.pool
         if pool.events and chaos is None:
             # A leave loses blocks that only lineage recovery can rebuild,
@@ -262,7 +255,7 @@ class PlanExecutor:
         if chaos is not None:
             # Imported lazily: repro.faults sits above the runtime in the
             # layer diagram and must not be a hard import of the executor.
-            from repro.faults.recovery import CheckpointStore, RecoveringResources
+            from repro.faults.recovery import CheckpointStore
             from repro.faults.report import RecoveryLog, summarise_recovery
 
             recovery_log = RecoveryLog()
@@ -274,15 +267,6 @@ class PlanExecutor:
                     clock=backend.clock,
                     log=recovery_log,
                 )
-            resources = RecoveringResources(
-                manager=manager,
-                chaos=chaos,
-                plan=plan,
-                backend=backend,
-                checkpoints=checkpoints,
-                log=recovery_log,
-                defuse=graph.defuse,
-            )
             scheduler_kwargs.update(
                 max_attempts=recovery_config.max_stage_attempts,
                 backoff_base_sec=recovery_config.backoff_base_sec,
@@ -291,6 +275,16 @@ class PlanExecutor:
                 event_sink=recovery_log.record,
             )
             backend.install_chaos(chaos)
+        resources = ResourceManager(
+            plan,
+            backend,
+            max_events=config.resource_event_log_limit,
+            cache=cache,
+            chaos=chaos,
+            checkpoints=checkpoints,
+            recovery_log=recovery_log,
+            defuse=graph.defuse,
+        )
         state = ExecutionState(
             backend=backend,
             resources=resources,

@@ -26,6 +26,14 @@ the least-recently-used pin is *spilled* (``("spill", instance)``) --
 freed, but transparently recomputed through its lineage cone on the next
 ``get`` (``("refill", instance)``).  Spill/refill events ride alongside
 the publish/release books without changing their balance.
+
+A spilled pin and a lost instance are rebuilt by one path,
+:meth:`ResourceManager._rebuild`: the minimal lineage cone, stopping at
+live or checkpointed instances, re-runs the registry kernels (a product
+chain as its links) on the consuming stage's thread, charged to its meter
+and to the ledger under ``cache-refill/<step>`` or ``recovery/<step>``.
+On a chaos run every publish may also be checkpointed and may roll the
+``lostblock`` fault.
 """
 
 from __future__ import annotations
@@ -33,9 +41,11 @@ from __future__ import annotations
 import collections
 import threading
 
-from repro.core.plan import MatrixInstance, Plan, Step
-from repro.errors import ExecutionError, MemoryLimitExceeded
+from repro.core.plan import MatrixInstance, Plan, ProductChainStep, Step
+from repro.errors import ExecutionError, MemoryLimitExceeded, ShuffleBlockLost
 from repro.matrix.distributed import DistributedMatrix
+from repro.runtime.metering import active_meter
+from repro.runtime.registry import spec_for
 from repro.trace.emit import active_tracer, current_stage
 
 #: Default cap on the lifecycle event log.  Long iterative runs with
@@ -176,52 +186,48 @@ class BlockCache:
             self._worker_bytes[worker] = self._worker_bytes.get(worker, 0) - nbytes
 
 
-class _RefillResources:
-    """Resource view for refill recomputation: reads fall back scratch ->
-    live manager; writes stay in scratch (mirrors recovery's scratch)."""
+class _RebuildState:
+    """What a rebuild cone's kernels run against: the run's backend, inputs
+    and scalars, and itself as their resources -- reads fall back scratch
+    -> checkpoint -> live manager, writes stay in scratch.  A cone holds
+    only matrix producers, so nothing here sets a scalar."""
 
-    def __init__(self, scratch, manager) -> None:
-        self._scratch = scratch
-        self._manager = manager
-
-    def get(self, instance: MatrixInstance) -> DistributedMatrix:
-        matrix = self._scratch.get(instance)
-        if matrix is not None:
-            return matrix
-        return self._manager.get(instance)
-
-    def publish(self, instance: MatrixInstance, matrix) -> None:
-        self._scratch[instance] = matrix
-
-    def consume(self, step) -> None:
-        pass  # scratch lifetimes end with the refill, not per step
-
-
-class _RefillState:
-    """Execution-state facade for re-running refill cone steps."""
-
-    def __init__(self, base, resources: _RefillResources) -> None:
+    def __init__(self, base, checkpoints, manager: "ResourceManager") -> None:
         self.backend = base.backend
         self.inputs = base.inputs
         self.block_size = base.block_size
-        self.resources = resources
+        self.scratch: dict[MatrixInstance, DistributedMatrix] = {}
         self._base = base
+        self._checkpoints = checkpoints
+        self._manager = manager
+
+    @property
+    def resources(self) -> "_RebuildState":
+        return self
+
+    def get(self, instance: MatrixInstance) -> DistributedMatrix:
+        matrix = self.scratch.get(instance)
+        if matrix is not None:
+            return matrix
+        if self._checkpoints is not None and self._checkpoints.has(instance):
+            return self._checkpoints.get(instance)
+        return self._manager.get(instance)
+
+    def publish(self, instance: MatrixInstance, matrix: DistributedMatrix) -> None:
+        self.scratch[instance] = matrix
 
     def get_scalar(self, name: str) -> float:
         return self._base.get_scalar(name)
 
-    def set_scalar(self, name: str, value: float) -> None:
-        pass  # driver scalars were already computed by the real run
-
-    def scalars_snapshot(self) -> dict[str, float]:
-        return self._base.scalars_snapshot()
-
-    def record_trace(self, plan_index, trace) -> None:
-        pass
-
 
 class ResourceManager:
-    """Tracks every live :class:`DistributedMatrix` of one plan execution."""
+    """Tracks every live :class:`DistributedMatrix` of one plan execution.
+
+    ``chaos``, ``checkpoints`` and ``recovery_log`` are a chaos run's
+    :class:`~repro.faults.ChaosEngine`, ``CheckpointStore`` and
+    ``RecoveryLog`` (``None`` on a clean run); ``defuse`` is the plan's
+    :class:`~repro.core.defuse.DefUse`, which the rebuild's lineage reads.
+    """
 
     def __init__(
         self,
@@ -230,13 +236,26 @@ class ResourceManager:
         *,
         max_events: int | None = DEFAULT_MAX_EVENTS,
         cache: BlockCache | None = None,
+        chaos=None,
+        checkpoints=None,
+        recovery_log=None,
+        defuse=None,
     ) -> None:
         self._backend = backend
         self._plan = plan
         self._cache = cache
+        self._chaos = chaos
+        self._checkpoints = checkpoints
+        self._recovery_log = recovery_log
+        self._defuse = defuse
+        self._lineage = None  # built on the first rebuild
         self._state = None  # bound by the executor before the run starts
         self._lock = threading.Lock()
-        self._refill_lock = threading.RLock()
+        self._rebuild_lock = threading.RLock()
+        self.blocks_lost = 0
+        self.blocks_recovered = 0
+        self.steps_recomputed = 0
+        self.bytes_recomputed = 0
         self._live: dict[MatrixInstance, DistributedMatrix] = {}
         self._released: set[MatrixInstance] = set()
         self._lost: set[MatrixInstance] = set()
@@ -259,14 +278,15 @@ class ResourceManager:
                 self._refs[instance] = self._refs.get(instance, 0) + 1
 
     def bind_state(self, state) -> None:
-        """Give the manager the run's execution state, so spilled cache
-        entries can be recomputed through their lineage cone."""
+        """Give the manager the run's execution state, so spilled and lost
+        instances can be recomputed through their lineage cone."""
         self._state = state
 
     # -- kernel-facing API --------------------------------------------------
 
     def publish(self, instance: MatrixInstance, matrix: DistributedMatrix) -> None:
-        """Register a step's freshly produced output."""
+        """Register a step's freshly produced output (on a chaos run: then
+        checkpoint it if due, and roll the ``lostblock`` fault on it)."""
         with self._lock:
             if instance in self._live or instance in self._released:
                 raise ExecutionError(f"instance {instance} produced twice")
@@ -282,15 +302,21 @@ class ResourceManager:
                 to_free = None
         if to_free is not None:
             self._free(to_free)
-            return
-        self._maybe_admit(instance, matrix)
+        else:
+            self._maybe_admit(instance, matrix)
+        if self._checkpoints is not None:
+            self._checkpoints.maybe_checkpoint(instance, matrix)
+        if self._chaos is not None and self._chaos.on_publish(instance):
+            self.invalidate(instance)
 
     def get(self, instance: MatrixInstance) -> DistributedMatrix:
         """The live matrix for an instance (its refcount is untouched;
-        consumption is per *step*, via :meth:`consume`)."""
+        consumption is per *step*, via :meth:`consume`).  A spilled or lost
+        instance is rebuilt through its lineage cone first."""
         with self._lock:
             matrix = self._live.get(instance)
             spilled = instance in self._spilled
+            lost = instance in self._lost
         if matrix is not None:
             if self._cache is not None:
                 self._cache.touch(instance)
@@ -300,8 +326,8 @@ class ResourceManager:
                         "cache", "hit", stage=current_stage(), instance=str(instance)
                     )
             return matrix
-        if spilled:
-            return self._refill(instance)
+        if spilled or lost:
+            return self._rebuild(instance, "cache-refill" if spilled else "recovery")
         raise ExecutionError(
             f"plan step consumes {instance} but it is not materialised"
         )
@@ -318,7 +344,8 @@ class ResourceManager:
     # -- fault injection / recovery -----------------------------------------
 
     def invalidate(self, instance: MatrixInstance) -> None:
-        """Drop a live instance's blocks as if lost to a failure.
+        """Drop a live instance's blocks as if lost to a failure (an
+        injected ``lostblock``, or a departed member's slots).
 
         The refcount is untouched: consumers still expect the instance, and
         the first one to :meth:`get` it will find it missing and trigger
@@ -333,6 +360,7 @@ class ResourceManager:
                 )
             self._lost.add(instance)
             self._log(("lost", instance))
+            self.blocks_lost += 1
         if self._cache is not None:
             self._cache.discharge(instance)
         self._free(matrix)
@@ -444,69 +472,89 @@ class ResourceManager:
             tracer.event("cache", "spill", stage=current_stage(), instance=str(victim))
         self._free(matrix)
 
-    def _refill(self, instance: MatrixInstance) -> DistributedMatrix:
-        """Recompute a spilled instance through its lineage cone.
+    # -- lineage rebuild -----------------------------------------------------
 
-        Runs on the consuming stage's thread: the recompute's flops and
-        bytes are charged there, under a ``cache-refill/`` ledger scope.
+    def _rebuild(self, instance: MatrixInstance, cause: str) -> DistributedMatrix:
+        """Recompute a spilled (``cause="cache-refill"``) or lost
+        (``"recovery"``) instance through its minimal lineage cone.
+
+        Runs on the consuming stage's thread, so the recompute's flops,
+        bytes and checkpoint reads are charged to that stage's meter, each
+        step under a ``<cause>/<step>`` ledger scope.  A product chain
+        re-runs as its links, counted as the steps they are: their flops
+        then join the compute phase of the step that asked, as they did
+        when the links ran as steps.
         """
-        with self._refill_lock:
+        with self._rebuild_lock:
             with self._lock:
                 matrix = self._live.get(instance)
-                if matrix is not None:
-                    return matrix  # another consumer refilled it meanwhile
-                if instance not in self._spilled:
-                    raise ExecutionError(
-                        f"plan step consumes {instance} but it is not materialised"
-                    )
+            if matrix is not None:
+                return matrix  # another consumer rebuilt it meanwhile
             if self._state is None:
                 raise ExecutionError(
-                    f"spilled instance {instance} needs recomputation but no "
-                    f"execution state is bound"
+                    f"plan step consumes {instance} but it is not materialised "
+                    f"(no execution state is bound to rebuild it)"
                 )
-            # Lazy imports: repro.faults sits above the runtime in the layer
-            # diagram (precedent: the executor's chaos wiring).
-            from repro.faults.lineage import LineageTracker
-            from repro.runtime.registry import spec_for
+            if self._lineage is None:
+                # Lazy: repro.faults sits above the runtime in the layer diagram.
+                from repro.faults.lineage import LineageTracker
+
+                self._lineage = LineageTracker(self._plan, self._defuse)
+            checkpoints = self._checkpoints
 
             def available(inst: MatrixInstance) -> bool:
+                if checkpoints is not None and checkpoints.has(inst):
+                    return True
                 with self._lock:
                     return inst in self._live
 
-            cone = LineageTracker(self._plan).recovery_cone(instance, available)
-            scratch: dict[MatrixInstance, DistributedMatrix] = {}
-            rstate = _RefillState(self._state, _RefillResources(scratch, self))
-            ledger = self._backend.ledger if self._backend is not None else None
-            if ledger is not None:
-                with ledger.scope("cache-refill"):
-                    for index in cone:
-                        spec_for(self._plan.steps[index]).kernel(
-                            self._plan.steps[index], rstate
-                        )
-            else:  # pragma: no cover - simulated backend always has a ledger
-                for index in cone:
-                    spec_for(self._plan.steps[index]).kernel(
-                        self._plan.steps[index], rstate
-                    )
-            matrix = scratch.get(instance)
+            cone = self._lineage.recovery_cone(instance, available)
+            steps: list[Step] = []
+            for index in cone:
+                step = self._plan.steps[index]
+                steps.extend(step.chain if isinstance(step, ProductChainStep) else (step,))
+            rstate = _RebuildState(self._state, checkpoints, self)
+            ledger = self._backend.ledger
+            meter = active_meter()
+
+            def moved() -> int:
+                return meter.network_bytes if meter is not None else ledger.snapshot()
+
+            bytes_before = moved()
+            with ledger.scope(cause):
+                for step in steps:
+                    with ledger.scope(str(step)):
+                        spec_for(step).kernel(step, rstate)
+            nbytes = moved() - bytes_before
+            matrix = rstate.scratch.get(instance)
             if matrix is None:
-                raise ExecutionError(
-                    f"refill cone for {instance} did not rebuild it (steps {cone})"
+                raise ShuffleBlockLost(
+                    f"{cause} cone for {instance} did not rebuild it (steps {cone})"
                 )
+            tracer = active_tracer()
+            if cause == "recovery":
+                self.restore(instance, matrix)
+                self.blocks_recovered += 1
+                self.steps_recomputed += len(steps)
+                self.bytes_recomputed += nbytes
+                record = {"instance": str(instance), "steps": len(steps), "bytes": nbytes}
+                if self._recovery_log is not None:
+                    self._recovery_log.record({"event": "recovered", **record})
+                if tracer is not None:
+                    tracer.event("recovery", "cone", stage=current_stage(), **record)
+                return matrix
             with self._lock:
                 self._spilled.discard(instance)
                 self._live[instance] = matrix
                 self._log(("refill", instance))
-            if self._cache is not None:
-                self._cache.refilled += 1
-                tracer = active_tracer()
-                if tracer is not None:
-                    tracer.event(
-                        "cache",
-                        "refill",
-                        stage=current_stage(),
-                        instance=str(instance),
-                        steps_recomputed=len(cone),
-                    )
+            self._cache.refilled += 1
+            if tracer is not None:
+                tracer.event(
+                    "cache",
+                    "refill",
+                    stage=current_stage(),
+                    instance=str(instance),
+                    steps_recomputed=len(steps),
+                )
             self._maybe_admit(instance, matrix)
             return matrix

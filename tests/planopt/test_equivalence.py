@@ -17,7 +17,7 @@ from repro.core.plan import ProductChainStep
 from repro.core.stages import schedule_stages
 from repro.faults import ChaosEngine, parse_fault_spec
 from repro.faults.lineage import LineageTracker
-from repro.lang.program import LoadOp
+from repro.lang.program import LoadOp, ProgramBuilder
 from repro.programs import (
     build_cf_program,
     build_gnmf_program,
@@ -177,3 +177,56 @@ def test_a_recovered_chain_runs_as_its_links_did(monkeypatch, faults):
     assert books == expanded_books
     assert fused.recovery == links.recovery
     assert_reconciled(tracer)
+
+
+# -- a spilled chain pin refills as its links ---------------------------------
+
+#: 4 workers x 2 threads whose cache budget holds one of the two chain pins
+#: below; serial stages fix the publish order, so the LRU spills and
+#: refills the pins the same way every run (3 spills, 2 refills).
+SPILLING = ClusterConfig(
+    num_workers=4, threads_per_worker=2, max_concurrent_stages=1, cache_limit_bytes=16000
+)
+
+
+def spilled_chains():
+    """Two loop-invariant three-matrix chains, ``X = X + A @ B @ C`` and
+    ``X = X + D @ E @ F``, that the optimizer hoists into two cache pins,
+    each a fused product chain."""
+    pb = ProgramBuilder()
+    shapes = {"A": (400, 64), "B": (64, 64), "C": (64, 32)}
+    shapes.update(D=shapes["A"], E=shapes["B"], F=shapes["C"])
+    a, b, c, d, e, f = (pb.load(name, shape) for name, shape in shapes.items())
+    x = pb.full("X", (400, 32), 0.0)
+    for __ in range(3):
+        x = pb.assign("X", x + a @ b @ c)
+        x = pb.assign("X", x + d @ e @ f)
+    pb.output(x)
+    rng = np.random.default_rng(7)
+    return pb.build(), {name: rng.random(shape) for name, shape in shapes.items()}
+
+
+def test_a_refilled_chain_costs_what_its_links_cost():
+    """A spilled pin produced by a chain is rebuilt link by link: before
+    one rebuild path, a refill ran the chain as one kernel and dropped the
+    flops of links >= 1 (16,460,800 vs 19,737,600)."""
+    program, inputs = spilled_chains()
+    books = []
+    for expand in (False, True):
+        session = DMacSession(SPILLING, optimize=True)
+        plans = session.plans(program)
+        assert sum(isinstance(s, ProductChainStep) for p in plans for s in p.steps) == 2
+        if expand:
+            plans = tuple(map(expand_chains, plans))
+        result = session.run(program, inputs, plan=plans, trace=True)
+        assert result.cache["refilled"] == 2
+        books.append(
+            (
+                {name: array.tobytes() for name, array in result.matrices.items()},
+                sum(step.flops for seg in result.segments for step in seg.result.trace),
+                result.simulated_seconds.hex(),
+                result.comm_bytes,
+                result.cache,
+            )
+        )
+    assert books[0] == books[1]

@@ -247,6 +247,43 @@ class TestInvalidateRestore:
         assert_books_balance(manager)
 
 
+class TestOneRebuildPath:
+    def test_a_refill_and_a_recovery_in_one_run(self):
+        """A tight cache budget spills pinned instances while an injected
+        ``lostblock`` destroys the pinned ``link``: both rebuilds run in one
+        run, under the manager's one lock, and the books and the outputs
+        hold."""
+        from repro import DMacSession
+        from repro.faults import ChaosEngine
+        from repro.programs import build_pagerank_program
+
+        program = build_pagerank_program(200, 0.02, iterations=3)
+        link = np.random.default_rng(7).random((200, 200))
+        link[link > 0.02] = 0.0
+        # Serial stages fix the publish order, so the budget (one pin's
+        # bytes) spills the same pins every run.
+        config = ClusterConfig(
+            num_workers=4, max_concurrent_stages=1, cache_limit_bytes=3800
+        )
+        clean = DMacSession(config, optimize=True).run(program, {"link": link})
+        RecordingManager.created.clear()
+        with mock.patch("repro.runtime.executor.ResourceManager", RecordingManager):
+            faulted = DMacSession(config, optimize=True).run(
+                program,
+                {"link": link},
+                chaos=ChaosEngine(11, "lostblock:instance=link"),
+            )
+        (manager,) = RecordingManager.created
+        assert_books_balance(manager)
+        kinds = Counter(kind for kind, __ in manager.events)
+        assert kinds["refill"] >= 1 and kinds["restore"] == kinds["lost"] == 1
+        assert faulted.cache["refilled"] == kinds["refill"]
+        assert faulted.recovery["blocks_recovered"] == 1
+        assert faulted.matrices.keys() == clean.matrices.keys()
+        for name, array in clean.matrices.items():
+            assert faulted.matrices[name].tobytes() == array.tobytes()
+
+
 class TestEventLogCap:
     def test_log_is_bounded_and_counts_drops(self, rng):
         pb = ProgramBuilder()

@@ -16,6 +16,7 @@ from repro.serve.plancache import PlanCache, plan_for_cache
 from repro.verify.analysis import solve_shapes
 from repro.verify.hazards import find_hazards
 from repro.verify.memory import predict_peak_memory, solve_liveness
+from tests.planopt.test_equivalence import SPILLING, spilled_chains
 
 PARAMS = WorkloadParams(scale=5e-4, iterations=2, rows=300, features=30)
 
@@ -198,3 +199,17 @@ class TestAPlanIsPreparedOnce:
         assert seen[0]["solve_liveness"] == 1
         assert seen[0]["DefUse.of"] <= 5
         assert seen[0]["find_hazards"] == 2
+
+    def test_a_rebuild_builds_no_def_use(self):
+        """A spilled pin's lineage cone reads the def-use the prepared
+        stage graph carries: a run of a prepared plan that refills twice
+        builds none (2 while every refill built its own ``LineageTracker``),
+        and does no other static work."""
+        program, inputs = spilled_chains()
+        session = DMacSession(SPILLING, optimize=True)
+        plans = session.plans(program)
+        session.run(program, inputs, plan=plans)  # prepares the plan
+        with counting_static_work() as counts:
+            result = session.run(program, inputs, plan=plans)
+        assert result.cache["refilled"] == 2
+        assert counts == {}
