@@ -6,7 +6,7 @@ Usage::
     python benchmarks/run_all.py            # run everything
     python benchmarks/run_all.py fig6 table4  # run a subset
     python benchmarks/run_all.py --list     # enumerate experiments
-    python benchmarks/run_all.py --only serve --only fig6
+    python benchmarks/run_all.py --only planopt --only fig6
 
 Equivalent to ``pytest benchmarks/ --benchmark-only`` but with plain
 console output; each experiment's table is also written to
@@ -41,16 +41,10 @@ EXPERIMENTS = {
     "heuristics": "bench_ablation_heuristics.py",
     "greedygap": "bench_greedy_gap.py",
     "estimator": "bench_estimator_modes.py",
-    "ext2d": "bench_ext_2d.py",
     "ranksweep": "bench_rank_sweep.py",
-    "shufflesizeof": "bench_shuffle_sizeof.py",
     "runtimesmoke": "bench_runtime_smoke.py",
     "recovery": "bench_recovery_overhead.py",
     "planopt": "bench_planopt.py",
-    "traceoverhead": "bench_trace_overhead.py",
-    "verifyoverhead": "bench_verify_overhead.py",
-    "compileoverhead": "bench_compile_overhead.py",
-    "serve": "bench_serve_throughput.py",
     "elastic": "bench_elastic.py",
     "fusedkernels": "bench_fused_kernels.py",
 }

@@ -111,7 +111,7 @@ class LocalEngine:
     """Block-parallel executor for one worker node.
 
     ``lanes`` is the cluster context's thread pool; an engine built without
-    one (tests, ``grid2d``) owns a private, equally lazy one.
+    one (tests) owns a private, equally lazy one.
     """
 
     def __init__(
@@ -243,24 +243,6 @@ class LocalEngine:
         ]
         results = self._run(tasks, self._run_block_task)
         return self._collect_allocated(results)
-
-    def transpose_grid(self, grid: Grid) -> Grid:
-        """Locally transpose a grid: block ``(i, j)`` becomes ``(j, i)``
-        transposed.  No communication is involved (paper Section 4.2.1)."""
-        tasks = [
-            BlockTask((j, i), self._bind_transpose(block))
-            for (i, j), block in sorted(grid.items())
-        ]
-        results = self._run(tasks, self._run_block_task)
-        return self._collect_allocated(results)
-
-    def sum_grid(self, grid: Grid) -> float:
-        """Sum of all entries across the grid's blocks."""
-        return sum(ops.block_sum(block) for block in grid.values())
-
-    def sq_sum_grid(self, grid: Grid) -> float:
-        """Sum of squared entries across the grid's blocks."""
-        return sum(ops.block_sq_sum(block) for block in grid.values())
 
     # -- task plumbing ---------------------------------------------------------
 
@@ -496,12 +478,6 @@ class LocalEngine:
                 block.is_sparse,
             )
             return result
-
-        return compute
-
-    def _bind_transpose(self, block: Block):
-        def compute() -> Block:
-            return ops.transpose(block)
 
         return compute
 

@@ -1,13 +1,13 @@
 """In-process Spark-like substrate with metered communication.
 
-Everything that crosses a (logical) worker boundary goes through the shuffle
-service or the broadcast facility, both of which report to the single
-:class:`CommunicationLedger` and advance the :class:`SimulatedClock` -- the
+Everything that crosses a (logical) worker boundary goes through
+:meth:`ClusterContext.transfer` -- the shuffle service and the matrix
+primitives' broadcasts alike -- which reports to the single
+:class:`CommunicationLedger` and advances the :class:`SimulatedClock`: the
 two instruments from which every benchmark series in this reproduction is
 read.
 """
 
-from repro.rdd.broadcast import Broadcast
 from repro.rdd.clock import SimulatedClock, TimeBreakdown
 from repro.rdd.context import ClusterContext
 from repro.rdd.ledger import CommunicationLedger, TransferRecord
@@ -22,7 +22,6 @@ from repro.rdd.shuffle import shuffle
 from repro.rdd.sizeof import RECORD_OVERHEAD_BYTES, model_sizeof
 
 __all__ = [
-    "Broadcast",
     "ClusterContext",
     "ColumnPartitioner",
     "CommunicationLedger",

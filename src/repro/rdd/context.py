@@ -1,4 +1,4 @@
-"""The cluster context: workers, membership, ledger, clock, broadcast.
+"""The cluster context: workers, membership, ledger, clock.
 
 :class:`ClusterContext` is this reproduction's stand-in for a SparkContext
 over a physical cluster (see DESIGN.md, Substitutions).  It owns
@@ -34,11 +34,9 @@ from repro.elastic.pool import ElasticPool
 from repro.errors import ClusterError
 from repro.localexec.engine import LocalEngine
 from repro.localexec.lanes import LanePool
-from repro.rdd.broadcast import Broadcast
 from repro.rdd.clock import SimulatedClock
 from repro.rdd.ledger import CommunicationLedger
 from repro.rdd.partitioner import Partitioner
-from repro.rdd.sizeof import model_sizeof
 
 if TYPE_CHECKING:
     from repro.faults.chaos import ChaosEngine
@@ -206,12 +204,6 @@ class ClusterContext:
         else:
             self.ledger.record(kind, nbytes)
         self.clock.advance_network(nbytes)
-
-    def broadcast(self, value: object, nbytes: int | None = None) -> Broadcast:
-        """Replicate ``value`` to every worker; charges ``(K - 1) * size``."""
-        size = model_sizeof(value) if nbytes is None else nbytes
-        self.transfer("broadcast", (self.num_workers - 1) * size)
-        return Broadcast(value, size)
 
     # -- clock integration -----------------------------------------------------------
 

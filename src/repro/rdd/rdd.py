@@ -1,12 +1,11 @@
 """A minimal RDD: Spark's resilient distributed dataset, in process.
 
-Supports the transformations DMac's implementation relies on (paper
-Section 5.4): narrow per-record maps and filters that never move data, plus
-the wide transformations ``partition_by``, ``reduce_by_key``,
-``group_by_key`` and ``join`` that route through the metered shuffle
-service.  ``reduce_by_key`` exposes the ``map_side_combine`` switch the
-paper discusses -- DMac turns it *off* because the In-Place local engine
-emits pre-combined blocks.
+DMac's Spark layer (paper Section 5.4) needs partitioned records and one
+wide transformation, ``partition_by``, which routes through the metered
+shuffle service.  The matrix primitives build every other operation on
+that: ``cpmm`` and the axis aggregates shuffle first and combine after,
+which is the paper's "map-side combine off" -- the In-Place local engine
+already emits pre-combined blocks.
 
 An RDD remembers its partitioner when one is structurally guaranteed;
 ``partition_by`` with an equal partitioner is then a no-op, which is exactly
@@ -15,11 +14,9 @@ how Reference dependencies become free at the physical layer.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
 from repro.errors import ClusterError
 from repro.rdd.context import ClusterContext
-from repro.rdd.partitioner import HashPartitioner, Partitioner
+from repro.rdd.partitioner import Partitioner
 from repro.rdd.shuffle import shuffle
 
 KV = tuple[object, object]
@@ -62,74 +59,7 @@ class RDD:
             for record in partition
         ]
 
-    # -- narrow transformations (no data movement) ----------------------------
-
-    def map_values(self, func: Callable[[object], object]) -> "RDD":
-        """Apply ``func`` to every value; keys (and partitioning) unchanged."""
-        partitions = [[(k, func(v)) for k, v in part] for part in self._partitions]
-        return RDD(self.context, partitions, self.partitioner)
-
-    def map(
-        self,
-        func: Callable[[KV], KV],
-        preserves_partitioning: bool = False,
-    ) -> "RDD":
-        """Apply ``func`` to every record.  The partitioner is dropped unless
-        the caller asserts keys still land where the partitioner says."""
-        partitions = [[func(record) for record in part] for part in self._partitions]
-        return RDD(
-            self.context,
-            partitions,
-            self.partitioner if preserves_partitioning else None,
-        )
-
-    def flat_map(
-        self,
-        func: Callable[[KV], Iterable[KV]],
-        preserves_partitioning: bool = False,
-    ) -> "RDD":
-        """Apply ``func`` to every record, concatenating the results."""
-        partitions = [
-            [out for record in part for out in func(record)]
-            for part in self._partitions
-        ]
-        return RDD(
-            self.context,
-            partitions,
-            self.partitioner if preserves_partitioning else None,
-        )
-
-    def filter(self, predicate: Callable[[KV], bool]) -> "RDD":
-        """Keep records satisfying ``predicate``; partitioning preserved."""
-        partitions = [
-            [record for record in part if predicate(record)]
-            for part in self._partitions
-        ]
-        return RDD(self.context, partitions, self.partitioner)
-
-    def map_partitions_with_index(
-        self,
-        func: Callable[[int, list[KV]], list[KV]],
-        preserves_partitioning: bool = False,
-    ) -> "RDD":
-        """Apply ``func`` to each whole partition (with its index)."""
-        partitions = [
-            list(func(index, list(part))) for index, part in enumerate(self._partitions)
-        ]
-        return RDD(
-            self.context,
-            partitions,
-            self.partitioner if preserves_partitioning else None,
-        )
-
-    def cache(self) -> "RDD":
-        """Mark this RDD as cached.  All data already lives in memory in this
-        substrate, so this is an API-fidelity no-op: what matters is that a
-        cached RDD keeps its partitioner, making later Reference
-        dependencies free."""
-        return self
-
-    # -- wide transformations (shuffle) ------------------------------------------
+    # -- the wide transformation (shuffle) ----------------------------------------
 
     def partition_by(self, partitioner: Partitioner) -> "RDD":
         """Redistribute by ``partitioner``; a no-op if already so partitioned."""
@@ -138,95 +68,8 @@ class RDD:
         partitions = shuffle(self.context, self._partitions, partitioner)
         return RDD(self.context, partitions, partitioner)
 
-    def reduce_by_key(
-        self,
-        func: Callable[[object, object], object],
-        partitioner: Partitioner | None = None,
-        map_side_combine: bool = True,
-    ) -> "RDD":
-        """Combine all values of each key with ``func``.
-
-        With ``map_side_combine`` (Spark's default) values are pre-combined
-        inside each source partition before the shuffle, cutting traffic;
-        DMac disables it because In-Place execution already emits combined
-        blocks (paper Section 5.4).
-        """
-        partitioner = partitioner or HashPartitioner(self.num_partitions)
-        source = self._partitions
-        if map_side_combine:
-            source = [self._combine(part, func) for part in source]
-        shuffled = shuffle(self.context, source, partitioner)
-        partitions = [self._combine(part, func) for part in shuffled]
-        return RDD(self.context, partitions, partitioner)
-
-    def group_by_key(self, partitioner: Partitioner | None = None) -> "RDD":
-        """Gather all values of each key into a list."""
-        partitioner = partitioner or HashPartitioner(self.num_partitions)
-        shuffled = shuffle(self.context, self._partitions, partitioner)
-        partitions = []
-        for part in shuffled:
-            grouped: dict[object, list[object]] = {}
-            for key, value in part:
-                grouped.setdefault(key, []).append(value)
-            partitions.append(list(grouped.items()))
-        return RDD(self.context, partitions, partitioner)
-
-    def join(self, other: "RDD", partitioner: Partitioner | None = None) -> "RDD":
-        """Inner join on keys; values become ``(left, right)`` pairs.
-
-        Both sides are brought to a common partitioner first; a side already
-        partitioned that way moves nothing.
-        """
-        partitioner = (
-            partitioner
-            or self.partitioner
-            or other.partitioner
-            or HashPartitioner(max(self.num_partitions, other.num_partitions))
-        )
-        left = self.partition_by(partitioner)
-        right = other.partition_by(partitioner)
-        partitions = []
-        for left_part, right_part in zip(left._partitions, right._partitions):
-            left_map: dict[object, list[object]] = {}
-            for key, value in left_part:
-                left_map.setdefault(key, []).append(value)
-            joined: list[KV] = []
-            for key, right_value in right_part:
-                for left_value in left_map.get(key, ()):
-                    joined.append((key, (left_value, right_value)))
-            partitions.append(joined)
-        return RDD(self.context, partitions, partitioner)
-
-    @staticmethod
-    def _combine(partition: list[KV], func: Callable[[object, object], object]) -> list[KV]:
-        combined: dict[object, object] = {}
-        for key, value in partition:
-            if key in combined:
-                combined[key] = func(combined[key], value)
-            else:
-                combined[key] = value
-        return list(combined.items())
-
     # -- actions ------------------------------------------------------------
 
     def collect(self) -> list[KV]:
         """All records, gathered at the driver."""
         return [record for part in self._partitions for record in part]
-
-    def collect_map(self) -> dict[object, object]:
-        """All records as a key -> value dict (keys must be unique)."""
-        out: dict[object, object] = {}
-        for key, value in self.collect():
-            if key in out:
-                raise ClusterError(f"duplicate key in collect_map: {key!r}")
-            out[key] = value
-        return out
-
-    def count(self) -> int:
-        return sum(len(part) for part in self._partitions)
-
-    def keys(self) -> list[object]:
-        return [key for key, __ in self.collect()]
-
-    def values(self) -> list[object]:
-        return [value for __, value in self.collect()]

@@ -6,9 +6,10 @@ Design constraints, in order:
    ``record``, the scheduler's retry loop, the engines' task lanes) guards
    its emission with ``tracer = active_tracer(); if tracer is None: ...``.
    With no tracer installed that is a single module-global read -- the
-   same discipline the chaos hooks follow, and what keeps a tracing-off
-   run byte-identical (and benchmark-identical) to a build without this
-   package (see ``benchmarks/bench_trace_overhead.py``).
+   same discipline the chaos hooks follow.  Tracing only observes: a
+   traced run's results are byte-identical to an untraced one's
+   (``tests/trace/test_reconcile.py``), and ``benchmarks/e2e`` reports
+   what it costs in wall-clock (``trace.overhead_ratio``).
 
 2. **Visible from every thread.**  One execution spans the dispatching
    thread and the cluster's lane pool (stage nodes and block tasks).  The

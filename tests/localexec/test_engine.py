@@ -128,18 +128,6 @@ class TestOtherGridOps:
         out = LocalEngine().scalar_grids("multiply", split(a, 4), 2.5)
         np.testing.assert_allclose(assemble(out, (8, 6), 4), a * 2.5)
 
-    def test_transpose_grid(self, rng):
-        a = rng.random((8, 6))
-        out = LocalEngine(threads=2).transpose_grid(split(a, 4))
-        np.testing.assert_allclose(assemble(out, (6, 8), 4), a.T)
-
-    def test_sum_and_sq_sum(self, rng):
-        a = rng.random((8, 6))
-        engine = LocalEngine()
-        grid = split(a, 4)
-        assert engine.sum_grid(grid) == pytest.approx(a.sum())
-        assert engine.sq_sum_grid(grid) == pytest.approx((a * a).sum())
-
     def test_unknown_cellwise_op(self, rng):
         ga = split(rng.random((4, 4)), 4)
         with pytest.raises(BlockError):

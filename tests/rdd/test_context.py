@@ -55,17 +55,6 @@ class TestContext:
         assert len(ctx.engines) == 3
         assert all(e.threads == 5 for e in ctx.engines)
 
-    def test_broadcast_charges_k_minus_1(self):
-        ctx = ClusterContext(ClusterConfig(num_workers=4))
-        ctx.broadcast(object(), nbytes=100)
-        assert ctx.ledger.total_bytes == 300
-        assert ctx.ledger.bytes_by_kind() == {"broadcast": 300}
-
-    def test_broadcast_single_worker_free(self):
-        ctx = ClusterContext(ClusterConfig(num_workers=1))
-        ctx.broadcast(object(), nbytes=100)
-        assert ctx.ledger.total_bytes == 0
-
     def test_transfer_advances_clock(self):
         ctx = ClusterContext(ClusterConfig(num_workers=4))
         ctx.transfer("shuffle", 125_000_000)

@@ -75,31 +75,3 @@ def test_single_worker_shuffles_are_free(items, workers):
     rdd = solo.parallelize(items, RowPartitioner(1))
     rdd.partition_by(ColumnPartitioner(1)).partition_by(HashPartitioner(1))
     assert solo.ledger.total_bytes == 0
-
-
-@given(keyed_items(), st.integers(1, 6))
-def test_reduce_by_key_totals_preserved(items, workers):
-    ctx = ClusterContext(ClusterConfig(num_workers=workers))
-    rdd = ctx.parallelize(items, HashPartitioner(workers))
-    combined = rdd.reduce_by_key(lambda a, b: a + b, RowPartitioner(workers))
-    assert sum(combined.values()) == sum(value for __, value in items)
-    assert len(combined.keys()) == len({key for key, __ in items})
-
-
-@given(keyed_items(), st.integers(1, 6), st.booleans())
-def test_map_side_combine_does_not_change_results(items, workers, combine):
-    ctx = ClusterContext(ClusterConfig(num_workers=workers))
-    rdd = ctx.parallelize(items, HashPartitioner(workers))
-    result = rdd.reduce_by_key(
-        lambda a, b: a + b, RowPartitioner(workers), map_side_combine=combine
-    )
-    baseline: dict = {}
-    for key, value in items:
-        baseline[key] = baseline.get(key, 0.0) + value
-    assert result.collect_map() == pytest_approx_map(baseline)
-
-
-def pytest_approx_map(mapping):
-    import pytest
-
-    return {key: pytest.approx(value) for key, value in mapping.items()}

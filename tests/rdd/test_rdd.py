@@ -1,4 +1,4 @@
-"""Tests for the RDD substrate: transformations, shuffle metering,
+"""Tests for the RDD substrate: construction, shuffle metering,
 partitioner preservation, placement invariants."""
 
 import pytest
@@ -35,50 +35,6 @@ class TestConstruction:
             RDD(ctx, [[], []], RowPartitioner(4))
 
 
-class TestNarrowTransformations:
-    def test_map_values_preserves_partitioner(self, ctx):
-        rdd = ctx.parallelize(block_items(), RowPartitioner(4))
-        mapped = rdd.map_values(lambda v: v * 2)
-        assert mapped.partitioner == RowPartitioner(4)
-        assert sorted(mapped.values()) == sorted(v * 2 for v in rdd.values())
-
-    def test_map_drops_partitioner_by_default(self, ctx):
-        rdd = ctx.parallelize(block_items(), RowPartitioner(4))
-        assert rdd.map(lambda kv: kv).partitioner is None
-
-    def test_map_can_keep_partitioner(self, ctx):
-        rdd = ctx.parallelize(block_items(), RowPartitioner(4))
-        assert rdd.map(lambda kv: kv, preserves_partitioning=True).partitioner == RowPartitioner(4)
-
-    def test_filter_preserves_partitioner(self, ctx):
-        rdd = ctx.parallelize(block_items(), RowPartitioner(4))
-        kept = rdd.filter(lambda kv: kv[1] > 30)
-        assert kept.partitioner == RowPartitioner(4)
-        assert all(v > 30 for v in kept.values())
-
-    def test_flat_map(self, ctx):
-        rdd = ctx.parallelize(block_items(2), RowPartitioner(4))
-        doubled = rdd.flat_map(lambda kv: [kv, kv])
-        assert doubled.count() == 2 * rdd.count()
-
-    def test_narrow_ops_are_free(self, ctx):
-        rdd = ctx.parallelize(block_items(), RowPartitioner(4))
-        rdd.map_values(lambda v: v).filter(lambda kv: True).map(lambda kv: kv)
-        assert ctx.ledger.total_bytes == 0
-
-    def test_map_partitions_with_index(self, ctx):
-        rdd = ctx.parallelize(block_items(), RowPartitioner(4))
-        tagged = rdd.map_partitions_with_index(
-            lambda idx, items: [(k, idx) for k, __ in items]
-        )
-        for p in range(4):
-            assert all(v == p for __, v in tagged.partition(p))
-
-    def test_cache_is_identity(self, ctx):
-        rdd = ctx.parallelize(block_items(), RowPartitioner(4))
-        assert rdd.cache() is rdd
-
-
 class TestPartitionBy:
     def test_same_partitioner_is_noop(self, ctx):
         rdd = ctx.parallelize(block_items(), RowPartitioner(4))
@@ -111,62 +67,7 @@ class TestPartitionBy:
         assert solo.ledger.total_bytes == 0
 
 
-class TestReduceByKey:
-    def test_combines_values(self, ctx):
-        items = [(("a",), 1.0), (("a",), 2.0), (("b",), 5.0)]
-        rdd = ctx.parallelize(items, HashPartitioner(4))
-        combined = rdd.reduce_by_key(lambda a, b: a + b).collect_map()
-        assert combined == {("a",): 3.0, ("b",): 5.0}
-
-    def test_map_side_combine_reduces_traffic(self, ctx):
-        # Many duplicate keys in each source partition.
-        items = [((i % 2, 0), 1.0) for i in range(64)]
-        rdd = ctx.parallelize(items, HashPartitioner(4))
-        mark = ctx.ledger.snapshot()
-        rdd.reduce_by_key(lambda a, b: a + b, RowPartitioner(4), map_side_combine=True)
-        with_combine = ctx.ledger.snapshot() - mark
-        mark = ctx.ledger.snapshot()
-        rdd.reduce_by_key(lambda a, b: a + b, RowPartitioner(4), map_side_combine=False)
-        without_combine = ctx.ledger.snapshot() - mark
-        assert with_combine < without_combine
-
-    def test_result_partitioner_attached(self, ctx):
-        rdd = ctx.parallelize(block_items(), HashPartitioner(4))
-        out = rdd.reduce_by_key(lambda a, b: a + b, RowPartitioner(4))
-        assert out.partitioner == RowPartitioner(4)
-
-
 class TestGroupJoinActions:
-    def test_group_by_key(self, ctx):
-        items = [(("k",), 1.0), (("k",), 2.0)]
-        rdd = ctx.parallelize(items, HashPartitioner(4))
-        grouped = rdd.group_by_key().collect_map()
-        assert sorted(grouped[("k",)]) == [1.0, 2.0]
-
-    def test_join_inner(self, ctx):
-        left = ctx.parallelize([((0, 0), 1.0), ((1, 1), 2.0)], RowPartitioner(4))
-        right = ctx.parallelize([((0, 0), 10.0), ((2, 2), 30.0)], RowPartitioner(4))
-        joined = left.join(right).collect_map()
-        assert joined == {(0, 0): (1.0, 10.0)}
-
-    def test_join_copartitioned_is_free(self, ctx):
-        left = ctx.parallelize(block_items(), RowPartitioner(4))
-        right = ctx.parallelize(block_items(), RowPartitioner(4))
-        mark = ctx.ledger.snapshot()
-        left.join(right)
-        assert ctx.ledger.snapshot() == mark
-
-    def test_collect_map_rejects_duplicates(self, ctx):
-        rdd = ctx.parallelize([(("k",), 1.0), (("k",), 2.0)], HashPartitioner(4))
-        with pytest.raises(ClusterError):
-            rdd.collect_map()
-
-    def test_count_keys_values(self, ctx):
-        rdd = ctx.parallelize(block_items(2), RowPartitioner(4))
-        assert rdd.count() == 4
-        assert len(rdd.keys()) == 4
-        assert len(rdd.values()) == 4
-
     def test_worker_partitions_unions_hosted(self, ctx):
         # 8 partitions on 4 workers: worker 0 hosts partitions 0 and 4.
         rdd = RDD(ctx, [[((p, 0), float(p))] for p in range(8)], None)

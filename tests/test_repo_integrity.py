@@ -212,6 +212,38 @@ class TestStaticHygiene:
                 sorted(imported - used - exported),
             )
 
+    def test_every_subpackage_is_reached_from_outside_itself(self):
+        """An island -- a subpackage that only its own tests, benches or
+        examples import -- fails here: every subpackage of ``src/repro`` is
+        imported by at least one module of ``src/repro`` outside it."""
+        subpackages = sorted(
+            ".".join(("repro", *init.parent.relative_to(self.SRC).parts))
+            for init in self.SRC.rglob("__init__.py")
+            if init.parent != self.SRC
+        )
+        assert len(subpackages) > 10
+        reached = set()
+        for path in self.SRC.rglob("*.py"):
+            parts = path.relative_to(self.SRC.parent).with_suffix("").parts
+            importer = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    targets = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                reached.update(
+                    package
+                    for package in subpackages
+                    for target in targets
+                    if (target == package or target.startswith(package + "."))
+                    and not (importer == package or importer.startswith(package + "."))
+                )
+        assert sorted(set(subpackages) - reached) == []
+
     def test_every_public_function_is_annotated(self):
         def functions(body, owner=""):
             for node in body:

@@ -43,6 +43,30 @@ def test_every_app_reconciles_exactly(app, program, inputs, traced_session):
     assert checks["seconds.clock_delta"]["ok"]
 
 
+@pytest.mark.parametrize(
+    "app,program,inputs", seven_apps(),
+    ids=lambda value: value if isinstance(value, str) else "",
+)
+def test_tracing_changes_no_result(app, program, inputs):
+    """A ``trace=True`` session observes the run; it never perturbs it."""
+    config = ClusterConfig(num_workers=4, threads_per_worker=2, block_size=8)
+    results = []
+    for trace in (False, True):
+        with DMacSession(config, trace=trace) as session:
+            results.append(session.run(program, inputs))
+    plain, traced = results
+    assert plain.tracing is None and traced.tracing is not None
+    assert traced.comm_bytes == plain.comm_bytes
+    assert traced.simulated_seconds.hex() == plain.simulated_seconds.hex()
+    assert traced.num_stages == plain.num_stages
+    assert traced.matrices.keys() == plain.matrices.keys()
+    for name, matrix in plain.matrices.items():
+        assert traced.matrices[name].tobytes() == matrix.tobytes(), name
+    assert {k: v.hex() for k, v in traced.scalars.items()} == {
+        k: v.hex() for k, v in plain.scalars.items()
+    }
+
+
 def test_reconciles_under_injected_faults(traced_session):
     __, program, inputs = seven_apps()[1]  # pagerank
     engine = ChaosEngine(11, "crash:p=0.3;flaky:p=0.2;straggler:p=0.3,factor=4")

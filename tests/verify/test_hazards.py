@@ -9,6 +9,7 @@ from repro import ClusterConfig, DMacSession, Scheme
 from repro.core.plan import CellwiseStep, Plan, SourceStep
 from repro.lang.program import CellwiseOp, ProgramBuilder
 from repro.core.plan import MatrixInstance
+from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
 from repro.runtime.graph import StageGraph
 from repro.verify import (
     DOUBLE_PUBLISH,
@@ -18,7 +19,7 @@ from repro.verify import (
     happens_before,
 )
 
-from tests.verify._workloads import small_workload
+from tests.verify._workloads import SMALL_ARGS, small_workload
 
 
 def _plan(program):
@@ -34,10 +35,13 @@ def _scalar_loop_plan():
 
 
 def test_clean_planner_output_has_no_hazards():
-    for app in ("gnmf", "pagerank"):
-        program, __, ___ = small_workload(app)
-        graph = StageGraph.from_plan(_plan(program))
-        assert find_hazards(graph) == []
+    for app in ALL_APPS:
+        program = build_workload(app, WorkloadParams(**SMALL_ARGS)).program
+        for optimize in (False, True):
+            with DMacSession(ClusterConfig(num_workers=4), optimize=optimize) as session:
+                for plan in session.plans(program):
+                    hazards = find_hazards(StageGraph.from_plan(plan))
+                    assert hazards == [], (app, optimize, hazards)
 
 
 def test_dropped_ordering_edge_is_a_read_before_publish_hazard():
