@@ -14,7 +14,7 @@ The first benchmark whose headline number is *wall-clock*, not simulated:
   batching targets in real programs (gated on a positive batched-pair
   count); LR and CF are sparse-dominated, so the gate there is the
   *opposite* observable — the planner must route zero pairs through the
-  batched path (sparsity-awareness) and add no overhead.  PageRank rides
+  batched path (sparsity-awareness).  PageRank rides
   along for the sparse block kernel's own count: its dense x CSC products
   must transpose no CSC block (docs/kernels.md, "Sparse block kernels").
 """
@@ -249,6 +249,5 @@ def test_fused_kernels_wall_clock(benchmark):
     # On real apps the sparse stages dominate end-to-end time, so the
     # measurable win is the deterministic dispatch count (asserted per app
     # inside run_apps_batched: GNMF > 0, LR/CF/PageRank == 0, and no CSC
-    # transpose inside PageRank's products); end-to-end time must
-    # never really regress (noise floor).
-    assert all(entry["speedup"] >= 0.8 for entry in apps)
+    # transpose inside PageRank's products).  Their ~10 ms wall times are
+    # reported, not gated: end-to-end host wall lives in benchmarks/e2e.

@@ -35,7 +35,7 @@ from repro.core.plan import (
     UnaryStep,
 )
 from repro.core.planner import DMacPlanner
-from repro.core.stages import schedule_stages, validate_stage_invariant
+from repro.core.stages import schedule_stages
 from repro.core.viz import plan_to_dot
 from repro.core.strategies import (
     AGGREGATE_STRATEGIES,
@@ -100,5 +100,4 @@ __all__ = [
     "plan_to_dot",
     "precedes",
     "schedule_stages",
-    "validate_stage_invariant",
 ]

@@ -86,7 +86,11 @@ class _InputRecord:
 
 
 class DMacPlanner:
-    """Generates a communication-efficient plan for a matrix program."""
+    """Generates a communication-efficient plan for a matrix program.
+
+    The SystemML-S baseline (:mod:`repro.baselines.systemml`) is this
+    planner with ``_cheapest_cost``, ``_satisfy`` and
+    ``_satisfy_any_scheme`` overridden to ignore matrix dependency."""
 
     def __init__(
         self,

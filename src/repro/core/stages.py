@@ -69,20 +69,3 @@ def _input_stage(node_stage: dict[MatrixInstance, int], instance: MatrixInstance
         raise PlanError(f"step consumes {instance} before it is produced")
     return node_stage[instance]
 
-
-def validate_stage_invariant(plan: Plan) -> None:
-    """Check the defining property of the schedule: a communicating step's
-    output is only consumed in a strictly later stage, and every
-    communication-free step runs in the stage its inputs live in.  Raises
-    :class:`PlanError` on violation (used by tests and debug tooling)."""
-    available_at: dict[MatrixInstance, int] = {}
-    for step in plan.steps:
-        for instance in step.inputs():
-            if available_at[instance] > step.stage:
-                raise PlanError(
-                    f"step {step} runs in stage {step.stage} but input {instance} "
-                    f"is only available from stage {available_at[instance]}"
-                )
-        output = step.output_instance()
-        if output is not None:
-            available_at[output] = step.stage + (1 if step.communicates else 0)

@@ -354,10 +354,6 @@ class ProgramBuilder:
 
     # -- compile-time queries (used by the ast frontend) ----------------------
 
-    def current_version(self, user_name: str) -> str | None:
-        """The live version bound to a user-level matrix name, if any."""
-        return self._current.get(user_name)
-
     def shape_of(self, name: str) -> tuple[int, int]:
         """Compile-time shape of a user name or version."""
         version = self._current.get(name, name)
@@ -372,13 +368,6 @@ class ProgramBuilder:
     def declared_sparsity(self, version: str) -> float:
         """The declared input sparsity of a version (1.0 for non-inputs)."""
         return self._input_sparsity.get(version, 1.0)
-
-    def current_scalar_version(self, user_name: str) -> str | None:
-        """The live version bound to a user-level scalar name, if any."""
-        version = self._current.get(user_name)
-        if version is None or version not in self._scalar_names:
-            return None
-        return version
 
     # -- internal: naming -----------------------------------------------------
 

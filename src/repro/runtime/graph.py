@@ -30,11 +30,13 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.blocks.memory import program_block_size
 from repro.core.defuse import DefUse
-from repro.core.plan import MatrixInstance, Plan, Step
+from repro.core.plan import MatrixInstance, Plan
 from repro.core.stages import schedule_stages
 from repro.errors import ReproError
 
 if TYPE_CHECKING:
+    from repro.config import ClusterConfig
+    from repro.lang.program import MatrixProgram
     from repro.rdd.context import ClusterContext
 
 
@@ -161,9 +163,6 @@ class StageGraph:
         """Nodes with no dependencies (ready immediately)."""
         return [node for node in self.nodes if not node.deps]
 
-    def steps_of(self, node: StageNode) -> list[Step]:
-        return [self.plan.steps[i] for i in node.steps]
-
     def critical_path(self) -> list[int]:
         """Node indices of the dependency chain carrying the most steps."""
         if not self.nodes:
@@ -256,6 +255,18 @@ class StageGraph:
 _Prepared = collections.namedtuple("_Prepared", "graph block_size prediction labels")
 
 
+def run_block_size(
+    config: ClusterConfig, program: MatrixProgram, block_size: int | None = None
+) -> int:
+    """The block size a run of ``program`` cuts its matrices into: the one
+    asked for, else the configured one, else the program's automatic one."""
+    return (
+        block_size
+        or config.block_size
+        or program_block_size(program.dims, config.num_workers, config.threads_per_worker)
+    )
+
+
 def prepare(
     context: ClusterContext,
     plan: Plan,
@@ -280,11 +291,7 @@ def prepare(
     sizing = dict(
         num_workers=config.num_workers,
         threads_per_worker=config.threads_per_worker,
-        block_size=block_size
-        or config.block_size
-        or program_block_size(
-            plan.program.dims, config.num_workers, config.threads_per_worker
-        ),
+        block_size=run_block_size(config, plan.program, block_size),
         inplace=config.inplace,
         max_concurrent_stages=max_concurrent_stages or config.max_concurrent_stages,
         estimation_mode=estimation_mode,

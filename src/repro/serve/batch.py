@@ -25,8 +25,6 @@ queue under stride scheduling, return the service and its report.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.config import ClusterConfig
@@ -160,11 +158,3 @@ def run_batch(
         service.submit(spec)
     service.drain()
     return service, service.report()
-
-
-def scaled_down(spec: JobSpec, scale: float) -> JobSpec:
-    """A copy of a job spec with its dataset scale multiplied (helper for
-    smoke tests that shrink a batch without changing its structure)."""
-    params = dict(spec.params)
-    params["scale"] = params.get("scale", 3e-3) * scale
-    return dataclasses.replace(spec, params=params)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.baselines.systemml import SystemMLSExecutor
+from repro import DMacSession
+from repro.baselines.systemml import SystemMLSExecutor, SystemMLSPlanner
 from repro.config import ClusterConfig
-from repro.core.cost import CostModel
+from repro.core.plan import MatMulStep
 from repro.errors import ExecutionError
-from repro.lang.program import MatMulOp, ProgramBuilder
+from repro.lang.program import ProgramBuilder
+from repro.programs.registry import WorkloadParams, build_workload
 from repro.rdd.context import ClusterContext
 
 
@@ -16,29 +18,29 @@ def ctx():
     return ClusterContext(ClusterConfig(num_workers=4, threads_per_worker=1, block_size=8))
 
 
+def matmul_strategy(program) -> str:
+    """The strategy of the one product in SystemML-S's plan on 4 workers."""
+    plan = SystemMLSPlanner(program, 4).plan()
+    (step,) = (step for step in plan.steps if isinstance(step, MatMulStep))
+    return step.strategy
+
+
 class TestStrategyChoice:
-    def test_costs_are_dependency_blind(self, ctx):
+    def test_costs_are_dependency_blind(self):
         """Even a perfectly-laid-out input is charged a repartition."""
         pb = ProgramBuilder()
         a = pb.load("A", (100, 100), sparsity=1.0)
         b = pb.load("B", (100, 4), sparsity=1.0)
         pb.output(pb.assign("C", a @ b))
-        program = pb.build()
-        executor = SystemMLSExecutor(ctx, 8)
-        op = next(op for op in program.ops if isinstance(op, MatMulOp))
-        strategy = executor.choose_strategy(op, CostModel(program, 4))
         # RMM2 broadcasts the small B: N|B| + |A| beats broadcasting A.
-        assert strategy.name == "rmm2"
+        assert matmul_strategy(pb.build()) == "rmm2"
 
-    def test_prefers_cheapest_broadcast_side(self, ctx):
+    def test_prefers_cheapest_broadcast_side(self):
         pb = ProgramBuilder()
         a = pb.load("A", (4, 100), sparsity=1.0)
         b = pb.load("B", (100, 100), sparsity=1.0)
         pb.output(pb.assign("C", a @ b))
-        program = pb.build()
-        op = next(op for op in program.ops if isinstance(op, MatMulOp))
-        strategy = SystemMLSExecutor(ctx, 8).choose_strategy(op, CostModel(program, 4))
-        assert strategy.name == "rmm1"  # broadcast the small A
+        assert matmul_strategy(pb.build()) == "rmm1"  # broadcast the small A
 
 
 class TestExecution:
@@ -121,3 +123,23 @@ class TestExecution:
             result.matrices["Y"],
             2 * (np.asarray(result.matrices["Y"]) / 2),
         )
+
+
+def test_time_does_not_depend_on_earlier_runs():
+    """The run's clock window, not ``after - before`` on a clock that
+    already carries a DMac run (that subtraction drifts by ulps)."""
+    load = build_workload("gnmf", WorkloadParams(scale=2e-3, iterations=3, factors=8))
+    config = ClusterConfig(num_workers=4, threads_per_worker=1)
+
+    def seconds(result) -> tuple[str, ...]:
+        time = result.time
+        return tuple(
+            value.hex()
+            for value in (time.network_seconds, time.compute_seconds, time.overhead_seconds)
+        )
+
+    fresh = DMacSession(config).run_systemml(load.program, load.inputs)
+    warm = DMacSession(config)
+    warm.run(load.program, load.inputs)
+    assert warm.context.clock.elapsed_seconds > 0
+    assert seconds(warm.run_systemml(load.program, load.inputs)) == seconds(fresh)

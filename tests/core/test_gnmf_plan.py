@@ -10,8 +10,9 @@ import pytest
 
 from repro.core.plan import CellwiseStep, ExtendedStep, MatMulStep
 from repro.core.planner import DMacPlanner
-from repro.core.stages import schedule_stages, validate_stage_invariant
+from repro.core.stages import schedule_stages
 from repro.programs import build_gnmf_program
+from repro.runtime.graph import StageGraph
 
 # Netflix-shaped (scaled): V tall and sparse, factor rank small.
 V_SHAPE = (960, 360)
@@ -33,7 +34,7 @@ def three_iteration_plan():
 
 class TestFigure3Properties:
     def test_stage_invariant_holds(self, one_iteration_plan):
-        validate_stage_invariant(one_iteration_plan)
+        assert not list(StageGraph.from_plan(one_iteration_plan).stage_violations())
 
     def test_handful_of_stages(self, one_iteration_plan):
         # Figure 3 shows 5 stages for one iteration.

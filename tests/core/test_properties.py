@@ -14,10 +14,11 @@ from repro.baselines.systemml import SystemMLSExecutor
 from repro.config import ClusterConfig
 from repro.core.estimator import SizeEstimator
 from repro.core.planner import DMacPlanner
-from repro.core.stages import schedule_stages, validate_stage_invariant
+from repro.core.stages import schedule_stages
 from repro.lang.program import ProgramBuilder
 from repro.rdd.context import ClusterContext
 from repro.runtime.executor import PlanExecutor
+from repro.runtime.graph import StageGraph
 
 
 @st.composite
@@ -87,7 +88,7 @@ def random_programs(draw):
 def test_dmac_execution_matches_numpy(program_and_inputs, workers):
     program, inputs = program_and_inputs
     plan = schedule_stages(DMacPlanner(program, workers).plan())
-    validate_stage_invariant(plan)
+    assert not list(StageGraph.from_plan(plan).stage_violations())
     ctx = ClusterContext(ClusterConfig(num_workers=workers, block_size=3))
     result = PlanExecutor(ctx, 3).execute(plan, inputs)
     reference = run_local(program, inputs)

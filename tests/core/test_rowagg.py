@@ -7,9 +7,10 @@ from repro.config import ClusterConfig
 from repro.core.estimator import SizeEstimator
 from repro.core.plan import RowAggStep
 from repro.core.planner import DMacPlanner
-from repro.core.stages import schedule_stages, validate_stage_invariant
+from repro.core.stages import schedule_stages
 from repro.errors import ProgramError
 from repro.lang.program import ProgramBuilder
+from repro.runtime.graph import StageGraph
 from repro.session import DMacSession
 from tests.conftest import random_sparse
 
@@ -117,7 +118,7 @@ class TestPlanner:
         r = pb.assign("R", a.row_sums())
         pb.output(pb.assign("X", r * 2.0))
         plan = schedule_stages(DMacPlanner(pb.build(), 4).plan())
-        validate_stage_invariant(plan)
+        assert not list(StageGraph.from_plan(plan).stage_violations())
 
 
 class TestExecution:

@@ -244,6 +244,24 @@ class TestStaticHygiene:
                 )
         assert sorted(set(subpackages) - reached) == []
 
+    def test_only_the_backend_calls_the_physical_primitives(self):
+        """Every plan, DMac's or a baseline's, runs through the backend: no
+        module but ``runtime/backend.py`` (and the package re-export)
+        imports ``repro.matrix.primitives``, so no second interpreter can
+        call the operators itself."""
+        importers = set()
+        for path in self.SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if "repro.matrix.primitives" in modules:
+                    importers.add(path.relative_to(self.SRC).as_posix())
+        assert sorted(importers) == ["matrix/__init__.py", "runtime/backend.py"]
+
     def test_every_public_function_is_annotated(self):
         def functions(body, owner=""):
             for node in body:
