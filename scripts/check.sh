@@ -34,6 +34,11 @@ for script in examples/*.py examples/*.dml; do
     echo "-- $script"
     PYTHONPATH=src python -m repro lint "$script"
 done
+for script in examples/*.dml; do
+    [ -e "$script" ] || continue
+    echo "-- $script --optimize"
+    PYTHONPATH=src python -m repro lint "$script" --optimize
+done
 
 echo "== frontend smoke (registry compiles, staged run converges) =="
 for app in gnmf pagerank linreg logreg jacobi cf svd powiter ridge; do

@@ -264,7 +264,7 @@ def _cmd_script(args: argparse.Namespace) -> int:
     from repro.lang.dml import load_names, parse_program
 
     source = open(args.path, encoding="utf-8").read()
-    program = parse_program(source)
+    program = parse_program(source, args.path)
     names = load_names(program)
     inputs = {}
     for binding in args.bind or []:
@@ -301,7 +301,7 @@ def _resolve_plan_target(args: argparse.Namespace, target: str):
                 source = handle.read()
         except OSError as exc:
             raise ProgramError(f"cannot read {target}: {exc}") from exc
-        return parse_program(source)
+        return parse_program(source, target)
     raise SystemExit(
         f"unknown target {target!r}: expected one of {', '.join(ALL_APPS)} "
         f"or a .dml script path"
@@ -412,8 +412,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
         LintContext,
         format_selftest,
-        lint_path,
         lint_plan,
+        lint_python_file,
         run_selftest,
     )
 
@@ -432,15 +432,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
         suppress = tuple(args.suppress or ())
         try:
-            if args.target in ALL_APPS:
-                args.app = args.target
-                program, __, ___ = _workload(args)
+            if args.target.endswith(".py") and os.path.exists(args.target):
+                reports = [(None, lint_python_file(args.target, context, suppress))]
+            elif args.target in ALL_APPS or os.path.exists(args.target):
+                program = _resolve_plan_target(args, args.target)
                 reports = [
                     (label, lint_plan(plan, context, suppress))
                     for label, plan in _segment_plans(session, program)
                 ]
-            elif os.path.exists(args.target):
-                reports = [(None, lint_path(args.target, context, suppress))]
             else:
                 print(
                     f"unknown lint target {args.target!r}: expected one of "

@@ -42,7 +42,7 @@ from repro.lang.expr import (
     ScalarRefExpr,
     TransposeExpr,
 )
-from repro.lang.program import ProgramBuilder
+from repro.lang.program import MatrixProgram, ProgramBuilder
 
 #: Everything an expression can evaluate to during lowering.
 Value = Union[MatrixExpr, ScalarExpr, int, float, bool]
@@ -146,6 +146,26 @@ def upward_exposed_reads(stmts: list[ast.stmt]) -> list[str]:
                     exposed.append(name)
             assigned.update(names_stored(stmt))
     return exposed
+
+
+def compile_block(
+    stmts: list[ast.stmt],
+    src: SourceMap,
+    builder: ProgramBuilder | None = None,
+    env: dict[str, Value] | None = None,
+) -> MatrixProgram:
+    """Lower a statement list with no ``while`` into one program.
+
+    The one straight-line entry point: a ``@matrix_program`` body (onto a
+    builder that already holds its ``Matrix`` parameters) and a DML script
+    (:mod:`repro.lang.dml`, onto a fresh one) both compile here.
+    """
+    builder = ProgramBuilder() if builder is None else builder
+    StatementCompiler(builder, {} if env is None else env, src).exec_block(stmts)
+    program = builder.build()
+    if not program.outputs and not program.scalar_outputs:
+        raise src.error(None, "program declares no output(...) or output_scalar(...)")
+    return program
 
 
 class StatementCompiler:

@@ -32,6 +32,7 @@ from repro.frontend.compiler import (
     SourceMap,
     StatementCompiler,
     Value,
+    compile_block,
     names_loaded,
     names_stored,
     upward_exposed_reads,
@@ -269,15 +270,7 @@ class FrontendProgram:
                 "only one while loop per program is supported",
             )
         if not while_indices:
-            compiler = StatementCompiler(builder, env, self._src)
-            compiler.exec_block(body)
-            program = builder.build()
-            if not program.outputs and not program.scalar_outputs:
-                raise FrontendError(
-                    "program declares no output(...) or output_scalar(...)",
-                    function=self.name,
-                )
-            return program
+            return compile_block(body, self._src, builder, env)
         index = while_indices[0]
         return self._compile_staged(
             builder,

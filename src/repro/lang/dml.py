@@ -1,12 +1,14 @@
-"""A small textual matrix language (DML-style) compiled to MatrixPrograms.
+"""A small textual matrix language (DML-style), lowered by the frontend.
 
 SystemML -- the paper's baseline -- exposes "an R-like high-level language"
 so users "escape from hand-coding MapReduce programs"; DMac embeds the same
-surface in Scala.  This module provides the textual counterpart for this
-reproduction: a script language with R's operators (``%*%`` for matrix
-multiplication, ``t(X)`` for transpose) that compiles straight into a
-:class:`~repro.lang.program.MatrixProgram` via the ProgramBuilder, so every
-planner feature works on scripts too.
+surface in Scala.  This module is the textual counterpart: a script
+language with R's operators (``%*%`` for matrix multiplication, ``t(X)``
+for transpose).  It parses only; the parser emits Python ``ast`` that
+:func:`~repro.frontend.compiler.compile_block` lowers like a
+``@matrix_program`` body (docs/frontend.md, "DML is a second surface of
+this compiler", has the mapping), and every diagnostic is a
+:class:`~repro.frontend.errors.FrontendError` naming the script and line.
 
 Example::
 
@@ -35,15 +37,24 @@ which bind tighter than ``+``/``-``; unary minus tighter than all.
 
 from __future__ import annotations
 
-import dataclasses
+import ast
 import re
+from typing import NamedTuple, TypeVar
 
-from repro.errors import ProgramError
-from repro.lang.expr import MatrixExpr, ScalarExpr, UnaryExpr
-from repro.lang.program import MatrixProgram, ProgramBuilder
+from repro.frontend.compiler import SourceMap, compile_block
+from repro.lang.program import MatrixProgram
 
-#: Element-wise unary function names accepted in scripts.
-_UNARY_FUNCS = ("exp", "log", "sqrt", "abs", "sign", "sigmoid", "reciprocal")
+#: DML function names the frontend spells differently.
+_RENAMED = {"rowSums": "row_sums", "colSums": "col_sums", "outputScalar": "output_scalar"}
+
+#: Matrix sources: each call becomes a statement of its own.
+_SOURCES = ("load", "random", "full")
+
+#: Binary operators by precedence level, loosest first.
+_LEVELS = (("+", "-"), ("*", "/"), ("%*%",))
+_BIN_OPS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult, "/": ast.Div, "%*%": ast.MatMult}
+
+_Node = TypeVar("_Node", bound=ast.AST)
 
 _TOKEN_SPEC = [
     ("NUMBER", r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?"),
@@ -58,14 +69,13 @@ _TOKEN_SPEC = [
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
 
 
-@dataclasses.dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER | MATMUL | IDENT | OP | EOF
     text: str
-    line: int
+    lineno: int  # named as on an ast node, so SourceMap.error can point at it
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str, src: SourceMap) -> list[_Token]:
     tokens: list[_Token] = []
     line = 1
     for match in _TOKEN_RE.finditer(source):
@@ -73,27 +83,32 @@ def _tokenize(source: str) -> list[_Token]:
         text = match.group()
         if kind == "NEWLINE":
             line += 1
-        elif kind in ("SKIP", "COMMENT"):
-            continue
         elif kind == "MISMATCH":
-            raise ProgramError(f"line {line}: unexpected character {text!r}")
-        else:
+            raise src.error(_Token(kind, text, line), f"unexpected character {text!r}")
+        elif kind not in ("SKIP", "COMMENT"):
             tokens.append(_Token(kind, text, line))
     tokens.append(_Token("EOF", "", line))
     return tokens
 
 
+def _located(node: _Node, token: _Token) -> _Node:
+    node.lineno = token.lineno
+    return node
+
+
+def _name(text: str, token: _Token, ctx: ast.expr_context | None = None) -> ast.Name:
+    return _located(ast.Name(text, ctx or ast.Load()), token)
+
+
 class _Parser:
-    """Recursive-descent parser driving a ProgramBuilder."""
+    """Recursive-descent parser emitting the script as Python ``ast``."""
 
-    def __init__(self, source: str) -> None:
-        self._tokens = _tokenize(source)
+    def __init__(self, source: str, src: SourceMap) -> None:
+        self._src = src
+        self._tokens = _tokenize(source, src)
         self._pos = 0
-        self._builder = ProgramBuilder()
-        #: script name -> matrix handle or scalar handle or float
-        self._env: dict[str, object] = {}
-
-    # -- token plumbing ------------------------------------------------------
+        #: source statements waiting for the assignment that reads them
+        self._hoisted: list[ast.stmt] = []
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -106,9 +121,7 @@ class _Parser:
     def _expect(self, text: str) -> _Token:
         token = self._next()
         if token.text != text:
-            raise ProgramError(
-                f"line {token.line}: expected {text!r}, got {token.text!r}"
-            )
+            raise self._src.error(token, f"expected {text!r}, got {token.text!r}")
         return token
 
     def _at(self, text: str) -> bool:
@@ -116,258 +129,140 @@ class _Parser:
 
     # -- statements ----------------------------------------------------------
 
-    def parse(self) -> MatrixProgram:
+    def parse(self) -> list[ast.stmt]:
+        body: list[ast.stmt] = []
         while self._peek().kind != "EOF":
-            self._statement()
-        return self._builder.build()
+            body.extend(self._statement())
+        return body
 
-    def _statement(self) -> None:
+    def _statement(self) -> list[ast.stmt]:
         token = self._peek()
         if token.kind != "IDENT":
-            raise ProgramError(f"line {token.line}: expected a statement, got {token.text!r}")
+            raise self._src.error(token, f"expected a statement, got {token.text!r}")
         if token.text == "for":
-            self._for_loop()
-        elif token.text in ("output", "outputScalar"):
-            self._output()
-        else:
-            self._assignment()
+            return [self._for_loop()]
+        if token.text in ("output", "outputScalar"):
+            return [self._output()]
+        return self._assignment()
 
-    def _assignment(self) -> None:
-        name_token = self._next()
-        name = name_token.text
+    def _assignment(self) -> list[ast.stmt]:
+        name = self._next()
         self._expect("=")
         value = self._expression()
-        if isinstance(value, MatrixExpr):
-            self._env[name] = self._builder.assign(name, value)
-        elif isinstance(value, ScalarExpr):
-            self._env[name] = self._builder.scalar(name, value)
-        elif isinstance(value, float):
-            self._env[name] = value  # plain driver constant
-        else:  # pragma: no cover - expression() returns only these
-            raise ProgramError(f"line {name_token.line}: cannot assign {value!r}")
+        if isinstance(value, ast.Name):
+            # `X = +Y`: a DML alias records X in program.bindings, a Python `x = y` does not.
+            value = _located(ast.UnaryOp(ast.UAdd(), value), name)
+        statement = _located(ast.Assign([_name(name.text, name, ast.Store())], value), name)
+        hoisted, self._hoisted = self._hoisted, []
+        return [*hoisted, statement]
 
-    def _for_loop(self) -> None:
+    def _for_loop(self) -> ast.stmt:
         for_token = self._expect("for")
         self._expect("(")
         loop_var = self._next()
         if loop_var.kind != "IDENT":
-            raise ProgramError(f"line {loop_var.line}: expected a loop variable")
-        in_token = self._next()
-        if in_token.text != "in":
-            raise ProgramError(f"line {in_token.line}: expected 'in'")
+            raise self._src.error(loop_var, "expected a loop variable")
+        self._expect("in")
         start = self._integer()
         self._expect(":")
         stop = self._integer()
         self._expect(")")
         self._expect("{")
-        body_start = self._pos
         if stop < start:
-            raise ProgramError(f"line {for_token.line}: empty loop range {start}:{stop}")
-        for iteration in range(start, stop + 1):
-            self._pos = body_start
-            self._env[loop_var.text] = float(iteration)
-            while not self._at("}"):
-                if self._peek().kind == "EOF":
-                    raise ProgramError(f"line {for_token.line}: unclosed loop body")
-                self._statement()
+            raise self._src.error(for_token, f"empty loop range {start}:{stop}")
+        body: list[ast.stmt] = []
+        while not self._at("}"):
+            if self._peek().kind == "EOF":
+                raise self._src.error(for_token, "unclosed loop body")
+            body.extend(self._statement())
         self._expect("}")
+        bounds = [_located(ast.Constant(bound), for_token) for bound in (start, stop + 1)]
+        iterator = _located(ast.Call(_name("range", for_token), bounds, []), for_token)
+        target = _name(loop_var.text, loop_var, ast.Store())
+        return _located(ast.For(target, iterator, body, []), for_token)
 
-    def _output(self) -> None:
-        keyword = self._next().text
+    def _output(self) -> ast.stmt:
+        keyword = self._next()
         self._expect("(")
         target = self._next()
         if target.kind != "IDENT":
-            raise ProgramError(f"line {target.line}: output() takes a variable name")
+            raise self._src.error(target, "output() takes a variable name")
         self._expect(")")
-        handle = self._env.get(target.text)
-        if handle is None:
-            raise ProgramError(f"line {target.line}: unknown variable {target.text!r}")
-        if keyword == "output":
-            if not isinstance(handle, MatrixExpr):
-                raise ProgramError(
-                    f"line {target.line}: output() needs a matrix, {target.text!r} is not"
-                )
-            self._builder.output(handle)
-        else:
-            if not isinstance(handle, ScalarExpr):
-                raise ProgramError(
-                    f"line {target.line}: outputScalar() needs a scalar, "
-                    f"{target.text!r} is not"
-                )
-            self._builder.scalar_output(handle)
+        func = _name(_RENAMED.get(keyword.text, keyword.text), keyword)
+        call = _located(ast.Call(func, [_name(target.text, target)], []), target)
+        return _located(ast.Expr(call), keyword)
 
     def _integer(self) -> int:
         token = self._next()
         if token.kind != "NUMBER" or not token.text.isdigit():
-            raise ProgramError(f"line {token.line}: expected an integer, got {token.text!r}")
+            raise self._src.error(token, f"expected an integer, got {token.text!r}")
         return int(token.text)
 
     # -- expressions (R precedence: %*% > * / > + -) ----------------------------
 
-    def _expression(self):
-        return self._additive()
-
-    def _additive(self):
-        left = self._multiplicative()
-        while self._peek().text in ("+", "-"):
-            op = self._next().text
-            right = self._multiplicative()
-            left = self._combine(left, right, "add" if op == "+" else "subtract")
-        return left
-
-    def _multiplicative(self):
-        left = self._matmul()
-        while self._peek().text in ("*", "/"):
-            op = self._next().text
-            right = self._matmul()
-            left = self._combine(left, right, "multiply" if op == "*" else "divide")
-        return left
-
-    def _matmul(self):
-        left = self._unary()
-        while self._peek().kind == "MATMUL":
+    def _expression(self, level: int = 0) -> ast.expr:
+        if level == len(_LEVELS):
+            return self._unary()
+        left = self._expression(level + 1)
+        while self._peek().text in _LEVELS[level]:
             token = self._next()
-            right = self._unary()
-            if not (isinstance(left, MatrixExpr) and isinstance(right, MatrixExpr)):
-                raise ProgramError(f"line {token.line}: %*% needs matrix operands")
-            left = left @ right
+            right = self._expression(level + 1)
+            left = _located(ast.BinOp(left, _BIN_OPS[token.text](), right), token)
         return left
 
-    def _unary(self):
+    def _unary(self) -> ast.expr:
         if self._at("-"):
             token = self._next()
-            operand = self._unary()
-            if isinstance(operand, float):
-                return -operand
-            return -operand  # MatrixExpr / ScalarExpr both overload negation
+            return _located(ast.UnaryOp(ast.USub(), self._unary()), token)
         return self._primary()
 
-    def _primary(self):
+    def _primary(self) -> ast.expr:
         token = self._next()
         if token.kind == "NUMBER":
-            return float(token.text)
+            return _located(ast.Constant(float(token.text)), token)
         if token.text == "(":
             inner = self._expression()
             self._expect(")")
             return inner
         if token.kind == "IDENT":
-            if self._at("("):
-                return self._call(token)
-            value = self._env.get(token.text)
-            if value is None:
-                raise ProgramError(f"line {token.line}: unknown variable {token.text!r}")
-            return value
-        raise ProgramError(f"line {token.line}: unexpected token {token.text!r}")
+            return self._call(token) if self._at("(") else _name(token.text, token)
+        raise self._src.error(token, f"unexpected token {token.text!r}")
 
-    # -- function calls -----------------------------------------------------
-
-    def _call(self, name_token: _Token):
-        name = name_token.text
-        line = name_token.line
+    def _call(self, name: _Token) -> ast.expr:
         self._expect("(")
-        positional: list[object] = []
-        keywords: dict[str, object] = {}
-        if not self._at(")"):
-            while True:
-                if (
-                    self._peek().kind == "IDENT"
-                    and self._tokens[self._pos + 1].text == "="
-                ):
-                    key = self._next().text
-                    self._expect("=")
-                    keywords[key] = self._expression()
-                else:
-                    positional.append(self._expression())
-                if self._at(","):
-                    self._next()
-                    continue
-                break
+        args: list[ast.expr] = []
+        keywords: list[ast.keyword] = []
+        more = not self._at(")")
+        while more:
+            if self._peek().kind == "IDENT" and self._tokens[self._pos + 1].text == "=":
+                key = self._next().text
+                self._expect("=")
+                keywords.append(ast.keyword(key, self._expression()))
+            else:
+                args.append(self._expression())
+            more = self._at(",")
+            if more:
+                self._next()
         self._expect(")")
-        return self._apply(name, positional, keywords, line)
-
-    def _apply(self, name: str, args: list[object], kwargs: dict[str, object], line: int):
-        def matrix_arg(index: int = 0) -> MatrixExpr:
-            if len(args) <= index or not isinstance(args[index], MatrixExpr):
-                raise ProgramError(f"line {line}: {name}() needs a matrix argument")
-            return args[index]  # type: ignore[return-value]
-
-        def number(value: object, what: str) -> float:
-            if isinstance(value, float):
-                return value
-            raise ProgramError(f"line {line}: {name}() {what} must be a number")
-
-        if name == "t":
-            return matrix_arg().T
-        if name == "sum":
-            return matrix_arg().sum()
-        if name == "sqsum":
-            return matrix_arg().sq_sum()
-        if name == "norm2":
-            return matrix_arg().norm2()
-        if name == "value":
-            return matrix_arg().value()
-        if name == "rowSums":
-            return matrix_arg().row_sums()
-        if name == "colSums":
-            return matrix_arg().col_sums()
-        if name in _UNARY_FUNCS:
-            return UnaryExpr(name, matrix_arg())
-        if name in ("load", "random", "full"):
-            if len(args) < 2:
-                raise ProgramError(f"line {line}: {name}(rows, cols, ...) needs dimensions")
-            rows = int(number(args[0], "rows"))
-            cols = int(number(args[1], "cols"))
-            fresh = f"_{name}{line}_{self._pos}"
-            if name == "load":
-                sparsity = number(kwargs.get("sparsity", 1.0), "sparsity")
-                return self._builder.load(fresh, (rows, cols), sparsity=sparsity)
-            if name == "random":
-                seed = int(number(kwargs.get("seed", 0.0), "seed"))
-                return self._builder.random(fresh, (rows, cols), seed=seed)
-            fill = number(args[2] if len(args) > 2 else kwargs.get("value", 0.0), "value")
-            return self._builder.full(fresh, (rows, cols), fill)
-        raise ProgramError(f"line {line}: unknown function {name!r}")
-
-    # -- mixed-type arithmetic ----------------------------------------------------
-
-    @staticmethod
-    def _combine(left, right, op: str):
-        """Dispatch +,-,*,/ over the (matrix|scalar|float) x (same) grid by
-        delegating to the expression classes' overloads."""
-        symbol = {"add": "+", "subtract": "-", "multiply": "*", "divide": "/"}[op]
-        if isinstance(left, float) and isinstance(right, float):
-            if op == "add":
-                return left + right
-            if op == "subtract":
-                return left - right
-            if op == "multiply":
-                return left * right
-            if right == 0:
-                raise ProgramError("division by zero constant")
-            return left / right
-        try:
-            if op == "add":
-                return left + right
-            if op == "subtract":
-                return left - right
-            if op == "multiply":
-                return left * right
-            return left / right
-        except TypeError as error:
-            raise ProgramError(
-                f"cannot apply {symbol!r} to {type(left).__name__} and "
-                f"{type(right).__name__}"
-            ) from error
+        func = _name(_RENAMED.get(name.text, name.text), name)
+        call = _located(ast.Call(func, args, keywords), name)
+        if name.text not in _SOURCES:
+            return call
+        # A source names its matrix after where the call ends in the script.
+        fresh = f"_{name.text}{name.lineno}_{self._pos}"
+        self._hoisted.append(_located(ast.Assign([_name(fresh, name, ast.Store())], call), name))
+        return _name(fresh, name)
 
 
-def parse_program(source: str) -> MatrixProgram:
+def parse_program(source: str, filename: str | None = None) -> MatrixProgram:
     """Compile a DML-style script into a :class:`MatrixProgram`.
 
-    Load order defines the binding order of ``load()`` inputs: their
-    generated names appear in ``program.input_sparsity``; use
-    :func:`load_names` to map them back to script variables.
+    ``filename`` only labels diagnostics.  Load order defines the binding
+    order of ``load()`` inputs (``program.input_sparsity``);
+    :func:`load_names` maps them back to script variables.
     """
-    return _Parser(source).parse()
+    src = SourceMap("dml", filename, 0)
+    return compile_block(_Parser(source, src).parse(), src)
 
 
 def load_names(program: MatrixProgram) -> dict[str, str]:

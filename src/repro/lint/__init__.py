@@ -24,8 +24,6 @@ from repro.lint.diagnostics import (
 from repro.lint.rules import RULES, LintInput, Rule
 from repro.lint.runner import (
     capture_plans,
-    lint_dml_source,
-    lint_path,
     lint_plan,
     lint_program,
     lint_python_file,
@@ -42,8 +40,6 @@ __all__ = [
     "LintInput",
     "Rule",
     "capture_plans",
-    "lint_dml_source",
-    "lint_path",
     "lint_plan",
     "lint_program",
     "lint_python_file",

@@ -1,14 +1,15 @@
-"""Entry points: lint a program, a plan, a ``.dml`` script, or a ``.py``
-program builder -- without executing anything.
+"""Entry points: lint a program, a plan, or a ``.py`` program builder --
+without executing anything.
 
 ``lint_plan`` is the workhorse: it gathers the plan's facts -- shapes, def-use
 and stages, sizes; each from the one function that derives it -- into a
 :class:`~repro.lint.rules.LintInput` and applies every registered rule.
 ``lint_program`` runs the (smaller) set of program-level checks when no
-plan exists yet.  ``lint_path`` dispatches on file type for the CLI, using
-:func:`capture_plans` to observe the plans a ``.py`` builder script
-generates through :class:`~repro.session.DMacSession` without running the
-executor.
+plan exists yet.  ``lint_python_file`` uses :func:`capture_plans` to observe
+the plans a ``.py`` builder script generates through
+:class:`~repro.session.DMacSession` without running the executor.  A
+``.dml`` script needs no entry of its own: the CLI compiles it and lints
+the plans its session makes, exactly as for a registry app.
 """
 
 from __future__ import annotations
@@ -91,18 +92,6 @@ def plan_for(
         estimation_mode=context.estimation_mode,
     )
     return schedule_stages(planner.plan())
-
-
-def lint_dml_source(
-    source: str,
-    context: LintContext | None = None,
-    suppress: tuple[str, ...] = (),
-) -> LintReport:
-    """Parse DML, plan it, and lint both program and plan."""
-    from repro.lang.dml import parse_program
-
-    program = parse_program(source)
-    return lint_plan(plan_for(program, context), context, suppress)
 
 
 @contextlib.contextmanager
@@ -203,16 +192,3 @@ def _merge_budgets(
             else plan_context.memory_limit_bytes
         ),
     )
-
-
-def lint_path(
-    path: str,
-    context: LintContext | None = None,
-    suppress: tuple[str, ...] = (),
-) -> LintReport:
-    """Lint a ``.dml`` script or ``.py`` builder file by extension."""
-    if path.endswith(".py"):
-        return lint_python_file(path, context, suppress)
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_dml_source(source, context, suppress)

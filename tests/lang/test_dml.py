@@ -7,6 +7,7 @@ from repro import ClusterConfig, DMacSession
 from repro.baselines.rlocal import run_local
 from repro.datasets import sparse_random
 from repro.errors import ProgramError
+from repro.frontend import FrontendError
 from repro.lang.dml import load_names, parse_program
 from repro.lang.program import CellwiseOp, MatMulOp, UnaryMatrixOp
 
@@ -184,12 +185,30 @@ class TestErrors:
             parse_program("A = random(2,2)\ns = sum(A)\noutput(s)")
 
     def test_outputscalar_of_matrix_rejected(self):
-        with pytest.raises(ProgramError, match="needs a scalar"):
+        with pytest.raises(ProgramError, match=r"output_scalar\(\) needs a computed runtime scalar"):
             parse_program("A = random(2,2)\noutputScalar(A)")
 
     def test_error_messages_carry_line_numbers(self):
-        with pytest.raises(ProgramError, match="line 3"):
+        with pytest.raises(ProgramError, match=r"\(<source>:3\)"):
             parse_program("A = random(2,2)\nB = A + A\nC = ghost %*% A")
+
+    @pytest.mark.parametrize(
+        "script, line",
+        [
+            pytest.param("A = random(2,2)\nB = A $ 3", 2, id="tokenizer"),
+            pytest.param("A = random(2,2)\n\nB = (A + A\noutput(B)", 4, id="parser"),
+            pytest.param("A = random(2,2)\nfor (i in 1:2) {\n  A = A * 2\n", 2, id="unclosed-loop"),
+            pytest.param("A = random(2,2)\nB = cholesky(A)", 2, id="compiler"),
+            pytest.param("A = random(2,2)\ns = sum(A)\noutput(s)", 3, id="output-check"),
+            # the builder's own checks used to surface with no line at all
+            pytest.param("A = random(2, 3)\nB = A %*% A\noutput(B)", 2, id="builder"),
+        ],
+    )
+    def test_every_diagnostic_is_a_frontend_error_with_file_and_line(self, script, line):
+        with pytest.raises(FrontendError) as info:
+            parse_program(script, filename="dir/bad.dml")
+        assert (info.value.filename, info.value.line) == ("dir/bad.dml", line)
+        assert f"(bad.dml:{line})" in str(info.value)
 
 
 class TestEquivalenceWithBuilderPrograms:

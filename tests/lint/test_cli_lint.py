@@ -79,6 +79,38 @@ class TestJsonFormat:
         assert all("description" in step for step in payload["steps"])
 
 
+class TestDmlTargets:
+    """A ``.dml`` target is linted like an app: its session's plans."""
+
+    CHAIN_DML = (
+        "A = random(64,64)\nX = random(64,64,seed=2)\nB = A + X\nC = B * X\n"
+        "output(B)\noutput(C)\n"
+    )
+
+    @pytest.mark.parametrize("optimize, expected", [(True, ["DM401"]), (False, [])])
+    def test_lint_lints_the_plan_the_session_makes(self, tmp_path, capsys, optimize, expected):
+        """``--optimize`` used to be ignored for a script: it linted the raw plan."""
+        from repro import DMacSession
+        from repro.lang.dml import parse_program
+        from repro.lint import LintContext, lint_plan
+
+        path = write(tmp_path, "chain.dml", self.CHAIN_DML)
+        argv = ["lint", path, "--format", "json"] + (["--optimize"] if optimize else [])
+        assert main(argv) == EXIT_OK
+        rules = [d["rule"] for d in json.loads(capsys.readouterr().out)["diagnostics"]]
+        with DMacSession(optimize=optimize) as session:
+            plan = session.plan(parse_program(self.CHAIN_DML))
+            report = lint_plan(plan, LintContext.from_config(session.config))
+        assert rules == [d.rule for d in report.diagnostics] == expected
+
+    @pytest.mark.parametrize("command", ["plan", "lint", "stages", "verify"])
+    def test_a_script_error_names_the_file_and_line(self, tmp_path, capsys, command):
+        path = write(tmp_path, "bad.dml", "A = random(2, 3)\nB = A + A\nC = A %*% A\noutput(C)\n")
+        assert main([command, path]) == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert "bad.dml:3" in err and "matmul inner dimensions differ" in err
+
+
 class TestSuppression:
     def test_suppressed_rule_does_not_fire_or_fail(self, capsys):
         code = main(["lint", "gnmf", "--iterations", "1", "--factors", "4",

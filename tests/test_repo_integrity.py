@@ -262,6 +262,22 @@ class TestStaticHygiene:
                     importers.add(path.relative_to(self.SRC).as_posix())
         assert sorted(importers) == ["matrix/__init__.py", "runtime/backend.py"]
 
+    def test_dml_reaches_a_program_only_through_the_frontend(self):
+        """DML is a surface, not a second compiler: its parser emits Python
+        ``ast`` and the frontend lowers it, so ``lang/dml.py`` never builds
+        expressions or drives a ``ProgramBuilder`` itself."""
+        tree = ast.parse((self.SRC / "lang" / "dml.py").read_text())
+        modules, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules.add(node.module)
+                names.update(alias.name for alias in node.names)
+        assert "repro.lang.expr" not in modules
+        assert "ProgramBuilder" not in names
+        assert "repro.frontend.compiler" in modules
+
     def test_every_public_function_is_annotated(self):
         def functions(body, owner=""):
             for node in body:
