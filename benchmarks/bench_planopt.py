@@ -24,10 +24,12 @@ import numpy as np
 
 from harness import bench_clock, fmt_bytes, fmt_secs, report
 from repro import ClusterConfig, DMacSession
+from repro.core.cost import CostModel
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.lang.program import LoadOp
-from repro.planopt import optimize_plan
+from repro.planopt import DEFAULT_PASSES, optimize_plan
+from repro.planopt.associate import reassociate
 from repro.programs import (
     build_gnmf_program,
     build_jacobi_program,
@@ -36,6 +38,8 @@ from repro.programs import (
 from repro.programs.registry import WorkloadParams, build_workload
 
 ITERATIONS = 10
+#: The pass pipeline without chain association.
+PIPELINE = tuple(p for p in DEFAULT_PASSES if p.name != "associate")
 CONFIG = dict(num_workers=4, threads_per_worker=2, block_size=128, clock=bench_clock())
 
 APPS = {
@@ -66,23 +70,42 @@ def run_pair(name: str):
     plain_session = DMacSession(ClusterConfig(**CONFIG))
     plain = plain_session.run(program, inputs)
     opt_session = DMacSession(ClusterConfig(**CONFIG), optimize=True)
-    opt = opt_session.run(program, inputs)
+    (plan,) = opt_session.plans(program)
+    opt = opt_session.run(program, inputs, plan=plan)
+    # A reassociated plan computes the program it announces bit for bit.
+    announced = plain
+    if plan.program is not program:
+        announced = DMacSession(ClusterConfig(**CONFIG)).run(plan.program, inputs)
     plain_shuffle = plain_session.context.ledger.bytes_by_kind().get("shuffle", 0)
     opt_shuffle = opt_session.context.ledger.bytes_by_kind().get("shuffle", 0)
-    return plain, opt, plain_shuffle, opt_shuffle
+    return plain, opt, plain_shuffle, opt_shuffle, announced
 
 
 def optimizer_counts(program) -> collections.Counter:
     """The optimizer's deterministic work counts for one program."""
     counters: collections.Counter = collections.Counter()
     plan = schedule_stages(DMacPlanner(program, CONFIG["num_workers"]).plan())
-    optimized = optimize_plan(
-        plan, num_workers=CONFIG["num_workers"], counters=counters
-    )
-    # One index for the pipeline, one per candidate built, one more when
-    # fusion swaps steps in place -- never one per query or per price.
-    fused = any(rewrite.pass_name == "fuse" for rewrite in optimized.rewrites)
-    assert counters["index_builds"] == 1 + fused + counters["candidates_forked"]
+    optimize_plan(plan, num_workers=CONFIG["num_workers"], counters=counters)
+    # A program whose chains are out of order is also planned reassociated
+    # and that plan run through the same pipeline: the counts are exactly
+    # those of the two pipelines run alone, plus the one planner run.
+    plans = [plan]
+    found = reassociate(program, CostModel(program, CONFIG["num_workers"]))
+    if found is not None:
+        plans.append(plan.replan(found[0]))
+    assert counters["replans"] == len(plans) - 1
+    alone = collections.Counter(replans=len(plans) - 1)
+    for each in plans:
+        pipeline: collections.Counter = collections.Counter()
+        optimized = optimize_plan(
+            each, num_workers=CONFIG["num_workers"], passes=PIPELINE, counters=pipeline
+        )
+        # One index for the pipeline, one per candidate built, one more when
+        # fusion swaps steps in place -- never one per query or per price.
+        fused = any(rewrite.pass_name == "fuse" for rewrite in optimized.rewrites)
+        assert pipeline["index_builds"] == 1 + fused + pipeline["candidates_forked"]
+        alone.update(pipeline)
+    assert counters == alone, (counters, alone)
     assert counters["candidates_forked"] <= counters["candidates_enumerated"]
     return counters
 
@@ -104,8 +127,8 @@ def test_planopt(benchmark):
     rows = []
     results = {}
     for name in APPS:
-        plain, opt, plain_shuffle, opt_shuffle = run_pair(name)
-        results[name] = (plain, opt, plain_shuffle, opt_shuffle)
+        plain, opt, plain_shuffle, opt_shuffle, announced = run_pair(name)
+        results[name] = (plain, opt, plain_shuffle, opt_shuffle, announced)
         if plain_shuffle == 0:
             reduction = "n/a"
         elif opt_shuffle == 0:
@@ -134,18 +157,20 @@ def test_planopt(benchmark):
          "cand. enumerated", "forked", "accepted", "index builds"],
         rows,
         notes=(
-            "optimizer = CSE + hoist (Fig 9a reference-dependency caching) + "
-            "DCE + repartition coalescing; outputs are byte-identical"
+            "optimizer = chain association + CSE + hoist (Fig 9a "
+            "reference-dependency caching) + DCE + repartition coalescing + "
+            "replicated products; outputs are byte-identical to the unoptimized "
+            "run of the program the plan announces"
         ),
     )
     assert svd_counts == optimizer_counts(svd), "counts must repeat exactly"
     assert svd_counts["candidates_forked"] <= 2, svd_counts
     assert svd_counts["index_builds"] <= 4, svd_counts
     assert svd_counts["plan_scans"] <= 126, svd_counts  # PR 21's parent
-    for name, (plain, opt, plain_shuffle, opt_shuffle) in results.items():
-        for out in plain.matrices:
+    for name, (plain, opt, plain_shuffle, opt_shuffle, announced) in results.items():
+        for out in announced.matrices:
             assert (
-                plain.matrices[out].tobytes() == opt.matrices[out].tobytes()
+                announced.matrices[out].tobytes() == opt.matrices[out].tobytes()
             ), f"{name}: output {out!r} diverged under optimization"
         if name in ("pagerank", "gnmf"):
             assert plain_shuffle >= 1.5 * opt_shuffle, (

@@ -200,20 +200,28 @@ class CostModel:
     def flops(self, step: Step) -> int:
         """The work of one step: ``2 m k n`` scaled by the left operand's
         estimated sparsity for a multiplication (the engines skip zero
-        rows), one flop per cell for element-wise operators and
-        aggregations, the sum over its chain for a fused step or a product
-        chain, nothing for sources, extended operators and driver scalars."""
+        rows; a ``bmm`` is that on each of the N members), one flop per
+        cell for element-wise operators and aggregations, the sum over its
+        chain for a fused step or a product chain, nothing for sources,
+        extended operators and driver scalars."""
         if isinstance(step, MatMulStep):
             m, k = self.program.dims_of(step.op.left)
             n = self.program.dims_of(step.op.right)[1]
-            density = min(1.0, self.estimator.sparsity_of(step.op.left))
-            return int(2 * m * k * n * density)
+            flops = self.product_flops(m, k, n, self.estimator.sparsity_of(step.op.left))
+            # Every member multiplies its own replicas: N products booked.
+            return self.num_workers * flops if step.strategy == "bmm" else flops
         if isinstance(step, _PER_CELL_STEPS):
             rows, cols = self.program.dims[step.op.matrix_inputs()[0].name]
             return rows * cols
         if isinstance(step, (FusedCellwiseStep, ProductChainStep)):
             return sum(self.flops(inner) for inner in step.chain)
         return 0
+
+    @staticmethod
+    def product_flops(m: int, k: int, n: int, density: float) -> int:
+        """One ``m x k @ k x n`` product whose left operand has this
+        estimated density (the engines skip zero rows)."""
+        return int(2 * m * k * n * min(1.0, density))
 
     def bytes(self, steps: Iterable[Step]) -> int:
         """Predicted communication of a whole step list: the total of

@@ -58,13 +58,11 @@ class SizeEstimator:
             elif isinstance(op, (RandomOp, FullOp)):
                 self._sparsity[op.output] = 1.0
             elif isinstance(op, MatMulOp):
-                if mode == "worst":
-                    self._sparsity[op.output] = 1.0
-                else:
-                    # P(entry non-zero) = 1 - (1 - sA sB)^k for k inner terms
-                    inner = program.dims_of(op.left)[1]
-                    product = self.sparsity_of(op.left) * self.sparsity_of(op.right)
-                    self._sparsity[op.output] = 1.0 - (1.0 - product) ** inner
+                self._sparsity[op.output] = self.product_sparsity(
+                    self.sparsity_of(op.left),
+                    self.sparsity_of(op.right),
+                    program.dims_of(op.left)[1],
+                )
             elif isinstance(op, CellwiseOp):
                 left = self.sparsity_of(op.left)
                 right = self.sparsity_of(op.right)
@@ -102,6 +100,14 @@ class SizeEstimator:
                 raise PlanError(f"estimator: unknown operator {type(op).__name__}")
 
     # -- queries -------------------------------------------------------------
+
+    def product_sparsity(self, left: float, right: float, inner: int) -> float:
+        """Sparsity of a product of operands this sparse over ``inner``
+        terms: dense in the worst case; on average an entry is non-zero
+        with probability ``1 - (1 - sA sB)^k``."""
+        if self.mode == "worst":
+            return 1.0
+        return 1.0 - (1.0 - left * right) ** inner
 
     def sparsity(self, name: str) -> float:
         """Estimated worst-case sparsity of a matrix version."""

@@ -14,7 +14,7 @@ whose boundaries sit exactly on the communicating edges.
 from __future__ import annotations
 
 import dataclasses
-from typing import Union
+from typing import Callable, Optional, Union
 
 from repro.lang.program import (
     AggregateOp,
@@ -359,6 +359,12 @@ class Plan:
     #: Translation-validation certificates issued by :mod:`repro.verify`:
     #: one per applied optimizer pass plus one end-to-end record.
     certificates: tuple = ()
+    #: Plans another program the way this plan was planned (same planner,
+    #: cluster size, heuristics and estimation mode): the optimizer plans a
+    #: reassociated program with it.  ``None`` on a hand-built plan.
+    replan: Optional[Callable[[MatrixProgram], "Plan"]] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     def communicating_steps(self) -> list[Step]:
         return [step for step in self.steps if step.communicates]

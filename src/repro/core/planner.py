@@ -26,6 +26,7 @@ once per program (paper Section 6.5).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.core.cost import CostModel, dependency_cost, output_cost
 from repro.core.dependency import classify
@@ -138,6 +139,14 @@ class DMacPlanner:
             steps=self._steps,
             outputs={name: self._readable_instance(name) for name in self.program.outputs},
             predicted_bytes=self.cost.bytes(self._steps),
+            replan=functools.partial(
+                _replan,
+                type(self),
+                num_workers=self.num_workers,
+                pull_up_broadcast=self.pull_up_broadcast,
+                re_assignment=self.re_assignment,
+                estimation_mode=self.estimator.mode,
+            ),
         )
 
     # -- per-operator planning ---------------------------------------------------
@@ -445,3 +454,11 @@ def _lowering_targets(
     if required is Scheme.BROADCAST:
         return [("transpose", middle), ("broadcast", final)]
     return [("transpose", middle), ("partition", final)]
+
+
+def _replan(planner: type[DMacPlanner], program: MatrixProgram, **settings) -> Plan:
+    """A stage-scheduled plan of ``program`` under one planner's settings
+    (what :attr:`Plan.replan` calls)."""
+    from repro.core.stages import schedule_stages
+
+    return schedule_stages(planner(program, **settings).plan())

@@ -10,6 +10,13 @@ multiplication has the three strategies of Figure 2:
   aggregation; the only strategy whose *output* event carries a cost, and
   the canonical producer of a multi-scheme output (Re-assignment target).
 
+A fourth, **BMM** (``A(b) @ B(b) -> AB(b)``: every worker multiplies its
+own replicas), is not a candidate of Algorithm 1.  For a product of two
+replicas RMM1 needs ``B(c)``, which a replica yields for free, so Equation
+1 never prices BMM strictly below RMM1; only the optimizer's
+:mod:`repro.planopt.replicate` rewrite emits it, where the product's
+output would otherwise be moved.
+
 Cell-wise operators require scheme-aligned operands (``(r,r)``, ``(c,c)``
 or ``(b,b)``); scalar operators and aggregations accept any single scheme.
 Sources (load/random/full) have no inputs and a flexible Row-or-Column
@@ -68,6 +75,9 @@ CPMM = Strategy(
 )
 
 MATMUL_STRATEGIES = (RMM1, RMM2, CPMM)
+
+#: Outside ``MATMUL_STRATEGIES``: emitted by the optimizer, never planned.
+BMM = Strategy("bmm", (Scheme.BROADCAST, Scheme.BROADCAST), (Scheme.BROADCAST,))
 
 CELLWISE_STRATEGIES = (
     Strategy("cell-r", (Scheme.ROW, Scheme.ROW), (Scheme.ROW,)),

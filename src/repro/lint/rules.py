@@ -53,6 +53,7 @@ from repro.core.plan import (
     UnaryStep,
 )
 from repro.core.strategies import (
+    BMM,
     COLSUM_STRATEGIES,
     MATMUL_STRATEGIES,
     ROWSUM_STRATEGIES,
@@ -81,7 +82,8 @@ from repro.verify.memory import predict_peak_memory
 
 _EXTENDED_KINDS = ("partition", "broadcast", "transpose", "extract")
 
-_MATMUL_BY_NAME: dict[str, Strategy] = {s.name: s for s in MATMUL_STRATEGIES}
+#: The planner's three plus the optimizer's ``bmm``.
+_MATMUL_BY_NAME: dict[str, Strategy] = {s.name: s for s in (*MATMUL_STRATEGIES, BMM)}
 _ROWAGG_BY_NAME: dict[str, Strategy] = {
     s.name: s for s in ROWSUM_STRATEGIES + COLSUM_STRATEGIES
 }

@@ -112,15 +112,19 @@ def _corrupt_shape(plan: Plan, context: LintContext):
     raise AssertionError("no non-square, non-rowagg matrix to corrupt")
 
 
+#: A communication-free strategy -> one with other scheme constraints.
+_SWAPPED = {"rmm1": "rmm2", "rmm2": "rmm1", "bmm": "rmm1"}
+
+
 def _corrupt_scheme(plan: Plan, context: LintContext):
     """Swap a matmul's strategy for one with different scheme constraints.
-    Both rmm variants are communication-free, so the ledger is unmoved."""
+    The rmm variants and ``bmm`` are communication-free, so the ledger is
+    unmoved."""
     index = _find_step(
-        plan,
-        lambda s: isinstance(s, MatMulStep) and s.strategy in ("rmm1", "rmm2"),
+        plan, lambda s: isinstance(s, MatMulStep) and s.strategy in _SWAPPED
     )
     step = plan.steps[index]
-    step.strategy = "rmm2" if step.strategy == "rmm1" else "rmm1"
+    step.strategy = _SWAPPED[step.strategy]
     return plan, context
 
 

@@ -2,6 +2,7 @@
 
 from repro.matrix.distributed import DistributedMatrix
 from repro.matrix.primitives import (
+    bmm,
     broadcast_matrix,
     cellwise_op,
     col_sums,
@@ -21,6 +22,7 @@ from repro.matrix.schemes import Scheme, contain, equal_b, equal_rc, oppose
 __all__ = [
     "DistributedMatrix",
     "Scheme",
+    "bmm",
     "broadcast_matrix",
     "cellwise_op",
     "col_sums",

@@ -15,6 +15,8 @@ Communication-free -- purely worker-local:
     * :func:`local_transpose`   -- Row <-> Column by transposing local blocks,
     * :func:`rmm1` / :func:`rmm2` -- replication-based multiplication
       (the replication itself is a separate ``broadcast`` step),
+    * :func:`bmm`               -- the product of two replicas, itself a
+      replica,
     * :func:`cellwise_op`, :func:`scalar_multiply` etc.
 
 Every primitive runs its block work through the hosting worker's
@@ -159,15 +161,11 @@ def _per_worker_compute(
     return [compute(worker) for worker in range(a.context.num_workers)]
 
 
-def rmm1(a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
-    """Replication-based multiplication, variant 1: ``A(b) @ B(c) -> AB(c)``.
-
-    Each worker multiplies the full replica of ``A`` against its column
-    strip of ``B``; the result is born Column-partitioned with zero traffic.
-    """
-    _check_matmul(a, b)
-    _require_scheme(a, Scheme.BROADCAST, "RMM1")
-    _require_scheme(b, Scheme.COL, "RMM1")
+def _local_products(
+    a: DistributedMatrix, b: DistributedMatrix
+) -> list[list[tuple[BlockKey, Block]]]:
+    """Every worker's block product of the blocks of ``a`` and ``b`` it
+    holds, with both operand grids and the result charged while it runs."""
     context = a.context
 
     def compute(worker: int) -> list[tuple[BlockKey, Block]]:
@@ -181,8 +179,21 @@ def rmm1(a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
         engine.release_grid(gc)
         return sorted(gc.items())
 
-    partitions = _per_worker_compute(a, compute)
-    rdd = RDD(context, partitions, Scheme.COL.partitioner(context.num_workers))
+    return _per_worker_compute(a, compute)
+
+
+def rmm1(a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
+    """Replication-based multiplication, variant 1: ``A(b) @ B(c) -> AB(c)``.
+
+    Each worker multiplies the full replica of ``A`` against its column
+    strip of ``B``; the result is born Column-partitioned with zero traffic.
+    """
+    _check_matmul(a, b)
+    _require_scheme(a, Scheme.BROADCAST, "RMM1")
+    _require_scheme(b, Scheme.COL, "RMM1")
+    context = a.context
+    partitioner = Scheme.COL.partitioner(context.num_workers)
+    rdd = RDD(context, _local_products(a, b), partitioner)
     return DistributedMatrix(context, rdd, a.rows, b.cols, a.block_size, Scheme.COL)
 
 
@@ -223,6 +234,26 @@ def rmm2(a: DistributedMatrix, *bs: DistributedMatrix) -> DistributedMatrix:
     )
 
 
+def bmm(a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
+    """Replicated multiplication: ``A(b) @ B(b) -> AB(b)``.
+
+    Every worker multiplies its own replicas, so the product is born a
+    replica with zero traffic.  Each worker runs the block kernel RMM1
+    runs, over the whole of ``B`` instead of its column strip: a result
+    block is folded from the same pairs in the same order, so the product
+    is bit-identical to RMM1's.  Every worker books the full product's
+    flops; they run in parallel, so the clock sees one replica's time.
+    """
+    _check_matmul(a, b)
+    _require_scheme(a, Scheme.BROADCAST, "BMM")
+    _require_scheme(b, Scheme.BROADCAST, "BMM")
+    context = a.context
+    rdd = RDD(context, _local_products(a, b), partitioner=None)
+    return DistributedMatrix(
+        context, rdd, a.rows, b.cols, a.block_size, Scheme.BROADCAST
+    )
+
+
 def cpmm(
     a: DistributedMatrix,
     b: DistributedMatrix,
@@ -244,19 +275,7 @@ def cpmm(
     if not output_scheme.is_one_dimensional:
         raise SchemeError(f"CPMM output scheme must be Row or Column, got {output_scheme}")
     context = a.context
-
-    def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engine_for_partition(worker)
-        ga, gb = a.worker_grid(worker), b.worker_grid(worker)
-        engine.register_grid(ga)
-        engine.register_grid(gb)
-        partial = engine.matmul_grids(ga, gb)
-        engine.release_grid(ga)
-        engine.release_grid(gb)
-        engine.release_grid(partial)
-        return sorted(partial.items())
-
-    partial_partitions = _per_worker_compute(a, compute)
+    partial_partitions = _local_products(a, b)
     partitioner = output_scheme.partitioner(context.num_workers)
     shuffled = shuffle(context, partial_partitions, partitioner)
 

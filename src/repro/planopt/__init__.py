@@ -15,14 +15,17 @@ from repro.planopt.dce import eliminate_dead_steps
 from repro.planopt.hoist import pin_loop_invariants
 from repro.planopt.pipeline import (
     DEFAULT_PASSES,
+    AssociatePass,
     CoalescePass,
     CSEPass,
     DeadStepPass,
     HoistPass,
     Pass,
     PassContext,
+    ReplicatePass,
     optimize_plan,
 )
+from repro.planopt.replicate import replicate_products
 from repro.planopt.structural import (
     plan_structural_hash,
     program_fingerprint,
@@ -32,6 +35,7 @@ from repro.planopt.structural import (
 
 __all__ = [
     "AppliedRewrite",
+    "AssociatePass",
     "CSEPass",
     "CoalescePass",
     "DEFAULT_PASSES",
@@ -39,6 +43,7 @@ __all__ = [
     "HoistPass",
     "Pass",
     "PassContext",
+    "ReplicatePass",
     "clone_plan",
     "coalesce_repartitions",
     "eliminate_common_steps",
@@ -47,6 +52,7 @@ __all__ = [
     "pin_loop_invariants",
     "plan_structural_hash",
     "program_fingerprint",
+    "replicate_products",
     "step_structural_key",
     "structural_key",
     "toposort_steps",

@@ -45,6 +45,7 @@ from repro.lang.program import FullOp, LoadOp, RandomOp
 from repro.matrix.distributed import DistributedMatrix
 from repro.kernels.fused import FusedChain
 from repro.matrix.primitives import (
+    bmm,
     broadcast_matrix,
     cellwise_op,
     col_sums,
@@ -264,6 +265,8 @@ class SimulatedBackend:
             return rmm2(left, *(right if isinstance(right, tuple) else (right,)))
         if strategy == "cpmm":
             return cpmm(left, right, output_scheme=output_scheme)
+        if strategy == "bmm":
+            return bmm(left, right)
         raise ExecutionError(f"unknown matmul strategy {strategy!r}")
 
     def cellwise(

@@ -19,6 +19,7 @@ only the simulated seconds reflect stage overlap.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import threading
@@ -31,6 +32,7 @@ from repro.errors import ExecutionError
 from repro.matrix.distributed import DistributedMatrix
 from repro.rdd.clock import TimeBreakdown
 from repro.rdd.context import ClusterContext
+from repro.rdd.sizeof import model_sizeof
 from repro.runtime.backend import Backend
 from repro.runtime.graph import StageNode, prepare
 from repro.runtime.metering import StageMeter, metered
@@ -118,6 +120,20 @@ class ExecutionState:
         self._scalars: dict[str, float] = {}
         self._traces: dict[int, StepTrace] = {}
         self._completed: set[int] = set()
+        #: Source instance -> model bytes its fullest worker holds once cut.
+        self.cut: dict[MatrixInstance, int] = {}
+
+    def record_cut(self, instance: MatrixInstance, matrix: DistributedMatrix) -> None:
+        """Note what a freshly cut (or re-cut) source holds on its fullest
+        worker."""
+        rdd, by_worker = matrix.rdd, collections.Counter()
+        for index in range(rdd.num_partitions):
+            by_worker[matrix.context.worker_for_partition(index)] += sum(
+                model_sizeof(block) for __, block in rdd.partition(index)
+            )
+        held = max(by_worker.values(), default=0)
+        with self._lock:
+            self.cut[instance] = max(held, self.cut.get(instance, 0))
 
     # -- step completion (retry support) -------------------------------------
 
@@ -375,7 +391,7 @@ class PlanExecutor:
             cache=cache_stats,
             tracing=tracer,
             # Never fatal: a plan the analyser cannot size reports ``None``.
-            predicted_peak_memory_bytes=prediction and prediction.peak_bytes,
+            predicted_peak_memory_bytes=prediction and prediction.bound_as_cut(state.cut),
             elastic=elastic,
         )
 

@@ -87,6 +87,7 @@ def _run_source(step: SourceStep, state: "ExecutionState") -> None:
     matrix = state.backend.materialise_source(
         step.op, step.output.scheme, state.block_size, state.inputs
     )
+    state.record_cut(step.output, matrix)
     state.resources.publish(step.output, matrix)
 
 

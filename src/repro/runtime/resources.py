@@ -216,6 +216,9 @@ class _RebuildState:
     def publish(self, instance: MatrixInstance, matrix: DistributedMatrix) -> None:
         self.scratch[instance] = matrix
 
+    def record_cut(self, instance: MatrixInstance, matrix: DistributedMatrix) -> None:
+        self._base.record_cut(instance, matrix)
+
     def get_scalar(self, name: str) -> float:
         return self._base.get_scalar(name)
 

@@ -110,8 +110,11 @@ class DMacSession(contextlib.AbstractContextManager):
 
         With ``optimize=True`` the plan additionally goes through the
         :mod:`repro.planopt` pass pipeline (CSE, repartition coalescing,
-        dead-step elimination, loop-invariant hoisting) before scheduling;
-        applied rewrites are recorded in ``plan.rewrites``.
+        replicated products, dead-step elimination, loop-invariant
+        hoisting, fusion) before scheduling, and its product chains are
+        associated by the cost model -- the returned plan's ``program``
+        is then the reassociated one; applied rewrites are recorded in
+        ``plan.rewrites``.
         """
         planner = DMacPlanner(
             program,

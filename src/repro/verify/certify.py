@@ -9,6 +9,9 @@ assigned a structural term built from the compute steps that define it
 (``("@", read(A), read(B))`` for a multiply, ...), with extended operators
 (partition / broadcast / extract / transpose) contributing only layout --
 a transpose wraps the term in a self-cancelling ``("T", .)`` marker.
+Keys are compared :func:`flattened`: ``(A B) C`` and ``A (B C)`` are both
+``("@", A, B, C)``, which is what lets the optimizer reassociate a product
+chain.
 
 Two plans are certified equivalent when, for every program output (matrix
 and scalar), the value keys agree, the dataflow stays well-ordered, no
@@ -17,7 +20,8 @@ outputs survive.  Scheme/strategy choices are deliberately *absent* from
 the keys: they are the degrees of freedom the optimizer is allowed to
 exercise.  Operand order is deliberately *present*, even for commutative
 operators: no current pass reorders operands, so a swapped ``divide`` (the
-classic broken-rewrite bug) fails certification immediately.
+classic broken-rewrite bug) fails certification immediately -- and so do a
+swapped product and a misplaced transpose (``W (H^T H)`` for ``W H H^T``).
 
 Certification is intentionally conservative -- a sound rewrite expressed
 through terms this analysis cannot equate would be rejected, never the
@@ -117,6 +121,41 @@ OBLIGATIONS: Tuple[str, ...] = (
     "pins-produced",
     "fusion-chain-equivalence",
 )
+
+
+#: Term -> its flattened form (:func:`flattened`), one entry per interned node.
+_FLAT: Dict[Term, Term] = {}
+
+
+def flattened(key: ValueKey) -> ValueKey:
+    """``key`` with nested products flattened into n-ary ones: ``(A B) C``
+    and ``A (B C)`` both become ``("@", A, B, C)``, while operand order and
+    each factor's transposes stay in the term.  Iterative, and memoised on
+    the interned DAG, so an unrolled chain costs one visit per node."""
+    if not isinstance(key, Term):
+        return key
+    stack = [key]
+    while stack:
+        node = stack[-1]
+        if node in _FLAT:
+            stack.pop()
+            continue
+        pending = [a for a in node.args if isinstance(a, Term) and a not in _FLAT]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        args = [_FLAT[a] if isinstance(a, Term) else a for a in node.args]
+        if node.head == "@":
+            args = [
+                factor
+                for arg in args
+                for factor in (
+                    arg.args if isinstance(arg, Term) and arg.head == "@" else (arg,)
+                )
+            ]
+        _FLAT[node] = term(node.head, *args)
+    return _FLAT[key]
 
 
 def _t(key: ValueKey) -> ValueKey:
@@ -373,7 +412,7 @@ def certify(
                 f"value-equivalence: output {name!r} has no symbolic value "
                 f"({'before' if key_before is None else 'after'} the rewrite)"
             )
-        elif key_before != key_after:
+        elif flattened(key_before) != flattened(key_after):
             failures.append(
                 f"value-equivalence: output {name!r} changed value: "
                 f"{key_before!r} -> {key_after!r}"
@@ -385,7 +424,7 @@ def certify(
     for name in before.program.scalar_outputs:
         key_before = summary_before.scalars.get(name)
         key_after = summary_after.scalars.get(name)
-        if key_before != key_after:
+        if flattened(key_before) != flattened(key_after):
             failures.append(
                 f"scalar-equivalence: scalar output {name!r} changed value: "
                 f"{key_before!r} -> {key_after!r}"
@@ -409,7 +448,7 @@ def certify(
         name = step.output.name
         key_before = summary_before.matrices.get(name)
         key_after = summary_after.matrices.get(name)
-        if key_before is None or key_before != key_after:
+        if key_before is None or flattened(key_before) != flattened(key_after):
             failures.append(
                 f"fusion-chain-equivalence: fused step for {step.output} does "
                 "not replay to the pre-rewrite value of its chain"

@@ -5,7 +5,8 @@ trackers charge at run time:
 
 * **Transients** -- only the three charging kernel families register block
   grids with a worker's tracker for the duration of the operation: matmul
-  (both operand grids + the result, plus accumulation partials; a product
+  (both operand grids + the result, plus accumulation partials; a ``bmm``
+  holds both replicas and a whole replica of its result; a product
   chain holds every operand grid and its result, and per lane one block
   row of each intermediate and of one link's partials), cellwise
   (both operands + result) and scalar-matrix (operand + result, with the
@@ -25,7 +26,11 @@ Equation-2 quotes (:meth:`~repro.core.cost.CostModel.share_bytes`,
 dimensions -- on any plan that lints, the shape analysis' answer (rule
 DM101) -- and the Section-5.1 worst-case sparsity, under the engine's
 per-block storage choice.  A name the program does not declare weighs
-nothing; a name with no sparsity estimate is sized dense.
+nothing; a name with no sparsity estimate is sized dense.  A 1-D share
+assumes non-zeros spread evenly over the blocks, which a skewed sparse
+input breaks by a few non-zeros; once a run has cut its sources the
+executor reports :meth:`MemoryPrediction.bound_as_cut`, which charges each
+source at what its fullest worker holds.
 
 Under concurrent scheduling up to ``C`` stage-graph nodes run at once, so
 the concurrent bound adds the ``C`` largest per-node transients -- a
@@ -41,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.blocks.memory import dense_block_model_bytes, program_block_size
 from repro.core.cost import CostModel
@@ -53,6 +58,7 @@ from repro.core.plan import (
     Plan,
     ProductChainStep,
     ScalarMatrixStep,
+    SourceStep,
     Step,
 )
 from repro.runtime.graph import StageGraph
@@ -66,6 +72,8 @@ class StepFootprint:
     step: str
     transient_bytes: int
     pinned_bytes: int  # pin prefix resident when this step runs
+    #: The source matrices (loads) the transient charges at their share.
+    sources: Tuple[MatrixInstance, ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,6 +89,38 @@ class MemoryPrediction:
     block_size: int
     concurrency: int
     footprints: Tuple[StepFootprint, ...]
+    #: ``(source, its share quote, the step that pins it or None)``.
+    sources: Tuple[Tuple[MatrixInstance, int, Optional[int]], ...] = ()
+
+    def bound_as_cut(self, held: Mapping[MatrixInstance, int]) -> int:
+        """The bound with each source charged at what ``held`` says its
+        fullest worker holds once it is cut, where that is more than its
+        quote: non-zeros need not spread evenly over the blocks, and a
+        source's blocks are known once it is loaded.  Exact for the serial
+        bound; the concurrent bound adds a source's excess once per pin and
+        ``concurrency`` times per step that charges it."""
+        excess = {
+            source: held[source] - quote
+            for source, quote, __ in self.sources
+            if held.get(source, 0) > quote
+        }
+        if not excess:
+            return self.peak_bytes
+        pins = [(at, excess[s]) for s, __, at in self.sources if at is not None and s in excess]
+        pinned = sum(extra for __, extra in pins)
+        charged = [sum(excess.get(s, 0) for s in f.sources) for f in self.footprints]
+        if self.concurrency > 1:
+            return self.peak_bytes + pinned + self.concurrency * max(charged, default=0)
+        return max(
+            self.pinned_bytes + pinned,
+            *(
+                f.pinned_bytes
+                + f.transient_bytes
+                + sum(extra for at, extra in pins if at <= f.index)
+                + extra
+                for f, extra in zip(self.footprints, charged)
+            ),
+        )
 
     def to_json_dict(self) -> Dict[str, object]:
         heaviest = sorted(
@@ -127,26 +167,22 @@ def _transient_bytes(
 ) -> int:
     """Tracker bytes this step holds on one worker while it runs."""
     share = cost.share_bytes
+    stored = sum(share(instance, block_size) for instance in _charged(step))
     if isinstance(step, MatMulStep):
-        operands = share(step.left, block_size) + share(step.right, block_size)
         if step.strategy == "cpmm":
             # Every worker materialises a full dense partial of C before
             # the aggregation shuffle merges strips on the consumers.
             result = cost.matrix_bytes(step.output, block_size, dense=True)
-        else:
+        else:  # a 1-D strip, or for ``bmm`` a whole replica
             result = share(step.output, block_size, dense=True)
         partials = _partial_bytes(step, result, cost, block_size, threads_per_worker, inplace)
-        return operands + result + partials + strassen_bytes
+        return stored + result + partials + strassen_bytes
     if isinstance(step, ProductChainStep):
-        links = step.chain
-        operands = share(links[0].left, block_size) + sum(
-            share(link.right, block_size) for link in links
-        )
         # Each lane pushes one block row of the first left operand through
         # every link, so of each link's product -- and of its partials --
         # a lane holds one block row at a time.
         held = []
-        for link in links:
+        for link in step.chain:
             rows, cols = cost.dims(link.output)
             block_row = dense_block_model_bytes(min(block_size, rows), cols)
             held.append(
@@ -154,31 +190,43 @@ def _transient_bytes(
             )
         partials = max(
             _partial_bytes(link, product, cost, block_size, threads_per_worker, inplace)
-            for link, product in zip(links, held)
+            for link, product in zip(step.chain, held)
         )
         result = share(step.output, block_size, dense=True)
-        return operands + result + sum(held[:-1]) + partials + strassen_bytes
-    if isinstance(step, CellwiseStep):
+        return stored + result + sum(held[:-1]) + partials + strassen_bytes
+    if isinstance(step, ScalarMatrixStep) and _scalar_matrix_densifies(step):
+        # Zero-fill: the registered operand grid carries its sparse blocks
+        # plus explicit dense zero blocks for absent keys.
         return (
-            share(step.left, block_size)
-            + share(step.right, block_size)
-            + share(step.output, block_size)
+            stored
+            + share(step.source, block_size, dense=True)
+            + share(step.output, block_size, dense=True)
         )
+    return stored
+
+
+def _charged(step: Step) -> Tuple[MatrixInstance, ...]:
+    """The grids a step registers with the tracker at their stored share
+    while it runs: a product's operands (a chain's first left operand and
+    every right one), both operands and the result of a cellwise step --
+    for a fused one every external operand and the final result; chain
+    intermediates are per-block temporaries that never reach the tracker --
+    and a scalar-matrix step's operand, plus its result unless zero-fill
+    densifies it.  Sources, extended operators, unary maps, row/col
+    aggregations and driver aggregates never register grids."""
+    if isinstance(step, MatMulStep):
+        return (step.left, step.right)
+    if isinstance(step, ProductChainStep):
+        return (step.chain[0].left, *(link.right for link in step.chain))
+    if isinstance(step, CellwiseStep):
+        return (step.left, step.right, step.output)
     if isinstance(step, FusedCellwiseStep):
-        # The fused kernel registers every external operand grid and the
-        # final result; chain intermediates are per-block temporaries that
-        # never reach the tracker.
-        return sum(share(i, block_size) for i in (*step.inputs(), step.output))
+        return (*step.inputs(), step.output)
     if isinstance(step, ScalarMatrixStep):
         if _scalar_matrix_densifies(step):
-            # Zero-fill: the registered operand grid carries its sparse
-            # blocks plus explicit dense zero blocks for absent keys.
-            operand = share(step.source, block_size) + share(step.source, block_size, dense=True)
-            return operand + share(step.output, block_size, dense=True)
-        return share(step.source, block_size) + share(step.output, block_size)
-    # Sources, extended operators, unary maps, row/col aggregations and
-    # driver aggregates never register grids with the trackers.
-    return 0
+            return (step.source,)
+        return (step.source, step.output)
+    return ()
 
 
 def _partial_bytes(
@@ -273,12 +321,14 @@ def predict_peak_memory(
     pin_prefix = list(itertools.accumulate(admitted))
     pinned_total = pin_prefix[-1] if pin_prefix else 0
 
+    sources = {step.output for step in plan.steps if isinstance(step, SourceStep)}
     footprints = tuple(
         StepFootprint(
             index=index,
             step=str(step),
             transient_bytes=transients[index],
             pinned_bytes=pin_prefix[index],
+            sources=tuple(i for i in _charged(step) if i in sources),
         )
         for index, step in enumerate(plan.steps)
     )
@@ -321,4 +371,12 @@ def predict_peak_memory(
         block_size=block_size,
         concurrency=concurrency,
         footprints=footprints,
+        sources=tuple(
+            (
+                source,
+                cost.share_bytes(source, block_size),
+                (graph.defuse.first(source) or 0) if source in plan.cache_pins else None,
+            )
+            for source in sorted(sources, key=str)
+        ),
     )

@@ -5,9 +5,9 @@ NaN patterns included):
 
 * batched BLAS vs the serial fold, on every built-in application, with a
   clean run and under injected transient faults;
-* the fusion pass vs step-by-step cellwise execution under injected
-  faults (the clean case is covered app-by-app in
-  ``tests/planopt/test_equivalence.py``);
+* the optimizer vs step-by-step execution of the program its plan
+  announces, under injected faults (the clean case is covered app-by-app
+  in ``tests/planopt/test_equivalence.py``);
 * hypothesis-generated cellwise chains and grid products.
 """
 
@@ -39,11 +39,16 @@ def assert_bitwise_equal(left, right, context):
         )
 
 
-def run_app(name, *, batched, optimize=False, chaos=None):
+def run_app(name, *, batched, optimize=False, chaos=None, announced=False):
+    """One run of a built-in program; ``announced``: of the program its
+    optimized plan announces (the reassociated one, if any)."""
     program = PROGRAMS[name]()
     config = ClusterConfig(
         num_workers=4, threads_per_worker=2, block_size=16, batched_matmul=batched
     )
+    if announced:
+        (plan,) = DMacSession(config, optimize=True).plans(program)
+        program = plan.program
     session = DMacSession(config, optimize=optimize)
     return session.run(program, inputs_for(program), chaos=chaos)
 
@@ -65,7 +70,9 @@ def test_batched_matches_serial_under_faults(name):
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_fused_matches_unfused_under_faults(name):
-    plain = run_app(name, batched=False, chaos=ChaosEngine(9, FAULT_SPEC))
+    plain = run_app(
+        name, batched=False, chaos=ChaosEngine(9, FAULT_SPEC), announced=True
+    )
     fused = run_app(name, batched=False, optimize=True,
                     chaos=ChaosEngine(9, FAULT_SPEC))
     assert_bitwise_equal(plain, fused, f"{name} (fused, faults)")

@@ -7,6 +7,7 @@ import pytest
 
 from repro import ClusterConfig, DMacSession
 from repro.blocks import split
+from repro.core.plan import ProductChainStep
 from repro.core.strategies import choose_local_matmul
 from repro.localexec.engine import LocalEngine
 from repro.programs.registry import WorkloadParams, build_workload
@@ -104,9 +105,10 @@ def test_an_intermediate_lives_inside_its_row(rng, inplace):
 @pytest.mark.parametrize("threads", [1, 2, 8])
 @pytest.mark.parametrize("inplace", [True, False], ids=["inplace", "buffer"])
 def test_the_serial_bound_holds_on_optimized_gnmf(threads, inplace):
-    """``repro.verify.memory`` prices a chain as its operands, its result,
-    one block row per lane of each intermediate and the partials of one
-    block row per lane; the tracker never exceeds it."""
+    """The tracker never exceeds the serial bound on optimized GNMF, which
+    at 10 factors multiplies ``W (H H^T)`` with ``H H^T`` a ``bmm`` -- and
+    whose load ``V`` holds a few non-zeros more on one worker than the
+    uniform share (``MemoryPrediction.bound_as_cut``)."""
     load = build_workload("gnmf", WorkloadParams(scale=3e-3, factors=10, iterations=2))
     config = ClusterConfig(
         num_workers=4,
@@ -115,4 +117,26 @@ def test_the_serial_bound_holds_on_optimized_gnmf(threads, inplace):
         max_concurrent_stages=1,
     )
     result = DMacSession(config, optimize=True).run(load.program, load.inputs)
+    assert result.peak_memory_bytes <= result.predicted_peak_memory_bytes
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("inplace", [True, False], ids=["inplace", "buffer"])
+def test_the_serial_bound_holds_on_gnmf_chains(threads, inplace):
+    """``repro.verify.memory`` prices a chain as its operands, its result,
+    one block row per lane of each intermediate and the partials of one
+    block row per lane; the tracker never exceeds it.  With 32 factors the
+    optimizer keeps GNMF's ``(W H) H^T`` order (``W (H H^T)`` would ship
+    more), so each iteration runs one chain."""
+    load = build_workload("gnmf", WorkloadParams(scale=3e-3, factors=32, iterations=2))
+    config = ClusterConfig(
+        num_workers=4,
+        threads_per_worker=threads,
+        inplace=inplace,
+        max_concurrent_stages=1,
+    )
+    session = DMacSession(config, optimize=True)
+    (plan,) = session.plans(load.program)
+    assert sum(isinstance(step, ProductChainStep) for step in plan.steps) == 2
+    result = session.run(load.program, load.inputs, plan=plan)
     assert result.peak_memory_bytes <= result.predicted_peak_memory_bytes

@@ -264,3 +264,36 @@ def test_hand_built_clean_plan_lints_clean(context):
     )
     report = lint_plan(plan, context)
     assert not report.diagnostics, report.format_human()
+
+
+# ---------------------------------------------------------------------------
+# The optimizer's ``bmm``: a strategy the rules know
+# ---------------------------------------------------------------------------
+
+
+def replicated_plan(context):
+    """CF's optimized plan: its ``R R^T`` is a ``bmm`` of two replicas."""
+    from repro import ClusterConfig, DMacSession
+    from repro.programs.registry import build_workload
+
+    session = DMacSession(ClusterConfig(num_workers=context.num_workers), optimize=True)
+    (plan,) = session.plans(build_workload("cf").program)
+    return plan
+
+
+def test_a_bmm_of_two_replicas_lints_clean(context):
+    plan = replicated_plan(context)
+    assert any(isinstance(s, MatMulStep) and s.strategy == "bmm" for s in plan.steps)
+    assert len(lint_plan(plan, context)) == 0
+
+
+def test_a_bmm_strategy_swap_fires_dm102(context):
+    """The selftest's strategy corruption swaps CF's ``bmm`` -- its first
+    communication-free product -- for ``rmm1``, which wants a
+    Column-partitioned right operand and makes a Column product."""
+    bad, ctx = CORRUPTION_BY_RULE["DM102"].apply(replicated_plan(context), context)
+    messages = [d.message for d in lint_plan(bad, ctx) if d.rule == "DM102"]
+    assert messages == [
+        "rmm1 requires input schemes (b, c), got (b, b)",
+        "rmm1 cannot produce scheme b",
+    ]

@@ -217,6 +217,57 @@ class TestMultiplicationStrategies:
         assert sum(e.stats.flops for e in ctx.engines) > 0
 
 
+def _blocks(matrix):
+    """One replica's blocks as ``{key: (class, bytes)}``: equal only if the
+    two products agree bit for bit, storage class included."""
+    return {
+        key: (type(block).__name__, block.to_numpy().tobytes())
+        for key, block in matrix.driver_grid().items()
+    }
+
+
+class TestReplicatedProduct:
+    """``bmm``: the product of two replicas, itself a replica."""
+
+    CASES = {
+        "dense": lambda rng: (rng.random((16, 12)), rng.random((12, 8)), 4),
+        "csc": lambda rng: (
+            random_sparse(rng, 16, 12, 0.1), random_sparse(rng, 12, 8, 0.2), 4
+        ),
+        "ragged": lambda rng: (rng.random((15, 11)), rng.random((11, 9)), 4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bmm_is_rmm1_bit_for_bit(self, ctx, rng, case):
+        a, b, block = self.CASES[case](rng)
+        left = prim.broadcast_matrix(dist(ctx, a, block=block))
+        if case == "csc":
+            assert any(blk.is_sparse for blk in left.driver_grid().values())
+        expected = prim.rmm1(left, dist(ctx, b, Scheme.COL, block=block))
+        out = prim.bmm(left, prim.broadcast_matrix(dist(ctx, b, block=block)))
+        assert out.scheme is Scheme.BROADCAST
+        assert _blocks(out) == _blocks(expected)
+        # Every worker holds the same whole replica.
+        for worker in range(ctx.num_workers):
+            assert out.worker_grid(worker).keys() == out.driver_grid().keys()
+
+    def test_bmm_moves_nothing_and_books_n_products(self, ctx, rng):
+        a, b = rng.random((16, 12)), rng.random((12, 8))
+        left = prim.broadcast_matrix(dist(ctx, a))
+        right = prim.broadcast_matrix(dist(ctx, b))
+        before = [engine.stats.flops for engine in ctx.engines]
+        mark = ctx.ledger.snapshot()
+        prim.bmm(left, right)
+        assert ctx.ledger.snapshot() == mark
+        booked = [e.stats.flops - f for e, f in zip(ctx.engines, before)]
+        assert booked == [2 * 16 * 12 * 8] * ctx.num_workers
+
+    def test_bmm_requires_replicas(self, ctx, rng):
+        a = prim.broadcast_matrix(dist(ctx, rng.random((8, 8))))
+        with pytest.raises(SchemeError):
+            prim.bmm(a, dist(ctx, rng.random((8, 8)), Scheme.COL))
+
+
 class TestCellwiseAndScalar:
     @pytest.mark.parametrize("op", ["add", "subtract", "multiply", "divide"])
     def test_cellwise_row_aligned(self, ctx, rng, op):

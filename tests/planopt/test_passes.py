@@ -72,6 +72,10 @@ class TestPipeline:
         for program in programs:
             base, opt = plans_for(program)
             assert opt.predicted_bytes <= base.predicted_bytes
+            # The passes never add a step to the plan they optimize: the
+            # plan of the announced program, reassociated or not.
+            if opt.program is not program:
+                base = DMacSession(ClusterConfig(num_workers=4)).plan(opt.program)
             assert len(opt.steps) <= len(base.steps)
 
     def test_optimized_plans_lint_clean(self):

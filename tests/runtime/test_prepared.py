@@ -243,7 +243,11 @@ def test_elastic_and_static_sessions_keep_what_each_got_before():
     """A run under a membership timeline dispatches one stage at a time, so
     its executor never shares admission's record (configured concurrency);
     a static session's readers all share one.  Numbers: this program at the
-    parent commit, admission / executor."""
+    parent commit, admission / executor -- except that the executor now
+    reports its record's bound with the load ``V`` charged at what its
+    fullest worker holds once cut (``MemoryPrediction.bound_as_cut``):
+    +96 B on the static run's concurrent bound, 0 on the elastic run's
+    serial one, whose peak step does not read ``V``."""
     workload = build_workload("gnmf", WorkloadParams(scale=2e-3, iterations=1))
     seen = {}
     for name, cluster in (
@@ -260,6 +264,6 @@ def test_elastic_and_static_sessions_keep_what_each_got_before():
                 len(records),
             )
     assert seen == {
-        "static": (148_880, 148_880, 1),
+        "static": (148_880, 148_880 + 96, 1),
         "elastic": (148_880, 78_736, 2),
     }

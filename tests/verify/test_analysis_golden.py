@@ -8,7 +8,10 @@ default sizes, plus the lint selftest's reference plan -- every field of
 the ``PlanAnalysis`` of the day (``live_after`` as a digest).  The NNZ and
 layout analyses and the engine's iteration count and widening are gone;
 what is left of that record is compared here, ``shapes`` and
-``live_after_sha256``.  Never regenerate the file.
+``live_after_sha256``.  Never regenerate the file: its ``gnmf/optimized``
+and ``cf/optimized`` records hold only those two fields, re-captured when
+the optimizer started associating product chains by the cost model and
+multiplying two replicas replicated (``bmm``).
 """
 
 import dataclasses

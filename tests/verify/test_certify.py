@@ -6,10 +6,13 @@ import pytest
 
 from repro import ClusterConfig, DMacSession
 from repro.cli import APPS
+from repro.core.cost import CostModel
 from repro.core.defuse import DefUse
 from repro.core.plan import CellwiseStep, MatMulStep
 from repro.errors import TranslationValidationError
+from repro.lang.program import ProgramBuilder
 from repro.planopt import optimize_plan
+from repro.planopt.associate import reassociate
 from repro.planopt.common import AppliedRewrite, clone_plan
 from repro.verify import certify, value_summary
 from repro.verify.certify import OBLIGATIONS
@@ -49,6 +52,47 @@ def test_swapped_divide_operands_fail_value_equivalence():
     divide.left, divide.right = divide.right, divide.left
     with pytest.raises(TranslationValidationError, match="value-equivalence"):
         certify(plan, rewritten, pass_name="swap")
+
+
+def _product_plan(order):
+    """The DMac plan of ``X = <order>`` over square ``W``, ``H`` (so every
+    association and misplaced transpose type-checks), GNMF's ``W H H^T``
+    spelled four ways."""
+    pb = ProgramBuilder()
+    w = pb.random("W", (12, 12), seed=1)
+    h = pb.random("H", (12, 12), seed=2)
+    expr = {
+        "(W H) H^T": lambda: w @ h @ h.T,
+        "W (H H^T)": lambda: w @ (h @ h.T),
+        "W (H^T H)": lambda: w @ (h.T @ h),
+        "(H H^T) W": lambda: h @ h.T @ w,
+    }[order]()
+    pb.output(pb.assign("X", expr))
+    return DMacSession(ClusterConfig(num_workers=4)).plan(pb.build())
+
+
+def test_a_reassociated_product_certifies():
+    """Keys flatten nested products: ``(W H) H^T`` and ``W (H H^T)`` get
+    one key, although the two plans multiply different intermediates."""
+    before, after = _product_plan("(W H) H^T"), _product_plan("W (H H^T)")
+    certificate = certify(before, after, pass_name="associate")
+    assert certificate.outputs == 1
+
+
+@pytest.mark.parametrize(
+    "order", ["W (H^T H)", "(H H^T) W"], ids=["misplaced-transpose", "swapped-factor"]
+)
+def test_a_misplaced_transpose_or_a_swapped_factor_is_rejected(order):
+    with pytest.raises(TranslationValidationError, match="value-equivalence"):
+        certify(_product_plan("(W H) H^T"), _product_plan(order), pass_name="bad")
+
+
+def test_a_reassociated_gnmf_plan_certifies():
+    program, __, ___ = small_workload("gnmf")
+    plan = DMacSession(ClusterConfig(num_workers=4)).plan(program)
+    program, rewrites = reassociate(plan.program, CostModel(plan.program, 4))
+    assert {r.pass_name for r in rewrites} == {"associate"}
+    certify(plan, plan.replan(program), pass_name="associate")
 
 
 def test_duplicate_publish_of_the_same_value_is_not_a_conflict():

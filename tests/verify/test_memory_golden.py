@@ -12,7 +12,10 @@ of :class:`~repro.verify.memory.MemoryPrediction` verbatim and the
 footprints as a digest.  DM101's corruption declares transposed
 dimensions, so on that plan alone the predictor now sides with the cost
 model (``test_the_transposed_dims_corruption_is_sized_as_declared``).
-Never regenerate the file.
+Never regenerate the file: its ``gnmf/optimized`` keys were re-captured
+when product chains fused, and those and the ``cf/optimized`` keys again
+when the optimizer started associating product chains by the cost model
+and multiplying two replicas replicated (``bmm``).
 """
 
 import hashlib
