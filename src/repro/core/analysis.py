@@ -12,13 +12,7 @@ import dataclasses
 from collections import Counter
 
 from repro.core.cost import CostModel
-from repro.core.plan import (
-    ExtendedStep,
-    MatMulStep,
-    Plan,
-    ProductChainStep,
-    RowAggStep,
-)
+from repro.core.plan import ExtendedStep, MatMulStep, Plan, RowAggStep
 from repro.core.stages import schedule_stages
 
 
@@ -69,8 +63,6 @@ def explain(
             if step.communicates:
                 comm_steps += 1
                 moves[step.source.name] += 1
-        elif isinstance(step, ProductChainStep):
-            strategies.update(link.strategy for link in step.chain)
         elif isinstance(step, (MatMulStep, RowAggStep)):
             strategies[step.strategy] += 1
             if step.communicates:

@@ -53,7 +53,6 @@ from repro.core.plan import (
     MatMulStep,
     MatrixInstance,
     Plan,
-    ProductChainStep,
     RowAggStep,
     ScalarMatrixStep,
     Step,
@@ -202,7 +201,7 @@ class CostModel:
         estimated sparsity for a multiplication (the engines skip zero
         rows; a ``bmm`` is that on each of the N members), one flop per
         cell for element-wise operators and aggregations, the sum over its
-        chain for a fused step or a product chain, nothing for sources,
+        chain for a fused step, nothing for sources,
         extended operators and driver scalars."""
         if isinstance(step, MatMulStep):
             m, k = self.program.dims_of(step.op.left)
@@ -213,7 +212,7 @@ class CostModel:
         if isinstance(step, _PER_CELL_STEPS):
             rows, cols = self.program.dims[step.op.matrix_inputs()[0].name]
             return rows * cols
-        if isinstance(step, (FusedCellwiseStep, ProductChainStep)):
+        if isinstance(step, FusedCellwiseStep):
             return sum(self.flops(inner) for inner in step.chain)
         return 0
 

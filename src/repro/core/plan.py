@@ -161,39 +161,6 @@ class MatMulStep(Step):
 
 
 @dataclasses.dataclass
-class ProductChainStep(Step):
-    """A row-local product chain ``((A B1) B2) ...`` run block row by block row.
-
-    Produced only by the optimizer's fusion pass (:mod:`repro.planopt.fuse`),
-    never by the planner.  ``chain`` holds the original ``rmm2``
-    :class:`MatMulStep` links in order; each link's output but the last is
-    read by the next link alone, as its left operand, and is no longer
-    materialised as a distributed matrix -- the local engine pushes each
-    block row of the first left operand through every link before the next
-    row starts (:meth:`repro.localexec.engine.LocalEngine.matmul_chain_grids`).
-    The chain tuple is treated as immutable, like a fused cellwise chain.
-    """
-
-    chain: tuple[MatMulStep, ...]
-    output: MatrixInstance
-
-    def inputs(self) -> tuple[MatrixInstance, ...]:
-        operands = dict.fromkeys((self.chain[0].left,))
-        operands.update(dict.fromkeys(link.right for link in self.chain))
-        return tuple(operands)
-
-    def output_instance(self) -> MatrixInstance | None:
-        return self.output
-
-    def __str__(self) -> str:
-        body = ";".join(
-            f"{link.strategy}({link.left},{link.right})->{link.output.name}"
-            for link in self.chain
-        )
-        return f"{self.output} <- chain[{body}]"
-
-
-@dataclasses.dataclass
 class CellwiseStep(Step):
     op: CellwiseOp
     left: MatrixInstance

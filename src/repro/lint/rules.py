@@ -46,7 +46,6 @@ from repro.core.plan import (
     MatMulStep,
     MatrixInstance,
     Plan,
-    ProductChainStep,
     RowAggStep,
     ScalarMatrixStep,
     SourceStep,
@@ -210,19 +209,16 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
         return
     shapes = inputs.shapes
     for index, step in enumerate(inputs.plan.steps):
-        if isinstance(step, (MatMulStep, ProductChainStep)):
-            links = step.chain if isinstance(step, ProductChainStep) else (step,)
-            left = shapes.get(links[0].left)
-            for link in links:
-                right = shapes.get(link.right)
-                if left and right and left[1] != right[0]:
-                    yield this.diagnostic(
-                        f"matmul inner dimensions differ: {left[0]}x{left[1]} @ "
-                        f"{right[0]}x{right[1]}",
-                        step=index,
-                        subject=step.output,
-                    )
-                left = (left[0], right[1]) if left and right else None
+        if isinstance(step, MatMulStep):
+            left = shapes.get(step.left)
+            right = shapes.get(step.right)
+            if left and right and left[1] != right[0]:
+                yield this.diagnostic(
+                    f"matmul inner dimensions differ: {left[0]}x{left[1]} @ "
+                    f"{right[0]}x{right[1]}",
+                    step=index,
+                    subject=step.output,
+                )
         elif isinstance(step, CellwiseStep):
             left = shapes.get(step.left)
             right = shapes.get(step.right)
@@ -325,10 +321,31 @@ def check_schemes(inputs: LintInput) -> Iterator[Diagnostic]:
                     step=index,
                     subject=step.output,
                 )
-        elif isinstance(step, (MatMulStep, ProductChainStep)):
-            links = step.chain if isinstance(step, ProductChainStep) else (step,)
-            for link in links:
-                yield from _check_matmul_schemes(this, index, link, step.output)
+        elif isinstance(step, MatMulStep):
+            strategy = _MATMUL_BY_NAME.get(step.strategy)
+            if strategy is None:
+                yield this.diagnostic(
+                    f"unknown matmul strategy {step.strategy!r}",
+                    step=index,
+                    subject=step.output,
+                )
+                continue
+            expected = strategy.input_schemes
+            got = (step.left.scheme, step.right.scheme)
+            if got != expected:
+                yield this.diagnostic(
+                    f"{strategy.name} requires input schemes "
+                    f"({expected[0]}, {expected[1]}), got ({got[0]}, {got[1]})",
+                    step=index,
+                    subject=step.output,
+                )
+            if step.output.scheme not in strategy.output_schemes:
+                yield this.diagnostic(
+                    f"{strategy.name} cannot produce scheme "
+                    f"{step.output.scheme}",
+                    step=index,
+                    subject=step.output,
+                )
         elif isinstance(step, RowAggStep):
             strategy = _ROWAGG_BY_NAME.get(step.strategy)
             if strategy is None or not step.strategy.startswith(step.op.kind):
@@ -381,32 +398,6 @@ def check_schemes(inputs: LintInput) -> Iterator[Diagnostic]:
                     step=index,
                     subject=step.output,
                 )
-
-
-def _check_matmul_schemes(
-    this: Rule, index: int, step: MatMulStep, subject: MatrixInstance
-) -> Iterator[Diagnostic]:
-    strategy = _MATMUL_BY_NAME.get(step.strategy)
-    if strategy is None:
-        yield this.diagnostic(
-            f"unknown matmul strategy {step.strategy!r}", step=index, subject=subject
-        )
-        return
-    expected = strategy.input_schemes
-    got = (step.left.scheme, step.right.scheme)
-    if got != expected:
-        yield this.diagnostic(
-            f"{strategy.name} requires input schemes "
-            f"({expected[0]}, {expected[1]}), got ({got[0]}, {got[1]})",
-            step=index,
-            subject=subject,
-        )
-    if step.output.scheme not in strategy.output_schemes:
-        yield this.diagnostic(
-            f"{strategy.name} cannot produce scheme {step.output.scheme}",
-            step=index,
-            subject=subject,
-        )
 
 
 def _check_extended_schemes(

@@ -19,10 +19,6 @@ Two aggregation strategies are provided for block matrix multiplication:
   which is what makes its peak memory blow up on dense-ish intermediates
   (Figure 7).
 
-A row-local product chain (:meth:`LocalEngine.matmul_chain_grids`) runs
-the same tasks block row by block row, so each intermediate exists one
-block row per lane.
-
 Memory is metered with the paper's byte model (Equation 2) through a
 :class:`~repro.localexec.pool.MemoryTracker`.  Input grids are charged via
 :meth:`LocalEngine.register_grid`; operation outputs stay charged until the
@@ -33,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -71,8 +67,7 @@ class EngineStats:
     threads (the lane pool's, and concurrently running stages).  Each
     ``record`` also notifies the active
     :class:`~repro.runtime.metering.StageMeter`, if one is installed, so
-    the stage scheduler can attribute flops to the stage -- and, inside a
-    product chain, to the link -- that caused them.
+    the stage scheduler can attribute flops to the stage that caused them.
     """
 
     tasks: int = 0
@@ -85,14 +80,14 @@ class EngineStats:
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
 
-    def record(self, flops: int, sparse: bool, link: int = 0) -> None:
+    def record(self, flops: int, sparse: bool) -> None:
         with self._lock:
             self.flops += flops
             if sparse:
                 self.sparse_flops += flops
         meter = active_meter()
         if meter is not None:
-            meter.record_flops(self, flops, sparse, link)
+            meter.record_flops(self, flops, sparse)
 
     def add_tasks(self, count: int) -> None:
         with self._lock:
@@ -164,43 +159,11 @@ class LocalEngine:
             batch_plan = self._grid_batch_plan(a_grid, b_grid)
             if batch_plan is not None:
                 results = self._run_grid_batched(a_grid, b_grid, batch_plan)
-                return {r.result_key: r.block for r in results}
-        return self._product(a_grid, b_grid)
-
-    def matmul_chain_grids(self, a_grid: Grid, b_grids: Sequence[Grid]) -> Grid:
-        """The row-local product chain ``((A @ B_0) @ B_1) ...``, block row
-        by block row.
-
-        Block row ``i`` of a product reads block row ``i`` of its left
-        operand alone, so each block row of ``A`` runs through every link
-        before the next row starts: one task per block row across the
-        lanes, which runs each link's per-result-block tasks -- In-Place or
-        Buffer, as :meth:`matmul_grids` cuts them -- inline (lane tasks are
-        leaves).  Every result block is built from the same pairs, folded
-        in the same ascending-``k`` order, as by consecutive
-        :meth:`matmul_grids` calls, so results are byte-identical (the
-        batched path is itself byte-identical to those tasks).  An
-        intermediate exists one block row per lane: a row's blocks are
-        released once the next link has read them.  Link ``l``'s flops are
-        recorded as link ``l``, so the stage meter can charge the clock
-        link by link, as if each had run as a step of its own.
-        """
-        rows: dict[int, Grid] = {}
-        for key, block in a_grid.items():
-            rows.setdefault(key[0], {})[key] = block
-
-        def run_row(row: Grid) -> Grid:
-            grid = row
-            for link, b_grid in enumerate(b_grids):
-                product = self._product(grid, b_grid, link, inline=True)
-                if grid is not row:
-                    self.release_grid(grid)
-                grid = product
-            return grid
-
-        tasks = [rows[i] for i in sorted(rows)]
-        chunks = self._lanes.map(_traced(run_row), tasks, self.threads)
-        return {key: block for chunk in chunks for key, block in chunk.items()}
+            else:
+                tasks = inplace_matmul_tasks(a_grid, b_grid)
+                results = self._run(tasks, self._run_inplace_task)
+            return {r.result_key: r.block for r in results}
+        return self._buffered_matmul(a_grid, b_grid)
 
     def fused_cellwise_grids(
         self, chain: kernel_fused.FusedChain, grids: tuple[Grid, ...]
@@ -246,24 +209,10 @@ class LocalEngine:
 
     # -- task plumbing ---------------------------------------------------------
 
-    def _run(
-        self, tasks: Iterable, runner: Callable, inline: bool = False
-    ) -> list[TaskResult]:
+    def _run(self, tasks: Iterable, runner: Callable) -> list[TaskResult]:
         tasks = list(tasks)
         self.stats.add_tasks(len(tasks))
-        if inline:  # already inside a lane task
-            return [runner(task) for task in tasks]
         return self._lanes.map(_traced(runner), tasks, self.threads)
-
-    def _product(
-        self, a_grid: Grid, b_grid: Grid, link: int = 0, inline: bool = False
-    ) -> Grid:
-        """The block product as per-result-block tasks: In-Place or Buffer."""
-        if not self.inplace:
-            return self._buffered_matmul(a_grid, b_grid, link, inline)
-        tasks = inplace_matmul_tasks(a_grid, b_grid, link)
-        results = self._run(tasks, self._run_inplace_task, inline)
-        return {r.result_key: r.block for r in results}
 
     def _run_inplace_task(self, task: MultiplyAccumulateTask) -> TaskResult:
         # The result block is charged before it exists and every product as
@@ -281,7 +230,7 @@ class LocalEngine:
             else:
                 ops.accumulate(target, partial)
             self.tracker.release(partial.model_nbytes)
-            self._record(flops, left.is_sparse or right.is_sparse, task.link)
+            self._record(flops, left.is_sparse or right.is_sparse)
         return TaskResult(task.result_key, target)
 
     def _pair_product(self, left: Block, right: Block) -> tuple[int, DenseBlock]:
@@ -397,16 +346,14 @@ class LocalEngine:
         finally:
             cache.checkin(a_base, b_base, acc_base)
 
-    def _buffered_matmul(
-        self, a_grid: Grid, b_grid: Grid, link: int = 0, inline: bool = False
-    ) -> Grid:
+    def _buffered_matmul(self, a_grid: Grid, b_grid: Grid) -> Grid:
         def multiply(task: MultiplyTask) -> tuple[BlockKey, DenseBlock]:
             flops, partial = self._pair_product(task.left, task.right)
             self.tracker.allocate(partial.model_nbytes)
-            self._record(flops, task.left.is_sparse or task.right.is_sparse, link)
+            self._record(flops, task.left.is_sparse or task.right.is_sparse)
             return task.result_key, partial
 
-        partials = self._run(buffered_matmul_tasks(a_grid, b_grid), multiply, inline)
+        partials = self._run(buffered_matmul_tasks(a_grid, b_grid), multiply)
 
         # All partials are alive here -- this is the Buffer strategy's peak.
         grouped: dict[BlockKey, list[DenseBlock]] = {}
@@ -418,7 +365,7 @@ class LocalEngine:
             self.tracker.allocate(target.model_nbytes)
             for partial in blocks:
                 ops.accumulate(target, partial)
-                self._record(partial.shape[0] * partial.shape[1], False, link)
+                self._record(partial.shape[0] * partial.shape[1], sparse=False)
             result[key] = target
         for __, partial in partials:
             self.tracker.release(partial.model_nbytes)
@@ -491,8 +438,8 @@ class LocalEngine:
             grid[result.result_key] = result.block
         return grid
 
-    def _record(self, flops: int, sparse: bool, link: int = 0) -> None:
-        self.stats.record(flops, sparse, link)
+    def _record(self, flops: int, sparse: bool) -> None:
+        self.stats.record(flops, sparse)
 
 
 def _row_slabs(num_rows: int, threads: int) -> list[tuple[int, int]]:

@@ -29,9 +29,6 @@ class MultiplyAccumulateTask:
     result_key: BlockKey
     result_shape: tuple[int, int]
     pairs: tuple[tuple[Block, Block], ...]
-    #: Which product of a row-local chain the task belongs to (its flops
-    #: are charged to that link); 0 outside a chain.
-    link: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,7 +64,6 @@ class TaskResult:
 def inplace_matmul_tasks(
     a_grid: dict[BlockKey, Block],
     b_grid: dict[BlockKey, Block],
-    link: int = 0,
 ) -> list[MultiplyAccumulateTask]:
     """Cut In-Place tasks for the block product of two local grids.
 
@@ -91,9 +87,7 @@ def inplace_matmul_tasks(
         pairs = tuple((a, b) for __, a, b in triples)
         rows = pairs[0][0].shape[0]
         cols = pairs[0][1].shape[1]
-        tasks.append(
-            MultiplyAccumulateTask((i, j), (rows, cols), pairs, link)
-        )
+        tasks.append(MultiplyAccumulateTask((i, j), (rows, cols), pairs))
     return tasks
 
 

@@ -197,41 +197,15 @@ def rmm1(a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
     return DistributedMatrix(context, rdd, a.rows, b.cols, a.block_size, Scheme.COL)
 
 
-def rmm2(a: DistributedMatrix, *bs: DistributedMatrix) -> DistributedMatrix:
-    """Replication-based multiplication, variant 2: ``A(r) @ B(b) -> AB(r)``.
-
-    Given several Broadcast operands it computes the row-local chain
-    ``((A B1) B2) ...``: every link is an RMM2, whose block row ``i`` reads
-    block row ``i`` of its left operand alone, so each worker pipelines its
-    block rows of ``A`` through every link
-    (:meth:`~repro.localexec.engine.LocalEngine.matmul_chain_grids`) and no
-    intermediate is materialised.
-    """
-    for left, b in zip((a, *bs), bs):
-        _check_matmul(left, b)  # the chain so far has ``left``'s columns
+def rmm2(a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
+    """Replication-based multiplication, variant 2: ``A(r) @ B(b) -> AB(r)``."""
+    _check_matmul(a, b)
     _require_scheme(a, Scheme.ROW, "RMM2")
-    for b in bs:
-        _require_scheme(b, Scheme.BROADCAST, "RMM2")
+    _require_scheme(b, Scheme.BROADCAST, "RMM2")
     context = a.context
-
-    def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engine_for_partition(worker)
-        ga, gbs = a.worker_grid(worker), [b.worker_grid(worker) for b in bs]
-        for grid in (ga, *gbs):
-            engine.register_grid(grid)
-        if len(gbs) == 1:
-            gc = engine.matmul_grids(ga, gbs[0])
-        else:
-            gc = engine.matmul_chain_grids(ga, gbs)
-        for grid in (ga, *gbs, gc):
-            engine.release_grid(grid)
-        return sorted(gc.items())
-
-    partitions = _per_worker_compute(a, compute)
-    rdd = RDD(context, partitions, Scheme.ROW.partitioner(context.num_workers))
-    return DistributedMatrix(
-        context, rdd, a.rows, bs[-1].cols, a.block_size, Scheme.ROW
-    )
+    partitioner = Scheme.ROW.partitioner(context.num_workers)
+    rdd = RDD(context, _local_products(a, b), partitioner)
+    return DistributedMatrix(context, rdd, a.rows, b.cols, a.block_size, Scheme.ROW)
 
 
 def bmm(a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:

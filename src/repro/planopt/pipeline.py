@@ -14,10 +14,9 @@ It then interleaves CSE, repartition coalescing, replicated products
 (:mod:`repro.planopt.replicate`) and dead-step elimination to a fixpoint
 -- coalescing exposes new common subexpressions and strands dead
 conversions, so one round is rarely enough -- then runs loop-invariant
-hoisting once the surviving step set is final, and finally cellwise and
-row-local product-chain fusion (:mod:`repro.planopt.fuse`), which must see
-the final cache-pin set and whose fused chain payloads no renaming pass
-may touch.
+hoisting once the surviving step set is final, and finally cellwise
+fusion (:mod:`repro.planopt.fuse`), which must see the final cache-pin set
+and whose fused chain payloads no renaming pass may touch.
 
 Custom rewrites plug in through the :class:`Pass` protocol and an explicit
 ``passes`` sequence; a pipeline leaves a built-in pass out by leaving it

@@ -97,12 +97,9 @@ class Backend(Protocol):
         self,
         strategy: str,
         left: DistributedMatrix,
-        right: DistributedMatrix | tuple[DistributedMatrix, ...],
+        right: DistributedMatrix,
         output_scheme: Scheme,
-    ) -> DistributedMatrix:
-        """``left @ right`` under a strategy; for ``rmm2``, ``right`` may be
-        a tuple: the row-local chain ``((left @ right[0]) @ right[1]) ...``."""
-        ...
+    ) -> DistributedMatrix: ...
 
     def cellwise(
         self, op: str, left: DistributedMatrix, right: DistributedMatrix
@@ -256,13 +253,13 @@ class SimulatedBackend:
         self,
         strategy: str,
         left: DistributedMatrix,
-        right: DistributedMatrix | tuple[DistributedMatrix, ...],
+        right: DistributedMatrix,
         output_scheme: Scheme,
     ) -> DistributedMatrix:
         if strategy == "rmm1":
             return rmm1(left, right)
         if strategy == "rmm2":
-            return rmm2(left, *(right if isinstance(right, tuple) else (right,)))
+            return rmm2(left, right)
         if strategy == "cpmm":
             return cpmm(left, right, output_scheme=output_scheme)
         if strategy == "bmm":

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from repro.core.plan import MatrixInstance, Plan, ProductChainStep
+from repro.core.plan import MatrixInstance, Plan
 from repro.errors import ExecutionError
 from repro.matrix.distributed import DistributedMatrix
 from repro.rdd.clock import TimeBreakdown
@@ -475,23 +475,19 @@ class PlanExecutor:
                 with backend.ledger.scope(f"stage-{step.stage}"):
                     with backend.ledger.scope(label):
                         kernel(step, state)
+                dense: dict[int, int] = {}
+                sparse: dict[int, int] = {}
                 flops = 0
-                # One compute phase per product of a chain, in link order:
-                # the clock its links would have charged as steps.
-                links = len(step.chain) if isinstance(step, ProductChainStep) else 1
-                for link in range(links):
-                    dense: dict[int, int] = {}
-                    sparse: dict[int, int] = {}
-                    for stats, dense_flops, sparse_flops in meter.take_step_flops(link):
-                        worker = worker_of_stats.get(id(stats))
-                        if worker is None:  # pragma: no cover - foreign stats object
-                            continue
-                        dense[worker] = dense.get(worker, 0) + dense_flops
-                        sparse[worker] = sparse.get(worker, 0) + sparse_flops
-                        flops += dense_flops + sparse_flops
-                    backend.clock.advance_compute(
-                        dense, sparse, backend.threads_per_worker
-                    )
+                for stats, dense_flops, sparse_flops in meter.take_step_flops():
+                    worker = worker_of_stats.get(id(stats))
+                    if worker is None:  # pragma: no cover - foreign stats object
+                        continue
+                    dense[worker] = dense.get(worker, 0) + dense_flops
+                    sparse[worker] = sparse.get(worker, 0) + sparse_flops
+                    flops += dense_flops + sparse_flops
+                backend.clock.advance_compute(
+                    dense, sparse, backend.threads_per_worker
+                )
                 step_bytes = meter.take_step_bytes()
             except BaseException:
                 if step_span is not None:  # keep spans balanced on faults

@@ -54,9 +54,7 @@ class StageMeter:
     Thread-safe: a stage's block tasks may report from several lanes at
     once.  ``take_step_*`` methods drain the per-step counters
     (the stage runner calls them after each plan step to build traces and
-    charge per-step compute time).  Flops are kept per *link*: a product
-    chain's links interleave across lanes, and each is charged as the step
-    it replaced.
+    charge per-step compute time).
     """
 
     def __init__(self) -> None:
@@ -66,10 +64,9 @@ class StageMeter:
         self.overhead_seconds = 0.0
         self.network_bytes = 0
         self._step_bytes = 0
-        # flop counters per link (one table outside a product chain), keyed
-        # by the reporting EngineStats object, so the scheduler can map them
-        # back to worker indices.
-        self._step_flops: list[dict[int, tuple[object, int, int]]] = [{}]
+        # flop counters keyed by the reporting EngineStats object, so the
+        # scheduler can map them back to worker indices.
+        self._step_flops: dict[int, tuple[object, int, int]] = {}
 
     # -- charges (called by the clock and the engines) ----------------------
 
@@ -87,33 +84,25 @@ class StageMeter:
         with self._lock:
             self.overhead_seconds += seconds
 
-    def record_flops(
-        self, stats: object, flops: int, sparse: bool, link: int = 0
-    ) -> None:
-        """An engine reports block flops; ``stats`` identifies the engine,
-        ``link`` the product of a chain they belong to."""
+    def record_flops(self, stats: object, flops: int, sparse: bool) -> None:
+        """An engine reports block flops; ``stats`` identifies the engine."""
         with self._lock:
-            if link >= len(self._step_flops):
-                self._step_flops.extend({} for __ in range(link + 1 - len(self._step_flops)))
-            table = self._step_flops[link]
-            owner, dense_total, sparse_total = table.get(id(stats), (stats, 0, 0))
+            owner, dense_total, sparse_total = self._step_flops.get(
+                id(stats), (stats, 0, 0)
+            )
             if sparse:
                 sparse_total += flops
             else:
                 dense_total += flops
-            table[id(stats)] = (owner, dense_total, sparse_total)
+            self._step_flops[id(stats)] = (owner, dense_total, sparse_total)
 
     # -- per-step draining (called by the stage runner) ---------------------
 
-    def take_step_flops(self, link: int = 0) -> list[tuple[object, int, int]]:
-        """``(stats, dense, sparse)`` recorded for ``link`` since the last
-        take of it."""
+    def take_step_flops(self) -> list[tuple[object, int, int]]:
+        """``(stats, dense, sparse)`` recorded since the last take."""
         with self._lock:
-            if link >= len(self._step_flops):
-                return []
-            table = self._step_flops[link]
-            out = list(table.values())
-            table.clear()
+            out = list(self._step_flops.values())
+            self._step_flops.clear()
         return out
 
     def take_step_bytes(self) -> int:

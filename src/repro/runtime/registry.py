@@ -34,7 +34,6 @@ from repro.core.plan import (
     MatMulStep,
     MatrixInstance,
     Plan,
-    ProductChainStep,
     RowAggStep,
     ScalarComputeStep,
     ScalarMatrixStep,
@@ -105,15 +104,6 @@ def _run_matmul(step: MatMulStep, state: "ExecutionState") -> None:
     left = state.resources.get(step.left)
     right = state.resources.get(step.right)
     result = state.backend.matmul(step.strategy, left, right, step.output.scheme)
-    state.resources.publish(step.output, result)
-
-
-def _run_product_chain(step: ProductChainStep, state: "ExecutionState") -> None:
-    # One ``matmul`` call with every right operand, not a backend method of
-    # its own: a chain is an ``rmm2`` whose right side is a sequence.
-    left = state.resources.get(step.chain[0].left)
-    rights = tuple(state.resources.get(link.right) for link in step.chain)
-    result = state.backend.matmul("rmm2", left, rights, step.output.scheme)
     state.resources.publish(step.output, result)
 
 
@@ -192,16 +182,6 @@ def _shape_matmul(step: MatMulStep, shapes: dict) -> Optional[Shape]:
     return (left[0], right[1])
 
 
-def _shape_product_chain(step: ProductChainStep, shapes: dict) -> Optional[Shape]:
-    shape = shapes.get(step.chain[0].left)
-    for link in step.chain:
-        right = shapes.get(link.right)
-        if shape is None or right is None:
-            return None
-        shape = (shape[0], right[1])
-    return shape
-
-
 def _shape_cellwise(step: CellwiseStep, shapes: dict) -> Optional[Shape]:
     return shapes.get(step.left) or shapes.get(step.right)
 
@@ -260,17 +240,6 @@ _SPECS = (
         kernel=_run_matmul,
         shape_rule=_shape_matmul,
         edge_label=lambda step: step.strategy,
-    ),
-    OperatorSpec(
-        name="product-chain",
-        step_type=ProductChainStep,
-        op_types=(),  # emitted by the optimizer's fusion pass, not the planner
-        plan_hook="",
-        kernel=_run_product_chain,
-        shape_rule=_shape_product_chain,
-        edge_label=lambda step: "chain:" + ",".join(
-            link.strategy for link in step.chain
-        ),
     ),
     OperatorSpec(
         name="cellwise",

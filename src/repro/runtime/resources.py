@@ -29,9 +29,9 @@ the publish/release books without changing their balance.
 
 A spilled pin and a lost instance are rebuilt by one path,
 :meth:`ResourceManager._rebuild`: the minimal lineage cone, stopping at
-live or checkpointed instances, re-runs the registry kernels (a product
-chain as its links) on the consuming stage's thread, charged to its meter
-and to the ledger under ``cache-refill/<step>`` or ``recovery/<step>``.
+live or checkpointed instances, re-runs the registry kernels on the
+consuming stage's thread, charged to its meter and to the ledger under
+``cache-refill/<step>`` or ``recovery/<step>``.
 On a chaos run every publish may also be checkpointed and may roll the
 ``lostblock`` fault.
 """
@@ -41,7 +41,7 @@ from __future__ import annotations
 import collections
 import threading
 
-from repro.core.plan import MatrixInstance, Plan, ProductChainStep, Step
+from repro.core.plan import MatrixInstance, Plan, Step
 from repro.errors import ExecutionError, MemoryLimitExceeded, ShuffleBlockLost
 from repro.matrix.distributed import DistributedMatrix
 from repro.runtime.metering import active_meter
@@ -483,10 +483,8 @@ class ResourceManager:
 
         Runs on the consuming stage's thread, so the recompute's flops,
         bytes and checkpoint reads are charged to that stage's meter, each
-        step under a ``<cause>/<step>`` ledger scope.  A product chain
-        re-runs as its links, counted as the steps they are: their flops
-        then join the compute phase of the step that asked, as they did
-        when the links ran as steps.
+        step under a ``<cause>/<step>`` ledger scope; their flops join the
+        compute phase of the step that asked.
         """
         with self._rebuild_lock:
             with self._lock:
@@ -512,10 +510,7 @@ class ResourceManager:
                     return inst in self._live
 
             cone = self._lineage.recovery_cone(instance, available)
-            steps: list[Step] = []
-            for index in cone:
-                step = self._plan.steps[index]
-                steps.extend(step.chain if isinstance(step, ProductChainStep) else (step,))
+            steps = [self._plan.steps[index] for index in cone]
             rstate = _RebuildState(self._state, checkpoints, self)
             ledger = self._backend.ledger
             meter = active_meter()

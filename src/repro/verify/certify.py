@@ -42,7 +42,6 @@ from repro.core.plan import (
     MatMulStep,
     MatrixInstance,
     Plan,
-    ProductChainStep,
     RowAggStep,
     ScalarComputeStep,
     ScalarMatrixStep,
@@ -262,11 +261,6 @@ def value_summary(plan: Plan) -> ValueSummary:
                     local.get(inner.right, read(inner.right)),
                 )
             physical = local[step.chain[-1].output]
-        elif isinstance(step, ProductChainStep):
-            # Replayed link by link, like a fused cellwise chain.
-            physical = read(step.chain[0].left)
-            for link in step.chain:
-                physical = term("@", physical, read(link.right))
         elif isinstance(step, ScalarMatrixStep):
             physical = term(
                 "sm", step.op.op, scalar_term(step.op.scalar), read(step.source)
@@ -443,7 +437,7 @@ def certify(
             )
 
     for step in after.steps:
-        if not isinstance(step, (FusedCellwiseStep, ProductChainStep)):
+        if not isinstance(step, FusedCellwiseStep):
             continue
         name = step.output.name
         key_before = summary_before.matrices.get(name)

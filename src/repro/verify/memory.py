@@ -6,9 +6,7 @@ trackers charge at run time:
 * **Transients** -- only the three charging kernel families register block
   grids with a worker's tracker for the duration of the operation: matmul
   (both operand grids + the result, plus accumulation partials; a ``bmm``
-  holds both replicas and a whole replica of its result; a product
-  chain holds every operand grid and its result, and per lane one block
-  row of each intermediate and of one link's partials), cellwise
+  holds both replicas and a whole replica of its result), cellwise
   (both operands + result) and scalar-matrix (operand + result, with the
   zero-fill densification ``add``/``subtract`` performs on sparse
   operands).  Sources, extended operators, unary maps, row/col aggregations
@@ -56,7 +54,6 @@ from repro.core.plan import (
     MatMulStep,
     MatrixInstance,
     Plan,
-    ProductChainStep,
     ScalarMatrixStep,
     SourceStep,
     Step,
@@ -175,25 +172,16 @@ def _transient_bytes(
             result = cost.matrix_bytes(step.output, block_size, dense=True)
         else:  # a 1-D strip, or for ``bmm`` a whole replica
             result = share(step.output, block_size, dense=True)
-        partials = _partial_bytes(step, result, cost, block_size, threads_per_worker, inplace)
+        inner_blocks = max(1, math.ceil(cost.dims(step.left)[1] / block_size))
+        # Every partial is one dense result block held for one inner fold,
+        # so all of them together weigh ``result * inner_blocks`` -- what
+        # the Buffer strategy holds until the merge; the In-Place engine
+        # keeps at most one in flight per lane (<= L lanes).
+        partials = result * inner_blocks
+        if inplace:
+            in_flight = threads_per_worker * dense_block_model_bytes(block_size, block_size)
+            partials = min(in_flight, partials)
         return stored + result + partials + strassen_bytes
-    if isinstance(step, ProductChainStep):
-        # Each lane pushes one block row of the first left operand through
-        # every link, so of each link's product -- and of its partials --
-        # a lane holds one block row at a time.
-        held = []
-        for link in step.chain:
-            rows, cols = cost.dims(link.output)
-            block_row = dense_block_model_bytes(min(block_size, rows), cols)
-            held.append(
-                min(share(link.output, block_size, dense=True), threads_per_worker * block_row)
-            )
-        partials = max(
-            _partial_bytes(link, product, cost, block_size, threads_per_worker, inplace)
-            for link, product in zip(step.chain, held)
-        )
-        result = share(step.output, block_size, dense=True)
-        return stored + result + sum(held[:-1]) + partials + strassen_bytes
     if isinstance(step, ScalarMatrixStep) and _scalar_matrix_densifies(step):
         # Zero-fill: the registered operand grid carries its sparse blocks
         # plus explicit dense zero blocks for absent keys.
@@ -207,17 +195,14 @@ def _transient_bytes(
 
 def _charged(step: Step) -> Tuple[MatrixInstance, ...]:
     """The grids a step registers with the tracker at their stored share
-    while it runs: a product's operands (a chain's first left operand and
-    every right one), both operands and the result of a cellwise step --
-    for a fused one every external operand and the final result; chain
-    intermediates are per-block temporaries that never reach the tracker --
-    and a scalar-matrix step's operand, plus its result unless zero-fill
+    while it runs: a product's operands, both operands and the result of a
+    cellwise step -- for a fused one every external operand and the final
+    result; chain intermediates are per-block temporaries that never reach
+    the tracker -- and a scalar-matrix step's operand, plus its result unless zero-fill
     densifies it.  Sources, extended operators, unary maps, row/col
     aggregations and driver aggregates never register grids."""
     if isinstance(step, MatMulStep):
         return (step.left, step.right)
-    if isinstance(step, ProductChainStep):
-        return (step.chain[0].left, *(link.right for link in step.chain))
     if isinstance(step, CellwiseStep):
         return (step.left, step.right, step.output)
     if isinstance(step, FusedCellwiseStep):
@@ -227,26 +212,6 @@ def _charged(step: Step) -> Tuple[MatrixInstance, ...]:
             return (step.source,)
         return (step.source, step.output)
     return ()
-
-
-def _partial_bytes(
-    link: MatMulStep,
-    result: int,
-    cost: CostModel,
-    block_size: int,
-    threads_per_worker: int,
-    inplace: bool,
-) -> int:
-    """The accumulation partials of ``result`` bytes of one product."""
-    inner_blocks = max(1, math.ceil(cost.dims(link.left)[1] / block_size))
-    # Every partial is one dense result block held for one inner fold,
-    # so all of them together weigh ``result * inner_blocks``; the
-    # In-Place engine keeps at most one in flight per lane (<= L lanes).
-    all_partials = result * inner_blocks
-    if inplace:
-        in_flight = threads_per_worker * dense_block_model_bytes(block_size, block_size)
-        return min(in_flight, all_partials)
-    return all_partials  # the Buffer strategy holds every partial until the merge
 
 
 def _strassen_bytes(

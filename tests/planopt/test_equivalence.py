@@ -9,17 +9,10 @@ equals the unoptimized run of the program it announces (``plan.program``)
 bit for bit, and the user's program to ``rtol=1e-12``.
 """
 
-import copy
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro import ClusterConfig, DMacSession
-from repro.core.plan import ProductChainStep
-from repro.core.stages import schedule_stages
-from repro.faults import ChaosEngine, parse_fault_spec
-from repro.faults.lineage import LineageTracker
 from repro.lang.program import LoadOp, ProgramBuilder
 from repro.programs import (
     build_cf_program,
@@ -30,9 +23,7 @@ from repro.programs import (
     build_pagerank_program,
     build_svd_program,
 )
-from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
-from repro.trace import TraceCollector, assert_reconciled
-from tests.elastic.test_golden_books import FAULT_SEED, FAULTS, TIMELINE
+from repro.programs.registry import WorkloadParams, build_workload
 
 PROGRAMS = {
     "gnmf": lambda: build_gnmf_program((60, 40), 0.05, factors=8, iterations=2),
@@ -111,112 +102,43 @@ def test_optimizer_preserves_results_and_never_moves_more(name):
     )
 
 
-# -- product chains against their links --------------------------------------
+# -- an in-order product chain books what its fused form booked --------------
 
-#: Registry sizes small enough to run every app four times.  With 32
-#: factors GNMF keeps its ``(W H) H^T`` order (``W (H H^T)`` would ship
-#: more), so it fuses one chain per iteration.
-CHAIN_PARAMS = {
-    "scale": 2e-3,
-    "iterations": 3,
-    "factors": 32,
-    "rows": 300,
-    "features": 30,
-    "eps": 1e-4,
+#: With 32 factors GNMF keeps its ``(W H) H^T`` order (``W (H H^T)`` would
+#: ship more): the one registry configuration whose products once ran as a
+#: fused row pipeline, one chain per iteration.
+CHAIN_PARAMS = {"scale": 2e-3, "iterations": 3, "factors": 32}
+
+#: ``(comm_bytes, num_stages, simulated_seconds.hex(), traced flops,
+#: peak_memory_bytes)`` of GNMF at ``CHAIN_PARAMS`` on 4 workers x 1 thread
+#: with serial stages, as the fused chains booked them.
+CHAIN_BOOKS = {
+    True: (239400, 8, "0x1.9bc7f77af6406p-1", 19617792, 158076),
+    False: (239400, 8, "0x1.9bcdf60abc4f2p-1", 19983456, 193516),
 }
 
 
-def expand_chains(plan):
-    """The plan with every product chain expanded back into its links."""
-    steps = [
-        copy.copy(link)
-        for step in plan.steps
-        for link in (step.chain if isinstance(step, ProductChainStep) else (step,))
-    ]
-    return schedule_stages(dataclasses.replace(plan, steps=steps))
-
-
-def chain_books(app, *, expand, inplace=True, elastic=None, faults=None, tracer=None):
-    """Outputs and every deterministic book of one optimized run, with the
-    chain steps fused (as planned) or expanded into their links."""
-    load = build_workload(app, WorkloadParams(**CHAIN_PARAMS))
-    session = DMacSession(
-        ClusterConfig(
-            num_workers=4, threads_per_worker=2, inplace=inplace, elastic=elastic
-        ),
-        optimize=True,
-    )
-    plans = session.plans(load.program)
-    # A chain's label reads as its first link's: the link that fetched the
-    # inputs (and recovered a lost one) when the links ran as steps.
-    labels = {
-        str(step): str(step.chain[0])
-        for plan in plans
-        for step in plan.steps
-        if isinstance(step, ProductChainStep)
-    }
-    if expand:
-        plans = tuple(map(expand_chains, plans))
-    chaos = ChaosEngine(FAULT_SEED, parse_fault_spec(faults)) if faults else None
-    result = session.run(
-        load.program, load.inputs, plan=plans, trace=True, chaos=chaos, tracer=tracer
-    )
-    records = sorted(
-        (
-            record.kind,
-            record.nbytes,
-            "/".join(labels.get(part, part) for part in record.scope.split("/")),
-            record.link,
-        )
-        for record in session.context.ledger.records()
-    )
-    return len(labels), result, {
-        "outputs": {name: array.tobytes() for name, array in result.matrices.items()},
-        "scalars": {name: float(value).hex() for name, value in result.scalars.items()},
-        "comm_bytes": result.comm_bytes,
-        "simulated_seconds": result.simulated_seconds.hex(),
-        "ledger": records,
-        "flops": sum(
-            step.flops for segment in result.segments for step in segment.result.trace
-        ),
-    }
-
-
 @pytest.mark.parametrize("inplace", [True, False], ids=["inplace", "buffer"])
-@pytest.mark.parametrize("app", ALL_APPS)
-def test_a_fused_chain_runs_as_its_links_did(app, inplace):
-    chains, __, fused = chain_books(app, expand=False, inplace=inplace)
-    assert chains == (3 if app == "gnmf" else 0)
-    assert chain_books(app, expand=True, inplace=inplace)[2] == fused
-
-
-@pytest.mark.parametrize("faults", [None, FAULTS], ids=["churn", "churn-faults"])
-def test_a_recovered_chain_runs_as_its_links_did(monkeypatch, faults):
-    """The timeline's leave loses ``W@2``, whose recovery cone re-runs the
-    chain that produced ``_t9``."""
-    cones = []
-    cone = LineageTracker.recovery_cone
-
-    def recorded(self, instance, available):
-        steps = cone(self, instance, available)
-        cones.append([self.plan.steps[index] for index in steps])
-        return steps
-
-    monkeypatch.setattr(LineageTracker, "recovery_cone", recorded)
-    tracer = TraceCollector()
-    __, fused, books = chain_books(
-        "gnmf", expand=False, elastic=TIMELINE, faults=faults, tracer=tracer
+def test_gnmf_in_chain_order_books_what_its_fused_chains_booked(inplace):
+    load = build_workload("gnmf", WorkloadParams(**CHAIN_PARAMS))
+    config = ClusterConfig(
+        num_workers=4, threads_per_worker=1, max_concurrent_stages=1, inplace=inplace
     )
-    assert any(isinstance(step, ProductChainStep) for steps in cones for step in steps)
-    __, links, expanded_books = chain_books(
-        "gnmf", expand=True, elastic=TIMELINE, faults=faults
+    plain = DMacSession(config).run(load.program, load.inputs)
+    result = DMacSession(config, optimize=True).run(load.program, load.inputs, trace=True)
+    flops = sum(step.flops for segment in result.segments for step in segment.result.trace)
+    books = (
+        result.comm_bytes,
+        result.num_stages,
+        result.simulated_seconds.hex(),
+        flops,
+        result.peak_memory_bytes,
     )
-    assert books == expanded_books
-    assert fused.recovery == links.recovery
-    assert_reconciled(tracer)
+    assert books == CHAIN_BOOKS[inplace]
+    assert_bitwise(plain, result, f"gnmf factors=32 inplace={inplace}")
 
 
-# -- a spilled chain pin refills as its links ---------------------------------
+# -- a spilled pin refills through its lineage ------------------------------
 
 #: 4 workers x 2 threads whose cache budget holds one of the two chain pins
 #: below; serial stages fix the publish order, so the LRU spills and
@@ -229,7 +151,7 @@ SPILLING = ClusterConfig(
 def spilled_chains():
     """Two loop-invariant three-matrix chains, ``X = X + A @ B @ C`` and
     ``X = X + D @ E @ F``, that the optimizer hoists into two cache pins,
-    each a fused product chain."""
+    each the output of two ``rmm2`` products."""
     pb = ProgramBuilder()
     shapes = {"A": (400, 64), "B": (64, 8), "C": (8, 32)}
     shapes.update(D=shapes["A"], E=shapes["B"], F=shapes["C"])
@@ -241,29 +163,3 @@ def spilled_chains():
     pb.output(x)
     rng = np.random.default_rng(7)
     return pb.build(), {name: rng.random(shape) for name, shape in shapes.items()}
-
-
-def test_a_refilled_chain_costs_what_its_links_cost():
-    """A spilled pin produced by a chain is rebuilt link by link: before
-    one rebuild path, a refill ran the chain as one kernel and dropped the
-    flops of links >= 1 (16,460,800 vs 19,737,600)."""
-    program, inputs = spilled_chains()
-    books = []
-    for expand in (False, True):
-        session = DMacSession(SPILLING, optimize=True)
-        plans = session.plans(program)
-        assert sum(isinstance(s, ProductChainStep) for p in plans for s in p.steps) == 2
-        if expand:
-            plans = tuple(map(expand_chains, plans))
-        result = session.run(program, inputs, plan=plans, trace=True)
-        assert result.cache["refilled"] == 2
-        books.append(
-            (
-                {name: array.tobytes() for name, array in result.matrices.items()},
-                sum(step.flops for seg in result.segments for step in seg.result.trace),
-                result.simulated_seconds.hex(),
-                result.comm_bytes,
-                result.cache,
-            )
-        )
-    assert books[0] == books[1]

@@ -1,21 +1,11 @@
 """Unit tests for the plan-optimizer passes (repro.planopt)."""
 
-import dataclasses
-
 import numpy as np
-import pytest
 
 from repro import ClusterConfig, DMacSession
-from repro.core.defuse import DefUse
-from repro.core.plan import ExtendedStep, MatMulStep, MatrixInstance, ProductChainStep
-from repro.core.stages import step_stages
-from repro.lang.program import ProgramBuilder
 from repro.lint import LintContext, lint_plan
-from repro.matrix.schemes import Scheme
 from repro.planopt import optimize_plan
 from repro.planopt.cse import structural_key
-from repro.planopt.fuse import fuse_chains
-from repro.planopt.pipeline import DEFAULT_PASSES, FusePass
 from repro.programs import build_gnmf_program, build_pagerank_program
 
 
@@ -215,113 +205,3 @@ class TestExecution:
         assert opt.comm_bytes < plain.comm_bytes
         assert opt.simulated_seconds < plain.simulated_seconds
         assert opt.cache is not None and opt.cache["pins"] >= 1
-
-
-def chain_program(*operands, output_intermediate=False, second_reader=False):
-    """``A (400x8) @ B @ C ...`` for the given inner widths, each product
-    assigned to its own name (``P1``, ``P2``, ...)."""
-    pb = ProgramBuilder()
-    value = pb.load("A", (400, 8))
-    rows = 8
-    products = []
-    for index, cols in enumerate(operands):
-        right = pb.load(f"B{index}", (rows, cols))
-        value = pb.assign(f"P{index + 1}", value @ right)
-        products.append(value)
-        rows = cols
-    pb.output(value)
-    if output_intermediate:
-        pb.output(products[0])
-    if second_reader:
-        pb.output(pb.assign("Z", products[0] @ pb.load("D", (operands[0], 3))))
-    return pb.build()
-
-
-def unfused_plan(program):
-    """The optimized plan of ``program`` before the fusion pass."""
-    raw = DMacSession(ClusterConfig(num_workers=4)).plan(program)
-    passes = tuple(p for p in DEFAULT_PASSES if not isinstance(p, FusePass))
-    return optimize_plan(raw, num_workers=4, passes=passes)
-
-
-def links(plan, name):
-    """The ``rmm2`` step producing the matrix ``name``."""
-    (step,) = [
-        s for s in plan.steps
-        if isinstance(s, MatMulStep) and s.output.name == name
-    ]
-    assert step.strategy == "rmm2"
-    return step
-
-
-def chains(plan):
-    return [step for step in plan.steps if isinstance(step, ProductChainStep)]
-
-
-class TestProductChainFusion:
-    def test_a_row_local_chain_becomes_one_step(self):
-        __, opt = plans_for(chain_program(50, 8))
-        (chain,) = chains(opt)
-        assert [str(link.output) for link in chain.chain] == ["P1(r)", "P2(r)"]
-        assert chain.inputs() == (chain.chain[0].left, *(l.right for l in chain.chain))
-        assert [r.description for r in opt.rewrites if r.pass_name == "fuse"] == [
-            "fused 2 row-local products into one block-row pipeline for P2(r)"
-        ]
-        assert not any(
-            isinstance(s, MatMulStep) and s.output.name in ("P1", "P2")
-            for s in opt.steps
-        )
-
-    def test_the_maximal_run_fuses_three_links(self):
-        __, opt = plans_for(chain_program(50, 30, 8))
-        (chain,) = chains(opt)
-        assert [link.output.name for link in chain.chain] == ["P1", "P2", "P3"]
-
-    def test_gnmf_fuses_one_chain_per_iteration(self):
-        __, opt = plans_for(build_gnmf_program((60, 40), 0.05, factors=8, iterations=3))
-        assert [c.output.name for c in chains(opt)] == ["_t9", "_t19", "_t29"]
-
-    def test_an_output_intermediate_blocks_fusion(self):
-        __, opt = plans_for(chain_program(50, 8, output_intermediate=True))
-        assert not chains(opt)
-
-    def test_a_second_reader_blocks_fusion(self):
-        plan = unfused_plan(chain_program(50, 8, second_reader=True))
-        assert len(DefUse.of(plan).consumers[links(plan, "P1").output]) == 2
-        fuse_chains(plan)
-        assert not chains(plan)
-
-    def test_a_cache_pin_blocks_fusion(self):
-        plan = unfused_plan(chain_program(50, 8))
-        plan.cache_pins = (links(plan, "P1").output,)
-        fuse_chains(plan)
-        assert not chains(plan)
-
-    @pytest.mark.parametrize("left_too", [False, True], ids=["right", "both"])
-    def test_a_right_operand_read_blocks_fusion(self, left_too):
-        plan = unfused_plan(chain_program(50, 8))
-        first, second = links(plan, "P1"), links(plan, "P2")
-        left = first.output if left_too else first.left
-        plan.steps[plan.steps.index(second)] = dataclasses.replace(
-            second, left=left, right=first.output
-        )
-        fuse_chains(plan)
-        assert not chains(plan)
-
-    def test_links_in_different_stages_do_not_fuse(self):
-        """``B1(b)`` is broadcast from a partitioned copy: the second link
-        runs a stage after the first."""
-        plan = unfused_plan(chain_program(50, 8))
-        second = links(plan, "P2")
-        replica = second.right
-        moved = MatrixInstance(replica.name, replica.transposed, Scheme.COL)
-        (broadcast,) = [s for s in plan.steps if s.output_instance() == replica]
-        at = plan.steps.index(broadcast)
-        plan.steps[at:at + 1] = [
-            ExtendedStep("partition", broadcast.source, moved),
-            ExtendedStep("broadcast", moved, replica),
-        ]
-        stages = dict(zip(map(id, plan.steps), step_stages(plan.steps)))
-        assert stages[id(second)] == stages[id(links(plan, "P1"))] + 1
-        assert fuse_chains(plan) == []
-        assert not chains(plan)

@@ -8,6 +8,7 @@ import pytest
 
 from repro import ClusterConfig, DMacSession
 from repro.cli import APPS
+from repro.core.plan import MatMulStep
 from repro.programs.registry import WorkloadParams, build_workload
 from repro.runtime import backend
 from repro.verify import predict_peak_memory
@@ -154,4 +155,57 @@ def test_a_skewed_load_is_charged_as_cut():
 
     result = session.run(load.program, load.inputs, plan=plan)
     assert prediction.peak_bytes < result.peak_memory_bytes
+    assert result.peak_memory_bytes <= result.predicted_peak_memory_bytes
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("inplace", [True, False], ids=["inplace", "buffer"])
+def test_the_serial_bound_holds_on_optimized_gnmf(threads, inplace):
+    """The tracker never exceeds the serial bound on optimized GNMF, which
+    at 10 factors multiplies ``W (H H^T)`` with ``H H^T`` a ``bmm`` -- and
+    whose load ``V`` holds a few non-zeros more on one worker than the
+    uniform share (``MemoryPrediction.bound_as_cut``)."""
+    load = build_workload("gnmf", WorkloadParams(scale=3e-3, factors=10, iterations=2))
+    config = ClusterConfig(
+        num_workers=4,
+        threads_per_worker=threads,
+        inplace=inplace,
+        max_concurrent_stages=1,
+    )
+    result = DMacSession(config, optimize=True).run(load.program, load.inputs)
+    assert result.peak_memory_bytes <= result.predicted_peak_memory_bytes
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+@pytest.mark.parametrize("inplace", [True, False], ids=["inplace", "buffer"])
+def test_the_serial_bound_holds_on_gnmf_chains(threads, inplace):
+    """With 32 factors the optimizer keeps GNMF's ``(W H) H^T`` order
+    (``W (H H^T)`` would ship more): each iteration materialises ``W H``
+    and multiplies it by ``H^T``, and the tracker never exceeds the serial
+    bound."""
+    load = build_workload("gnmf", WorkloadParams(scale=3e-3, factors=32, iterations=2))
+    config = ClusterConfig(
+        num_workers=4,
+        threads_per_worker=threads,
+        inplace=inplace,
+        max_concurrent_stages=1,
+    )
+    session = DMacSession(config, optimize=True)
+    (plan,) = session.plans(load.program)
+    assert "associate" not in {rewrite.pass_name for rewrite in plan.rewrites}
+    products = {s.output: s for s in plan.steps if isinstance(s, MatMulStep)}
+    # ``(W H) H^T``: an ``rmm2`` whose left operand is the ``rmm2`` of a
+    # ``W`` by an ``H``, and whose right operand is that ``H`` transposed.
+    chained = [
+        (products[s.left].op, s.op.right)
+        for s in products.values()
+        if s.strategy == "rmm2"
+        and s.left in products
+        and products[s.left].strategy == "rmm2"
+    ]
+    assert [(wh.left.name, wh.right.name, ht.name, ht.transposed) for wh, ht in chained] == [
+        ("W", "H@2", "H@2", True),
+        ("W@2", "H@3", "H@3", True),
+    ]
+    result = session.run(load.program, load.inputs, plan=plan)
     assert result.peak_memory_bytes <= result.predicted_peak_memory_bytes
