@@ -17,6 +17,9 @@ host-side only -- a kernel, a load path -- each tree runs, with its own
   threads it differs between two runs of one tree);
 * the same apps x ``optimize`` under the ``tests/elastic`` churn timeline,
   and under churn + faults (seed 11), 4 workers x 2 threads;
+* GNMF at ``WIDE`` (``V`` 9603 x 355 against 64 factors, the only items
+  whose sparse products reach the compiled loop) x ``optimize``, pooled
+  and serial;
 * ``repro run`` / ``repro chaos`` / ``repro run --trace`` on three apps,
   stdout and stderr (``peak_memory_bytes`` lines masked when threads > 1).
 
@@ -32,6 +35,7 @@ import sys
 from pathlib import Path
 
 PARAMS = dict(seed=3, scale=2e-3, rows=400, features=30, iterations=3, factors=8, rank=3)
+WIDE = dict(seed=3, scale=2e-2, iterations=3, factors=64)
 
 TIMELINE = "join@2:count=2; leave@5:worker=0"
 FAULTS = "crash:stage=3; flaky:p=0.4,times=1; straggler:stage=2,factor=3"
@@ -82,27 +86,32 @@ def books() -> dict:
             out["peak_memory_bytes"] = result.peak_memory_bytes
         return out
 
+    def pooled_and_serial(key: str, load, optimize: bool, block_size=None) -> None:
+        pooled = ClusterConfig(num_workers=4, threads_per_worker=2, block_size=block_size)
+        serial = ClusterConfig(
+            num_workers=4, threads_per_worker=1, max_concurrent_stages=1, block_size=block_size,
+        )
+        for label, config in (("pooled", pooled), ("serial", serial)):
+            session = DMacSession(config, optimize=optimize)
+            result = session.run(load.program, load.inputs)
+            report[f"{key} {label}"] = digest(session, result, peaks=label == "serial")
+
     report = {}
     for app in ALL_APPS:
         load = build_workload(app, WorkloadParams(**PARAMS))
         for optimize in (False, True):
             for block_size in (None, 37):
                 key = f"{app} optimize={optimize} block_size={block_size}"
-                pooled = ClusterConfig(num_workers=4, threads_per_worker=2, block_size=block_size)
-                serial = ClusterConfig(
-                    num_workers=4, threads_per_worker=1, max_concurrent_stages=1,
-                    block_size=block_size,
-                )
-                for label, config in (("pooled", pooled), ("serial", serial)):
-                    session = DMacSession(config, optimize=optimize)
-                    result = session.run(load.program, load.inputs)
-                    report[f"{key} {label}"] = digest(session, result, peaks=label == "serial")
+                pooled_and_serial(key, load, optimize, block_size)
             churn = ClusterConfig(num_workers=4, threads_per_worker=2, elastic=TIMELINE)
             for label, faults in (("churn", None), ("churn-faults", FAULTS)):
                 chaos = ChaosEngine(FAULT_SEED, parse_fault_spec(faults)) if faults else None
                 session = DMacSession(churn, optimize=optimize)
                 result = session.run(load.program, load.inputs, chaos=chaos)
                 report[f"{app} optimize={optimize} {label}"] = digest(session, result, peaks=False)
+    wide = build_workload("gnmf", WorkloadParams(**WIDE))
+    for optimize in (False, True):
+        pooled_and_serial(f"gnmf wide optimize={optimize}", wide, optimize)
     return report
 
 

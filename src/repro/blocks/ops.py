@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blocks.dense import DenseBlock
-from repro.blocks.sparse import CSCBlock, RankRounds
+from repro.blocks.sparse import CSCBlock
 from repro.errors import BlockError, ShapeError
 
 Block = DenseBlock | CSCBlock
@@ -62,23 +62,10 @@ def matmul(a: Block, b: Block) -> DenseBlock:
     return DenseBlock(_sparse_product(a, 0, b.data))
 
 
-#: Weights handed to one ``np.bincount`` call by :func:`_scatter_product`,
-#: or moved by one pass of :func:`_rounds_product`: enough to amortise the
-#: call, few enough to stay in cache.
+#: Weights (``nnz * lines``) from which a product runs the compiled loop:
+#: one ``np.bincount`` call of fewer stays in cache, and below it the saving
+#: is microseconds, which would not pay back the one-time import.
 _SCATTER_BATCH = 1 << 15
-
-#: What one round of :func:`_rounds_product` costs beside its weights, in
-#: weights: three fancy-indexed numpy calls, ~8 us against the ~2 ns per
-#: weight a round saves.  Measured break-even is 2 500 - 4 500 by shape.
-_ROUND_COST = 1 << 12
-
-#: What one cell of the two transposes around a column scatter costs, in
-#: weights (0.7 - 0.9 ns against the same ~2 ns).
-_TRANSPOSE_COST = 1
-
-#: Lines of the dense operand from which a round's per-entry index cost is
-#: paid back by the contiguous line it moves (16 lines measure even).
-_ROUNDS_MIN_LINES = 32
 
 
 def _sparse_product(sparse: CSCBlock, axis: int, dense: np.ndarray) -> np.ndarray:
@@ -88,52 +75,37 @@ def _sparse_product(sparse: CSCBlock, axis: int, dense: np.ndarray) -> np.ndarra
     slice ``gather[e]`` of ``dense`` is added onto slice ``scatter[e]`` of
     the output, both slices taken along ``axis`` (0: rows, 1: columns), and
     every output cell receives its contributions one at a time, in the
-    sparse operand's storage order, starting from ``0.0``.  Two kernels keep
-    that contract; which one runs is a property of ``(nnz, lines, deepest
-    row or column)`` of the operands, never a setting: rank rounds when the
-    dense operand is wide and what the rounds cost beside their weights --
-    ``_ROUND_COST`` each, plus ``_TRANSPOSE_COST`` per cell of the two
-    transposes a column scatter makes -- is at most the ``nnz * lines``
-    weights; the windowed ``bincount`` otherwise (mat-vecs, hyper-sparse
-    operands, a block with one deep row).
+    sparse operand's storage order, starting from ``0.0``.  Two cuts keep
+    that contract; which one runs is a property of ``nnz * lines`` of the
+    operands, never a setting: the compiled loop from ``_SCATTER_BATCH``
+    weights on, one ``np.bincount`` call under it (mat-vecs, hyper-sparse
+    operands).
     """
-    lines = dense.shape[1 - axis]
-    width = sparse.shape[axis]
-    spare = (sparse.nnz - axis * _TRANSPOSE_COST * sum(sparse.shape)) * lines
-    if (
-        lines >= _ROUNDS_MIN_LINES
-        and spare >= _ROUND_COST  # not even one round: do not look deeper
-        and sparse.line_depth(axis) * _ROUND_COST <= spare
-    ):
-        return _rounds_product(dense, axis, sparse.rank_rounds(axis), sparse.values, width)
+    if sparse.nnz * dense.shape[1 - axis] >= _SCATTER_BATCH:
+        return _compiled_product(sparse, axis, dense)
     index = sparse.row_idx, sparse.column_indices()
-    return _scatter_product(dense, axis, index[1 - axis], index[axis], sparse.values, width)
+    return _scatter_product(
+        dense, axis, index[1 - axis], index[axis], sparse.values, sparse.shape[axis]
+    )
 
 
-def _rounds_product(
-    dense: np.ndarray, axis: int, rounds: RankRounds, values: np.ndarray, width: int
-) -> np.ndarray:
-    """The scatter cut by rank: round ``r`` holds the ``r``-th stored entry
-    of every output slice, so inside a round no slice appears twice and one
-    gather, one in-place scale and one ``out[scatter] += w`` move whole
-    lines; across rounds a cell still sums in storage order.  Round 0 adds
-    onto ``0.0`` like every other (a store would keep the ``-0.0`` of
-    ``v * 0`` with ``v < 0``).  A round of a tall block goes in pieces of
-    about ``_SCATTER_BATCH`` weights, which stay in cache.  Columns are
-    scattered as rows of the contiguous transpose."""
-    if axis:
-        dense = np.ascontiguousarray(dense.T)
-    order, gather, scatter, bounds = rounds
-    lines = dense.shape[1]
-    out = np.zeros((width, lines), dtype=np.float64)
-    scale = values[order].reshape(-1, 1)
-    step = max(1, _SCATTER_BATCH // max(lines, 1))
-    for first, last in zip(bounds, bounds[1:]):
-        for start in range(first, last, step):
-            stop = min(start + step, last)
-            weights = dense[gather[start:stop]]
-            weights *= scale[start:stop]
-            out[scatter[start:stop]] += weights
+def _compiled_product(sparse: CSCBlock, axis: int, dense: np.ndarray) -> np.ndarray:
+    """The contract's own loop, compiled: scipy's ``csc_matvecs`` /
+    ``csr_matvecs`` run ``y[scatter] += v * x[gather]`` for every stored
+    entry in storage order, onto ``+0.0``, on the block's own arrays.
+    ``scipy.sparse`` is imported here, on the first wide product: the import
+    costs 0.1-0.2 s and ~16 MB, which a process that never multiplies a
+    wide sparse block does not pay."""
+    from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+
+    # ``dense @ sparse`` is ``(sparseᵀ @ denseᵀ)ᵀ``, and the block's arrays
+    # read as CSR are ``sparseᵀ``.
+    rows, cols = sparse.shape[::-1] if axis else sparse.shape
+    loop = csr_matvecs if axis else csc_matvecs
+    x = np.ascontiguousarray(dense.T if axis else dense)
+    lines = x.shape[1]
+    out = np.zeros((rows, lines), dtype=np.float64)
+    loop(rows, cols, lines, sparse.colptr, sparse.row_idx, sparse.values, x.ravel(), out.ravel())
     return np.ascontiguousarray(out.T) if axis else out
 
 
@@ -145,44 +117,25 @@ def _scatter_product(
     values: np.ndarray,
     width: int,
 ) -> np.ndarray:
-    """The scatter cut by lines of ``dense``: the output has ``width``
+    """The contract in one ``np.bincount`` call: the output has ``width``
     slices along ``axis`` and the extent of ``dense`` along the other axis;
-    nothing is ever transposed.
-
-    ``np.bincount(weights=)`` adds its weights one after the other in the
-    order given, so every output cell sums its contributions in the sparse
-    operand's storage order however the work is cut (``np.add.reduceat``
-    sums pairwise and does not).  The cut is into windows of ``dense``
-    across ``axis``, which are independent: about ``_SCATTER_BATCH`` weights
-    per call -- one line of ``dense`` at a time under a large operand, a
-    single call under a hyper-sparse one.
-    """
-    free = 1 - axis
-    lines = dense.shape[free]
+    nothing is ever transposed.  ``np.bincount(weights=)`` adds its weights
+    one after the other in the order given (``np.add.reduceat`` sums
+    pairwise and does not)."""
+    lines = dense.shape[1 - axis]
     nnz = len(values)
     if not nnz or not lines:
         return np.zeros((lines, width) if axis else (width, lines), dtype=np.float64)
-    # Entries run along ``axis`` of every weight window, lines across it.
+    # Entries run along ``axis`` of the weights, lines across it.
     along, across = ((1, nnz), (-1, 1)) if axis else ((nnz, 1), (1, -1))
-    gather = gather.astype(np.intp)
+    weights = np.take(dense, gather.astype(np.intp), axis=axis)
+    weights *= values.reshape(along)
+    line = np.arange(lines, dtype=np.intp).reshape(across)
     scatter = scatter.astype(np.intp).reshape(along)
-    values = values.reshape(along)
-    step = max(1, min(lines, _SCATTER_BATCH // nnz))
-    span = 0
-    windows = []
-    for start in range(0, lines, step):
-        stop = min(start + step, lines)
-        window = dense[start:stop] if axis else dense[:, start:stop]
-        weights = np.take(window, gather, axis=axis)
-        weights *= values
-        if stop - start != span:  # the first window and a shorter last one
-            span = stop - start
-            line = np.arange(span, dtype=np.intp).reshape(across)
-            # Flat position of every weight inside a span-line output window.
-            cells = (line * width + scatter if axis else scatter * span + line).ravel()
-        sums = np.bincount(cells, weights=weights.ravel(), minlength=span * width)
-        windows.append(sums.reshape((span, width) if axis else (width, span)))
-    return windows[0] if len(windows) == 1 else np.concatenate(windows, axis=free)
+    # Flat position of every weight in the output.
+    cells = (line * width + scatter if axis else scatter * lines + line).ravel()
+    sums = np.bincount(cells, weights=weights.ravel(), minlength=lines * width)
+    return sums.reshape((lines, width) if axis else (width, lines))
 
 
 def matmul_flops(a: Block, b: Block) -> int:

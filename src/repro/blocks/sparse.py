@@ -23,16 +23,13 @@ it canonical ones (unique coordinates, rows ascending inside each column):
 every kernel, :meth:`CSCBlock.transpose` included, assumes it.
 
 The two index arrays of a block are its own and read-only once it is built
-(``values`` stays writable), so they -- and what is derived from the
-pattern alone: the per-entry column ids, the deepest row and column, the
-rank-round schedules of the product kernel -- can be shared between blocks
-and kept instead of recomputed.  Every constructor does O(nnz) work and
-sorts only what is actually unsorted.
+(``values`` stays writable), so they -- and the per-entry column ids
+derived from them -- can be shared between blocks and kept instead of
+recomputed.  Every constructor does O(nnz) work and sorts only what is
+actually unsorted.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -105,54 +102,10 @@ def canonical_triples(
     return out_rows, out_cols, values
 
 
-class RankRounds(NamedTuple):
-    """The stored entries of a pattern regrouped for a scatter that touches
-    every output slice at most once per pass (:meth:`CSCBlock.rank_rounds`).
-
-    Round ``r`` is ``order[bounds[r]:bounds[r + 1]]``: the entries that are
-    the ``r``-th of their row (or column) in storage order.  ``gather`` and
-    ``scatter`` are the dense-operand slice and the output slice of every
-    entry, already in ``order``.  All three arrays are read-only.
-    """
-
-    order: np.ndarray
-    gather: np.ndarray
-    scatter: np.ndarray
-    bounds: tuple[int, ...]
-
-
-def _narrow(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``keys`` (all ``<= bound``) in the narrowest unsigned dtype that holds
-    them: numpy radix-sorts 8- and 16-bit keys."""
-    return keys.astype(np.min_scalar_type(bound))
-
-
-def _build_rank_rounds(gather: np.ndarray, scatter: np.ndarray, width: int) -> RankRounds:
-    """Regroup entries by their rank among the entries of the same
-    ``scatter`` slice, storage order kept inside a rank (stable sorts only).
-
-    The rank is a storage position within a key, so entries of one slice
-    never share a round even when the raw constructor was handed duplicate
-    or unsorted coordinates.
-    """
-    nnz = len(scatter)
-    counts = np.bincount(scatter, minlength=width)
-    by_slice = np.argsort(_narrow(scatter, width), kind="stable")
-    rank = np.empty(nnz, dtype=np.intp)
-    rank[by_slice] = np.arange(nnz) - np.repeat(np.cumsum(counts) - counts, counts)
-    depth = int(counts.max()) if nnz else 0
-    order = np.argsort(_narrow(rank, depth), kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(rank, minlength=depth))))
-    arrays = order, gather[order].astype(np.intp), scatter[order].astype(np.intp)
-    for array in arrays:
-        array.flags.writeable = False
-    return RankRounds(*arrays, tuple(bounds.tolist()))
-
-
 class CSCBlock:
     """A sparse sub-matrix block stored in compressed sparse column form."""
 
-    __slots__ = ("values", "row_idx", "colptr", "_shape", "_column_idx", "_pattern_facts")
+    __slots__ = ("values", "row_idx", "colptr", "_shape", "_column_idx")
 
     is_sparse = True
 
@@ -188,9 +141,6 @@ class CSCBlock:
         self.row_idx = row_idx
         self.colptr = colptr
         self._column_idx: np.ndarray | None = None
-        #: What the product kernel derives from the pattern, by name and
-        #: axis; one dict for every block that shares the index arrays.
-        self._pattern_facts: dict[tuple[str, int], object] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -238,8 +188,9 @@ class CSCBlock:
         """A block from unique, non-zero triples sorted row-major: a stable
         sort by column leaves the rows ascending inside every column, which
         is the canonical form.  The column ids are sorted in the narrowest
-        dtype that holds them."""
-        order = np.argsort(_narrow(cols, shape[1]), kind="stable")
+        dtype that holds them: numpy radix-sorts 8- and 16-bit keys."""
+        keys = cols.astype(np.min_scalar_type(shape[1]))
+        order = np.argsort(keys, kind="stable")
         return cls(shape, values[order], rows[order], _colptr(cols, shape[1]))
 
     @classmethod
@@ -312,35 +263,6 @@ class CSCBlock:
             self._column_idx = column_idx
         return self._column_idx
 
-    def line_depth(self, axis: int) -> int:
-        """Stored entries of the fullest row (``axis`` 0) or column (1): the
-        number of rounds :meth:`rank_rounds` would cut.  Kept like
-        :meth:`column_indices`."""
-        depth = self._pattern_facts.get(("depth", axis))
-        if depth is None:
-            counts = np.diff(self.colptr) if axis else np.bincount(self.row_idx)
-            depth = int(counts.max()) if self.nnz else 0
-            self._pattern_facts["depth", axis] = depth
-        return depth
-
-    def rank_rounds(self, axis: int) -> RankRounds:
-        """The schedule of a product that scatters onto rows of the output
-        (``axis`` 0: this block times a dense one) or onto columns (1: a
-        dense block times this one).
-
-        A function of the pattern alone, so it is computed on first use and
-        kept -- host-side only, outside ``model_nbytes`` and
-        ``actual_nbytes`` -- and every :meth:`with_values` / :meth:`copy`
-        of this block reads the same one.  Two threads racing here compute
-        the same schedule.
-        """
-        rounds = self._pattern_facts.get(("rounds", axis))
-        if rounds is None:
-            index = self.row_idx, self.column_indices()
-            rounds = _build_rank_rounds(index[1 - axis], index[axis], self._shape[axis])
-            self._pattern_facts["rounds", axis] = rounds
-        return rounds
-
     def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coordinate triples ``(rows, cols, values)`` in column-major order
         (copies: the caller may write to them)."""
@@ -365,7 +287,6 @@ class CSCBlock:
         (one per stored entry, in storage order)."""
         block = CSCBlock(self._shape, values, self.row_idx, self.colptr)
         block._column_idx = self._column_idx
-        block._pattern_facts = self._pattern_facts
         return block
 
     def transpose(self) -> "CSCBlock":

@@ -3,14 +3,17 @@
 ``repro.blocks`` promises that every CSC operation does O(nnz) numpy work,
 sorts only what is unsorted, and sums a sparse product's contributions to
 an output cell *in the sparse operand's storage order* -- so its results
-are a function of the operands, not of how the work is cut into numpy
-calls.  The references below are the slow, obvious loops; the library must
+are a function of the operands, not of which cut runs the loop.  The references below are the slow, obvious loops; the library must
 equal them exactly (``-0.0`` and the position of every NaN included).
 """
 
 import contextlib
+import hashlib
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +21,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro
 from repro import ClusterConfig, DMacSession
 from repro.baselines.rlocal import run_local
-from repro.blocks import ops, sparse, split
+from repro.blocks import ops, split
 from repro.blocks.conversion import DEFAULT_SPARSE_THRESHOLD
 from repro.blocks.dense import DenseBlock
 from repro.blocks.sparse import CSCBlock
@@ -164,20 +168,20 @@ def product_operands(draw):
 
 
 #: The two cuts of the one scatter contract (docs/kernels.md) and the rule's
-#: constants that send every product with a sparse operand through each.
+#: threshold that sends every product with a sparse operand through each.
 KERNELS = {
-    "rounds": {"_ROUND_COST": 0, "_TRANSPOSE_COST": 0, "_ROUNDS_MIN_LINES": 0},
-    "bincount": {"_ROUNDS_MIN_LINES": 1 << 62},
+    "compiled": {"_SCATTER_BATCH": 0},
+    "bincount": {"_SCATTER_BATCH": 1 << 62},
 }
 
 
 @contextlib.contextmanager
 def forced_kernel(name):
-    """Patch the rule's module constants, as the batching tests patch
-    ``_SCATTER_BATCH``; yields the per-kernel call counts of the block."""
-    patched = {**KERNELS[name], "_rounds_product": None, "_scatter_product": None}
+    """Patch the rule's threshold, ``_SCATTER_BATCH``; yields the per-cut
+    call counts of the block."""
+    patched = {**KERNELS[name], "_compiled_product": None, "_scatter_product": None}
     saved = {attribute: getattr(ops, attribute) for attribute in patched}
-    calls = {"rounds": 0, "bincount": 0}
+    calls = {"compiled": 0, "bincount": 0}
 
     def counted(kernel, function):
         def run(*args):
@@ -186,7 +190,7 @@ def forced_kernel(name):
 
         return run
 
-    patched["_rounds_product"] = counted("rounds", saved["_rounds_product"])
+    patched["_compiled_product"] = counted("compiled", saved["_compiled_product"])
     patched["_scatter_product"] = counted("bincount", saved["_scatter_product"])
     try:
         for attribute, value in patched.items():
@@ -201,7 +205,7 @@ def matmul_through(kernel, a, b):
     """``ops.matmul`` with the rule pinned to one kernel (checked)."""
     with forced_kernel(kernel) as calls, np.errstate(all="ignore"):
         product = ops.matmul(a, b)
-    other = "bincount" if kernel == "rounds" else "rounds"
+    other = "bincount" if kernel == "compiled" else "compiled"
     assert calls == {kernel: int(a.is_sparse or b.is_sparse), other: 0}
     return product
 
@@ -232,20 +236,20 @@ def test_both_kernels_equal_the_sequential_scatter(operands, a_sparse, b_sparse)
 
 @given(product_operands(), st.booleans(), st.sampled_from([1, 5, 17]))
 def test_matmul_bits_do_not_depend_on_the_batching(operands, a_sparse, batch):
-    """One weight per ``bincount`` call or per pass of a round, a few, or
-    all at once: the cut follows ``(nnz, lines)`` of the operands and must
-    not show."""
+    """The compiled loop from 1, 5 or 17 weights on, one ``bincount`` call
+    under: the cut follows ``nnz * lines`` of the operands and must not
+    show."""
     a, b = operands
     blocks = operand(a, a_sparse), operand(b, not a_sparse)
+    original = ops._SCATTER_BATCH
+    ops._SCATTER_BATCH = batch
+    try:
+        with np.errstate(all="ignore"):
+            cut = ops.matmul(*blocks)
+    finally:
+        ops._SCATTER_BATCH = original
     for kernel in KERNELS:
-        whole = matmul_through(kernel, *blocks)
-        original = ops._SCATTER_BATCH
-        ops._SCATTER_BATCH = batch
-        try:
-            cut = matmul_through(kernel, *blocks)
-        finally:
-            ops._SCATTER_BATCH = original
-        assert same_bits(cut.data, whole.data), kernel
+        assert same_bits(cut.data, matmul_through(kernel, *blocks).data), kernel
 
 
 @pytest.mark.parametrize("shape", [(1, 9, 9), (9, 9, 1), (1, 1, 1), (5, 1, 5), (6, 4, 3)])
@@ -281,15 +285,12 @@ def assert_both_kernels_equal_the_stored_scatter(block: CSCBlock, rng, lines: in
 
 
 def test_one_deep_row_and_one_deep_column(rng):
-    """As many rounds as the deepest line has entries, most of them of one
-    entry: a power-law block is still the same sum."""
+    """One full row and one full column among short ones: a power-law
+    block is still the same sum."""
     array = rng.standard_normal((9, 11)) * (rng.random((9, 11)) < 0.15)
     array[4, :] = -rng.random(11) - 0.5
     array[:, 7] = rng.standard_normal(9)
-    block = CSCBlock.from_dense(array)
-    assert block.line_depth(0) == 11 and block.line_depth(1) == 9
-    assert len(block.rank_rounds(0).bounds) == 12 and len(block.rank_rounds(1).bounds) == 10
-    assert_both_kernels_equal_the_stored_scatter(block, rng)
+    assert_both_kernels_equal_the_stored_scatter(CSCBlock.from_dense(array), rng)
 
 
 def test_empty_rows_and_empty_columns(rng):
@@ -297,149 +298,133 @@ def test_empty_rows_and_empty_columns(rng):
     array[[0, 3, 7], :] = 0.0
     array[:, [0, 2, 6]] = 0.0
     assert_both_kernels_equal_the_stored_scatter(CSCBlock.from_dense(array), rng)
-    empty = CSCBlock.empty(4, 3)
-    assert empty.line_depth(0) == empty.line_depth(1) == 0
-    assert empty.rank_rounds(0).bounds == empty.rank_rounds(1).bounds == (0,)
-    assert_both_kernels_equal_the_stored_scatter(empty, rng)
+    assert_both_kernels_equal_the_stored_scatter(CSCBlock.empty(4, 3), rng)
 
 
 def test_raw_constructor_duplicates_are_carried_over_not_coalesced(rng):
     """Trap (3) of docs/kernels.md: coordinates repeated or out of order
-    inside a column rank by storage position, so a round still holds every
-    output slice at most once and the sum keeps storage order."""
+    inside a column are summed as stored, one at a time in storage order."""
     block = CSCBlock(
         (4, 3),
         np.array([1e16, 1.0, -1e16, 1.0, -2.0, 3.0, 0.5, -0.0, 7.0]),
         np.array([2, 2, 2, 2, 0, 3, 1, 3, 3], dtype=np.int32),  # (2, 0) four times, rows unsorted
         np.array([0, 4, 7, 9], dtype=np.int32),
     )
-    assert block.line_depth(0) == 4 and block.line_depth(1) == 4
-    for axis in (0, 1):
-        rounds = block.rank_rounds(axis)
-        for start, stop in zip(rounds.bounds, rounds.bounds[1:]):
-            assert len(set(rounds.scatter[start:stop].tolist())) == stop - start
     assert_both_kernels_equal_the_stored_scatter(block, rng)
 
 
-def test_the_schedule_is_read_only_and_storage_ordered_inside_a_rank(rng):
-    block = CSCBlock.from_dense(rng.random((12, 9)) * (rng.random((12, 9)) < 0.4))
-    for axis, keys in ((0, block.row_idx), (1, block.column_indices())):
-        rounds = block.rank_rounds(axis)
-        assert sorted(rounds.order.tolist()) == list(range(block.nnz))
-        assert np.array_equal(rounds.scatter, keys[rounds.order])
-        for array in (rounds.order, rounds.gather, rounds.scatter):
-            assert array.dtype == np.intp and not array.flags.writeable
-        for start, stop in zip(rounds.bounds, rounds.bounds[1:]):
-            assert np.all(np.diff(rounds.order[start:stop]) > 0)
+#: Run in a fresh interpreter: six threads race the process's *first*
+#: compiled product -- the one that imports ``scipy.sparse`` -- half of them
+#: through each side of the cut, as the lanes of a pool would.
+FIRST_COMPILED_RACE = """
+import sys, threading
+import numpy as np
+from repro.blocks import ops
+from repro.blocks.dense import DenseBlock
+from repro.blocks.sparse import CSCBlock
+
+operands = np.load(sys.argv[1])
+block = CSCBlock.from_dense(operands["sparse"])
+left, right = DenseBlock(operands["left"]), DenseBlock(operands["right"])
+assert "scipy" not in sys.modules
+threads = 6
+barrier = threading.Barrier(threads)
+products = [None] * threads
+
+def race(slot):
+    barrier.wait(timeout=30)
+    products[slot] = ops.matmul(block, right) if slot % 2 else ops.matmul(left, block)
+
+sys.setswitchinterval(1e-6)
+workers = [threading.Thread(target=race, args=(slot,)) for slot in range(threads)]
+for worker in workers:
+    worker.start()
+for worker in workers:
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+assert "scipy.sparse" in sys.modules
+np.savez(sys.argv[2], *[product.data for product in products])
+"""
 
 
-def test_copies_share_one_schedule(monkeypatch, rng):
-    """Whichever block of a pattern asks first, the schedule is built once:
-    GNMF's constant ``V`` and everything derived from it by ``with_values``
-    read the same one; none of it is on the memory books."""
-    builds = []
-    build = sparse._build_rank_rounds
-    monkeypatch.setattr(
-        sparse, "_build_rank_rounds", lambda *args: builds.append(1) or build(*args)
+def run_fresh(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """``script`` in a new interpreter that imports this checkout's repro."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
     )
-    block = CSCBlock.from_dense(rng.random((12, 9)) * (rng.random((12, 9)) < 0.4))
-    books = block.model_nbytes, block.actual_nbytes
-    clone = block.copy()
-    scaled = ops.scalar_op("multiply", clone, 2.0)
-    assert scaled.rank_rounds(0) is block.rank_rounds(0) is clone.rank_rounds(0)
-    assert block.rank_rounds(1) is scaled.with_values(block.values).rank_rounds(1)
-    assert len(builds) == 2
-    assert (block.model_nbytes, block.actual_nbytes) == books
-    assert block.transpose().rank_rounds(0) is not block.rank_rounds(1)  # another pattern
 
 
-def test_racing_threads_build_the_same_schedule(rng):
-    """No lock guards the kept schedule: racers may each build it, and must
-    then all hold equal ones and compute the reference's product."""
-    threads, patterns = 6, 8
-    arrays = [rng.standard_normal((30, 20)) * (rng.random((30, 20)) < 0.3) for __ in range(patterns)]
-    dense = DenseBlock(rng.standard_normal((20, 4)))
-    blocks = [CSCBlock.from_dense(array) for array in arrays]
-    expected = [reference_stored_scatter(block, dense.data, True) for block in blocks]
-    barrier = threading.Barrier(threads)
-    results = [[None] * patterns for __ in range(threads)]
-
-    def race(slot):
-        barrier.wait(timeout=30)
-        for index, block in enumerate(blocks):
-            rounds = block.rank_rounds(0)
-            product = ops._rounds_product(dense.data, 0, rounds, block.values, block.shape[0])
-            results[slot][index] = (rounds, product)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=race, args=(slot,)) for slot in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-            assert not worker.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    for index, block in enumerate(blocks):
-        kept = block.rank_rounds(0)
-        for slot in range(threads):
-            rounds, product = results[slot][index]
-            assert rounds.bounds == kept.bounds
-            assert all(np.array_equal(a, b) for a, b in zip(rounds[:3], kept[:3]))
-            assert same_bits(product, expected[index])
+def test_racing_threads_share_the_first_compiled_product(rng, tmp_path):
+    """No lock guards the lazy import: racers that reach it together wait
+    for one import of ``scipy.sparse`` and all compute the reference's bits."""
+    array = rng.standard_normal((120, 80)) * (rng.random((120, 80)) < 0.3)
+    right, left = rng.standard_normal((80, 16)), rng.standard_normal((16, 120))
+    right[0, :] = left[:, 0] = 0.0  # v * 0 with v < 0: a -0.0 a store would keep
+    block = CSCBlock.from_dense(array)
+    assert block.nnz * 16 >= ops._SCATTER_BATCH
+    np.savez(tmp_path / "operands.npz", sparse=array, left=left, right=right)
+    done = run_fresh(FIRST_COMPILED_RACE, str(tmp_path / "operands.npz"), str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    products = np.load(tmp_path / "out.npz")
+    expected = (
+        reference_stored_scatter(block, left, False),
+        reference_stored_scatter(block, right, True),
+    )
+    assert len(products.files) == 6
+    for slot, name in enumerate(products.files):
+        assert same_bits(products[name], expected[slot % 2]), slot
 
 
 def test_batching_follows_the_operands(monkeypatch, rng):
     """Counts, not clocks (docs/kernels.md), and the *product's* calls only:
-    which cut runs, and how many ``bincount`` calls it makes, is a property
-    of ``(nnz, lines, deepest row or column)`` of the operands.  The four
-    documented shapes fall where the table says."""
-    calls = {"bincount": 0, "rounds": 0, "passes": 0}
-    bincount, rounds_product = np.bincount, ops._rounds_product
+    which cut runs is a property of ``nnz * lines`` of the operands -- the
+    compiled loop from ``_SCATTER_BATCH`` weights on, one ``bincount`` call
+    under them.  The documented shapes fall where the table says."""
+    calls = {"bincount": 0, "compiled": 0}
+    bincount, compiled = np.bincount, ops._compiled_product
 
     def counted_bincount(*args, **kwargs):
         calls["bincount"] += "weights" in kwargs  # the scatter's, not an index count
         return bincount(*args, **kwargs)
 
-    def counted_rounds(dense, axis, rounds, values, width):
-        calls["rounds"] += 1
-        calls["passes"] += len(rounds.bounds) - 1
-        return rounds_product(dense, axis, rounds, values, width)
+    def counted_compiled(*args):
+        calls["compiled"] += 1
+        return compiled(*args)
 
     monkeypatch.setattr(np, "bincount", counted_bincount)
-    monkeypatch.setattr(ops, "_rounds_product", counted_rounds)
+    monkeypatch.setattr(ops, "_compiled_product", counted_compiled)
 
     def cut(a, b):
-        calls.update(bincount=0, rounds=0, passes=0)
+        calls.update(bincount=0, compiled=0)
         ops.matmul(a, b)
-        return calls["bincount"], calls["rounds"], calls["passes"]
+        return calls["bincount"], calls["compiled"]
 
     # Hyper-sparse x wide: one bincount call whatever the width.
     wide = DenseBlock(rng.random((64, 64)))
     hyper = np.zeros((64, 64))
     hyper[[3, 17, 40, 63], [5, 5, 60, 0]] = 1.5
-    assert cut(CSCBlock.from_dense(hyper), wide) == (1, 0, 0)
-    assert cut(wide, CSCBlock.from_dense(hyper)) == (1, 0, 0)
-    # Deep everywhere (28 of 64 per line): bincount, a few lines per call.
-    large = rng.random((64, 64)) * (rng.random((64, 64)) < 0.29)
-    lines_per_call = max(1, ops._SCATTER_BATCH // np.count_nonzero(large))
-    assert cut(CSCBlock.from_dense(large), wide)[:2] == (-(-64 // lines_per_call), 0)
-    assert -(-64 // lines_per_call) > 1
-    # Mat-vecs (PageRank's rank @ link, LR's V @ w): one call, and the
-    # pattern is never asked how deep it is.
-    link = CSCBlock.from_dense(large)
-    assert cut(DenseBlock(rng.random((1, 64))), link) == (1, 0, 0)
-    assert cut(link, DenseBlock(rng.random((64, 1)))) == (1, 0, 0)
-    assert link._pattern_facts == {}
+    assert cut(CSCBlock.from_dense(hyper), wide) == (1, 0)
+    assert cut(wide, CSCBlock.from_dense(hyper)) == (1, 0)
+    # Mat-vecs (PageRank's rank @ link, LR's V @ w): one call however full
+    # the block; the same block against the wide operand is compiled.
+    large = CSCBlock.from_dense(rng.random((64, 64)) * (rng.random((64, 64)) < 0.29))
+    assert cut(DenseBlock(rng.random((1, 64))), large) == (1, 0)
+    assert cut(large, DenseBlock(rng.random((64, 1)))) == (1, 0)
+    assert cut(large, wide) == cut(wide, large) == (0, 1)
+    # serve_mix's widest products: cf's 53 x 87 rating block (~110 stored)
+    # against 53 factors, Jacobi's 190 x 190 block times its iterate.
+    ratings = CSCBlock.random(53, 87, 110 / (53 * 87), rng)
+    assert cut(ratings, DenseBlock(rng.random((87, 53)))) == (1, 0)
+    assert cut(DenseBlock(rng.random((53, 53))), ratings) == (1, 0)
+    assert cut(CSCBlock.random(190, 190, 0.1, rng), DenseBlock(rng.random((190, 1)))) == (1, 0)
     # gnmf_kernels: a 586 x 355 block of V (nnz ~2 500) against 64 factors.
     v_block = CSCBlock.random(586, 355, 2500 / (586 * 355), rng)
     factors = DenseBlock(rng.random((355, 64))), DenseBlock(rng.random((64, 586)))
-    assert cut(v_block, factors[0]) == (0, 1, v_block.line_depth(0))
-    assert cut(factors[1], v_block) == (0, 1, v_block.line_depth(1))
-    # A power-law block: the same V with one full row is 355 rounds deep on
-    # the row side and goes back to bincount; its columns are hardly deeper.
+    assert cut(v_block, factors[0]) == cut(factors[1], v_block) == (0, 1)
+    # A power-law block: the same V with one full row.
     rows, cols, values = v_block.to_coo()
     keep = rows != 0
     hub = CSCBlock.from_coo(
@@ -448,9 +433,28 @@ def test_batching_follows_the_operands(monkeypatch, rng):
         np.concatenate([values[keep], np.ones(355)]),
         (586, 355),
     )
-    assert hub.line_depth(0) == 355
-    assert cut(hub, factors[0])[1:] == (0, 0) and calls["bincount"] > 1
-    assert cut(factors[1], hub) == (0, 1, hub.line_depth(1))
+    assert cut(hub, factors[0]) == cut(factors[1], hub) == (0, 1)
+
+
+#: Run in a fresh interpreter: the registry's narrow apps at their defaults
+#: never import scipy (their widest sparse product is under 2**15 weights).
+NARROW_APPS = """
+import sys
+from repro import ClusterConfig, DMacSession
+from repro.programs.registry import WorkloadParams, build_workload
+
+for app in ("pagerank", "svd", "linreg"):
+    built = build_workload(app, WorkloadParams())
+    with DMacSession(ClusterConfig(num_workers=4, threads_per_worker=2)) as session:
+        session.run(built.program, built.inputs)
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_narrow_apps_never_import_scipy():
+    done = run_fresh(NARROW_APPS)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -599,15 +603,15 @@ def test_pagerank_products_never_rebuild_a_block(monkeypatch):
     """The constant ``link`` blocks are compressed once at load; no
     iteration transposes or re-canonicalises them (9 of each per iteration
     when dense x CSC went through two transposes).  Its products are
-    mat-vecs, so no block is asked for its depth or a round schedule."""
+    mat-vecs, so none of them reaches the compiled loop."""
     link = row_normalize(graph_like("soc-pokec", scale=1e-3, seed=4))
     program = build_pagerank_program(link.shape[0], 0.01, iterations=3)
-    calls = {"transpose": 0, "from_coo": 0, "sparse products": 0, "pattern facts": 0}
+    calls = {"transpose": 0, "from_coo": 0, "sparse products": 0, "compiled": 0}
     transpose, from_coo, matmul = CSCBlock.transpose, CSCBlock.from_coo.__func__, ops.matmul
 
-    def forbidden_fact(self, axis):
-        calls["pattern facts"] += 1
-        raise AssertionError("a mat-vec looked at the pattern's depth or rounds")
+    def forbidden_compiled(*args):
+        calls["compiled"] += 1
+        raise AssertionError("a mat-vec ran the compiled loop")
 
     def counted_transpose(self):
         calls["transpose"] += 1
@@ -624,38 +628,38 @@ def test_pagerank_products_never_rebuild_a_block(monkeypatch):
     monkeypatch.setattr(CSCBlock, "transpose", counted_transpose)
     monkeypatch.setattr(CSCBlock, "from_coo", classmethod(counted_from_coo))
     monkeypatch.setattr(ops, "matmul", counted_matmul)
-    monkeypatch.setattr(CSCBlock, "line_depth", forbidden_fact)
-    monkeypatch.setattr(CSCBlock, "rank_rounds", forbidden_fact)
+    monkeypatch.setattr(ops, "_compiled_product", forbidden_compiled)
     session = DMacSession(ClusterConfig(num_workers=4, threads_per_worker=1, block_size=600))
     result = session.run(program, {"link": link})
     assert calls["sparse products"] >= 3 * 9  # a 3x3 grid of CSC link blocks
-    assert calls["transpose"] == 0 and calls["from_coo"] == 0 and calls["pattern facts"] == 0
+    assert calls["transpose"] == 0 and calls["from_coo"] == 0 and calls["compiled"] == 0
     oracle = run_local(program, {"link": link})
     for name, matrix in oracle.matrices.items():
         np.testing.assert_allclose(result.matrices[name], matrix, atol=1e-12)
 
 
-def test_a_gnmf_job_schedules_v_once_and_folds_only_later_pairs(monkeypatch):
+def test_a_gnmf_job_folds_only_later_pairs(monkeypatch):
     """The count gate of docs/kernels.md on a ``gnmf_kernels`` job (the
     benchmark's parameters, 4 workers x 2 threads), counted from outside:
-    ``V`` is 9603 x 355 cut at 586 -- 17 blocks, each with at most one
-    schedule per orientation however many iterations multiply by it -- and
     an In-Place task calls ``ops.accumulate`` for its second pair onwards,
-    the first product being the result block (3 iterations: 219 pairs in
-    141 tasks, 78 folds; 258 in 180 while ``W H H^T`` ran as ``(W H) H^T``)."""
-    counts = dict.fromkeys(("schedules", "tasks", "pairs", "folds"), 0)
+    the first product being the result block (219 pairs in 141 tasks, 78
+    folds; 258 in 180 while ``W H H^T`` ran as ``(W H) H^T``), and every
+    sparse product -- ``V`` is 9603 x 355 cut at 586, against 64 factors --
+    runs the compiled loop."""
+    counts = dict.fromkeys(("tasks", "pairs", "folds", "compiled", "bincount"), 0)
     lock, in_task = threading.Lock(), threading.local()
-    build, accumulate, run_task = (
-        sparse._build_rank_rounds, ops.accumulate, LocalEngine._run_inplace_task
-    )
+    accumulate, run_task = ops.accumulate, LocalEngine._run_inplace_task
 
     def count(name, by=1):
         with lock:
             counts[name] += by
 
-    def counted_build(*args):
-        count("schedules")
-        return build(*args)
+    def counted(name, function):
+        def run(*args):
+            count(name)
+            return function(*args)
+
+        return run
 
     def counted_accumulate(target, addition):
         count("folds", getattr(in_task, "active", False))
@@ -670,23 +674,35 @@ def test_a_gnmf_job_schedules_v_once_and_folds_only_later_pairs(monkeypatch):
         finally:
             in_task.active = False
 
-    monkeypatch.setattr(sparse, "_build_rank_rounds", counted_build)
+    monkeypatch.setattr(ops, "_compiled_product", counted("compiled", ops._compiled_product))
+    monkeypatch.setattr(ops, "_scatter_product", counted("bincount", ops._scatter_product))
     monkeypatch.setattr(ops, "accumulate", counted_accumulate)
     monkeypatch.setattr(LocalEngine, "_run_inplace_task", counted_task)
-    seen = {}
-    for iterations in (3, 5):
-        counts.update(dict.fromkeys(counts, 0))
-        built = build_workload(
-            "gnmf", WorkloadParams(seed=11, scale=2e-2, factors=64, iterations=iterations)
-        )
-        assert built.inputs["V"].shape == (9603, 355)
-        with DMacSession(ClusterConfig(num_workers=4, threads_per_worker=2), optimize=True) as session:
-            session.run(built.program, built.inputs)
-        assert counts["folds"] == counts["pairs"] - counts["tasks"]
-        seen[iterations] = dict(counts)
-    assert 0 < seen[3]["schedules"] == seen[5]["schedules"] <= 2 * 17
-    assert (seen[3]["tasks"], seen[3]["pairs"], seen[3]["folds"]) == (141, 219, 78)
-    assert seen[5]["tasks"] > seen[3]["tasks"]
+    built = build_workload("gnmf", WorkloadParams(seed=11, scale=2e-2, factors=64, iterations=3))
+    assert built.inputs["V"].shape == (9603, 355)
+    with DMacSession(ClusterConfig(num_workers=4, threads_per_worker=2), optimize=True) as session:
+        session.run(built.program, built.inputs)
+    assert counts["folds"] == counts["pairs"] - counts["tasks"]
+    assert (counts["tasks"], counts["pairs"], counts["folds"]) == (141, 219, 78)
+    assert (counts["compiled"], counts["bincount"]) == (102, 0)
+
+
+def test_a_wide_gnmf_job_keeps_its_output_bits():
+    """A job whose every sparse product runs the compiled loop, pinned to
+    the bits the rank-round cut it replaced produced (captured at that cut,
+    ``sha256`` over each output's name and C-order bytes)."""
+    built = build_workload("gnmf", WorkloadParams(seed=5, scale=2e-2, factors=64, iterations=2))
+    with DMacSession(ClusterConfig(num_workers=4, threads_per_worker=2), optimize=True) as session:
+        result = session.run(built.program, built.inputs)
+    digest = hashlib.sha256()
+    for name, matrix in sorted(result.matrices.items()):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(matrix).tobytes())
+    assert sorted(result.matrices) == ["H@3", "W@3"]
+    assert digest.hexdigest() == (
+        "eaeac23fd07ee80c9ebfe933bf6d2a2f207932099def751d0e4dc72d8867a84d"
+    )
+    assert (result.comm_bytes, result.simulated_seconds.hex()) == (1238208, "0x1.477a8fb58c8bbp-1")
 
 
 # ---------------------------------------------------------------------------

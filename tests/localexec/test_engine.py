@@ -283,11 +283,10 @@ class TestAProductHoldsNoNegativeZero:
         a, b = special_matrix(rng, m, k, 0.7), special_matrix(rng, k, n, 0.7)
         blocks = [CSCBlock.from_dense(x) if sparse else DenseBlock(x)
                   for x, sparse in ((a, a_sparse), (b, b_sparse))]
-        # Both sparse kernels, whatever the rule would pick for this shape.
-        monkeypatch.setattr(ops, "_ROUND_COST", 0)
-        monkeypatch.setattr(ops, "_TRANSPOSE_COST", 0)
-        for min_lines in (0, 1 << 30):
-            monkeypatch.setattr(ops, "_ROUNDS_MIN_LINES", min_lines)
+        # Both sparse cuts -- the compiled loop and one bincount call --
+        # whatever the rule would pick for this shape.
+        for batch in (0, 1 << 62):
+            monkeypatch.setattr(ops, "_SCATTER_BATCH", batch)
             with np.errstate(all="ignore"):
                 self.assert_no_negative_zero(ops.matmul(*blocks).data)
 
