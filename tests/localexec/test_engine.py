@@ -278,17 +278,13 @@ class TestAProductHoldsNoNegativeZero:
                                        (5, 1, 5), (4, 0, 3), (40, 33, 36)])
     @pytest.mark.parametrize("a_sparse,b_sparse", [(False, False), (True, False),
                                                    (False, True), (True, True)])
-    def test_every_block_product(self, monkeypatch, rng, shape, a_sparse, b_sparse):
+    def test_every_block_product(self, rng, shape, a_sparse, b_sparse):
         m, k, n = shape
         a, b = special_matrix(rng, m, k, 0.7), special_matrix(rng, k, n, 0.7)
         blocks = [CSCBlock.from_dense(x) if sparse else DenseBlock(x)
                   for x, sparse in ((a, a_sparse), (b, b_sparse))]
-        # Both sparse cuts -- the compiled loop and one bincount call --
-        # whatever the rule would pick for this shape.
-        for batch in (0, 1 << 62):
-            monkeypatch.setattr(ops, "_SCATTER_BATCH", batch)
-            with np.errstate(all="ignore"):
-                self.assert_no_negative_zero(ops.matmul(*blocks).data)
+        with np.errstate(all="ignore"):
+            self.assert_no_negative_zero(ops.matmul(*blocks).data)
 
     def test_symmetric_and_strided_dense_products(self, rng):
         """``A @ A.T`` goes to syrk, a strided operand to numpy's own loop
