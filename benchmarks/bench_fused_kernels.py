@@ -1,22 +1,13 @@
-"""repro.kernels — wall-clock wins from fusion and batched BLAS dispatch.
+"""Cellwise fusion's wall-clock win, plus PageRank's transpose count.
 
 The first benchmark whose headline number is *wall-clock*, not simulated:
 
 * **Fused cellwise ladder** — GNMF-style multiply/divide rungs, iterated so
   the fusion pass collapses twelve cellwise steps into one composed kernel
   per block.  Gate: >= 1.5x over the unfused engine, byte-identical.
-* **Batched grid matmul** — a dense block product at a small block size,
-  where one broadcast ``np.matmul`` per ascending-k level replaces
-  thousands of per-pair dgemm dispatches.  Gate: >= 1.5x, byte-identical.
-* **Registry apps, batched vs serial** — GNMF plus the LR and CF
-  workloads from ``bench_fig9b_apps`` rerun with ``batched_matmul`` on
-  and off.  GNMF's dense factor-update products are the regular stages
-  batching targets in real programs (gated on a positive batched-pair
-  count); LR and CF are sparse-dominated, so the gate there is the
-  *opposite* observable — the planner must route zero pairs through the
-  batched path (sparsity-awareness).  PageRank rides
-  along for the sparse block kernel's own count: its dense x CSC products
-  must transpose no CSC block (docs/kernels.md, "Sparse block kernels").
+* **PageRank's transposes** — the sparse block kernel's own count: its
+  dense x CSC products must transpose no CSC block (docs/kernels.md,
+  "Sparse block kernels").  Gate: 0.
 """
 
 from __future__ import annotations
@@ -29,16 +20,13 @@ import numpy as np
 from harness import (
     assert_plan_clean,
     bench_clock,
-    density,
     fmt_secs,
     registry_workload,
     report,
 )
 from repro import ClusterConfig, DMacSession
 from repro.blocks.sparse import CSCBlock
-from repro.datasets import netflix_like, sparse_random
 from repro.lang.program import ProgramBuilder
-from repro.programs import build_cf_program, build_linreg_program
 
 SEED = 13
 CONFIG = dict(num_workers=4, threads_per_worker=2, clock=bench_clock())
@@ -99,100 +87,14 @@ def run_fused_ladder():
     }
 
 
-def run_batched_chain():
-    """Dense chain matmul at block size 32: thousands of same-shape pairs."""
-    size, iterations = 768, 3
-    pb = ProgramBuilder()
-    x = pb.load("X", (size, size))
-    a = pb.load("A", (size, size))
-    out = x
-    for _ in range(iterations):
-        out = pb.assign("X", out @ a)
-    pb.output(out)
-    program = pb.build()
-    rng = np.random.default_rng(SEED)
-    inputs = {
-        "X": rng.standard_normal((size, size)),
-        "A": rng.standard_normal((size, size)) * 0.01,
-    }
-    measured = {}
-    for batched in (False, True):
-        config = ClusterConfig(block_size=32, batched_matmul=batched, **CONFIG)
-        session = DMacSession(config)
-        plan = session.plan(program)
-        assert_plan_clean(plan, config)
-        measured[batched] = _best_run(session, program, inputs, plan)
-    (serial_secs, serial), (batched_secs, batched) = measured[False], measured[True]
-    assert _bytes(serial) == _bytes(batched), "batching changed the output bytes"
-    return {
-        "label": f"batched matmul chain ({size}^2, block 32)",
-        "base_secs": serial_secs,
-        "new_secs": batched_secs,
-        "identical": True,
-        "metric": f"{(size // 32) ** 3 * iterations} block pairs/run",
-    }
-
-
-def run_apps_batched():
-    """GNMF plus the fig9b LR/CF workloads, batched vs serial engine.
-
-    GNMF's factor updates multiply dense block grids, so it must route a
-    positive pair count through the batched path; LR and CF are built
-    around sparse operands, so the planner must route *zero* pairs (the
-    batched path only ever sees regular dense grids) while staying
-    byte-identical and overhead-free.
-    """
-    gnmf = registry_workload("gnmf", iterations=2)
+def count_pagerank_transposes():
+    """``CSCBlock.transpose`` calls made while planning and running PageRank."""
     pagerank = registry_workload("pagerank", scale=1e-3, iterations=3)
-    design = sparse_random(4000, 100, 0.1, seed=6)
-    target = sparse_random(4000, 1, 1.0, seed=7)
-    ratings = netflix_like(scale=2.5e-3, seed=8).T
-    workloads = {
-        "GNMF": (gnmf.program, gnmf.inputs, True),
-        "fig9b LR": (
-            build_linreg_program(design.shape, density(design), iterations=10),
-            {"V": design, "y": target},
-            False,
-        ),
-        "fig9b CF": (
-            build_cf_program(ratings.shape, density(ratings)),
-            {"R": ratings},
-            False,
-        ),
-        "PageRank": (pagerank.program, pagerank.inputs, False),
-    }
-    rows = []
-    for label, (program, inputs, expect_batched) in workloads.items():
-        measured = {}
-        with _counted_csc_transposes() as transposes:
-            for batched in (False, True):
-                config = ClusterConfig(block_size=64, batched_matmul=batched, **CONFIG)
-                session = DMacSession(config)
-                plan = session.plan(program)
-                measured[batched] = _best_run(session, program, inputs, plan)
-        if label == "PageRank":  # the only program here without a transpose of its own
-            assert not transposes, f"{len(transposes)} CSC transposes inside products"
-        (serial_secs, serial), (batched_secs, batched) = (
-            measured[False],
-            measured[True],
-        )
-        assert _bytes(serial) == _bytes(batched), f"{label}: outputs diverged"
-        assert serial.batched_pairs == 0
-        if expect_batched:
-            assert batched.batched_pairs > 0, f"{label}: dense stages never batched"
-        else:
-            assert batched.batched_pairs == 0, f"{label}: sparse stages batched"
-        rows.append(
-            {
-                "label": f"{label} (batched engine)",
-                "base_secs": serial_secs,
-                "new_secs": batched_secs,
-                "identical": True,
-                "batched_pairs": batched.batched_pairs,
-                "metric": f"{batched.batched_pairs} block pairs batched/run",
-            }
-        )
-    return rows
+    with _counted_csc_transposes() as transposes:
+        session = DMacSession(ClusterConfig(block_size=64, **CONFIG))
+        plan = session.plan(pagerank.program)
+        session.run(pagerank.program, pagerank.inputs, plan=plan)
+    return len(transposes)
 
 
 @contextlib.contextmanager
@@ -217,37 +119,27 @@ def _bytes(result):
 
 def test_fused_kernels_wall_clock(benchmark):
     ladder = benchmark.pedantic(run_fused_ladder, rounds=1, iterations=1)
-    chain = run_batched_chain()
-    apps = run_apps_batched()
-    entries = [ladder, chain] + apps
-    rows = []
-    for entry in entries:
-        speedup = entry["base_secs"] / entry["new_secs"]
-        entry["speedup"] = speedup
-        rows.append(
-            [
-                entry["label"],
-                fmt_secs(entry["base_secs"]),
-                fmt_secs(entry["new_secs"]),
-                f"{speedup:.2f}x",
-                "yes" if entry["identical"] else "NO",
-                entry["metric"],
-            ]
-        )
+    transposes = count_pagerank_transposes()
+    ladder["speedup"] = ladder["base_secs"] / ladder["new_secs"]
     report(
         "fused_kernels",
-        "repro.kernels -- wall-clock speedups (fusion / batched BLAS)",
-        ["workload", "baseline", "kernels", "speedup", "byte-identical", "notes"],
-        rows,
-        notes="baseline = unfused/serial engine; kernels = fused or batched "
-        "path.  All outputs byte-identical to the baseline engine.",
+        "cellwise fusion -- wall-clock speedup",
+        ["workload", "unfused", "fused", "speedup", "byte-identical", "notes"],
+        [
+            [
+                ladder["label"],
+                fmt_secs(ladder["base_secs"]),
+                fmt_secs(ladder["new_secs"]),
+                f"{ladder['speedup']:.2f}x",
+                "yes" if ladder["identical"] else "NO",
+                ladder["metric"],
+            ]
+        ],
+        notes=f"PageRank (scale 1e-3, 3 iterations, block 64): {transposes} "
+        "CSC transposes inside products.",
         seed=SEED,
     )
-    # Hard gates: the headline fusion and batching wins.
+    # Hard gates: the headline fusion win, and no CSC transpose inside
+    # PageRank's products.  End-to-end host wall lives in benchmarks/e2e.
     assert ladder["speedup"] >= 1.5, f"fused ladder only {ladder['speedup']:.2f}x"
-    assert chain["speedup"] >= 1.5, f"batched chain only {chain['speedup']:.2f}x"
-    # On real apps the sparse stages dominate end-to-end time, so the
-    # measurable win is the deterministic dispatch count (asserted per app
-    # inside run_apps_batched: GNMF > 0, LR/CF/PageRank == 0, and no CSC
-    # transpose inside PageRank's products).  Their ~10 ms wall times are
-    # reported, not gated: end-to-end host wall lives in benchmarks/e2e.
+    assert transposes == 0, f"{transposes} CSC transposes inside products"

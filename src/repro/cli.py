@@ -77,16 +77,6 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
                              "repartition coalescing, dead-step elimination, "
                              "loop-invariant hoisting, cellwise fusion) on "
                              "the plan")
-    parser.add_argument("--batched-matmul", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="group same-shape dense block products into one "
-                             "stacked BLAS dispatch (byte-identical)")
-    parser.add_argument("--strassen", action="store_true",
-                        help="use the Strassen kernel for large dense block "
-                             "products (faster, not bitwise-stable)")
-    parser.add_argument("--strassen-min-size", type=int, default=128,
-                        help="dense-size crossover below which block products "
-                             "stay on the naive BLAS kernel")
     _add_elastic_args(parser)
 
 
@@ -103,14 +93,11 @@ def _add_elastic_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cluster_config(args: argparse.Namespace) -> ClusterConfig:
-    """The cluster the flags describe (`serve` has no kernel flags)."""
+    """The cluster the flags describe."""
     return ClusterConfig(
         num_workers=args.workers,
         threads_per_worker=args.threads,
         block_size=args.block_size,
-        batched_matmul=getattr(args, "batched_matmul", True),
-        strassen=getattr(args, "strassen", False),
-        strassen_min_size=getattr(args, "strassen_min_size", 128),
         elastic=args.elastic,
         elastic_seed=args.elastic_seed,
     )

@@ -128,18 +128,6 @@ class ClusterConfig:
             ``None``).  Exceeding it never fails a run: the least recently
             used pinned instance is spilled and, if read again, recomputed
             through lineage.
-        batched_matmul: group same-shape dense block products within a
-            stage into one stacked BLAS dispatch (:mod:`repro.kernels`).
-            Byte-identical to the serial path and on by default; disabled
-            automatically under a ``memory_limit_bytes`` budget, whose
-            experiments depend on the serial path's exact transient
-            accounting.
-        strassen: opt-in Strassen kernel for dense block products at or
-            above ``strassen_min_size`` in every dimension.  Faster above
-            the crossover but *not* bitwise-stable (results agree with the
-            naive kernel only to relative tolerance), hence off by default.
-        strassen_min_size: dense-size crossover below which block products
-            always use the naive BLAS kernel.
         elastic: membership-timeline spec (the ``--elastic`` grammar of
             :mod:`repro.elastic.spec`, e.g. ``"join@2; leave@5"``): workers
             join and leave between stages while partitions stay on their
@@ -160,9 +148,6 @@ class ClusterConfig:
     recovery: RecoveryConfig = dataclasses.field(default_factory=RecoveryConfig)
     resource_event_log_limit: int | None = 65536
     cache_limit_bytes: int | None = None
-    batched_matmul: bool = True
-    strassen: bool = False
-    strassen_min_size: int = 128
     elastic: str | None = None
     elastic_seed: int = 0
 
@@ -175,6 +160,11 @@ class ClusterConfig:
             )
         if self.block_size is not None and self.block_size < 1:
             raise ClusterError(f"block_size must be >= 1, got {self.block_size}")
+        if self.memory_limit_bytes is not None and self.memory_limit_bytes < 1:
+            raise ClusterError(
+                f"memory_limit_bytes must be >= 1 or None, "
+                f"got {self.memory_limit_bytes}"
+            )
         if self.max_concurrent_stages is not None and self.max_concurrent_stages < 1:
             raise ClusterError(
                 f"max_concurrent_stages must be >= 1, got {self.max_concurrent_stages}"
@@ -191,8 +181,4 @@ class ClusterConfig:
             raise ClusterError(
                 f"cache_limit_bytes must be >= 1 or None, "
                 f"got {self.cache_limit_bytes}"
-            )
-        if self.strassen_min_size < 2:
-            raise ClusterError(
-                f"strassen_min_size must be >= 2, got {self.strassen_min_size}"
             )

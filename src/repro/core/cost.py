@@ -83,11 +83,6 @@ def output_cost(strategy: Strategy, nbytes: int, num_workers: int) -> int:
     return 0
 
 
-def naive_matmul_flops(m: int, k: int, n: int) -> int:
-    """Flops of the classical dense block product: ``2 m k n``."""
-    return 2 * m * k * n
-
-
 def _stored_bytes(rows: int, cols: int, sparsity: float, block_size: int) -> int:
     """Equation 2 for a whole matrix, bounding the engine's per-block storage
     choice: below ``DEFAULT_SPARSE_THRESHOLD`` every block stays sparse (the

@@ -186,7 +186,7 @@ class FusedCellwiseStep(Step):
     :class:`CellwiseStep` objects in dependency order; every chain output
     except the last is a fusion-internal temporary that is no longer
     materialised as a distributed matrix -- the local engine composes the
-    whole chain per block (:mod:`repro.kernels.fused`).  The chain tuple is
+    whole chain per block (:mod:`repro.localexec.fused`).  The chain tuple is
     treated as immutable: optimizer passes run before fusion, so nothing
     renames instances inside it.
     """

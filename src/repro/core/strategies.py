@@ -120,58 +120,6 @@ COLSUM_STRATEGIES = (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class LocalMatmulStrategy:
-    """How a worker computes one dense block product locally.
-
-    Distinct from :class:`Strategy`: the plan-level matmul strategies
-    (RMM1/RMM2/CPMM) fix *where* partial products run and how bytes move;
-    the local strategy fixes *how* each worker multiplies two dense blocks
-    once they are co-located.  ``flops`` is the modelled cost of this
-    product, and ``temp_bytes`` the extra model bytes of temporaries the
-    kernel holds beyond its operands and result (zero for the naive
-    kernel, which writes straight through BLAS).
-    """
-
-    name: str  # "naive" | "strassen"
-    flops: int
-    temp_bytes: int
-
-
-def choose_local_matmul(
-    m: int,
-    k: int,
-    n: int,
-    *,
-    strassen: bool = False,
-    crossover: int = 128,
-) -> LocalMatmulStrategy:
-    """Pick the local kernel for a dense ``m x k @ k x n`` block product.
-
-    Naive unless Strassen is enabled, the product is at or above the
-    dense-size ``crossover`` in every dimension, and the Strassen
-    recursion's priced flop count actually undercuts ``2 m k n`` (near the
-    crossover the 18 half-size additions can eat the saved product).
-    """
-    from repro.core.cost import naive_matmul_flops
-
-    naive = LocalMatmulStrategy("naive", naive_matmul_flops(m, k, n), 0)
-    if not strassen or min(m, k, n) < crossover:
-        return naive
-    from repro.kernels.strassen import (
-        recursion_base,
-        strassen_flops,
-        strassen_temp_bytes,
-    )
-
-    # The exact recursion the kernel performs, so the flops the cost model
-    # charges equal the flops the engine records.
-    priced = strassen_flops(m, k, n, recursion_base(crossover))
-    if priced >= naive.flops:
-        return naive
-    return LocalMatmulStrategy("strassen", priced, strassen_temp_bytes(m, k, n))
-
-
 def candidate_strategies(op: OpNode) -> tuple[Strategy, ...]:
     """The candidate strategy set ``S_i`` for an operator (Section 4.1)."""
     if isinstance(op, MatMulOp):

@@ -11,8 +11,7 @@ Two aggregation strategies are provided for block matrix multiplication:
   it, so at any instant only the transient partial of each *active* task
   exists.  The tracker sees what the model describes -- the result block
   charged up front, every product a transient -- whichever array holds
-  the sum.  The batched path builds each result block from its
-  accumulator plane under the same charge.
+  the sum.
 * ``inplace=False`` -- the traditional **Buffer** strategy.  One task per
   partial product; all ``M_A x N_A x N_B`` partial blocks are buffered and
   aggregated at the end onto one charged zero block per result block,
@@ -31,17 +30,13 @@ import dataclasses
 import threading
 from typing import Callable, Iterable, Mapping
 
-import numpy as np
-
 from repro.blocks import ops
 from repro.blocks.dense import DenseBlock
 from repro.blocks.memory import dense_block_model_bytes
 from repro.blocks.ops import Block
 from repro.blocks.sparse import CSCBlock
 from repro.errors import BlockError
-from repro.kernels import batch as kernel_batch
-from repro.kernels import fused as kernel_fused
-from repro.kernels.strassen import recursion_base, strassen_matmul
+from repro.localexec import fused as kernel_fused
 from repro.localexec.lanes import LanePool
 from repro.localexec.pool import MemoryTracker
 from repro.localexec.tasks import (
@@ -73,9 +68,6 @@ class EngineStats:
     tasks: int = 0
     flops: int = 0
     sparse_flops: int = 0
-    #: Block pairs dispatched through the batched BLAS path (a subset of
-    #: the pairs behind ``tasks``); the observable that batching engaged.
-    batched_pairs: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -92,10 +84,6 @@ class EngineStats:
     def add_tasks(self, count: int) -> None:
         with self._lock:
             self.tasks += count
-
-    def add_batched_pairs(self, count: int) -> None:
-        with self._lock:
-            self.batched_pairs += count
 
     @property
     def dense_flops(self) -> int:
@@ -114,25 +102,13 @@ class LocalEngine:
         threads: int = 1,
         inplace: bool = True,
         memory_limit_bytes: int | None = None,
-        batched_matmul: bool = True,
-        strassen: bool = False,
-        strassen_min_size: int = 128,
         lanes: LanePool | None = None,
     ) -> None:
         if threads < 1:
             raise BlockError(f"threads must be >= 1, got {threads}")
-        if strassen_min_size < 2:
-            raise BlockError(
-                f"strassen_min_size must be >= 2, got {strassen_min_size}"
-            )
         self.threads = threads
         self._lanes = lanes if lanes is not None else LanePool()
         self.inplace = inplace
-        self.batched_matmul = batched_matmul
-        self.strassen = strassen
-        self.strassen_min_size = strassen_min_size
-        self._strassen_base = recursion_base(strassen_min_size)
-        self._stack_cache = kernel_batch.StackBufferCache()
         self.tracker = MemoryTracker(memory_limit_bytes)
         self.stats = EngineStats()
 
@@ -156,12 +132,8 @@ class LocalEngine:
         engine configuration.
         """
         if self.inplace:
-            batch_plan = self._grid_batch_plan(a_grid, b_grid)
-            if batch_plan is not None:
-                results = self._run_grid_batched(a_grid, b_grid, batch_plan)
-            else:
-                tasks = inplace_matmul_tasks(a_grid, b_grid)
-                results = self._run(tasks, self._run_inplace_task)
+            tasks = inplace_matmul_tasks(a_grid, b_grid)
+            results = self._run(tasks, self._run_inplace_task)
             return {r.result_key: r.block for r in results}
         return self._buffered_matmul(a_grid, b_grid)
 
@@ -173,7 +145,7 @@ class LocalEngine:
         Block-key sets of every chain value are derived symbolically first
         (raising the same divide-coverage error the step-by-step execution
         would), then one task per *final* key composes the whole chain with
-        :func:`repro.kernels.fused.compose_key`.  No intermediate grid is
+        :func:`repro.localexec.fused.compose_key`.  No intermediate grid is
         registered or published.
         """
         key_sets = kernel_fused.chain_key_sets(
@@ -234,117 +206,8 @@ class LocalEngine:
         return TaskResult(task.result_key, target)
 
     def _pair_product(self, left: Block, right: Block) -> tuple[int, DenseBlock]:
-        """One block product, via the priced local matmul strategy."""
-        strategy = self._strassen_strategy(left, right)
-        if strategy is not None:
-            data = strassen_matmul(left.data, right.data, self._strassen_base)
-            return strategy.flops, DenseBlock(data)
+        """One block product and its flop count."""
         return ops.matmul_flops(left, right), ops.matmul(left, right)
-
-    def _strassen_strategy(self, left: Block, right: Block):
-        """The priced :class:`~repro.core.strategies.LocalMatmulStrategy`
-        for this pair if it is Strassen, or ``None`` for naive."""
-        if not self.strassen or left.is_sparse or right.is_sparse:
-            return None
-        # Imported here: core.strategies pulls in the scheme/partitioner
-        # stack, which imports this module back at package init.
-        from repro.core.strategies import choose_local_matmul
-
-        chosen = choose_local_matmul(
-            left.shape[0],
-            left.shape[1],
-            right.shape[1],
-            strassen=True,
-            crossover=self.strassen_min_size,
-        )
-        return chosen if chosen.name == "strassen" else None
-
-    def _grid_batch_plan(
-        self, a_grid: Grid, b_grid: Grid
-    ) -> kernel_batch.GridProductPlan | None:
-        # Under a memory limit the serial path's exact transient accounting
-        # is the experiment being run (Figures 7/8), so batching is off.
-        # Strassen outprices the naive dgemm only above its crossover,
-        # which always exceeds BATCH_MAX_DIM, so the two never compete.
-        if not self.batched_matmul or self.tracker.limit_bytes is not None:
-            return None
-        return kernel_batch.plan_grid_product(a_grid, b_grid)
-
-    def _run_grid_batched(
-        self, a_grid: Grid, b_grid: Grid, plan: kernel_batch.GridProductPlan
-    ) -> list[TaskResult]:
-        """In-Place aggregation with stage-level batched BLAS dispatch.
-
-        The stage is a regular grid product (per ``plan``), so each
-        distinct block is copied into a warm stacking buffer exactly once
-        and every ascending-``k`` level runs as one broadcast
-        ``np.matmul`` -- the same per-slice dgemm the serial path calls --
-        folded into the accumulator plane with plain elementwise adds.
-        Per-element that is the exact float sequence of the serial fold
-        (first product, ``+=`` partial in ascending ``k``: a product holds
-        no ``-0.0``, so the zeroed plane's ``0.0 +`` changes no bit), so
-        results are byte-identical.  Block rows are slabbed across the
-        engine's lanes.
-
-        The warm stacking buffers live *outside* the paper's byte model:
-        the model (and :mod:`repro.verify.memory`'s predictions) meters
-        the aggregation strategy's block buffers, and every model-memory
-        experiment runs under a limit, where batching is off.  Charging
-        the cache here would make measured peaks diverge from the
-        predictor for a pure wall-clock detail.
-        """
-        rows, inner, cols = plan.rows, plan.inner, plan.cols
-        num_rows, depth, num_cols = len(rows), len(inner), len(cols)
-        m, k, n = plan.m, plan.k, plan.n
-        self.stats.add_tasks(plan.tasks)
-        self.stats.add_batched_pairs(plan.pairs)
-
-        cache = self._stack_cache
-        a_base = cache.checkout(num_rows * depth, (m, k))
-        b_base = cache.checkout(depth * num_cols, (k, n))
-        acc_base = cache.checkout(num_rows * num_cols, (m, n))
-        a_stack = a_base[: num_rows * depth].reshape(num_rows, depth, m, k)
-        b_stack = b_base[: depth * num_cols].reshape(depth, num_cols, k, n)
-        acc = acc_base[: num_rows * num_cols].reshape(num_rows, num_cols, m, n)
-        try:
-            for ri, i in enumerate(rows):
-                for ti, key in enumerate(inner):
-                    a_stack[ri, ti] = a_grid[i, key].data
-            for ti, key in enumerate(inner):
-                for cj, j in enumerate(cols):
-                    b_stack[ti, cj] = b_grid[key, j].data
-
-            def run_slab(slab: tuple[int, int]) -> list[TaskResult]:
-                start, stop = slab
-                span = stop - start
-                prod_base = cache.checkout(span * num_cols, (m, n))
-                prod = prod_base[: span * num_cols].reshape(
-                    span, num_cols, m, n
-                )
-                acc_slab = acc[start:stop]
-                acc_slab[...] = 0.0
-                for level in range(depth):
-                    np.matmul(
-                        a_stack[start:stop, level][:, None],
-                        b_stack[level],
-                        out=prod,
-                    )
-                    np.add(acc_slab, prod, out=acc_slab)
-                results: list[TaskResult] = []
-                for ri in range(start, stop):
-                    for cj in range(num_cols):
-                        target = DenseBlock(acc[ri, cj].copy())
-                        self.tracker.allocate(target.model_nbytes)
-                        self._record(plan.flops_per_task, False)
-                        results.append(TaskResult((rows[ri], cols[cj]), target))
-                cache.checkin(prod_base)
-                return results
-
-            slabs = _row_slabs(num_rows, self.threads)
-            chunked = self._lanes.map(_traced(run_slab), slabs, self.threads)
-            return [result for chunk in chunked for result in chunk]
-        finally:
-            cache.checkin(a_base, b_base, acc_base)
 
     def _buffered_matmul(self, a_grid: Grid, b_grid: Grid) -> Grid:
         def multiply(task: MultiplyTask) -> tuple[BlockKey, DenseBlock]:
@@ -440,18 +303,6 @@ class LocalEngine:
 
     def _record(self, flops: int, sparse: bool) -> None:
         self.stats.record(flops, sparse)
-
-
-def _row_slabs(num_rows: int, threads: int) -> list[tuple[int, int]]:
-    """Split ``range(num_rows)`` into at most ``threads`` contiguous
-    near-equal ``(start, stop)`` slabs."""
-    count = max(1, min(threads, num_rows))
-    bounds = [round(num_rows * part / count) for part in range(count + 1)]
-    return [
-        (start, stop)
-        for start, stop in zip(bounds, bounds[1:])
-        if stop > start
-    ]
 
 
 def _traced(runner: Callable) -> Callable:

@@ -35,7 +35,7 @@ from repro.blocks import ops as block_ops
 from repro.blocks.dense import DenseBlock
 from repro.blocks.ops import Block
 from repro.errors import SchemeError, ShapeError
-from repro.kernels.fused import FusedChain
+from repro.localexec.fused import FusedChain
 from repro.matrix.distributed import BlockKey, DistributedMatrix
 from repro.matrix.schemes import Scheme
 from repro.rdd.rdd import RDD

@@ -8,7 +8,7 @@ intermediate is fusable only when nothing else can observe it: it is not a
 plan output, not a cache pin, and its sole reader is the chain's next
 cellwise step.  Each maximal chain of cellwise steps becomes one
 :class:`~repro.core.plan.FusedCellwiseStep`, which the engine executes as
-one composed numpy kernel per block (:mod:`repro.kernels.fused`): no
+one composed numpy kernel per block (:mod:`repro.localexec.fused`): no
 intermediate grid is ever built.
 
 The pass runs *last* in the pipeline (after the CSE/coalesce/DCE rounds and

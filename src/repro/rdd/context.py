@@ -76,9 +76,6 @@ class ClusterContext:
                 threads=config.threads_per_worker,
                 inplace=config.inplace,
                 memory_limit_bytes=config.memory_limit_bytes,
-                batched_matmul=config.batched_matmul,
-                strassen=config.strassen,
-                strassen_min_size=config.strassen_min_size,
                 lanes=self.lanes,
             )
             for member in self.pool.members_ever

@@ -43,7 +43,7 @@ from repro.elastic.pool import Transition
 from repro.errors import ExecutionError
 from repro.lang.program import FullOp, LoadOp, RandomOp
 from repro.matrix.distributed import DistributedMatrix
-from repro.kernels.fused import FusedChain
+from repro.localexec.fused import FusedChain
 from repro.matrix.primitives import (
     bmm,
     broadcast_matrix,

@@ -65,9 +65,6 @@ class ExecutionResult:
     num_stages: int
     peak_memory_bytes: int  # largest per-worker model-byte peak
     wall_seconds: float  # real elapsed time of the in-process run
-    #: Block pairs this run dispatched through the engines' batched BLAS
-    #: path (0 when batching is off or no stage had a regular dense grid).
-    batched_pairs: int = 0
     trace: list[StepTrace] | None = None  # per-step records (trace=True)
     stage_timings: list[StageTiming] | None = None  # simulated stage schedule
     critical_path: tuple[int, ...] = ()  # stage-graph nodes charged to the clock
@@ -88,6 +85,14 @@ class ExecutionResult:
     @property
     def simulated_seconds(self) -> float:
         return self.time.total_seconds
+
+    @property
+    def batched_pairs(self) -> int:
+        """Always 0: every block product is one ``ops.matmul`` call and
+        no engine batches block pairs.  Kept only because the e2e
+        benchmark's ``kernels.batched_pairs`` row
+        (``benchmarks/e2e/jobs.py``) reads it."""
+        return 0
 
     def comm_by_stage(self) -> dict[int, int]:
         """Measured bytes per stage (requires a traced run)."""
@@ -172,14 +177,6 @@ class ExecutionState:
             return [self._traces[i] for i in sorted(self._traces)]
 
 
-def _batched_pairs_total(backend) -> int:
-    """Cumulative batched-BLAS pair count across the backend's engines."""
-    return sum(
-        getattr(stats, "batched_pairs", 0)
-        for stats in backend.flop_sources().values()
-    )
-
-
 class PlanExecutor:
     """Executes DMac plans on a :class:`Backend` via the stage scheduler.
 
@@ -248,7 +245,6 @@ class PlanExecutor:
             plan,
             block_size=self.block_size,
             max_concurrent_stages=self.max_concurrent_stages,
-            strassen=config.strassen,
         )
         cache = None
         if plan.cache_pins:
@@ -314,7 +310,6 @@ class PlanExecutor:
         }
 
         bytes_before = backend.ledger.snapshot()
-        batched_before = _batched_pairs_total(backend)
         elastic_events_before = len(pool.applied_log)
         rebalance_before = backend.rebalance_bytes
         records_before = len(backend.ledger.records()) if tracer is not None else 0
@@ -379,7 +374,6 @@ class PlanExecutor:
             matrices=matrices,
             scalars={name: scalars[name] for name in plan.program.scalar_outputs},
             comm_bytes=backend.ledger.snapshot() - bytes_before,
-            batched_pairs=_batched_pairs_total(backend) - batched_before,
             time=dataclasses.replace(report.elapsed),
             num_stages=plan.num_stages,
             peak_memory_bytes=backend.peak_memory_bytes(),

@@ -274,7 +274,6 @@ def prepare(
     block_size: int | None = None,
     max_concurrent_stages: int | None = None,
     estimation_mode: str = "worst",
-    strassen: bool = False,
 ) -> _Prepared:
     """The plan-static facts of a run, derived here and kept on ``context``
     while the plan lives and is not edited; ``block_size`` and
@@ -295,8 +294,6 @@ def prepare(
         inplace=config.inplace,
         max_concurrent_stages=max_concurrent_stages or config.max_concurrent_stages,
         estimation_mode=estimation_mode,
-        strassen=strassen,
-        strassen_min_size=config.strassen_min_size,  # read only under strassen
     )
     key, stamp, table = tuple(sizing.values()), plan.stamp(), context.prepared
     held = table.get(id(plan))

@@ -114,7 +114,7 @@ def _run_cellwise(step: CellwiseStep, state: "ExecutionState") -> None:
 
 
 def _run_fused_cellwise(step: FusedCellwiseStep, state: "ExecutionState") -> None:
-    from repro.kernels.fused import lower_chain
+    from repro.localexec.fused import lower_chain
 
     chain, external = lower_chain(step)
     operands = tuple(state.resources.get(instance) for instance in external)

@@ -38,8 +38,7 @@ class RunResult(ExecutionResult):
 
     ``matrices``/``scalars`` are keyed by *user* variable names, resolved
     to whichever segment last defined them.  Additive books (bytes,
-    simulated and wall seconds, stages, batched pairs, membership
-    worker/slot-seconds and rebalance bytes, recovery counters) are summed
+    simulated and wall seconds, stages, membership worker/slot-seconds and rebalance bytes, recovery counters) are summed
     in segment order; peaks and the predicted peak are maxima; ``trace``
     and event lists are concatenated; the per-plan objects (``tracing``,
     ``cache``, ``stage_timings``, ``critical_path``) are the last
@@ -203,7 +202,6 @@ def fold(
         num_stages=sum(r.num_stages for r in results),
         peak_memory_bytes=max(r.peak_memory_bytes for r in results),
         wall_seconds=sum(r.wall_seconds for r in results),
-        batched_pairs=sum(r.batched_pairs for r in results),
         trace=(
             None
             if last.trace is None

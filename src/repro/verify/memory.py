@@ -160,7 +160,6 @@ def _transient_bytes(
     block_size: int,
     threads_per_worker: int,
     inplace: bool,
-    strassen_bytes: int,
 ) -> int:
     """Tracker bytes this step holds on one worker while it runs."""
     share = cost.share_bytes
@@ -181,7 +180,7 @@ def _transient_bytes(
         if inplace:
             in_flight = threads_per_worker * dense_block_model_bytes(block_size, block_size)
             partials = min(in_flight, partials)
-        return stored + result + partials + strassen_bytes
+        return stored + result + partials
     if isinstance(step, ScalarMatrixStep) and _scalar_matrix_densifies(step):
         # Zero-fill: the registered operand grid carries its sparse blocks
         # plus explicit dense zero blocks for absent keys.
@@ -214,23 +213,6 @@ def _charged(step: Step) -> Tuple[MatrixInstance, ...]:
     return ()
 
 
-def _strassen_bytes(
-    block_size: int, threads_per_worker: int, strassen: bool, strassen_min_size: int
-) -> int:
-    """Strassen's recursion holds padded operand copies plus seven
-    half-size products per in-flight block product -- physical temporaries
-    beyond the tracker's model, charged so the admission bound stays sound
-    when the kernel is enabled."""
-    if not strassen:
-        return 0
-    from repro.core.strategies import choose_local_matmul
-
-    chosen = choose_local_matmul(
-        block_size, block_size, block_size, strassen=True, crossover=strassen_min_size
-    )
-    return threads_per_worker * chosen.temp_bytes if chosen.name == "strassen" else 0
-
-
 def solve_liveness(plan: Plan) -> Tuple[FrozenSet[MatrixInstance], ...]:
     """``live_after[i]``: instances some step after ``i`` (or a program
     output materialisation) still reads.  One reverse sweep -- the
@@ -257,8 +239,6 @@ def predict_peak_memory(
     max_concurrent_stages: Optional[int] = None,
     estimation_mode: str = "worst",
     graph: Optional[StageGraph] = None,
-    strassen: bool = False,
-    strassen_min_size: int = 128,
 ) -> MemoryPrediction:
     """Predict the per-worker tracker high-water mark for a plan.
 
@@ -272,9 +252,8 @@ def predict_peak_memory(
             plan.program.dims, num_workers, threads_per_worker
         )
     cost = CostModel(plan.program, num_workers, estimation_mode)
-    extra = _strassen_bytes(block_size, threads_per_worker, strassen, strassen_min_size)
     transients = [
-        _transient_bytes(step, cost, block_size, threads_per_worker, inplace, extra)
+        _transient_bytes(step, cost, block_size, threads_per_worker, inplace)
         for step in plan.steps
     ]
 

@@ -1,128 +1,7 @@
-"""Engine- and session-level behaviour of the kernel layer: when the
-batched path engages, its byte-identity to the serial fold, the Strassen
-strategy's tolerance contract, and the ``--show-rewrites`` audit trail."""
+"""Session-level behaviour of the kernel layer: the ``--show-rewrites``
+audit trail of the fusion pass."""
 
-import numpy as np
-import pytest
-
-from repro import ClusterConfig, DMacSession
 from repro.cli import main
-from repro.core.cost import naive_matmul_flops
-from repro.core.strategies import choose_local_matmul
-from repro.kernels.strassen import (
-    recursion_base,
-    strassen_flops,
-    strassen_matmul,
-    strassen_temp_bytes,
-)
-from repro.lang.program import ProgramBuilder
-
-CONFIG = dict(num_workers=2, threads_per_worker=2)
-
-
-def matmul_program(shape_x, shape_a):
-    pb = ProgramBuilder()
-    x = pb.load("X", shape_x)
-    a = pb.load("A", shape_a)
-    pb.output(pb.assign("P", x @ a))
-    return pb.build()
-
-
-def run_matmul(shape_x, shape_a, *, block_size, batched, seed=11, **config):
-    program = matmul_program(shape_x, shape_a)
-    rng = np.random.default_rng(seed)
-    inputs = {
-        "X": rng.standard_normal(shape_x),
-        "A": rng.standard_normal(shape_a),
-    }
-    session = DMacSession(
-        ClusterConfig(
-            block_size=block_size, batched_matmul=batched, **CONFIG, **config
-        )
-    )
-    return session.run(program, inputs)
-
-
-class TestBatchedEngine:
-    def test_dense_product_batches_and_is_byte_identical(self):
-        serial = run_matmul((256, 256), (256, 256), block_size=32, batched=False)
-        batched = run_matmul((256, 256), (256, 256), block_size=32, batched=True)
-        assert serial.batched_pairs == 0
-        assert batched.batched_pairs > 0
-        assert serial.matrices["P"].tobytes() == batched.matrices["P"].tobytes()
-
-    def test_narrow_product_stays_serial(self):
-        """A single-result-block dot product lacks batching width."""
-        result = run_matmul((32, 256), (256, 32), block_size=32, batched=True)
-        assert result.batched_pairs == 0
-
-    def test_memory_limit_disables_batching(self):
-        limited = run_matmul(
-            (256, 256),
-            (256, 256),
-            block_size=32,
-            batched=True,
-            memory_limit_bytes=1 << 30,
-        )
-        free = run_matmul((256, 256), (256, 256), block_size=32, batched=True)
-        assert limited.batched_pairs == 0
-        assert free.batched_pairs > 0
-        assert limited.matrices["P"].tobytes() == free.matrices["P"].tobytes()
-
-    def test_large_blocks_stay_serial(self):
-        result = run_matmul((512, 512), (512, 512), block_size=128, batched=True)
-        assert result.batched_pairs == 0
-
-    def test_nonsquare_batched_product_is_byte_identical(self):
-        serial = run_matmul((128, 192), (192, 256), block_size=32, batched=False)
-        batched = run_matmul((128, 192), (192, 256), block_size=32, batched=True)
-        assert batched.batched_pairs > 0
-        assert serial.matrices["P"].tobytes() == batched.matrices["P"].tobytes()
-
-
-class TestStrassenKernel:
-    @pytest.mark.parametrize("m,k,n", [(200, 200, 200), (130, 170, 150), (256, 128, 192)])
-    def test_matches_naive_within_tolerance(self, m, k, n):
-        rng = np.random.default_rng(5)
-        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
-        out = strassen_matmul(a, b, recursion_base(128))
-        np.testing.assert_allclose(out, a @ b, rtol=1e-8, atol=1e-8)
-
-    def test_small_product_is_exactly_naive(self):
-        rng = np.random.default_rng(6)
-        a, b = rng.standard_normal((32, 32)), rng.standard_normal((32, 32))
-        assert strassen_matmul(a, b, 64).tobytes() == (a @ b).tobytes()
-
-    def test_priced_flops_undercut_naive_above_crossover(self):
-        base = recursion_base(128)
-        assert strassen_flops(512, 512, 512, base) < naive_matmul_flops(512, 512, 512)
-
-    def test_temp_bytes_positive_and_bounded(self):
-        temps = strassen_temp_bytes(256, 256, 256)
-        assert 0 < temps < 8 * 256 * 256 * 32
-
-    def test_strategy_is_opt_in_and_sized(self):
-        assert choose_local_matmul(256, 256, 256).name == "naive"
-        assert choose_local_matmul(
-            256, 256, 256, strassen=True, crossover=128
-        ).name == "strassen"
-        assert choose_local_matmul(
-            64, 256, 256, strassen=True, crossover=128
-        ).name == "naive"
-
-    def test_session_strassen_run_matches_naive(self):
-        naive = run_matmul((256, 256), (256, 256), block_size=256, batched=False)
-        fancy = run_matmul(
-            (256, 256),
-            (256, 256),
-            block_size=256,
-            batched=False,
-            strassen=True,
-            strassen_min_size=128,
-        )
-        np.testing.assert_allclose(
-            fancy.matrices["P"], naive.matrices["P"], rtol=1e-8, atol=1e-8
-        )
 
 
 class TestShowRewritesAudit:

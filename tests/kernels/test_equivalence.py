@@ -1,14 +1,12 @@
 """Property: the kernel layer never changes results, only speed.
 
-Three equivalence families, each byte-identical (``tobytes`` — bitwise,
+Two equivalence families, each byte-identical (``tobytes`` — bitwise,
 NaN patterns included):
 
-* batched BLAS vs the serial fold, on every built-in application, with a
-  clean run and under injected transient faults;
 * the optimizer vs step-by-step execution of the program its plan
   announces, under injected faults (the clean case is covered app-by-app
   in ``tests/planopt/test_equivalence.py``);
-* hypothesis-generated cellwise chains and grid products.
+* hypothesis-generated cellwise chains.
 """
 
 import numpy as np
@@ -39,13 +37,11 @@ def assert_bitwise_equal(left, right, context):
         )
 
 
-def run_app(name, *, batched, optimize=False, chaos=None, announced=False):
+def run_app(name, *, optimize=False, chaos=None, announced=False):
     """One run of a built-in program; ``announced``: of the program its
     optimized plan announces (the reassociated one, if any)."""
     program = PROGRAMS[name]()
-    config = ClusterConfig(
-        num_workers=4, threads_per_worker=2, block_size=16, batched_matmul=batched
-    )
+    config = ClusterConfig(num_workers=4, threads_per_worker=2, block_size=16)
     if announced:
         (plan,) = DMacSession(config, optimize=True).plans(program)
         program = plan.program
@@ -54,34 +50,15 @@ def run_app(name, *, batched, optimize=False, chaos=None, announced=False):
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_batched_matches_serial_on_every_app(name):
-    serial = run_app(name, batched=False)
-    batched = run_app(name, batched=True)
-    assert serial.batched_pairs == 0
-    assert_bitwise_equal(serial, batched, name)
-
-
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_batched_matches_serial_under_faults(name):
-    serial = run_app(name, batched=False, chaos=ChaosEngine(9, FAULT_SPEC))
-    batched = run_app(name, batched=True, chaos=ChaosEngine(9, FAULT_SPEC))
-    assert_bitwise_equal(serial, batched, f"{name} (faults)")
-
-
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_fused_matches_unfused_under_faults(name):
-    plain = run_app(
-        name, batched=False, chaos=ChaosEngine(9, FAULT_SPEC), announced=True
-    )
-    fused = run_app(name, batched=False, optimize=True,
-                    chaos=ChaosEngine(9, FAULT_SPEC))
+    plain = run_app(name, chaos=ChaosEngine(9, FAULT_SPEC), announced=True)
+    fused = run_app(name, optimize=True, chaos=ChaosEngine(9, FAULT_SPEC))
     assert_bitwise_equal(plain, fused, f"{name} (fused, faults)")
 
 
 class TestPropertyEquivalence:
     """Hypothesis-generated workloads: any cellwise chain fuses without
-    changing a byte; any dense grid product batches without changing a
-    byte."""
+    changing a byte."""
 
     @given(
         ops=st.lists(
@@ -118,33 +95,3 @@ class TestPropertyEquivalence:
                 program, inputs
             )
         assert_bitwise_equal(results[False], results[True], f"chain {ops}")
-
-    @given(
-        rows=st.integers(1, 4),
-        inner=st.integers(1, 4),
-        cols=st.integers(1, 4),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_batched_grid_product_is_byte_identical(self, rows, inner, cols, seed):
-        bs = 16
-        pb = ProgramBuilder()
-        x = pb.load("X", (rows * bs, inner * bs))
-        a = pb.load("A", (inner * bs, cols * bs))
-        pb.output(pb.assign("P", x @ a))
-        program = pb.build()
-        rng = np.random.default_rng(seed)
-        inputs = {
-            "X": rng.standard_normal((rows * bs, inner * bs)),
-            "A": rng.standard_normal((inner * bs, cols * bs)),
-        }
-        results = {}
-        for batched in (False, True):
-            config = ClusterConfig(
-                num_workers=2, block_size=bs, batched_matmul=batched
-            )
-            results[batched] = DMacSession(config).run(program, inputs)
-        assert results[False].batched_pairs == 0
-        assert_bitwise_equal(
-            results[False], results[True], f"grid {rows}x{inner}x{cols}"
-        )

@@ -190,9 +190,9 @@ def special_matrix(rng, rows, cols, density=1.0):
 
 
 def serial_engine(limit=None, **kwargs):
-    """One lane, no batching: every product goes through an In-Place task
-    and the tracker log is a function of the grids."""
-    engine = LocalEngine(threads=1, batched_matmul=False, memory_limit_bytes=limit, **kwargs)
+    """One lane: every product goes through an In-Place task and the
+    tracker log is a function of the grids."""
+    engine = LocalEngine(threads=1, memory_limit_bytes=limit, **kwargs)
     engine.tracker = LoggingTracker(limit)
     return engine
 
@@ -216,13 +216,20 @@ class TestFirstProductIsTheResult:
         assert len(result) == 2 * 3
         assert len(calls) == len(result) * (inner_blocks - 1)
 
-    @pytest.mark.parametrize("storage", [("dense", "dense"), ("sparse", "dense"),
-                                         ("dense", "sparse"), ("sparse", "sparse")])
-    @pytest.mark.parametrize("inner", [5, 15])
-    def test_bytes_and_books_equal_zeros_plus_fold(self, rng, storage, inner):
+    @pytest.mark.parametrize("shape,storage,density", [
+        *(pytest.param((11, inner, 7), storage, 0.6, id=f"{inner}-storage{index}")
+          for inner in (5, 15)
+          for index, storage in enumerate([("dense", "dense"), ("sparse", "dense"),
+                                           ("dense", "sparse"), ("sparse", "sparse")])),
+        # A regular all-dense grid of small blocks: the default engine books
+        # it through the same In-Place tasks as any other grid.
+        pytest.param((20, 15, 20), ("dense", "dense"), 1.0, id="regular-dense-grid"),
+    ])
+    def test_bytes_and_books_equal_zeros_plus_fold(self, rng, shape, storage, density):
+        m, inner, n = shape
         with np.errstate(all="ignore"):
-            ga = split(special_matrix(rng, 11, inner, 0.6), 5, storage=storage[0])
-            gb = split(special_matrix(rng, inner, 7, 0.6), 5, storage=storage[1])
+            ga = split(special_matrix(rng, m, inner, density), 5, storage=storage[0])
+            gb = split(special_matrix(rng, inner, n, density), 5, storage=storage[1])
             engine = serial_engine()
             result = engine.matmul_grids(ga, gb)
             reference = LoggingTracker()
@@ -297,15 +304,3 @@ class TestAProductHoldsNoNegativeZero:
             for left, right in [(a, a.transpose()), (strided, a.transpose()),
                                 (a.transpose(), strided), (strided, DenseBlock(wide[:9, :1]))]:
                 self.assert_no_negative_zero(ops.matmul(left, right).data)
-
-    def test_strassen_products(self, rng):
-        engine = LocalEngine(strassen=True, strassen_min_size=8, batched_matmul=False)
-        a = special_matrix(rng, 32, 32, 0.8)
-        b = special_matrix(rng, 32, 32, 0.8)
-        finite = np.where(np.isfinite(a), a, 1.0), np.where(np.isfinite(b), b, -1.0)
-        for left, right in ((a, b), finite):
-            blocks = DenseBlock(left), DenseBlock(right)
-            assert engine._strassen_strategy(*blocks) is not None
-            with np.errstate(all="ignore"):
-                __, product = engine._pair_product(*blocks)
-            self.assert_no_negative_zero(product.data)

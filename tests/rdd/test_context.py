@@ -81,6 +81,9 @@ class TestContext:
             ClusterConfig(threads_per_worker=0)
         with pytest.raises(ClusterError):
             ClusterConfig(block_size=0)
+        for limit in (0, -1):
+            with pytest.raises(ClusterError, match="memory_limit_bytes must be >= 1"):
+                ClusterConfig(memory_limit_bytes=limit)
 
 
 class TestSizeof:

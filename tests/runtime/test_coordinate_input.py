@@ -24,7 +24,6 @@ from tests.elastic.test_golden_books import FAULT_SEED, FAULTS, TIMELINE
 AXES = {
     "default": ({}, {}, None),
     "optimize": ({"optimize": True}, {}, None),
-    "unbatched": ({}, {"batched_matmul": False}, None),
     "one-thread": ({}, {"threads_per_worker": 1}, None),
     "serial-stages": ({}, {"max_concurrent_stages": 1}, None),
     "small-blocks": ({}, {"block_size": 37}, None),

@@ -163,7 +163,7 @@ class TestNoThreadOutlivesItsOwner:
     def test_after_a_stage_that_raises(self):
         baseline = live_threads()
         with pytest.raises(StageExecutionError) as caught:
-            with DMacSession(small_blocks(batched_matmul=False)) as session:
+            with DMacSession(small_blocks()) as session:
                 with failing_products(RuntimeError("boom")):
                     session.run(fan_out_program())
         assert isinstance(caught.value.__cause__, RuntimeError)
@@ -171,7 +171,7 @@ class TestNoThreadOutlivesItsOwner:
         # ... and un-closed: a failed run leaves tracebacks (cycles) behind,
         # so this one may need the collector -- the finalizer backstop.
         with pytest.raises(StageExecutionError), failing_products(RuntimeError("boom")):
-            DMacSession(small_blocks(batched_matmul=False)).run(fan_out_program())
+            DMacSession(small_blocks()).run(fan_out_program())
         del caught
         gc.collect()
         assert_threads_return_to(baseline)
@@ -194,7 +194,7 @@ class TestNoThreadOutlivesItsOwner:
     def test_after_keyboard_interrupt_inside_a_block_task(self):
         baseline = live_threads()
         with pytest.raises(StageExecutionError) as caught:
-            with DMacSession(small_blocks(batched_matmul=False)) as session:
+            with DMacSession(small_blocks()) as session:
                 with failing_products(KeyboardInterrupt()):
                     session.run(fan_out_program())
         assert isinstance(caught.value.__cause__, KeyboardInterrupt)
@@ -399,7 +399,7 @@ class TestMap:
     @pytest.mark.parametrize("pool_width", WIDTHS)
     def test_engine_calls_keep_the_threads_per_worker_bound(self, pool_width):
         pool = LanePool(pool_width)
-        engine = LocalEngine(threads=3, lanes=pool, batched_matmul=False)
+        engine = LocalEngine(threads=3, lanes=pool)
         runner = Instrumented()
         tasks = list(range(40))
         assert engine._run(tasks, runner) == [t * t for t in tasks]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig
-from repro.errors import ServiceError
+from repro.errors import ClusterError, ServiceError
 from repro.frontend import Matrix, matrix_input, matrix_program
 from repro.frontend.dsl import output
 from repro.serve import (
@@ -36,6 +36,13 @@ class TestBatchValidation:
         batch = small_batch(jobs_per_tenant=1)
         batch["cluster"] = {"backend": "elastic", "elastic": "join@2"}
         with pytest.raises(ServiceError, match=r"unknown cluster keys.*backend"):
+            parse_batch(batch)
+
+    def test_a_non_positive_memory_limit_fails_at_parse_time(self):
+        """Not as an allocation error in every job of the run."""
+        batch = small_batch(jobs_per_tenant=1)
+        batch["cluster"] = {"memory_limit_bytes": -5}
+        with pytest.raises(ClusterError, match="memory_limit_bytes must be >= 1"):
             parse_batch(batch)
 
     def test_timeline_alone_selects_elastic_membership(self):

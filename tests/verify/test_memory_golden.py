@@ -6,8 +6,7 @@ started reading the program's declared dimensions (the facts the cost
 model reads), with that tree's own ``predict_peak_memory``: every registry
 app (per segment for ``powiter``), raw and optimized, under 2 and 4
 workers x serial and default stage concurrency x In-Place and Buffer
-aggregation x without and with Strassen, plus the lint selftest's
-reference plan and every corruption plan but DM101's -- every scalar field
+aggregation, plus the lint selftest's reference plan and every corruption plan but DM101's -- every scalar field
 of :class:`~repro.verify.memory.MemoryPrediction` verbatim and the
 footprints as a digest.  DM101's corruption declares transposed
 dimensions, so on that plan alone the predictor now sides with the cost
@@ -15,7 +14,8 @@ model (``test_the_transposed_dims_corruption_is_sized_as_declared``).
 Never regenerate the file: its ``gnmf/optimized`` keys were re-captured
 when product chains fused, and those and the ``cf/optimized`` keys again
 when the optimizer started associating product chains by the cost model
-and multiplying two replicas replicated (``bmm``).
+and multiplying two replicas replicated (``bmm``).  Its ``/strassen``
+keys went with the Strassen block kernel; no other entry moved.
 """
 
 import hashlib
@@ -35,8 +35,8 @@ from repro.verify.memory import predict_peak_memory
 GOLDEN = json.loads(
     pathlib.Path(__file__).with_name("golden_memory.json").read_text()
 )
-#: (max_concurrent_stages, inplace, strassen) for every plan.
-SIZINGS = tuple(itertools.product((1, None), (True, False), (False, True)))
+#: (max_concurrent_stages, inplace) for every plan.
+SIZINGS = tuple(itertools.product((1, None), (True, False)))
 
 
 def render(prediction) -> dict:
@@ -95,17 +95,15 @@ def predictions():
     """Every prediction the file pins, rendered, by key."""
     seen = {}
     for key, plan, sizing in plans():
-        for concurrency, inplace, strassen in SIZINGS:
+        for concurrency, inplace in SIZINGS:
             seen[
                 f"{key}/c{concurrency or 'default'}"
                 f"/{'inplace' if inplace else 'buffer'}"
-                f"{'/strassen' if strassen else ''}"
             ] = render(
                 predict_peak_memory(
                     plan,
                     max_concurrent_stages=concurrency,
                     inplace=inplace,
-                    strassen=strassen,
                     **sizing,
                 )
             )
