@@ -36,7 +36,7 @@ from repro.blocks.memory import dense_block_model_bytes
 from repro.blocks.ops import Block
 from repro.blocks.sparse import CSCBlock
 from repro.errors import BlockError
-from repro.localexec import fused as kernel_fused
+from repro.localexec import fused
 from repro.localexec.lanes import LanePool
 from repro.localexec.pool import MemoryTracker
 from repro.localexec.tasks import (
@@ -138,7 +138,7 @@ class LocalEngine:
         return self._buffered_matmul(a_grid, b_grid)
 
     def fused_cellwise_grids(
-        self, chain: kernel_fused.FusedChain, grids: tuple[Grid, ...]
+        self, chain: fused.FusedChain, grids: tuple[Grid, ...]
     ) -> Grid:
         """Run a fused cellwise chain as one composed kernel per block key.
 
@@ -148,7 +148,7 @@ class LocalEngine:
         :func:`repro.localexec.fused.compose_key`.  No intermediate grid is
         registered or published.
         """
-        key_sets = kernel_fused.chain_key_sets(
+        key_sets = fused.chain_key_sets(
             chain, tuple(frozenset(grid) for grid in grids)
         )
         tasks = [
@@ -270,10 +270,10 @@ class LocalEngine:
         return compute
 
     def _bind_fused(
-        self, chain: kernel_fused.FusedChain, key: BlockKey, grids: tuple[Grid, ...]
+        self, chain: fused.FusedChain, key: BlockKey, grids: tuple[Grid, ...]
     ):
         def compute() -> Block:
-            block = kernel_fused.compose_key(chain, key, grids, self._record)
+            block = fused.compose_key(chain, key, grids, self._record)
             # Keys come from the final key set, where a block always exists.
             assert block is not None
             return block

@@ -6,11 +6,12 @@ pool when its output has been emitted.  Here a result block leaves the engine
 as part of the grid it belongs to and nothing would hand it back, so the
 engine keeps no pool: an In-Place task's first product is its result block,
 charged directly on the tracker; the Buffer strategy aggregates onto one
-charged zero block per result block.  :class:`MemoryTracker` meters every allocation against the paper's byte model so the
-In-Place-vs-Buffer memory experiment (Figure 7) and the block-size
-experiment (Figure 8b) can be reproduced; it optionally enforces a budget,
-which reproduces the paper's observation that the Buffer strategy cannot
-complete the Wikipedia workload within 48 GB per node.
+charged zero block per result block.  :class:`MemoryTracker` meters every
+allocation against the paper's byte model so the In-Place-vs-Buffer memory
+experiment (Figure 7) and the block-size experiment (Figure 8b) can be
+reproduced; it optionally enforces a budget, which reproduces the paper's
+observation that the Buffer strategy cannot complete the Wikipedia workload
+within 48 GB per node.
 """
 
 from __future__ import annotations

@@ -38,9 +38,10 @@ class RunResult(ExecutionResult):
 
     ``matrices``/``scalars`` are keyed by *user* variable names, resolved
     to whichever segment last defined them.  Additive books (bytes,
-    simulated and wall seconds, stages, membership worker/slot-seconds and rebalance bytes, recovery counters) are summed
-    in segment order; peaks and the predicted peak are maxima; ``trace``
-    and event lists are concatenated; the per-plan objects (``tracing``,
+    simulated and wall seconds, stages, membership worker/slot-seconds
+    and rebalance bytes, recovery counters) are summed in segment order;
+    peaks and the predicted peak are maxima; ``trace`` and event lists
+    are concatenated; the per-plan objects (``tracing``,
     ``cache``, ``stage_timings``, ``critical_path``) are the last
     execution's.  The per-execution results stay on ``segments``.
     """
