@@ -49,8 +49,18 @@ def free_closure(state: State) -> State:
     * a Broadcast instance yields both 1-D extracts, their transposes, and
       the transposed replica.
     """
-    closed = set(state)
-    frontier = list(state)
+    return _extend(frozenset(), state)
+
+
+def _extend(closed_state: State, added) -> State:
+    """``free_closure(closed_state | added)`` for an already closed state:
+    only the added instances need deriving from."""
+    fresh = [instance for instance in added if instance not in closed_state]
+    if not fresh:
+        return closed_state
+    closed = set(closed_state)
+    closed.update(fresh)
+    frontier = fresh
     while frontier:
         instance = frontier.pop()
         derived = []
@@ -92,7 +102,7 @@ def optimal_cost(program: MatrixProgram, num_workers: int) -> int:
             best = None
             for scheme in (Scheme.ROW, Scheme.COL):
                 instance = MatrixInstance(op.output, False, scheme)
-                cost = search(index + 1, free_closure(state | {instance}))
+                cost = search(index + 1, _extend(state, (instance,)))
                 best = cost if best is None else min(best, cost)
             assert best is not None
             return best
@@ -105,17 +115,12 @@ def optimal_cost(program: MatrixProgram, num_workers: int) -> int:
         nbytes_out = model.estimator.nbytes(op.output)
         best = None
         for strategy in candidate_strategies(op):
-            input_options = [
-                _satisfaction_options(state, operand, required, model)
-                for operand, required in zip(op.matrix_inputs(), strategy.input_schemes)
-            ]
-            for combo_cost, combo_added in _combine(input_options):
+            requirements = zip(op.matrix_inputs(), strategy.input_schemes)
+            for combo_cost, combo_state in _satisfy_inputs(state, requirements, model):
                 for out_scheme in strategy.output_schemes:
                     out_instance = MatrixInstance(op.output, False, out_scheme)
                     output_bytes = num_workers * nbytes_out if strategy.shuffles_output else 0
-                    next_state = free_closure(
-                        state | combo_added | {out_instance}
-                    )
+                    next_state = _extend(combo_state, (out_instance,))
                     total = (
                         combo_cost
                         + output_bytes
@@ -157,15 +162,23 @@ def _satisfaction_options(
     return options
 
 
-def _combine(per_input: list[list[tuple[int, frozenset]]]):
-    """Cartesian product of per-input options, summing costs and unioning
-    the added instances."""
-    combos: list[tuple[int, frozenset]] = [(0, frozenset())]
-    for options in per_input:
+def _satisfy_inputs(state: State, requirements, model: CostModel):
+    """Every way of satisfying an operator's inputs in order, as
+    ``(cost, state after)`` alternatives.
+
+    Each input is priced against the state its predecessors left, closed
+    under the free derivations: a broadcast paid for one input serves a
+    later input of the same matrix for free (``A^T @ A`` under RMM1 pays
+    for ``A`` once), as the greedy planner does.
+    """
+    combos: list[tuple[int, State]] = [(0, state)]
+    for operand, required in requirements:
         combos = [
-            (cost + option_cost, added | option_added)
-            for cost, added in combos
-            for option_cost, option_added in options
+            (cost + option_cost, _extend(current, option_added))
+            for cost, current in combos
+            for option_cost, option_added in _satisfaction_options(
+                current, operand, required, model
+            )
         ]
     return combos
 

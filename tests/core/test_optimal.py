@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.cost import CostModel
 from repro.core.optimal import (
     MAX_OPERATORS,
     free_closure,
@@ -107,6 +108,21 @@ class TestGreedyVsOptimal:
         pb.output(pb.assign("G", a.T @ a))
         program = pb.build()
         assert self.greedy_cost(program) == optimal_cost(program, 4)
+
+    def test_one_broadcast_serves_both_gram_inputs(self):
+        """With ``A`` loaded by rows (so ``C = A * A`` stays aligned), RMM1
+        on ``A^T @ A`` broadcasts ``A^T`` and its replica yields the right
+        input ``A(c)`` for free: the search pays ``N x |A|`` once, as the
+        greedy plan does, not that plus a repartition of ``A``."""
+        pb = ProgramBuilder()
+        a = pb.load("A", (2, 2), sparsity=0.2)
+        c = pb.assign("C", a * a)
+        pb.assign("G", a.T @ a)
+        pb.output(pb.assign("M", a @ c.T))
+        program = pb.build()
+        nbytes_a = CostModel(program, 2).estimator.nbytes("A")
+        assert optimal_cost(program, 2) == 2 * nbytes_a
+        assert self.greedy_cost(program, workers=2) == optimal_cost(program, 2)
 
     def test_greedy_never_beats_optimal(self):
         """Sanity on a handful of structured programs."""
