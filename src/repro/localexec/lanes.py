@@ -10,10 +10,13 @@ Its width is a property of the *host* -- the CPUs this process may run on --
 never of the simulated cluster and never a setting.  ``num_workers``,
 ``threads_per_worker`` and ``max_concurrent_stages`` stay what they are in
 the paper's model (slots, the ``L`` of Equation 3 and of the clock, the
-in-flight bounds callers pass as ``width`` or enforce themselves); simulated
-seconds come from meters and the dependency structure, bytes from the
-ledger, results from per-block folds in fixed ``k`` order, so nothing
-observable depends on which thread ran what.
+in-flight bounds callers pass as ``width`` or enforce themselves); host
+concurrency is the smaller of such a bound and the pool's width, so a
+one-CPU process runs every block task and every stage node on the calling
+thread and never starts a pool thread.  Simulated seconds come from meters
+and the dependency structure, bytes from the ledger, results from
+per-block folds in fixed ``k`` order, so nothing observable depends on
+which thread ran what.
 
 Every submission runs under a copy of the submitting thread's
 :mod:`contextvars` context.  Context variables do not propagate into pool
@@ -46,12 +49,17 @@ class LanePool:
 
     ``width`` defaults to how many threads can run at once on this host:
     the CPUs this process is allowed on (a pinned process gets a narrower
-    pool), else the machine's.  Tests pass one; nothing else does.
+    pool), else the machine's.  No caller passes one but tests, which
+    size a pool to exercise a host they do not run on.
     """
 
     def __init__(self, width: int | None = None) -> None:
-        affinity = getattr(os, "sched_getaffinity", None)
-        self.width = width or (len(affinity(0)) if affinity else os.cpu_count() or 1)
+        if width is None:
+            affinity = getattr(os, "sched_getaffinity", None)
+            width = len(affinity(0)) if affinity else os.cpu_count() or 1
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        self.width = width
         self.closed = False
         self._executor = ThreadPoolExecutor(self.width, "repro-lane")
         weakref.finalize(self, self._executor.shutdown, wait=False)
@@ -76,12 +84,14 @@ class LanePool:
         """``[runner(task) for task in tasks]`` with at most ``width`` tasks
         in flight, in caller-runs lanes.
 
-        ``min(width, len(tasks))`` lanes pull task indices from one shared
-        ticket counter.  The calling thread is lane 0; the others are
-        submitted to the pool.  When the caller's lane runs dry it cancels
-        every helper that has not started and waits only for those that
-        have, so small tasks the caller finishes before a helper would wake
-        never leave this thread.
+        ``min(width, self.width, len(tasks))`` lanes pull task indices from
+        one shared ticket counter: more lanes than the host has CPUs could
+        overlap nothing, only hand the GIL back and forth.  The calling
+        thread is lane 0; the others are submitted to the pool, so on a
+        one-CPU host every task runs right here.  When the caller's lane
+        runs dry it cancels every helper that has not started and waits
+        only for those that have, so small tasks the caller finishes before
+        a helper would wake never leave this thread.
 
         Invariant: **tasks are leaves** -- a runner never submits to the
         pool.  That is what makes one shared pool deadlock-free at any
@@ -98,6 +108,8 @@ class LanePool:
         """
         if self.closed:
             raise ClusterError("this cluster context is closed")
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
         results: list = [None] * len(tasks)
         errors: dict[int, BaseException] = {}
         tickets = itertools.count()  # next() is atomic under the GIL
@@ -112,7 +124,7 @@ class LanePool:
                 except BaseException as error:
                     errors[index] = error
 
-        helpers = [self.submit(lane) for _ in range(min(width, len(tasks)) - 1)]
+        helpers = [self.submit(lane) for _ in range(min(width, self.width, len(tasks)) - 1)]
         lane()
         for helper in helpers:
             if not helper.cancel():

@@ -3,10 +3,12 @@ critical path.
 
 Execution model.  Stage-graph nodes are dispatched as soon as every
 dependency has finished (Kahn-style ready set, smallest index first, at
-most ``max_concurrent`` in flight) onto the cluster context's one
-:class:`~repro.localexec.lanes.LanePool` -- or, when exactly one node can
-start and nothing is in flight (every chain, and every ``max_concurrent=1``
-run, whose nodes therefore execute in index order), on the dispatching
+most ``min(max_concurrent, lanes.width)`` in flight: ``max_concurrent``
+bounds the model's overlap, the pool's width what the host can overlap)
+onto the cluster context's one :class:`~repro.localexec.lanes.LanePool` --
+or, when exactly one node can start and nothing is in flight (every chain,
+and every run whose bound is one -- ``max_concurrent=1`` or a one-CPU host
+-- whose nodes therefore execute in index order), on the dispatching
 thread itself.  Each node runs
 under its own :class:`~repro.runtime.metering.StageMeter`, so its simulated
 duration (network + compute + per-stage overhead) is measured privately
@@ -62,8 +64,8 @@ from repro.trace.emit import active_tracer
 
 #: Upper bound on concurrently dispatched stages when the config does not
 #: pin one.  Stage concurrency is about overlapping *simulated* stages, not
-#: saturating host cores (the lane pool is host-sized whatever this says),
-#: so a modest width is plenty.
+#: saturating host cores (no more nodes are in flight than the lane pool is
+#: wide, whatever this says), so a modest width is plenty.
 DEFAULT_MAX_CONCURRENT_STAGES = 8
 
 
@@ -163,8 +165,9 @@ class StageScheduler:
         ready = sorted(i for i, n in waiting.items() if n == 0)  # a valid heap
         running: dict[Future, int] = {}
         failures: list[BaseException] = []
+        bound = min(self.max_concurrent, self._lanes.width)
         while ready or running:
-            room = min(len(ready), self.max_concurrent - len(running))
+            room = min(len(ready), bound - len(running))
             # One node to start, none in flight: nothing to overlap, run it here;
             # either way under a copy of this thread's context (ledger scopes).
             inline = room == 1 and not running

@@ -1,7 +1,7 @@
 """Thread-safety tests: the ledger, the clock and the stage meter hammered
 from concurrently running stages (the regression the concurrent scheduler
-introduces), and the booked per-worker peak of a serial run, repeated run
-for run."""
+introduces), and the booked per-worker peak of a serial run and of a
+one-lane host, repeated run for run."""
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +14,7 @@ from repro.programs.registry import WorkloadParams, build_workload
 from repro.rdd.clock import SimulatedClock, TimeBreakdown
 from repro.rdd.ledger import CommunicationLedger
 from repro.runtime.metering import StageMeter, active_meter, metered
+from tests.runtime.test_pool_lifecycle import pooled
 
 THREADS = 8
 ROUNDS = 200
@@ -160,9 +161,9 @@ class TestStageMeter:
 #: ``peak_memory_bytes`` of each app at its registry defaults, 4 workers of
 #: one thread each, one stage at a time: the peaks booked before the sparse
 #: block products and the coordinate cut moved onto compiled loops.  With
-#: two threads per worker, or stages in flight together, the booked peak
-#: follows host thread timing (gnmf and pagerank book two and three values
-#: on a contended host), so it is not pinned there.
+#: two threads per worker, or stages in flight together, on a host of two or
+#: more CPUs the booked peak follows host thread timing (gnmf and pagerank
+#: book two and three values on a contended host), so it is not pinned there.
 SERIAL_PEAKS = {"gnmf": 132_352, "pagerank": 327_368, "svd": 6_888}
 
 
@@ -178,3 +179,28 @@ def test_a_serial_run_books_one_peak(app):
         with DMacSession(config) as session:
             peaks.add(session.run(built.program, built.inputs).peak_memory_bytes)
     assert peaks == {SERIAL_PEAKS[app]}
+
+
+#: ``peak_memory_bytes`` of each app at its registry defaults, 4 workers of
+#: two threads each, up to four stages in flight, on a one-CPU host: one
+#: lane runs every block task and every stage node in index order.
+ONE_LANE_PEAKS = {"gnmf": 122_864, "pagerank": 244_120, "svd": 7_376}
+
+
+@pytest.mark.parametrize("app", sorted(ONE_LANE_PEAKS))
+def test_a_one_lane_host_books_one_peak(app):
+    """Ten runs book one peak, the one the same cluster books one stage at
+    a time: on one lane, stage concurrency is a bound of the model only."""
+    built = build_workload(app, WorkloadParams())
+
+    def peak(stages: int) -> int:
+        config = ClusterConfig(
+            num_workers=4, threads_per_worker=2, max_concurrent_stages=stages
+        )
+        with DMacSession(config) as session:
+            return session.run(built.program, built.inputs).peak_memory_bytes
+
+    with pooled(1):  # a one-thread pool, as a one-CPU host builds it
+        peaks = {peak(4) for _ in range(10)}
+        serial = peak(1)
+    assert peaks == {serial} == {ONE_LANE_PEAKS[app]}

@@ -9,6 +9,8 @@ What these tests pin (``repro.localexec.lanes``):
 * :meth:`LanePool.map` keeps task order, runs each task once, never has
   more than ``width`` in flight, raises the lowest failing index, and one
   shared pool cannot deadlock because block tasks are leaves;
+* no more lanes or stage nodes run than the pool is wide: a one-thread
+  pool runs everything on the calling thread and starts nothing;
 * a block task sees the submitting stage's context on every lane;
 * long-lived tenant sessions of one shared ``MatrixService`` behave like
   the solo sessions of ``tests/test_concurrent_sessions.py``.
@@ -115,6 +117,13 @@ def failing_products(error: BaseException, after: int = 3):
 
 
 class TestNoThreadOutlivesItsOwner:
+    @pytest.fixture(autouse=True)
+    def two_lanes(self):
+        """Two-thread pools whatever the host: on one CPU a run starts no
+        thread, and there would be nothing to outlive its owner."""
+        with pooled(2):
+            yield
+
     def test_with_block(self):
         baseline = live_threads()
         with DMacSession(small_blocks()) as session:
@@ -216,7 +225,7 @@ class TestNoThreadOutlivesItsOwner:
             )
         finished = service.drain()
         assert [record.state for record in finished] == ["done"] * 50
-        assert len(lane_threads()) <= 2 * LanePool().width  # one pool per tenant
+        assert len(lane_threads()) <= 2 * 2  # one two-thread pool per tenant
         service.close()
         service.close()
         assert_threads_return_to(baseline)
@@ -248,11 +257,16 @@ def counting_starts():
 class TestCounts:
     def test_a_job_on_a_warm_session_starts_nothing(self):
         workload = build_workload(*SERVE_SIZED)
-        # Width 1: once its one thread runs, "warm" is not a matter of luck.
+        # Width 1: the caller's lane is the only one, cold or warm.
         with pooled(1), DMacSession(CLUSTER) as session:
             with counting_starts() as cold:
                 first = session.run(workload.program, workload.inputs)
-            assert cold == {"threads": 1}, "the job must fan out"
+            assert cold == {}
+        # Width 2: once both threads run, "warm" is not a matter of luck.
+        with pooled(2), DMacSession(CLUSTER) as session:
+            with counting_starts() as cold:
+                session.run(workload.program, workload.inputs)
+            assert cold == {"threads": 2}, "the job must fill the pool"
             with counting_starts() as warm:
                 second = session.run(workload.program, workload.inputs)
             assert warm == {}  # 37.7 threads and 18.8 executors before the pool
@@ -265,7 +279,10 @@ class TestCounts:
             with DMacSession(CLUSTER) as session:
                 session.run(workload.program, workload.inputs)
         assert counts["executors"] == 1
-        assert 1 <= counts["threads"] <= width
+        if width == 1:
+            assert counts["threads"] == 0  # nothing to overlap on one CPU
+        else:
+            assert 1 <= counts["threads"] <= width
 
     def test_engines_resolve_without_building_a_list(self):
         with DMacSession(CLUSTER) as session:
@@ -362,7 +379,7 @@ class TestMap:
         else:
             assert pools[pool_width].map(runner, tasks, width) == [t * t for t in tasks]
             assert runner.calls == Counter(tasks)
-        assert runner.peak <= min(width, max(count, 1))
+        assert runner.peak <= min(width, pool_width, max(count, 1))
 
     def test_stress_many_callers_share_one_pool(self):
         """More callers than cores, a near-zero switch interval: a lost
@@ -389,6 +406,18 @@ class TestMap:
             pool.close()
         assert outcomes == [True] * 64
         assert started(pool) <= 2
+
+    def test_a_width_below_one_is_rejected(self):
+        for width in (0, -1):
+            with pytest.raises(ValueError, match=f"width must be >= 1, got {width}"):
+                LanePool(width)
+        pool = LanePool(2)
+        runner = Instrumented()
+        for width in (0, -1):
+            with pytest.raises(ValueError, match=f"width must be >= 1, got {width}"):
+                pool.map(runner, [1, 2, 3], width)
+        assert not runner.calls
+        pool.close()
 
     def test_after_a_failure_no_lane_takes_a_new_ticket(self):
         runner = Instrumented(failing={0})
@@ -436,8 +465,8 @@ class TestMap:
         StageScheduler(max_concurrent, lanes=pool).run(graph, run_node)
         pool.close()
         assert runner.calls == Counter(range(9))
-        assert runner.peak <= max_concurrent
-        if max_concurrent == 1:
+        assert runner.peak <= min(max_concurrent, pool_width)
+        if min(max_concurrent, pool_width) == 1:
             # The serial case of the one loop: index order, on this thread.
             assert order == list(range(9))
             assert started(pool) == 0
@@ -467,8 +496,9 @@ class TestMap:
         assert caught.value.node == 0
 
     def test_width_one_pool_with_eight_concurrent_stage_nodes_terminates(self):
-        """Trap (b): stage nodes occupy the pool's only thread and submit
-        helper lanes to the same pool; they must cancel, not wait."""
+        """Trap (b) on one thread: the scheduler runs every node on the
+        dispatching thread, so no node occupies the pool and no helper is
+        submitted."""
         pool = LanePool(1)
         graph = synthetic_graph({i: () for i in range(8)})
         runner = Instrumented()
@@ -485,6 +515,34 @@ class TestMap:
         worker.join(timeout=30)
         assert not worker.is_alive(), "deadlock: a lane waited for a helper that cannot start"
         assert sum(runner.calls.values()) == 48
+        assert started(pool) == 0
+        pool.close()
+
+    def test_width_two_pool_with_eight_concurrent_stage_nodes_terminates(self):
+        """Trap (b): stage nodes occupy both pool threads and submit helper
+        lanes to the same pool; they must cancel, not wait."""
+        pool = LanePool(2)
+        graph = synthetic_graph({i: () for i in range(8)})
+        runner = Instrumented()
+        both_nodes = threading.Barrier(2, timeout=10)
+        node_threads: dict[int, int] = {}
+
+        def run_node(node):
+            node_threads[node.index] = threading.get_ident()
+            if node.index < 2:
+                both_nodes.wait()  # the pool is full before either submits
+            tasks = [node.index * 10 + k for k in range(6)]
+            assert pool.map(runner, tasks, 2) == [t * t for t in tasks]
+            return StageMeter()
+
+        worker = threading.Thread(
+            target=StageScheduler(8, lanes=pool).run, args=(graph, run_node), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "deadlock: a lane waited for a helper that cannot start"
+        assert sum(runner.calls.values()) == 48
+        assert len({node_threads[0], node_threads[1], worker.ident}) == 3
         pool.close()
 
     def test_width_one_session_with_eight_concurrent_stages_matches_serial(self):
@@ -520,7 +578,7 @@ class TestLanesSeeTheSubmittingStage:
                 current_stage(),
             )
 
-        pool = LanePool(1)
+        pool = LanePool(2)
         with metered(meter), ledger.scope("stage-4"), stage_scope(7, 4):
             seen = pool.map(runner, list(range(6)), 2)
         pool.close()

@@ -9,6 +9,7 @@ from repro.core.planner import DMacPlanner
 from repro.errors import StageExecutionError
 from repro.core.stages import schedule_stages
 from repro.lang.program import ProgramBuilder
+from repro.localexec.lanes import LanePool
 from repro.rdd.context import ClusterContext
 from repro.runtime.executor import PlanExecutor
 from repro.runtime.graph import StageGraph, StageNode
@@ -111,7 +112,9 @@ class TestDispatch:
             barrier.wait()
             return StageMeter()
 
-        report = StageScheduler(max_concurrent=2).run(graph, run)
+        pool = LanePool(2)  # whatever the host: one CPU runs one node at a time
+        report = StageScheduler(max_concurrent=2, lanes=pool).run(graph, run)
+        pool.close()
         assert len(report.timings) == 2
 
     def test_dependency_order_is_honoured(self):
