@@ -46,6 +46,8 @@ class DependencyType(enum.Enum):
     EXTRACT = "extract"
     EXTRACT_TRANSPOSE = "extract-transpose"
 
+    __hash__ = object.__hash__  # singleton members: identity, in C
+
 
 #: Dependencies that repartition or replicate data across workers.
 COMMUNICATION_DEPENDENCIES = frozenset(

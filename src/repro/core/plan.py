@@ -4,7 +4,9 @@ A plan is a DAG like the paper's Figure 3: nodes are *matrix instances*
 (a logical matrix, possibly transposed, laid out under a scheme -- e.g.
 ``W1^T(b)``) and edges are either original compute operators or the five
 extended operators (``partition``, ``broadcast``, ``transpose``,
-``reference``, ``extract``) that realise dependencies.
+``reference``, ``extract``) that realise dependencies.  Instances are
+interned, one live object per (name, transposed, scheme), so every map
+keyed by instance hashes and compares them by identity.
 
 We store the plan as a topologically-ordered step list; the stage scheduler
 (:mod:`repro.core.stages`) later annotates each step with its stage number,
@@ -14,6 +16,9 @@ whose boundaries sit exactly on the communicating edges.
 from __future__ import annotations
 
 import dataclasses
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from typing import Callable, Optional, Union
 
 from repro.lang.program import (
@@ -35,35 +40,65 @@ from repro.matrix.schemes import Scheme
 COMMUNICATING_KINDS = frozenset({"partition", "broadcast"})
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False, eq=False)
 class MatrixInstance:
-    """A concrete distributed materialisation of a logical matrix."""
+    """A concrete distributed materialisation of a logical matrix.
+
+    Hash-consed: ``MatrixInstance(name, transposed, scheme)`` returns the
+    one live instance of that triple, however it is built (positionally,
+    by keyword, by :func:`dataclasses.replace`, :meth:`with_scheme`,
+    ``copy``, ``deepcopy`` or ``pickle``).  Equality is therefore identity
+    and the hash is ``object``'s, so the maps every planning layer keys by
+    instance hash and compare in C.  The hash is an address: set order may
+    differ between two instances of one triple minted at different times,
+    so nothing may depend on the iteration order of a set of instances.
+    """
 
     name: str  # program version name, e.g. "W@2"
     transposed: bool  # this instance holds the transpose of `name`
     scheme: Scheme
-    #: Instances key every planner / optimizer / verifier map; the
-    #: generated hash re-hashes the ``Scheme`` enum in Python on each
-    #: lookup, so it is computed once.  (Valid in this process only.)
-    _hash: int = dataclasses.field(init=False, repr=False, compare=False)
     #: ``str(self)``, printed far more often than instances are made.
-    _text: str = dataclasses.field(init=False, repr=False, compare=False)
+    _text: str = dataclasses.field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.name, self.transposed, self.scheme))
-        )
-        suffix = "^T" if self.transposed else ""
-        object.__setattr__(self, "_text", f"{self.name}{suffix}({self.scheme._value_})")
+    def __new__(cls, name: str, transposed: bool, scheme: Scheme) -> "MatrixInstance":
+        key = (name, transposed, scheme)
+        ref = _INSTANCES.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        with _MINT_LOCK:  # two threads must never mint twins
+            ref = _INSTANCES.get(key)
+            self = ref() if ref is not None else None
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "name", name)
+                object.__setattr__(self, "transposed", transposed)
+                object.__setattr__(self, "scheme", scheme)
+                suffix = "^T" if transposed else ""
+                object.__setattr__(self, "_text", f"{name}{suffix}({scheme._value_})")
+                _INSTANCES[key] = weakref.KeyedRef(self, _forget, key)
+            return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple:  # so copy, deepcopy and pickle intern too
+        return MatrixInstance, (self.name, self.transposed, self.scheme)
 
     def __str__(self) -> str:
         return self._text
 
     def with_scheme(self, scheme: Scheme) -> "MatrixInstance":
-        return dataclasses.replace(self, scheme=scheme)
+        return MatrixInstance(self.name, self.transposed, scheme)
+
+
+#: The intern table: (name, transposed, scheme) -> a weak reference to the
+#: live instance.  It keeps nothing alive; a dead entry is dropped by its
+#: reference's callback, atomically and only while it is still dead.
+_INSTANCES: dict[tuple[str, bool, Scheme], weakref.KeyedRef] = {}
+_MINT_LOCK = threading.Lock()
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    _remove_dead_weakref(_INSTANCES, ref.key)
 
 
 @dataclasses.dataclass

@@ -31,6 +31,10 @@ class Scheme(enum.Enum):
     COL = "c"
     BROADCAST = "b"
 
+    #: Members are singletons: hash by identity, in C (``Enum``'s own
+    #: ``__hash__`` is a Python frame hashing the member name).
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self._value_  # the plain attribute; ``.value`` is a descriptor call
 

@@ -36,7 +36,6 @@ the per-block arithmetic or its order, so outputs stay byte-identical
 from __future__ import annotations
 
 import collections
-import functools
 
 from repro.core.cost import CostModel
 from repro.core.plan import (
@@ -66,10 +65,6 @@ ELEMENTWISE = (CellwiseStep, ScalarMatrixStep, UnaryStep)
 #: Cap on accepted rewrite rounds (each strictly reduces the cost tuple,
 #: so this only guards against pathological plans).
 MAX_ROUNDS = 8
-
-#: Interned: a cascade names the same few layouts over and over, and an
-#: instance met again by identity is hashed and compared without Python code.
-_layout = functools.lru_cache(maxsize=1 << 12)(MatrixInstance)
 
 
 def _flippable(step: Step, required: Scheme) -> bool:
@@ -171,13 +166,13 @@ class _FlipSession:
             return
         self._done.add(handle)
         old = step.output_instance()
-        new = _layout(old.name, old.transposed, required)
+        new = old.with_scheme(required)
         if isinstance(step, ELEMENTWISE):
             fields = {"output": new}
             for field in ("left", "right", "source"):
                 value = getattr(step, field, None)
                 if isinstance(value, MatrixInstance):
-                    want = _layout(value.name, value.transposed, required)
+                    want = value.with_scheme(required)
                     self.demand(want)
                     fields[field] = want
             index.rebind(step, **fields)
@@ -189,8 +184,8 @@ class _FlipSession:
                 strategy, schemes = "rmm2", (Scheme.ROW, Scheme.BROADCAST)
             else:
                 strategy, schemes = "rmm1", (Scheme.BROADCAST, Scheme.COL)
-            left = _layout(step.left.name, step.left.transposed, schemes[0])
-            right = _layout(step.right.name, step.right.transposed, schemes[1])
+            left = step.left.with_scheme(schemes[0])
+            right = step.right.with_scheme(schemes[1])
             self.demand(left)
             self.demand(right)
             index.rebind(step, strategy=strategy, left=left, right=right, output=new)
