@@ -14,71 +14,44 @@ Public entry points::
     from repro import ClusterConfig, DMacSession, ProgramBuilder
 """
 
-from repro.config import ClockConfig, ClusterConfig, RecoveryConfig
-from repro.core.plan import Plan
-from repro.core.planner import DMacPlanner
-from repro.errors import (
-    BlockError,
-    ClusterError,
-    ExecutionError,
-    FaultInjected,
-    FaultSpecError,
-    MemoryLimitExceeded,
-    PlanError,
-    ProgramError,
-    ReproError,
-    SchemeError,
-    ShapeError,
-    ShuffleBlockLost,
-    StageExecutionError,
-    TransferFault,
-    TranslationValidationError,
-    VerificationError,
-    WorkerCrashed,
-)
-from repro.faults import ChaosEngine, parse_fault_spec
-from repro.lang.program import MatrixProgram, ProgramBuilder
-from repro.matrix.distributed import DistributedMatrix
-from repro.matrix.schemes import Scheme
-from repro.rdd.context import ClusterContext
-from repro.runtime.executor import ExecutionResult
-from repro.runtime.graph import StageGraph
-from repro.session import DMacSession
+from repro._exports import export_table
+
+_EXPORTS = {
+    "ClockConfig": "repro.config",
+    "ClusterConfig": "repro.config",
+    "RecoveryConfig": "repro.config",
+    "Plan": "repro.core.plan",
+    "DMacPlanner": "repro.core.planner",
+    "BlockError": "repro.errors",
+    "ClusterError": "repro.errors",
+    "ExecutionError": "repro.errors",
+    "FaultInjected": "repro.errors",
+    "FaultSpecError": "repro.errors",
+    "MemoryLimitExceeded": "repro.errors",
+    "PlanError": "repro.errors",
+    "ProgramError": "repro.errors",
+    "ReproError": "repro.errors",
+    "SchemeError": "repro.errors",
+    "ShapeError": "repro.errors",
+    "ShuffleBlockLost": "repro.errors",
+    "StageExecutionError": "repro.errors",
+    "TransferFault": "repro.errors",
+    "TranslationValidationError": "repro.errors",
+    "VerificationError": "repro.errors",
+    "WorkerCrashed": "repro.errors",
+    "ChaosEngine": "repro.faults.chaos",
+    "parse_fault_spec": "repro.faults.spec",
+    "MatrixProgram": "repro.lang.program",
+    "ProgramBuilder": "repro.lang.program",
+    "DistributedMatrix": "repro.matrix.distributed",
+    "Scheme": "repro.matrix.schemes",
+    "ClusterContext": "repro.rdd.context",
+    "ExecutionResult": "repro.runtime.executor",
+    "StageGraph": "repro.runtime.graph",
+    "DMacSession": "repro.session",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BlockError",
-    "ChaosEngine",
-    "ClockConfig",
-    "ClusterConfig",
-    "ClusterContext",
-    "ClusterError",
-    "DMacPlanner",
-    "DMacSession",
-    "DistributedMatrix",
-    "ExecutionError",
-    "ExecutionResult",
-    "FaultInjected",
-    "FaultSpecError",
-    "MatrixProgram",
-    "MemoryLimitExceeded",
-    "Plan",
-    "PlanError",
-    "ProgramBuilder",
-    "ProgramError",
-    "RecoveryConfig",
-    "ReproError",
-    "Scheme",
-    "SchemeError",
-    "ShapeError",
-    "ShuffleBlockLost",
-    "StageExecutionError",
-    "StageGraph",
-    "TransferFault",
-    "TranslationValidationError",
-    "VerificationError",
-    "WorkerCrashed",
-    "parse_fault_spec",
-    "__version__",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -1,20 +1,16 @@
 """Comparator systems: SystemML-S, ScaLAPACK, SciDB, single-machine R."""
 
-from repro.baselines.rlocal import LocalResult, run_local
-from repro.baselines.scalapack import (
-    SystemRunResult,
-    process_grid,
-    run_scalapack_matmul,
-)
-from repro.baselines.scidb import run_scidb_matmul
-from repro.baselines.systemml import SystemMLSExecutor
+from repro._exports import export_table
 
-__all__ = [
-    "LocalResult",
-    "SystemMLSExecutor",
-    "SystemRunResult",
-    "process_grid",
-    "run_local",
-    "run_scalapack_matmul",
-    "run_scidb_matmul",
-]
+_EXPORTS = {
+    "LocalResult": "repro.baselines.rlocal",
+    "run_local": "repro.baselines.rlocal",
+    "SystemRunResult": "repro.baselines.scalapack",
+    "process_grid": "repro.baselines.scalapack",
+    "run_scalapack_matmul": "repro.baselines.scalapack",
+    "run_scidb_matmul": "repro.baselines.scidb",
+    "SystemMLSExecutor": "repro.baselines.systemml",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -6,67 +6,38 @@ helpers to split driver-side matrices (dense ndarrays or coordinate
 triples) into block grids and assemble them back.
 """
 
-from repro.blocks.conversion import (
-    BlockGrid,
-    assemble,
-    block_extent,
-    grid_model_nbytes,
-    grid_shape,
-    split,
-)
-from repro.blocks.coordinate import CoordinateMatrix, as_matrix
-from repro.blocks.dense import DenseBlock
-from repro.blocks.memory import (
-    choose_block_size,
-    dense_block_model_bytes,
-    matrix_model_bytes,
-    max_block_size,
-    sparse_block_model_bytes,
-)
-from repro.blocks.ops import (
-    CELLWISE_OPS,
-    Block,
-    accumulate,
-    block_col_sums,
-    block_row_sums,
-    block_sq_sum,
-    block_sum,
-    cellwise,
-    cellwise_flops,
-    matmul,
-    matmul_flops,
-    scalar_op,
-    transpose,
-)
-from repro.blocks.sparse import CSCBlock
+from repro._exports import export_table
 
-__all__ = [
-    "Block",
-    "BlockGrid",
-    "CELLWISE_OPS",
-    "CSCBlock",
-    "CoordinateMatrix",
-    "DenseBlock",
-    "accumulate",
-    "as_matrix",
-    "assemble",
-    "block_extent",
-    "block_col_sums",
-    "block_row_sums",
-    "block_sq_sum",
-    "block_sum",
-    "cellwise",
-    "cellwise_flops",
-    "choose_block_size",
-    "dense_block_model_bytes",
-    "grid_model_nbytes",
-    "grid_shape",
-    "matmul",
-    "matmul_flops",
-    "matrix_model_bytes",
-    "max_block_size",
-    "scalar_op",
-    "sparse_block_model_bytes",
-    "split",
-    "transpose",
-]
+_EXPORTS = {
+    "BlockGrid": "repro.blocks.conversion",
+    "assemble": "repro.blocks.conversion",
+    "block_extent": "repro.blocks.conversion",
+    "grid_model_nbytes": "repro.blocks.conversion",
+    "grid_shape": "repro.blocks.conversion",
+    "split": "repro.blocks.conversion",
+    "CoordinateMatrix": "repro.blocks.coordinate",
+    "as_matrix": "repro.blocks.coordinate",
+    "DenseBlock": "repro.blocks.dense",
+    "choose_block_size": "repro.blocks.memory",
+    "dense_block_model_bytes": "repro.blocks.memory",
+    "matrix_model_bytes": "repro.blocks.memory",
+    "max_block_size": "repro.blocks.memory",
+    "sparse_block_model_bytes": "repro.blocks.memory",
+    "CELLWISE_OPS": "repro.blocks.ops",
+    "Block": "repro.blocks.ops",
+    "accumulate": "repro.blocks.ops",
+    "block_col_sums": "repro.blocks.ops",
+    "block_row_sums": "repro.blocks.ops",
+    "block_sq_sum": "repro.blocks.ops",
+    "block_sum": "repro.blocks.ops",
+    "cellwise": "repro.blocks.ops",
+    "cellwise_flops": "repro.blocks.ops",
+    "matmul": "repro.blocks.ops",
+    "matmul_flops": "repro.blocks.ops",
+    "scalar_op": "repro.blocks.ops",
+    "transpose": "repro.blocks.ops",
+    "CSCBlock": "repro.blocks.sparse",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -34,14 +34,11 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro import ClusterConfig, DMacSession
-from repro.core.analysis import explain, format_statistics
-from repro.core.cost import CostModel
-from repro.core.viz import plan_to_dot
+from repro.config import ClusterConfig
 from repro.datasets import PAPER_GRAPHS
 from repro.errors import ProgramError
 from repro.frontend.staged import segments_of
@@ -52,6 +49,9 @@ from repro.programs.registry import (
     WorkloadParams,
     build_workload,
 )
+
+if TYPE_CHECKING:  # each command imports the layers it runs
+    from repro.session import DMacSession
 
 #: Exit codes shared by the plan/lint subcommands.
 EXIT_OK = 0
@@ -104,6 +104,8 @@ def _cluster_config(args: argparse.Namespace) -> ClusterConfig:
 
 
 def _session(args: argparse.Namespace, trace: bool = False) -> DMacSession:
+    from repro.session import DMacSession
+
     return DMacSession(_cluster_config(args), optimize=args.optimize, trace=trace)
 
 
@@ -296,6 +298,10 @@ def _resolve_plan_target(args: argparse.Namespace, target: str):
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.core.analysis import explain, format_statistics
+    from repro.core.cost import CostModel
+    from repro.core.viz import plan_to_dot
+
     try:
         program = _resolve_plan_target(args, args.app)
     except ProgramError as exc:
@@ -558,6 +564,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         format_chaos_report,
         parse_fault_spec,
     )
+    from repro.session import DMacSession
 
     try:
         clauses = parse_fault_spec(args.faults)

@@ -7,97 +7,57 @@ plan generator with its two heuristics (Algorithm 1, Section 4.2), the
 stage scheduler (Section 5.2) and the plan executor.
 """
 
-from repro.core.analysis import PlanStatistics, explain, format_statistics
-from repro.core.cost import dependency_cost, output_cost
-from repro.core.dependency import (
-    BROADCAST_DEPENDENCIES,
-    COMMUNICATION_DEPENDENCIES,
-    DependencyType,
-    classify,
-    is_communication,
-    lowering_chain,
-)
-from repro.core.estimator import SizeEstimator
-from repro.core.events import InputEvent, OutputEvent, precedes
-from repro.core.optimal import free_closure, optimal_cost, paper_cost_of_plan
-from repro.core.plan import (
-    AggregateStep,
-    CellwiseStep,
-    ExtendedStep,
-    MatMulStep,
-    MatrixInstance,
-    Plan,
-    RowAggStep,
-    ScalarComputeStep,
-    ScalarMatrixStep,
-    SourceStep,
-    Step,
-    UnaryStep,
-)
-from repro.core.planner import DMacPlanner
-from repro.core.stages import schedule_stages
-from repro.core.viz import plan_to_dot
-from repro.core.strategies import (
-    AGGREGATE_STRATEGIES,
-    CELLWISE_STRATEGIES,
-    CPMM,
-    MATMUL_STRATEGIES,
-    RMM1,
-    RMM2,
-    SCALAR_STRATEGIES,
-    SOURCE_STRATEGY,
-    Strategy,
-    candidate_strategies,
-)
-from repro.runtime.executor import ExecutionResult, PlanExecutor, StepTrace, evaluate_scalar
+from repro._exports import export_table
 
-__all__ = [
-    "AGGREGATE_STRATEGIES",
-    "AggregateStep",
-    "BROADCAST_DEPENDENCIES",
-    "CELLWISE_STRATEGIES",
-    "COMMUNICATION_DEPENDENCIES",
-    "CPMM",
-    "CellwiseStep",
-    "DMacPlanner",
-    "DependencyType",
-    "ExecutionResult",
-    "ExtendedStep",
-    "InputEvent",
-    "MATMUL_STRATEGIES",
-    "MatMulStep",
-    "MatrixInstance",
-    "OutputEvent",
-    "Plan",
-    "PlanStatistics",
-    "RowAggStep",
-    "PlanExecutor",
-    "RMM1",
-    "RMM2",
-    "SCALAR_STRATEGIES",
-    "SOURCE_STRATEGY",
-    "ScalarComputeStep",
-    "ScalarMatrixStep",
-    "SizeEstimator",
-    "SourceStep",
-    "StepTrace",
-    "Step",
-    "StepTrace",
-    "Strategy",
-    "UnaryStep",
-    "candidate_strategies",
-    "classify",
-    "dependency_cost",
-    "evaluate_scalar",
-    "explain",
-    "format_statistics",
-    "free_closure",
-    "is_communication",
-    "lowering_chain",
-    "optimal_cost",
-    "output_cost",
-    "paper_cost_of_plan",
-    "plan_to_dot",
-    "precedes",
-    "schedule_stages",
-]
+_EXPORTS = {
+    "PlanStatistics": "repro.core.analysis",
+    "explain": "repro.core.analysis",
+    "format_statistics": "repro.core.analysis",
+    "dependency_cost": "repro.core.cost",
+    "output_cost": "repro.core.cost",
+    "BROADCAST_DEPENDENCIES": "repro.core.dependency",
+    "COMMUNICATION_DEPENDENCIES": "repro.core.dependency",
+    "DependencyType": "repro.core.dependency",
+    "classify": "repro.core.dependency",
+    "is_communication": "repro.core.dependency",
+    "lowering_chain": "repro.core.dependency",
+    "SizeEstimator": "repro.core.estimator",
+    "InputEvent": "repro.core.events",
+    "OutputEvent": "repro.core.events",
+    "precedes": "repro.core.events",
+    "free_closure": "repro.core.optimal",
+    "optimal_cost": "repro.core.optimal",
+    "paper_cost_of_plan": "repro.core.optimal",
+    "AggregateStep": "repro.core.plan",
+    "CellwiseStep": "repro.core.plan",
+    "ExtendedStep": "repro.core.plan",
+    "MatMulStep": "repro.core.plan",
+    "MatrixInstance": "repro.core.plan",
+    "Plan": "repro.core.plan",
+    "RowAggStep": "repro.core.plan",
+    "ScalarComputeStep": "repro.core.plan",
+    "ScalarMatrixStep": "repro.core.plan",
+    "SourceStep": "repro.core.plan",
+    "Step": "repro.core.plan",
+    "UnaryStep": "repro.core.plan",
+    "DMacPlanner": "repro.core.planner",
+    "schedule_stages": "repro.core.stages",
+    "plan_to_dot": "repro.core.viz",
+    "AGGREGATE_STRATEGIES": "repro.core.strategies",
+    "CELLWISE_STRATEGIES": "repro.core.strategies",
+    "CPMM": "repro.core.strategies",
+    "MATMUL_STRATEGIES": "repro.core.strategies",
+    "RMM1": "repro.core.strategies",
+    "RMM2": "repro.core.strategies",
+    "SCALAR_STRATEGIES": "repro.core.strategies",
+    "SOURCE_STRATEGY": "repro.core.strategies",
+    "Strategy": "repro.core.strategies",
+    "candidate_strategies": "repro.core.strategies",
+    "ExecutionResult": "repro.runtime.executor",
+    "PlanExecutor": "repro.runtime.executor",
+    "StepTrace": "repro.runtime.executor",
+    "evaluate_scalar": "repro.runtime.executor",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -1,32 +1,22 @@
 """Dataset generators: synthetic sparse matrices, graph surrogates,
 Netflix-like ratings (see DESIGN.md, Substitutions)."""
 
-from repro.datasets.graphs import (
-    PAPER_GRAPHS,
-    GraphSpec,
-    graph_edges,
-    graph_like,
-    row_normalize,
-)
-from repro.datasets.netflix import (
-    NETFLIX_MOVIES,
-    NETFLIX_SPARSITY,
-    NETFLIX_USERS,
-    netflix_like,
-)
-from repro.datasets.synthetic import dense_random, scaled_rows_series, sparse_random
+from repro._exports import export_table
 
-__all__ = [
-    "GraphSpec",
-    "NETFLIX_MOVIES",
-    "NETFLIX_SPARSITY",
-    "NETFLIX_USERS",
-    "PAPER_GRAPHS",
-    "dense_random",
-    "graph_edges",
-    "graph_like",
-    "netflix_like",
-    "row_normalize",
-    "scaled_rows_series",
-    "sparse_random",
-]
+_EXPORTS = {
+    "PAPER_GRAPHS": "repro.datasets.graphs",
+    "GraphSpec": "repro.datasets.graphs",
+    "graph_edges": "repro.datasets.graphs",
+    "graph_like": "repro.datasets.graphs",
+    "row_normalize": "repro.datasets.graphs",
+    "NETFLIX_MOVIES": "repro.datasets.netflix",
+    "NETFLIX_SPARSITY": "repro.datasets.netflix",
+    "NETFLIX_USERS": "repro.datasets.netflix",
+    "netflix_like": "repro.datasets.netflix",
+    "dense_random": "repro.datasets.synthetic",
+    "scaled_rows_series": "repro.datasets.synthetic",
+    "sparse_random": "repro.datasets.synthetic",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -10,27 +10,21 @@ by :class:`~repro.runtime.backend.SimulatedBackend`.  See
 the elasticity policies and the determinism contract.
 """
 
-from repro.elastic.policies import (
-    CostCappedPolicy,
-    ElasticityPolicy,
-    FixedPolicy,
-    LoadTrackingPolicy,
-    timeline_spec,
-)
-from repro.elastic.pool import ElasticPool, Transition
-from repro.elastic.spec import EVENT_KINDS, ElasticEvent, parse_elastic_spec
-from repro.errors import ElasticSpecError
+from repro._exports import export_table
 
-__all__ = [
-    "EVENT_KINDS",
-    "CostCappedPolicy",
-    "ElasticEvent",
-    "ElasticPool",
-    "ElasticityPolicy",
-    "FixedPolicy",
-    "LoadTrackingPolicy",
-    "Transition",
-    "parse_elastic_spec",
-    "ElasticSpecError",
-    "timeline_spec",
-]
+_EXPORTS = {
+    "CostCappedPolicy": "repro.elastic.policies",
+    "ElasticityPolicy": "repro.elastic.policies",
+    "FixedPolicy": "repro.elastic.policies",
+    "LoadTrackingPolicy": "repro.elastic.policies",
+    "timeline_spec": "repro.elastic.policies",
+    "ElasticPool": "repro.elastic.pool",
+    "Transition": "repro.elastic.pool",
+    "EVENT_KINDS": "repro.elastic.spec",
+    "ElasticEvent": "repro.elastic.spec",
+    "parse_elastic_spec": "repro.elastic.spec",
+    "ElasticSpecError": "repro.errors",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -17,26 +17,20 @@ Entry points: ``repro chaos <app> --seed S --faults SPEC`` on the command
 line, or ``session.run(program, chaos=ChaosEngine(seed, spec))`` in code.
 """
 
-from repro.faults.chaos import ChaosEngine
-from repro.faults.lineage import LineageTracker
-from repro.faults.recovery import CheckpointStore
-from repro.faults.report import (
-    RecoveryLog,
-    build_chaos_report,
-    format_chaos_report,
-    summarise_recovery,
-)
-from repro.faults.spec import FAULT_KINDS, FaultClause, parse_fault_spec
+from repro._exports import export_table
 
-__all__ = [
-    "FAULT_KINDS",
-    "ChaosEngine",
-    "CheckpointStore",
-    "FaultClause",
-    "LineageTracker",
-    "RecoveryLog",
-    "build_chaos_report",
-    "format_chaos_report",
-    "parse_fault_spec",
-    "summarise_recovery",
-]
+_EXPORTS = {
+    "ChaosEngine": "repro.faults.chaos",
+    "LineageTracker": "repro.faults.lineage",
+    "CheckpointStore": "repro.faults.recovery",
+    "RecoveryLog": "repro.faults.report",
+    "build_chaos_report": "repro.faults.report",
+    "format_chaos_report": "repro.faults.report",
+    "summarise_recovery": "repro.faults.report",
+    "FAULT_KINDS": "repro.faults.spec",
+    "FaultClause": "repro.faults.spec",
+    "parse_fault_spec": "repro.faults.spec",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -9,27 +9,22 @@ consumes.  Data-dependent ``while`` convergence loops compile to a
 extending the plan dynamically until the condition scalar flips.
 """
 
-from repro.frontend.errors import FrontendError
-from repro.frontend.program import CompiledProgram, FrontendProgram, matrix_program
-from repro.frontend.staged import (
-    CarriedVar,
-    ConditionSpec,
-    StagedOutput,
-    StagedProgram,
-)
-from repro.frontend.types import Matrix, MatrixInput, Scalar, matrix_input
+from repro._exports import export_table
 
-__all__ = [
-    "CarriedVar",
-    "CompiledProgram",
-    "ConditionSpec",
-    "FrontendError",
-    "FrontendProgram",
-    "Matrix",
-    "MatrixInput",
-    "Scalar",
-    "StagedOutput",
-    "StagedProgram",
-    "matrix_input",
-    "matrix_program",
-]
+_EXPORTS = {
+    "FrontendError": "repro.frontend.errors",
+    "CompiledProgram": "repro.frontend.program",
+    "FrontendProgram": "repro.frontend.program",
+    "matrix_program": "repro.frontend.program",
+    "CarriedVar": "repro.frontend.staged",
+    "ConditionSpec": "repro.frontend.staged",
+    "StagedOutput": "repro.frontend.staged",
+    "StagedProgram": "repro.frontend.staged",
+    "Matrix": "repro.frontend.types",
+    "MatrixInput": "repro.frontend.types",
+    "Scalar": "repro.frontend.types",
+    "matrix_input": "repro.frontend.types",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -1,65 +1,37 @@
 """The R-like matrix language: lazy expressions and program building."""
 
-from repro.lang.expr import (
-    AGG_KINDS,
-    AggExpr,
-    CellwiseExpr,
-    MatMulExpr,
-    MatrixExpr,
-    MatrixRefExpr,
-    RowAggExpr,
-    ScalarBinaryExpr,
-    ScalarConst,
-    ScalarExpr,
-    ScalarMatrixExpr,
-    ScalarRefExpr,
-    ScalarUnaryExpr,
-    TransposeExpr,
-)
-from repro.lang.program import (
-    AggregateOp,
-    CellwiseOp,
-    FullOp,
-    LoadOp,
-    MatMulOp,
-    MatrixProgram,
-    OpNode,
-    Operand,
-    ProgramBuilder,
-    RandomOp,
-    RowAggOp,
-    ScalarComputeOp,
-    ScalarMatrixOp,
-    op_input_names,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "AGG_KINDS",
-    "AggExpr",
-    "AggregateOp",
-    "CellwiseExpr",
-    "CellwiseOp",
-    "FullOp",
-    "LoadOp",
-    "MatMulExpr",
-    "MatMulOp",
-    "MatrixExpr",
-    "MatrixProgram",
-    "MatrixRefExpr",
-    "OpNode",
-    "Operand",
-    "ProgramBuilder",
-    "RandomOp",
-    "RowAggExpr",
-    "RowAggOp",
-    "ScalarBinaryExpr",
-    "ScalarComputeOp",
-    "ScalarConst",
-    "ScalarExpr",
-    "ScalarMatrixExpr",
-    "ScalarMatrixOp",
-    "ScalarRefExpr",
-    "ScalarUnaryExpr",
-    "TransposeExpr",
-    "op_input_names",
-]
+_EXPORTS = {
+    "AGG_KINDS": "repro.lang.expr",
+    "AggExpr": "repro.lang.expr",
+    "CellwiseExpr": "repro.lang.expr",
+    "MatMulExpr": "repro.lang.expr",
+    "MatrixExpr": "repro.lang.expr",
+    "MatrixRefExpr": "repro.lang.expr",
+    "RowAggExpr": "repro.lang.expr",
+    "ScalarBinaryExpr": "repro.lang.expr",
+    "ScalarConst": "repro.lang.expr",
+    "ScalarExpr": "repro.lang.expr",
+    "ScalarMatrixExpr": "repro.lang.expr",
+    "ScalarRefExpr": "repro.lang.expr",
+    "ScalarUnaryExpr": "repro.lang.expr",
+    "TransposeExpr": "repro.lang.expr",
+    "AggregateOp": "repro.lang.program",
+    "CellwiseOp": "repro.lang.program",
+    "FullOp": "repro.lang.program",
+    "LoadOp": "repro.lang.program",
+    "MatMulOp": "repro.lang.program",
+    "MatrixProgram": "repro.lang.program",
+    "OpNode": "repro.lang.program",
+    "Operand": "repro.lang.program",
+    "ProgramBuilder": "repro.lang.program",
+    "RandomOp": "repro.lang.program",
+    "RowAggOp": "repro.lang.program",
+    "ScalarComputeOp": "repro.lang.program",
+    "ScalarMatrixOp": "repro.lang.program",
+    "op_input_names": "repro.lang.program",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -15,35 +15,24 @@ Entry points::
         print(report.format_human())
 """
 
-from repro.lint.diagnostics import (
-    Diagnostic,
-    LintContext,
-    LintReport,
-    Severity,
-)
-from repro.lint.rules import RULES, LintInput, Rule
-from repro.lint.runner import (
-    capture_plans,
-    lint_plan,
-    lint_program,
-    lint_python_file,
-    plan_for,
-)
-from repro.lint.selftest import format_selftest, run_selftest
+from repro._exports import export_table
 
-__all__ = [
-    "Diagnostic",
-    "LintContext",
-    "LintReport",
-    "Severity",
-    "RULES",
-    "LintInput",
-    "Rule",
-    "capture_plans",
-    "lint_plan",
-    "lint_program",
-    "lint_python_file",
-    "plan_for",
-    "format_selftest",
-    "run_selftest",
-]
+_EXPORTS = {
+    "Diagnostic": "repro.lint.diagnostics",
+    "LintContext": "repro.lint.diagnostics",
+    "LintReport": "repro.lint.diagnostics",
+    "Severity": "repro.lint.diagnostics",
+    "RULES": "repro.lint.rules",
+    "LintInput": "repro.lint.rules",
+    "Rule": "repro.lint.rules",
+    "capture_plans": "repro.lint.runner",
+    "lint_plan": "repro.lint.runner",
+    "lint_program": "repro.lint.runner",
+    "lint_python_file": "repro.lint.runner",
+    "plan_for": "repro.lint.runner",
+    "format_selftest": "repro.lint.selftest",
+    "run_selftest": "repro.lint.selftest",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -18,7 +18,7 @@ import contextlib
 import dataclasses
 import runpy
 import sys
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.cost import CostModel
 from repro.core.plan import Plan
@@ -26,12 +26,16 @@ from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.lang.program import MatrixProgram
 from repro.lint.diagnostics import Diagnostic, LintContext, LintReport, Severity
-from repro.lint.rules import RULES, LintInput
 from repro.runtime.graph import StageGraph
 from repro.verify.analysis import solve_shapes
 
+if TYPE_CHECKING:  # the rules load with the first lint, not with the runner
+    from repro.lint.rules import LintInput
+
 
 def _apply_rules(inputs: LintInput, suppress: tuple[str, ...]) -> LintReport:
+    from repro.lint.rules import RULES
+
     report = LintReport(suppressed=tuple(suppress))
     unknown = set(suppress) - set(RULES)
     if unknown:
@@ -49,6 +53,8 @@ def lint_program(
     suppress: tuple[str, ...] = (),
 ) -> LintReport:
     """Run the program-level rules over an AST (no plan required)."""
+    from repro.lint.rules import LintInput
+
     inputs = LintInput(program=program, context=context or LintContext())
     return _apply_rules(inputs, suppress)
 
@@ -67,6 +73,8 @@ def lint_plan(
     plans are analysed exactly as given.  Every fact is built here from
     the steps as they are; only ``graph`` may be handed in (built once if not).
     """
+    from repro.lint.rules import LintInput
+
     if plan.num_stages == 0:
         plan = schedule_stages(plan)
     context = context or LintContext()
@@ -111,7 +119,7 @@ def capture_plans(
 
     original = session_module.DMacSession.plan
 
-    def observing_plan(self, program):
+    def observing_plan(self, program: MatrixProgram) -> Plan:
         plan = original(self, program)
         captured.append(
             (plan, LintContext.from_config(self.config, self.estimation_mode))

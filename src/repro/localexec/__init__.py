@@ -5,28 +5,21 @@ aggregation strategies for block matrix multiplication and model-byte
 memory metering.
 """
 
-from repro.localexec.engine import EngineStats, Grid, LocalEngine
-from repro.localexec.pool import MemoryTracker
-from repro.localexec.tasks import (
-    BlockKey,
-    BlockTask,
-    MultiplyAccumulateTask,
-    MultiplyTask,
-    TaskResult,
-    buffered_matmul_tasks,
-    inplace_matmul_tasks,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "BlockKey",
-    "BlockTask",
-    "EngineStats",
-    "Grid",
-    "LocalEngine",
-    "MemoryTracker",
-    "MultiplyAccumulateTask",
-    "MultiplyTask",
-    "TaskResult",
-    "buffered_matmul_tasks",
-    "inplace_matmul_tasks",
-]
+_EXPORTS = {
+    "EngineStats": "repro.localexec.engine",
+    "Grid": "repro.localexec.engine",
+    "LocalEngine": "repro.localexec.engine",
+    "MemoryTracker": "repro.localexec.pool",
+    "BlockKey": "repro.localexec.tasks",
+    "BlockTask": "repro.localexec.tasks",
+    "MultiplyAccumulateTask": "repro.localexec.tasks",
+    "MultiplyTask": "repro.localexec.tasks",
+    "TaskResult": "repro.localexec.tasks",
+    "buffered_matmul_tasks": "repro.localexec.tasks",
+    "inplace_matmul_tasks": "repro.localexec.tasks",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -4,56 +4,32 @@ See :mod:`repro.planopt.pipeline` for the pass pipeline and
 :func:`optimize_plan`, the entry point ``DMacSession`` and the CLI use.
 """
 
-from repro.planopt.coalesce import coalesce_repartitions
-from repro.planopt.common import (
-    AppliedRewrite,
-    clone_plan,
-    toposort_steps,
-)
-from repro.planopt.cse import eliminate_common_steps
-from repro.planopt.dce import eliminate_dead_steps
-from repro.planopt.hoist import pin_loop_invariants
-from repro.planopt.pipeline import (
-    DEFAULT_PASSES,
-    AssociatePass,
-    CoalescePass,
-    CSEPass,
-    DeadStepPass,
-    HoistPass,
-    Pass,
-    PassContext,
-    ReplicatePass,
-    optimize_plan,
-)
-from repro.planopt.replicate import replicate_products
-from repro.planopt.structural import (
-    plan_structural_hash,
-    program_fingerprint,
-    step_structural_key,
-    step_structural_key as structural_key,  # historical name
-)
+from repro._exports import export_table
 
-__all__ = [
-    "AppliedRewrite",
-    "AssociatePass",
-    "CSEPass",
-    "CoalescePass",
-    "DEFAULT_PASSES",
-    "DeadStepPass",
-    "HoistPass",
-    "Pass",
-    "PassContext",
-    "ReplicatePass",
-    "clone_plan",
-    "coalesce_repartitions",
-    "eliminate_common_steps",
-    "eliminate_dead_steps",
-    "optimize_plan",
-    "pin_loop_invariants",
-    "plan_structural_hash",
-    "program_fingerprint",
-    "replicate_products",
-    "step_structural_key",
-    "structural_key",
-    "toposort_steps",
-]
+_EXPORTS = {
+    "coalesce_repartitions": "repro.planopt.coalesce",
+    "AppliedRewrite": "repro.planopt.common",
+    "clone_plan": "repro.planopt.common",
+    "toposort_steps": "repro.planopt.common",
+    "eliminate_common_steps": "repro.planopt.cse",
+    "eliminate_dead_steps": "repro.planopt.dce",
+    "pin_loop_invariants": "repro.planopt.hoist",
+    "DEFAULT_PASSES": "repro.planopt.pipeline",
+    "AssociatePass": "repro.planopt.pipeline",
+    "CoalescePass": "repro.planopt.pipeline",
+    "CSEPass": "repro.planopt.pipeline",
+    "DeadStepPass": "repro.planopt.pipeline",
+    "HoistPass": "repro.planopt.pipeline",
+    "Pass": "repro.planopt.pipeline",
+    "PassContext": "repro.planopt.pipeline",
+    "ReplicatePass": "repro.planopt.pipeline",
+    "optimize_plan": "repro.planopt.pipeline",
+    "replicate_products": "repro.planopt.replicate",
+    "plan_structural_hash": "repro.planopt.structural",
+    "program_fingerprint": "repro.planopt.structural",
+    "step_structural_key": "repro.planopt.structural",
+    "structural_key": "repro.planopt.structural:step_structural_key",  # historical name
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -1,34 +1,24 @@
 """The paper's benchmark applications as matrix programs (Appendix A)."""
 
-from repro.programs.cf import build_cf_program
-from repro.programs.gnmf import build_gnmf_program
-from repro.programs.jacobi import build_jacobi_program, split_system
-from repro.programs.linreg import DEFAULT_LAMBDA, build_linreg_program
-from repro.programs.logreg import build_logreg_program
-from repro.programs.pagerank import DAMPING, build_pagerank_program
-from repro.programs.power_iteration import build_power_iteration_program
-from repro.programs.ridge import build_ridge_program
-from repro.programs.svd import (
-    LanczosScalars,
-    build_svd_program,
-    singular_values,
-    tridiagonal_matrix,
-)
+from repro._exports import export_table
 
-__all__ = [
-    "DAMPING",
-    "DEFAULT_LAMBDA",
-    "LanczosScalars",
-    "build_cf_program",
-    "build_gnmf_program",
-    "build_jacobi_program",
-    "build_linreg_program",
-    "build_logreg_program",
-    "build_pagerank_program",
-    "build_power_iteration_program",
-    "build_ridge_program",
-    "build_svd_program",
-    "singular_values",
-    "split_system",
-    "tridiagonal_matrix",
-]
+_EXPORTS = {
+    "build_cf_program": "repro.programs.cf",
+    "build_gnmf_program": "repro.programs.gnmf",
+    "build_jacobi_program": "repro.programs.jacobi",
+    "split_system": "repro.programs.jacobi",
+    "DEFAULT_LAMBDA": "repro.programs.linreg",
+    "build_linreg_program": "repro.programs.linreg",
+    "build_logreg_program": "repro.programs.logreg",
+    "DAMPING": "repro.programs.pagerank",
+    "build_pagerank_program": "repro.programs.pagerank",
+    "build_power_iteration_program": "repro.programs.power_iteration",
+    "build_ridge_program": "repro.programs.ridge",
+    "LanczosScalars": "repro.programs.svd",
+    "build_svd_program": "repro.programs.svd",
+    "singular_values": "repro.programs.svd",
+    "tridiagonal_matrix": "repro.programs.svd",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -8,31 +8,23 @@ two instruments from which every benchmark series in this reproduction is
 read.
 """
 
-from repro.rdd.clock import SimulatedClock, TimeBreakdown
-from repro.rdd.context import ClusterContext
-from repro.rdd.ledger import CommunicationLedger, TransferRecord
-from repro.rdd.partitioner import (
-    ColumnPartitioner,
-    HashPartitioner,
-    Partitioner,
-    RowPartitioner,
-)
-from repro.rdd.rdd import RDD
-from repro.rdd.shuffle import shuffle
-from repro.rdd.sizeof import RECORD_OVERHEAD_BYTES, model_sizeof
+from repro._exports import export_table
 
-__all__ = [
-    "ClusterContext",
-    "ColumnPartitioner",
-    "CommunicationLedger",
-    "HashPartitioner",
-    "Partitioner",
-    "RDD",
-    "RECORD_OVERHEAD_BYTES",
-    "RowPartitioner",
-    "SimulatedClock",
-    "TimeBreakdown",
-    "TransferRecord",
-    "model_sizeof",
-    "shuffle",
-]
+_EXPORTS = {
+    "SimulatedClock": "repro.rdd.clock",
+    "TimeBreakdown": "repro.rdd.clock",
+    "ClusterContext": "repro.rdd.context",
+    "CommunicationLedger": "repro.rdd.ledger",
+    "TransferRecord": "repro.rdd.ledger",
+    "ColumnPartitioner": "repro.rdd.partitioner",
+    "HashPartitioner": "repro.rdd.partitioner",
+    "Partitioner": "repro.rdd.partitioner",
+    "RowPartitioner": "repro.rdd.partitioner",
+    "RDD": "repro.rdd.rdd",
+    "shuffle": "repro.rdd.shuffle",
+    "RECORD_OVERHEAD_BYTES": "repro.rdd.sizeof",
+    "model_sizeof": "repro.rdd.sizeof",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -15,13 +15,13 @@ The package splits the old monolithic executor into composable parts:
 * :mod:`~repro.runtime.executor`  -- :class:`PlanExecutor`, tying it all
   together.
 
-Attributes are resolved lazily (PEP 562): low-level modules such as
-:mod:`repro.rdd.clock` import :mod:`repro.runtime.metering` while the
-higher runtime modules import the clock, so an eager package ``__init__``
-would create an import cycle.
+Low-level modules such as :mod:`repro.rdd.clock` import
+:mod:`repro.runtime.metering` while the higher runtime modules import the
+clock, so an eager package ``__init__`` would create an import cycle; like
+every package here, this one is an export table (:mod:`repro._exports`).
 """
 
-from __future__ import annotations
+from repro._exports import export_table
 
 _EXPORTS = {
     "Backend": "repro.runtime.backend",
@@ -47,16 +47,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.runtime' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

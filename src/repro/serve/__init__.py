@@ -12,39 +12,33 @@ process, ``repro serve`` / ``repro submit`` on the command line, and
 :func:`run_batch` for scripted batches.
 """
 
-from repro.serve.accounting import Accountant, TenantAccount
-from repro.serve.admission import AdmissionController, AdmissionPolicy, Decision
-from repro.serve.batch import parse_batch, run_batch, synthetic_batch
-from repro.serve.client import RemoteClient, ServiceClient
-from repro.serve.daemon import handle_request, serve_forever
-from repro.serve.job import JobRecord, JobSpec, TenantSpec
-from repro.serve.plancache import CacheEntry, PlanCache
-from repro.serve.report import REPORT_SCHEMA_VERSION, build_report, render_report
-from repro.serve.scheduler import StrideScheduler
-from repro.serve.service import MatrixService, ServiceConfig
+from repro._exports import export_table
 
-__all__ = [
-    "Accountant",
-    "AdmissionController",
-    "AdmissionPolicy",
-    "CacheEntry",
-    "Decision",
-    "JobRecord",
-    "JobSpec",
-    "MatrixService",
-    "PlanCache",
-    "REPORT_SCHEMA_VERSION",
-    "RemoteClient",
-    "ServiceClient",
-    "ServiceConfig",
-    "StrideScheduler",
-    "TenantAccount",
-    "TenantSpec",
-    "build_report",
-    "handle_request",
-    "parse_batch",
-    "render_report",
-    "run_batch",
-    "serve_forever",
-    "synthetic_batch",
-]
+_EXPORTS = {
+    "Accountant": "repro.serve.accounting",
+    "TenantAccount": "repro.serve.accounting",
+    "AdmissionController": "repro.serve.admission",
+    "AdmissionPolicy": "repro.serve.admission",
+    "Decision": "repro.serve.admission",
+    "parse_batch": "repro.serve.batch",
+    "run_batch": "repro.serve.batch",
+    "synthetic_batch": "repro.serve.batch",
+    "RemoteClient": "repro.serve.client",
+    "ServiceClient": "repro.serve.client",
+    "handle_request": "repro.serve.daemon",
+    "serve_forever": "repro.serve.daemon",
+    "JobRecord": "repro.serve.job",
+    "JobSpec": "repro.serve.job",
+    "TenantSpec": "repro.serve.job",
+    "CacheEntry": "repro.serve.plancache",
+    "PlanCache": "repro.serve.plancache",
+    "REPORT_SCHEMA_VERSION": "repro.serve.report",
+    "build_report": "repro.serve.report",
+    "render_report": "repro.serve.report",
+    "StrideScheduler": "repro.serve.scheduler",
+    "MatrixService": "repro.serve.service",
+    "ServiceConfig": "repro.serve.service",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -29,7 +29,6 @@ import sys
 
 import numpy as np
 
-from repro.baselines.systemml import SystemMLSExecutor
 from repro.config import ClusterConfig
 from repro.core.plan import Plan
 from repro.core.planner import DMacPlanner
@@ -295,6 +294,8 @@ class DMacSession(contextlib.AbstractContextManager):
     ) -> ExecutionResult:
         """Execute the same program under the SystemML-S baseline, on this
         session's cluster (same engines, same metered substrate)."""
+        from repro.baselines.systemml import SystemMLSExecutor
+
         if self.context.pool.events:
             raise ExecutionError(
                 "the SystemML-S baseline runs on a static cluster; "

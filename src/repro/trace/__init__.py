@@ -11,31 +11,25 @@ Tracing is strictly opt-in: with no tracer installed every emit site is a
 single global read that finds ``None`` (see :mod:`repro.trace.emit`).
 """
 
-from repro.trace.collector import MetricsRegistry, TraceCollector
-from repro.trace.emit import (
-    active_tracer,
-    current_stage,
-    install_tracer,
-    stage_scope,
-)
-from repro.trace.export import format_summary, to_chrome_trace, to_json_dict
-from repro.trace.model import EVENT_KINDS, SPAN_KINDS, PointEvent, Span
-from repro.trace.reconcile import assert_reconciled, reconcile
+from repro._exports import export_table
 
-__all__ = [
-    "EVENT_KINDS",
-    "SPAN_KINDS",
-    "MetricsRegistry",
-    "PointEvent",
-    "Span",
-    "TraceCollector",
-    "active_tracer",
-    "assert_reconciled",
-    "current_stage",
-    "format_summary",
-    "install_tracer",
-    "reconcile",
-    "stage_scope",
-    "to_chrome_trace",
-    "to_json_dict",
-]
+_EXPORTS = {
+    "MetricsRegistry": "repro.trace.collector",
+    "TraceCollector": "repro.trace.collector",
+    "active_tracer": "repro.trace.emit",
+    "current_stage": "repro.trace.emit",
+    "install_tracer": "repro.trace.emit",
+    "stage_scope": "repro.trace.emit",
+    "format_summary": "repro.trace.export",
+    "to_chrome_trace": "repro.trace.export",
+    "to_json_dict": "repro.trace.export",
+    "EVENT_KINDS": "repro.trace.model",
+    "SPAN_KINDS": "repro.trace.model",
+    "PointEvent": "repro.trace.model",
+    "Span": "repro.trace.model",
+    "assert_reconciled": "repro.trace.reconcile",
+    "reconcile": "repro.trace.reconcile",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

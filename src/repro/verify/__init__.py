@@ -22,43 +22,26 @@ Entry points: :func:`verify_plan` for everything at once,
 in a session.
 """
 
-from repro.verify.certify import (
-    Certificate,
-    ValueConflict,
-    ValueSummary,
-    certify,
-    value_summary,
-)
-from repro.verify.hazards import (
-    DOUBLE_PUBLISH,
-    READ_BEFORE_PUBLISH,
-    Hazard,
-    ancestor_masks,
-    find_hazards,
-    happens_before,
-)
-from repro.verify.memory import (
-    MemoryPrediction,
-    StepFootprint,
-    predict_peak_memory,
-)
-from repro.verify.report import VerificationReport, verify_plan
+from repro._exports import export_table
 
-__all__ = [
-    "Certificate",
-    "DOUBLE_PUBLISH",
-    "Hazard",
-    "MemoryPrediction",
-    "READ_BEFORE_PUBLISH",
-    "StepFootprint",
-    "ValueConflict",
-    "ValueSummary",
-    "VerificationReport",
-    "ancestor_masks",
-    "certify",
-    "find_hazards",
-    "happens_before",
-    "predict_peak_memory",
-    "value_summary",
-    "verify_plan",
-]
+_EXPORTS = {
+    "Certificate": "repro.verify.certify",
+    "ValueConflict": "repro.verify.certify",
+    "ValueSummary": "repro.verify.certify",
+    "certify": "repro.verify.certify",
+    "value_summary": "repro.verify.certify",
+    "DOUBLE_PUBLISH": "repro.verify.hazards",
+    "READ_BEFORE_PUBLISH": "repro.verify.hazards",
+    "Hazard": "repro.verify.hazards",
+    "ancestor_masks": "repro.verify.hazards",
+    "find_hazards": "repro.verify.hazards",
+    "happens_before": "repro.verify.hazards",
+    "MemoryPrediction": "repro.verify.memory",
+    "StepFootprint": "repro.verify.memory",
+    "predict_peak_memory": "repro.verify.memory",
+    "VerificationReport": "repro.verify.report",
+    "verify_plan": "repro.verify.report",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = export_table(__name__, _EXPORTS)

@@ -185,8 +185,26 @@ class TestStaticHygiene:
             *(SRC / "lint").glob("*.py"),
             SRC / "core" / "defuse.py",
             SRC / "runtime" / "graph.py",
+            SRC / "_exports.py",
         ]
     )
+
+    @staticmethod
+    def references(tree):
+        """The modules each import names, one list per import statement or
+        export-table entry: a package ``__init__``'s ``"Name": "pkg.mod"``
+        reads as ``from pkg.mod import Name``."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                yield [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "_EXPORTS" for target in node.targets
+            ):
+                for key, value in zip(node.value.keys, node.value.values):
+                    module, __, name = value.value.partition(":")
+                    yield [module, f"{module}.{name or key.value}"]
 
     def test_no_module_imports_a_name_it_never_uses(self):
         assert len(self.MODULES) > 100
@@ -226,15 +244,7 @@ class TestStaticHygiene:
         for path in self.SRC.rglob("*.py"):
             parts = path.relative_to(self.SRC.parent).with_suffix("").parts
             importer = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    targets = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    targets = [node.module] + [
-                        f"{node.module}.{alias.name}" for alias in node.names
-                    ]
-                else:
-                    continue
+            for targets in self.references(ast.parse(path.read_text())):
                 reached.update(
                     package
                     for package in subpackages
@@ -246,18 +256,12 @@ class TestStaticHygiene:
 
     def test_only_the_backend_calls_the_physical_primitives(self):
         """Every plan, DMac's or a baseline's, runs through the backend: no
-        module but ``runtime/backend.py`` (and the package re-export)
+        module but ``runtime/backend.py`` (and the package's export table)
         imports ``repro.matrix.primitives``, so no second interpreter can
         call the operators itself."""
         importers = set()
         for path in self.SRC.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    modules = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-                else:
-                    continue
+            for modules in self.references(ast.parse(path.read_text())):
                 if "repro.matrix.primitives" in modules:
                     importers.add(path.relative_to(self.SRC).as_posix())
         assert sorted(importers) == ["matrix/__init__.py", "runtime/backend.py"]
@@ -279,6 +283,9 @@ class TestStaticHygiene:
         assert "repro.frontend.compiler" in modules
 
     def test_every_public_function_is_annotated(self):
+        """Nested functions count too: ``export_table`` returns its
+        ``__getattr__`` and ``__dir__`` as closures."""
+
         def functions(body, owner=""):
             for node in body:
                 if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
@@ -287,6 +294,7 @@ class TestStaticHygiene:
                     private = node.name.startswith("_") and not node.name.startswith("__")
                     if not private:
                         yield owner + node.name, node
+                    yield from functions(node.body, f"{owner}{node.name}.")
 
         for path in self.ANNOTATED:
             for name, node in functions(ast.parse(path.read_text()).body):
