@@ -15,6 +15,7 @@ import pytest
 from harness import bench_clock, density, fmt_bytes, fmt_secs, report
 from repro import ClusterConfig, DMacSession
 from repro.baselines.rlocal import run_local
+from repro.blocks import CoordinateMatrix
 from repro.datasets import netflix_like
 from repro.programs import build_gnmf_program
 
@@ -25,18 +26,18 @@ CONFIG = dict(num_workers=4, threads_per_worker=2, block_size=96, clock=bench_cl
 
 
 @pytest.fixture(scope="module")
-def ratings() -> np.ndarray:
+def ratings() -> CoordinateMatrix:
     return netflix_like(scale=SCALE, seed=1)
 
 
-def run_dmac(ratings: np.ndarray, iterations: int):
+def run_dmac(ratings: CoordinateMatrix, iterations: int):
     program = build_gnmf_program(
         ratings.shape, density(ratings), factors=FACTORS, iterations=iterations
     )
     return DMacSession(ClusterConfig(**CONFIG)).run(program, {"V": ratings})
 
 
-def run_systemml(ratings: np.ndarray, iterations: int):
+def run_systemml(ratings: CoordinateMatrix, iterations: int):
     program = build_gnmf_program(
         ratings.shape, density(ratings), factors=FACTORS, iterations=iterations
     )

@@ -96,12 +96,11 @@ def report(
 
 
 def density(array) -> float:
-    """Non-zero fraction of a numpy array or a coordinate matrix (which
-    knows its count: counting through numpy would densify it)."""
+    """Non-zero fraction of a numpy array or a coordinate matrix (whose
+    ``np.count_nonzero`` is its ``nnz``, read without densifying)."""
     import numpy as np
 
-    nnz = array.nnz if hasattr(array, "nnz") else np.count_nonzero(array)
-    return float(nnz) / array.size
+    return float(np.count_nonzero(array)) / array.size
 
 
 def registry_workload(app: str, **overrides):

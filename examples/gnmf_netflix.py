@@ -16,6 +16,7 @@ from repro.programs import build_gnmf_program
 
 
 def main(scale: float = 4e-3) -> None:
+    # A CoordinateMatrix: the ratings as (user, movie, rating) triples.
     ratings = netflix_like(scale=scale, seed=1)
     density = np.count_nonzero(ratings) / ratings.size
     print(f"ratings matrix: {ratings.shape[0]} users x {ratings.shape[1]} movies, "
@@ -38,9 +39,11 @@ def main(scale: float = 4e-3) -> None:
     result = DMacSession(config).run(program, {"V": ratings})
     w = result.matrices[program.bindings["W"]]
     h = result.matrices[program.bindings["H"]]
-    # GNMF fits the zero-filled matrix, so measure the overall reconstruction.
-    start = np.linalg.norm(ratings)
-    residual = np.linalg.norm(ratings - w @ h)
+    # GNMF fits the zero-filled matrix, so measure the overall reconstruction
+    # against the dense V.
+    dense = np.asarray(ratings)
+    start = np.linalg.norm(dense)
+    residual = np.linalg.norm(dense - w @ h)
     print(f"\nreconstruction ||V - WH|| / ||V|| after 8 iterations: "
           f"{residual / start:.3f}")
 

@@ -9,8 +9,9 @@ grid, bit for bit, and a graph with 0.3 % non-zeros is never held as N x N
 floats on the way in.
 
 It is an input value, not a matrix type to compute with: it has no
-arithmetic, and code that wants an ndarray asks for one
-(:meth:`CoordinateMatrix.to_numpy`, ``np.asarray``).
+arithmetic beyond its transpose, and code that wants an ndarray asks for
+one (:meth:`CoordinateMatrix.to_numpy`, ``np.asarray``).  Counting its
+non-zeros is not such a request: ``np.count_nonzero`` reads ``nnz``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ class CoordinateMatrix:
         """Bytes this object holds (not those of the dense matrix)."""
         return self.rows.nbytes + self.cols.nbytes + self.values.nbytes
 
+    @property
+    def T(self) -> "CoordinateMatrix":
+        """The transpose: the same triples with rows and columns swapped."""
+        # Column-major triples, sorted stably by row, are in the transpose's
+        # column-major order (a radix sort up to 65 536 rows), so its
+        # constructor finds nothing left to sort.
+        order = np.argsort(self.rows.astype(np.min_scalar_type(self.shape[0])), kind="stable")
+        return CoordinateMatrix(
+            self.cols[order], self.rows[order], self.values[order], self.shape[::-1]
+        )
+
     def to_numpy(self) -> np.ndarray:
         """The dense ``float64`` matrix."""
         dense = np.zeros(self.shape, dtype=np.float64)
@@ -70,6 +82,14 @@ class CoordinateMatrix:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self.to_numpy().astype(dtype, copy=False)
+
+    def __array_function__(self, func, types, args, kwargs):
+        """NEP 18: ``np.count_nonzero(m)`` is ``m.nnz``, read without
+        building the dense matrix; every other numpy function runs as on
+        ``np.asarray(m)``."""
+        if func is np.count_nonzero and len(args) == 1 and not kwargs:
+            return self.nnz
+        return func._implementation(*args, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CoordinateMatrix({self.shape[0]}x{self.shape[1]}, nnz={self.nnz})"

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.blocks import CoordinateMatrix
+from repro.blocks.coordinate import CoordinateMatrix
 from repro.errors import ReproError
 
 

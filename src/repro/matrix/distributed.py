@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.blocks import Block, CoordinateMatrix, as_matrix, assemble, grid_shape, split
+from repro.blocks.conversion import assemble, grid_shape, split
+from repro.blocks.coordinate import CoordinateMatrix, as_matrix
+from repro.blocks.ops import Block
 from repro.errors import ShapeError
 from repro.localexec.engine import Grid
 from repro.matrix.schemes import Scheme

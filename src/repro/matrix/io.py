@@ -13,7 +13,7 @@ import pathlib
 
 import numpy as np
 
-from repro.blocks import CoordinateMatrix
+from repro.blocks.coordinate import CoordinateMatrix
 from repro.errors import ReproError
 from repro.matrix.distributed import DistributedMatrix
 from repro.matrix.schemes import Scheme

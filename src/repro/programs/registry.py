@@ -17,13 +17,16 @@ everywhere at once.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
 from repro.errors import ProgramError
 from repro.frontend.staged import StagedProgram
 from repro.lang.program import MatrixProgram
+
+if TYPE_CHECKING:
+    from repro.blocks.coordinate import CoordinateMatrix
 
 WorkloadProgram = Union[MatrixProgram, StagedProgram]
 
@@ -72,7 +75,8 @@ class Workload:
     """A runnable parameterisation of a registered program."""
 
     program: WorkloadProgram
-    #: Load name -> dense array, or CoordinateMatrix (PageRank's link matrix).
+    #: Load name -> dense array, or CoordinateMatrix (PageRank's link matrix,
+    #: the ratings of GNMF, SVD and CF).
     inputs: dict[str, object]
     #: Program-specific companion data (the SVD's Lanczos scalar names).
     extra: object = None
@@ -89,7 +93,8 @@ class ProgramSpec:
     build: Callable[[WorkloadParams], Workload]
 
 
-def _density(array: np.ndarray) -> float:
+def _density(array: np.ndarray | CoordinateMatrix) -> float:
+    """Non-zero fraction; a coordinate matrix's count is its ``nnz``."""
     return float(np.count_nonzero(array)) / array.size
 
 
@@ -118,7 +123,7 @@ def _pagerank_workload(params: WorkloadParams) -> Workload:
         graph_edges(params.graph, scale=params.scale, seed=params.seed)
     )
     program = build_pagerank_program(
-        link.shape[0], link.nnz / link.size, iterations=params.iterations
+        link.shape[0], _density(link), iterations=params.iterations
     )
     return Workload(program, {"link": link})
 

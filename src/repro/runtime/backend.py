@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.blocks import CoordinateMatrix, as_matrix
+from repro.blocks.coordinate import CoordinateMatrix, as_matrix
 from repro.elastic.pool import Transition
 from repro.errors import ExecutionError
 from repro.lang.program import FullOp, LoadOp, RandomOp

@@ -112,6 +112,33 @@ class TestArrayFace:
         assert np.asarray(matrix, dtype=np.float32).dtype == np.float32
         assert np.count_nonzero(matrix) == 2
 
+    @inf_minus_inf
+    @given(triples())
+    def test_the_transpose_swaps_rows_and_columns(self, data):
+        matrix = CoordinateMatrix(*data)
+        transposed = matrix.T
+        assert isinstance(transposed, CoordinateMatrix)
+        assert (transposed.shape, transposed.nnz) == (matrix.shape[::-1], matrix.nnz)
+        assert np.asarray(transposed).tobytes() == np.asarray(matrix).T.tobytes()
+
+    def test_numpy_counts_without_densifying_and_densifies_for_the_rest(self, monkeypatch):
+        """NEP 18: ``np.count_nonzero(m)`` answers ``m.nnz``; every other
+        numpy function (and ``count_nonzero`` with an axis) sees
+        ``np.asarray(m)``, as it did before the hook."""
+        matrix = CoordinateMatrix([0, 3], [1, 2], [2.0, 4.0], (4, 3))
+        dense = matrix.to_numpy()
+        assert np.count_nonzero(matrix, axis=0).tolist() == [0, 1, 1]
+        assert np.linalg.norm(matrix) == np.linalg.norm(dense)
+        assert np.allclose(matrix, dense) and not np.allclose(matrix, dense + 1.0)
+        assert np.concatenate([matrix, dense]).tobytes() == np.concatenate([dense, dense]).tobytes()
+
+        def densify(self):
+            raise AssertionError("np.count_nonzero densified a coordinate matrix")
+
+        monkeypatch.setattr(CoordinateMatrix, "to_numpy", densify)
+        count = np.count_nonzero(matrix)
+        assert count == 2 and type(count) is int
+
     def test_as_matrix_keeps_the_form(self):
         matrix = CoordinateMatrix([0], [0], [1.0], (1, 1))
         assert as_matrix(matrix) is matrix

@@ -1,8 +1,12 @@
 """Tests for the dataset generators."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.blocks import CoordinateMatrix
 from repro.datasets import (
     PAPER_GRAPHS,
     dense_random,
@@ -141,13 +145,26 @@ class TestGraphEdges:
         assert edges.nbytes == 24 * edges.nnz < 10e6
 
     def test_row_normalize_keeps_the_form_and_dangling_rows(self):
-        from repro.blocks import CoordinateMatrix
-
         link = row_normalize(CoordinateMatrix([0, 0, 2], [1, 2, 0], [1.0, 3.0, 5.0], (4, 3)))
         assert isinstance(link, CoordinateMatrix)
         assert np.asarray(link).tolist() == [
             [0.0, 0.25, 0.75], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]
         ]
+
+
+#: ``sha256(np.asarray(netflix_like(...)).tobytes())`` and the number of
+#: ratings drawn, as the dense generator this one replaced produced them:
+#: ``(scale, seed, ensure_coverage) -> (sha256, ratings)``.
+PINNED_RATINGS = {
+    (1e-3, 1, True): ("a65848c7b7c91b0dbcef56f395d7fb4d2579ddb34990a38c424316f213df3def", 488),
+    (1e-3, 2, True): ("8420ca3dbd0c185687430fe072dbf9ec032c4e05111e391e731fbcd352ffe016", 488),
+    (1e-3, 3, True): ("80d628f2b39787654c35aa3a28c6dc88a3eb734005edb2ff74257383136d5b3c", 487),
+    (1e-3, 4, True): ("fc5ff96dd45f0c0a080220f8f553841808524d3ba601b18dbc4a207294ccc2b8", 490),
+    (1e-3, 5, True): ("d5c2a381f57a190d02be2995847623d4b528ccc3da548248c01c0cd51c9fac6a", 488),
+    (1.5e-3, 2, True): ("ca9409def91e8d69c185f8e263f9cf3e69bca962da35edf9a93d8e8d49ac37d3", 746),
+    (3e-3, 3, False): ("62ba4fbd05d40ba36195475f19fe440500ba5007ab84ec98c2263ede0e41cd75", 893),
+    (2e-2, 1, True): ("2745a29c9ae827caccae3f8c2a3b7c8f44c6a5c765fbaa2c350106f61f795bb7", 40027),
+}
 
 
 class TestNetflixLike:
@@ -157,18 +174,47 @@ class TestNetflixLike:
         assert rows / cols == pytest.approx(480189 / 17770, rel=0.5)
 
     def test_ratings_in_range(self):
-        ratings = netflix_like(scale=1e-3, seed=2)
-        values = ratings[ratings != 0]
-        assert values.min() >= 1.0 and values.max() <= 5.0
+        values = netflix_like(scale=1e-3, seed=2).values
+        assert set(values.tolist()) <= {1.0, 2.0, 3.0, 4.0, 5.0}
 
     def test_sparsity_close_to_netflix(self):
         ratings = netflix_like(scale=3e-3, seed=3, ensure_coverage=False)
-        assert ratings.size * 0.005 < np.count_nonzero(ratings) < ratings.size * 0.03
+        assert ratings.size * 0.005 < ratings.nnz < ratings.size * 0.03
 
     def test_coverage_guarantee(self):
         ratings = netflix_like(scale=1e-3, seed=4)
-        assert (ratings.sum(axis=1) > 0).all()
-        assert (ratings.sum(axis=0) > 0).all()
+        rows, cols = ratings.shape
+        assert (np.bincount(ratings.rows, minlength=rows) > 0).all()
+        assert (np.bincount(ratings.cols, minlength=cols) > 0).all()
+
+    @pytest.mark.parametrize(
+        "case", sorted(PINNED_RATINGS), ids=lambda case: "scale{:g}-seed{}-coverage{}".format(*case)
+    )
+    def test_the_ratings_stream_is_pinned(self, case):
+        """Same generator calls in the same order as the dense generator
+        made: the same matrix, so the same plans, books and outputs.  Every
+        rating drawn is stored once (no cell is drawn twice, so the
+        constructor coalesced nothing)."""
+        scale, seed, ensure_coverage = case
+        ratings = netflix_like(scale=scale, seed=seed, ensure_coverage=ensure_coverage)
+        assert isinstance(ratings, CoordinateMatrix)
+        digest, drawn = PINNED_RATINGS[case]
+        assert hashlib.sha256(np.asarray(ratings).tobytes()).hexdigest() == digest
+        assert ratings.nnz == drawn
+
+    def test_counting_the_ratings_builds_no_dense_matrix(self):
+        """``np.count_nonzero`` -- every density the registry and the
+        benchmarks compute -- reads ``nnz``: at ``gnmf_kernels``' size the
+        dense matrix would be 27 MB."""
+        ratings = netflix_like(scale=2e-2, seed=1)
+        tracemalloc.start()
+        try:
+            count = np.count_nonzero(ratings)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == ratings.nnz
+        assert peak < ratings.size * 8 / 100
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ReproError):

@@ -143,7 +143,8 @@ class TestCollaborativeFiltering:
         density = np.count_nonzero(ratings) / ratings.size
         program = build_cf_program(ratings.shape, density)
         result = session().run(program, {"R": ratings})
-        expected = ratings @ ratings.T @ ratings
+        dense = np.asarray(ratings)
+        expected = dense @ dense.T @ dense
         expected = expected / np.sqrt((expected * expected).sum())
         np.testing.assert_allclose(
             result.matrices[program.bindings["predict"]], expected, atol=1e-8

@@ -266,6 +266,47 @@ class TestStaticHygiene:
                     importers.add(path.relative_to(self.SRC).as_posix())
         assert sorted(importers) == ["matrix/__init__.py", "runtime/backend.py"]
 
+    def test_typed_modules_import_no_name_through_an_export_table(self):
+        """A name a package serves from its export table comes out of the
+        table's ``__getattr__``, which mypy types ``Any``.  So a module that
+        ``pyproject.toml`` has mypy check strictly imports every name from
+        the module that defines it, and so does every importer of the
+        coordinate input form (``repro.blocks.coordinate``)."""
+        import fnmatch
+
+        config = (REPO / "pyproject.toml").read_text()
+        overrides = config[config.index("[[tool.mypy.overrides]]") : config.index("[tool.ruff]")]
+        strict = re.findall(r'"(repro[\w.*]*)"', overrides)
+        assert "repro.runtime.backend" in strict
+        packages = {
+            ".".join(("repro", *init.parent.relative_to(self.SRC).parts))
+            for init in self.SRC.rglob("__init__.py")
+        }
+        through_tables = {}
+        for path in self.MODULES:
+            module = ".".join(path.relative_to(self.SRC.parent).with_suffix("").parts)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module in packages:
+                    package_dir = self.SRC.parent.joinpath(*node.module.split("."))
+                    through_tables.setdefault(module, set()).update(
+                        alias.name
+                        for alias in node.names
+                        if not (package_dir / f"{alias.name}.py").exists()
+                        and not (package_dir / alias.name / "__init__.py").exists()
+                    )
+        typed = {
+            module: sorted(names)
+            for module, names in through_tables.items()
+            if names and any(fnmatch.fnmatchcase(module, pattern) for pattern in strict)
+        }
+        assert typed == {}
+        coordinate = {
+            module: sorted(names & {"CoordinateMatrix", "as_matrix"})
+            for module, names in through_tables.items()
+            if names & {"CoordinateMatrix", "as_matrix"}
+        }
+        assert coordinate == {}
+
     def test_dml_reaches_a_program_only_through_the_frontend(self):
         """DML is a surface, not a second compiler: its parser emits Python
         ``ast`` and the frontend lowers it, so ``lang/dml.py`` never builds
