@@ -10,8 +10,11 @@ bound of the model only.  For the three batch workloads of
 each app runs ten times on 4 workers x 2 threads with up to four stages in
 flight, then once one stage at a time; all eleven runs must book one
 ``peak_memory_bytes``.  ``tests/runtime/test_metering.py`` gates the same
-at registry defaults; this is the size the benchmark measures.  Exit 1 on
-a second peak, or when more than one CPU is visible.
+at registry defaults; this is the size the benchmark measures.  A last run
+at the default stage concurrency must book a peak within the static bound
+and at least half of it (``peak <= predicted_peak_memory_bytes <= 2 x
+peak``); its ratio is printed.  Exit 1 on a second peak, on a bound
+outside that range, or when more than one CPU is visible.
 """
 
 import os
@@ -38,19 +41,26 @@ def main() -> int:
         workload = WORKLOADS[name]
         built = workload.build(seed=0, smoke=False)
 
-        def peak(stages: int) -> int:
+        def run(stages):
             config = ClusterConfig(
                 num_workers=4, threads_per_worker=2, max_concurrent_stages=stages
             )
             with DMacSession(config, **workload.flags) as session:
-                return session.run(built.program, built.inputs).peak_memory_bytes
+                return session.run(built.program, built.inputs)
 
-        peaks = {peak(4) for _ in range(RUNS)}
-        serial = peak(1)
+        peaks = {run(4).peak_memory_bytes for _ in range(RUNS)}
+        serial = run(1).peak_memory_bytes
         same = peaks == {serial}
         failed |= not same
         print(f"{'ok' if same else 'DIFFERENT'} {workload.app}: {RUNS} runs at 4 stages "
               f"booked {sorted(peaks)}, the serial run {serial} B")
+        result = run(None)
+        peak, bound = result.peak_memory_bytes, result.predicted_peak_memory_bytes
+        within = bound is not None and peak <= bound <= 2 * peak
+        failed |= not within
+        print(f"{'ok' if within else 'OUT OF RANGE'} {workload.app}: default concurrency "
+              f"booked {peak} B under a bound of {bound} B "
+              f"({(bound or 0) / peak:.2f}x)")
     return 1 if failed else 0
 
 

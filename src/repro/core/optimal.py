@@ -10,8 +10,10 @@ communication under the paper's cost model (Section 4.1).
 The state is the set of materialised matrix instances, kept closed under
 the free derivations (transpose between complementary 1-D schemes, extract
 from a replica): free chains never hurt, so closing over them removes
-irrelevant branching.  Exponential in program length; intended for plans of
-roughly a dozen operators (tests, the greedy-gap ablation).
+irrelevant branching -- and pruned to the matrices a later operator
+reads, since the future cost looks an input up by name alone: histories
+that differ only in dead matrices share one memo entry.  Exponential in
+program length at worst; every straight-line registry app solves.
 
 Also exposes :func:`paper_cost_of_plan`, which re-prices an already
 generated plan under the same model so greedy and optimal are comparable.
@@ -36,8 +38,8 @@ from repro.lang.program import (
 )
 from repro.matrix.schemes import Scheme
 
-#: Guard against accidentally running the exponential search on huge programs.
-MAX_OPERATORS = 24
+#: Memo states past which the exponential search gives up.
+MAX_STATES = 100_000
 
 State = frozenset  # of MatrixInstance
 
@@ -86,15 +88,20 @@ def _extend(closed_state: State, added) -> State:
 def optimal_cost(program: MatrixProgram, num_workers: int) -> int:
     """Minimum total communication (paper model bytes) over all plans."""
     ops = program.ops
-    if len(ops) > MAX_OPERATORS:
-        raise PlanError(
-            f"exhaustive search limited to {MAX_OPERATORS} operators, "
-            f"got {len(ops)}"
-        )
     model = CostModel(program, num_workers)
+    read_later = [frozenset()] * (len(ops) + 1)
+    for index in range(len(ops) - 1, -1, -1):
+        read_later[index] = read_later[index + 1] | {
+            operand.name for operand in ops[index].matrix_inputs()
+        }
+
+    def search(index: int, state: State) -> int:
+        if solve.cache_info().currsize > MAX_STATES:
+            raise PlanError(f"exhaustive search limited to {MAX_STATES} states")
+        return solve(index, _live(state, read_later[index]))
 
     @functools.lru_cache(maxsize=None)
-    def search(index: int, state: State) -> int:
+    def solve(index: int, state: State) -> int:
         if index == len(ops):
             return 0
         op = ops[index]
@@ -133,6 +140,11 @@ def optimal_cost(program: MatrixProgram, num_workers: int) -> int:
         return best
 
     return search(0, frozenset())
+
+
+def _live(state: State, names: frozenset) -> State:
+    """The instances of ``state`` whose matrix is in ``names``."""
+    return frozenset(instance for instance in state if instance.name in names)
 
 
 def _satisfaction_options(

@@ -809,9 +809,9 @@ def check_cache_pin_budget(inputs: LintInput) -> Iterator[Diagnostic]:
     """The serial peak-memory bound of a plan with cache pins must fit the
     declared per-worker budget, or the cache thrashes: every pin is
     resident from its publish to the end of the run, so the sound bound of
-    a step is the pin prefix published so far *plus* that step's transient
-    (:func:`repro.verify.memory.predict_peak_memory`), not the pin shares
-    alone."""
+    a step is its transient plus every pin not published strictly after it
+    in the stage graph (:func:`repro.verify.memory.predict_peak_memory`),
+    not the pin shares alone."""
     this = _rule("DM206")
     plan = inputs.plan
     budget = inputs.context.memory_limit_bytes
@@ -826,10 +826,11 @@ def check_cache_pin_budget(inputs: LintInput) -> Iterator[Diagnostic]:
         estimation_mode=inputs.context.estimation_mode,
         graph=inputs.graph,
     )
-    if prediction.serial_peak_bytes > budget:
+    if prediction.peak_bytes > budget:
         yield this.diagnostic(
-            f"predicted per-worker peak is ~{prediction.serial_peak_bytes} "
-            f"bytes (serial bound: pin prefix plus one step's transient; "
+            f"predicted per-worker peak is ~{prediction.peak_bytes} "
+            f"bytes (one stage at a time: a step's transient plus every pin "
+            f"not published after it; "
             f"pinned working set ~{prediction.pinned_bytes}), above "
             f"the {budget}-byte budget: the cache will spill and recompute "
             f"pins every iteration",

@@ -13,10 +13,14 @@ trackers charge at run time:
   and driver aggregates move or create blocks without tracker charges, so
   they predict zero -- matching the meter, not an idealised cost model.
 * **Pins** -- every ``plan.cache_pins`` instance is charged to the
-  BlockCache when its producer publishes and stays resident until the run
-  ends, so the serial bound of a step is the *pin prefix* (the pins
-  published so far) plus that step's transient: a transient-heavy step
-  *before* a pin's producer never pays for that pin.
+  BlockCache when its first producer publishes and stays resident until
+  the run ends.
+
+Only stage-graph nodes the happens-before order leaves unordered run at
+once, at most ``C`` of them: the bound is the heaviest **antichain** of at
+most ``C`` nodes -- their transients (a node weighs its heaviest step)
+plus every pin not first published strictly below one of them.  The empty
+antichain is the end of the run; ``C = 1`` is a serial run.
 
 Every matrix is sized by one :class:`~repro.core.cost.CostModel`'s
 Equation-2 quotes (:meth:`~repro.core.cost.CostModel.share_bytes`,
@@ -28,15 +32,9 @@ nothing; a name with no sparsity estimate is sized dense.  A 1-D share
 assumes non-zeros spread evenly over the blocks, which a skewed sparse
 input breaks by a few non-zeros; once a run has cut its sources the
 executor reports :meth:`MemoryPrediction.bound_as_cut`, which charges each
-source at what its fullest worker holds.
-
-Under concurrent scheduling up to ``C`` stage-graph nodes run at once, so
-the concurrent bound adds the ``C`` largest per-node transients -- a
-superset of any antichain the scheduler can actually dispatch -- on top of
-the full pin set.  With ``max_concurrent_stages=1`` the serial bound
-applies and is tight enough to validate against observed tracker peaks.
-``live_peak_bytes`` -- the high water of every instance still to be read
-(:func:`solve_liveness`) -- is informational: no bound includes it.
+source at what its fullest worker holds.  ``live_peak_bytes`` -- the high
+water of every instance still to be read (:func:`solve_liveness`) -- is
+informational.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.blocks.memory import dense_block_model_bytes, program_block_size
 from repro.core.cost import CostModel
@@ -59,6 +57,11 @@ from repro.core.plan import (
     Step,
 )
 from repro.runtime.graph import StageGraph
+from repro.verify.hazards import ancestor_masks
+
+#: Antichains the search visits before it answers its root's bound, all
+#: pins plus the ``C`` heaviest node transients (still sound).
+SEARCH_VISITS = 20_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,65 +71,57 @@ class StepFootprint:
     index: int
     step: str
     transient_bytes: int
-    pinned_bytes: int  # pin prefix resident when this step runs
+    pinned_bytes: int  # pins published up to this step, in plan order
     #: The source matrices (loads) the transient charges at their share.
     sources: Tuple[MatrixInstance, ...] = ()
+    node: int = 0  # the stage-graph node that runs it
 
 
 @dataclasses.dataclass(frozen=True)
 class MemoryPrediction:
     """A sound per-worker high-water-mark bound for one plan."""
 
-    peak_bytes: int  # the bound for the requested concurrency
-    serial_peak_bytes: int  # max over steps of pins-so-far + transient
-    concurrent_peak_bytes: int  # all pins + top-C node transients
     pinned_bytes: int  # full cache-pin working set per worker
     transient_peak_bytes: int  # largest single-step transient
     live_peak_bytes: int  # liveness high water of all resident instances
     block_size: int
     concurrency: int
     footprints: Tuple[StepFootprint, ...]
-    #: ``(source, its share quote, the step that pins it or None)``.
-    sources: Tuple[Tuple[MatrixInstance, int, Optional[int]], ...] = ()
+    sources: Tuple[Tuple[MatrixInstance, int], ...] = ()  # (load, its quote)
+    pins: Tuple[Tuple[MatrixInstance, int, int], ...] = ()  # (pin, its quote, its node)
+    ancestors: Tuple[int, ...] = ()  # per node, a mask of its ancestors
+    peak_bytes: int = dataclasses.field(init=False)  # the heaviest antichain
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "peak_bytes", self._heaviest({}))
 
     def bound_as_cut(self, held: Mapping[MatrixInstance, int]) -> int:
         """The bound with each source charged at what ``held`` says its
         fullest worker holds once it is cut, where that is more than its
         quote: non-zeros need not spread evenly over the blocks, and a
-        source's blocks are known once it is loaded.  Exact for the serial
-        bound; the concurrent bound adds a source's excess once per pin and
-        ``concurrency`` times per step that charges it."""
+        source's blocks are known once it is loaded.  Exact: the excess
+        weighs on every step that charges the source and on its pin."""
         excess = {
             source: held[source] - quote
-            for source, quote, __ in self.sources
+            for source, quote in self.sources
             if held.get(source, 0) > quote
         }
-        if not excess:
-            return self.peak_bytes
-        pins = [(at, excess[s]) for s, __, at in self.sources if at is not None and s in excess]
-        pinned = sum(extra for __, extra in pins)
-        charged = [sum(excess.get(s, 0) for s in f.sources) for f in self.footprints]
-        if self.concurrency > 1:
-            return self.peak_bytes + pinned + self.concurrency * max(charged, default=0)
-        return max(
-            self.pinned_bytes + pinned,
-            *(
-                f.pinned_bytes
-                + f.transient_bytes
-                + sum(extra for at, extra in pins if at <= f.index)
-                + extra
-                for f, extra in zip(self.footprints, charged)
-            ),
-        )
+        return self._heaviest(excess) if excess else self.peak_bytes
+
+    def _heaviest(self, excess: Mapping[MatrixInstance, int]) -> int:
+        weights = [0] * len(self.ancestors)
+        for f in self.footprints:
+            charge = f.transient_bytes + sum(excess.get(s, 0) for s in f.sources)
+            weights[f.node] = max(weights[f.node], charge)
+        pinned = [0] * len(self.ancestors)
+        for pin, share, node in self.pins:
+            pinned[node] += share + excess.get(pin, 0)
+        return heaviest_antichain(weights, pinned, self.ancestors, self.concurrency)
 
     def to_json_dict(self) -> Dict[str, object]:
-        heaviest = sorted(
-            self.footprints, key=lambda f: -f.transient_bytes
-        )[:8]
+        heaviest = sorted(self.footprints, key=lambda f: -f.transient_bytes)[:8]
         return {
             "peak_bytes": self.peak_bytes,
-            "serial_peak_bytes": self.serial_peak_bytes,
-            "concurrent_peak_bytes": self.concurrent_peak_bytes,
             "pinned_bytes": self.pinned_bytes,
             "transient_peak_bytes": self.transient_peak_bytes,
             "live_peak_bytes": self.live_peak_bytes,
@@ -143,6 +138,38 @@ class MemoryPrediction:
                 if f.transient_bytes
             ],
         }
+
+
+def heaviest_antichain(
+    weights: Sequence[int], pinned: Sequence[int], ancestors: Sequence[int], width: int
+) -> int:
+    """Max over antichains of at most ``width`` nodes of their ``weights``
+    plus the ``pinned`` bytes of every node not strictly below one of them:
+    branch and bound, heaviest node first."""
+    nodes = range(len(ancestors))
+    below = [sum(1 << m for m in nodes if ancestors[m] >> n & 1) for n in nodes]
+    heavy = sorted((n for n in nodes if weights[n] > 0), key=lambda n: -weights[n])
+    best = sum(pinned)
+    visits = 0
+
+    def grow(free: List[int], room: int, covered: int, value: int) -> None:
+        nonlocal best, visits
+        best = max(best, value)
+        for i, node in enumerate(free if room else ()):
+            reach = value + sum(weights[n] for n in free[i : i + room])
+            if reach <= best or visits > SEARCH_VISITS:
+                return
+            visits += 1
+            fresh = below[node] & ~covered
+            lost = sum(pinned[n] for n in nodes if fresh >> n & 1)
+            related = below[node] | ancestors[node]
+            rest = [n for n in free[i + 1 :] if not related >> n & 1]
+            grow(rest, room - 1, covered | fresh, value + weights[node] - lost)
+
+    grow(heavy, width, 0, best)
+    if visits > SEARCH_VISITS:
+        return sum(pinned) + sum(weights[n] for n in heavy[:width])
+    return best
 
 
 def _scalar_matrix_densifies(step: ScalarMatrixStep) -> bool:
@@ -244,26 +271,25 @@ def predict_peak_memory(
 
     Defaults mirror the executor: automatic Equation-3 block size, the
     In-Place accumulation engine, and the scheduler's default stage
-    concurrency.  Pass ``max_concurrent_stages=1`` for the serial bound.
+    concurrency.  ``max_concurrent_stages=1`` bounds a serial run.
     """
     graph = graph or StageGraph.from_plan(plan)
     if block_size is None:
-        block_size = program_block_size(
-            plan.program.dims, num_workers, threads_per_worker
-        )
+        block_size = program_block_size(plan.program.dims, num_workers, threads_per_worker)
     cost = CostModel(plan.program, num_workers, estimation_mode)
     transients = [
-        _transient_bytes(step, cost, block_size, threads_per_worker, inplace)
-        for step in plan.steps
+        _transient_bytes(step, cost, block_size, threads_per_worker, inplace) for step in plan.steps
     ]
 
-    # Pins charge at their (first) producer's publish and stay resident to
-    # the end.
+    # A pin is resident from its first producer's publish to the end.
     admitted = [0] * len(plan.steps)
+    pins = []
     for pin in plan.cache_pins:
-        admitted[graph.defuse.first(pin) or 0] += cost.share_bytes(pin, block_size)
+        at = graph.defuse.first(pin) or 0
+        share = cost.share_bytes(pin, block_size)
+        admitted[at] += share
+        pins.append((pin, share, graph.node_of_step[at]))
     pin_prefix = list(itertools.accumulate(admitted))
-    pinned_total = pin_prefix[-1] if pin_prefix else 0
 
     sources = {step.output for step in plan.steps if isinstance(step, SourceStep)}
     footprints = tuple(
@@ -273,54 +299,28 @@ def predict_peak_memory(
             transient_bytes=transients[index],
             pinned_bytes=pin_prefix[index],
             sources=tuple(i for i in _charged(step) if i in sources),
+            node=graph.node_of_step[index],
         )
         for index, step in enumerate(plan.steps)
     )
-    serial_peak = max(
-        (pin_prefix[i] + transients[i] for i in range(len(plan.steps))),
-        default=0,
-    )
-    serial_peak = max(serial_peak, pinned_total)
-    transient_peak = max(transients, default=0)
-
-    node_transients = sorted(
-        (
-            max((transients[i] for i in node.steps), default=0)
-            for node in graph.nodes
-        ),
-        reverse=True,
-    )
     from repro.runtime.scheduler import DEFAULT_MAX_CONCURRENT_STAGES
 
-    concurrency = max(
-        1, min(max_concurrent_stages or DEFAULT_MAX_CONCURRENT_STAGES,
-               max(1, len(graph.nodes))),
-    )
-    concurrent_peak = pinned_total + sum(node_transients[:concurrency])
+    limit = max_concurrent_stages or DEFAULT_MAX_CONCURRENT_STAGES
+    concurrency = max(1, min(limit, len(graph.nodes)))
 
-    # Liveness high water: every produced instance resident at some step,
-    # under refcounting -- an *informational* floor-style curve; tracker
-    # charges are the two bounds above.
+    # Liveness high water under refcounting: informational, not charged.
     live_after = solve_liveness(plan)
     weight = {i: cost.share_bytes(i, block_size) for i in set().union(*live_after)}
     live_peak = max((sum(map(weight.__getitem__, live)) for live in live_after), default=0)
 
     return MemoryPrediction(
-        peak_bytes=serial_peak if concurrency == 1 else concurrent_peak,
-        serial_peak_bytes=serial_peak,
-        concurrent_peak_bytes=concurrent_peak,
-        pinned_bytes=pinned_total,
-        transient_peak_bytes=transient_peak,
+        pinned_bytes=sum(share for __, share, ___ in pins),
+        transient_peak_bytes=max(transients, default=0),
         live_peak_bytes=live_peak,
         block_size=block_size,
         concurrency=concurrency,
         footprints=footprints,
-        sources=tuple(
-            (
-                source,
-                cost.share_bytes(source, block_size),
-                (graph.defuse.first(source) or 0) if source in plan.cache_pins else None,
-            )
-            for source in sorted(sources, key=str)
-        ),
+        sources=tuple((s, cost.share_bytes(s, block_size)) for s in sorted(sources, key=str)),
+        pins=tuple(pins),
+        ancestors=tuple(ancestor_masks(graph)),
     )

@@ -73,9 +73,8 @@ class VerificationReport:
         lines.append(
             f"[memory] predicted per-worker peak "
             f"{memory.peak_bytes / 1e6:.2f} MB "
-            f"(pins {memory.pinned_bytes / 1e6:.2f} MB + transients; "
-            f"serial bound {memory.serial_peak_bytes / 1e6:.2f} MB, "
-            f"concurrency {memory.concurrency})"
+            f"(heaviest antichain of up to {memory.concurrency} stages; "
+            f"pins {memory.pinned_bytes / 1e6:.2f} MB)"
         )
         if self.hazards:
             for hazard in self.hazards:

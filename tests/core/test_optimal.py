@@ -1,21 +1,28 @@
 """Tests for the exhaustive planner and the greedy-vs-optimal comparison."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import optimal
 from repro.core.cost import CostModel
 from repro.core.optimal import (
-    MAX_OPERATORS,
     free_closure,
     optimal_cost,
     paper_cost_of_plan,
 )
 from repro.core.plan import MatrixInstance
 from repro.core.planner import DMacPlanner
+from repro.core.stages import schedule_stages
 from repro.errors import PlanError
 from repro.lang.program import ProgramBuilder
 from repro.matrix.schemes import Scheme
+from repro.planopt import optimize_plan
+from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
+
+from tests.core.test_properties import random_programs
 
 R, C, B = Scheme.ROW, Scheme.COL, Scheme.BROADCAST
 
@@ -55,11 +62,12 @@ class TestOptimalCost:
         pb = ProgramBuilder()
         a = pb.load("A", (4, 4))
         x = a
-        for i in range(MAX_OPERATORS):
+        for i in range(24):
             x = pb.assign("X", x + a)
         pb.output(x)
-        with pytest.raises(PlanError):
-            optimal_cost(pb.build(), 4)
+        with mock.patch.object(optimal, "MAX_STATES", 10):
+            with pytest.raises(PlanError):
+                optimal_cost(pb.build(), 4)
 
     def test_speculative_broadcast_found(self):
         """A program where broadcasting up front beats two repartitions --
@@ -182,3 +190,30 @@ def test_property_greedy_at_least_optimal(program, workers):
     greedy = paper_cost_of_plan(plan, workers)
     optimal = optimal_cost(program, workers)
     assert greedy >= optimal
+
+
+@given(random_programs(), st.integers(2, 5))
+def test_pruning_dead_matrices_keeps_the_optimum(drawn, workers):
+    """Dropping the instances of matrices no later operator reads from the
+    memo state changes no optimum."""
+    program, __ = drawn
+    with mock.patch.object(optimal, "_live", lambda state, names: state):
+        unpruned = optimal_cost(program, workers)
+    assert optimal_cost(program, workers) == unpruned
+
+
+#: Every straight-line registry app (``powiter`` is staged) at its
+#: defaults, but linreg at two iterations: at five its search alone takes
+#: ~3 s, and two still show its 0.5 % gap.
+REGISTRY = {app: WorkloadParams() for app in ALL_APPS if app != "powiter"}
+REGISTRY["linreg"] = WorkloadParams(iterations=2)
+
+
+@pytest.mark.parametrize("app", sorted(REGISTRY))
+def test_no_registry_plan_beats_the_optimum(app):
+    program = build_workload(app, REGISTRY[app]).program
+    greedy = schedule_stages(DMacPlanner(program, 4).plan())
+    optimized = optimize_plan(greedy, num_workers=4)
+    best = optimal_cost(program, 4)
+    assert paper_cost_of_plan(greedy, 4) >= best
+    assert paper_cost_of_plan(optimized, 4) >= best

@@ -242,12 +242,13 @@ def test_the_table_holds_no_plan_the_plan_cache_evicted():
 def test_elastic_and_static_sessions_keep_what_each_got_before():
     """A run under a membership timeline dispatches one stage at a time, so
     its executor never shares admission's record (configured concurrency);
-    a static session's readers all share one.  Numbers: this program at the
-    parent commit, admission / executor -- except that the executor now
-    reports its record's bound with the load ``V`` charged at what its
-    fullest worker holds once cut (``MemoryPrediction.bound_as_cut``):
-    +96 B on the static run's concurrent bound, 0 on the elastic run's
-    serial one, whose peak step does not read ``V``."""
+    a static session's readers all share one.  Numbers: admission /
+    executor, the executor's bound with the load ``V`` charged at what its
+    fullest worker holds once cut (``MemoryPrediction.bound_as_cut``).
+    The heaviest antichain at the configured concurrency is the serial
+    one here, and its steps do not read ``V``: the cut adds nothing.
+    (Before the bound was one antichain search, the static run's
+    concurrent bound was 148 880 B, +96 B once cut.)"""
     workload = build_workload("gnmf", WorkloadParams(scale=2e-3, iterations=1))
     seen = {}
     for name, cluster in (
@@ -264,6 +265,6 @@ def test_elastic_and_static_sessions_keep_what_each_got_before():
                 len(records),
             )
     assert seen == {
-        "static": (148_880, 148_880 + 96, 1),
-        "elastic": (148_880, 78_736, 2),
+        "static": (78_736, 78_736, 1),
+        "elastic": (78_736, 78_736, 2),
     }
