@@ -37,7 +37,7 @@ from repro.rdd.context import ClusterContext
 from repro.rdd.partitioner import HashPartitioner
 from repro.rdd.rdd import RDD
 from repro.rdd.shuffle import shuffle
-from repro.runtime.backend import Backend
+from repro.runtime.backend import SimulatedBackend
 from repro.runtime.executor import ExecutionResult, ExecutionState
 from repro.runtime.graph import run_block_size
 from repro.runtime.registry import spec_for
@@ -65,7 +65,7 @@ class _ObliviousCache:
     producer left it, and every read re-lays it out from that copy --
     unless ``as_is`` is set (aggregates accept any scheme)."""
 
-    def __init__(self, backend: Backend) -> None:
+    def __init__(self, backend: SimulatedBackend) -> None:
         self.backend = backend
         self.matrices: dict[str, DistributedMatrix] = {}
         self.as_is = False
@@ -130,7 +130,9 @@ class SystemMLSExecutor:
         plan = SystemMLSPlanner(program, context.num_workers).plan()
         cache = _ObliviousCache(context.make_backend())
         block_size = run_block_size(context.config, program, self.block_size)
-        state = ExecutionState(cache.backend, cache, inputs or {}, block_size, labels=())
+        state = ExecutionState(
+            context, cache.backend, cache, inputs or {}, block_size, labels=()
+        )
         # A stage per compute step: sources and scalar steps launch none.
         stages = max(sum(1 for s in plan.steps if s.inputs() and s.output_instance()), 1)
 

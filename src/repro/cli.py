@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.config import ClusterConfig
 from repro.datasets import PAPER_GRAPHS
-from repro.errors import ProgramError
+from repro.errors import FaultSpecError, ProgramError
 from repro.frontend.staged import segments_of
 from repro.programs import singular_values
 from repro.programs.registry import (
@@ -152,6 +152,25 @@ def _segments_reconcile(result) -> bool:
         print(f"error: {exc}", file=sys.stderr)
         return False
     return True
+
+
+def _chaos_engine(args: argparse.Namespace):
+    """The ``--faults`` spec as a seeded ``ChaosEngine``, ``None`` without
+    one; a malformed spec raises ``FaultSpecError`` (:func:`main` reports
+    it)."""
+    if not args.faults:
+        return None
+    from repro.faults import ChaosEngine
+
+    return ChaosEngine(args.seed, args.faults)
+
+
+def _segments_document(target: str, documents: list) -> dict:
+    """One segment's JSON document as it is; a convergence loop's
+    documents under one ``{"target", "staged", "segments"}`` envelope."""
+    if len(documents) == 1:
+        return documents[0]
+    return {"target": target, "staged": True, "segments": documents}
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -343,13 +362,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             }
             for (label, plan), table in zip(plans, tables)
         ]
-        if len(documents) == 1:
-            print(json.dumps(documents[0], indent=2))
-        else:
-            print(json.dumps(
-                {"target": args.app, "staged": True, "segments": documents},
-                indent=2,
-            ))
+        print(json.dumps(_segments_document(args.app, documents), indent=2))
     else:
         for label, plan in plans:
             print(f"# {label}")
@@ -378,22 +391,10 @@ def _cmd_stages(args: argparse.Namespace) -> int:
             for label, plan in _segment_plans(session, program, args.app)
         ]
     if args.format == "json":
-        if len(graphs) == 1:
-            print(json.dumps(
-                {"target": args.app, **graphs[0][1].to_json_dict()}, indent=2
-            ))
-        else:
-            print(json.dumps(
-                {
-                    "target": args.app,
-                    "staged": True,
-                    "segments": [
-                        {"segment": label, **graph.to_json_dict()}
-                        for label, graph in graphs
-                    ],
-                },
-                indent=2,
-            ))
+        # A straight-line program's one label is the target itself.
+        key = "target" if len(graphs) == 1 else "segment"
+        documents = [{key: label, **graph.to_json_dict()} for label, graph in graphs]
+        print(json.dumps(_segments_document(args.app, documents), indent=2))
     else:
         for label, graph in graphs:
             print(f"# {label}")
@@ -447,21 +448,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"lint: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
     if args.format == "json":
-        if len(reports) == 1:
-            print(reports[0][1].to_json_string())
-        else:
-            print(json.dumps(
-                {
-                    "target": args.target,
-                    "staged": True,
-                    "segments": [
-                        {"segment": label,
-                         "report": json.loads(report.to_json_string())}
-                        for label, report in reports
-                    ],
-                },
-                indent=2,
-            ))
+        documents = [
+            report.to_json() if label is None
+            else {"segment": label, "report": report.to_json()}
+            for label, report in reports
+        ]
+        print(json.dumps(_segments_document(args.target, documents), indent=2))
     else:
         for label, report in reports:
             if label is not None:
@@ -480,17 +472,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ProgramError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    chaos = None
-    if args.faults:
-        from repro.errors import FaultSpecError
-        from repro.faults import ChaosEngine, parse_fault_spec
-
-        try:
-            clauses = parse_fault_spec(args.faults)
-        except FaultSpecError as exc:
-            print(f"fault spec error: {exc}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
-        chaos = ChaosEngine(args.seed, clauses)
+    chaos = _chaos_engine(args)
+    if chaos is not None:
         args.execute = True  # a fault spec only matters on a real run
     with _session(args) as session:
         print(f"verifying {args.target} on {args.workers} workers ...", file=sys.stderr)
@@ -529,14 +512,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if result.loop is not None:
             execution["segments"] = result.num_segments
     if args.format == "json":
-        if len(reports) == 1:
-            document = reports[0][1].to_json_dict()
-        else:
-            document = {
-                "target": args.target,
-                "staged": True,
-                "segments": [report.to_json_dict() for __, report in reports],
-            }
+        document = _segments_document(
+            args.target, [report.to_json_dict() for __, report in reports]
+        )
         if execution is not None:
             document["execution"] = execution
         print(json.dumps(document, indent=2))
@@ -557,20 +535,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.config import RecoveryConfig
-    from repro.errors import FaultSpecError
-    from repro.faults import (
-        ChaosEngine,
-        build_chaos_report,
-        format_chaos_report,
-        parse_fault_spec,
-    )
+    from repro.faults import ChaosEngine, build_chaos_report, format_chaos_report
     from repro.session import DMacSession
 
-    try:
-        clauses = parse_fault_spec(args.faults)
-    except FaultSpecError as exc:
-        print(f"fault spec error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    engine = ChaosEngine(args.seed, args.faults)  # --faults is required here
     program, inputs, __ = _workload(args)
     config = dataclasses.replace(
         _cluster_config(args),
@@ -584,7 +552,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     # nothing but the program, the inputs and the config.
     with DMacSession(config, optimize=args.optimize) as session:
         clean = session.run(program, inputs)
-    engine = ChaosEngine(args.seed, clauses)
     with DMacSession(config, optimize=args.optimize) as session:
         faulted = session.run(program, inputs, chaos=engine)
     results_match = set(clean.matrices) == set(faulted.matrices) and all(
@@ -608,17 +575,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         to_json_dict,
     )
 
-    chaos = None
-    if args.faults:
-        from repro.errors import FaultSpecError
-        from repro.faults import ChaosEngine, parse_fault_spec
-
-        try:
-            clauses = parse_fault_spec(args.faults)
-        except FaultSpecError as exc:
-            print(f"fault spec error: {exc}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
-        chaos = ChaosEngine(args.seed, clauses)
+    chaos = _chaos_engine(args)
     program, inputs, __ = _workload(args)
     with _session(args, trace=True) as session:  # one collector per segment
         print(f"tracing {args.app} on {args.workers} workers ...", file=sys.stderr)
@@ -980,7 +937,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FaultSpecError as exc:
+        print(f"fault spec error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

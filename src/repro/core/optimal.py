@@ -54,35 +54,30 @@ def free_closure(state: State) -> State:
     return _extend(frozenset(), state)
 
 
+@functools.lru_cache(maxsize=4096)
+def _closure(instance: MatrixInstance) -> State:
+    """The free closure of one instance: the instance and its transpose in
+    the complementary scheme, or -- for a replica -- all six instances of
+    its matrix.  A union of instances closes to the union of these."""
+    if instance.scheme is not Scheme.BROADCAST:
+        flipped = MatrixInstance(
+            instance.name, not instance.transposed, instance.scheme.opposite
+        )
+        return frozenset((instance, flipped))
+    return frozenset(
+        MatrixInstance(instance.name, transposed, scheme)
+        for transposed in (False, True)
+        for scheme in (Scheme.ROW, Scheme.COL, Scheme.BROADCAST)
+    )
+
+
 def _extend(closed_state: State, added) -> State:
     """``free_closure(closed_state | added)`` for an already closed state:
     only the added instances need deriving from."""
     fresh = [instance for instance in added if instance not in closed_state]
     if not fresh:
         return closed_state
-    closed = set(closed_state)
-    closed.update(fresh)
-    frontier = fresh
-    while frontier:
-        instance = frontier.pop()
-        derived = []
-        if instance.scheme is Scheme.BROADCAST:
-            derived.append(
-                MatrixInstance(instance.name, not instance.transposed, Scheme.BROADCAST)
-            )
-            for scheme in (Scheme.ROW, Scheme.COL):
-                derived.append(MatrixInstance(instance.name, instance.transposed, scheme))
-        else:
-            derived.append(
-                MatrixInstance(
-                    instance.name, not instance.transposed, instance.scheme.opposite
-                )
-            )
-        for new in derived:
-            if new not in closed:
-                closed.add(new)
-                frontier.append(new)
-    return frozenset(closed)
+    return closed_state.union(*map(_closure, fresh))
 
 
 def optimal_cost(program: MatrixProgram, num_workers: int) -> int:

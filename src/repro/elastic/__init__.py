@@ -4,8 +4,8 @@ Stateless workers pull block work from the static *slot* topology and may
 join or leave between (and during) stages, driven by a seeded
 deterministic membership timeline (the ``--elastic`` grammar); a static
 cluster is the timeline with no events.  The pool is owned by every
-:class:`~repro.rdd.context.ClusterContext` and its transitions are applied
-by :class:`~repro.runtime.backend.SimulatedBackend`.  See
+:class:`~repro.rdd.context.ClusterContext`, which also applies its
+transitions between stage-graph nodes.  See
 ``docs/elastic.md`` for the membership grammar, the slot/member split,
 the elasticity policies and the determinism contract.
 """

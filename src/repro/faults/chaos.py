@@ -10,10 +10,10 @@ order in which concurrent stages happen to run.  Fire budgets (``times``)
 are likewise tracked *per point family* (per stage island, per instance),
 not globally, so no budget is consumed in host-thread order.
 
-The engine is installed on the backend for the duration of one execution
-(:meth:`repro.runtime.backend.Backend.install_chaos`); with none installed
-every hook site is a ``None``-check and the run is bit-identical to a
-build without this module.
+The engine is installed on the cluster context for the duration of one
+execution (:meth:`repro.rdd.context.ClusterContext.install_chaos`); with
+none installed every hook site is a ``None``-check and the run is
+bit-identical to a build without this module.
 """
 
 from __future__ import annotations

@@ -22,6 +22,26 @@ compute time changes, because a member owning several slots accumulates
 all their flops on one engine and becomes the slowest worker of the phase.
 A static cluster is the timeline with no events: member ``w`` owns slot
 ``w`` for the whole run.
+
+The context also applies that timeline as a plan executes
+(:meth:`ClusterContext.begin_node`):
+
+* before a stage-graph node runs, every timeline event due at or before
+  its (cumulative) stage is applied;
+* a **leave** loses the departed member's in-memory blocks: live
+  partitioned instances with blocks on its slots are invalidated, and the
+  first consumer recomputes them through lineage recovery (broadcast
+  replicas survive -- every member holds a full copy);
+* a **join** rendezvous-moves the joiner's fair share of slots: live
+  blocks on the moved slots are shipped to the joiner, metered as
+  ``rebalance`` traffic, and each joiner additionally fetches a replica
+  of every live broadcast matrix.
+
+Transition application is idempotent under stage retries: invalidation
+scans the *current* live set (an instance lost by a failed attempt is
+simply absent the second time), and the pool's cursor only advances once
+the side effects have completed.  On a static cluster all of this is a
+loop that finds nothing to do.
 """
 
 from __future__ import annotations
@@ -30,18 +50,24 @@ import dataclasses
 from typing import TYPE_CHECKING, Iterable
 
 from repro.config import ClusterConfig
-from repro.elastic.pool import ElasticPool
+from repro.elastic.pool import ElasticPool, Transition
 from repro.errors import ClusterError
 from repro.localexec.engine import LocalEngine
 from repro.localexec.lanes import LanePool
+from repro.matrix.schemes import Scheme
 from repro.rdd.clock import SimulatedClock
 from repro.rdd.ledger import CommunicationLedger
 from repro.rdd.partitioner import Partitioner
+from repro.rdd.sizeof import model_sizeof
 
 if TYPE_CHECKING:
     from repro.faults.chaos import ChaosEngine
+    from repro.matrix.distributed import DistributedMatrix
     from repro.rdd.rdd import RDD
     from repro.runtime.backend import SimulatedBackend
+    from repro.runtime.graph import StageNode
+    from repro.runtime.resources import ResourceManager
+    from repro.runtime.scheduler import SchedulerReport
 
 
 class ClusterContext:
@@ -65,6 +91,8 @@ class ClusterContext:
         #: ``None`` means every hook below is inert.
         self.chaos: ChaosEngine | None = None
         self.lanes = LanePool()  # all host concurrency of this cluster
+        #: Cumulative rebalance traffic membership joins shipped (model bytes).
+        self.rebalance_bytes = 0
         #: id(plan) -> the records :func:`repro.runtime.graph.prepare` keeps.
         self.prepared: dict[int, tuple] = {}
         # One engine per member the timeline will *ever* admit (statically
@@ -157,11 +185,143 @@ class ClusterContext:
             partitions[partitioner.partition_for(key)].append((key, value))
         return RDD(self, partitions, partitioner)
 
+    # -- block cache accounting -------------------------------------------------
+
+    def cached_bytes(self, matrix: DistributedMatrix) -> dict[int, int]:
+        """Member id -> model bytes of the matrix's blocks resident there
+        (a Broadcast matrix charges every member a full copy).
+
+        Resident bytes aggregate onto the slots' *current owner members* (a
+        member owning several slots is charged for all of them), so charge
+        and discharge land on the same members' trackers.
+        """
+        out: dict[int, int] = {}
+        for slot in range(self.pool.slots):
+            nbytes = _slot_bytes(matrix, slot)
+            if nbytes:
+                member = self.pool.member_for_slot(slot)
+                out[member] = out.get(member, 0) + nbytes
+        return out
+
+    def charge_cache(self, worker: int, nbytes: int) -> None:
+        """Charge cached bytes against one member's memory tracker; may
+        raise :class:`~repro.errors.MemoryLimitExceeded`."""
+        self.engine_for_worker(worker).tracker.allocate(nbytes)
+
+    def discharge_cache(self, worker: int, nbytes: int) -> None:
+        self.engine_for_worker(worker).tracker.release(nbytes)
+
+    # -- membership -------------------------------------------------------------
+
+    def begin_node(self, node: StageNode, resources: ResourceManager) -> None:
+        """Apply every timeline event due before this node's stage.
+
+        Called by the executor at the start of each stage-graph node (runs
+        with a timeline dispatch serially, so stages see transitions in a
+        deterministic order).  Safe to call again on a retried node: each
+        transition commits only after its side effects succeeded.
+        """
+        while True:
+            transition = self.pool.next_transition(node.stage)
+            if transition is None:
+                return
+            if transition.event.kind == "leave":
+                self._apply_leave(transition, resources)
+            else:
+                # The joiners' traffic belongs to the stage that ships it,
+                # in the ledger as in the stage's trace context.
+                with self.ledger.scope(f"stage-{node.stage}"):
+                    self._apply_join(transition, resources)
+            self.pool.commit(transition)
+
+    def _apply_leave(
+        self, transition: Transition, resources: ResourceManager
+    ) -> None:
+        """The departed member's in-memory blocks are gone: invalidate live
+        partitioned instances with blocks on its slots (lineage recovery
+        rebuilds them on first use).  Broadcast matrices survive -- every
+        remaining member holds a full replica."""
+        lost_slots = tuple(
+            sorted(
+                slot
+                for slot, owner in transition.moved_slots.items()
+                if owner == transition.departed
+            )
+        )
+        for instance, matrix in resources.live_items():
+            if matrix.scheme is Scheme.BROADCAST:
+                continue
+            if any(matrix.worker_grid(slot) for slot in lost_slots):
+                resources.invalidate(instance)
+
+    def _apply_join(
+        self, transition: Transition, resources: ResourceManager
+    ) -> None:
+        """Ship live blocks on the moved slots to their new owner and give
+        each joiner a replica of every live broadcast matrix; all of it is
+        metered as ``rebalance`` traffic (and subject to injected transfer
+        faults like any other transfer)."""
+        new_owner = self.pool.assignment_for(transition.members_after)
+        moved = sorted(transition.moved_slots)
+        links: dict[tuple[int, int], int] = {}
+        moved_bytes = 0
+        replica_bytes = 0
+        for __, matrix in resources.live_items():
+            if matrix.scheme is Scheme.BROADCAST:
+                replica_bytes += matrix.model_nbytes() * len(transition.joined)
+                continue
+            for slot in moved:
+                nbytes = _slot_bytes(matrix, slot)
+                if nbytes:
+                    link = (transition.moved_slots[slot], new_owner[slot])
+                    links[link] = links.get(link, 0) + nbytes
+                    moved_bytes += nbytes
+        if moved_bytes:
+            self.transfer("rebalance", moved_bytes, links)
+            self.rebalance_bytes += moved_bytes
+        if replica_bytes:
+            self.transfer("rebalance", replica_bytes)
+            self.rebalance_bytes += replica_bytes
+
+    def elastic_summary(
+        self,
+        report: SchedulerReport,
+        *,
+        events_from: int = 0,
+        rebalance_bytes_before: int = 0,
+    ) -> dict[str, object]:
+        """What membership did to one run (deterministic, simulation-only).
+
+        ``worker_seconds`` integrates each node's simulated duration over
+        the members live at its (cumulative) stage -- the "cluster cost"
+        axis the elasticity benchmarks trade against throughput;
+        ``slot_seconds`` is the same integral billed at the static slot
+        count, i.e. what a fixed peak-size cluster would have cost.  On a
+        static cluster the two are equal and ``events`` is empty.
+        """
+        pool = self.pool
+        worker_seconds = 0.0
+        slot_seconds = 0.0
+        for timing in report.timings:
+            live = len(pool.members_at(pool.stage_offset + timing.stage))
+            worker_seconds += timing.duration_seconds * live
+            slot_seconds += timing.duration_seconds * pool.slots
+        return {
+            "slots": pool.slots,
+            "seed": pool.seed,
+            "initial_members": pool.initial,
+            "final_members": len(pool.members),
+            "events": list(pool.applied_log[events_from:]),
+            "worker_seconds": worker_seconds,
+            "slot_seconds": slot_seconds,
+            "rebalance_bytes": self.rebalance_bytes - rebalance_bytes_before,
+        }
+
     # -- execution backend -----------------------------------------------------
 
     def make_backend(self) -> SimulatedBackend:
-        """The :class:`~repro.runtime.backend.Backend` that executes plans
-        on this context (imported lazily: the runtime sits above the rdd
+        """The kernels' :class:`~repro.runtime.backend.SimulatedBackend`
+        over this context (imported lazily: the runtime sits above the rdd
         layer)."""
         from repro.runtime.backend import SimulatedBackend
 
@@ -236,3 +396,8 @@ class ClusterContext:
         """Clear ledger and clock (typically between benchmark phases)."""
         self.ledger.reset()
         self.clock.reset()
+
+
+def _slot_bytes(matrix: DistributedMatrix, slot: int) -> int:
+    """Model bytes of the matrix's blocks resident on one slot."""
+    return sum(model_sizeof(block) for block in matrix.worker_grid(slot).values())

@@ -8,8 +8,8 @@ The package splits the old monolithic executor into composable parts:
   with critical-path simulated time;
 * :mod:`~repro.runtime.registry`  -- the operator table shared by the
   executor, planner, lint and visualiser;
-* :mod:`~repro.runtime.backend`   -- the :class:`Backend` protocol and the
-  :class:`SimulatedBackend` over the metered in-process cluster;
+* :mod:`~repro.runtime.backend`   -- :class:`SimulatedBackend`, the
+  physical operators the kernels call on the metered in-process cluster;
 * :mod:`~repro.runtime.resources` -- refcounted matrix lifetimes;
 * :mod:`~repro.runtime.metering`  -- per-stage charge attribution;
 * :mod:`~repro.runtime.executor`  -- :class:`PlanExecutor`, tying it all
@@ -24,7 +24,6 @@ every package here, this one is an export table (:mod:`repro._exports`).
 from repro._exports import export_table
 
 _EXPORTS = {
-    "Backend": "repro.runtime.backend",
     "SimulatedBackend": "repro.runtime.backend",
     "ExecutionResult": "repro.runtime.executor",
     "ExecutionState": "repro.runtime.executor",

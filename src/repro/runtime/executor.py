@@ -5,8 +5,10 @@ An execution flows through the runtime's parts:
 1. the plan is folded into a :class:`~repro.runtime.graph.StageGraph`,
 2. the :class:`~repro.runtime.scheduler.StageScheduler` dispatches ready
    nodes concurrently; each node runs its steps through the operator
-   registry's kernels against a pluggable
-   :class:`~repro.runtime.backend.Backend`,
+   registry's kernels, which make their physical calls on a
+   :class:`~repro.runtime.backend.SimulatedBackend` (or any object with its
+   kernel methods) and read everything else of the cluster from the
+   :class:`~repro.rdd.context.ClusterContext`,
 3. matrix lifetimes are reference counts held by a
    :class:`~repro.runtime.resources.ResourceManager` (released exactly
    once, also on mid-run failure),
@@ -33,7 +35,7 @@ from repro.matrix.distributed import DistributedMatrix
 from repro.rdd.clock import TimeBreakdown
 from repro.rdd.context import ClusterContext
 from repro.rdd.sizeof import model_sizeof
-from repro.runtime.backend import Backend
+from repro.runtime.backend import SimulatedBackend
 from repro.runtime.graph import StageNode, prepare
 from repro.runtime.metering import StageMeter, metered
 from repro.runtime.registry import spec_for
@@ -110,12 +112,14 @@ class ExecutionState:
 
     def __init__(
         self,
-        backend: Backend,
+        context: ClusterContext,
+        backend: SimulatedBackend,
         resources: ResourceManager,
         inputs: dict[str, np.ndarray],
         block_size: int,
         labels: tuple[str, ...],
     ) -> None:
+        self.context = context
         self.backend = backend
         self.resources = resources
         self.inputs = inputs
@@ -178,9 +182,11 @@ class ExecutionState:
 
 
 class PlanExecutor:
-    """Executes DMac plans on a :class:`Backend` via the stage scheduler.
+    """Executes DMac plans on a :class:`~repro.rdd.context.ClusterContext`
+    via the stage scheduler.
 
-    The default backend comes from ``context.make_backend()``.
+    The kernels' backend defaults to ``context.make_backend()``; a wrapper
+    that delegates its kernel methods sees every physical call of a run.
     """
 
     def __init__(
@@ -188,7 +194,7 @@ class PlanExecutor:
         context: ClusterContext,
         block_size: int | None = None,
         max_concurrent_stages: int | None = None,
-        backend: Backend | None = None,
+        backend: SimulatedBackend | None = None,
     ) -> None:
         self.context = context
         self.backend = backend if backend is not None else context.make_backend()
@@ -238,10 +244,10 @@ class PlanExecutor:
         tracer,
     ) -> ExecutionResult:
         inputs = inputs or {}
-        backend = self.backend
-        config = self.context.config
+        context = self.context
+        config = context.config
         graph, block_size, prediction, labels = prepare(
-            self.context,
+            context,
             plan,
             block_size=self.block_size,
             max_concurrent_stages=self.max_concurrent_stages,
@@ -251,8 +257,8 @@ class PlanExecutor:
             budget = config.cache_limit_bytes
             if budget is None:
                 budget = config.memory_limit_bytes
-            cache = BlockCache(plan.cache_pins, backend, budget_bytes=budget)
-        pool = self.context.pool
+            cache = BlockCache(plan.cache_pins, context, budget_bytes=budget)
+        pool = context.pool
         if pool.events and chaos is None:
             # A leave loses blocks that only lineage recovery can rebuild,
             # so runs with a timeline always execute under the recovery
@@ -261,7 +267,7 @@ class PlanExecutor:
             from repro.faults.chaos import ChaosEngine
 
             chaos = ChaosEngine(pool.seed, ())
-        scheduler_kwargs: dict = dict(lanes=self.context.lanes)
+        scheduler_kwargs: dict = dict(lanes=context.lanes)
         recovery_log = None
         checkpoints = None
         if chaos is not None:
@@ -276,7 +282,7 @@ class PlanExecutor:
             if recovery_config.checkpoint_every > 0:
                 checkpoints = CheckpointStore(
                     every=recovery_config.checkpoint_every,
-                    clock=backend.clock,
+                    clock=context.clock,
                     log=recovery_log,
                 )
             scheduler_kwargs.update(
@@ -286,10 +292,9 @@ class PlanExecutor:
                 speculation_multiplier=recovery_config.speculation_multiplier,
                 event_sink=recovery_log.record,
             )
-            backend.install_chaos(chaos)
+            context.install_chaos(chaos)
         resources = ResourceManager(
             plan,
-            backend,
             max_events=config.resource_event_log_limit,
             cache=cache,
             chaos=chaos,
@@ -298,22 +303,27 @@ class PlanExecutor:
             defuse=graph.defuse,
         )
         state = ExecutionState(
-            backend=backend,
+            context=context,
+            backend=self.backend,
             resources=resources,
             inputs=inputs,
             block_size=block_size,
             labels=labels,
         )
         resources.bind_state(state)
+        # Keyed by member id, not slot position: a member owning several
+        # slots reports all their flops on its one engine.
         worker_of_stats = {
-            id(stats): worker for worker, stats in backend.flop_sources().items()
+            id(context.engine_for_worker(worker).stats): worker
+            for worker in context.workers()
         }
 
-        bytes_before = backend.ledger.snapshot()
+        ledger, clock = context.ledger, context.clock
+        bytes_before = ledger.snapshot()
         elastic_events_before = len(pool.applied_log)
-        rebalance_before = backend.rebalance_bytes
-        records_before = len(backend.ledger.records()) if tracer is not None else 0
-        clock_window = backend.clock.begin_window() if tracer is not None else None
+        rebalance_before = context.rebalance_bytes
+        records_before = len(ledger.records()) if tracer is not None else 0
+        clock_window = clock.begin_window() if tracer is not None else None
         wall_start = time.perf_counter()
         scheduler = StageScheduler(self.max_concurrent_stages, **scheduler_kwargs)
         plan_span = (
@@ -332,7 +342,7 @@ class PlanExecutor:
             cache_stats = cache.stats() if cache is not None else None
         except BaseException:
             if clock_window is not None:
-                backend.clock.end_window(clock_window)
+                clock.end_window(clock_window)
             raise
         finally:
             if plan_span is not None:
@@ -341,13 +351,13 @@ class PlanExecutor:
             # Cut the state <-> resources cycle: dropping a session frees it.
             resources.bind_state(None)
             if chaos is not None:
-                backend.install_chaos(None)
-        backend.clock.advance(report.elapsed)
+                context.install_chaos(None)
+        clock.advance(report.elapsed)
         if tracer is not None:
             tracer.apply_schedule(report.timings, report.critical_path)
             tracer.attach_elapsed(report.elapsed)
-            tracer.attach_ledger_window(backend.ledger.records()[records_before:])
-            window = backend.clock.end_window(clock_window)
+            tracer.attach_ledger_window(ledger.records()[records_before:])
+            window = clock.end_window(clock_window)
             tracer.attach_clock_delta(
                 window.network_seconds,
                 window.compute_seconds,
@@ -361,7 +371,7 @@ class PlanExecutor:
                 resources=resources,
                 checkpoints=checkpoints,
             )
-        elastic = backend.elastic_summary(
+        elastic = context.elastic_summary(
             report,
             events_from=elastic_events_before,
             rebalance_bytes_before=rebalance_before,
@@ -373,10 +383,10 @@ class PlanExecutor:
         return ExecutionResult(
             matrices=matrices,
             scalars={name: scalars[name] for name in plan.program.scalar_outputs},
-            comm_bytes=backend.ledger.snapshot() - bytes_before,
+            comm_bytes=ledger.snapshot() - bytes_before,
             time=dataclasses.replace(report.elapsed),
             num_stages=plan.num_stages,
-            peak_memory_bytes=backend.peak_memory_bytes(),
+            peak_memory_bytes=context.peak_memory_bytes(),
             wall_seconds=time.perf_counter() - wall_start,
             trace=state.traces_in_plan_order() if trace else None,
             stage_timings=report.timings,
@@ -424,7 +434,7 @@ class PlanExecutor:
                 # Membership transitions due before this stage: applied under
                 # the node's meter and chaos scope, so rebalance traffic is
                 # charged (and fault-injectable) like any other stage work.
-                state.backend.begin_node(node, state.resources)
+                self.context.begin_node(node, state.resources)
                 self._run_steps(node, plan, state, worker_of_stats, trace, meter)
         except BaseException as error:
             # The failed attempt's metered cost: the scheduler charges it to
@@ -442,9 +452,10 @@ class PlanExecutor:
         trace: bool,
         meter: StageMeter,
     ) -> None:
-        backend = state.backend
+        ledger, clock = self.context.ledger, self.context.clock
+        threads = self.context.config.threads_per_worker
         tracer = active_tracer()
-        backend.clock.advance_stage_overhead(1)
+        clock.advance_stage_overhead(1)
         for plan_index in node.steps:
             if state.is_step_completed(plan_index):
                 continue  # a retried node re-runs only its unfinished steps
@@ -466,8 +477,8 @@ class PlanExecutor:
             )
             kernel = spec_for(step).kernel
             try:
-                with backend.ledger.scope(f"stage-{step.stage}"):
-                    with backend.ledger.scope(label):
+                with ledger.scope(f"stage-{step.stage}"):
+                    with ledger.scope(label):
                         kernel(step, state)
                 dense: dict[int, int] = {}
                 sparse: dict[int, int] = {}
@@ -479,9 +490,7 @@ class PlanExecutor:
                     dense[worker] = dense.get(worker, 0) + dense_flops
                     sparse[worker] = sparse.get(worker, 0) + sparse_flops
                     flops += dense_flops + sparse_flops
-                backend.clock.advance_compute(
-                    dense, sparse, backend.threads_per_worker
-                )
+                clock.advance_compute(dense, sparse, threads)
                 step_bytes = meter.take_step_bytes()
             except BaseException:
                 if step_span is not None:  # keep spans balanced on faults

@@ -17,8 +17,9 @@ for one step kind:
   :func:`repro.verify.analysis.solve_shapes` alone; the lint reads its facts),
 * ``edge_label`` -- how the step is drawn (used by :mod:`repro.core.viz`).
 
-Kernels talk to the cluster exclusively through the execution state's
-:class:`~repro.runtime.backend.Backend`, so they are backend-agnostic.
+Kernels make every physical call through the execution state's
+``backend`` (a :class:`~repro.runtime.backend.SimulatedBackend` unless the
+executor was given a wrapper), so a wrapper sees each one.
 """
 
 from __future__ import annotations

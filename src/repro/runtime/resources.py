@@ -6,7 +6,7 @@ steps run in plan order.  Under concurrent stages there is no single
 "current index", so lifetimes are reference counts instead: an instance's
 count is the number of plan steps that consume it (plus a pin for every
 program output), decremented as each consumer finishes.  At zero the
-matrix is handed to the backend's ``release`` hook and dropped.
+matrix is dropped.
 
 Every transition is recorded in an event log (``("publish" | "release" |
 "lost" | "restore", instance)``), which is what the lifecycle property
@@ -60,18 +60,18 @@ class BlockCache:
     The cache does not own matrices -- the :class:`ResourceManager` does.
     It decides which pinned instances stay resident under the per-worker
     ``budget_bytes``, and charges/releases their model bytes against the
-    backend's per-worker memory trackers, so a run's
+    cluster context's per-worker memory trackers, so a run's
     ``peak_memory_bytes`` accounts for what caching keeps alive.
     """
 
     def __init__(
         self,
         pins: tuple[MatrixInstance, ...],
-        backend,
+        context,
         budget_bytes: int | None = None,
     ) -> None:
         self._pins = frozenset(pins)
-        self._backend = backend
+        self._context = context
         self._budget = budget_bytes
         self._lock = threading.Lock()
         # instance -> per-worker resident bytes charged for it (LRU order).
@@ -100,7 +100,7 @@ class BlockCache:
         room (the manager spills them).  An instance that cannot fit even
         after evicting everything else is simply not hosted -- it then
         lives and dies by its refcount like any other instance."""
-        per_worker = self._backend.cached_bytes(matrix)
+        per_worker = self._context.cached_bytes(matrix)
         with self._lock:
             if instance in self._entries:
                 return []
@@ -168,10 +168,10 @@ class BlockCache:
         charged: list[tuple[int, int]] = []
         for worker, nbytes in per_worker.items():
             try:
-                self._backend.charge_cache(worker, nbytes)
+                self._context.charge_cache(worker, nbytes)
             except MemoryLimitExceeded:
                 for done_worker, done_bytes in charged:
-                    self._backend.discharge_cache(done_worker, done_bytes)
+                    self._context.discharge_cache(done_worker, done_bytes)
                 return False
             charged.append((worker, nbytes))
             self._worker_bytes[worker] = self._worker_bytes.get(worker, 0) + nbytes
@@ -182,7 +182,7 @@ class BlockCache:
 
     def _uncharge(self, per_worker: dict[int, int]) -> None:
         for worker, nbytes in per_worker.items():
-            self._backend.discharge_cache(worker, nbytes)
+            self._context.discharge_cache(worker, nbytes)
             self._worker_bytes[worker] = self._worker_bytes.get(worker, 0) - nbytes
 
 
@@ -235,7 +235,6 @@ class ResourceManager:
     def __init__(
         self,
         plan: Plan,
-        backend=None,
         *,
         max_events: int | None = DEFAULT_MAX_EVENTS,
         cache: BlockCache | None = None,
@@ -244,7 +243,6 @@ class ResourceManager:
         recovery_log=None,
         defuse=None,
     ) -> None:
-        self._backend = backend
         self._plan = plan
         self._cache = cache
         self._chaos = chaos
@@ -294,18 +292,15 @@ class ResourceManager:
             if instance in self._live or instance in self._released:
                 raise ExecutionError(f"instance {instance} produced twice")
             self._log(("publish", instance))
-            if self._refs.get(instance, 0) <= 0:
+            unread = self._refs.get(instance, 0) <= 0
+            if unread:
                 # Nothing will ever read it (planner never emits such steps,
                 # but hand-built plans can): release immediately.
                 self._released.add(instance)
                 self._log(("release", instance))
-                to_free = matrix
             else:
                 self._live[instance] = matrix
-                to_free = None
-        if to_free is not None:
-            self._free(to_free)
-        else:
+        if not unread:
             self._maybe_admit(instance, matrix)
         if self._checkpoints is not None:
             self._checkpoints.maybe_checkpoint(instance, matrix)
@@ -356,8 +351,7 @@ class ResourceManager:
         :meth:`restore`.
         """
         with self._lock:
-            matrix = self._live.pop(instance, None)
-            if matrix is None:
+            if self._live.pop(instance, None) is None:
                 raise ExecutionError(
                     f"cannot invalidate {instance}: it is not materialised"
                 )
@@ -366,7 +360,6 @@ class ResourceManager:
             self.blocks_lost += 1
         if self._cache is not None:
             self._cache.discharge(instance)
-        self._free(matrix)
 
     def is_lost(self, instance: MatrixInstance) -> bool:
         """``True`` while an instance is invalidated and not yet restored."""
@@ -393,9 +386,9 @@ class ResourceManager:
         Idempotent, and exactly-once per instance: anything already released
         through refcounting is skipped."""
         with self._lock:
-            leftovers = list(self._live.items())
+            leftovers = list(self._live)
             self._live.clear()
-            for instance, __ in leftovers:
+            for instance in leftovers:
                 self._released.add(instance)
                 self._log(("release", instance))
             # Spilled-and-never-refilled cache entries were freed at spill
@@ -406,8 +399,6 @@ class ResourceManager:
             self._spilled.clear()
         if self._cache is not None:
             self._cache.close()
-        for __, matrix in leftovers:
-            self._free(matrix)
 
     def live_instances(self) -> list[MatrixInstance]:
         with self._lock:
@@ -440,16 +431,11 @@ class ResourceManager:
             self._refs[instance] = remaining
             if remaining > 0:
                 return
-            matrix = self._live.pop(instance)
+            del self._live[instance]
             self._released.add(instance)
             self._log(("release", instance))
         if self._cache is not None:
             self._cache.discharge(instance)
-        self._free(matrix)
-
-    def _free(self, matrix: DistributedMatrix) -> None:
-        if self._backend is not None:
-            self._backend.release(matrix)
 
     # -- block cache ---------------------------------------------------------
 
@@ -465,15 +451,13 @@ class ResourceManager:
     def _spill(self, victim: MatrixInstance) -> None:
         """Free a cache-evicted instance; a later ``get`` refills it."""
         with self._lock:
-            matrix = self._live.pop(victim, None)
-            if matrix is None:
+            if self._live.pop(victim, None) is None:
                 return  # already consumed to zero refs, lost, or spilled
             self._spilled.add(victim)
             self._log(("spill", victim))
         tracer = active_tracer()
         if tracer is not None:
             tracer.event("cache", "spill", stage=current_stage(), instance=str(victim))
-        self._free(matrix)
 
     # -- lineage rebuild -----------------------------------------------------
 
@@ -512,7 +496,7 @@ class ResourceManager:
             cone = self._lineage.recovery_cone(instance, available)
             steps = [self._plan.steps[index] for index in cone]
             rstate = _RebuildState(self._state, checkpoints, self)
-            ledger = self._backend.ledger
+            ledger = self._state.context.ledger
             meter = active_meter()
 
             def moved() -> int:

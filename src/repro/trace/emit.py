@@ -14,8 +14,8 @@ Design constraints, in order:
 2. **Visible from every thread.**  One execution spans the dispatching
    thread and the cluster's lane pool (stage nodes and block tasks).  The
    *tracer* is process-global (installed around one execution, exactly
-   like ``Backend.install_chaos``); the *position* within the execution --
-   which stage-graph node this thread is working for -- is a
+   like ``ClusterContext.install_chaos``); the *position* within the
+   execution -- which stage-graph node this thread is working for -- is a
    :mod:`contextvars` variable, installed per node attempt and propagated
    into helper lanes by :meth:`repro.localexec.lanes.LanePool.submit`'s
    context copy.

@@ -33,7 +33,6 @@ import dataclasses
 from typing import List, Tuple
 
 from repro.runtime.graph import StageGraph
-from repro.verify.certify import value_summary
 
 #: Hazard kinds reported by :func:`find_hazards`.
 READ_BEFORE_PUBLISH = "read-before-publish"
@@ -121,6 +120,10 @@ def find_hazards(graph: StageGraph) -> List[Hazard]:
     # value_summary keeps the first definition and records every later,
     # *different* one -- identical re-publications (duplicated broadcast,
     # transpose round-trip) produce no conflict and stay DM2xx redundancy.
+    # Imported here: the memory bound reads this module's ancestor_masks
+    # and needs none of the certifier's value analysis.
+    from repro.verify.certify import value_summary
+
     summary = value_summary(plan)
     for conflict in summary.conflicts:
         others: Tuple[int, ...] = tuple(

@@ -269,16 +269,15 @@ class TestCacheAccounting:
     def test_cached_bytes_follow_the_slot_owners(self):
         context = ClusterContext(ClusterConfig(num_workers=3, elastic="join@1"))
         pool = context.pool
-        backend = context.make_backend()
         matrix = DistributedMatrix.from_numpy(
             context, np.arange(64.0).reshape(8, 8), block_size=2
         )
-        before = backend.cached_bytes(matrix)
+        before = context.cached_bytes(matrix)
         assert set(before) <= set(pool.members)
         total = sum(before.values())
         assert total > 0
         pool.commit(pool.next_transition(1))
-        after = backend.cached_bytes(matrix)
+        after = context.cached_bytes(matrix)
         assert set(after) <= set(pool.members)
         assert sum(after.values()) == total, (
             "churn moves residency between members but never changes the "
@@ -286,14 +285,12 @@ class TestCacheAccounting:
         )
 
     def test_static_backend_accounts_by_context_workers(self):
-        """On a static cluster the backend keys its books off the
-        context's worker set rather than a hardcoded range."""
-        session = session_for()
-        backend = session.context.make_backend()
+        """On a static cluster the context keys its books off its worker
+        set rather than a hardcoded range."""
+        context = session_for().context
         matrix = DistributedMatrix.from_numpy(
-            session.context, np.arange(64.0).reshape(8, 8), block_size=2
+            context, np.arange(64.0).reshape(8, 8), block_size=2
         )
-        cached = backend.cached_bytes(matrix)
-        assert set(cached) <= set(session.context.workers())
-        sources = backend.flop_sources()
-        assert set(sources) == set(session.context.workers())
+        cached = context.cached_bytes(matrix)
+        assert set(cached) <= set(context.workers())
+        assert set(context.flops_snapshot()) == set(context.workers())

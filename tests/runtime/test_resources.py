@@ -174,23 +174,6 @@ class TestManagerUnit:
         releases = [i for kind, i in manager.events if kind == "release"]
         assert releases.count(instance) == 1
 
-    def test_release_goes_to_backend(self):
-        pb = ProgramBuilder()
-        a = pb.load("A", (8, 8))
-        pb.output(pb.assign("B", a @ a))
-        plan = schedule_stages(DMacPlanner(pb.build(), 2).plan())
-        freed = []
-
-        class Backend:
-            def release(self, matrix):
-                freed.append(matrix)
-
-        manager = ResourceManager(plan, Backend())
-        token = object()
-        manager.publish(plan.steps[0].output_instance(), token)
-        manager.close()
-        assert freed == [token]
-
 
 class TestInvalidateRestore:
     def make_manager(self):

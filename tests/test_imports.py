@@ -116,3 +116,12 @@ def test_a_function_keeps_its_name_over_its_module_in_either_import_order():
     """The two interpreters above run the checks after taking their count."""
     loaded_after("import repro", NAME_FIRST)
     loaded_after(ENTRY_POINTS, MODULE_FIRST)
+
+
+def test_predicting_memory_loads_neither_the_certifier_nor_the_shape_analysis():
+    """The bound reads the hazard module's ancestor masks; only
+    ``find_hazards`` needs the certifier's value summary."""
+    loaded = loaded_after("import repro.verify.memory")
+    assert "repro.verify.hazards" in loaded
+    unwanted = [m for m in loaded if m in ("repro.verify.certify", "repro.verify.analysis")]
+    assert unwanted == []
