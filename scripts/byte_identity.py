@@ -20,8 +20,11 @@ host-side only -- a kernel, a load path -- each tree runs, with its own
 * GNMF at ``WIDE`` (``V`` 9603 x 355 against 64 factors, the only items
   whose sparse products reach the compiled loop) x ``optimize``, pooled
   and serial;
-* ``repro run`` / ``repro chaos`` / ``repro run --trace`` on three apps,
-  stdout and stderr (``peak_memory_bytes`` lines masked when threads > 1).
+* ``repro run`` / ``repro chaos`` / ``repro run --trace`` / ``repro trace``
+  under a crash fault on three apps, stdout and stderr, with the host-time
+  values masked: ``peak_memory_bytes`` (the CLI dispatches stages
+  concurrently, also with ``--threads 1``) and the trace export's
+  top-level ``wall_seconds``.
 
 Prints one IDENTICAL/DIFFERENT line per item; exit 1 if any differs.
 """
@@ -53,6 +56,7 @@ COMMANDS = {
         ("run", "--threads 1"),
         ("chaos", "--seed 7 --faults crash:stage=3"),
         ("run --trace", "--trace"),
+        ("trace", "--seed 7 --faults crash:stage=3"),
     )
 }
 
@@ -130,9 +134,10 @@ def observe(tree: Path) -> dict:
     seen = dict(json.loads(digest.stdout))
     for label, command in COMMANDS.items():
         done = run("-m", "repro", *command.split())
-        stdout = done.stdout
-        if "--threads 1" not in command:  # the peak follows host thread timing
-            stdout = re.sub(r'"peak_memory_bytes": \d+', '"peak_memory_bytes": "masked"', stdout)
+        stdout = re.sub(r'"peak_memory_bytes": \d+', '"peak_memory_bytes": "masked"', done.stdout)
+        stdout = re.sub(
+            r'^  "wall_seconds": [^,\n]+', '  "wall_seconds": "masked"', stdout, flags=re.M
+        )
         seen[f"repro {label}"] = (done.returncode, stdout, done.stderr)
     return seen
 

@@ -89,11 +89,23 @@ def optimal_cost(program: MatrixProgram, num_workers: int) -> int:
         read_later[index] = read_later[index + 1] | {
             operand.name for operand in ops[index].matrix_inputs()
         }
+    # The instances that stop being live on entering each index: a state
+    # entering it holds only matrices read from the index before on, or
+    # made there; all instances of a matrix are its replica's closure.
+    dying = [frozenset()] + [
+        frozenset().union(
+            *(
+                _closure(MatrixInstance(name, False, Scheme.BROADCAST))
+                for name in (read_later[index] | {op.output}) - read_later[index + 1]
+            )
+        )
+        for index, op in enumerate(ops)
+    ]
 
     def search(index: int, state: State) -> int:
         if solve.cache_info().currsize > MAX_STATES:
             raise PlanError(f"exhaustive search limited to {MAX_STATES} states")
-        return solve(index, _live(state, read_later[index]))
+        return solve(index, _prune(state, dying[index]))
 
     @functools.lru_cache(maxsize=None)
     def solve(index: int, state: State) -> int:
@@ -137,9 +149,10 @@ def optimal_cost(program: MatrixProgram, num_workers: int) -> int:
     return search(0, frozenset())
 
 
-def _live(state: State, names: frozenset) -> State:
-    """The instances of ``state`` whose matrix is in ``names``."""
-    return frozenset(instance for instance in state if instance.name in names)
+def _prune(state: State, dead: State) -> State:
+    """``state`` without the ``dead`` instances (the same object when it
+    holds none, so its cached hash is reused)."""
+    return state if state.isdisjoint(dead) else state - dead
 
 
 def _satisfaction_options(

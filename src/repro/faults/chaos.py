@@ -22,11 +22,11 @@ import contextlib
 import contextvars
 import hashlib
 import threading
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import TransferFault, WorkerCrashed
 from repro.faults.spec import FaultClause, parse_fault_spec
-from repro.trace.emit import active_tracer, current_stage
+from repro.trace.emit import emit
 
 
 class _StageScope:
@@ -53,9 +53,10 @@ class ChaosEngine:
     """Injects the faults of a parsed spec at deterministic points.
 
     Thread-safe: hooks are called from concurrent scheduler threads; all
-    mutable state (fire budgets, attempt counters, the injected-event list)
-    is lock-protected, and every *decision* is a pure function of the seed
-    and the point name, so concurrency cannot change what fires.
+    mutable state (fire budgets, attempt counters) is lock-protected, and
+    every *decision* is a pure function of the seed and the point name, so
+    concurrency cannot change what fires.  Each injection is one ``inject``
+    event through :func:`repro.trace.emit.emit`.
     """
 
     def __init__(self, seed: int, faults: str | tuple[FaultClause, ...]) -> None:
@@ -67,12 +68,6 @@ class ChaosEngine:
         self._fires: dict[tuple, int] = {}  # (clause index, point family) -> count
         self._node_attempts: dict[int, int] = {}
         self._driver_ordinal = 0
-        self.injected: list[dict] = []
-        self._sink: Callable[[dict], None] | None = None
-
-    def attach_sink(self, sink: Callable[[dict], None] | None) -> None:
-        """Also forward injected-fault events to ``sink`` (a RecoveryLog)."""
-        self._sink = sink
 
     # -- scope ----------------------------------------------------------------
 
@@ -103,7 +98,7 @@ class ChaosEngine:
             if not self._fire(clause, family, point):
                 continue
             worker = clause.worker if clause.worker is not None else 0
-            self._record(
+            emit(
                 {
                     "event": "inject",
                     "fault": "crash",
@@ -136,7 +131,7 @@ class ChaosEngine:
             if not self._fire(clause, family, point):
                 continue
             factor *= clause.factor
-            self._record(
+            emit(
                 {
                     "event": "inject",
                     "fault": "straggler",
@@ -178,7 +173,7 @@ class ChaosEngine:
             point = f"flaky/{index}/{where}/ord={ordinal}"
             if not self._fire(clause, family, point):
                 continue
-            self._record(
+            emit(
                 {
                     "event": "inject",
                     "fault": "flaky",
@@ -214,7 +209,7 @@ class ChaosEngine:
             point = f"lostblock/{index}/instance={name}"
             if not self._fire(clause, family, point):
                 continue
-            self._record(
+            emit(
                 {
                     "event": "inject",
                     "fault": "lostblock",
@@ -244,23 +239,3 @@ class ChaosEngine:
             f"{self.seed}|{point}".encode(), digest_size=8
         ).digest()
         return int.from_bytes(digest, "big") / _MAX_HASH
-
-    def _record(self, event: dict) -> None:
-        with self._lock:
-            self.injected.append(event)
-            sink = self._sink
-        if sink is not None:
-            sink(event)
-        tracer = active_tracer()
-        if tracer is not None:
-            stage = (
-                (event["node"], event["stage"])
-                if "node" in event and "stage" in event
-                else current_stage()
-            )
-            attrs = {
-                k: v
-                for k, v in event.items()
-                if k not in ("event", "fault", "node", "stage")
-            }
-            tracer.event("fault", event.get("fault", "unknown"), stage=stage, **attrs)

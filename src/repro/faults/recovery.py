@@ -11,7 +11,9 @@ and spilled cache pins: it re-runs the minimal lineage cone
 original execution, charged to the consuming stage (ledger scope
 ``recovery/...``), and reads checkpointed instances back from this store.
 Only the lost instance is restored, keeping the publish/release books
-intact (``releases + losts - restores == publishes``).
+intact (``releases + losts - restores == publishes``).  Each checkpoint
+written is one ``checkpoint`` event (:func:`repro.trace.emit.emit`), which
+the run's recovery summary counts.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import threading
 from repro.core.plan import MatrixInstance
 from repro.matrix.distributed import DistributedMatrix
 from repro.rdd.sizeof import model_sizeof
+from repro.trace.emit import emit
 
 
 def _ssa_version(name: str) -> int | None:
@@ -42,16 +45,13 @@ def _matrix_bytes(matrix: DistributedMatrix) -> int:
 class CheckpointStore:
     """Keeps every k-th SSA version of loop-carried instances."""
 
-    def __init__(self, every: int, clock, log=None) -> None:
+    def __init__(self, every: int, clock) -> None:
         if every < 1:
             raise ValueError(f"checkpoint interval must be >= 1, got {every}")
         self.every = every
         self._clock = clock
-        self._log = log
         self._lock = threading.Lock()
         self._store: dict[MatrixInstance, tuple[DistributedMatrix, int]] = {}
-        self.count = 0
-        self.bytes_written = 0
 
     def maybe_checkpoint(self, instance: MatrixInstance, matrix) -> None:
         """Persist ``instance`` if it is a loop-carried version on the
@@ -66,12 +66,7 @@ class CheckpointStore:
         self._clock.advance_disk(nbytes)
         with self._lock:
             self._store[instance] = (matrix, nbytes)
-            self.count += 1
-            self.bytes_written += nbytes
-        if self._log is not None:
-            self._log.record(
-                {"event": "checkpoint", "instance": str(instance), "bytes": nbytes}
-            )
+        emit({"event": "checkpoint", "instance": str(instance), "bytes": nbytes})
 
     def has(self, instance: MatrixInstance) -> bool:
         with self._lock:

@@ -14,7 +14,8 @@ import threading
 
 
 class RecoveryLog:
-    """Thread-safe collector of fault/recovery events of one execution."""
+    """Thread-safe record of the fault/recovery events of one execution
+    (what :func:`repro.trace.emit.emit` appends to on a chaos run)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -30,30 +31,32 @@ class RecoveryLog:
             events = list(self._events)
         return sorted(events, key=lambda e: json.dumps(e, sort_keys=True))
 
-    def count(self, event_kind: str) -> int:
-        with self._lock:
-            return sum(1 for e in self._events if e.get("event") == event_kind)
 
-
-def summarise_recovery(log, resources, checkpoints=None) -> dict:
+def summarise_recovery(log: RecoveryLog, blocks_lost: int) -> dict:
     """The ``ExecutionResult.recovery`` summary of one plan execution.
 
-    Every counter is this execution's own (``log`` and the
-    :class:`~repro.runtime.resources.ResourceManager` ``resources`` are per
-    execution), the way ``comm_bytes`` is a ledger delta: the chaos engine
-    may span many executions of one run, whose summaries are then summed.
+    Every number is counted off this execution's own ``log`` but
+    ``blocks_lost``, the execution's ResourceManager counter (a lost block
+    emits no event of its own).  The chaos engine may span many executions
+    of one run, whose summaries are then summed.
     """
+    events = log.events()
+
+    def of(kind: str) -> list[dict]:
+        return [event for event in events if event["event"] == kind]
+
+    recovered, checkpoints = of("recovered"), of("checkpoint")
     return {
-        "events": log.events(),
-        "injected": log.count("inject"),
-        "retries": log.count("retry"),
-        "speculations": log.count("speculation"),
-        "blocks_lost": resources.blocks_lost,
-        "blocks_recovered": resources.blocks_recovered,
-        "steps_recomputed": resources.steps_recomputed,
-        "bytes_recomputed": resources.bytes_recomputed,
-        "checkpoints": checkpoints.count if checkpoints is not None else 0,
-        "checkpoint_bytes": checkpoints.bytes_written if checkpoints is not None else 0,
+        "events": events,
+        "injected": len(of("inject")),
+        "retries": len(of("retry")),
+        "speculations": len(of("speculation")),
+        "blocks_lost": blocks_lost,
+        "blocks_recovered": len(recovered),
+        "steps_recomputed": sum(event["steps"] for event in recovered),
+        "bytes_recomputed": sum(event["bytes"] for event in recovered),
+        "checkpoints": len(checkpoints),
+        "checkpoint_bytes": sum(event["bytes"] for event in checkpoints),
     }
 
 

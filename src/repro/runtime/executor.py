@@ -42,7 +42,7 @@ from repro.runtime.registry import spec_for
 from repro.runtime.resources import BlockCache, ResourceManager
 from repro.runtime.scalars import evaluate_scalar  # noqa: F401  (re-export)
 from repro.runtime.scheduler import SchedulerReport, StageScheduler, StageTiming
-from repro.trace.emit import active_tracer, install_tracer, stage_scope
+from repro.trace.emit import active_tracer, install_tracer, recording
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,20 +277,17 @@ class PlanExecutor:
             from repro.faults.report import RecoveryLog, summarise_recovery
 
             recovery_log = RecoveryLog()
-            chaos.attach_sink(recovery_log.record)
             recovery_config = config.recovery
             if recovery_config.checkpoint_every > 0:
                 checkpoints = CheckpointStore(
                     every=recovery_config.checkpoint_every,
                     clock=context.clock,
-                    log=recovery_log,
                 )
             scheduler_kwargs.update(
                 max_attempts=recovery_config.max_stage_attempts,
                 backoff_base_sec=recovery_config.backoff_base_sec,
                 backoff_cap_sec=recovery_config.backoff_cap_sec,
                 speculation_multiplier=recovery_config.speculation_multiplier,
-                event_sink=recovery_log.record,
             )
             context.install_chaos(chaos)
         resources = ResourceManager(
@@ -299,7 +296,6 @@ class PlanExecutor:
             cache=cache,
             chaos=chaos,
             checkpoints=checkpoints,
-            recovery_log=recovery_log,
             defuse=graph.defuse,
         )
         state = ExecutionState(
@@ -332,13 +328,16 @@ class PlanExecutor:
             else None
         )
         try:
-            report = scheduler.run(
-                graph,
-                lambda node: self._run_node(
-                    node, plan, state, worker_of_stats, trace, chaos
-                ),
-            )
-            matrices = self._materialise_outputs(plan, state)
+            # Where this execution's fault and recovery events go (nowhere
+            # on a clean run); its lanes inherit it with this context.
+            with recording(recovery_log):
+                report = scheduler.run(
+                    graph,
+                    lambda node: self._run_node(
+                        node, plan, state, worker_of_stats, trace, chaos
+                    ),
+                )
+                matrices = self._materialise_outputs(plan, state)
             cache_stats = cache.stats() if cache is not None else None
         except BaseException:
             if clock_window is not None:
@@ -366,11 +365,7 @@ class PlanExecutor:
 
         recovery = None
         if chaos is not None:
-            recovery = summarise_recovery(
-                log=recovery_log,
-                resources=resources,
-                checkpoints=checkpoints,
-            )
+            recovery = summarise_recovery(recovery_log, resources.blocks_lost)
         elastic = context.elastic_summary(
             report,
             events_from=elastic_events_before,
@@ -410,7 +405,7 @@ class PlanExecutor:
         trace: bool,
         chaos=None,
     ) -> StageMeter:
-        meter = StageMeter()
+        meter = StageMeter((node.index, node.stage))
         tracer = active_tracer()
         try:
             with contextlib.ExitStack() as stack:
@@ -425,7 +420,7 @@ class PlanExecutor:
                             stage=node.stage,
                         )
                     )
-                    stack.enter_context(stage_scope(node.index, node.stage))
+                # The meter is also this thread's stage position.
                 stack.enter_context(metered(meter))
                 if chaos is not None:
                     stack.enter_context(chaos.stage_scope(node))

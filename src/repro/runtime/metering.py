@@ -51,13 +51,19 @@ def metered(meter: "StageMeter") -> Iterator["StageMeter"]:
 class StageMeter:
     """Accumulates the simulated time, bytes and flops of one stage run.
 
+    ``position`` is the ``(node index, stage)`` of the stage-graph node
+    attempt it meters (``None`` for a meter of no node): while the meter
+    is active it is where this thread stands in the execution, which
+    :func:`repro.trace.emit.current_stage` reports.
+
     Thread-safe: a stage's block tasks may report from several lanes at
     once.  ``take_step_*`` methods drain the per-step counters
     (the stage runner calls them after each plan step to build traces and
     charge per-step compute time).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, position: tuple[int, int] | None = None) -> None:
+        self.position = position
         self._lock = threading.Lock()
         self.network_seconds = 0.0
         self.compute_seconds = 0.0

@@ -14,8 +14,9 @@ tests assert over: every instance published during a run -- finished or
 aborted -- is released exactly once (with fault injection, an instance may
 additionally be ``lost`` and later ``restore``\\ d by lineage recovery; the
 books balance as ``releases + losts - restores == publishes``).  The log is
-bounded (``max_events``, default :data:`DEFAULT_MAX_EVENTS`) so long
-iterative runs with retries cannot grow it without bound;
+bounded (``max_events``, defaulting to
+``ClusterConfig.resource_event_log_limit``'s default) so long iterative
+runs with retries cannot grow it without bound;
 ``events_recorded`` / ``events_dropped`` expose the true totals.
 
 Plans carrying optimizer ``cache_pins`` additionally run with a
@@ -41,17 +42,13 @@ from __future__ import annotations
 import collections
 import threading
 
+from repro.config import ClusterConfig
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.errors import ExecutionError, MemoryLimitExceeded, ShuffleBlockLost
 from repro.matrix.distributed import DistributedMatrix
 from repro.runtime.metering import active_meter
 from repro.runtime.registry import spec_for
-from repro.trace.emit import active_tracer, current_stage
-
-#: Default cap on the lifecycle event log.  Long iterative runs with
-#: retries would otherwise grow it without bound; the cap is generous
-#: enough that every test-scale run keeps its full history.
-DEFAULT_MAX_EVENTS = 65536
+from repro.trace.emit import active_tracer, current_stage, emit
 
 
 class BlockCache:
@@ -226,9 +223,9 @@ class _RebuildState:
 class ResourceManager:
     """Tracks every live :class:`DistributedMatrix` of one plan execution.
 
-    ``chaos``, ``checkpoints`` and ``recovery_log`` are a chaos run's
-    :class:`~repro.faults.ChaosEngine`, ``CheckpointStore`` and
-    ``RecoveryLog`` (``None`` on a clean run); ``defuse`` is the plan's
+    ``chaos`` and ``checkpoints`` are a chaos run's
+    :class:`~repro.faults.ChaosEngine` and ``CheckpointStore`` (``None`` on
+    a clean run); ``defuse`` is the plan's
     :class:`~repro.core.defuse.DefUse`, which the rebuild's lineage reads.
     """
 
@@ -236,27 +233,22 @@ class ResourceManager:
         self,
         plan: Plan,
         *,
-        max_events: int | None = DEFAULT_MAX_EVENTS,
+        max_events: int | None = ClusterConfig.resource_event_log_limit,
         cache: BlockCache | None = None,
         chaos=None,
         checkpoints=None,
-        recovery_log=None,
         defuse=None,
     ) -> None:
         self._plan = plan
         self._cache = cache
         self._chaos = chaos
         self._checkpoints = checkpoints
-        self._recovery_log = recovery_log
         self._defuse = defuse
         self._lineage = None  # built on the first rebuild
         self._state = None  # bound by the executor before the run starts
         self._lock = threading.Lock()
         self._rebuild_lock = threading.RLock()
         self.blocks_lost = 0
-        self.blocks_recovered = 0
-        self.steps_recomputed = 0
-        self.bytes_recomputed = 0
         self._live: dict[MatrixInstance, DistributedMatrix] = {}
         self._released: set[MatrixInstance] = set()
         self._lost: set[MatrixInstance] = set()
@@ -513,23 +505,17 @@ class ResourceManager:
                 raise ShuffleBlockLost(
                     f"{cause} cone for {instance} did not rebuild it (steps {cone})"
                 )
-            tracer = active_tracer()
             if cause == "recovery":
                 self.restore(instance, matrix)
-                self.blocks_recovered += 1
-                self.steps_recomputed += len(steps)
-                self.bytes_recomputed += nbytes
-                record = {"instance": str(instance), "steps": len(steps), "bytes": nbytes}
-                if self._recovery_log is not None:
-                    self._recovery_log.record({"event": "recovered", **record})
-                if tracer is not None:
-                    tracer.event("recovery", "cone", stage=current_stage(), **record)
+                emit({"event": "recovered", "instance": str(instance),
+                      "steps": len(steps), "bytes": nbytes})
                 return matrix
             with self._lock:
                 self._spilled.discard(instance)
                 self._live[instance] = matrix
                 self._log(("refill", instance))
             self._cache.refilled += 1
+            tracer = active_tracer()
             if tracer is not None:
                 tracer.event(
                     "cache",

@@ -44,6 +44,9 @@ on a healthy worker: the node's effective duration becomes the minimum of
 its slowed duration and ``threshold + clean duration`` (first finisher
 wins; the loser's remaining time is not charged).  With no straggler
 slowdown, slowed == clean and speculation never changes anything.
+
+Each retry and each speculative copy is one event through
+:func:`repro.trace.emit.emit`: a chaos run's record and the tracer see it.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import statistics
-import threading
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Callable
 
@@ -60,7 +62,7 @@ from repro.localexec.lanes import LanePool
 from repro.rdd.clock import TimeBreakdown
 from repro.runtime.graph import StageGraph, StageNode
 from repro.runtime.metering import StageMeter
-from repro.trace.emit import active_tracer
+from repro.trace.emit import emit
 
 #: Upper bound on concurrently dispatched stages when the config does not
 #: pin one.  Stage concurrency is about overlapping *simulated* stages, not
@@ -121,7 +123,6 @@ class StageScheduler:
         backoff_base_sec: float = 1.0,
         backoff_cap_sec: float = 30.0,
         speculation_multiplier: float = 0.0,
-        event_sink: Callable[[dict], None] | None = None,
         lanes: LanePool | None = None,
     ) -> None:
         if max_concurrent is not None and max_concurrent < 1:
@@ -138,8 +139,6 @@ class StageScheduler:
         self.backoff_base_sec = backoff_base_sec
         self.backoff_cap_sec = backoff_cap_sec
         self.speculation_multiplier = speculation_multiplier
-        self._event_sink = event_sink
-        self._event_lock = threading.Lock()
 
     def run(
         self,
@@ -219,7 +218,7 @@ class StageScheduler:
                     self.backoff_cap_sec,
                 )
                 backoff_total += backoff
-                self._emit(
+                emit(
                     {
                         "event": "retry",
                         "node": node.index,
@@ -257,24 +256,6 @@ class StageScheduler:
             attempts=attempts,
             cause=error,
         )
-
-    def _emit(self, event: dict) -> None:
-        tracer = active_tracer()
-        if tracer is not None and event.get("event") in ("retry", "speculation"):
-            attrs = {
-                k: v for k, v in event.items() if k not in ("event", "node", "stage")
-            }
-            name = attrs.pop("error", None) or "speculative-copy"
-            tracer.event(
-                event["event"],
-                name,
-                stage=(event["node"], event["stage"]),
-                **attrs,
-            )
-        if self._event_sink is None:
-            return
-        with self._event_lock:
-            self._event_sink(event)
 
     # -- simulated schedule --------------------------------------------------
 
@@ -374,7 +355,7 @@ class StageScheduler:
                 compute_seconds=old.compute_seconds * scale,
                 overhead_seconds=old.overhead_seconds * scale,
             )
-            self._emit(
+            emit(
                 {
                     "event": "speculation",
                     "node": node.index,

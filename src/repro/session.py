@@ -153,7 +153,6 @@ class DMacSession(contextlib.AbstractContextManager):
         plan: Plan | tuple[Plan, ...] | None = None,
         trace: bool = False,
         chaos=None,
-        tracer=None,
     ) -> RunResult:
         """Plan (unless plans are supplied) and execute under DMac.
 
@@ -180,20 +179,13 @@ class DMacSession(contextlib.AbstractContextManager):
         ``lint``/``verify`` modes other than "off" check every plan before
         anything executes; their error modes refuse to run.  One ``chaos``
         :class:`~repro.faults.ChaosEngine` spans the whole run and
-        ``result.recovery`` reports what recovering cost.  A ``tracer``
-        (:class:`~repro.trace.TraceCollector`) holds one plan execution,
-        so it is refused for a program with a loop; a session constructed
-        with ``trace=True`` creates one per execution instead
+        ``result.recovery`` reports what recovering cost.  A session
+        constructed with ``trace=True`` records one
+        :class:`~repro.trace.TraceCollector` per execution
         (``result.tracing`` is the last one).
         """
         view = segments_of(program)
         loop = view.loop
-        if tracer is not None and loop is not None:
-            raise PlanError(
-                "staged programs collect one tracer per segment; "
-                "construct the session with trace=True instead of "
-                "passing a tracer"
-            )
         if plan is None:
             plan = self.plans(program)
         plans = (plan,) if isinstance(plan, Plan) else tuple(plan)
@@ -218,7 +210,7 @@ class DMacSession(contextlib.AbstractContextManager):
                 bound,
                 trace=trace,
                 chaos=chaos,
-                tracer=self._collector() if tracer is None else tracer,
+                tracer=self._collector(),
             )
             if records:
                 label = f"segment-{len(records)}"

@@ -9,6 +9,9 @@ CommunicationLedger and SimulatedClock (see :mod:`repro.trace.reconcile`).
 
 Tracing is strictly opt-in: with no tracer installed every emit site is a
 single global read that finds ``None`` (see :mod:`repro.trace.emit`).
+Fault and recovery events reach the tracer only through
+:func:`repro.trace.emit.emit`, which also appends them to a chaos run's
+record.
 """
 
 from repro._exports import export_table
@@ -19,7 +22,6 @@ _EXPORTS = {
     "active_tracer": "repro.trace.emit",
     "current_stage": "repro.trace.emit",
     "install_tracer": "repro.trace.emit",
-    "stage_scope": "repro.trace.emit",
     "format_summary": "repro.trace.export",
     "to_chrome_trace": "repro.trace.export",
     "to_json_dict": "repro.trace.export",

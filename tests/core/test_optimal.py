@@ -197,7 +197,7 @@ def test_pruning_dead_matrices_keeps_the_optimum(drawn, workers):
     """Dropping the instances of matrices no later operator reads from the
     memo state changes no optimum."""
     program, __ = drawn
-    with mock.patch.object(optimal, "_live", lambda state, names: state):
+    with mock.patch.object(optimal, "_prune", lambda state, dead: state):
         unpruned = optimal_cost(program, workers)
     assert optimal_cost(program, workers) == unpruned
 

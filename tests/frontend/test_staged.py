@@ -151,13 +151,6 @@ def test_chaos_recovery_spans_segments(staged, data):
     )
 
 
-def test_tracer_kwarg_rejected_for_staged(staged, data):
-    from repro.trace import TraceCollector
-
-    with pytest.raises(PlanError, match="trace=True"):
-        strict_session().run(staged, {"A": data}, tracer=TraceCollector())
-
-
 def books(result) -> tuple:
     """The deterministic books of a run, simulated seconds bit-exact."""
     return (
@@ -277,7 +270,8 @@ def test_one_execution_folds_to_itself():
 @pytest.mark.parametrize("looping", [True, False], ids=["loop", "no-loop"])
 def test_injected_counts_the_inject_events(staged, data, looping):
     """One engine spans every execution of a run; each execution reports
-    its own injections, so the fold's sum is the number of faults."""
+    its own injections, so the fold's sum is the number of faults -- as
+    many as the executions' traces saw."""
     from repro.faults import ChaosEngine, parse_fault_spec
 
     if looping:
@@ -286,10 +280,11 @@ def test_injected_counts_the_inject_events(staged, data, looping):
         load = small_straight_line_workload()
         program, inputs = load.program, load.inputs
     engine = ChaosEngine(7, parse_fault_spec("crash:stage=2"))
-    result = strict_session().run(program, inputs, chaos=engine)
+    result = strict_session(trace=True).run(program, inputs, chaos=engine)
     injects = [e for e in result.recovery["events"] if e["event"] == "inject"]
+    traced = sum(len(seg.result.tracing.events("fault")) for seg in result.segments)
     assert injects
-    assert result.recovery["injected"] == len(injects) == len(engine.injected)
+    assert result.recovery["injected"] == len(injects) == traced
     assert result.recovery["retries"] == len(injects)
 
 

@@ -11,7 +11,7 @@ from repro.faults import ChaosEngine, parse_fault_spec
 from repro.faults.lineage import LineageTracker
 from repro.planopt import DEFAULT_PASSES, ReplicatePass, optimize_plan
 from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
-from repro.trace import TraceCollector, assert_reconciled
+from repro.trace import assert_reconciled
 from tests.elastic.test_golden_books import FAULT_SEED, FAULTS, TIMELINE
 
 #: GNMF small enough for the elastic cases, big enough that ``W (H H^T)``
@@ -75,21 +75,22 @@ def test_a_replicated_product_is_the_moved_product_bit_for_bit(app):
     assert runs[0].comm_bytes < runs[1].comm_bytes
 
 
-def run_gnmf(faults=None, tracer=None):
+def run_gnmf(faults=None, trace=False):
     load = build_workload("gnmf", GNMF)
     session = DMacSession(
         ClusterConfig(num_workers=4, threads_per_worker=2, elastic=TIMELINE),
         optimize=True,
+        trace=trace,
     )
     chaos = ChaosEngine(FAULT_SEED, parse_fault_spec(faults)) if faults else None
-    return session.run(load.program, load.inputs, chaos=chaos, tracer=tracer)
+    return session.run(load.program, load.inputs, chaos=chaos)
 
 
 @pytest.mark.parametrize("faults", [None, FAULTS], ids=["churn", "churn-faults"])
 def test_bmm_books_reconcile_under_churn(faults):
     """trace == ledger == clock with ``bmm`` steps in the plan."""
-    tracer = TraceCollector()
-    result = run_gnmf(faults, tracer)
+    result = run_gnmf(faults, trace=True)
+    tracer = result.tracing
     assert tracer.spans and assert_reconciled(tracer)["ok"]
     assert result.elastic["events"]
 

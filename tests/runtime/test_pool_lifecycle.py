@@ -43,7 +43,7 @@ from repro.runtime.metering import StageMeter, active_meter, metered
 from repro.runtime.resources import ResourceManager
 from repro.runtime.scheduler import StageScheduler
 from repro.serve import JobSpec, MatrixService, ServiceConfig, TenantSpec
-from repro.trace.emit import current_stage, stage_scope
+from repro.trace.emit import current_stage
 from tests.runtime.test_scheduler import synthetic_graph
 from tests.test_concurrent_sessions import APPS, PARAMS
 
@@ -565,7 +565,7 @@ class TestMap:
 class TestLanesSeeTheSubmittingStage:
     def test_meter_ledger_scope_and_stage_on_helper_and_caller_lanes(self):
         ledger = CommunicationLedger()
-        meter = StageMeter()
+        meter = StageMeter((7, 4))
         both_lanes = threading.Barrier(2, timeout=10)
 
         def runner(task):
@@ -579,7 +579,7 @@ class TestLanesSeeTheSubmittingStage:
             )
 
         pool = LanePool(2)
-        with metered(meter), ledger.scope("stage-4"), stage_scope(7, 4):
+        with metered(meter), ledger.scope("stage-4"):
             seen = pool.map(runner, list(range(6)), 2)
         pool.close()
         assert {ident for ident, *__ in seen} > {threading.get_ident()}  # caller + helper
@@ -592,7 +592,7 @@ class TestLanesSeeTheSubmittingStage:
         leaked = []
 
         def run_node(node):
-            leaked.append(stage_scope(node.index, 1).__enter__())  # never exited
+            leaked.append(metered(StageMeter((node.index, 1))).__enter__())  # never exited
             return StageMeter()
 
         StageScheduler(8, lanes=LanePool(1)).run(synthetic_graph({0: ()}), run_node)

@@ -31,7 +31,8 @@ class RecordingManager(ResourceManager):
 
 
 def run_recorded(program, inputs=None, workers=3, expect=None, config=None, chaos=None):
-    """Execute a program with the recording manager; return its event log."""
+    """Execute a program with the recording manager; return the manager
+    (a completed run's result on its ``result``)."""
     plan = schedule_stages(DMacPlanner(program, workers).plan())
     context = ClusterContext(
         config
@@ -40,13 +41,16 @@ def run_recorded(program, inputs=None, workers=3, expect=None, config=None, chao
     RecordingManager.created.clear()
     with mock.patch("repro.runtime.executor.ResourceManager", RecordingManager):
         executor = PlanExecutor(context, context.config.block_size)
+        result = None
         if expect is None:
-            executor.execute(plan, inputs, chaos=chaos)
+            result = executor.execute(plan, inputs, chaos=chaos)
         else:
             with pytest.raises(expect):
                 executor.execute(plan, inputs, chaos=chaos)
     assert len(RecordingManager.created) == 1
-    return RecordingManager.created[0]
+    manager = RecordingManager.created[0]
+    manager.result = result
+    return manager
 
 
 def assert_exactly_once(manager: ResourceManager) -> None:
@@ -322,18 +326,18 @@ class TestFaultHammer:
             block_size=16,
             recovery=RecoveryConfig(max_stage_attempts=4),
         )
-        chaos = ChaosEngine(seed, faults)
         manager = run_recorded(
-            program, {"link": link}, config=config, chaos=chaos
+            program, {"link": link}, config=config, chaos=ChaosEngine(seed, faults)
         )
-        return manager, chaos
+        injected = [e for e in manager.result.recovery["events"] if e["event"] == "inject"]
+        return manager, injected
 
     def test_hammered_run_releases_every_instance_exactly_once(self):
-        manager, chaos = self.run_chaos(
+        manager, injected = self.run_chaos(
             seed=11,
             faults="crash:times=2;flaky:p=0.9,times=1;lostblock:instance=rank,iteration=3",
         )
-        kinds = Counter(event["fault"] for event in chaos.injected)
+        kinds = Counter(event["fault"] for event in injected)
         assert kinds.get("crash", 0) >= 1, "no crash fired -- hammer too soft"
         assert kinds.get("lostblock", 0) == 1
         assert_books_balance(manager)
@@ -343,15 +347,15 @@ class TestFaultHammer:
 
     def test_hammered_run_is_deterministic(self):
         faults = "crash:times=2;flaky:p=0.9,times=1;lostblock:instance=rank,iteration=3"
-        first, chaos_a = self.run_chaos(seed=11, faults=faults)
-        second, chaos_b = self.run_chaos(seed=11, faults=faults)
+        first, injected_a = self.run_chaos(seed=11, faults=faults)
+        second, injected_b = self.run_chaos(seed=11, faults=faults)
         # Concurrent stages may interleave the raw logs differently (the
         # JSON report sorts canonically), but the *decisions* -- which
         # faults fired, where -- and the lifecycle transitions are fixed.
         def canon(events):
             return sorted(json.dumps(e, sort_keys=True) for e in events)
 
-        assert canon(chaos_a.injected) == canon(chaos_b.injected)
+        assert canon(injected_a) == canon(injected_b)
         assert Counter(
             (kind, str(instance)) for kind, instance in first.events
         ) == Counter((kind, str(instance)) for kind, instance in second.events)

@@ -7,6 +7,7 @@ import pytest
 from repro.config import ClusterConfig
 from repro.core.planner import DMacPlanner
 from repro.errors import StageExecutionError
+from repro.faults import RecoveryLog
 from repro.core.stages import schedule_stages
 from repro.lang.program import ProgramBuilder
 from repro.localexec.lanes import LanePool
@@ -15,6 +16,7 @@ from repro.runtime.executor import PlanExecutor
 from repro.runtime.graph import StageGraph, StageNode
 from repro.runtime.metering import StageMeter
 from repro.runtime.scheduler import StageScheduler
+from repro.trace.emit import recording
 
 
 def synthetic_graph(deps_of: dict[int, tuple[int, ...]]) -> StageGraph:
@@ -250,13 +252,13 @@ class TestRetry:
         assert report.elapsed.compute_seconds == pytest.approx(4.0)
         assert report.elapsed.overhead_seconds == pytest.approx(0.5)
 
-    def test_retry_events_reach_the_sink(self):
+    def test_retry_events_reach_the_record(self):
         graph = synthetic_graph({0: ()})
-        events: list[dict] = []
-        scheduler = StageScheduler(
-            max_attempts=2, backoff_base_sec=1.0, event_sink=events.append
-        )
-        scheduler.run(graph, self.make_runner({0: 1}, {}))
+        log = RecoveryLog()
+        scheduler = StageScheduler(max_attempts=2, backoff_base_sec=1.0)
+        with recording(log):
+            scheduler.run(graph, self.make_runner({0: 1}, {}))
+        events = log.events()
         assert [e["event"] for e in events] == ["retry"]
         assert events[0]["node"] == 0
         assert events[0]["backoff_sec"] == pytest.approx(1.0)
@@ -274,11 +276,10 @@ class TestSpeculation:
                 meter.slowdown_factor = factor
             return meter
 
-        events: list[dict] = []
-        scheduler = StageScheduler(
-            speculation_multiplier=multiplier, event_sink=events.append
-        )
-        return scheduler.run(graph, run), events
+        log = RecoveryLog()
+        with recording(log):
+            report = StageScheduler(speculation_multiplier=multiplier).run(graph, run)
+        return report, log.events()
 
     def test_straggler_is_cut_to_threshold_plus_clean(self):
         report, events = self.run_with_slowdown(multiplier=2.0, factor=10.0)
@@ -318,11 +319,10 @@ class TestSpeculation:
                 meter.slowdown_factor = 10.0
             return meter
 
-        events: list[dict] = []
-        scheduler = StageScheduler(
-            speculation_multiplier=2.0, event_sink=events.append
-        )
-        report = scheduler.run(graph, run)
+        log = RecoveryLog()
+        with recording(log):
+            report = StageScheduler(speculation_multiplier=2.0).run(graph, run)
+        events = log.events()
         # Each straggler: slowed 20s; its copy launches at 2 x the clean
         # sibling median (2s) = 4s and runs its own clean 2s -> 6s.
         assert report.timings[1].duration_seconds == pytest.approx(6.0)

@@ -70,8 +70,8 @@ def seven_apps():
 
 @pytest.fixture
 def traced_session():
-    """A session on a cluster whose engines use pool threads (L=2), so the
-    trace exercises context propagation into block tasks."""
+    """A tracing session on a cluster whose engines use pool threads (L=2),
+    so the trace exercises context propagation into block tasks."""
     return DMacSession(
-        ClusterConfig(num_workers=4, threads_per_worker=2, block_size=8)
+        ClusterConfig(num_workers=4, threads_per_worker=2, block_size=8), trace=True
     )

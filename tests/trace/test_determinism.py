@@ -11,7 +11,7 @@ import pytest
 
 from repro import ClusterConfig, DMacSession
 from repro.faults import ChaosEngine
-from repro.trace import TraceCollector, to_chrome_trace, to_json_dict
+from repro.trace import to_chrome_trace, to_json_dict
 
 from .conftest import seven_apps
 
@@ -24,14 +24,13 @@ def _chrome(program, inputs, *, chaos_seed=None, faults=None,
             threads_per_worker=2,
             block_size=8,
             max_concurrent_stages=max_concurrent,
-        )
+        ),
+        trace=True,
     )
     chaos = (
         ChaosEngine(chaos_seed, faults) if faults is not None else None
     )
-    tracer = TraceCollector()
-    session.run(program, inputs, chaos=chaos, tracer=tracer)
-    return to_chrome_trace(tracer)
+    return to_chrome_trace(session.run(program, inputs, chaos=chaos).tracing)
 
 
 @pytest.mark.parametrize(
@@ -80,10 +79,8 @@ def test_chrome_export_loads_and_uses_simulated_time():
 
 def test_raw_json_export_spans_are_ordered_canonically():
     __, program, inputs = seven_apps()[2]
-    session = DMacSession(ClusterConfig(num_workers=4, block_size=8))
-    tracer = TraceCollector()
-    session.run(program, inputs, tracer=tracer)
-    payload = to_json_dict(tracer)
+    session = DMacSession(ClusterConfig(num_workers=4, block_size=8), trace=True)
+    payload = to_json_dict(session.run(program, inputs).tracing)
     stage_rows = [s for s in payload["spans"] if s["kind"] == "stage"]
     starts = [row["sim_start"] for row in stage_rows]
     assert starts == sorted(starts)
@@ -97,10 +94,9 @@ def test_json_export_is_byte_identical_across_runs():
     exports = set()
     for __ in range(5):
         with DMacSession(
-            ClusterConfig(num_workers=4, threads_per_worker=2, block_size=8)
+            ClusterConfig(num_workers=4, threads_per_worker=2, block_size=8), trace=True
         ) as session:
-            tracer = TraceCollector()
-            session.run(program, inputs, tracer=tracer)
+            tracer = session.run(program, inputs).tracing
         document = to_json_dict(tracer)
         del document["wall_seconds"]
         exports.add(json.dumps(document, sort_keys=True))

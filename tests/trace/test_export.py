@@ -3,17 +3,16 @@
 import json
 
 from repro import ClusterConfig, DMacSession
-from repro.trace import TraceCollector, format_summary, to_json_dict
+from repro.trace import format_summary, to_json_dict
 
 from .conftest import seven_apps
 
 
 def _traced_pagerank():
     __, program, inputs = seven_apps()[1]
-    session = DMacSession(ClusterConfig(num_workers=4, block_size=8))
-    tracer = TraceCollector()
-    result = session.run(program, inputs, tracer=tracer)
-    return tracer, result
+    session = DMacSession(ClusterConfig(num_workers=4, block_size=8), trace=True)
+    result = session.run(program, inputs)
+    return result.tracing, result
 
 
 class TestSummary:

@@ -8,7 +8,7 @@ from repro import ClusterConfig, DMacSession
 from repro.errors import TraceReconciliationError
 from repro.faults import ChaosEngine, parse_fault_spec
 from repro.programs.registry import WorkloadParams, build_workload
-from repro.trace import TraceCollector, assert_reconciled, reconcile
+from repro.trace import assert_reconciled, reconcile
 from tests.elastic.test_golden_books import FAULT_SEED, FAULTS, PARAMS, TIMELINE
 
 from .conftest import seven_apps
@@ -23,8 +23,8 @@ def _checks(report):
     ids=lambda value: value if isinstance(value, str) else "",
 )
 def test_every_app_reconciles_exactly(app, program, inputs, traced_session):
-    tracer = TraceCollector()
-    result = traced_session.run(program, inputs, tracer=tracer)
+    result = traced_session.run(program, inputs)
+    tracer = result.tracing
     report = assert_reconciled(tracer)
 
     checks = _checks(report)
@@ -70,9 +70,9 @@ def test_tracing_changes_no_result(app, program, inputs):
 def test_reconciles_under_injected_faults(traced_session):
     __, program, inputs = seven_apps()[1]  # pagerank
     engine = ChaosEngine(11, "crash:p=0.3;flaky:p=0.2;straggler:p=0.3,factor=4")
-    tracer = TraceCollector()
-    traced_session.run(program, inputs, chaos=engine, tracer=tracer)
-    assert engine.injected, "seed 11 must actually fire faults"
+    result = traced_session.run(program, inputs, chaos=engine)
+    tracer = result.tracing
+    assert result.recovery["injected"], "seed 11 must actually fire faults"
     report = assert_reconciled(tracer)
     assert _checks(report)["bytes.stage_attribution"]["actual"] == []
     assert tracer.events("fault")
@@ -83,10 +83,9 @@ def test_reconciles_with_concurrent_stages_and_optimizer():
     session = DMacSession(
         ClusterConfig(num_workers=4, threads_per_worker=2, block_size=8),
         optimize=True,
+        trace=True,
     )
-    tracer = TraceCollector()
-    session.run(program, inputs, tracer=tracer)
-    assert_reconciled(tracer)
+    assert_reconciled(session.run(program, inputs).tracing)
 
 
 @pytest.mark.parametrize("faults", [None, FAULTS], ids=["clean", "faults"])
@@ -98,11 +97,11 @@ def test_reconciles_under_a_membership_timeline(app, faults):
     on every app)."""
     load = build_workload(app, WorkloadParams(**PARAMS))
     session = DMacSession(
-        ClusterConfig(num_workers=4, threads_per_worker=2, elastic=TIMELINE)
+        ClusterConfig(num_workers=4, threads_per_worker=2, elastic=TIMELINE), trace=True
     )
     chaos = ChaosEngine(FAULT_SEED, parse_fault_spec(faults)) if faults else None
-    tracer = TraceCollector()
-    result = session.run(load.program, load.inputs, chaos=chaos, tracer=tracer)
+    result = session.run(load.program, load.inputs, chaos=chaos)
+    tracer = result.tracing
     rebalanced = [e for e in tracer.events("transfer") if e.name == "rebalance"]
     assert rebalanced and result.elastic["rebalance_bytes"] > 0
     assert all(e.attrs["scope"] == f"stage-{e.stage[1]}" for e in rebalanced)
@@ -113,8 +112,7 @@ def test_reconciles_under_a_membership_timeline(app, faults):
 
 def test_tampered_trace_fails_reconciliation(traced_session):
     __, program, inputs = seven_apps()[2]  # linreg: smallest
-    tracer = TraceCollector()
-    traced_session.run(program, inputs, tracer=tracer)
+    tracer = traced_session.run(program, inputs).tracing
     # Forge one transfer event the ledger never saw.
     tracer.event("transfer", "shuffle", stage=(0, 1),
                  nbytes=1, link=(0, 1), scope="stage-1/forged")
@@ -128,8 +126,7 @@ def test_tampered_trace_fails_reconciliation(traced_session):
 
 def test_misattributed_scope_is_caught(traced_session):
     __, program, inputs = seven_apps()[2]
-    tracer = TraceCollector()
-    traced_session.run(program, inputs, tracer=tracer)
+    tracer = traced_session.run(program, inputs).tracing
     # A record whose ledger scope says stage 2 but whose recording context
     # said stage 1 -- the shape of the old threading.local bug.
     record = tracer.meta["ledger_records"][0]
