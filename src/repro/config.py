@@ -30,20 +30,6 @@ class ClockConfig:
     sparse_flops_per_sec: float = 5e8  # per thread; irregular access is slower
     disk_bytes_per_sec: float = 100e6
     latency_per_stage_sec: float = 0.1  # scheduling + task launch overhead
-    #: Optional per-worker relative speeds (1.0 = nominal, 0.5 = half speed).
-    #: Workers beyond the tuple's length run at nominal speed.  Models
-    #: heterogeneous clusters / stragglers: stage time is the slowest
-    #: worker's, so one slow node drags whole stages.
-    worker_speed_factors: tuple[float, ...] | None = None
-
-    def worker_speed(self, worker: int) -> float:
-        """Relative speed of one worker (nominal 1.0)."""
-        if self.worker_speed_factors is None or worker >= len(self.worker_speed_factors):
-            return 1.0
-        factor = self.worker_speed_factors[worker]
-        if factor <= 0:
-            raise ValueError(f"worker speed factors must be positive, got {factor}")
-        return factor
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,10 +45,10 @@ class RecoveryConfig:
     Attributes:
         max_stage_attempts: how many times a stage node may run before its
             failure is final (retries happen only for retryable injected
-            faults; genuine errors always fail fast).
-        backoff_base_sec: simulated backoff before the second attempt;
-            doubles per retry (capped), charged to the node's duration.
-        backoff_cap_sec: upper bound on a single backoff interval.
+            faults; genuine errors always fail fast).  Each retry's
+            simulated backoff (1 s, doubling, capped at 30 s; see
+            :mod:`repro.runtime.scheduler`) is charged to the node's
+            duration.
         checkpoint_every: persist loop-carried instances (SSA versions
             ``X@v``) every ``k`` iterations so lineage recovery replays from
             the last checkpoint instead of iteration 0; ``0`` disables.
@@ -73,8 +59,6 @@ class RecoveryConfig:
     """
 
     max_stage_attempts: int = 3
-    backoff_base_sec: float = 1.0
-    backoff_cap_sec: float = 30.0
     checkpoint_every: int = 0
     speculation_multiplier: float = 0.0
 
@@ -83,8 +67,6 @@ class RecoveryConfig:
             raise ClusterError(
                 f"max_stage_attempts must be >= 1, got {self.max_stage_attempts}"
             )
-        if self.backoff_base_sec < 0 or self.backoff_cap_sec < 0:
-            raise ClusterError("backoff seconds must be >= 0")
         if self.checkpoint_every < 0:
             raise ClusterError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
@@ -119,9 +101,6 @@ class ClusterConfig:
         recovery: fault-tolerance parameters (retry/backoff, checkpointing,
             speculative re-execution) consumed when a
             :class:`~repro.faults.ChaosEngine` is installed.
-        resource_event_log_limit: cap on the ResourceManager's lifecycle
-            event log (long iterative runs with retries would otherwise
-            grow it without bound); ``None`` keeps it unbounded.
         cache_limit_bytes: per-worker budget for instances the optimizer
             pinned in the runtime BlockCache.  ``None`` falls back to
             ``memory_limit_bytes`` (and to "unbounded" when that is also
@@ -146,7 +125,6 @@ class ClusterConfig:
     clock: ClockConfig = dataclasses.field(default_factory=ClockConfig)
     max_concurrent_stages: int | None = None
     recovery: RecoveryConfig = dataclasses.field(default_factory=RecoveryConfig)
-    resource_event_log_limit: int | None = 65536
     cache_limit_bytes: int | None = None
     elastic: str | None = None
     elastic_seed: int = 0
@@ -168,14 +146,6 @@ class ClusterConfig:
         if self.max_concurrent_stages is not None and self.max_concurrent_stages < 1:
             raise ClusterError(
                 f"max_concurrent_stages must be >= 1, got {self.max_concurrent_stages}"
-            )
-        if (
-            self.resource_event_log_limit is not None
-            and self.resource_event_log_limit < 1
-        ):
-            raise ClusterError(
-                f"resource_event_log_limit must be >= 1 or None, "
-                f"got {self.resource_event_log_limit}"
             )
         if self.cache_limit_bytes is not None and self.cache_limit_bytes < 1:
             raise ClusterError(

@@ -22,9 +22,6 @@ _EXPORTS = {
     "is_communication": "repro.core.dependency",
     "lowering_chain": "repro.core.dependency",
     "SizeEstimator": "repro.core.estimator",
-    "InputEvent": "repro.core.events",
-    "OutputEvent": "repro.core.events",
-    "precedes": "repro.core.events",
     "free_closure": "repro.core.optimal",
     "optimal_cost": "repro.core.optimal",
     "paper_cost_of_plan": "repro.core.optimal",

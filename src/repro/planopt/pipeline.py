@@ -161,7 +161,6 @@ def optimize_plan(
     num_workers: int,
     estimation_mode: str = "worst",
     passes: tuple[Pass, ...] | None = None,
-    validate: bool = True,
     counters: collections.Counter | None = None,
 ) -> Plan:
     """Run the pass pipeline; returns a new, stage-scheduled plan.
@@ -174,10 +173,10 @@ def optimize_plan(
     ``associate`` entry per moved chain and its certificates with one that
     proves the two programs' plans equivalent up to associativity.
 
-    With ``validate=True`` (the default) every pass application is
-    *translation-validated*: :func:`repro.verify.certify` proves the pre-
-    and post-rewrite plans equivalent (symbolic value keys on every output,
-    well-ordered dataflow, stable shape facts) and issues a certificate
+    Every pass application is *translation-validated*:
+    :func:`repro.verify.certify` proves the pre- and post-rewrite plans
+    equivalent (symbolic value keys on every output, well-ordered
+    dataflow, stable shape facts) and issues a certificate
     recorded on ``plan.certificates``; an uncertifiable rewrite aborts
     optimization with :class:`~repro.errors.TranslationValidationError`
     before the broken plan can reach the executor.  A final end-to-end
@@ -192,7 +191,7 @@ def optimize_plan(
     associator = next((p for p in pipeline if isinstance(p, AssociatePass)), None)
     pipeline = tuple(p for p in pipeline if p is not associator)
     context = _context(plan.program, num_workers, estimation_mode)
-    optimized = _run_passes(plan, pipeline, context, validate, counters)
+    optimized = _run_passes(plan, pipeline, context, counters)
     candidate = copy.copy(plan)
     lead = associator.run(candidate, context) if associator else []
     if not lead:
@@ -200,9 +199,7 @@ def optimize_plan(
     if counters is not None:
         counters["replans"] += 1
     ours = _context(candidate.program, num_workers, estimation_mode)
-    candidate = _run_passes(
-        candidate, pipeline, ours, validate, counters, origin=(plan, lead)
-    )
+    candidate = _run_passes(candidate, pipeline, ours, counters, origin=(plan, lead))
     if (
         candidate.predicted_bytes > optimized.predicted_bytes
         or ours.cost.price(candidate).flops >= context.cost.price(optimized).flops
@@ -225,7 +222,6 @@ def _run_passes(
     plan: Plan,
     pipeline: tuple[Pass, ...],
     context: PassContext,
-    validate: bool,
     counters: collections.Counter | None,
     origin: tuple[Plan, list[AppliedRewrite]] | None = None,
 ) -> Plan:
@@ -244,36 +240,35 @@ def _run_passes(
     fusers = [p for p in pipeline if isinstance(p, FusePass)]
     rounds = [p for p in pipeline if not isinstance(p, (HoistPass, FusePass))]
 
-    if validate:
-        from repro.verify.certify import PlanFacts, certify
+    from repro.verify.certify import PlanFacts, certify
 
-        # Each certificate's "before" is the previous one's "after".  The
-        # snapshot (a clone plus its facts) stands for as long as the
-        # index says nothing has mutated, so a pass that does nothing costs
-        # no clone and a certified one hands its "after" facts forward.
-        snapshot = clone_plan(plan)
-        snapshot_facts = PlanFacts.of(snapshot)
-        snapshot_version = index.version
-        original, original_facts = snapshot, snapshot_facts
-        if origin is not None:
-            original, original_facts = first, PlanFacts.of(first)
-            certificates.append(
-                certify(
-                    first,
-                    snapshot,
-                    pass_name="associate",
-                    rewrites=len(lead),
-                    facts_before=original_facts,
-                    facts_after=snapshot_facts,
-                )
+    # Each certificate's "before" is the previous one's "after".  The
+    # snapshot (a clone plus its facts) stands for as long as the index
+    # says nothing has mutated, so a pass that does nothing costs no clone
+    # and a certified one hands its "after" facts forward.
+    snapshot = clone_plan(plan)
+    snapshot_facts = PlanFacts.of(snapshot)
+    snapshot_version = index.version
+    original, original_facts = snapshot, snapshot_facts
+    if origin is not None:
+        original, original_facts = first, PlanFacts.of(first)
+        certificates.append(
+            certify(
+                first,
+                snapshot,
+                pass_name="associate",
+                rewrites=len(lead),
+                facts_before=original_facts,
+                facts_after=snapshot_facts,
             )
+        )
 
     def run_validated(the_pass: Pass) -> list[AppliedRewrite]:
         nonlocal snapshot, snapshot_facts, snapshot_version
         applied = the_pass.run(optimized, context)
         if type(the_pass) not in map(type, DEFAULT_PASSES):
             index.rebuild()  # a foreign pass edits steps behind the index
-        if not validate or (not applied and index.version == snapshot_version):
+        if not applied and index.version == snapshot_version:
             return applied
         facts = PlanFacts.of(optimized)
         if applied:
@@ -305,19 +300,18 @@ def _run_passes(
         rewrites.extend(run_validated(the_pass))
     index.toposort()
     optimized.predicted_bytes = context.cost.bytes(optimized.steps)
-    if validate:
-        unchanged = index.version == snapshot_version
-        facts = snapshot_facts if unchanged else PlanFacts.of(optimized)
-        certificates.append(
-            certify(
-                original,
-                optimized,
-                pass_name="pipeline",
-                rewrites=len(rewrites) - len(first.rewrites),
-                facts_before=original_facts,
-                facts_after=facts,
-            )
+    unchanged = index.version == snapshot_version
+    facts = snapshot_facts if unchanged else PlanFacts.of(optimized)
+    certificates.append(
+        certify(
+            original,
+            optimized,
+            pass_name="pipeline",
+            rewrites=len(rewrites) - len(first.rewrites),
+            facts_before=original_facts,
+            facts_after=facts,
         )
+    )
     optimized.rewrites = tuple(rewrites)
     optimized.certificates = tuple(certificates)
     schedule_stages(optimized)

@@ -127,7 +127,7 @@ class SimulatedClock:
                 worker_dense_flops.get(w, 0) / self.config.dense_flops_per_sec
                 + worker_sparse_flops.get(w, 0) / self.config.sparse_flops_per_sec
             )
-            / (threads_per_worker * self.config.worker_speed(w))
+            / threads_per_worker
             for w in workers
         )
         meter = active_meter()
@@ -183,7 +183,3 @@ class SimulatedClock:
     def elapsed_seconds(self) -> float:
         with self._lock:
             return self._time.total_seconds
-
-    def reset(self) -> None:
-        with self._lock:
-            self._time = TimeBreakdown()

@@ -392,11 +392,6 @@ class ClusterContext:
             engine.tracker.peak_bytes for engine in self._member_engines.values()
         ]
 
-    def reset_metrics(self) -> None:
-        """Clear ledger and clock (typically between benchmark phases)."""
-        self.ledger.reset()
-        self.clock.reset()
-
 
 def _slot_bytes(matrix: DistributedMatrix, slot: int) -> int:
     """Model bytes of the matrix's blocks resident on one slot."""

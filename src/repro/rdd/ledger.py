@@ -69,7 +69,7 @@ class CommunicationLedger:
         self._records: list[TransferRecord] = []
         # Running sums over ``_records``, kept under the lock: the executor
         # snapshots the total twice per run, and a long-lived service
-        # session never resets its ledger.
+        # session's ledger only grows.
         self._total_bytes = 0
         self._unattributed_bytes = 0
 
@@ -177,8 +177,3 @@ class CommunicationLedger:
     def snapshot(self) -> int:
         """Current total, for measuring deltas around a phase."""
         return self.total_bytes
-
-    def reset(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self._total_bytes = self._unattributed_bytes = 0

@@ -193,7 +193,6 @@ class PlanExecutor:
         self,
         context: ClusterContext,
         block_size: int | None = None,
-        max_concurrent_stages: int | None = None,
         backend: SimulatedBackend | None = None,
     ) -> None:
         self.context = context
@@ -201,14 +200,12 @@ class PlanExecutor:
         self.block_size = (
             block_size if block_size is not None else context.config.block_size
         )
-        if max_concurrent_stages is None:
-            max_concurrent_stages = context.config.max_concurrent_stages
-        if context.pool.events:
-            # Runs with a membership timeline dispatch serially: transitions
-            # fire between stage-graph nodes in one deterministic order.  The
-            # simulated schedule still reflects dependency-bound overlap.
-            max_concurrent_stages = 1
-        self.max_concurrent_stages = max_concurrent_stages
+        # Runs with a membership timeline dispatch serially: transitions
+        # fire between stage-graph nodes in one deterministic order.  The
+        # simulated schedule still reflects dependency-bound overlap.
+        self.max_concurrent_stages = (
+            1 if context.pool.events else context.config.max_concurrent_stages
+        )
 
     def execute(
         self,
@@ -285,14 +282,11 @@ class PlanExecutor:
                 )
             scheduler_kwargs.update(
                 max_attempts=recovery_config.max_stage_attempts,
-                backoff_base_sec=recovery_config.backoff_base_sec,
-                backoff_cap_sec=recovery_config.backoff_cap_sec,
                 speculation_multiplier=recovery_config.speculation_multiplier,
             )
             context.install_chaos(chaos)
         resources = ResourceManager(
             plan,
-            max_events=config.resource_event_log_limit,
             cache=cache,
             chaos=chaos,
             checkpoints=checkpoints,

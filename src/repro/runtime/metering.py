@@ -64,6 +64,9 @@ class StageMeter:
 
     def __init__(self, position: tuple[int, int] | None = None) -> None:
         self.position = position
+        #: Straggler slowdown of this attempt (a chaos run's ``straggler``
+        #: clause sets it); the scheduler scales the metered time by it.
+        self.slowdown_factor = 1.0
         self._lock = threading.Lock()
         self.network_seconds = 0.0
         self.compute_seconds = 0.0

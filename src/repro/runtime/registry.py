@@ -34,7 +34,6 @@ from repro.core.plan import (
     FusedCellwiseStep,
     MatMulStep,
     MatrixInstance,
-    Plan,
     RowAggStep,
     ScalarComputeStep,
     ScalarMatrixStep,
@@ -327,9 +326,3 @@ def spec_for(step: Step) -> OperatorSpec:
 def spec_for_op(op: object) -> OperatorSpec | None:
     """The spec whose step a lang operator lowers to (``None`` if unknown)."""
     return OPERATORS_BY_OP.get(type(op))
-
-
-def validate_plan_steps(plan: Plan) -> None:
-    """Fail fast (``PlanError``) when a plan carries an unregistered step."""
-    for step in plan.steps:
-        spec_for(step)

@@ -14,10 +14,9 @@ tests assert over: every instance published during a run -- finished or
 aborted -- is released exactly once (with fault injection, an instance may
 additionally be ``lost`` and later ``restore``\\ d by lineage recovery; the
 books balance as ``releases + losts - restores == publishes``).  The log is
-bounded (``max_events``, defaulting to
-``ClusterConfig.resource_event_log_limit``'s default) so long iterative
-runs with retries cannot grow it without bound;
-``events_recorded`` / ``events_dropped`` expose the true totals.
+bounded (:data:`MAX_EVENTS`) so long iterative runs with retries cannot
+grow it without bound; ``events_recorded`` / ``events_dropped`` expose the
+true totals.
 
 Plans carrying optimizer ``cache_pins`` additionally run with a
 :class:`BlockCache`: pinned instances hold an extra reference (like output
@@ -42,13 +41,15 @@ from __future__ import annotations
 import collections
 import threading
 
-from repro.config import ClusterConfig
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.errors import ExecutionError, MemoryLimitExceeded, ShuffleBlockLost
 from repro.matrix.distributed import DistributedMatrix
 from repro.runtime.metering import active_meter
 from repro.runtime.registry import spec_for
 from repro.trace.emit import active_tracer, current_stage, emit
+
+#: Cap on one run's lifecycle event log; older events are dropped first.
+MAX_EVENTS = 65536
 
 
 class BlockCache:
@@ -233,7 +234,6 @@ class ResourceManager:
         self,
         plan: Plan,
         *,
-        max_events: int | None = ClusterConfig.resource_event_log_limit,
         cache: BlockCache | None = None,
         chaos=None,
         checkpoints=None,
@@ -255,7 +255,7 @@ class ResourceManager:
         self._spilled: set[MatrixInstance] = set()
         self._refs: dict[MatrixInstance, int] = {}
         self.events: collections.deque[tuple[str, MatrixInstance]] = collections.deque(
-            maxlen=max_events
+            maxlen=MAX_EVENTS
         )
         self.events_recorded = 0
         for step in plan.steps:

@@ -70,6 +70,12 @@ from repro.trace.emit import emit
 #: wide, whatever this says), so a modest width is plenty.
 DEFAULT_MAX_CONCURRENT_STAGES = 8
 
+#: Simulated backoff before a node's second attempt; it doubles per retry
+#: up to :data:`BACKOFF_CAP_SEC`.
+BACKOFF_BASE_SEC = 1.0
+#: Upper bound on a single backoff interval.
+BACKOFF_CAP_SEC = 30.0
+
 
 @dataclasses.dataclass(frozen=True)
 class StageTiming:
@@ -120,8 +126,6 @@ class StageScheduler:
         max_concurrent: int | None = None,
         *,
         max_attempts: int = 1,
-        backoff_base_sec: float = 1.0,
-        backoff_cap_sec: float = 30.0,
         speculation_multiplier: float = 0.0,
         lanes: LanePool | None = None,
     ) -> None:
@@ -136,8 +140,6 @@ class StageScheduler:
         self.max_concurrent = max_concurrent or DEFAULT_MAX_CONCURRENT_STAGES
         self._lanes = lanes if lanes is not None else LanePool()
         self.max_attempts = max_attempts
-        self.backoff_base_sec = backoff_base_sec
-        self.backoff_cap_sec = backoff_cap_sec
         self.speculation_multiplier = speculation_multiplier
 
     def run(
@@ -214,8 +216,7 @@ class StageScheduler:
                     error._repro_attempts = attempt  # type: ignore[attr-defined]
                     raise
                 backoff = min(
-                    self.backoff_base_sec * (2.0 ** (attempt - 1)),
-                    self.backoff_cap_sec,
+                    BACKOFF_BASE_SEC * (2.0 ** (attempt - 1)), BACKOFF_CAP_SEC
                 )
                 backoff_total += backoff
                 emit(
@@ -299,7 +300,7 @@ class StageScheduler:
         network = compute = overhead = 0.0
         for meter in run.meters:
             n, c, o = meter.breakdown()
-            factor = float(getattr(meter, "slowdown_factor", 1.0))
+            factor = meter.slowdown_factor
             network += n * factor
             compute += c * factor
             overhead += o * factor

@@ -51,7 +51,6 @@ class ServiceConfig:
     policy: AdmissionPolicy = dataclasses.field(default_factory=AdmissionPolicy)
     plan_cache_entries: int = 128
     optimize: bool = False
-    estimation_mode: str = "worst"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,9 +79,7 @@ class MatrixService:
         self.tenants = {tenant.name: tenant for tenant in config.tenants}
         self.sessions: dict[str, DMacSession] = {
             tenant.name: DMacSession(
-                self._tenant_cluster(tenant),
-                estimation_mode=config.estimation_mode,
-                optimize=config.optimize,
+                self._tenant_cluster(tenant), optimize=config.optimize
             )
             for tenant in config.tenants
         }
@@ -234,7 +231,7 @@ class MatrixService:
             inplace=config.inplace,
             max_concurrent_stages=config.max_concurrent_stages,
             optimize=self.config.optimize,
-            estimation_mode=self.config.estimation_mode,
+            estimation_mode=session.estimation_mode,
         )
         entry = self.plan_cache.lookup(fingerprint)
         if entry is not None:

@@ -75,12 +75,6 @@ class TestOverheadAndBreakdown:
     def test_communication_share_empty(self):
         assert TimeBreakdown().communication_share == 0.0
 
-    def test_reset(self):
-        c = clock()
-        c.advance_network(100)
-        c.reset()
-        assert c.elapsed_seconds == 0.0
-
     def test_elapsed_is_a_copy(self):
         c = clock()
         snap = c.elapsed
@@ -89,39 +83,11 @@ class TestOverheadAndBreakdown:
 
 
 class TestHeterogeneousWorkers:
-    def test_straggler_dominates_stage_time(self):
-        from repro.config import ClockConfig
-        from repro.rdd.clock import SimulatedClock
-
-        uniform = SimulatedClock(ClockConfig(dense_flops_per_sec=1000.0))
-        uniform.advance_compute({0: 1000, 1: 1000}, {}, threads_per_worker=1)
-
-        straggler = SimulatedClock(
-            ClockConfig(dense_flops_per_sec=1000.0, worker_speed_factors=(1.0, 0.25))
-        )
-        straggler.advance_compute({0: 1000, 1: 1000}, {}, threads_per_worker=1)
-        assert straggler.elapsed.compute_seconds == pytest.approx(
-            4 * uniform.elapsed.compute_seconds
-        )
-
-    def test_workers_beyond_tuple_run_nominal(self):
-        from repro.config import ClockConfig
-
-        config = ClockConfig(worker_speed_factors=(0.5,))
-        assert config.worker_speed(0) == 0.5
-        assert config.worker_speed(7) == 1.0
-
-    def test_nonpositive_speed_rejected(self):
-        from repro.config import ClockConfig
-
-        config = ClockConfig(worker_speed_factors=(0.0,))
-        with pytest.raises(ValueError):
-            config.worker_speed(0)
-
     def test_end_to_end_straggler_slows_simulated_run(self):
         import numpy as np
 
-        from repro.config import ClockConfig, ClusterConfig
+        from repro.config import ClusterConfig
+        from repro.faults import ChaosEngine
         from repro.lang.program import ProgramBuilder
         from repro.session import DMacSession
 
@@ -131,16 +97,12 @@ class TestHeterogeneousWorkers:
         program = pb.build()
         array = np.random.default_rng(0).random((64, 64))
 
-        def run(speeds):
-            config = ClusterConfig(
-                num_workers=4,
-                threads_per_worker=1,
-                block_size=16,
-                clock=ClockConfig(worker_speed_factors=speeds),
-            )
-            return DMacSession(config).run(program, {"A": array})
+        def run(chaos):
+            config = ClusterConfig(num_workers=4, threads_per_worker=1, block_size=16)
+            return DMacSession(config).run(program, {"A": array}, chaos=chaos)
 
+        # The chaos ``straggler`` clause is the one model of a slow worker.
         fast = run(None)
-        slow = run((1.0, 1.0, 1.0, 0.1))
+        slow = run(ChaosEngine(0, "straggler:factor=10"))
         assert slow.time.compute_seconds > fast.time.compute_seconds
         np.testing.assert_allclose(slow.matrices["B"], fast.matrices["B"])

@@ -67,13 +67,6 @@ class TestContext:
         ctx.charge_compute_since(snapshot)
         assert ctx.clock.elapsed.compute_seconds == pytest.approx(1.0)
 
-    def test_reset_metrics(self):
-        ctx = ClusterContext(ClusterConfig(num_workers=4))
-        ctx.transfer("shuffle", 100)
-        ctx.reset_metrics()
-        assert ctx.ledger.total_bytes == 0
-        assert ctx.clock.elapsed_seconds == 0.0
-
     def test_config_validation(self):
         with pytest.raises(ClusterError):
             ClusterConfig(num_workers=0)

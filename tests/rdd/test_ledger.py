@@ -64,12 +64,6 @@ class TestSnapshots:
         ledger.record("shuffle", 25)
         assert ledger.snapshot() - mark == 25
 
-    def test_reset(self):
-        ledger = CommunicationLedger()
-        ledger.record("shuffle", 10)
-        ledger.reset()
-        assert ledger.total_bytes == 0
-
 
 class TestRunningTotals:
     """``total_bytes`` / ``unattributed_bytes`` are running sums, not scans:
@@ -83,48 +77,39 @@ class TestRunningTotals:
             r.nbytes for r in records if r.link is None
         )
 
-    def test_totals_follow_record_and_reset(self):
+    def test_totals_follow_record(self):
         ledger = CommunicationLedger()
         ledger.record("shuffle", 10, link=(0, 1))
         ledger.record("broadcast", 7)
         ledger.record("rebalance", 0)  # dropped, not counted
         assert (ledger.total_bytes, ledger.unattributed_bytes) == (17, 7)
         self._assert_totals_match_records(ledger)
-        ledger.reset()
-        assert (ledger.total_bytes, ledger.unattributed_bytes) == (0, 0)
         ledger.record("shuffle", 3, link=(1, 0))
         self._assert_totals_match_records(ledger)
 
-    def test_totals_survive_concurrent_record_and_reset(self):
+    def test_totals_survive_concurrent_record(self):
         import sys
         import threading
 
         ledger = CommunicationLedger()
-        stop = threading.Event()
 
         def recorder(seed):
             for i in range(4000):
                 link = (seed, i % 3) if i % 2 else None
                 ledger.record("shuffle" if link else "broadcast", 1 + i % 7, link)
 
-        def resetter():
-            while not stop.is_set():
-                ledger.reset()
-
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             recorders = [threading.Thread(target=recorder, args=(n,)) for n in range(6)]
-            wiper = threading.Thread(target=resetter)
-            for thread in (*recorders, wiper):
+            for thread in recorders:
                 thread.start()
             for thread in recorders:
                 thread.join(timeout=60)
-            stop.set()
-            wiper.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in (*recorders, wiper))
+        assert not any(thread.is_alive() for thread in recorders)
+        assert len(ledger.records()) == 6 * 4000
         self._assert_totals_match_records(ledger)
         ledger.record("broadcast", 5)
         self._assert_totals_match_records(ledger)

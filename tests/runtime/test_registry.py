@@ -13,7 +13,6 @@ from repro.runtime.registry import (
     OPERATORS_BY_OP,
     spec_for,
     spec_for_op,
-    validate_plan_steps,
 )
 
 
@@ -81,9 +80,6 @@ class TestLookup:
 
     def test_spec_for_op_unknown_returns_none(self):
         assert spec_for_op(object()) is None
-
-    def test_validate_plan_steps_accepts_real_plans(self):
-        validate_plan_steps(staged_gnmf_plan())
 
 
 class TestSharedFacets:

@@ -16,6 +16,7 @@ from repro.core.stages import schedule_stages
 from repro.errors import ExecutionError
 from repro.lang.program import ProgramBuilder
 from repro.rdd.context import ClusterContext
+from repro.runtime import resources as resources_module
 from repro.runtime.executor import PlanExecutor
 from repro.runtime.resources import ResourceManager
 
@@ -272,38 +273,17 @@ class TestOneRebuildPath:
 
 
 class TestEventLogCap:
-    def test_log_is_bounded_and_counts_drops(self, rng):
+    def test_log_is_bounded_and_counts_drops(self, rng, monkeypatch):
+        monkeypatch.setattr(resources_module, "MAX_EVENTS", 4)
         pb = ProgramBuilder()
         current = pb.load("A", (8, 8))
         for index in range(6):
             current = pb.assign(f"M{index}", current + current)
         pb.output(current)
-        config = ClusterConfig(
-            num_workers=3,
-            threads_per_worker=1,
-            block_size=8,
-            resource_event_log_limit=4,
-        )
-        manager = run_recorded(
-            pb.build(), {"A": rng.random((8, 8))}, config=config
-        )
+        manager = run_recorded(pb.build(), {"A": rng.random((8, 8))})
         assert len(manager.events) == 4
         assert manager.events_recorded > 4
         assert manager.events_dropped == manager.events_recorded - 4
-
-    def test_unlimited_log_drops_nothing(self, rng):
-        pb = ProgramBuilder()
-        a = pb.load("A", (8, 8))
-        pb.output(pb.assign("B", a @ a))
-        config = ClusterConfig(
-            num_workers=3,
-            threads_per_worker=1,
-            block_size=8,
-            resource_event_log_limit=None,
-        )
-        manager = run_recorded(pb.build(), {"A": rng.random((8, 8))}, config=config)
-        assert manager.events_dropped == 0
-        assert len(manager.events) == manager.events_recorded
 
 
 class TestFaultHammer:

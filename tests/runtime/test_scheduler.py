@@ -15,7 +15,7 @@ from repro.rdd.context import ClusterContext
 from repro.runtime.executor import PlanExecutor
 from repro.runtime.graph import StageGraph, StageNode
 from repro.runtime.metering import StageMeter
-from repro.runtime.scheduler import StageScheduler
+from repro.runtime.scheduler import BACKOFF_BASE_SEC, BACKOFF_CAP_SEC, StageScheduler
 from repro.trace.emit import recording
 
 
@@ -195,7 +195,7 @@ class TestRetry:
     def test_retryable_fault_is_retried(self):
         graph = synthetic_graph({0: ()})
         counts: dict[int, int] = {}
-        scheduler = StageScheduler(max_attempts=3, backoff_base_sec=1.0)
+        scheduler = StageScheduler(max_attempts=3)
         report = scheduler.run(graph, self.make_runner({0: 2}, counts))
         assert counts[0] == 3
         # backoff 1 + 2 booked as overhead, plus the final compute second
@@ -205,12 +205,12 @@ class TestRetry:
     def test_backoff_is_capped(self):
         graph = synthetic_graph({0: ()})
         counts: dict[int, int] = {}
-        scheduler = StageScheduler(
-            max_attempts=5, backoff_base_sec=1.0, backoff_cap_sec=2.0
-        )
-        report = scheduler.run(graph, self.make_runner({0: 4}, counts))
-        # backoffs 1, 2, 2, 2 (cap), not 1, 2, 4, 8
-        assert report.elapsed.overhead_seconds == pytest.approx(7.0)
+        assert (BACKOFF_BASE_SEC, BACKOFF_CAP_SEC) == (1.0, 30.0)
+        scheduler = StageScheduler(max_attempts=7)
+        report = scheduler.run(graph, self.make_runner({0: 6}, counts))
+        assert counts[0] == 7
+        # backoffs 1, 2, 4, 8, 16, 30 (cap), not ..., 16, 32
+        assert report.elapsed.overhead_seconds == pytest.approx(61.0)
 
     def test_exhausted_retries_wrap_with_attempt_count(self):
         graph = synthetic_graph({0: ()})
@@ -248,14 +248,15 @@ class TestRetry:
                 raise error
             return meter
 
-        report = StageScheduler(max_attempts=2, backoff_base_sec=0.5).run(graph, run)
+        report = StageScheduler(max_attempts=2).run(graph, run)
         assert report.elapsed.compute_seconds == pytest.approx(4.0)
-        assert report.elapsed.overhead_seconds == pytest.approx(0.5)
+        # the one retry's backoff, BACKOFF_BASE_SEC
+        assert report.elapsed.overhead_seconds == pytest.approx(1.0)
 
     def test_retry_events_reach_the_record(self):
         graph = synthetic_graph({0: ()})
         log = RecoveryLog()
-        scheduler = StageScheduler(max_attempts=2, backoff_base_sec=1.0)
+        scheduler = StageScheduler(max_attempts=2)
         with recording(log):
             scheduler.run(graph, self.make_runner({0: 1}, {}))
         events = log.events()

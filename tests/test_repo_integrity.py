@@ -156,6 +156,65 @@ class TestOneCostModel:
         assert 0 < len(built) <= 8
 
 
+class TestSettings:
+    """The settable values of the config objects and main entry points.
+
+    Each one here has a caller outside ``tests/`` that sets it; a value
+    only a test sets is a constant of the module that reads it."""
+
+    PINNED = {
+        "ClusterConfig": (
+            "num_workers", "threads_per_worker", "block_size", "inplace",
+            "memory_limit_bytes", "clock", "max_concurrent_stages", "recovery",
+            "cache_limit_bytes", "elastic", "elastic_seed",
+        ),
+        "ClockConfig": (
+            "network_bytes_per_sec", "dense_flops_per_sec",
+            "sparse_flops_per_sec", "disk_bytes_per_sec", "latency_per_stage_sec",
+        ),
+        "RecoveryConfig": (
+            "max_stage_attempts", "checkpoint_every", "speculation_multiplier",
+        ),
+        "ServiceConfig": (
+            "tenants", "cluster", "policy", "plan_cache_entries", "optimize", "seed",
+        ),
+        "DMacSession.__init__": (
+            "config", "pull_up_broadcast", "re_assignment", "estimation_mode",
+            "lint", "verify", "optimize", "trace",
+        ),
+        "DMacSession.run": ("program", "inputs", "plan", "trace", "chaos"),
+        "PlanExecutor.__init__": ("context", "block_size", "backend"),
+        "optimize_plan": (
+            "plan", "num_workers", "estimation_mode", "passes", "counters",
+        ),
+    }
+
+    def test_no_setting_appears_unnoticed(self):
+        import dataclasses
+        import inspect
+
+        from repro.config import ClockConfig, ClusterConfig, RecoveryConfig
+        from repro.planopt.pipeline import optimize_plan
+        from repro.runtime.executor import PlanExecutor
+        from repro.serve.service import ServiceConfig
+        from repro.session import DMacSession
+
+        found = {
+            config.__name__: tuple(field.name for field in dataclasses.fields(config))
+            for config in (ClusterConfig, ClockConfig, RecoveryConfig, ServiceConfig)
+        }
+        for function in (
+            DMacSession.__init__, DMacSession.run, PlanExecutor.__init__, optimize_plan
+        ):
+            parameters = inspect.signature(function).parameters
+            found[function.__qualname__] = tuple(p for p in parameters if p != "self")
+        assert found == self.PINNED, (
+            "a setting was added or removed: a new one needs a caller outside "
+            "tests/ that sets it (else make it a module constant); then update "
+            "PINNED"
+        )
+
+
 class TestCheckScript:
     def test_the_summary_line_names_the_gates_that_did_not_run(self):
         """ruff and mypy cannot be installed in every sandbox; a run that

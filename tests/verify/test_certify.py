@@ -2,6 +2,7 @@
 changes are rejected, and a broken optimizer pass can never hand its plan
 to the executor."""
 
+import numpy as np
 import pytest
 
 from repro import ClusterConfig, DMacSession
@@ -124,14 +125,20 @@ def test_broken_pass_is_rejected_before_any_plan_escapes():
         optimize_plan(plan, num_workers=4, passes=(_EvilPass(),))
 
 
-def test_validation_can_be_disabled_explicitly():
-    # With validate=False the same broken pass sails through -- proving the
-    # default pipeline really is what stops it.
-    plan = _gnmf_plan()
-    broken = optimize_plan(
-        plan, num_workers=4, passes=(_EvilPass(),), validate=False
-    )
-    assert broken.certificates == ()
+def test_the_broken_pass_really_changes_the_results():
+    # Negative control for the test above: applied outside the pipeline,
+    # the evil pass yields a plan certify rejects and that computes other
+    # values -- so the pipeline's rejection is what stops it.
+    program, inputs, __ = small_workload("gnmf")
+    session = DMacSession(ClusterConfig(num_workers=4))
+    plan = session.plan(program)
+    broken = clone_plan(plan)
+    _EvilPass().run(broken, None)
+    with pytest.raises(TranslationValidationError, match="value-equivalence"):
+        certify(plan, broken, pass_name="evil")
+    good = session.run(program, inputs, plan=plan).matrices
+    bad = session.run(program, inputs, plan=broken).matrices
+    assert any(not np.array_equal(good[name], bad[name]) for name in good)
 
 
 @pytest.mark.parametrize("app", APPS)
