@@ -8,12 +8,14 @@ in less simulated time, with byte-identical outputs.  Jacobi rides along
 as a no-regression check.
 
 The optimizer must also stay cheap.  Its work is reported as counts that
-repeat exactly -- coalescing candidates enumerated (each priced inside an
-index trial) / forked (built, to validate the head of the price-sorted
-list) / accepted, and full ``PlanIndex`` builds -- and gated on the
-control-plane-bound SVD plan of ``benchmarks/e2e`` (96 candidates were
-cloned and costed there before the index existed, 37 forked before they
-were priced in their trials).
+repeat exactly -- coalescing candidates enumerated / priced (each in an
+index trial; a root an earlier clean trial covered is skipped) / refused
+(a trial the build would reject) / forked (built, to validate the head of
+the price-sorted list) / accepted, and full ``PlanIndex`` builds -- and
+gated on the control-plane-bound plans of ``benchmarks/e2e``: SVD rank 5
+(96 candidates were cloned and costed there before the index existed, 37
+forked before they were priced in their trials, all 62 priced before each
+symmetric flip class was priced once) and GNMF with 64 factors.
 """
 
 from __future__ import annotations
@@ -115,6 +117,8 @@ def count_columns(counters: collections.Counter) -> list[str]:
         str(counters[key])
         for key in (
             "candidates_enumerated",
+            "candidates_priced",
+            "candidates_refused",
             "candidates_forked",
             "candidates_accepted",
             "index_builds",
@@ -150,11 +154,19 @@ def test_planopt(benchmark):
     svd = build_workload("svd", WorkloadParams(scale=3e-3, rank=5)).program
     svd_counts = optimizer_counts(svd)
     rows.append(["svd (plan only)"] + ["-"] * 6 + count_columns(svd_counts))
+    gnmf = build_workload("gnmf", WorkloadParams(scale=2e-2, factors=64, iterations=3)).program
+    gnmf_counts = collections.Counter()
+    optimize_plan(
+        schedule_stages(DMacPlanner(gnmf, CONFIG["num_workers"]).plan()),
+        num_workers=CONFIG["num_workers"],
+        counters=gnmf_counts,
+    )
+    rows.append(["gnmf f64 i3 (plan only)"] + ["-"] * 6 + count_columns(gnmf_counts))
     report(
         "planopt",
         "Plan optimizer -- ledgered shuffle bytes and simulated time, off vs on",
         ["app", "shuffle off", "shuffle on", "reduction", "time off", "time on", "pins",
-         "cand. enumerated", "forked", "accepted", "index builds"],
+         "cand. enumerated", "priced", "refused", "forked", "accepted", "index builds"],
         rows,
         notes=(
             "optimizer = chain association + CSE + hoist (Fig 9a "
@@ -164,9 +176,14 @@ def test_planopt(benchmark):
         ),
     )
     assert svd_counts == optimizer_counts(svd), "counts must repeat exactly"
+    assert svd_counts["candidates_priced"] <= 25, svd_counts  # 62 before
     assert svd_counts["candidates_forked"] <= 2, svd_counts
     assert svd_counts["index_builds"] <= 4, svd_counts
     assert svd_counts["plan_scans"] <= 126, svd_counts  # PR 21's parent
+    assert gnmf_counts["candidates_priced"] <= 31, gnmf_counts  # 58 before
+    assert gnmf_counts["candidates_forked"] == 0, gnmf_counts
+    assert gnmf_counts["index_builds"] <= 5, gnmf_counts
+    assert gnmf_counts["plan_scans"] <= 22, gnmf_counts
     for name, (plain, opt, plain_shuffle, opt_shuffle, announced) in results.items():
         for out in announced.matrices:
             assert (

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.blocks.memory import max_block_size
 from repro.core.cost import CostModel
@@ -105,6 +105,8 @@ class LintInput:
     shapes: Mapping[MatrixInstance, Shape] = dataclasses.field(default_factory=dict)
     #: The planner's own pricing: lint and cost model cannot disagree.
     cost: CostModel | None = None
+    #: ``find_hazards`` on ``graph``, when the caller already has them.
+    found_hazards: Sequence[Hazard] | None = None
 
     @property
     def defuse(self) -> DefUse:
@@ -112,8 +114,11 @@ class LintInput:
         return self.graph.defuse
 
     @functools.cached_property
-    def hazards(self) -> list[Hazard]:
-        """One ``find_hazards`` per ``lint_plan``, shared by DM301 / DM302."""
+    def hazards(self) -> Sequence[Hazard]:
+        """One ``find_hazards`` per ``lint_plan`` at most, shared by DM301 /
+        DM302: none when the caller handed them in."""
+        if self.found_hazards is not None:
+            return self.found_hazards
         return find_hazards(self.graph)
 
     def nbytes(self, name: str) -> int:

@@ -18,7 +18,7 @@ import contextlib
 import dataclasses
 import runpy
 import sys
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.cost import CostModel
 from repro.core.plan import Plan
@@ -31,6 +31,7 @@ from repro.verify.analysis import solve_shapes
 
 if TYPE_CHECKING:  # the rules load with the first lint, not with the runner
     from repro.lint.rules import LintInput
+    from repro.verify.hazards import Hazard
 
 
 def _apply_rules(inputs: LintInput, suppress: tuple[str, ...]) -> LintReport:
@@ -65,13 +66,15 @@ def lint_plan(
     suppress: tuple[str, ...] = (),
     *,
     graph: StageGraph | None = None,
+    hazards: Sequence[Hazard] | None = None,
 ) -> LintReport:
     """Run every rule over a generated plan (and its program).
 
     An unscheduled plan (``num_stages == 0``) is stage-scheduled first so
     the Section-5.2 purity rule has stages to check; already-scheduled
     plans are analysed exactly as given.  Every fact is built here from
-    the steps as they are; only ``graph`` may be handed in (built once if not).
+    the steps as they are; only ``graph`` may be handed in (built once if not),
+    with the ``hazards`` already found on it (a prepared record's).
     """
     from repro.lint.rules import LintInput
 
@@ -83,6 +86,7 @@ def lint_plan(
         context,
         plan,
         graph=graph or StageGraph.from_plan(plan),
+        found_hazards=hazards,
         shapes=solve_shapes(plan),
         cost=CostModel(plan.program, context.num_workers, context.estimation_mode),
     )

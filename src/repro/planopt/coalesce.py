@@ -28,6 +28,41 @@ such rewrites with an *apply-and-evaluate* loop:
   :class:`PlanError`) and does not lose under the other sparsity model.
   The tuple strictly decreases: never costlier under the model.
 
+A round prices each symmetric flip class once.  Lanczos's vector recurrence
+ties every iteration of svd into one element-wise flip component, so about
+30 of its roots would re-run one cross-iteration cascade.  A flip root that
+an earlier candidate's *clean* trial already flipped to the same scheme
+through *symmetric* links is skipped:
+
+* a flip is *symmetric* when the cascade rooted at it would walk back: the
+  root; an element-wise consumer cascaded from a symmetric flip whose new
+  output the round's base plan did not produce (else that consumer's own
+  demand is met as it stands); the direct producer of a symmetric
+  element-wise step's operand, flipped on demand (the demanded layout's
+  sibling *is* the operand).  Not symmetric: an rmm1<->rmm2 flip's demands,
+  a flip reached through another layout (a conversion's source), and any
+  flip after a demand cycle was broken by a conversion chain;
+* a trial is *clean* when no step it touched reads an instance nothing
+  produces and no conversion it appended duplicates another producer's
+  output.  A trial of the first kind is *dangling*: the build's toposort
+  refuses it, so pricing drops it as refused.
+
+**Dominance lemma:** a covered root prices at or above its coverer, or its
+build is refused.  Sketch: every symmetric link is walked both ways, so the
+covered root's cascade reaches the coverer's root through the same links
+and flips its whole symmetric class, ending in the same steps.  It can only
+differ by what the order of the walk decides -- a demand met by an
+instance the base plan or an earlier chain already produced, a chain back
+appended where the coverer cascaded -- and the exclusions above are the
+ways a reversed walk could stop short of the coverer; past them a
+difference adds conversions or leaves a reader dangling, never removes one.
+The coverer precedes it in enumeration order, so it also wins a tie: a
+covered root is the head only if its coverer's build is refused, and then
+it is priced before the next head is built.  The lemma is checked, not
+assumed: ``tests/planopt/test_coalesce_skip.py`` prices every covered root
+of every round of the registry sweep against its coverer, and runs a paired
+oracle (skip on / off) over random programs.
+
 Value-safety: every rewrite used here re-binds *where* blocks live, never
 the per-block arithmetic or its order, so outputs stay byte-identical
 (property-tested in ``tests/planopt/test_equivalence.py``).
@@ -36,6 +71,8 @@ the per-block arithmetic or its order, so outputs stay byte-identical
 from __future__ import annotations
 
 import collections
+import heapq
+from collections.abc import Set
 
 from repro.core.cost import CostModel
 from repro.core.plan import (
@@ -89,25 +126,39 @@ class _FlipSession:
 
     Works through a :class:`PlanIndex` only -- every query is a map lookup
     and every edit one of the index's three mutations, so a cascade costs
-    what it touches and the index's trial can undo it.
+    what it touches and the index's trial can undo it.  ``produced`` is
+    what the round's base plan produces; it decides which cascade links
+    are symmetric.
     """
 
-    def __init__(self, index: PlanIndex) -> None:
+    def __init__(
+        self, index: PlanIndex, produced: Set[MatrixInstance] = frozenset()
+    ) -> None:
         self.index = index
         self.outputs = index.plan.outputs  # a trial's own copy
         self._done: set[int] = set()  # handles of steps already rewritten
         self._demanding: set[MatrixInstance] = set()  # recursion guard
+        self._produced = produced
+        self._cycle_broken = False  # a demand cycle was chained: no symmetry
+        #: The roots ``(handle, scheme)`` this cascade flipped through
+        #: symmetric links only: a trial rooted at one walks back to this.
+        self.symmetric: set[tuple[int, Scheme]] = set()
 
     # -- demand: make sure an instance exists -------------------------------
 
-    def demand(self, instance: MatrixInstance) -> None:
+    def demand(
+        self, instance: MatrixInstance, operand: MatrixInstance | None = None
+    ) -> None:
         """Ensure some step produces ``instance``, preferring free producer
-        flips over explicit conversion chains."""
+        flips over explicit conversion chains.  ``operand`` is the operand
+        of a symmetric element-wise flip this demand serves: flipping its
+        own producer is a symmetric link."""
         index = self.index
         if index.producer(instance) is not None:
             return
         if instance in self._demanding:
             self._chain_to(instance)  # cycle: break it with a conversion
+            self._cycle_broken = True
             return
         self._demanding.add(instance)
         try:
@@ -117,7 +168,7 @@ class _FlipSession:
                     if producer is not None and self._can_flip(
                         producer, instance.scheme
                     ):
-                        self._flip(producer, instance.scheme)
+                        self._flip(producer, instance.scheme, sibling == operand)
                         if index.producer(instance) is not None:
                             return
             self._chain_to(instance)
@@ -158,13 +209,17 @@ class _FlipSession:
         done = self.index.handle(step) in self._done
         return not done and _flippable(step, required)
 
-    def _flip(self, step: Step, required: Scheme) -> None:
-        """Rewrite ``step`` to produce its output under ``required``."""
+    def _flip(self, step: Step, required: Scheme, symmetric: bool = False) -> None:
+        """Rewrite ``step`` to produce its output under ``required``;
+        ``symmetric`` if it is the root or reached over a symmetric link."""
         index = self.index
         handle = index.handle(step)
         if handle in self._done:
             return
         self._done.add(handle)
+        symmetric = symmetric and not self._cycle_broken
+        if symmetric:
+            self.symmetric.add((handle, required))
         old = step.output_instance()
         new = old.with_scheme(required)
         if isinstance(step, ELEMENTWISE):
@@ -173,7 +228,7 @@ class _FlipSession:
                 value = getattr(step, field, None)
                 if isinstance(value, MatrixInstance):
                     want = value.with_scheme(required)
-                    self.demand(want)
+                    self.demand(want, value if symmetric else None)
                     fields[field] = want
             index.rebind(step, **fields)
         elif isinstance(step, MatMulStep) and step.strategy != "cpmm":
@@ -195,10 +250,13 @@ class _FlipSession:
             index.rebind(step, output=new)
         else:  # pragma: no cover - guarded by _can_flip
             raise PlanError(f"cannot flip {step}")
-        self._replace_output(old, new)
+        self._replace_output(old, new, symmetric and new not in self._produced)
 
-    def _replace_output(self, old: MatrixInstance, new: MatrixInstance) -> None:
-        """Rewire everything that read ``old`` now that only ``new`` exists."""
+    def _replace_output(
+        self, old: MatrixInstance, new: MatrixInstance, symmetric: bool = False
+    ) -> None:
+        """Rewire everything that read ``old`` now that only ``new`` exists;
+        ``symmetric`` if a cascaded consumer's own flip would walk back."""
         index = self.index
         for name, instance in self.outputs.items():
             if instance == old:
@@ -221,7 +279,7 @@ class _FlipSession:
                 and new.scheme.is_one_dimensional
                 and self._can_flip(consumer, new.scheme)
             ):
-                self._flip(consumer, new.scheme)  # cascade
+                self._flip(consumer, new.scheme, symmetric)  # cascade
             else:
                 # Chain back: aggregations (driver reduction order is
                 # float-sensitive) and rigid operands keep reading `old`,
@@ -282,23 +340,62 @@ def _apply_candidate(session: _FlipSession, candidate: tuple) -> None:
     """Rewrite the session's plan by one candidate."""
     kind, step, argument, __ = candidate
     if kind == "flip":
-        session._flip(step, argument)
+        session._flip(step, argument, symmetric=True)
     else:  # merge: drop the second hop, convert from the first hop's source
         session.index.remove(step)
         session.emit_chain(argument.source, step.target)
 
 
+def _root(index: PlanIndex, candidate: tuple) -> tuple[int, Scheme] | None:
+    """A flip candidate's root ``(handle, scheme)``; a merge has none."""
+    kind, step, argument, __ = candidate
+    return (index.handle(step), argument) if kind == "flip" else None
+
+
+def _covers(
+    index: PlanIndex, session: _FlipSession, handles: Set[int]
+) -> Set[tuple[int, Scheme]]:
+    """The roots whose trials price at or above this one's (the dominance
+    lemma): its symmetric flips, if the cascade touching ``handles`` is
+    clean -- no conversion it appended duplicates another producer's
+    output (a dangling cascade never gets here)."""
+    for handle in handles:
+        step = index.get(handle)
+        if isinstance(step, ExtendedStep) and len(index.producers(step.target)) > 1:
+            return frozenset()
+    return session.symmetric
+
+
 def _price(
-    index: PlanIndex, candidate: tuple, cost: CostModel, rows: dict[int, int], garbage: set[int]
+    index: PlanIndex,
+    candidate: tuple,
+    cost: CostModel,
+    rows: dict[int, int],
+    garbage: set[int],
+    produced: Set[MatrixInstance] = frozenset(),
+    covers: set[tuple[int, Scheme]] | None = None,
 ) -> tuple[int, int]:
     """``(predicted bytes, step count)`` of the plan :func:`_build` makes of
     a candidate, read off a trial: apply it, merge the duplicates, find the
     dead steps (among what it touched and the ``garbage`` handles the plan
     came with), then take the plan's ``rows`` (handle -> bytes, summing to
-    ``plan.predicted_bytes``) less the steps gone, plus the new."""
+    ``plan.predicted_bytes``) less the steps gone, plus the new.
+
+    Raises :class:`PlanError` where the build would: the cascade fails, or
+    a step it touched reads an instance nothing produces (the fork's
+    toposort refuses it).  ``covers`` receives :func:`_covers`, given the
+    round's base ``produced`` instances."""
     with index.trial():
-        _apply_candidate(_FlipSession(index), candidate)
+        session = _FlipSession(index, produced)
+        _apply_candidate(session, candidate)
         handles, released = index.touched()
+        for handle in handles:
+            step = index.get(handle)
+            for instance in step.inputs() if step is not None else ():
+                if index.producer(instance) is None:
+                    raise PlanError(f"{step} reads {instance}, which nothing produces")
+        if covers is not None:
+            covers.update(_covers(index, session, handles))
         while merge_touched_duplicate(index, handles):
             handles, released = index.touched()
         live = {h: step for h in handles | garbage if (step := index.get(h)) is not None}
@@ -358,26 +455,52 @@ def coalesce_repartitions(
         base_cost = (plan.predicted_bytes, len(plan.steps))
         base_other = cross_cost.bytes(plan.steps)
         garbage = {index.handle(s) for s in dead_steps(index)}
+        produced = frozenset(step.output_instance() for step in plan.steps)
         candidates = _candidates(index)
         index.counters["candidates_enumerated"] += len(candidates)
-        priced = []
-        for order, candidate in enumerate(candidates):
+        heads: list[tuple[tuple[int, int], int]] = []  # (price, order)
+        coverer: dict[tuple[int, Scheme], int] = {}  # root -> order covering it
+        covered = collections.defaultdict(list)  # order -> orders it covers
+
+        def trial(order: int, covers: set | None = None) -> None:
+            index.counters["candidates_priced"] += 1
             try:
-                price = _price(index, candidate, cost, rows, garbage)
-            except PlanError:
-                continue  # the cascade itself found no valid plan
+                price = _price(
+                    index, candidates[order], cost, rows, garbage, produced, covers
+                )
+            except PlanError:  # the build would refuse it
+                index.counters["candidates_refused"] += 1
+                return
             if price < base_cost:
-                priced.append((price, order))
-        for __, order in sorted(priced):  # cheapest first, then first found
+                heapq.heappush(heads, (price, order))
+            for root in covers or ():
+                coverer.setdefault(root, order)
+
+        for order, candidate in enumerate(candidates):
+            root = _root(index, candidate)
+            if root in coverer:  # an earlier clean trial dominates it
+                covered[coverer[root]].append(order)
+            else:
+                trial(order, set())
+        fork = None
+        while heads and fork is None:  # cheapest first, then first found
+            __, order = heapq.heappop(heads)
             try:
                 fork = _build(index, candidates[order], cost)
-            except PlanError:
-                continue  # candidate does not yield a valid plan
-            clone = fork.plan
-            price = (clone.predicted_bytes, len(clone.steps))
-            if price < base_cost and cross_cost.bytes(clone.steps) <= base_other:
-                break
-        else:
+            except PlanError:  # candidate does not yield a valid plan
+                pass
+            else:
+                clone = fork.plan
+                if not (
+                    (clone.predicted_bytes, len(clone.steps)) < base_cost
+                    and cross_cost.bytes(clone.steps) <= base_other
+                ):
+                    fork = None
+            if fork is None:  # its dominance proves nothing: price what it covered
+                for skipped in covered.pop(order, ()):
+                    trial(skipped)
+        index.counters["candidates_skipped"] += sum(map(len, covered.values()))
+        if fork is None:
             index.fixpoints[search] = index.version
             return rewrites
         removed, added = _diff(plan, clone)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import weakref
 from typing import TYPE_CHECKING, Iterator
 
@@ -248,11 +249,20 @@ class StageGraph:
         return "\n".join(lines)
 
 
-#: What a run of one plan under one sizing reads besides the plan: the stage
-#: graph (its ``plan`` a weak proxy -- a record never keeps its plan alive),
-#: the resolved block size, the MemoryPrediction (``None`` for a plan it
-#: cannot size) and ``str(step)`` by plan index.
-_Prepared = collections.namedtuple("_Prepared", "graph block_size prediction labels")
+class _Prepared(collections.namedtuple("_Prepared", "graph block_size prediction labels")):
+    """What a run of one plan under one sizing reads besides the plan: the
+    stage graph (its ``plan`` a weak proxy -- a record never keeps its plan
+    alive), the resolved block size, the MemoryPrediction (``None`` for a
+    plan it cannot size), ``str(step)`` by plan index -- and, once read,
+    the graph's hazards."""
+
+    @functools.cached_property
+    def hazards(self) -> tuple:
+        """``find_hazards`` of the graph, found on first read and kept:
+        lint's DM301 / DM302 and the session's verify gate share it."""
+        from repro.verify.hazards import find_hazards  # verify sits above
+
+        return tuple(find_hazards(self.graph))
 
 
 def run_block_size(

@@ -249,6 +249,7 @@ class DMacSession(contextlib.AbstractContextManager):
             plan,
             LintContext.from_config(self.config, self.estimation_mode),
             graph=record.graph,
+            hazards=record.hazards,
         )
         if not report.diagnostics:
             return
@@ -259,10 +260,10 @@ class DMacSession(contextlib.AbstractContextManager):
         print(report.format_human(), file=sys.stderr)
 
     def _verify(self, plan: Plan) -> None:
-        from repro.verify import find_hazards, verify_plan
+        from repro.verify import verify_plan
 
         record = prepare(self.context, plan, estimation_mode=self.estimation_mode)
-        if not find_hazards(record.graph):
+        if not record.hazards:
             return  # the report is only ever shown for its hazards
         report = verify_plan(
             plan,

@@ -215,6 +215,8 @@ def test_counts_repeat_exactly_and_stay_inside_the_gate(svd_plan):
     assert counters["index_builds"] == 1 + fused + counters["candidates_forked"] <= 4
     # 96 candidates were cloned and costed before PR 13, 37 before PR 21.
     assert counters["candidates_enumerated"] == 62
+    # Each symmetric flip class is priced once: 62 trials before.
+    assert counters["candidates_priced"] <= 25
     assert counters["candidates_forked"] <= 2
     assert counters["plan_scans"] <= 126  # PR 21's parent
     assert counters["candidates_accepted"] == 1 == sum(
@@ -371,7 +373,8 @@ def test_the_in_trial_price_merges_twins_and_revives_garbage(name, monkeypatch):
 
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_skipping_known_outcomes_changes_no_plan(name, monkeypatch):
-    """Reference: fork every candidate, every round, on every call."""
+    """Reference: fork every candidate, every round, on every call, and
+    skip no flip root an earlier trial covered."""
     plan = planned(PROGRAMS[name])
     priced, counters = counted(plan)
     search = pipeline.coalesce_repartitions
@@ -381,8 +384,10 @@ def test_skipping_known_outcomes_changes_no_plan(name, monkeypatch):
         return search(plan, index=index, **kwargs)
 
     monkeypatch.setattr(coalesce, "_price", fork_price)
+    monkeypatch.setattr(coalesce, "_covers", lambda *args: frozenset())
     monkeypatch.setattr(pipeline, "coalesce_repartitions", search_again)
     exhaustive, reference = counted(plan)
+    assert reference["candidates_skipped"] == 0
     assert exhaustive.describe() == priced.describe()
     assert exhaustive.rewrites == priced.rewrites
     assert exhaustive.predicted_bytes == priced.predicted_bytes

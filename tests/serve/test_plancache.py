@@ -182,7 +182,9 @@ class TestAPlanIsPreparedOnce:
         PR 23 a who-produces map is built by ``DefUse.of`` alone: <= 5 per
         job (17 loops before: one per plan state the optimizer certifies plus
         the graph's, which lint, verify and the predictor read), and
-        ``find_hazards`` runs twice (3: DM301 and DM302 share one)."""
+        ``find_hazards`` runs once, kept on the prepared record for lint's
+        DM301 / DM302 and the verify gate (2 before, 3 before those two
+        rules shared one)."""
         workload = build_workload("svd", WorkloadParams(scale=3e-3, rank=5))
         seen = []
         for __ in range(2):
@@ -198,7 +200,7 @@ class TestAPlanIsPreparedOnce:
         assert seen[0]["solve_shapes"] <= 5
         assert seen[0]["solve_liveness"] == 1
         assert seen[0]["DefUse.of"] <= 5
-        assert seen[0]["find_hazards"] == 2
+        assert seen[0]["find_hazards"] == 1
 
     def test_a_rebuild_builds_no_def_use(self):
         """A spilled pin's lineage cone reads the def-use the prepared
