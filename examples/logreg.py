@@ -1,16 +1,15 @@
-"""Logistic regression + the cluster-size advisor.
+"""Logistic regression with a per-step execution trace.
 
 Trains a logistic-regression model with gradient descent (the sigmoid runs
-as a distributed element-wise operator), then asks the advisor what cluster
-size the program wants before committing to one.
+as a distributed element-wise operator) on two workers, then reads the
+run's trace for the step that moved the most bytes.
 
-Run with:  python examples/logreg_advisor.py
+Run with:  python examples/logreg.py
 """
 
 import numpy as np
 
 from repro import ClusterConfig, DMacSession
-from repro.advisor import advise_workers, best_worker_count
 from repro.programs import build_logreg_program
 
 
@@ -26,21 +25,8 @@ def main() -> None:
         (examples, features), 1.0, iterations=60, learning_rate=2.0
     )
 
-    # What-if: which cluster size does this program want?
-    advice = advise_workers(program, candidate_workers=(2, 4, 8, 16))
-    print(f"{'workers':>8}  {'comm':>10}  {'network':>9}  {'compute':>9}  {'total':>9}")
-    for entry in advice:
-        print(f"{entry.workers:>8}  {entry.predicted_comm_bytes / 1e3:>8.1f} KB"
-              f"  {entry.predicted_network_seconds:>8.4f}s"
-              f"  {entry.predicted_compute_seconds:>8.4f}s"
-              f"  {entry.predicted_total_seconds:>8.4f}s")
-    workers = best_worker_count(advice)
-    print(f"advisor picks {workers} workers\n")
-
-    # Run on the advised cluster, with a per-step trace.
-    with DMacSession(
-        ClusterConfig(num_workers=workers, threads_per_worker=4)
-    ) as session:
+    # Run with a per-step trace.
+    with DMacSession(ClusterConfig(num_workers=2, threads_per_worker=4)) as session:
         result = session.run(program, {"V": design, "y": labels}, trace=True)
 
     learned = result.matrices[program.bindings["w"]]

@@ -25,7 +25,6 @@ _EXPORTS = {
     "BlockError": "repro.errors",
     "ClusterError": "repro.errors",
     "ExecutionError": "repro.errors",
-    "FaultInjected": "repro.errors",
     "FaultSpecError": "repro.errors",
     "MemoryLimitExceeded": "repro.errors",
     "PlanError": "repro.errors",

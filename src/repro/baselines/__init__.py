@@ -3,10 +3,8 @@
 from repro._exports import export_table
 
 _EXPORTS = {
-    "LocalResult": "repro.baselines.rlocal",
     "run_local": "repro.baselines.rlocal",
     "SystemRunResult": "repro.baselines.scalapack",
-    "process_grid": "repro.baselines.scalapack",
     "run_scalapack_matmul": "repro.baselines.scalapack",
     "run_scidb_matmul": "repro.baselines.scidb",
     "SystemMLSExecutor": "repro.baselines.systemml",

@@ -9,20 +9,16 @@ triples) into block grids and assemble them back.
 from repro._exports import export_table
 
 _EXPORTS = {
-    "BlockGrid": "repro.blocks.conversion",
     "assemble": "repro.blocks.conversion",
     "block_extent": "repro.blocks.conversion",
-    "grid_model_nbytes": "repro.blocks.conversion",
     "grid_shape": "repro.blocks.conversion",
     "split": "repro.blocks.conversion",
     "CoordinateMatrix": "repro.blocks.coordinate",
     "as_matrix": "repro.blocks.coordinate",
     "DenseBlock": "repro.blocks.dense",
-    "choose_block_size": "repro.blocks.memory",
     "dense_block_model_bytes": "repro.blocks.memory",
     "matrix_model_bytes": "repro.blocks.memory",
     "max_block_size": "repro.blocks.memory",
-    "sparse_block_model_bytes": "repro.blocks.memory",
     "CELLWISE_OPS": "repro.blocks.ops",
     "Block": "repro.blocks.ops",
     "accumulate": "repro.blocks.ops",
@@ -35,7 +31,6 @@ _EXPORTS = {
     "matmul": "repro.blocks.ops",
     "matmul_flops": "repro.blocks.ops",
     "scalar_op": "repro.blocks.ops",
-    "transpose": "repro.blocks.ops",
     "CSCBlock": "repro.blocks.sparse",
 }
 

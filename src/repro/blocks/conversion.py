@@ -165,9 +165,3 @@ def assemble(
             )
         out[r0:r1, c0:c1] = block.to_numpy() if isinstance(block, CSCBlock) else block.data
     return out
-
-
-def grid_model_nbytes(grid: Mapping[tuple[int, int], Block]) -> int:
-    """Total memory of a grid under the paper's model (Equation 2 summed
-    block by block)."""
-    return sum(block.model_nbytes for block in grid.values())

@@ -29,11 +29,6 @@ import math
 from repro.errors import BlockError
 
 
-def sparse_block_model_bytes(rows: int, cols: int, sparsity: float) -> int:
-    """Paper model for one sparse block: ``4n + 8mns`` bytes."""
-    return int(4 * cols + 8 * rows * cols * sparsity)
-
-
 def dense_block_model_bytes(rows: int, cols: int) -> int:
     """Paper model for one dense block: ``4mn`` bytes."""
     return 4 * rows * cols

@@ -615,12 +615,7 @@ def _parse_tenant_flag(text: str):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
-    from repro.serve import (
-        MatrixService,
-        ServiceConfig,
-        parse_batch,
-        render_report,
-    )
+    from repro.serve import ServiceConfig, parse_batch, render_report, run_batch
 
     specs = []
     if args.script:
@@ -654,11 +649,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except (ReproError, ValueError) as exc:
             print(f"serve: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
-    service = MatrixService(config)
     try:
-        for spec in specs:
-            service.submit(spec)
-        service.drain()
+        service = run_batch(config, specs)
     except ReproError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -10,19 +10,15 @@ stage scheduler (Section 5.2) and the plan executor.
 from repro._exports import export_table
 
 _EXPORTS = {
-    "PlanStatistics": "repro.core.analysis",
     "explain": "repro.core.analysis",
     "format_statistics": "repro.core.analysis",
     "dependency_cost": "repro.core.cost",
     "output_cost": "repro.core.cost",
     "BROADCAST_DEPENDENCIES": "repro.core.dependency",
-    "COMMUNICATION_DEPENDENCIES": "repro.core.dependency",
     "DependencyType": "repro.core.dependency",
     "classify": "repro.core.dependency",
     "is_communication": "repro.core.dependency",
-    "lowering_chain": "repro.core.dependency",
     "SizeEstimator": "repro.core.estimator",
-    "free_closure": "repro.core.optimal",
     "optimal_cost": "repro.core.optimal",
     "paper_cost_of_plan": "repro.core.optimal",
     "AggregateStep": "repro.core.plan",
@@ -40,19 +36,12 @@ _EXPORTS = {
     "DMacPlanner": "repro.core.planner",
     "schedule_stages": "repro.core.stages",
     "plan_to_dot": "repro.core.viz",
-    "AGGREGATE_STRATEGIES": "repro.core.strategies",
-    "CELLWISE_STRATEGIES": "repro.core.strategies",
-    "CPMM": "repro.core.strategies",
     "MATMUL_STRATEGIES": "repro.core.strategies",
-    "RMM1": "repro.core.strategies",
-    "RMM2": "repro.core.strategies",
-    "SCALAR_STRATEGIES": "repro.core.strategies",
     "SOURCE_STRATEGY": "repro.core.strategies",
     "Strategy": "repro.core.strategies",
     "candidate_strategies": "repro.core.strategies",
     "ExecutionResult": "repro.runtime.executor",
     "PlanExecutor": "repro.runtime.executor",
-    "StepTrace": "repro.runtime.executor",
     "evaluate_scalar": "repro.runtime.executor",
 }
 

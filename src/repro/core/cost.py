@@ -22,8 +22,8 @@ estimation_mode)`` and holds the one
 step's ledger bytes and flops, :meth:`CostModel.price` tabulates them
 (:class:`CostTable`) and :func:`seconds` turns totals into simulated time.
 The planner, the optimizer, lint rule DM104, ``repro plan``, the service's
-admission predictions, the elasticity policies' stage profile and the
-advisor all read these; none of them prices a step itself.
+admission predictions and the elasticity policies' stage profile all read
+these; none of them prices a step itself.
 
 **Memory quotes** -- the same two facts priced by Equation 2: what a
 matrix weighs whole (:meth:`CostModel.matrix_bytes`) and on one worker

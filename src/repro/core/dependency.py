@@ -22,8 +22,9 @@ EXTRACT_TRANSPOSE    ``A=B^T``, ``Contain(p_i, p_j)``      no
 Each type also lowers to a canonical chain of *extended operators*
 (paper Section 4.2.1): at most one free local step (``transpose`` /
 ``extract``) followed by at most one communicating step (``partition`` /
-``broadcast``).  :func:`lowering_chain` returns that chain; the planner
-emits it verbatim into the execution plan.
+``broadcast``), except that EXTRACT_TRANSPOSE takes both free steps.
+``repro.core.planner._lowering_targets`` builds that chain as concrete
+instances; the planner and the repartition coalescer emit it verbatim.
 """
 
 from __future__ import annotations
@@ -99,36 +100,3 @@ def classify(
 def is_communication(dependency: DependencyType) -> bool:
     """True when satisfying the dependency moves bytes between workers."""
     return dependency in COMMUNICATION_DEPENDENCIES
-
-
-def lowering_chain(
-    dependency: DependencyType,
-    in_scheme: Scheme,
-) -> tuple[str, ...]:
-    """The extended-operator chain realising a dependency whose consumer
-    requires ``in_scheme``.
-
-    Returns a tuple of operator kinds from ``{"transpose", "extract",
-    "partition", "broadcast"}`` in application order; REFERENCE lowers to
-    the empty chain.
-    """
-    if dependency is DependencyType.REFERENCE:
-        return ()
-    if dependency is DependencyType.TRANSPOSE:
-        return ("transpose",)
-    if dependency is DependencyType.EXTRACT:
-        return ("extract",)
-    if dependency is DependencyType.EXTRACT_TRANSPOSE:
-        # Extract the complementary 1-D scheme, then transpose into place.
-        return ("extract", "transpose")
-    if dependency is DependencyType.PARTITION:
-        return ("partition",)
-    if dependency is DependencyType.TRANSPOSE_PARTITION:
-        # The free local transpose flips Row<->Column; the repartition then
-        # moves the data into the required scheme.
-        return ("transpose", "partition")
-    if dependency is DependencyType.BROADCAST:
-        return ("broadcast",)
-    if dependency is DependencyType.TRANSPOSE_BROADCAST:
-        return ("transpose", "broadcast")
-    raise PlanError(f"unknown dependency {dependency}")  # pragma: no cover

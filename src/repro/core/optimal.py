@@ -44,16 +44,6 @@ MAX_STATES = 100_000
 State = frozenset  # of MatrixInstance
 
 
-def free_closure(state: State) -> State:
-    """Close a state under the zero-cost derivations.
-
-    * a 1-D instance yields its transpose in the complementary scheme,
-    * a Broadcast instance yields both 1-D extracts, their transposes, and
-      the transposed replica.
-    """
-    return _extend(frozenset(), state)
-
-
 @functools.lru_cache(maxsize=4096)
 def _closure(instance: MatrixInstance) -> State:
     """The free closure of one instance: the instance and its transpose in
@@ -72,8 +62,11 @@ def _closure(instance: MatrixInstance) -> State:
 
 
 def _extend(closed_state: State, added) -> State:
-    """``free_closure(closed_state | added)`` for an already closed state:
-    only the added instances need deriving from."""
+    """The free closure of ``closed_state | added`` for an already closed
+    state -- the zero-cost derivations (a 1-D instance yields its transpose
+    in the complementary scheme; a Broadcast instance yields both 1-D
+    extracts, their transposes and the transposed replica): only the added
+    instances need deriving from."""
     fresh = [instance for instance in added if instance not in closed_state]
     if not fresh:
         return closed_state

@@ -5,16 +5,11 @@ from repro._exports import export_table
 
 _EXPORTS = {
     "PAPER_GRAPHS": "repro.datasets.graphs",
-    "GraphSpec": "repro.datasets.graphs",
     "graph_edges": "repro.datasets.graphs",
     "graph_like": "repro.datasets.graphs",
     "row_normalize": "repro.datasets.graphs",
-    "NETFLIX_MOVIES": "repro.datasets.netflix",
-    "NETFLIX_SPARSITY": "repro.datasets.netflix",
-    "NETFLIX_USERS": "repro.datasets.netflix",
     "netflix_like": "repro.datasets.netflix",
     "dense_random": "repro.datasets.synthetic",
-    "scaled_rows_series": "repro.datasets.synthetic",
     "sparse_random": "repro.datasets.synthetic",
 }
 

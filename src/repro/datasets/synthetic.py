@@ -51,21 +51,3 @@ def sparse_random(
 def dense_random(rows: int, cols: int, seed: int = 0) -> np.ndarray:
     """A dense uniform(0, 1) matrix (the paper's MM-Dense input V2)."""
     return sparse_random(rows, cols, 1.0, seed)
-
-
-def scaled_rows_series(
-    base_rows: int,
-    cols: int,
-    sparsity: float,
-    scale_factors: tuple[float, ...],
-    seed: int = 0,
-) -> list[tuple[int, np.ndarray]]:
-    """The Figure 10(a,b) series: fixed column count, growing row count,
-    so the number of non-zeros varies linearly.  Returns
-    ``[(nnz, matrix), ...]``."""
-    series = []
-    for index, factor in enumerate(scale_factors):
-        rows = max(1, int(base_rows * factor))
-        matrix = sparse_random(rows, cols, sparsity, seed=seed + index)
-        series.append((int(np.count_nonzero(matrix)), matrix))
-    return series

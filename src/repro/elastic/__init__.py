@@ -14,13 +14,11 @@ from repro._exports import export_table
 
 _EXPORTS = {
     "CostCappedPolicy": "repro.elastic.policies",
-    "ElasticityPolicy": "repro.elastic.policies",
     "FixedPolicy": "repro.elastic.policies",
     "LoadTrackingPolicy": "repro.elastic.policies",
     "timeline_spec": "repro.elastic.policies",
     "ElasticPool": "repro.elastic.pool",
     "Transition": "repro.elastic.pool",
-    "EVENT_KINDS": "repro.elastic.spec",
     "ElasticEvent": "repro.elastic.spec",
     "parse_elastic_spec": "repro.elastic.spec",
     "ElasticSpecError": "repro.errors",

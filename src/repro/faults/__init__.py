@@ -27,7 +27,6 @@ _EXPORTS = {
     "build_chaos_report": "repro.faults.report",
     "format_chaos_report": "repro.faults.report",
     "summarise_recovery": "repro.faults.report",
-    "FAULT_KINDS": "repro.faults.spec",
     "FaultClause": "repro.faults.spec",
     "parse_fault_spec": "repro.faults.spec",
 }

@@ -13,8 +13,6 @@ from repro._exports import export_table
 
 _EXPORTS = {
     "FrontendError": "repro.frontend.errors",
-    "CompiledProgram": "repro.frontend.program",
-    "FrontendProgram": "repro.frontend.program",
     "matrix_program": "repro.frontend.program",
     "CarriedVar": "repro.frontend.staged",
     "ConditionSpec": "repro.frontend.staged",

@@ -3,7 +3,6 @@
 from repro._exports import export_table
 
 _EXPORTS = {
-    "AGG_KINDS": "repro.lang.expr",
     "AggExpr": "repro.lang.expr",
     "CellwiseExpr": "repro.lang.expr",
     "MatMulExpr": "repro.lang.expr",
@@ -30,7 +29,6 @@ _EXPORTS = {
     "RowAggOp": "repro.lang.program",
     "ScalarComputeOp": "repro.lang.program",
     "ScalarMatrixOp": "repro.lang.program",
-    "op_input_names": "repro.lang.program",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -8,7 +8,7 @@ was violated* (DM1xx, error severity) or *prove bytes are being wasted*
 
 Entry points::
 
-    from repro.lint import lint_plan, lint_program, LintContext
+    from repro.lint import lint_plan, LintContext
 
     report = lint_plan(plan, LintContext.from_config(config))
     if report.has_errors:
@@ -24,10 +24,7 @@ _EXPORTS = {
     "Severity": "repro.lint.diagnostics",
     "RULES": "repro.lint.rules",
     "LintInput": "repro.lint.rules",
-    "Rule": "repro.lint.rules",
-    "capture_plans": "repro.lint.runner",
     "lint_plan": "repro.lint.runner",
-    "lint_program": "repro.lint.runner",
     "lint_python_file": "repro.lint.runner",
     "plan_for": "repro.lint.runner",
     "format_selftest": "repro.lint.selftest",

@@ -65,7 +65,6 @@ from repro.lang.program import (
     MatMulOp,
     MatrixProgram,
     OpNode,
-    op_input_names,
 )
 from repro.lint.diagnostics import Diagnostic, LintContext, Severity
 from repro.matrix.schemes import Scheme
@@ -90,21 +89,20 @@ _ROWAGG_BY_NAME: dict[str, Strategy] = {
 
 @dataclasses.dataclass(frozen=True)
 class LintInput:
-    """Everything a rule may inspect.  Only ``program`` and ``context`` are
-    set when the program AST alone is analysed; for a plan, ``lint_plan``
-    derives each fact once with the function that owns it
-    (docs/linting.md, "Plan facts")."""
+    """Everything a rule may inspect: a plan and its program, with each fact
+    derived once by the function that owns it (docs/linting.md, "Plan
+    facts")."""
 
     program: MatrixProgram
     context: LintContext
-    plan: Plan | None = None
+    plan: Plan
     #: The plan's stage graph, built (or handed in) once per ``lint_plan``;
     #: it carries the def-use record and the availability stages.
-    graph: StageGraph | None = None
+    graph: StageGraph
+    #: The planner's own pricing: lint and cost model cannot disagree.
+    cost: CostModel
     #: ``solve_shapes``' concrete ``(rows, cols)`` facts (absent if unknown).
     shapes: Mapping[MatrixInstance, Shape] = dataclasses.field(default_factory=dict)
-    #: The planner's own pricing: lint and cost model cannot disagree.
-    cost: CostModel | None = None
     #: ``find_hazards`` on ``graph``, when the caller already has them.
     found_hazards: Sequence[Hazard] | None = None
 
@@ -210,8 +208,6 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
     program = inputs.program
     for op in program.ops:
         yield from _check_op_shapes(this, program, op)
-    if inputs.plan is None:
-        return
     shapes = inputs.shapes
     for index, step in enumerate(inputs.plan.steps):
         if isinstance(step, MatMulStep):
@@ -311,8 +307,6 @@ def _check_op_shapes(
 def check_schemes(inputs: LintInput) -> Iterator[Diagnostic]:
     """Every step's instances must satisfy its operator's scheme contract."""
     this = _rule("DM102")
-    if inputs.plan is None:
-        return
     for index, step in enumerate(inputs.plan.steps):
         if isinstance(step, ExtendedStep):
             yield from _check_extended_schemes(this, index, step)
@@ -484,8 +478,6 @@ def check_stage_purity(inputs: LintInput) -> Iterator[Diagnostic]:
     runtime's own: :meth:`repro.runtime.graph.StageGraph.stage_violations`
     reports exactly the wide edges the concurrent scheduler cannot honour."""
     this = _rule("DM103")
-    if inputs.plan is None:
-        return
     for index, instance, available in inputs.graph.stage_violations():
         step = inputs.plan.steps[index]
         yield this.diagnostic(
@@ -511,8 +503,6 @@ def check_ledger_agreement(inputs: LintInput) -> Iterator[Diagnostic]:
     communicating steps under the declared dependency classes."""
     this = _rule("DM104")
     plan = inputs.plan
-    if plan is None:
-        return
     try:
         total = inputs.cost.bytes(plan.steps)
     except PlanError:
@@ -569,7 +559,7 @@ def check_broadcast_budget(inputs: LintInput) -> Iterator[Diagnostic]:
     """Every replica must fit the declared per-worker memory budget."""
     this = _rule("DM106")
     budget = inputs.context.memory_limit_bytes
-    if inputs.plan is None or budget is None:
+    if budget is None:
         return
     for instance, made in inputs.defuse.producers.items():
         if instance.scheme is not Scheme.BROADCAST:
@@ -596,8 +586,6 @@ def check_broadcast_budget(inputs: LintInput) -> Iterator[Diagnostic]:
 def check_dataflow(inputs: LintInput) -> Iterator[Diagnostic]:
     """Instances must be produced before use; program outputs must exist."""
     this = _rule("DM107")
-    if inputs.plan is None:
-        return
     for index, instance in inputs.defuse.unproduced:
         yield this.diagnostic(
             f"step consumes {instance} before any step produces it",
@@ -630,8 +618,6 @@ def check_redundant_repartition(inputs: LintInput) -> Iterator[Diagnostic]:
     """A repartition whose source already has the target layout moves every
     byte of the matrix for nothing."""
     this = _rule("DM201")
-    if inputs.plan is None:
-        return
     for index, step in enumerate(inputs.plan.steps):
         if not isinstance(step, ExtendedStep) or step.kind != "partition":
             continue
@@ -660,9 +646,6 @@ def check_dead_operators(inputs: LintInput) -> Iterator[Diagnostic]:
     """Work whose result nothing consumes is wasted compute (and possibly
     wasted communication)."""
     this = _rule("DM202")
-    if inputs.plan is None:
-        yield from _check_dead_program_ops(this, inputs.program)
-        return
     defuse = inputs.defuse
     live_names = set(inputs.program.outputs)
     for instance, made in defuse.producers.items():
@@ -682,22 +665,6 @@ def check_dead_operators(inputs: LintInput) -> Iterator[Diagnostic]:
             )
 
 
-def _check_dead_program_ops(
-    this: Rule, program: MatrixProgram
-) -> Iterator[Diagnostic]:
-    consumed: set[str] = set()
-    for op in program.ops:
-        consumed.update(op_input_names(op))
-    live = consumed | set(program.outputs) | set(program.scalar_outputs)
-    for op in program.ops:
-        if op.output not in live:
-            yield this.diagnostic(
-                f"operator {op.output!r} ({type(op).__name__}) is never "
-                f"consumed and is not an output",
-                subject=op.output,
-            )
-
-
 @rule(
     "DM203",
     severity=Severity.WARNING,
@@ -710,8 +677,6 @@ def check_transpose_of_transpose(inputs: LintInput) -> Iterator[Diagnostic]:
     """Two chained local transposes cancel; the second recreates the first
     step's input layout."""
     this = _rule("DM203")
-    if inputs.plan is None:
-        return
     steps = inputs.plan.steps
     for index, step in enumerate(steps):
         if not isinstance(step, ExtendedStep) or step.kind != "transpose":
@@ -748,8 +713,6 @@ def check_cpmm_vs_rmm(inputs: LintInput) -> Iterator[Diagnostic]:
     laid out; when even the *worst-case* RMM total (broadcast one operand,
     repartition the other) beats that floor, CPMM can never win."""
     this = _rule("DM204")
-    if inputs.plan is None:
-        return
     workers = inputs.context.num_workers
     for index, step in enumerate(inputs.plan.steps):
         if not isinstance(step, MatMulStep) or step.strategy != "cpmm":
@@ -782,8 +745,6 @@ def check_rebroadcast(inputs: LintInput) -> Iterator[Diagnostic]:
     """Matrix versions are immutable (SSA): broadcasting the same version
     twice pays ``(K-1) x |A|`` again for bytes every worker already holds."""
     this = _rule("DM205")
-    if inputs.plan is None:
-        return
     seen: Counter = Counter()
     for index, step in enumerate(inputs.plan.steps):
         if not isinstance(step, ExtendedStep) or step.kind != "broadcast":
@@ -820,7 +781,7 @@ def check_cache_pin_budget(inputs: LintInput) -> Iterator[Diagnostic]:
     this = _rule("DM206")
     plan = inputs.plan
     budget = inputs.context.memory_limit_bytes
-    if plan is None or budget is None or not plan.cache_pins:
+    if budget is None or not plan.cache_pins:
         return
     prediction = predict_peak_memory(
         plan,
@@ -884,8 +845,6 @@ def check_double_publish(inputs: LintInput) -> Iterator[Diagnostic]:
 
 
 def _hazards_of_kind(this: Rule, inputs: LintInput, kind: str) -> Iterator[Diagnostic]:
-    if inputs.plan is None:
-        return
     for hazard in inputs.hazards:
         if hazard.kind == kind:
             yield this.diagnostic(
@@ -919,7 +878,7 @@ def check_unfused_chains(inputs: LintInput) -> Iterator[Diagnostic]:
     block grid alive."""
     this = _rule("DM401")
     plan = inputs.plan
-    if plan is None or not plan.certificates:
+    if not plan.certificates:
         return  # unoptimized plans have not had a chance to fuse yet
     from repro.planopt.fuse import unfused_chain_heads
 

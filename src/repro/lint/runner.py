@@ -1,11 +1,11 @@
-"""Entry points: lint a program, a plan, or a ``.py`` program builder --
-without executing anything.
+"""Entry points: lint a plan, or a ``.py`` program builder -- without
+executing anything.
 
 ``lint_plan`` is the workhorse: it gathers the plan's facts -- shapes, def-use
 and stages, sizes; each from the one function that derives it -- into a
 :class:`~repro.lint.rules.LintInput` and applies every registered rule.
-``lint_program`` runs the (smaller) set of program-level checks when no
-plan exists yet.  ``lint_python_file`` uses :func:`capture_plans` to observe
+A bare program is linted through the plan :func:`plan_for` makes of it.
+``lint_python_file`` uses :func:`capture_plans` to observe
 the plans a ``.py`` builder script generates through
 :class:`~repro.session.DMacSession` without running the executor.  A
 ``.dml`` script needs no entry of its own: the CLI compiles it and lints
@@ -46,18 +46,6 @@ def _apply_rules(inputs: LintInput, suppress: tuple[str, ...]) -> LintReport:
             continue
         report.extend(rule.check(inputs))
     return report
-
-
-def lint_program(
-    program: MatrixProgram,
-    context: LintContext | None = None,
-    suppress: tuple[str, ...] = (),
-) -> LintReport:
-    """Run the program-level rules over an AST (no plan required)."""
-    from repro.lint.rules import LintInput
-
-    inputs = LintInput(program=program, context=context or LintContext())
-    return _apply_rules(inputs, suppress)
 
 
 def lint_plan(

@@ -8,7 +8,6 @@ memory metering.
 from repro._exports import export_table
 
 _EXPORTS = {
-    "EngineStats": "repro.localexec.engine",
     "Grid": "repro.localexec.engine",
     "LocalEngine": "repro.localexec.engine",
     "MemoryTracker": "repro.localexec.pool",

@@ -10,19 +10,10 @@ _EXPORTS = {
     "coalesce_repartitions": "repro.planopt.coalesce",
     "AppliedRewrite": "repro.planopt.common",
     "clone_plan": "repro.planopt.common",
-    "toposort_steps": "repro.planopt.common",
     "eliminate_common_steps": "repro.planopt.cse",
     "eliminate_dead_steps": "repro.planopt.dce",
     "pin_loop_invariants": "repro.planopt.hoist",
     "DEFAULT_PASSES": "repro.planopt.pipeline",
-    "AssociatePass": "repro.planopt.pipeline",
-    "CoalescePass": "repro.planopt.pipeline",
-    "CSEPass": "repro.planopt.pipeline",
-    "DeadStepPass": "repro.planopt.pipeline",
-    "HoistPass": "repro.planopt.pipeline",
-    "Pass": "repro.planopt.pipeline",
-    "PassContext": "repro.planopt.pipeline",
-    "ReplicatePass": "repro.planopt.pipeline",
     "optimize_plan": "repro.planopt.pipeline",
     "replicate_products": "repro.planopt.replicate",
     "plan_structural_hash": "repro.planopt.structural",

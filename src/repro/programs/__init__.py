@@ -7,17 +7,13 @@ _EXPORTS = {
     "build_gnmf_program": "repro.programs.gnmf",
     "build_jacobi_program": "repro.programs.jacobi",
     "split_system": "repro.programs.jacobi",
-    "DEFAULT_LAMBDA": "repro.programs.linreg",
     "build_linreg_program": "repro.programs.linreg",
     "build_logreg_program": "repro.programs.logreg",
-    "DAMPING": "repro.programs.pagerank",
     "build_pagerank_program": "repro.programs.pagerank",
     "build_power_iteration_program": "repro.programs.power_iteration",
     "build_ridge_program": "repro.programs.ridge",
-    "LanczosScalars": "repro.programs.svd",
     "build_svd_program": "repro.programs.svd",
     "singular_values": "repro.programs.svd",
-    "tridiagonal_matrix": "repro.programs.svd",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -321,14 +321,3 @@ def registered_names(tier: str | None = None) -> tuple[str, ...]:
 def build_workload(name: str, params: WorkloadParams | None = None) -> Workload:
     """Instantiate a registered program with its canonical dataset."""
     return get_spec(name).build(params if params is not None else WorkloadParams())
-
-
-#: Curated app rotations for the service layer (:mod:`repro.serve`): batch
-#: generators and benchmarks draw jobs from one of these mixes.  Every name
-#: must be registered above; ``mixed-staged`` deliberately includes the
-#: staged ``powiter`` so service batches exercise dynamic plan extension.
-SERVICE_MIXES: dict[str, tuple[str, ...]] = {
-    "paper-small": ("pagerank", "linreg", "jacobi"),
-    "mixed-staged": ("gnmf", "powiter", "ridge"),
-    "cache-friendly": ("pagerank", "pagerank", "linreg"),
-}

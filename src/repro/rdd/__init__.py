@@ -15,7 +15,6 @@ _EXPORTS = {
     "TimeBreakdown": "repro.rdd.clock",
     "ClusterContext": "repro.rdd.context",
     "CommunicationLedger": "repro.rdd.ledger",
-    "TransferRecord": "repro.rdd.ledger",
     "ColumnPartitioner": "repro.rdd.partitioner",
     "HashPartitioner": "repro.rdd.partitioner",
     "Partitioner": "repro.rdd.partitioner",

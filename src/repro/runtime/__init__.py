@@ -28,7 +28,6 @@ _EXPORTS = {
     "ExecutionResult": "repro.runtime.executor",
     "ExecutionState": "repro.runtime.executor",
     "PlanExecutor": "repro.runtime.executor",
-    "StepTrace": "repro.runtime.executor",
     "evaluate_scalar": "repro.runtime.executor",
     "StageGraph": "repro.runtime.graph",
     "StageNode": "repro.runtime.graph",
@@ -36,7 +35,6 @@ _EXPORTS = {
     "active_meter": "repro.runtime.metering",
     "metered": "repro.runtime.metering",
     "OPERATORS": "repro.runtime.registry",
-    "OperatorSpec": "repro.runtime.registry",
     "spec_for": "repro.runtime.registry",
     "spec_for_op": "repro.runtime.registry",
     "ResourceManager": "repro.runtime.resources",

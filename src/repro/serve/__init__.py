@@ -16,23 +16,19 @@ from repro._exports import export_table
 
 _EXPORTS = {
     "Accountant": "repro.serve.accounting",
-    "TenantAccount": "repro.serve.accounting",
     "AdmissionController": "repro.serve.admission",
     "AdmissionPolicy": "repro.serve.admission",
     "Decision": "repro.serve.admission",
     "parse_batch": "repro.serve.batch",
     "run_batch": "repro.serve.batch",
-    "synthetic_batch": "repro.serve.batch",
     "RemoteClient": "repro.serve.client",
     "ServiceClient": "repro.serve.client",
-    "handle_request": "repro.serve.daemon",
     "serve_forever": "repro.serve.daemon",
     "JobRecord": "repro.serve.job",
     "JobSpec": "repro.serve.job",
     "TenantSpec": "repro.serve.job",
     "CacheEntry": "repro.serve.plancache",
     "PlanCache": "repro.serve.plancache",
-    "REPORT_SCHEMA_VERSION": "repro.serve.report",
     "build_report": "repro.serve.report",
     "render_report": "repro.serve.report",
     "StrideScheduler": "repro.serve.scheduler",

@@ -17,19 +17,14 @@ A batch is a JSON document (``repro serve --script batch.json``)::
       ]
     }
 
-:func:`synthetic_batch` generates such documents deterministically from a
-seed (the CI smoke job and the throughput benchmark both use it), and
-:func:`run_batch` executes one end to end: submit everything, drain the
-queue under stride scheduling, return the service and its report.
+:func:`parse_batch` validates one and :func:`run_batch` executes it:
+submit everything and drain the queue under stride scheduling.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import ClusterConfig
 from repro.errors import ServiceError
-from repro.programs.registry import SERVICE_MIXES
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.job import JobSpec, TenantSpec
 from repro.serve.service import MatrixService, ServiceConfig
@@ -95,66 +90,10 @@ def parse_batch(data: dict) -> tuple[ServiceConfig, list[JobSpec]]:
     return config, specs
 
 
-def synthetic_batch(
-    seed: int,
-    *,
-    num_tenants: int = 3,
-    jobs_per_tenant: int = 4,
-    mix: str = "paper-small",
-    weights: tuple[float, ...] | None = None,
-    plan_cache_entries: int = 128,
-) -> dict:
-    """A deterministic batch document: same seed, same bytes.
-
-    Tenants are named ``tenant-a`` .. and submit ``jobs_per_tenant`` jobs
-    each, apps drawn (seeded) from the registry's ``mix`` rotation with a
-    seeded dataset-seed jitter so repeated apps still exercise distinct
-    datasets -- except the cache-friendly mix, whose identical params make
-    every repeat a plan-cache hit.
-    """
-    if mix not in SERVICE_MIXES:
-        raise ServiceError(
-            f"unknown service mix {mix!r} (registered: {sorted(SERVICE_MIXES)})"
-        )
-    apps = SERVICE_MIXES[mix]
-    rng = np.random.default_rng(seed)
-    names = [f"tenant-{chr(ord('a') + i)}" for i in range(num_tenants)]
-    tenants = []
-    for index, name in enumerate(names):
-        weight = 1.0
-        if weights is not None:
-            weight = weights[index % len(weights)]
-        tenants.append({"name": name, "weight": weight})
-    jobs = []
-    for name in names:
-        for _ in range(jobs_per_tenant):
-            app = apps[int(rng.integers(len(apps)))]
-            params: dict = {"seed": int(rng.integers(1 << 16))}
-            if mix == "cache-friendly":
-                # Identical params: every repeat is a plan-cache hit.
-                params = {}
-            jobs.append(
-                {
-                    "tenant": name,
-                    "app": app,
-                    "params": params,
-                    "priority": int(rng.integers(3)),
-                }
-            )
-    return {
-        "seed": seed,
-        "plan_cache_entries": plan_cache_entries,
-        "tenants": tenants,
-        "jobs": jobs,
-    }
-
-
-def run_batch(
-    config: ServiceConfig, specs: list[JobSpec]
-) -> tuple[MatrixService, dict]:
-    """Submit every job, drain the queue, return (service, report)."""
+def run_batch(config: ServiceConfig, specs: list[JobSpec]) -> MatrixService:
+    """Submit every job and drain the queue; the service stays open."""
     service = MatrixService(config)
     for spec in specs:
         service.submit(spec)
     service.drain()
-    return service, service.report()
+    return service

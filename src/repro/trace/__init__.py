@@ -17,7 +17,6 @@ record.
 from repro._exports import export_table
 
 _EXPORTS = {
-    "MetricsRegistry": "repro.trace.collector",
     "TraceCollector": "repro.trace.collector",
     "active_tracer": "repro.trace.emit",
     "current_stage": "repro.trace.emit",
@@ -25,8 +24,6 @@ _EXPORTS = {
     "format_summary": "repro.trace.export",
     "to_chrome_trace": "repro.trace.export",
     "to_json_dict": "repro.trace.export",
-    "EVENT_KINDS": "repro.trace.model",
-    "SPAN_KINDS": "repro.trace.model",
     "PointEvent": "repro.trace.model",
     "Span": "repro.trace.model",
     "assert_reconciled": "repro.trace.reconcile",

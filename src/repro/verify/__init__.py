@@ -26,8 +26,6 @@ from repro._exports import export_table
 
 _EXPORTS = {
     "Certificate": "repro.verify.certify",
-    "ValueConflict": "repro.verify.certify",
-    "ValueSummary": "repro.verify.certify",
     "certify": "repro.verify.certify",
     "value_summary": "repro.verify.certify",
     "DOUBLE_PUBLISH": "repro.verify.hazards",
@@ -35,11 +33,8 @@ _EXPORTS = {
     "Hazard": "repro.verify.hazards",
     "ancestor_masks": "repro.verify.hazards",
     "find_hazards": "repro.verify.hazards",
-    "happens_before": "repro.verify.hazards",
     "MemoryPrediction": "repro.verify.memory",
-    "StepFootprint": "repro.verify.memory",
     "predict_peak_memory": "repro.verify.memory",
-    "VerificationReport": "repro.verify.report",
     "verify_plan": "repro.verify.report",
 }
 

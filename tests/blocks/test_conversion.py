@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.blocks import conversion
+from repro.blocks import conversion, memory
 from repro.blocks.dense import DenseBlock
 from repro.blocks.sparse import CSCBlock
 from repro.errors import BlockError
@@ -87,5 +87,7 @@ class TestSplitAssemble:
         assert grid[(2, 1)].shape == (2, 3)
 
     def test_grid_model_nbytes(self, rng):
+        """A grid's blocks, summed, weigh what Equation 2 charges the matrix."""
         grid = conversion.split(rng.random((8, 8)), 4, storage="dense")
-        assert conversion.grid_model_nbytes(grid) == 4 * 8 * 8
+        total = sum(block.model_nbytes for block in grid.values())
+        assert total == memory.matrix_model_bytes(8, 8, 1.0, 4, sparse=False) == 4 * 8 * 8

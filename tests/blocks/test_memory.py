@@ -10,8 +10,10 @@ from repro.errors import BlockError
 
 class TestBlockFormulas:
     def test_sparse_block_bytes(self):
-        # Mem(b) = 4n + 8mns
-        assert memory.sparse_block_model_bytes(100, 50, 0.1) == 4 * 50 + 8 * 100 * 50 * 0.1
+        # Mem(b) = 4n + 8mns: Equation 2 over a matrix that is one block.
+        assert memory.matrix_model_bytes(100, 50, 0.1, block_size=100) == (
+            4 * 50 + 8 * 100 * 50 * 0.1
+        )
 
     def test_dense_block_bytes(self):
         assert memory.dense_block_model_bytes(100, 50) == 4 * 100 * 50

@@ -24,7 +24,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import ClusterConfig, DMacSession
-from repro.advisor import advise_workers
 from repro.config import ClockConfig
 from repro.core.analysis import explain
 from repro.core.cost import CostModel, seconds
@@ -53,9 +52,10 @@ OPTIMIZED_FLOPS = {
     "svd": (71_290, 71_078),
 }
 
-#: Deliberate change (b): the advisor prices with the full convention
-#: (scalar-matrix, row-agg and aggregate cells counted).  app -> (the
-#: parent's ``estimate_program_flops``, the table).
+#: Deliberate change (b): a whole program is priced with the full
+#: convention (scalar-matrix, row-agg and aggregate cells counted), which
+#: the old ``estimate_program_flops`` skipped.  app -> (the parent's
+#: ``estimate_program_flops``, the table).
 ADVISOR_FLOPS = {
     "gnmf": (40_962_720, 40_962_720),
     "pagerank": (239_928_530, 239_977_510),
@@ -122,11 +122,12 @@ def test_advisor_prices_with_the_full_convention(segments, app):
     golden = GOLDEN[f"{app}/raw"]
     assert old_flops == golden["estimate_program_flops"]
     assert new_flops == golden["predict_flops"] >= old_flops
-    (advice,) = advise_workers(program, (WORKERS,), threads_per_worker=8)
-    assert advice.predicted_comm_bytes == golden["predicted_bytes"]
-    assert advice.predicted_compute_seconds == new_flops / (
-        ClockConfig().dense_flops_per_sec * 8 * WORKERS
-    )
+    plan = schedule_stages(DMacPlanner(program, WORKERS).plan())
+    table = CostModel(program, WORKERS).price(plan)
+    assert table.bytes == golden["predicted_bytes"]
+    assert table.flops == new_flops
+    predicted = seconds(table.bytes, table.flops, plan.num_stages, ClockConfig(), WORKERS, 8)
+    assert predicted.compute == new_flops / (ClockConfig().dense_flops_per_sec * 8 * WORKERS)
 
 
 # -- the work convention, one operator at a time --------------------------

@@ -7,8 +7,9 @@ from repro.core.dependency import (
     DependencyType,
     classify,
     is_communication,
-    lowering_chain,
 )
+from repro.core.plan import MatrixInstance
+from repro.core.planner import _lowering_targets
 from repro.matrix.schemes import Scheme
 
 R, C, B = Scheme.ROW, Scheme.COL, Scheme.BROADCAST
@@ -77,28 +78,58 @@ class TestCommunicationSplit:
         assert is_communication(expected) == communicating
 
 
+#: Section 4.2.1's canonical extended-operator chain of each type.
+CHAINS = {
+    DependencyType.REFERENCE: (),
+    DependencyType.TRANSPOSE: ("transpose",),
+    DependencyType.EXTRACT: ("extract",),
+    DependencyType.EXTRACT_TRANSPOSE: ("extract", "transpose"),
+    DependencyType.PARTITION: ("partition",),
+    DependencyType.TRANSPOSE_PARTITION: ("transpose", "partition"),
+    DependencyType.BROADCAST: ("broadcast",),
+    DependencyType.TRANSPOSE_BROADCAST: ("transpose", "broadcast"),
+}
+
+
+def lowering(out_scheme, in_scheme, transposed):
+    """The steps the planner emits from ``A`` under ``out_scheme`` to an
+    input reading ``A`` (or ``A^T``) under ``in_scheme``."""
+    source = MatrixInstance("A", False, out_scheme)
+    return source, _lowering_targets(source, "A", transposed, in_scheme)
+
+
 class TestLoweringChains:
+    """The lowering the planner and the coalescer emit realises Table 2."""
+
     @pytest.mark.parametrize("out_scheme,in_scheme,transposed,expected", TABLE_2)
     def test_chain_structure(self, out_scheme, in_scheme, transposed, expected):
-        chain = lowering_chain(expected, in_scheme)
-        # At most one free local step followed by at most one comm step.
-        assert len(chain) <= 2
-        comm_steps = [k for k in chain if k in ("partition", "broadcast")]
-        assert len(comm_steps) == (1 if is_communication(expected) else 0)
+        source, chain = lowering(out_scheme, in_scheme, transposed)
+        kinds = tuple(kind for kind, __ in chain)
+        assert kinds == CHAINS[expected]
+        # At most one communicating step, and it comes last.
+        comm_steps = [k for k in kinds if k in ("partition", "broadcast")]
+        communicates = is_communication(classify(out_scheme, in_scheme, transposed))
+        assert len(comm_steps) == (1 if communicates else 0)
         if comm_steps:
-            assert chain[-1] in ("partition", "broadcast")
+            assert kinds[-1] in ("partition", "broadcast")
+        # Each step is the one-operator dependency of its kind, and the
+        # chain lands on the instance the input requires.
+        current = source
+        for kind, target in chain:
+            hop = classify(current.scheme, target.scheme, current.transposed != target.transposed)
+            assert hop.value == kind
+            current = target
+        assert current == MatrixInstance("A", transposed, in_scheme)
 
     def test_reference_is_empty(self):
-        assert lowering_chain(DependencyType.REFERENCE, R) == ()
+        assert lowering(R, R, False)[1] == []
 
     def test_transpose_partition_transposes_first(self):
-        assert lowering_chain(DependencyType.TRANSPOSE_PARTITION, R) == (
-            "transpose",
-            "partition",
-        )
+        __, chain = lowering(R, R, True)
+        assert [kind for kind, __ in chain] == ["transpose", "partition"]
+        assert chain[0][1] == MatrixInstance("A", True, C)
 
     def test_extract_transpose_extracts_first(self):
-        assert lowering_chain(DependencyType.EXTRACT_TRANSPOSE, R) == (
-            "extract",
-            "transpose",
-        )
+        __, chain = lowering(B, R, True)
+        assert [kind for kind, __ in chain] == ["extract", "transpose"]
+        assert chain[0][1] == MatrixInstance("A", False, C)

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import optimal
 from repro.core.cost import CostModel
-from repro.core.optimal import (
-    free_closure,
-    optimal_cost,
-    paper_cost_of_plan,
-)
+from repro.core.optimal import optimal_cost, paper_cost_of_plan
 from repro.core.plan import MatrixInstance
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
@@ -25,6 +21,11 @@ from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
 from tests.core.test_properties import random_programs
 
 R, C, B = Scheme.ROW, Scheme.COL, Scheme.BROADCAST
+
+
+def free_closure(state):
+    """The free closure of ``state``: its extension of the empty state."""
+    return optimal._extend(frozenset(), state)
 
 
 class TestFreeClosure:

@@ -14,7 +14,6 @@ from repro.datasets import (
     graph_like,
     netflix_like,
     row_normalize,
-    scaled_rows_series,
     sparse_random,
 )
 from repro.errors import ReproError
@@ -49,14 +48,6 @@ class TestSparseRandom:
     def test_rejects_bad_dims(self):
         with pytest.raises(ReproError):
             sparse_random(0, 10, 0.5)
-
-    def test_scaled_series_nnz_grows_linearly(self):
-        series = scaled_rows_series(100, 50, 0.1, (1.0, 2.0, 4.0), seed=1)
-        nnzs = [nnz for nnz, __ in series]
-        assert nnzs[1] == pytest.approx(2 * nnzs[0], rel=0.15)
-        assert nnzs[2] == pytest.approx(4 * nnzs[0], rel=0.15)
-        # columns fixed, rows grow
-        assert all(mat.shape[1] == 50 for __, mat in series)
 
 
 class TestGraphLike:

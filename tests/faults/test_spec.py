@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import FaultSpecError
-from repro.faults import FAULT_KINDS, FaultClause, parse_fault_spec
+from repro.faults import FaultClause, parse_fault_spec
+from repro.faults.spec import FAULT_KINDS
 
 
 class TestParsing:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.plan import ExtendedStep, MatMulStep, MatrixInstance, Plan, SourceStep
 from repro.lang.program import MatMulOp, ProgramBuilder
-from repro.lint import LintContext, RULES, Severity, lint_plan, lint_program, plan_for
+from repro.lint import LintContext, RULES, Severity, lint_plan, plan_for
 from repro.lint.selftest import CORRUPTIONS, reference_program
 from repro.matrix.schemes import Scheme
 
@@ -147,7 +147,8 @@ def test_single_transpose_is_legal(context):
 
 
 def test_program_level_shape_mismatch_detected(context):
-    """DM101 works on a bare program (no plan) too."""
+    """DM101 checks a plan's program too: the operator whose operands
+    disagree is flagged itself, not only the steps that read them."""
     from repro.lang.program import MatrixProgram, Operand, RandomOp
 
     bad = MatrixProgram(
@@ -162,22 +163,26 @@ def test_program_level_shape_mismatch_detected(context):
         scalar_outputs=(),
         bindings={},
     )
-    report = lint_program(bad, context)
-    assert "DM101" in report.rule_ids()
+    report = lint_plan(plan_for(bad, context), context)
+    assert any(
+        d.rule == "DM101" and d.step is None and d.subject == "C"
+        for d in report.diagnostics
+    )
 
 
 def test_program_level_dead_operator_detected(context):
-    """DM202 works on a bare program: an op feeding nothing is flagged."""
+    """DM202 flags the instance of an op feeding nothing in the plan made
+    of the program."""
     pb = ProgramBuilder()
     a = pb.random("A", (6, 6))
     pb.assign("dead", a * 2.0)  # never consumed, never output
     pb.output(pb.assign("live", a * 3.0))
-    report = lint_program(pb.build(), context)
+    report = lint_plan(plan_for(pb.build(), context), context)
     assert "DM202" in report.rule_ids()
     clean = ProgramBuilder()
     x = clean.random("X", (6, 6))
     clean.output(clean.assign("Y", x * 2.0))
-    assert "DM202" not in lint_program(clean.build(), context).rule_ids()
+    assert "DM202" not in lint_plan(plan_for(clean.build(), context), context).rule_ids()
 
 
 def test_rebroadcast_of_new_version_is_legal(context):

@@ -9,7 +9,8 @@ from repro import ClusterConfig, DMacSession
 from repro.core.plan import ExtendedStep, MatMulStep
 from repro.faults import ChaosEngine, parse_fault_spec
 from repro.faults.lineage import LineageTracker
-from repro.planopt import DEFAULT_PASSES, ReplicatePass, optimize_plan
+from repro.planopt import DEFAULT_PASSES, optimize_plan
+from repro.planopt.pipeline import ReplicatePass
 from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
 from repro.trace import assert_reconciled
 from tests.elastic.test_golden_books import FAULT_SEED, FAULTS, TIMELINE

@@ -16,8 +16,8 @@ from repro.programs import (
     build_pagerank_program,
     build_svd_program,
     singular_values,
-    tridiagonal_matrix,
 )
+from repro.programs.svd import tridiagonal_matrix
 from repro.session import DMacSession
 
 

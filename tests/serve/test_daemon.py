@@ -12,9 +12,8 @@ from repro.serve import (
     RemoteClient,
     ServiceConfig,
     TenantSpec,
-    handle_request,
 )
-from repro.serve.daemon import request, serve_forever
+from repro.serve.daemon import handle_request, request, serve_forever
 
 PARAMS = {"scale": 5e-4, "iterations": 2}
 

@@ -16,8 +16,8 @@ from repro.serve import (
     parse_batch,
     render_report,
     run_batch,
-    synthetic_batch,
 )
+from tests.serve.batches import synthetic_batch
 
 SMALL = {"scale": 5e-4, "iterations": 2, "rows": 300, "features": 30}
 
@@ -27,6 +27,12 @@ def small_batch(seed=7, **kwargs):
     for job in batch["jobs"]:
         job["params"].update(SMALL)
     return batch
+
+
+def run(batch):
+    """Run a batch document; (the drained service, its report)."""
+    service = run_batch(*parse_batch(batch))
+    return service, service.report()
 
 
 class TestBatchValidation:
@@ -56,7 +62,7 @@ class TestDeterminism:
     def test_same_seed_byte_identical_reports(self):
         texts = []
         for _ in range(2):
-            service, report = run_batch(*parse_batch(small_batch()))
+            service, report = run(small_batch())
             texts.append(render_report(report))
         assert texts[0] == texts[1]
 
@@ -64,7 +70,7 @@ class TestDeterminism:
         # Wall clock and the realised memory peak both depend on real
         # thread timing; the report must carry neither (it publishes the
         # verifier's predicted peak instead).
-        service, report = run_batch(*parse_batch(small_batch(jobs_per_tenant=1)))
+        service, report = run(small_batch(jobs_per_tenant=1))
         for job in report["jobs"]:
             assert "wall" not in " ".join(job)
             assert "peak_memory_bytes" not in job
@@ -75,8 +81,8 @@ class TestDeterminism:
         assert record.peak_memory_bytes > 0
 
     def test_different_seeds_differ(self):
-        __, a = run_batch(*parse_batch(small_batch(seed=1)))
-        __, b = run_batch(*parse_batch(small_batch(seed=2)))
+        __, a = run(small_batch(seed=1))
+        __, b = run(small_batch(seed=2))
         assert render_report(a) != render_report(b)
 
 
@@ -98,7 +104,7 @@ class TestPlanCache:
         assert second.flops == first.flops
 
     def test_hit_and_miss_counts_reach_the_report(self):
-        __, report = run_batch(*parse_batch(small_batch(mix="cache-friendly")))
+        __, report = run(small_batch(mix="cache-friendly"))
         stats = report["plan_cache"]
         assert stats["hits"] > 0
         assert stats["misses"] > 0
@@ -107,7 +113,7 @@ class TestPlanCache:
     def test_cache_off_bypasses(self):
         batch = small_batch(jobs_per_tenant=1)
         batch["plan_cache_entries"] = 0
-        __, report = run_batch(*parse_batch(batch))
+        __, report = run(batch)
         assert report["plan_cache"]["bypasses"] == len(report["jobs"])
         assert report["plan_cache"]["hits"] == 0
 
@@ -187,7 +193,7 @@ class TestIsolation:
         assert mixed_record.plan_hashes == solo_record.plan_hashes
 
     def test_per_tenant_ledgers_are_isolated(self):
-        service, report = run_batch(*parse_batch(small_batch(jobs_per_tenant=1)))
+        service, report = run(small_batch(jobs_per_tenant=1))
         for tenant, scopes in report["ledger_scopes"].items():
             for scope in scopes:
                 assert scope.startswith(f"tenant:{tenant}/"), (tenant, scope)
@@ -266,7 +272,7 @@ class TestPrograms:
         assert at_once.segments == 0  # a loop whose condition is false at once
 
     def test_accounts_aggregate_job_costs(self):
-        service, report = run_batch(*parse_batch(small_batch(jobs_per_tenant=2)))
+        service, report = run(small_batch(jobs_per_tenant=2))
         for name, account in report["accounts"].items():
             records = [r for r in service.records if r.tenant == name]
             assert account["jobs_submitted"] == len(records)

@@ -107,7 +107,6 @@ class TestOneCostModel:
         root = REPO / "src" / "repro"
         for package in ("core", "planopt", "lint", "serve", "elastic"):
             yield from sorted((root / package).glob("*.py"))
-        yield root / "advisor.py"
 
     def test_the_charge_and_work_formulas_are_spelled_once(self):
         root = REPO / "src" / "repro"
@@ -212,6 +211,138 @@ class TestSettings:
             "a setting was added or removed: a new one needs a caller outside "
             "tests/ that sets it (else make it a module constant); then update "
             "PINNED"
+        )
+
+
+class TestExports:
+    """Every package's export table, name by name.
+
+    Each name here has a reader outside ``tests/`` (``python
+    scripts/check_exports.py`` holds the rule); a name only tests read is
+    imported from the module that defines it."""
+
+    PINNED = {
+        "repro": (
+            "BlockError", "ChaosEngine", "ClockConfig", "ClusterConfig", "ClusterContext",
+            "ClusterError", "DMacPlanner", "DMacSession", "DistributedMatrix", "ExecutionError",
+            "ExecutionResult", "FaultSpecError", "MatrixProgram", "MemoryLimitExceeded", "Plan",
+            "PlanError", "ProgramBuilder", "ProgramError", "RecoveryConfig", "ReproError", "Scheme",
+            "SchemeError", "ShapeError", "ShuffleBlockLost", "StageExecutionError", "StageGraph",
+            "TransferFault", "TranslationValidationError", "VerificationError", "WorkerCrashed",
+            "__version__", "parse_fault_spec",
+        ),
+        "repro.baselines": (
+            "SystemMLSExecutor", "SystemRunResult", "run_local", "run_scalapack_matmul",
+            "run_scidb_matmul",
+        ),
+        "repro.blocks": (
+            "Block", "CELLWISE_OPS", "CSCBlock", "CoordinateMatrix", "DenseBlock", "accumulate",
+            "as_matrix", "assemble", "block_col_sums", "block_extent", "block_row_sums",
+            "block_sq_sum", "block_sum", "cellwise", "cellwise_flops", "dense_block_model_bytes",
+            "grid_shape", "matmul", "matmul_flops", "matrix_model_bytes", "max_block_size",
+            "scalar_op", "split",
+        ),
+        "repro.core": (
+            "AggregateStep", "BROADCAST_DEPENDENCIES", "CellwiseStep", "DMacPlanner",
+            "DependencyType", "ExecutionResult", "ExtendedStep", "MATMUL_STRATEGIES", "MatMulStep",
+            "MatrixInstance", "Plan", "PlanExecutor", "RowAggStep", "SOURCE_STRATEGY",
+            "ScalarComputeStep", "ScalarMatrixStep", "SizeEstimator", "SourceStep", "Step",
+            "Strategy", "UnaryStep", "candidate_strategies", "classify", "dependency_cost",
+            "evaluate_scalar", "explain", "format_statistics", "is_communication", "optimal_cost",
+            "output_cost", "paper_cost_of_plan", "plan_to_dot", "schedule_stages",
+        ),
+        "repro.datasets": (
+            "PAPER_GRAPHS", "dense_random", "graph_edges", "graph_like", "netflix_like",
+            "row_normalize", "sparse_random",
+        ),
+        "repro.elastic": (
+            "CostCappedPolicy", "ElasticEvent", "ElasticPool", "ElasticSpecError", "FixedPolicy",
+            "LoadTrackingPolicy", "Transition", "parse_elastic_spec", "timeline_spec",
+        ),
+        "repro.faults": (
+            "ChaosEngine", "CheckpointStore", "FaultClause", "LineageTracker", "RecoveryLog",
+            "build_chaos_report", "format_chaos_report", "parse_fault_spec", "summarise_recovery",
+        ),
+        "repro.frontend": (
+            "CarriedVar", "ConditionSpec", "FrontendError", "Matrix", "MatrixInput", "Scalar",
+            "StagedOutput", "StagedProgram", "matrix_input", "matrix_program",
+        ),
+        "repro.lang": (
+            "AggExpr", "AggregateOp", "CellwiseExpr", "CellwiseOp", "FullOp", "LoadOp",
+            "MatMulExpr", "MatMulOp", "MatrixExpr", "MatrixProgram", "MatrixRefExpr", "OpNode",
+            "Operand", "ProgramBuilder", "RandomOp", "RowAggExpr", "RowAggOp", "ScalarBinaryExpr",
+            "ScalarComputeOp", "ScalarConst", "ScalarExpr", "ScalarMatrixExpr", "ScalarMatrixOp",
+            "ScalarRefExpr", "ScalarUnaryExpr", "TransposeExpr",
+        ),
+        "repro.lint": (
+            "Diagnostic", "LintContext", "LintInput", "LintReport", "RULES", "Severity",
+            "format_selftest", "lint_plan", "lint_python_file", "plan_for", "run_selftest",
+        ),
+        "repro.localexec": (
+            "BlockKey", "BlockTask", "Grid", "LocalEngine", "MemoryTracker",
+            "MultiplyAccumulateTask", "MultiplyTask", "TaskResult", "buffered_matmul_tasks",
+            "inplace_matmul_tasks",
+        ),
+        "repro.matrix": (
+            "DistributedMatrix", "Scheme", "bmm", "broadcast_matrix", "cellwise_op", "col_sums",
+            "contain", "cpmm", "equal_b", "equal_rc", "extract", "local_transpose", "matrix_sq_sum",
+            "matrix_sum", "oppose", "repartition", "rmm1", "rmm2", "row_sums", "scalar_op_matrix",
+        ),
+        "repro.planopt": (
+            "AppliedRewrite", "DEFAULT_PASSES", "clone_plan", "coalesce_repartitions",
+            "eliminate_common_steps", "eliminate_dead_steps", "optimize_plan",
+            "pin_loop_invariants", "plan_structural_hash", "program_fingerprint",
+            "replicate_products", "step_structural_key", "structural_key",
+        ),
+        "repro.programs": (
+            "build_cf_program", "build_gnmf_program", "build_jacobi_program",
+            "build_linreg_program", "build_logreg_program", "build_pagerank_program",
+            "build_power_iteration_program", "build_ridge_program", "build_svd_program",
+            "singular_values", "split_system",
+        ),
+        "repro.rdd": (
+            "ClusterContext", "ColumnPartitioner", "CommunicationLedger", "HashPartitioner",
+            "Partitioner", "RDD", "RECORD_OVERHEAD_BYTES", "RowPartitioner", "SimulatedClock",
+            "TimeBreakdown", "model_sizeof", "shuffle",
+        ),
+        "repro.runtime": (
+            "ExecutionResult", "ExecutionState", "OPERATORS", "PlanExecutor", "ResourceManager",
+            "SchedulerReport", "SimulatedBackend", "StageGraph", "StageMeter", "StageNode",
+            "StageScheduler", "StageTiming", "active_meter", "evaluate_scalar", "metered",
+            "spec_for", "spec_for_op",
+        ),
+        "repro.serve": (
+            "Accountant", "AdmissionController", "AdmissionPolicy", "CacheEntry", "Decision",
+            "JobRecord", "JobSpec", "MatrixService", "PlanCache", "RemoteClient", "ServiceClient",
+            "ServiceConfig", "StrideScheduler", "TenantSpec", "build_report", "parse_batch",
+            "render_report", "run_batch", "serve_forever",
+        ),
+        "repro.trace": (
+            "PointEvent", "Span", "TraceCollector", "active_tracer", "assert_reconciled",
+            "current_stage", "format_summary", "install_tracer", "reconcile", "to_chrome_trace",
+            "to_json_dict",
+        ),
+        "repro.verify": (
+            "Certificate", "DOUBLE_PUBLISH", "Hazard", "MemoryPrediction", "READ_BEFORE_PUBLISH",
+            "ancestor_masks", "certify", "find_hazards", "predict_peak_memory", "value_summary",
+            "verify_plan",
+        ),
+    }
+
+    def test_no_export_appears_unnoticed(self):
+        import importlib
+
+        found = {
+            package: tuple(importlib.import_module(package).__all__)
+            for package in sorted(
+                ".".join(("repro", *init.parent.relative_to(REPO / "src" / "repro").parts))
+                for init in (REPO / "src" / "repro").rglob("__init__.py")
+            )
+        }
+        assert found == self.PINNED, (
+            "an export was added or removed: a new one needs a reader outside "
+            "tests/ (scripts/check_exports.py), else import it from its module; "
+            "then update PINNED"
         )
 
 

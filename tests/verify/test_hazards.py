@@ -16,8 +16,8 @@ from repro.verify import (
     READ_BEFORE_PUBLISH,
     ancestor_masks,
     find_hazards,
-    happens_before,
 )
+from repro.verify.hazards import happens_before
 
 from tests.verify._workloads import SMALL_ARGS, small_workload
 
