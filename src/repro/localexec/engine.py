@@ -140,13 +140,14 @@ class LocalEngine:
     def fused_cellwise_grids(
         self, chain: fused.FusedChain, grids: tuple[Grid, ...]
     ) -> Grid:
-        """Run a fused cellwise chain as one composed kernel per block key.
+        """Run a cellwise chain as one composed kernel per block key.
 
-        Block-key sets of every chain value are derived symbolically first
-        (raising the same divide-coverage error the step-by-step execution
-        would), then one task per *final* key composes the whole chain with
-        :func:`repro.localexec.fused.compose_key`.  No intermediate grid is
-        registered or published.
+        A plain cell-wise step is the one-link chain
+        :func:`repro.localexec.fused.one_link`.  Block-key sets of every
+        chain value are derived symbolically first (raising the
+        divide-coverage error), then one task per *final* key composes the
+        whole chain with :func:`repro.localexec.fused.compose_key`.  No
+        intermediate grid is registered or published.
         """
         key_sets = fused.chain_key_sets(
             chain, tuple(frozenset(grid) for grid in grids)
@@ -155,18 +156,6 @@ class LocalEngine:
             BlockTask(key, self._bind_fused(chain, key, grids))
             for key in sorted(key_sets[-1])
         ]
-        results = self._run(tasks, self._run_block_task)
-        return self._collect_allocated(results)
-
-    def cellwise_grids(self, op: str, a_grid: Grid, b_grid: Grid) -> Grid:
-        """Cell-wise binary operation over two aligned grids.
-
-        Key policy mirrors zero-block semantics: ``multiply`` intersects the
-        key sets (zero times anything is zero), ``add``/``subtract`` union
-        them, ``divide`` iterates the numerator's keys and requires the
-        denominator block to be present.
-        """
-        tasks = list(self._cellwise_tasks(op, a_grid, b_grid))
         results = self._run(tasks, self._run_block_task)
         return self._collect_allocated(results)
 
@@ -233,41 +222,6 @@ class LocalEngine:
         for __, partial in partials:
             self.tracker.release(partial.model_nbytes)
         return result
-
-    def _cellwise_tasks(self, op: str, a_grid: Grid, b_grid: Grid):
-        if op not in ops.CELLWISE_OPS:
-            raise BlockError(f"unknown cell-wise operator {op!r}")
-        if op == "multiply":
-            keys = sorted(set(a_grid) & set(b_grid))
-        elif op == "divide":
-            keys = sorted(a_grid)
-            missing = [key for key in keys if key not in b_grid]
-            if missing:
-                raise BlockError(
-                    f"cell-wise divide: denominator grid lacks blocks {missing[:3]}"
-                )
-        else:
-            keys = sorted(set(a_grid) | set(b_grid))
-        for key in keys:
-            yield BlockTask(key, self._bind_cellwise(op, a_grid.get(key), b_grid.get(key)))
-
-    def _bind_cellwise(self, op: str, left: Block | None, right: Block | None):
-        def compute() -> Block:
-            if left is None:
-                assert right is not None
-                result = right.copy() if op == "add" else ops.scalar_op("multiply", right, -1.0)
-            elif right is None:
-                result = left.copy()
-            else:
-                result = ops.cellwise(op, left, right)
-            self._record(
-                ops.cellwise_flops(left or right, right or left),
-                (left is not None and left.is_sparse)
-                or (right is not None and right.is_sparse),
-            )
-            return result
-
-        return compute
 
     def _bind_fused(
         self, chain: fused.FusedChain, key: BlockKey, grids: tuple[Grid, ...]

@@ -1,14 +1,15 @@
-"""Composed cellwise-chain kernels (the execution half of the fusion pass).
+"""Composed cellwise-chain kernels: the engine's one element-wise binary kernel.
 
 A :class:`~repro.core.plan.FusedCellwiseStep` carries the original cellwise
 steps of a fused chain.  :func:`lower_chain` flattens that plan-level
 payload into a :class:`FusedChain` -- op names plus positional operand
 references -- which the local engine evaluates per block key with
-:func:`compose_key`.  The composition replays the unfused engine's
-semantics *exactly* (key policies, absent-block handling, sparse format
-rules, flop accounting), so the fused output is byte-identical to running
-the chain step by step; the win is that no intermediate chain value is ever
-registered, published or shuffled as a distributed grid.
+:func:`compose_key`.  A plain cell-wise step is a chain of one link
+(:func:`one_link`), so :func:`chain_key_sets` is the only key policy and
+:func:`compose_key` the only absent-block, sparse-format and flop rule:
+a fused chain is byte-identical to running its links one at a time, and
+the win is that no intermediate chain value is ever registered, published
+or shuffled as a distributed grid.
 """
 
 from __future__ import annotations
@@ -79,6 +80,22 @@ class FusedChain:
                     raise BlockError(f"unknown chain reference kind {kind!r}")
 
 
+def _link(op: str) -> FusedChain:
+    return FusedChain(((op, ("in", 0), ("in", 1)),), 2)
+
+
+#: The one-link chain of every cell-wise operator, built (and validated) once.
+_ONE_LINK: Dict[str, FusedChain] = {op: _link(op) for op in ops.CELLWISE_OPS}
+
+
+def one_link(op: str) -> FusedChain:
+    """A plain cell-wise step ``op(in 0, in 1)`` as a chain of one link;
+    an unknown ``op`` raises the chain constructor's
+    :class:`~repro.errors.BlockError`."""
+    chain = _ONE_LINK.get(op)
+    return chain if chain is not None else _link(op)
+
+
 def lower_chain(
     step: FusedCellwiseStep,
 ) -> Tuple[FusedChain, Tuple[MatrixInstance, ...]]:
@@ -103,11 +120,11 @@ def lower_chain(
 def chain_key_sets(
     chain: FusedChain, input_keys: Tuple[FrozenSet[BlockKey], ...]
 ) -> List[FrozenSet[BlockKey]]:
-    """The block-key set of every chain value, under the unfused engine's
-    key policies: ``multiply`` intersects, ``add``/``subtract`` union,
-    ``divide`` keeps the numerator's keys and requires the denominator to
-    cover them (raising the engine's :class:`~repro.errors.BlockError`
-    otherwise, exactly as the step-by-step execution would)."""
+    """The block-key set of every chain value, under the cell-wise key
+    policies (absent blocks are all-zero): ``multiply`` intersects,
+    ``add``/``subtract`` union, ``divide`` keeps the numerator's keys and
+    requires the denominator to cover them (raising
+    :class:`~repro.errors.BlockError` otherwise)."""
     if len(input_keys) != chain.num_inputs:
         raise BlockError(
             f"fused chain expects {chain.num_inputs} input grids, "
@@ -144,9 +161,10 @@ def compose_key(
 ) -> Optional[Block]:
     """Evaluate the whole chain for one block key.
 
-    Mirrors ``LocalEngine._bind_cellwise`` step for step: an absent operand
-    of ``add`` copies the present one, of ``subtract`` negates it, and
-    ``multiply`` with an absent operand is an absent (all-zero) result.
+    Each link follows the absent-block rules of the cell-wise operators: an
+    absent operand of ``add`` copies the present one, of ``subtract``
+    negates it (an absent right operand copies the left), and ``multiply``
+    with an absent operand is an absent (all-zero) result.
     Temporaries live only for the duration of this call -- nothing is
     published.  Returns ``None`` when the final value has no block at
     ``key`` (callers normally iterate the final key set, where the result

@@ -6,7 +6,6 @@ _EXPORTS = {
     "DistributedMatrix": "repro.matrix.distributed",
     "bmm": "repro.matrix.primitives",
     "broadcast_matrix": "repro.matrix.primitives",
-    "cellwise_op": "repro.matrix.primitives",
     "col_sums": "repro.matrix.primitives",
     "cpmm": "repro.matrix.primitives",
     "extract": "repro.matrix.primitives",

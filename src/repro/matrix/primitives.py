@@ -17,7 +17,10 @@ Communication-free -- purely worker-local:
       (the replication itself is a separate ``broadcast`` step),
     * :func:`bmm`               -- the product of two replicas, itself a
       replica,
-    * :func:`cellwise_op`, :func:`scalar_multiply` etc.
+    * :func:`fused_cellwise_op` -- a cell-wise chain over aligned operands
+      (a plain cell-wise step is a chain of one link),
+    * :func:`scalar_op_matrix`, :func:`unary_op_matrix` -- element-wise
+      maps of one matrix.
 
 Every primitive runs its block work through the hosting worker's
 :class:`~repro.localexec.engine.LocalEngine`, so flops and memory peaks are
@@ -153,14 +156,6 @@ def _require_scheme(matrix: DistributedMatrix, scheme: Scheme, strategy: str) ->
         )
 
 
-def _per_worker_compute(
-    a: DistributedMatrix,
-    compute: Callable[[int], list[tuple[BlockKey, Block]]],
-) -> list[list[tuple[BlockKey, Block]]]:
-    """Run a worker-indexed computation on every worker, in worker order."""
-    return [compute(worker) for worker in range(a.context.num_workers)]
-
-
 def _local_products(
     a: DistributedMatrix, b: DistributedMatrix
 ) -> list[list[tuple[BlockKey, Block]]]:
@@ -179,7 +174,7 @@ def _local_products(
         engine.release_grid(gc)
         return sorted(gc.items())
 
-    return _per_worker_compute(a, compute)
+    return [compute(worker) for worker in range(context.num_workers)]
 
 
 def rmm1(a: DistributedMatrix, b: DistributedMatrix) -> DistributedMatrix:
@@ -275,66 +270,30 @@ def cpmm(
 # ---------------------------------------------------------------------------
 
 
-def cellwise_op(
-    op: str,
-    a: DistributedMatrix,
-    b: DistributedMatrix,
-) -> DistributedMatrix:
-    """Aligned cell-wise binary operator: both operands must share shape
-    *and* scheme; the result inherits that scheme with zero traffic."""
-    if a.shape != b.shape:
-        raise ShapeError(f"cell-wise {op} requires equal shapes, got {a.shape} / {b.shape}")
-    if a.block_size != b.block_size:
-        raise ShapeError("cell-wise operands must share a block size")
-    if a.scheme is not b.scheme:
-        raise SchemeError(
-            f"cell-wise {op} requires aligned schemes, got {a.scheme} / {b.scheme}"
-        )
-    context = a.context
-
-    def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engine_for_partition(worker)
-        ga, gb = a.worker_grid(worker), b.worker_grid(worker)
-        engine.register_grid(ga)
-        engine.register_grid(gb)
-        gc = engine.cellwise_grids(op, ga, gb)
-        engine.release_grid(ga)
-        engine.release_grid(gb)
-        engine.release_grid(gc)
-        return sorted(gc.items())
-
-    partitions = _per_worker_compute(a, compute)
-    partitioner = (
-        a.scheme.partitioner(context.num_workers) if a.scheme.is_one_dimensional else None
-    )
-    rdd = RDD(context, partitions, partitioner)
-    return a.with_scheme_rdd(rdd, a.scheme)
-
-
 def fused_cellwise_op(
     chain: FusedChain,
     operands: tuple[DistributedMatrix, ...],
 ) -> DistributedMatrix:
-    """Fused cell-wise chain over aligned operands: one composed kernel per
-    block, no intermediate distributed materialisation.
+    """Cell-wise chain over aligned operands: one composed kernel per
+    block, no intermediate distributed materialisation.  A plain cell-wise
+    step is the one-link chain (:func:`repro.localexec.fused.one_link`).
 
-    All operands must share shape, block size and scheme (each fused inner
-    step was an aligned cell-wise operator, so the chain inherits the same
-    alignment requirement); the result inherits that scheme with zero
-    traffic, exactly like :func:`cellwise_op`.
+    All operands must share shape, block size and scheme (each link is an
+    aligned cell-wise operator, so the chain inherits the same alignment
+    requirement); the result inherits that scheme with zero traffic.
     """
     first = operands[0]
     for other in operands[1:]:
         if other.shape != first.shape:
             raise ShapeError(
-                f"fused cell-wise chain requires equal shapes, "
+                f"cell-wise operands require equal shapes, "
                 f"got {first.shape} / {other.shape}"
             )
         if other.block_size != first.block_size:
             raise ShapeError("cell-wise operands must share a block size")
         if other.scheme is not first.scheme:
             raise SchemeError(
-                f"fused cell-wise chain requires aligned schemes, "
+                f"cell-wise operands require aligned schemes, "
                 f"got {first.scheme} / {other.scheme}"
             )
     context = first.context
@@ -350,14 +309,7 @@ def fused_cellwise_op(
         engine.release_grid(gc)
         return sorted(gc.items())
 
-    partitions = _per_worker_compute(first, compute)
-    partitioner = (
-        first.scheme.partitioner(context.num_workers)
-        if first.scheme.is_one_dimensional
-        else None
-    )
-    rdd = RDD(context, partitions, partitioner)
-    return first.with_scheme_rdd(rdd, first.scheme)
+    return _aligned_result(first, compute)
 
 
 def scalar_op_matrix(
@@ -371,30 +323,70 @@ def scalar_op_matrix(
     zeros, so dropped all-zero blocks are materialised first (like
     :func:`unary_op_matrix` for densifying functions).
     """
-    context = matrix.context
     densifies = op in ("add", "subtract") and scalar != 0.0
 
     def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engine_for_partition(worker)
-        grid = dict(matrix.worker_grid(worker))
-        if densifies:
-            for key in _owned_block_keys(matrix, worker):
-                if key not in grid:
-                    grid[key] = _zero_block(matrix, key)
+        engine = matrix.context.engine_for_partition(worker)
+        grid = _local_grid(matrix, worker, densifies)
         engine.register_grid(grid)
         result = engine.scalar_grids(op, grid, scalar)
         engine.release_grid(grid)
         engine.release_grid(result)
         return sorted(result.items())
 
-    partitions = _per_worker_compute(matrix, compute)
+    return _aligned_result(matrix, compute)
+
+
+def unary_op_matrix(func: str, matrix: DistributedMatrix) -> DistributedMatrix:
+    """Element-wise unary function; scheme preserved, no traffic.
+
+    Densifying functions (``f(0) != 0``: exp, sigmoid, ...) must also map
+    the *implicit* zeros: blocks dropped from the RDD because they were
+    all-zero are materialised as explicit zero blocks before applying
+    ``func``, so e.g. ``sigmoid`` of a dropped block correctly yields 0.5s.
+    """
+    densifies = func not in block_ops.ZERO_PRESERVING_UNARY
+
+    def compute(worker: int) -> list[tuple[BlockKey, Block]]:
+        engine = matrix.context.engine_for_partition(worker)
+        out: list[tuple[BlockKey, Block]] = []
+        for key, block in sorted(_local_grid(matrix, worker, densifies).items()):
+            engine.stats.record(block_ops.unary_flops(block, func), block.is_sparse)
+            out.append((key, block_ops.unary_op(func, block)))
+        return out
+
+    return _aligned_result(matrix, compute)
+
+
+def _aligned_result(
+    matrix: DistributedMatrix,
+    compute: Callable[[int], list[tuple[BlockKey, Block]]],
+) -> DistributedMatrix:
+    """The element-wise result of ``compute`` on every worker, laid out in
+    ``matrix``'s scheme (and partitioner) with zero traffic."""
+    context = matrix.context
     partitioner = (
         matrix.scheme.partitioner(context.num_workers)
         if matrix.scheme.is_one_dimensional
         else None
     )
+    partitions = [compute(worker) for worker in range(context.num_workers)]
     rdd = RDD(context, partitions, partitioner)
     return matrix.with_scheme_rdd(rdd, matrix.scheme)
+
+
+def _local_grid(
+    matrix: DistributedMatrix, worker: int, zero_fill: bool
+) -> dict[BlockKey, Block]:
+    """The worker's blocks of ``matrix``; with ``zero_fill`` every block the
+    scheme assigns to it that is absent (all-zero) becomes an explicit dense
+    zero block, for maps that do not keep zero at zero."""
+    grid: dict[BlockKey, Block] = dict(matrix.worker_grid(worker))
+    if zero_fill:
+        for key in _owned_block_keys(matrix, worker):
+            if key not in grid:
+                grid[key] = _zero_block(matrix, key)
+    return grid
 
 
 def _owned_block_keys(matrix: DistributedMatrix, worker: int) -> list[BlockKey]:
@@ -419,40 +411,6 @@ def _zero_block(matrix: DistributedMatrix, key: BlockKey) -> DenseBlock:
     r0, r1 = block_extent(key[0], matrix.rows, matrix.block_size)
     c0, c1 = block_extent(key[1], matrix.cols, matrix.block_size)
     return DenseBlock.zeros(r1 - r0, c1 - c0)
-
-
-def unary_op_matrix(func: str, matrix: DistributedMatrix) -> DistributedMatrix:
-    """Element-wise unary function; scheme preserved, no traffic.
-
-    Densifying functions (``f(0) != 0``: exp, sigmoid, ...) must also map
-    the *implicit* zeros: blocks dropped from the RDD because they were
-    all-zero are materialised as explicit zero blocks before applying
-    ``func``, so e.g. ``sigmoid`` of a dropped block correctly yields 0.5s.
-    """
-    context = matrix.context
-    densifies = func not in block_ops.ZERO_PRESERVING_UNARY
-
-    def compute(worker: int) -> list[tuple[BlockKey, Block]]:
-        engine = context.engine_for_partition(worker)
-        grid = dict(matrix.worker_grid(worker))
-        if densifies:
-            for key in _owned_block_keys(matrix, worker):
-                if key not in grid:
-                    grid[key] = _zero_block(matrix, key)
-        out: list[tuple[BlockKey, Block]] = []
-        for key, block in sorted(grid.items()):
-            engine.stats.record(block_ops.unary_flops(block, func), block.is_sparse)
-            out.append((key, block_ops.unary_op(func, block)))
-        return out
-
-    partitions = _per_worker_compute(matrix, compute)
-    partitioner = (
-        matrix.scheme.partitioner(context.num_workers)
-        if matrix.scheme.is_one_dimensional
-        else None
-    )
-    rdd = RDD(context, partitions, partitioner)
-    return matrix.with_scheme_rdd(rdd, matrix.scheme)
 
 
 # ---------------------------------------------------------------------------

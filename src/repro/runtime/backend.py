@@ -21,11 +21,10 @@ from repro.blocks.coordinate import CoordinateMatrix, as_matrix
 from repro.errors import ExecutionError
 from repro.lang.program import FullOp, LoadOp, RandomOp
 from repro.matrix.distributed import DistributedMatrix
-from repro.localexec.fused import FusedChain
+from repro.localexec.fused import FusedChain, one_link
 from repro.matrix.primitives import (
     bmm,
     broadcast_matrix,
-    cellwise_op,
     col_sums,
     cpmm,
     extract,
@@ -119,7 +118,7 @@ class SimulatedBackend:
     def cellwise(
         self, op: str, left: DistributedMatrix, right: DistributedMatrix
     ) -> DistributedMatrix:
-        return cellwise_op(op, left, right)
+        return fused_cellwise_op(one_link(op), (left, right))
 
     def fused_cellwise(
         self, chain: FusedChain, operands: tuple[DistributedMatrix, ...]

@@ -182,20 +182,14 @@ def _shape_matmul(step: MatMulStep, shapes: dict) -> Optional[Shape]:
     return (left[0], right[1])
 
 
-def _shape_cellwise(step: CellwiseStep, shapes: dict) -> Optional[Shape]:
-    return shapes.get(step.left) or shapes.get(step.right)
-
-
-def _shape_fused_cellwise(step: FusedCellwiseStep, shapes: dict) -> Optional[Shape]:
+def _shape_elementwise(step: Step, shapes: dict) -> Optional[Shape]:
+    """The first known input's shape: an element-wise step (cell-wise,
+    fused, scalar-matrix, unary) keeps its operands' shape."""
     for instance in step.inputs():
         shape = shapes.get(instance)
         if shape is not None:
             return shape
     return None
-
-
-def _shape_from_source(step, shapes: dict) -> Optional[Shape]:
-    return shapes.get(step.source)
 
 
 def _shape_row_agg(step: RowAggStep, shapes: dict) -> Optional[Shape]:
@@ -247,7 +241,7 @@ _SPECS = (
         op_types=(CellwiseOp,),
         plan_hook="_plan_cellwise",
         kernel=_run_cellwise,
-        shape_rule=_shape_cellwise,
+        shape_rule=_shape_elementwise,
         edge_label=lambda step: step.op.op,
     ),
     OperatorSpec(
@@ -256,7 +250,7 @@ _SPECS = (
         op_types=(),  # emitted by the optimizer's fusion pass, not the planner
         plan_hook="",
         kernel=_run_fused_cellwise,
-        shape_rule=_shape_fused_cellwise,
+        shape_rule=_shape_elementwise,
         edge_label=lambda step: "fused:" + ",".join(step.ops),
     ),
     OperatorSpec(
@@ -265,7 +259,7 @@ _SPECS = (
         op_types=(ScalarMatrixOp,),
         plan_hook="_plan_scalar_matrix",
         kernel=_run_scalar_matrix,
-        shape_rule=_shape_from_source,
+        shape_rule=_shape_elementwise,
         edge_label=lambda step: f"{step.op.op} scalar",
     ),
     OperatorSpec(
@@ -274,7 +268,7 @@ _SPECS = (
         op_types=(UnaryMatrixOp,),
         plan_hook="_plan_unary",
         kernel=_run_unary,
-        shape_rule=_shape_from_source,
+        shape_rule=_shape_elementwise,
         edge_label=lambda step: step.op.func,
     ),
     OperatorSpec(

@@ -244,23 +244,22 @@ def value_summary(plan: Plan) -> ValueSummary:
                 physical = _t(physical)
         elif isinstance(step, MatMulStep):
             physical = term("@", read(step.left), read(step.right))
-        elif isinstance(step, CellwiseStep):
-            physical = term("cw", step.op.op, read(step.left), read(step.right))
-        elif isinstance(step, FusedCellwiseStep):
-            # Replay the fused chain symbolically: the fused step's value is
-            # *defined* as the composition of its original cellwise steps, so
-            # fusing provably cannot invent a new value.  Intermediates live
-            # only in this local environment -- like the kernel, nothing is
-            # published.
+        elif isinstance(step, (CellwiseStep, FusedCellwiseStep)):
+            # Replay the chain symbolically (a plain cellwise step is a chain
+            # of one): a fused step's value is *defined* as the composition
+            # of its original cellwise steps, so fusing provably cannot
+            # invent a new value.  Intermediates live only in this local
+            # environment -- like the kernel, nothing is published.
+            chain = step.chain if isinstance(step, FusedCellwiseStep) else (step,)
             local: Dict[MatrixInstance, ValueKey] = {}
-            for inner in step.chain:
+            for inner in chain:
                 local[inner.output] = term(
                     "cw",
                     inner.op.op,
                     local.get(inner.left, read(inner.left)),
                     local.get(inner.right, read(inner.right)),
                 )
-            physical = local[step.chain[-1].output]
+            physical = local[chain[-1].output]
         elif isinstance(step, ScalarMatrixStep):
             physical = term(
                 "sm", step.op.op, scalar_term(step.op.scalar), read(step.source)

@@ -229,9 +229,7 @@ def _charged(step: Step) -> Tuple[MatrixInstance, ...]:
     aggregations and driver aggregates never register grids."""
     if isinstance(step, MatMulStep):
         return (step.left, step.right)
-    if isinstance(step, CellwiseStep):
-        return (step.left, step.right, step.output)
-    if isinstance(step, FusedCellwiseStep):
+    if isinstance(step, (CellwiseStep, FusedCellwiseStep)):
         return (*step.inputs(), step.output)
     if isinstance(step, ScalarMatrixStep):
         if _scalar_matrix_densifies(step):

@@ -8,9 +8,15 @@ from repro.blocks.dense import DenseBlock
 from repro.blocks.sparse import CSCBlock
 from repro.errors import BlockError, MemoryLimitExceeded
 from repro.localexec.engine import LocalEngine
+from repro.localexec.fused import one_link
 from repro.localexec.pool import MemoryTracker
 from repro.localexec.tasks import inplace_matmul_tasks
 from tests.conftest import random_sparse
+
+
+def cellwise(engine, op, left, right):
+    """A plain cell-wise step: the one-link chain over two grids."""
+    return engine.fused_cellwise_grids(one_link(op), (left, right))
 
 
 def make_grids(rng, m=20, k=16, n=12, block=5, density=1.0):
@@ -90,7 +96,7 @@ class TestOtherGridOps:
             ("multiply", a * b),
             ("divide", a / b),
         ]:
-            out = engine.cellwise_grids(op, ga, gb)
+            out = cellwise(engine, op, ga, gb)
             np.testing.assert_allclose(assemble(out, (12, 10), 4), expected)
 
     def test_cellwise_add_union_of_keys(self, rng):
@@ -98,7 +104,7 @@ class TestOtherGridOps:
         ga = split(a, 4)
         gb = dict(ga)
         del gb[(0, 0)]  # missing block treated as zero
-        out = LocalEngine().cellwise_grids("add", ga, gb)
+        out = cellwise(LocalEngine(), "add", ga, gb)
         expected = a * 2
         expected[:4, :4] = a[:4, :4]
         np.testing.assert_allclose(assemble(out, (8, 8), 4), expected)
@@ -108,7 +114,7 @@ class TestOtherGridOps:
         ga = split(a, 4)
         gb = dict(ga)
         del gb[(0, 0)]
-        out = LocalEngine().cellwise_grids("multiply", ga, gb)
+        out = cellwise(LocalEngine(), "multiply", ga, gb)
         assert (0, 0) not in out
 
     def test_cellwise_divide_requires_denominator(self, rng):
@@ -116,12 +122,42 @@ class TestOtherGridOps:
         gb = dict(ga)
         del gb[(0, 0)]
         with pytest.raises(BlockError):
-            LocalEngine().cellwise_grids("divide", ga, gb)
+            cellwise(LocalEngine(), "divide", ga, gb)
 
     def test_cellwise_subtract_missing_left_negates(self, rng):
         a = rng.random((4, 4))
-        out = LocalEngine().cellwise_grids("subtract", {}, split(a, 4))
+        out = cellwise(LocalEngine(), "subtract", {}, split(a, 4))
         np.testing.assert_allclose(assemble(out, (4, 4), 4), -a)
+
+    def test_cellwise_sparse_times_dense_stays_csc(self, rng):
+        sparse = split(random_sparse(rng, 8, 8, 0.2), 4, storage="sparse")
+        dense = split(rng.random((8, 8)), 4, storage="dense")
+        out = cellwise(LocalEngine(), "multiply", sparse, dense)
+        assert out.keys() == sparse.keys()
+        for key, block in out.items():
+            assert isinstance(block, CSCBlock)
+            assert block == ops.cellwise("multiply", sparse[key], dense[key])
+
+    def test_cellwise_subtract_missing_left_negates_csc(self, rng):
+        right = split(random_sparse(rng, 4, 4, 0.4), 4, storage="sparse")[(0, 0)]
+        out = cellwise(LocalEngine(), "subtract", {}, {(0, 0): right})
+        assert isinstance(out[(0, 0)], CSCBlock)
+        assert out[(0, 0)].values.tobytes() == (-right.values).tobytes()
+        assert out[(0, 0)].row_idx.tobytes() == right.row_idx.tobytes()
+        assert out[(0, 0)].colptr.tobytes() == right.colptr.tobytes()
+
+    def test_cellwise_flops_are_the_block_kernels(self, rng):
+        sparse = split(random_sparse(rng, 8, 8, 0.3), 4, storage="sparse")
+        other = split(random_sparse(rng, 8, 8, 0.3), 4, storage="sparse")
+        dense = split(rng.random((8, 8)), 4, storage="dense")
+        assert sparse.keys() == other.keys() == dense.keys()
+        for right in (other, dense):
+            engine = LocalEngine()
+            cellwise(engine, "add", sparse, right)
+            expected = sum(
+                ops.cellwise_flops(sparse[key], right[key]) for key in sparse
+            )
+            assert engine.stats.flops == engine.stats.sparse_flops == expected
 
     def test_scalar_grids(self, rng):
         a = rng.random((8, 6))
@@ -130,8 +166,8 @@ class TestOtherGridOps:
 
     def test_unknown_cellwise_op(self, rng):
         ga = split(rng.random((4, 4)), 4)
-        with pytest.raises(BlockError):
-            LocalEngine().cellwise_grids("xor", ga, ga)
+        with pytest.raises(BlockError, match="unknown cell-wise operator 'xor'"):
+            cellwise(LocalEngine(), "xor", ga, ga)
 
     def test_register_release_roundtrip(self, rng):
         grid = split(rng.random((8, 8)), 4)

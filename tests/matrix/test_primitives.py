@@ -10,6 +10,7 @@ from repro.matrix import primitives as prim
 from repro.matrix.distributed import DistributedMatrix
 from repro.matrix.schemes import Scheme
 from repro.rdd.context import ClusterContext
+from repro.runtime.backend import SimulatedBackend
 from tests.conftest import random_sparse
 
 
@@ -272,21 +273,21 @@ class TestCellwiseAndScalar:
     @pytest.mark.parametrize("op", ["add", "subtract", "multiply", "divide"])
     def test_cellwise_row_aligned(self, ctx, rng, op):
         a, b = rng.random((12, 8)), rng.random((12, 8)) + 0.5
-        out = prim.cellwise_op(op, dist(ctx, a), dist(ctx, b))
+        out = SimulatedBackend(ctx).cellwise(op, dist(ctx, a), dist(ctx, b))
         expected = {"add": a + b, "subtract": a - b, "multiply": a * b, "divide": a / b}
         np.testing.assert_allclose(out.to_numpy(), expected[op], atol=1e-12)
 
     def test_cellwise_is_free(self, ctx, rng):
         a, b = dist(ctx, rng.random((8, 8))), dist(ctx, rng.random((8, 8)))
         mark = ctx.ledger.snapshot()
-        prim.cellwise_op("add", a, b)
+        SimulatedBackend(ctx).cellwise("add", a, b)
         assert ctx.ledger.snapshot() == mark
 
     def test_cellwise_broadcast_aligned(self, ctx, rng):
         a, b = rng.random((8, 8)), rng.random((8, 8))
         ba = prim.broadcast_matrix(dist(ctx, a))
         bb = prim.broadcast_matrix(dist(ctx, b))
-        out = prim.cellwise_op("multiply", ba, bb)
+        out = SimulatedBackend(ctx).cellwise("multiply", ba, bb)
         assert out.scheme is Scheme.BROADCAST
         np.testing.assert_allclose(out.to_numpy(), a * b)
 
@@ -294,13 +295,13 @@ class TestCellwiseAndScalar:
         a = dist(ctx, rng.random((8, 8)), Scheme.ROW)
         b = dist(ctx, rng.random((8, 8)), Scheme.COL)
         with pytest.raises(SchemeError):
-            prim.cellwise_op("add", a, b)
+            SimulatedBackend(ctx).cellwise("add", a, b)
 
     def test_cellwise_rejects_shape_mismatch(self, ctx, rng):
         a = dist(ctx, rng.random((8, 8)))
         b = dist(ctx, rng.random((8, 6)))
         with pytest.raises(ShapeError):
-            prim.cellwise_op("add", a, b)
+            SimulatedBackend(ctx).cellwise("add", a, b)
 
     def test_scalar_op(self, ctx, rng):
         a = rng.random((8, 8))

@@ -3,9 +3,12 @@
 import collections
 import contextlib
 import dataclasses
+import importlib
+import pkgutil
 import sys
 from unittest import mock
 
+import repro
 from repro import ClusterConfig, DMacSession
 from repro.core.defuse import DefUse
 from repro.planopt.structural import program_fingerprint
@@ -112,7 +115,13 @@ def counting_static_work():
     product carries no counter): every ``repro`` module that bound
     ``solve_shapes`` / ``solve_liveness`` / ``predict_peak_memory`` /
     ``find_hazards`` by name is patched, and ``StageGraph.from_plan`` and ``DefUse.of`` -- the one loop
-    that builds a who-produces map -- on their classes."""
+    that builds a who-produces map -- on their classes.  Every ``repro``
+    module is imported first: one first imported inside the block would
+    bind the wrapper, and a later block would find no real binding there
+    to patch, so the counts would depend on which tests ran before."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith(".__main__"):
+            importlib.import_module(info.name)
     counts: collections.Counter = collections.Counter()
 
     def counted(name, real):

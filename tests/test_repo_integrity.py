@@ -284,7 +284,7 @@ class TestExports:
             "inplace_matmul_tasks",
         ),
         "repro.matrix": (
-            "DistributedMatrix", "Scheme", "bmm", "broadcast_matrix", "cellwise_op", "col_sums",
+            "DistributedMatrix", "Scheme", "bmm", "broadcast_matrix", "col_sums",
             "contain", "cpmm", "equal_b", "equal_rc", "extract", "local_transpose", "matrix_sq_sum",
             "matrix_sum", "oppose", "repartition", "rmm1", "rmm2", "row_sums", "scalar_op_matrix",
         ),
