@@ -131,13 +131,9 @@ def chain_key_sets(
             f"got {len(input_keys)}"
         )
     tmp_keys: List[FrozenSet[BlockKey]] = []
-
-    def keys_of(ref: ChainRef) -> FrozenSet[BlockKey]:
-        kind, index = ref
-        return input_keys[index] if kind == "in" else tmp_keys[index]
-
-    for op, left_ref, right_ref in chain.steps:
-        left_keys, right_keys = keys_of(left_ref), keys_of(right_ref)
+    for op, (left_kind, left_at), (right_kind, right_at) in chain.steps:
+        left_keys = input_keys[left_at] if left_kind == "in" else tmp_keys[left_at]
+        right_keys = input_keys[right_at] if right_kind == "in" else tmp_keys[right_at]
         if op == "multiply":
             out = left_keys & right_keys
         elif op == "divide":
@@ -171,36 +167,25 @@ def compose_key(
     is always a block).
     """
     tmps: List[Optional[Block]] = []
-
-    def resolve(ref: ChainRef) -> Optional[Block]:
-        kind, index = ref
-        if kind == "in":
-            return grids[index].get(key)
-        return tmps[index]
-
-    for op, left_ref, right_ref in chain.steps:
-        left = resolve(left_ref)
-        right = resolve(right_ref)
-        if (
-            (left is None and right is None)
-            or (op == "multiply" and (left is None or right is None))
-            or (op == "divide" and left is None)
-        ):
+    for op, (left_kind, left_at), (right_kind, right_at) in chain.steps:
+        left = grids[left_at].get(key) if left_kind == "in" else tmps[left_at]
+        right = grids[right_at].get(key) if right_kind == "in" else tmps[right_at]
+        if left is not None and right is not None:
+            result = ops.cellwise(op, left, right)
+            flops = ops.cellwise_flops(left, right)
+            sparse = left.is_sparse or right.is_sparse
+        elif op == "multiply" or (left is None and (right is None or op == "divide")):
             tmps.append(None)
             continue
-        if left is None:
-            assert right is not None
-            result = (
-                right.copy() if op == "add" else ops.scalar_op("multiply", right, -1.0)
-            )
-        elif right is None:
-            result = left.copy()
-        else:
-            result = ops.cellwise(op, left, right)
-        record(
-            ops.cellwise_flops(left or right, right or left),
-            (left is not None and left.is_sparse)
-            or (right is not None and right.is_sparse),
-        )
+        else:  # one operand is absent (all-zero)
+            present = right if left is None else left
+            assert present is not None
+            if left is None and op == "subtract":
+                result = ops.scalar_op("multiply", present, -1.0)
+            else:
+                result = present.copy()
+            flops = ops.cellwise_flops(present, present)
+            sparse = present.is_sparse
+        record(flops, sparse)
         tmps.append(result)
     return tmps[-1]
