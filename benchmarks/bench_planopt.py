@@ -30,7 +30,7 @@ from repro.core.cost import CostModel
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.lang.program import LoadOp
-from repro.planopt import DEFAULT_PASSES, optimize_plan
+from repro.planopt import PASSES, optimize_plan
 from repro.planopt.associate import reassociate
 from repro.programs import (
     build_gnmf_program,
@@ -41,7 +41,7 @@ from repro.programs.registry import WorkloadParams, build_workload
 
 ITERATIONS = 10
 #: The pass pipeline without chain association.
-PIPELINE = tuple(p for p in DEFAULT_PASSES if p.name != "associate")
+PIPELINE = tuple(name for name in PASSES if name != "associate")
 CONFIG = dict(num_workers=4, threads_per_worker=2, block_size=128, clock=bench_clock())
 
 APPS = {

@@ -130,12 +130,11 @@ def unread_names() -> list[str]:
             readers.setdefault(id(value), set()).add((name, path.resolve()))
     unread = []
     for package, table in tables.items():
-        for name, target in table._EXPORTS.items():
-            module, __, attribute = target.partition(":")
+        for name, module in table._EXPORTS.items():
             value = getattr(table, name)
             # A module's own uses of what it defines do not count, and an
             # equal number or string elsewhere is not this constant.
-            names = {name, attribute} if isinstance(value, (int, float, str)) else None
+            names = {name} if isinstance(value, (int, float, str)) else None
             defining = pathlib.Path(sys.modules[module].__file__).resolve()
             if not any(
                 path != defining and (names is None or read in names)

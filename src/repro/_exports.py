@@ -5,16 +5,15 @@ imports::
 
     _EXPORTS = {
         "ClusterConfig": "repro.config",
-        "structural_key": "repro.planopt.structural:step_structural_key",
+        "optimize_plan": "repro.planopt.pipeline",
     }
     __all__ = sorted(_EXPORTS)
     __getattr__, __dir__ = export_table(__name__, _EXPORTS)
 
-A key is the exported name; its value is the module that defines it,
-plus the name there after a colon for an alias.  Importing one module of a
-package therefore runs none of its siblings: ``import repro.core.plan``
-loads the plan module and what it imports, not the planner, the executor
-and the visualiser beside it.  ``repro.core.Plan`` or ``from repro.core
+A key is the exported name; its value is the module that defines it under
+that name.  Importing one module of a package therefore runs none of its
+siblings: ``import repro.core.plan`` loads the plan module and what it
+imports, not the planner, the executor and the visualiser beside it.  ``repro.core.Plan`` or ``from repro.core
 import Plan`` loads ``repro.core.plan`` on first access (PEP 562).
 
 The package looks a name up again on every access, so patch a name where
@@ -57,11 +56,10 @@ def export_table(
     module.__class__ = ExportingPackage
 
     def __getattr__(name: str) -> Any:
-        target = exports.get(name)
-        if target is None:
+        module_name = exports.get(name)
+        if module_name is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        module_name, __, attribute = target.partition(":")
-        return getattr(importlib.import_module(module_name), attribute or name)
+        return getattr(importlib.import_module(module_name), name)
 
     def __dir__() -> list[str]:
         return sorted(set(vars(module)) | set(exports))

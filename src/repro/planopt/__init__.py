@@ -13,13 +13,12 @@ _EXPORTS = {
     "eliminate_common_steps": "repro.planopt.cse",
     "eliminate_dead_steps": "repro.planopt.dce",
     "pin_loop_invariants": "repro.planopt.hoist",
-    "DEFAULT_PASSES": "repro.planopt.pipeline",
+    "PASSES": "repro.planopt.pipeline",
     "optimize_plan": "repro.planopt.pipeline",
     "replicate_products": "repro.planopt.replicate",
     "plan_structural_hash": "repro.planopt.structural",
     "program_fingerprint": "repro.planopt.structural",
     "step_structural_key": "repro.planopt.structural",
-    "structural_key": "repro.planopt.structural:step_structural_key",  # historical name
 }
 
 __all__ = sorted(_EXPORTS)

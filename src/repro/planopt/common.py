@@ -5,9 +5,9 @@ Passes rewrite a :class:`~repro.core.plan.Plan` *in place on a clone* --
 sharing them is safe) and the original plan is never mutated.  The
 structural questions every pass asks -- who produces an instance, who
 consumes it, what is a valid topological order -- are answered by
-:class:`~repro.planopt.index.PlanIndex`; the helpers of those names here
-are one-shot views of it.  What a rewritten plan is predicted to ship is
-priced by :class:`repro.core.cost.CostModel`, like every other plan.
+:class:`~repro.planopt.index.PlanIndex`.  What a rewritten plan is
+predicted to ship is priced by :class:`repro.core.cost.CostModel`, like
+every other plan.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.plan import MatrixInstance, Plan, Step
-from repro.planopt.index import PlanIndex, copy_step
+from repro.planopt.index import copy_step
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,23 +42,6 @@ def clone_plan(plan: Plan) -> Plan:
         outputs=dict(plan.outputs),
         num_stages=0,
     )
-
-
-def producer_map(plan: Plan) -> dict[MatrixInstance, Step]:
-    """Instance -> the step that materialises it (the last one in step
-    order, should several); a one-shot view of :class:`PlanIndex`."""
-    return PlanIndex(plan).producer_map()
-
-
-def consumer_map(plan: Plan) -> dict[MatrixInstance, list[Step]]:
-    """Instance -> every step that reads it (one entry per reading step)."""
-    return PlanIndex(plan).consumer_map()
-
-
-def toposort_steps(plan: Plan) -> None:
-    """Re-order ``plan.steps`` into a stable topological order
-    (:meth:`PlanIndex.toposorted`); raises :class:`PlanError` on a cycle."""
-    plan.steps = PlanIndex(plan).toposorted()
 
 
 # -- iteration structure ------------------------------------------------------

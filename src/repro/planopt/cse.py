@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.planopt.common import AppliedRewrite
 from repro.planopt.index import PlanIndex
-from repro.planopt.structural import step_structural_key as structural_key
+from repro.planopt.structural import step_structural_key
 
 #: Step fields that hold matrix instances (for renaming).
 INSTANCE_FIELDS = ("source", "target", "left", "right", "output")
@@ -50,7 +50,7 @@ def rename_instances(index: PlanIndex, old_name: str, new_name: str) -> None:
 def _find_duplicate(index: PlanIndex) -> tuple[Step, Step] | None:
     seen: dict[tuple, Step] = {}
     for step in index.steps():
-        key = structural_key(step)
+        key = step_structural_key(step)
         if key is None:
             continue
         if key in seen:
@@ -92,9 +92,9 @@ def merge_touched_duplicate(index: PlanIndex, handles: set[int]) -> bool:
         operands = step.inputs() if step is not None else ()
         if not operands or len(index.readers(operands[0])) < 2:
             continue
-        key = structural_key(step)
+        key = step_structural_key(step)
         for twin in index.consumers(operands[0]) if key is not None else ():
-            if twin is not step and structural_key(twin) == key:
+            if twin is not step and step_structural_key(twin) == key:
                 _merge(index, *sorted((twin, step), key=index.handle))
                 return True
     return False

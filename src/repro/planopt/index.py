@@ -348,7 +348,7 @@ class PlanIndex:
 
     def fork(self) -> "PlanIndex":
         """A new plan holding copies of the live steps in topological order
-        (what ``clone_plan`` + ``toposort_steps`` would give), with its own
+        (what ``clone_plan`` + :meth:`toposort` would give), with its own
         index.  Called inside a trial it snapshots the trial's effect."""
         steps = [copy_step(step) for step in self.toposorted()]
         plan = dataclasses.replace(

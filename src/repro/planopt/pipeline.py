@@ -18,22 +18,18 @@ hoisting once the surviving step set is final, and finally cellwise
 fusion (:mod:`repro.planopt.fuse`), which must see the final cache-pin set
 and whose fused chain payloads no renaming pass may touch.
 
-Custom rewrites plug in through the :class:`Pass` protocol and an explicit
-``passes`` sequence; a pipeline leaves a built-in pass out by leaving it
-out of the sequence.  A pass that is not one of ``DEFAULT_PASSES`` may edit
-``plan.steps`` directly: the shared index is rebuilt after it.
+The passes and their order are the table :data:`PASSES`; ``passes=``
+names the subset of it to run, always in the table's order.
 """
 
 from __future__ import annotations
 
 import collections
-import copy
-import dataclasses
-from typing import Protocol, runtime_checkable
 
 from repro.core.cost import CostModel
 from repro.core.plan import Plan
 from repro.core.stages import schedule_stages
+from repro.errors import PlanError
 from repro.planopt.associate import reassociate
 from repro.planopt.coalesce import coalesce_repartitions
 from repro.planopt.common import AppliedRewrite, clone_plan
@@ -47,112 +43,27 @@ from repro.planopt.replicate import replicate_products
 #: Cap on CSE/coalesce/DCE fixpoint rounds.
 MAX_PIPELINE_ROUNDS = 3
 
+#: Every optimizer pass, in the order the pipeline runs them.
+PASSES = ("associate", "cse", "coalesce", "replicate", "dce", "hoist", "fuse")
 
-@dataclasses.dataclass(frozen=True)
-class PassContext:
-    """What a pass may assume about the target cluster: the cost model of
-    the plan's program under the planning mode (``cost.num_workers``,
-    ``cost.estimator.mode``) and under the opposite sparsity model, both
-    built once per program :func:`optimize_plan` optimizes -- and, inside
-    a pipeline run, the one
-    :class:`PlanIndex` every built-in pass shares (kept in sync by their
-    mutations, so no pass rebuilds it)."""
+#: The passes that run once, after the fixpoint rounds.  Fusion runs dead
+#: last: it must see the final cache-pin set, and the instance-renaming
+#: passes cannot see inside a fused chain payload.
+_FINAL = ("hoist", "fuse")
 
-    cost: CostModel
-    cross_cost: CostModel
-    index: PlanIndex | None = None
-
-    def index_for(self, plan: Plan) -> PlanIndex | None:
-        """The shared index if it is ``plan``'s (else the pass builds one)."""
-        return self.index if self.index and self.index.plan is plan else None
-
-
-@runtime_checkable
-class Pass(Protocol):
-    """One plan rewrite: mutate ``plan`` in place, report what changed."""
-
-    name: str
-
-    def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]: ...
-
-
-class AssociatePass:
-    """Chain association: not a step rewrite but a choice of program.  It
-    replaces ``plan`` in place by the plan of the program with every
-    product chain in its flop-minimal order (:func:`reassociate`, planned
-    by ``plan.replan``), so :func:`optimize_plan` runs it on a copy, before
-    the other passes, and keeps the result only if it is cheaper once they
-    have run.  A hand-built plan (``replan=None``) is left as it is."""
-
-    name = "associate"
-
-    def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        found = reassociate(plan.program, context.cost) if plan.replan else None
-        if found is None:
-            return []
-        program, rewrites = found
-        replanned = plan.replan(program)
-        for field in dataclasses.fields(plan):
-            setattr(plan, field.name, getattr(replanned, field.name))
-        return rewrites
-
-
-class CSEPass:
-    name = "cse"
-
-    def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return eliminate_common_steps(plan, context.index_for(plan))
-
-
-class CoalescePass:
-    name = "coalesce"
-
-    def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return coalesce_repartitions(
-            plan,
-            cost=context.cost,
-            cross_cost=context.cross_cost,
-            index=context.index_for(plan),
-        )
-
-
-class ReplicatePass:
-    name = "replicate"
-
-    def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return replicate_products(plan, context.cost, context.index_for(plan))
-
-
-class DeadStepPass:
-    name = "dce"
-
-    def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return eliminate_dead_steps(plan, context.index_for(plan))
-
-
-class HoistPass:
-    name = "hoist"
-
-    def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return pin_loop_invariants(plan, context.index_for(plan))
-
-
-class FusePass:
-    name = "fuse"
-
-    def run(self, plan: Plan, context: PassContext) -> list[AppliedRewrite]:
-        return fuse_chains(plan, context.index_for(plan))
-
-
-DEFAULT_PASSES: tuple[Pass, ...] = (
-    AssociatePass(),
-    CSEPass(),
-    CoalescePass(),
-    ReplicatePass(),
-    DeadStepPass(),
-    HoistPass(),
-    FusePass(),
-)
+#: Each step rewrite, called on the plan, the pipeline's one index (kept in
+#: sync by every pass's mutations) and the cost models of the plan's
+#: program under the planning mode and under the opposite sparsity model.
+_REWRITES = {
+    "cse": lambda plan, index, cost, cross: eliminate_common_steps(plan, index),
+    "coalesce": lambda plan, index, cost, cross: coalesce_repartitions(
+        plan, cost=cost, cross_cost=cross, index=index
+    ),
+    "replicate": lambda plan, index, cost, cross: replicate_products(plan, cost, index),
+    "dce": lambda plan, index, cost, cross: eliminate_dead_steps(plan, index),
+    "hoist": lambda plan, index, cost, cross: pin_loop_invariants(plan, index),
+    "fuse": lambda plan, index, cost, cross: fuse_chains(plan, index),
+}
 
 
 def optimize_plan(
@@ -160,18 +71,20 @@ def optimize_plan(
     *,
     num_workers: int,
     estimation_mode: str = "worst",
-    passes: tuple[Pass, ...] | None = None,
+    passes: tuple[str, ...] | None = None,
     counters: collections.Counter | None = None,
 ) -> Plan:
     """Run the pass pipeline; returns a new, stage-scheduled plan.
 
-    With an :class:`AssociatePass` in the pipeline (the default), a plan
-    whose product chains are out of flop-minimal order is also planned
-    reassociated -- one extra planner run -- and that plan, run through the
-    rest of the pipeline, is returned instead when it ships no more bytes
-    and does fewer flops.  It then leads its rewrite trail with one
-    ``associate`` entry per moved chain and its certificates with one that
-    proves the two programs' plans equivalent up to associativity.
+    ``passes`` names the passes to run (default: all of :data:`PASSES`);
+    an unknown name raises :class:`~repro.errors.PlanError`.  With
+    ``associate`` among them, a plan whose product chains are out of
+    flop-minimal order is also planned reassociated -- one extra planner
+    run -- and that plan, run through the rest of the pipeline, is
+    returned instead when it ships no more bytes and does fewer flops.  It
+    then leads its rewrite trail with one ``associate`` entry per moved
+    chain and its certificates with one that proves the two programs'
+    plans equivalent up to associativity.
 
     Every pass application is *translation-validated*:
     :func:`repro.verify.certify` proves the pre- and post-rewrite plans
@@ -187,58 +100,56 @@ def optimize_plan(
     pipeline rounds, extra planner runs) for the benches and the
     complexity gate.
     """
-    pipeline = DEFAULT_PASSES if passes is None else tuple(passes)
-    associator = next((p for p in pipeline if isinstance(p, AssociatePass)), None)
-    pipeline = tuple(p for p in pipeline if p is not associator)
-    context = _context(plan.program, num_workers, estimation_mode)
-    optimized = _run_passes(plan, pipeline, context, counters)
-    candidate = copy.copy(plan)
-    lead = associator.run(candidate, context) if associator else []
-    if not lead:
+    unknown = sorted(set(passes or ()) - set(PASSES))
+    if unknown:
+        raise PlanError(f"unknown optimizer passes {unknown}; known: {PASSES}")
+    names = tuple(name for name in PASSES if passes is None or name in passes)
+    rewrites = tuple(name for name in names if name != "associate")
+    costs = _cost_models(plan.program, num_workers, estimation_mode)
+    optimized = _run_passes(plan, rewrites, costs, counters)
+    if "associate" not in names or plan.replan is None:
         return optimized
+    found = reassociate(plan.program, costs[0])
+    if found is None:
+        return optimized
+    program, lead = found
+    candidate = plan.replan(program)
     if counters is not None:
         counters["replans"] += 1
-    ours = _context(candidate.program, num_workers, estimation_mode)
-    candidate = _run_passes(candidate, pipeline, ours, counters, origin=(plan, lead))
+    ours = _cost_models(program, num_workers, estimation_mode)
+    candidate = _run_passes(candidate, rewrites, ours, counters, origin=(plan, lead))
     if (
         candidate.predicted_bytes > optimized.predicted_bytes
-        or ours.cost.price(candidate).flops >= context.cost.price(optimized).flops
+        or ours[0].price(candidate).flops >= costs[0].price(optimized).flops
     ):
         return optimized
     return candidate
 
 
-def _context(program, num_workers: int, mode: str) -> PassContext:
-    """The passes' view of the cluster: the cost model of ``program`` and
-    the same program under the opposite sparsity model."""
+def _cost_models(program, num_workers: int, mode: str) -> tuple[CostModel, CostModel]:
+    """The cost model of ``program`` under ``mode`` and under the opposite
+    sparsity model."""
     other_mode = "average" if mode == "worst" else "worst"
-    return PassContext(
-        CostModel(program, num_workers, mode),
-        CostModel(program, num_workers, other_mode),
-    )
+    return CostModel(program, num_workers, mode), CostModel(program, num_workers, other_mode)
 
 
 def _run_passes(
     plan: Plan,
-    pipeline: tuple[Pass, ...],
-    context: PassContext,
+    names: tuple[str, ...],
+    costs: tuple[CostModel, CostModel],
     counters: collections.Counter | None,
     origin: tuple[Plan, list[AppliedRewrite]] | None = None,
 ) -> Plan:
-    """The pass pipeline over a clone of ``plan`` (priced by
-    ``context.cost``).  ``origin`` is the plan ``plan`` was derived from by
+    """The passes ``names`` over a clone of ``plan`` (priced by the first
+    of ``costs``).  ``origin`` is the plan ``plan`` was derived from by
     the given rewrites: the trail and the certificates then start there."""
     optimized = clone_plan(plan)
     index = PlanIndex(optimized, counters=counters)
-    context = dataclasses.replace(context, index=index)
     first, lead = origin or (plan, [])
     rewrites: list[AppliedRewrite] = [*first.rewrites, *lead]
     certificates: list = list(first.certificates)
-    hoisters = [p for p in pipeline if isinstance(p, HoistPass)]
-    # Fusion runs dead last: it must see the final cache-pin set, and the
-    # instance-renaming passes cannot see inside a fused chain payload.
-    fusers = [p for p in pipeline if isinstance(p, FusePass)]
-    rounds = [p for p in pipeline if not isinstance(p, (HoistPass, FusePass))]
+    rounds = [name for name in names if name not in _FINAL]
+    finals = [name for name in names if name in _FINAL]
 
     from repro.verify.certify import PlanFacts, certify
 
@@ -263,11 +174,9 @@ def _run_passes(
             )
         )
 
-    def run_validated(the_pass: Pass) -> list[AppliedRewrite]:
+    def run_validated(name: str) -> list[AppliedRewrite]:
         nonlocal snapshot, snapshot_facts, snapshot_version
-        applied = the_pass.run(optimized, context)
-        if type(the_pass) not in map(type, DEFAULT_PASSES):
-            index.rebuild()  # a foreign pass edits steps behind the index
+        applied = _REWRITES[name](optimized, index, *costs)
         if not applied and index.version == snapshot_version:
             return applied
         facts = PlanFacts.of(optimized)
@@ -276,7 +185,7 @@ def _run_passes(
                 certify(
                     snapshot,
                     optimized,
-                    pass_name=the_pass.name,
+                    pass_name=name,
                     rewrites=len(applied),
                     facts_before=snapshot_facts,
                     facts_after=facts,
@@ -289,17 +198,17 @@ def _run_passes(
     for __ in range(MAX_PIPELINE_ROUNDS):
         index.counters["pipeline_rounds"] += 1
         changed = False
-        for the_pass in rounds:
-            applied = run_validated(the_pass)
+        for name in rounds:
+            applied = run_validated(name)
             if applied:
                 changed = True
                 rewrites.extend(applied)
         if not changed:
             break
-    for the_pass in hoisters + fusers:
-        rewrites.extend(run_validated(the_pass))
+    for name in finals:
+        rewrites.extend(run_validated(name))
     index.toposort()
-    optimized.predicted_bytes = context.cost.bytes(optimized.steps)
+    optimized.predicted_bytes = costs[0].bytes(optimized.steps)
     unchanged = index.version == snapshot_version
     facts = snapshot_facts if unchanged else PlanFacts.of(optimized)
     certificates.append(

@@ -8,7 +8,7 @@ same value under the same layout", but neither was usable as a *cache
 key* for whole plans.  This module centralises all three granularities:
 
 * :func:`step_structural_key` -- the CSE pass's per-step identity, moved
-  here verbatim (``repro.planopt.cse.structural_key`` is now an alias).
+  here verbatim.
 * :func:`plan_structural_hash` -- a deterministic digest of a whole
   plan's structure: canonical step tokens in topological order, the
   output table, the cache pins, and the symbolic values of every program

@@ -33,8 +33,7 @@ from repro.core.stages import schedule_stages
 from repro.frontend.staged import segments_of
 from repro.lang.program import ProgramBuilder
 from repro.lint import LintContext, lint_plan
-from repro.planopt import DEFAULT_PASSES, optimize_plan
-from repro.planopt.pipeline import FusePass
+from repro.planopt import PASSES, optimize_plan
 from repro.programs.registry import ALL_APPS, build_workload
 from tests.core.test_properties import random_programs
 
@@ -221,7 +220,7 @@ def test_table_invariants_on_random_programs(generated, workers, mode, optimize)
             plan,
             num_workers=workers,
             estimation_mode=mode,
-            passes=tuple(p for p in DEFAULT_PASSES if not isinstance(p, FusePass)),
+            passes=tuple(name for name in PASSES if name != "fuse"),
         )
         plan = optimize_plan(plan, num_workers=workers, estimation_mode=mode)
         assert unfused.program == plan.program

@@ -12,7 +12,7 @@ from repro.core.plan import MatMulStep
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.lang.program import MatMulOp, ProgramBuilder
-from repro.planopt import DEFAULT_PASSES, optimize_plan
+from repro.planopt import PASSES, optimize_plan
 from repro.planopt.associate import reassociate
 from repro.programs import build_gnmf_program, build_svd_program
 
@@ -138,7 +138,7 @@ def test_the_kept_plan_announces_its_program_and_leads_with_its_proof():
     program = build_gnmf_program((1440, 53), 0.02, factors=16, iterations=3)
     session = DMacSession(ClusterConfig(num_workers=4), optimize=True)
     plan = session.plan(program)
-    without = tuple(p for p in DEFAULT_PASSES if p.name != "associate")
+    without = tuple(name for name in PASSES if name != "associate")
     left = optimize_plan(planned(program), num_workers=4, passes=without)
     assert plan.program is not program and left.program is program
     assert [r.pass_name for r in plan.rewrites[:3]] == ["associate"] * 3

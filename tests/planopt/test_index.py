@@ -229,7 +229,7 @@ def test_counts_repeat_exactly_and_stay_inside_the_gate(svd_plan):
 def test_a_round_that_accepts_nothing_forks_nothing(svd_plan):
     """At its fixpoint svd still enumerates candidates; pricing them all
     builds no plan and no index."""
-    rounds = tuple(p for p in pipeline.DEFAULT_PASSES if p.name in ("cse", "coalesce", "dce"))
+    rounds = ("cse", "coalesce", "dce")
     plan = clone_plan(optimize_plan(svd_plan, num_workers=4, passes=rounds))
     index = PlanIndex(plan, counters=collections.Counter())
     costs = [CostModel(plan.program, 4, mode) for mode in ("worst", "average")]

@@ -1,11 +1,13 @@
 """Unit tests for the plan-optimizer passes (repro.planopt)."""
 
 import numpy as np
+import pytest
 
 from repro import ClusterConfig, DMacSession
+from repro.errors import PlanError
 from repro.lint import LintContext, lint_plan
 from repro.planopt import optimize_plan
-from repro.planopt.cse import structural_key
+from repro.planopt.structural import step_structural_key
 from repro.programs import build_gnmf_program, build_pagerank_program
 
 
@@ -40,6 +42,12 @@ class TestPipeline:
         optimize_plan(base, num_workers=4)
         assert [str(s) for s in base.steps] == before
         assert base.cache_pins == ()
+
+    def test_an_unknown_pass_name_is_rejected(self):
+        program = build_pagerank_program(40, 0.1, iterations=1)
+        base = DMacSession(ClusterConfig(num_workers=4)).plan(program)
+        with pytest.raises(PlanError, match="'cfold'"):
+            optimize_plan(base, num_workers=4, passes=("cse", "cfold"))
 
     def test_never_costlier_across_apps(self):
         from repro.programs import (
@@ -82,7 +90,7 @@ class TestPipeline:
 class TestCSE:
     def test_no_structural_duplicates_survive(self):
         __, opt = plans_for(build_pagerank_program(400, 0.01, iterations=4))
-        keys = [k for k in map(structural_key, opt.steps) if k is not None]
+        keys = [k for k in map(step_structural_key, opt.steps) if k is not None]
         assert len(keys) == len(set(keys))
 
     def test_pagerank_duplicate_scalar_multiply_merged(self):
@@ -119,7 +127,7 @@ class TestDCE:
         producer, and the next toposort found "nothing produces" its output."""
         import random
 
-        from repro.planopt.common import clone_plan, toposort_steps
+        from repro.planopt.common import clone_plan
         from repro.planopt.dce import eliminate_dead_steps
         from repro.planopt.index import PlanIndex
         from repro.programs import build_linreg_program
@@ -143,7 +151,7 @@ class TestDCE:
         shuffled = clone_plan(base)
         random.Random(7).shuffle(shuffled.steps)
         assert sorted(eliminate_dead_steps(shuffled)[0].removed) == sorted(rewrite.removed)
-        toposort_steps(shuffled)
+        shuffled.steps = PlanIndex(shuffled).toposorted()
         assert sorted(map(str, shuffled.steps)) == survivors
 
 

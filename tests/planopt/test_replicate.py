@@ -9,8 +9,7 @@ from repro import ClusterConfig, DMacSession
 from repro.core.plan import ExtendedStep, MatMulStep
 from repro.faults import ChaosEngine, parse_fault_spec
 from repro.faults.lineage import LineageTracker
-from repro.planopt import DEFAULT_PASSES, optimize_plan
-from repro.planopt.pipeline import ReplicatePass
+from repro.planopt import PASSES, optimize_plan
 from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
 from repro.trace import assert_reconciled
 from tests.elastic.test_golden_books import FAULT_SEED, FAULTS, TIMELINE
@@ -60,7 +59,7 @@ def test_a_replicated_product_is_the_moved_product_bit_for_bit(app):
     load = build_workload(app, GNMF if app == "gnmf" else WorkloadParams())
     config = ClusterConfig(num_workers=4)
     (replicated,) = DMacSession(config, optimize=True).plans(load.program)
-    passes = tuple(p for p in DEFAULT_PASSES if not isinstance(p, ReplicatePass))
+    passes = tuple(name for name in PASSES if name != "replicate")
     moved = optimize_plan(
         DMacSession(config).plan(replicated.program),
         num_workers=4,

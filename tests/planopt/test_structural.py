@@ -63,7 +63,7 @@ class TestPlanHash:
 
 class TestStepKey:
     def test_cse_alias_is_this_function(self):
-        assert cse.structural_key is step_structural_key
+        assert cse.step_structural_key is step_structural_key
 
     def test_source_steps_are_never_merged(self):
         plan = plan_of("pagerank")

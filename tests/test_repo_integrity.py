@@ -289,10 +289,10 @@ class TestExports:
             "matrix_sum", "oppose", "repartition", "rmm1", "rmm2", "row_sums", "scalar_op_matrix",
         ),
         "repro.planopt": (
-            "AppliedRewrite", "DEFAULT_PASSES", "clone_plan", "coalesce_repartitions",
+            "AppliedRewrite", "PASSES", "clone_plan", "coalesce_repartitions",
             "eliminate_common_steps", "eliminate_dead_steps", "optimize_plan",
             "pin_loop_invariants", "plan_structural_hash", "program_fingerprint",
-            "replicate_products", "step_structural_key", "structural_key",
+            "replicate_products", "step_structural_key",
         ),
         "repro.programs": (
             "build_cf_program", "build_gnmf_program", "build_jacobi_program",

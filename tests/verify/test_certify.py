@@ -12,7 +12,7 @@ from repro.core.defuse import DefUse
 from repro.core.plan import CellwiseStep, MatMulStep
 from repro.errors import TranslationValidationError
 from repro.lang.program import ProgramBuilder
-from repro.planopt import optimize_plan
+from repro.planopt import optimize_plan, pipeline
 from repro.planopt.associate import reassociate
 from repro.planopt.common import AppliedRewrite, clone_plan
 from repro.verify import certify, value_summary
@@ -103,26 +103,22 @@ def test_duplicate_publish_of_the_same_value_is_not_a_conflict():
     assert DefUse.of(plan).order_violations() == ()
 
 
-class _EvilPass:
+def _swap_divide_operands(plan, *__):
     """A plausible-looking rewrite that silently swaps divide operands --
     the classic broken-optimizer bug translation validation must catch."""
-
-    name = "evil"
-
-    def run(self, plan, context):
-        divide = next(
-            s for s in plan.steps
-            if isinstance(s, CellwiseStep) and s.op.op == "divide"
-        )
-        divide.left, divide.right = divide.right, divide.left
-        return [AppliedRewrite(pass_name=self.name,
-                               description="swap divide operands")]
+    divide = next(
+        s for s in plan.steps
+        if isinstance(s, CellwiseStep) and s.op.op == "divide"
+    )
+    divide.left, divide.right = divide.right, divide.left
+    return [AppliedRewrite(pass_name="cse", description="swap divide operands")]
 
 
-def test_broken_pass_is_rejected_before_any_plan_escapes():
+def test_broken_pass_is_rejected_before_any_plan_escapes(monkeypatch):
     plan = _gnmf_plan()
-    with pytest.raises(TranslationValidationError, match="pass 'evil'"):
-        optimize_plan(plan, num_workers=4, passes=(_EvilPass(),))
+    monkeypatch.setitem(pipeline._REWRITES, "cse", _swap_divide_operands)
+    with pytest.raises(TranslationValidationError, match="pass 'cse'"):
+        optimize_plan(plan, num_workers=4)
 
 
 def test_the_broken_pass_really_changes_the_results():
@@ -133,9 +129,9 @@ def test_the_broken_pass_really_changes_the_results():
     session = DMacSession(ClusterConfig(num_workers=4))
     plan = session.plan(program)
     broken = clone_plan(plan)
-    _EvilPass().run(broken, None)
+    _swap_divide_operands(broken)
     with pytest.raises(TranslationValidationError, match="value-equivalence"):
-        certify(plan, broken, pass_name="evil")
+        certify(plan, broken, pass_name="cse")
     good = session.run(program, inputs, plan=plan).matrices
     bad = session.run(program, inputs, plan=broken).matrices
     assert any(not np.array_equal(good[name], bad[name]) for name in good)
