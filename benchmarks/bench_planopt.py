@@ -9,13 +9,15 @@ as a no-regression check.
 
 The optimizer must also stay cheap.  Its work is reported as counts that
 repeat exactly -- coalescing candidates enumerated / priced (each in an
-index trial; a root an earlier clean trial covered is skipped) / refused
-(a trial the build would reject) / forked (built, to validate the head of
-the price-sorted list) / accepted, and full ``PlanIndex`` builds -- and
-gated on the control-plane-bound plans of ``benchmarks/e2e``: SVD rank 5
-(96 candidates were cloned and costed there before the index existed, 37
-forked before they were priced in their trials, all 62 priced before each
-symmetric flip class was priced once) and GNMF with 64 factors.
+index trial; a root an earlier clean trial covered is skipped) / certified
+(proved futile without a trial) / refused (a trial the build would reject)
+/ forked (built, to validate the head of the price-sorted list) /
+accepted, and full ``PlanIndex`` builds -- and gated on the
+control-plane-bound plans of ``benchmarks/e2e``: SVD rank 5 (96 candidates
+were cloned and costed there before the index existed, 37 forked before
+they were priced in their trials, all 62 priced before each symmetric flip
+class was priced once, 23 before futile trials were certified) and GNMF
+with 64 factors (58 priced, then 31).
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ def count_columns(counters: collections.Counter) -> list[str]:
         for key in (
             "candidates_enumerated",
             "candidates_priced",
+            "candidates_certified",
             "candidates_refused",
             "candidates_forked",
             "candidates_accepted",
@@ -181,7 +184,8 @@ def test_planopt(benchmark):
         "planopt",
         "Plan optimizer -- ledgered shuffle bytes and simulated time, off vs on",
         ["app", "shuffle off", "shuffle on", "reduction", "time off", "time on", "pins",
-         "cand. enumerated", "priced", "refused", "forked", "accepted", "index builds"],
+         "cand. enumerated", "priced", "certified", "refused", "forked", "accepted",
+         "index builds"],
         rows,
         notes=(
             "optimizer = chain association + CSE + hoist (Fig 9a "
@@ -191,11 +195,11 @@ def test_planopt(benchmark):
         ),
     )
     assert svd_counts == optimizer_counts(svd), "counts must repeat exactly"
-    assert svd_counts["candidates_priced"] <= 25, svd_counts  # 62 before
+    assert svd_counts["candidates_priced"] <= 8, svd_counts  # 62, then 23, before
     assert svd_counts["candidates_forked"] <= 2, svd_counts
     assert svd_counts["index_builds"] <= 4, svd_counts
     assert svd_counts["plan_scans"] <= 126, svd_counts  # PR 21's parent
-    assert gnmf_counts["candidates_priced"] <= 31, gnmf_counts  # 58 before
+    assert gnmf_counts["candidates_priced"] <= 9, gnmf_counts  # 58, then 31, before
     assert gnmf_counts["candidates_forked"] == 0, gnmf_counts
     assert gnmf_counts["index_builds"] <= 5, gnmf_counts
     assert gnmf_counts["plan_scans"] <= 22, gnmf_counts

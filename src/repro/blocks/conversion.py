@@ -117,7 +117,7 @@ def _split_coordinate(
         lo, hi = colptr[0], colptr[-1]
         colptr = colptr - lo
         colptr.flags.writeable = False
-        block = CSCBlock((r1 - r0, c1 - c0), values[lo:hi], row_idx[lo:hi], colptr)
+        block = CSCBlock._canonical((r1 - r0, c1 - c0), values[lo:hi], row_idx[lo:hi], colptr)
         sparse = storage == "sparse" or (
             storage == "auto" and block.nnz / ((r1 - r0) * (c1 - c0)) < sparse_threshold
         )

@@ -186,6 +186,25 @@ class CSCBlock:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _canonical(
+        cls,
+        shape: tuple[int, int],
+        values: np.ndarray,
+        row_idx: np.ndarray,
+        colptr: np.ndarray,
+    ) -> "CSCBlock":
+        """The constructor without its O(nnz) checks, for arrays a compiled
+        pass has just laid out as a valid block (the coordinate cut's
+        ``coo_tocsr``); every other caller goes through the checks."""
+        block = object.__new__(cls)
+        block._shape = (int(shape[0]), int(shape[1]))
+        block.values = np.asarray(values, dtype=np.float64)
+        block.row_idx = _index_array(row_idx)
+        block.colptr = _index_array(colptr)
+        block._column_idx = None
+        return block
+
+    @classmethod
     def from_coo(
         cls,
         rows: np.ndarray,

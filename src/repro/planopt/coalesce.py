@@ -45,7 +45,10 @@ through *symmetric* links is skipped:
 * a trial is *clean* when no step it touched reads an instance nothing
   produces and no conversion it appended duplicates another producer's
   output.  A trial of the first kind is *dangling*: the build's toposort
-  refuses it, so pricing drops it as refused.
+  refuses it, so pricing drops it as refused -- and so is a trial whose
+  conversions close a dependency cycle (a demand cycle's chain beside the
+  flip that later produces the same layout, a merge's chain through a hop
+  derived from its own target).
 
 **Dominance lemma:** a covered root prices at or above its coverer, or its
 build is refused.  Sketch: every symmetric link is walked both ways, so the
@@ -62,6 +65,19 @@ it is priced before the next head is built.  The lemma is checked, not
 assumed: ``tests/planopt/test_coalesce_skip.py`` prices every covered root
 of every round of the registry sweep against its coverer, and runs a paired
 oracle (skip on / off) over random programs.
+
+Before a round prices a candidate it asks :class:`_Futility`, a
+certificate read off the :class:`PlanIndex` alone, whether the trial can
+price below the round's base at all; a certified candidate is skipped like
+a covered one and can never become a head.  A merge is bounded by its two
+hops and the direct chain; a flip by its *flip class* -- the closure of
+its root under the cascade's links -- once per class: a partition the
+cascade can drop must be paid for by a conversion back that the demands
+upstream of it force.  On svd the whole second round (the flips that undo
+the first round's cascade and the merges of ``broadcast ; transpose``) is
+certified by one walk of its one class.  **Futility lemma:** a certified
+candidate prices at or above its round's base, or is refused; checked, not
+assumed, by pricing every certified candidate of the registry sweep.
 
 Value-safety: every rewrite used here re-binds *where* blocks live, never
 the per-block arithmetic or its order, so outputs stay byte-identical
@@ -94,6 +110,7 @@ from repro.planopt.common import AppliedRewrite
 from repro.planopt.cse import eliminate_common_steps, merge_touched_duplicate
 from repro.planopt.dce import dead_among, dead_steps, eliminate_dead_steps
 from repro.planopt.index import PlanIndex
+from repro.planopt.structural import step_structural_key
 
 #: Element-wise step kinds: scheme-agnostic per-block arithmetic, so their
 #: output scheme may be flipped freely (inputs follow).
@@ -119,6 +136,13 @@ def _flippable(step: Step, required: Scheme) -> bool:
     if isinstance(step, RowAggStep):
         return step.strategy.endswith("-opposed")  # flexible output
     return False
+
+
+def _operands(step: Step) -> list[tuple[str, MatrixInstance]]:
+    """``(field, instance)`` of each matrix operand of a step: what an
+    element-wise flip demands in its new scheme."""
+    fields = ((field, getattr(step, field, None)) for field in ("left", "right", "source"))
+    return [(field, value) for field, value in fields if isinstance(value, MatrixInstance)]
 
 
 class _FlipSession:
@@ -224,12 +248,10 @@ class _FlipSession:
         new = old.with_scheme(required)
         if isinstance(step, ELEMENTWISE):
             fields = {"output": new}
-            for field in ("left", "right", "source"):
-                value = getattr(step, field, None)
-                if isinstance(value, MatrixInstance):
-                    want = value.with_scheme(required)
-                    self.demand(want, value if symmetric else None)
-                    fields[field] = want
+            for field, value in _operands(step):
+                want = value.with_scheme(required)
+                self.demand(want, value if symmetric else None)
+                fields[field] = want
             index.rebind(step, **fields)
         elif isinstance(step, MatMulStep) and step.strategy != "cpmm":
             # rmm1: A(b) @ B(c) -> C(c)  <->  rmm2: A(r) @ B(b) -> C(r).
@@ -366,6 +388,260 @@ def _covers(
     return session.symmetric
 
 
+def _relaid(value: object, scheme: Scheme) -> object:
+    """One entry of a structural key after an element-wise flip to ``scheme``."""
+    if isinstance(value, MatrixInstance):
+        return value.with_scheme(scheme)
+    return scheme if isinstance(value, Scheme) else value
+
+
+class _Futility:
+    """A round's futility certificate: candidates whose trials cannot price
+    below the round's base, proved from the :class:`PlanIndex` alone.
+
+    A trial's bytes move only where steps go or come: a conversion the
+    cascade drops or appends, a step that dies, the round's garbage (a
+    rebound step books what it booked).  So a price is at least the base
+    less every removal it could make plus every step it must append.
+
+    * **A merge** removes its second hop and appends the direct chain's
+      missing hops; its first hop dies only when nothing else reads it.
+    * **A flip class** is the closure of a root under the cascade's links
+      -- the producers its element-wise steps' demands flip (a demanded
+      layout the base plan lacks) and the element-wise readers of every
+      flipped output.  Any root in the class cascades through a closed
+      subset of it.  There, each partition that converts a flipped output
+      into its new layout can go; each flipped output a rigid reader keeps
+      reading must come back as one partition.  A re-derived conversion
+      ends in a hop at least as dear, so it saves nothing.  The class is
+      certified when every such partition is matched to its own
+      come-back, of at least its bytes, forced by the demands upstream of
+      the partition's producer: any closed subset that drops a partition
+      then also pays its match.  Garbage, a step that could die, a flip
+      that could make a CSE twin, a second producer and an rmm1<->rmm2
+      flip (its demands change layouts) void a class.
+
+    **Futility lemma:** a certified candidate prices at or above its
+    round's ``(bytes, steps)`` base, or its trial is refused.  It is
+    checked, not assumed: ``tests/planopt/test_coalesce_skip.py`` prices
+    every certified candidate of the registry sweep in full.
+    """
+
+    def __init__(
+        self, index: PlanIndex, cost: CostModel, rows: dict[int, int], garbage: set[int]
+    ) -> None:
+        self.index, self.cost, self.rows = index, cost, rows
+        self.garbage = garbage
+        self.garbage_cost = (sum(rows[h] for h in garbage), len(garbage))
+        self.roots: dict[tuple[int, Scheme], bool] = {}  # flip root -> certified
+
+    def futile(self, candidate: tuple) -> bool:
+        kind, step, argument, __ = candidate
+        if kind == "merge":
+            return self._merge(step, argument)
+        root = (self.index.handle(step), argument)
+        if root not in self.roots:
+            members, certified = self._flip_class(step, argument)
+            for handle in members:
+                self.roots.setdefault((handle, argument), certified)
+        return self.roots[root]
+
+    def _bound(self, added: int, steps: int) -> bool:
+        """Whether a trial adding at least ``(added, steps)`` over what it
+        removes besides the garbage cannot price below the base."""
+        garbage_bytes, garbage_steps = self.garbage_cost
+        return (added - garbage_bytes, steps - garbage_steps) >= (0, 0)
+
+    def _hop(self, source: MatrixInstance, target: MatrixInstance) -> tuple[str, int]:
+        """The last hop of the chain ``source -> target`` and its bytes."""
+        kind, hop = _lowering_targets(
+            source, target.name, target.transposed, target.scheme
+        )[-1]
+        return kind, self.cost.comm_bytes(ExtendedStep(kind=kind, source=source, target=hop))
+
+    def _merge(self, step: ExtendedStep, first: ExtendedStep) -> bool:
+        index, rows = self.index, self.rows
+        if index.handle(step) in self.garbage:
+            return False
+        target, middle = step.target, first.target
+        added = steps = 0
+        read = set()
+        current = first.source
+        for kind, hop in _lowering_targets(
+            current, target.name, target.transposed, target.scheme
+        ):
+            producers = index.producers(hop)
+            if not producers or (len(producers) == 1 and producers[0] is step):
+                added += self.cost.comm_bytes(ExtendedStep(kind=kind, source=current, target=hop))
+                steps += 1
+                read.add(current)
+            current = hop
+        added -= rows[index.handle(step)]
+        steps -= 1
+        if (
+            middle not in index.plan.outputs.values()
+            and middle not in read
+            and all(
+                reader is step or index.handle(reader) in self.garbage
+                for reader in index.consumers(middle)
+            )
+        ):  # the first hop dies with the second
+            if first.source not in read:
+                return False  # and what fed it may die too
+            added -= rows[index.handle(first)]
+            steps -= 1
+        return self._bound(added, steps)
+
+    def _flip_class(self, root: Step, scheme: Scheme) -> tuple[set[int], bool]:
+        """The handles of ``root``'s flip class to ``scheme`` (as far as it
+        was walked) and whether the class is certified."""
+        index = self.index
+        members: dict[int, Step] = {index.handle(root): root}
+        if self.garbage:
+            return set(members), False
+        demands: dict[int, list[int]] = {}
+        pending = [root]
+
+        def join(step: Step) -> int:
+            handle = index.handle(step)
+            if handle not in members:
+                members[handle] = step
+                pending.append(step)
+            return handle
+
+        while pending:
+            step = pending.pop()
+            if isinstance(step, MatMulStep) and step.strategy != "cpmm":
+                return set(members), False  # rmm1<->rmm2: not bounded here
+            flipped = demands[index.handle(step)] = []
+            if isinstance(step, ELEMENTWISE):
+                for __, operand in _operands(step):
+                    want = operand.with_scheme(scheme)
+                    if index.producer(want) is not None:
+                        continue
+                    for sibling in index.siblings(want):
+                        producer = index.producer(sibling)
+                        if _flippable(producer, scheme):
+                            flipped.append(join(producer))
+                            break
+            for reader in index.consumers(step.output_instance()):
+                if isinstance(reader, ELEMENTWISE) and _flippable(reader, scheme):
+                    join(reader)
+        return set(members), self._matched(members, demands, scheme)
+
+    def _matched(
+        self, members: dict[int, Step], demands: dict[int, list[int]], scheme: Scheme
+    ) -> bool:
+        index, rows = self.index, self.rows
+        roots = set(index.plan.outputs.values())
+        removals: list[tuple[int, int]] = []  # (producer handle, bytes)
+        returns: dict[int, int] = {}  # member handle -> its come-back's bytes
+        keys: set[tuple] = set()
+        for handle, step in members.items():
+            old = step.output_instance()
+            new = old.with_scheme(scheme)
+            producers = index.producers(old)
+            if len(producers) != 1 or producers[0] is not step:
+                return False
+            for producer in index.producers(new):
+                if not (isinstance(producer, ExtendedStep) and producer.source == old):
+                    return False  # a second producer once flipped
+            for reader in index.consumers(old):
+                if index.handle(reader) in members:
+                    continue
+                if not isinstance(reader, ExtendedStep):
+                    returns[handle] = self._hop(new, old)[1]
+                elif reader.target == new:
+                    removals.append((handle, rows[index.handle(reader)]))
+                elif (
+                    len(index.producers(reader.target)) > 1
+                    or self._hop(new, reader.target)[1] < rows[index.handle(reader)]
+                ):
+                    return False
+            elementwise = isinstance(step, ELEMENTWISE)
+            key = step_structural_key(step)
+            if key is not None:
+                if elementwise:
+                    key = tuple(_relaid(value, scheme) for value in key)
+                    first = step.inputs()[0].with_scheme(scheme)
+                else:
+                    key, first = (*key[:-1], scheme), step.inputs()[0]
+                if key in keys:
+                    return False
+                keys.add(key)
+                for reader in index.consumers(first):
+                    if (
+                        index.handle(reader) not in members
+                        and step_structural_key(reader) == key
+                    ):
+                        return False  # a CSE twin once flipped
+            for __, operand in _operands(step) if elementwise else ():
+                producer = index.producer(operand)
+                if producer is None or (
+                    index.handle(producer) not in members
+                    and operand not in roots
+                    and all(
+                        index.handle(reader) in members
+                        and isinstance(reader, ELEMENTWISE)
+                        for reader in index.consumers(operand)
+                    )
+                ):
+                    return False  # its producer could die
+        owner: dict[int, int] = {}  # come-back -> the removal it pays for
+        forced: dict[int, list[int]] = {}  # producer -> come-backs upstream
+
+        def options(producer: int) -> list[int]:
+            if producer not in forced:
+                found, stack = set(), [producer]
+                while stack:
+                    member = stack.pop()
+                    if member not in found:
+                        found.add(member)
+                        stack.extend(demands[member])
+                forced[producer] = sorted(found & returns.keys())
+            return forced[producer]
+
+        def assign(item: int, seen: set[int]) -> bool:
+            producer, nbytes = removals[item]
+            for come_back in options(producer):
+                if come_back in seen or returns[come_back] < nbytes:
+                    continue
+                seen.add(come_back)
+                if come_back not in owner or assign(owner[come_back], seen):
+                    owner[come_back] = item
+                    return True
+            return False
+
+        return all(assign(item, set()) for item in range(len(removals)))
+
+
+class _Cyclic(PlanError):
+    """A trial whose plan has a dependency cycle: the fork's toposort
+    refuses it.  ``price`` is what it priced at; at or above the round's
+    base, the roots it covers are as futile as it is."""
+
+    def __init__(self, price: tuple[int, int]) -> None:
+        super().__init__("rewritten plan has a dependency cycle")
+        self.price = price
+
+
+def _cyclic(index: PlanIndex, handles: Set[int]) -> bool:
+    """Whether a trial's plan has a dependency cycle.  The base orders, so a
+    cycle runs through a step the trial touched; and a step never depends
+    on a later value of the program, so a cycle only links layouts of one
+    value: it is a loop of conversions, each reading the last producer of
+    its one source.  Walk that link back from each touched conversion."""
+    for handle in handles:
+        step, seen = index.get(handle), set()
+        while isinstance(step, ExtendedStep):
+            current = index.handle(step)
+            if current in seen:
+                return True
+            seen.add(current)
+            step = index.producer(step.source)
+    return False
+
+
 def _price(
     index: PlanIndex,
     candidate: tuple,
@@ -381,10 +657,11 @@ def _price(
     came with), then take the plan's ``rows`` (handle -> bytes, summing to
     ``plan.predicted_bytes``) less the steps gone, plus the new.
 
-    Raises :class:`PlanError` where the build would: the cascade fails, or
-    a step it touched reads an instance nothing produces (the fork's
-    toposort refuses it).  ``covers`` receives :func:`_covers`, given the
-    round's base ``produced`` instances."""
+    Raises :class:`PlanError` where the build would: the cascade fails, a
+    step it touched reads an instance nothing produces, or the plan has a
+    dependency cycle (:class:`_Cyclic`, once priced): the fork's toposort
+    refuses both.  ``covers`` receives :func:`_covers`, given the round's
+    base ``produced`` instances."""
     with index.trial():
         session = _FlipSession(index, produced)
         _apply_candidate(session, candidate)
@@ -394,6 +671,7 @@ def _price(
             for instance in step.inputs() if step is not None else ():
                 if index.producer(instance) is None:
                     raise PlanError(f"{step} reads {instance}, which nothing produces")
+        cyclic = _cyclic(index, handles)
         if covers is not None:
             covers.update(_covers(index, session, handles))
         while merge_touched_duplicate(index, handles):
@@ -405,7 +683,10 @@ def _price(
         dead = dead_among(index, suspects, garbage)
         gone = sum(rows[h] for h in (handles | dead) & rows.keys())
         new = sum(cost.comm_bytes(live[h]) for h in handles & live.keys() - dead)
-        return index.plan.predicted_bytes - gone + new, len(index) - len(dead)
+        price = index.plan.predicted_bytes - gone + new, len(index) - len(dead)
+    if cyclic:
+        raise _Cyclic(price)
+    return price
 
 
 def _build(index: PlanIndex, candidate: tuple, cost: CostModel) -> PlanIndex:
@@ -462,17 +743,21 @@ def coalesce_repartitions(
         coverer: dict[tuple[int, Scheme], int] = {}  # root -> order covering it
         covered = collections.defaultdict(list)  # order -> orders it covers
 
+        futility = _Futility(index, cost, rows, garbage)
+
         def trial(order: int, covers: set | None = None) -> None:
             index.counters["candidates_priced"] += 1
             try:
                 price = _price(
                     index, candidates[order], cost, rows, garbage, produced, covers
                 )
-            except PlanError:  # the build would refuse it
+            except PlanError as refusal:  # the build would refuse it
                 index.counters["candidates_refused"] += 1
-                return
-            if price < base_cost:
-                heapq.heappush(heads, (price, order))
+                if not isinstance(refusal, _Cyclic) or refusal.price < base_cost:
+                    return
+            else:
+                if price < base_cost:
+                    heapq.heappush(heads, (price, order))
             for root in covers or ():
                 coverer.setdefault(root, order)
 
@@ -480,6 +765,8 @@ def coalesce_repartitions(
             root = _root(index, candidate)
             if root in coverer:  # an earlier clean trial dominates it
                 covered[coverer[root]].append(order)
+            elif futility.futile(candidate):  # proved not to price below the base
+                index.counters["candidates_certified"] += 1
             else:
                 trial(order, set())
         fork = None

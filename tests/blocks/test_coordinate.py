@@ -216,3 +216,29 @@ def test_cut_sorts_and_canonicalises_nothing(monkeypatch):
     for block in grid.values():
         assert not block.row_idx.flags.writeable and not block.colptr.flags.writeable
     assert assemble(grid, matrix.shape, 64).tobytes() == matrix.to_numpy().tobytes()
+
+
+@pytest.mark.parametrize(
+    "app, params",
+    [
+        ("gnmf", dict(scale=2e-2, factors=64, iterations=3)),
+        ("pagerank", dict(graph="soc-pokec", scale=3e-3, iterations=10)),
+    ],
+)
+def test_every_block_the_cut_builds_passes_the_checked_constructor(app, params):
+    """The cut builds its blocks without :class:`CSCBlock`'s O(nnz) checks;
+    at the benchmark's gnmf and pagerank sizes each one still passes them,
+    and the checked constructor takes its arrays as they are."""
+    from repro.programs.registry import WorkloadParams, build_workload
+
+    inputs = build_workload(app, WorkloadParams(**params)).inputs
+    matrices = [m for m in inputs.values() if isinstance(m, CoordinateMatrix)]
+    assert matrices
+    for matrix in matrices:
+        for block_size in (64, 500):
+            grid = split(matrix, block_size, storage="sparse")
+            assert sum(block.nnz for block in grid.values()) == matrix.nnz
+            for block in grid.values():
+                checked = CSCBlock(block.shape, block.values, block.row_idx, block.colptr)
+                assert checked.row_idx is block.row_idx and checked.colptr is block.colptr
+                assert checked.values.tobytes() == block.values.tobytes()
