@@ -496,23 +496,25 @@ class _Futility:
         """The handles of ``root``'s flip class to ``scheme`` (as far as it
         was walked) and whether the class is certified."""
         index = self.index
-        members: dict[int, Step] = {index.handle(root): root}
         if self.garbage:
-            return set(members), False
+            return {index.handle(root)}, False
+        members: dict[int, Step] = {}
         demands: dict[int, list[int]] = {}
-        pending = [root]
+        pending: list[Step] = []
+        rmm = False  # an rmm1<->rmm2 flip's demands change layouts: unbounded
 
         def join(step: Step) -> int:
+            nonlocal rmm
             handle = index.handle(step)
             if handle not in members:
                 members[handle] = step
                 pending.append(step)
+                rmm = rmm or isinstance(step, MatMulStep) and step.strategy != "cpmm"
             return handle
 
-        while pending:
+        join(root)
+        while pending and not rmm:
             step = pending.pop()
-            if isinstance(step, MatMulStep) and step.strategy != "cpmm":
-                return set(members), False  # rmm1<->rmm2: not bounded here
             flipped = demands[index.handle(step)] = []
             if isinstance(step, ELEMENTWISE):
                 for __, operand in _operands(step):
@@ -527,7 +529,7 @@ class _Futility:
             for reader in index.consumers(step.output_instance()):
                 if isinstance(reader, ELEMENTWISE) and _flippable(reader, scheme):
                     join(reader)
-        return set(members), self._matched(members, demands, scheme)
+        return set(members), not rmm and self._matched(members, demands, scheme)
 
     def _matched(
         self, members: dict[int, Step], demands: dict[int, list[int]], scheme: Scheme
@@ -659,9 +661,9 @@ def _price(
 
     Raises :class:`PlanError` where the build would: the cascade fails, a
     step it touched reads an instance nothing produces, or the plan has a
-    dependency cycle (:class:`_Cyclic`, once priced): the fork's toposort
-    refuses both.  ``covers`` receives :func:`_covers`, given the round's
-    base ``produced`` instances."""
+    dependency cycle (:class:`_Cyclic`, priced if it covers any root): the
+    fork's toposort refuses both.  ``covers`` receives :func:`_covers`,
+    given the round's base ``produced`` instances."""
     with index.trial():
         session = _FlipSession(index, produced)
         _apply_candidate(session, candidate)
@@ -672,8 +674,11 @@ def _price(
                 if index.producer(instance) is None:
                     raise PlanError(f"{step} reads {instance}, which nothing produces")
         cyclic = _cyclic(index, handles)
+        found = _covers(index, session, handles) if covers is not None else ()
+        if cyclic and not found:  # nothing to learn from its price
+            raise PlanError("rewritten plan has a dependency cycle")
         if covers is not None:
-            covers.update(_covers(index, session, handles))
+            covers.update(found)
         while merge_touched_duplicate(index, handles):
             handles, released = index.touched()
         live = {h: step for h in handles | garbage if (step := index.get(h)) is not None}
