@@ -43,12 +43,7 @@ from repro.datasets import PAPER_GRAPHS
 from repro.errors import FaultSpecError, ProgramError
 from repro.frontend.staged import segments_of
 from repro.programs import singular_values
-from repro.programs.registry import (
-    ALL_APPS,
-    PAPER_APPS,
-    WorkloadParams,
-    build_workload,
-)
+from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
 
 if TYPE_CHECKING:  # each command imports the layers it runs
     from repro.session import DMacSession
@@ -57,12 +52,6 @@ if TYPE_CHECKING:  # each command imports the layers it runs
 EXIT_OK = 0
 EXIT_LINT_ERRORS = 1
 EXIT_PARSE_ERROR = 2
-
-#: The paper's seven applications.  Kept under the historical name for the
-#: tests and benchmarks that parameterise over it; the full runnable list
-#: (frontend demos included) is :data:`repro.programs.registry.ALL_APPS`.
-APPS = PAPER_APPS
-
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=4, help="cluster workers (K)")

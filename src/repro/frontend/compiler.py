@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import math
 from typing import Callable, TypeVar, Union
 
 from repro.errors import ProgramError
@@ -41,6 +40,7 @@ from repro.lang.expr import (
     ScalarExpr,
     ScalarRefExpr,
     TransposeExpr,
+    scalar_arithmetic,
 )
 from repro.lang.program import MatrixProgram, ProgramBuilder
 
@@ -72,6 +72,9 @@ _BIN_OPS: dict[type[ast.operator], str] = {
     ast.Div: "/",
     ast.MatMult: "@",
 }
+
+#: The scalar operator each number-only binary symbol folds to.
+_FOLDED_OPS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
 
 _STATIC_ONLY_BIN_OPS: dict[type[ast.operator], Callable[[float, float], float]] = {
     ast.Pow: lambda a, b: a**b,
@@ -424,15 +427,9 @@ class StatementCompiler:
 
     @staticmethod
     def _fold_numbers(symbol: str, left: float, right: float) -> float:
-        if symbol == "+":
-            return left + right
-        if symbol == "-":
-            return left - right
-        if symbol == "*":
-            return left * right
-        if symbol == "/":
-            return left / right
-        raise ProgramError(f"@ requires matrix operands, got numbers")
+        if symbol not in _FOLDED_OPS:
+            raise ProgramError("@ requires matrix operands, got numbers")
+        return scalar_arithmetic(_FOLDED_OPS[symbol], left, right)
 
     def _combine(self, node: ast.BinOp, symbol: str, left: Value, right: Value) -> Value:
         if symbol == "@":
@@ -582,7 +579,10 @@ class StatementCompiler:
             if len(args) == 1 and isinstance(args[0], ScalarExpr):
                 return args[0].sqrt()
             if len(args) == 1 and isinstance(args[0], (int, float)):
-                return math.sqrt(args[0])
+                try:
+                    return scalar_arithmetic("sqrt", args[0])
+                except ValueError as error:
+                    raise self.src.error(node, str(error)) from None
             raise self.src.error(node, "sqrt() takes one matrix, scalar or number")
         if name == "abs":
             if len(args) == 1 and isinstance(args[0], MatrixExpr):

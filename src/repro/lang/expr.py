@@ -27,6 +27,7 @@ evaluated on the driver at run time; plans do not depend on their values.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Union
 
 from repro.errors import ProgramError
@@ -39,6 +40,37 @@ AGG_KINDS = ("sum", "sqsum", "value")
 #: Driver-side scalar arithmetic.
 SCALAR_BINARY_OPS = ("add", "subtract", "multiply", "divide")
 SCALAR_UNARY_OPS = ("sqrt", "negate")
+
+
+def scalar_arithmetic(op: str, left: float, right: float = 0.0) -> float:
+    """One scalar operator: a binary op on ``left`` and ``right`` or a unary
+    op on ``left``.
+
+    The one definition of this arithmetic: ``ProgramBuilder``'s constant
+    folding, the frontend's number folding and run-time evaluation all call
+    it, so a folded constant equals, bit for bit, what the program computes
+    when it runs.
+    Raises :class:`ZeroDivisionError` (divide by zero) or
+    :class:`ValueError` (sqrt of a negative value); each caller re-raises
+    as its own error type.
+    """
+    if op == "add":
+        return left + right
+    if op == "subtract":
+        return left - right
+    if op == "multiply":
+        return left * right
+    if op == "divide":
+        if right == 0:
+            raise ZeroDivisionError("scalar division by zero")
+        return left / right
+    if op == "negate":
+        return -left
+    if op == "sqrt":
+        if left < 0:
+            raise ValueError(f"sqrt of negative value {left}")
+        return math.sqrt(left)
+    raise ProgramError(f"unknown scalar operator {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from repro.lang.expr import (
     ScalarUnaryExpr,
     TransposeExpr,
     UnaryExpr,
+    scalar_arithmetic,
 )
 
 #: A scalar slot in an operator: either a literal or a driver-scalar name.
@@ -505,34 +506,21 @@ class ProgramBuilder:
             left = self._normalize_scalar(expr.left, out)
             right = self._normalize_scalar(expr.right, out)
             if isinstance(left, ScalarConst) and isinstance(right, ScalarConst):
-                return ScalarConst(_fold_binary(expr.op, left.value, right.value))
+                return ScalarConst(_fold(expr.op, left.value, right.value))
             return ScalarBinaryExpr(expr.op, left, right)
         if isinstance(expr, ScalarUnaryExpr):
             child = self._normalize_scalar(expr.child, out)
             if isinstance(child, ScalarConst):
-                return ScalarConst(_fold_unary(expr.op, child.value))
+                return ScalarConst(_fold(expr.op, child.value))
             return ScalarUnaryExpr(expr.op, child)
         raise ProgramError(f"cannot flatten scalar expression {type(expr).__name__}")
 
 
-def _fold_binary(op: str, left: float, right: float) -> float:
-    if op == "add":
-        return left + right
-    if op == "subtract":
-        return left - right
-    if op == "multiply":
-        return left * right
-    if right == 0:
-        raise ProgramError("scalar division by zero")
-    return left / right
-
-
-def _fold_unary(op: str, value: float) -> float:
-    if op == "negate":
-        return -value
-    if value < 0:
-        raise ProgramError(f"sqrt of negative constant {value}")
-    return value**0.5
+def _fold(op: str, left: float, right: float = 0.0) -> float:
+    try:
+        return scalar_arithmetic(op, left, right)
+    except (ZeroDivisionError, ValueError) as error:
+        raise ProgramError(str(error)) from None
 
 
 def _multiplications_first(statement_ops: list[OpNode]) -> list[OpNode]:

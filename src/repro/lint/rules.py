@@ -220,17 +220,7 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
                     step=index,
                     subject=step.output,
                 )
-        elif isinstance(step, CellwiseStep):
-            left = shapes.get(step.left)
-            right = shapes.get(step.right)
-            if left and right and left != right:
-                yield this.diagnostic(
-                    f"cell-wise {step.op.op} over unequal shapes "
-                    f"{left} and {right}",
-                    step=index,
-                    subject=step.output,
-                )
-        elif isinstance(step, FusedCellwiseStep):
+        elif isinstance(step, (CellwiseStep, FusedCellwiseStep)):
             known = {
                 instance: shape
                 for instance in step.inputs()
@@ -238,7 +228,7 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
             }
             if len(set(known.values())) > 1:
                 yield this.diagnostic(
-                    "fused cell-wise chain over unequal shapes: "
+                    "cell-wise step over unequal shapes: "
                     + ", ".join(
                         f"{instance}={shape[0]}x{shape[1]}"
                         for instance, shape in known.items()
@@ -368,24 +358,13 @@ def check_schemes(inputs: LintInput) -> Iterator[Diagnostic]:
                     step=index,
                     subject=step.output,
                 )
-        elif isinstance(step, CellwiseStep):
-            schemes = {step.left.scheme, step.right.scheme, step.output.scheme}
-            if len(schemes) != 1:
-                yield this.diagnostic(
-                    f"cell-wise operands and output must share one scheme, "
-                    f"got ({step.left.scheme}, {step.right.scheme}) -> "
-                    f"{step.output.scheme}",
-                    step=index,
-                    subject=step.output,
-                )
-        elif isinstance(step, FusedCellwiseStep):
+        elif isinstance(step, (CellwiseStep, FusedCellwiseStep)):
             schemes = {i.scheme for i in step.inputs()} | {step.output.scheme}
             if len(schemes) != 1:
                 yield this.diagnostic(
-                    f"fused cell-wise chain operands and output must share "
-                    f"one scheme, got "
-                    f"({', '.join(str(i.scheme) for i in step.inputs())}) -> "
-                    f"{step.output.scheme}",
+                    f"cell-wise operands and output must share one scheme, "
+                    f"got ({', '.join(str(i.scheme) for i in step.inputs())}) "
+                    f"-> {step.output.scheme}",
                     step=index,
                     subject=step.output,
                 )

@@ -132,8 +132,7 @@ def lint_python_file(
 ) -> LintReport:
     """Execute a ``.py`` program-builder script (as ``__main__``, so its
     guarded entry point runs) and lint every plan it creates through a
-    session; falls back to a module-level ``PROGRAM`` / ``build_program()``
-    convention if the script never plans.
+    session; a script that never plans gets one DM000 warning.
 
     Captured plans are linted under their own session's configuration;
     ``context`` only contributes its resource-budget knobs (block size,
@@ -144,31 +143,24 @@ def lint_python_file(
     sys.argv = [path]  # scripts may parse argv; hide the lint CLI's
     try:
         with capture_plans(captured):
-            namespace = runpy.run_path(path, run_name="__main__")
+            runpy.run_path(path, run_name="__main__")
     finally:
         sys.argv = original_argv
     report = LintReport(suppressed=tuple(suppress))
-    if captured:
-        for plan, plan_context in captured:
-            merged = _merge_budgets(plan_context, context)
-            report.extend(lint_plan(plan, merged, suppress))
-        return report
-    program = namespace.get("PROGRAM")
-    if program is None and callable(namespace.get("build_program")):
-        program = namespace["build_program"]()
-    if isinstance(program, MatrixProgram):
-        return lint_plan(plan_for(program, context), context, suppress)
-    report.extend(
-        [
-            Diagnostic(
-                rule="DM000",
-                severity=Severity.WARNING,
-                message=f"{path} never planned a program through DMacSession "
-                "and exposes no PROGRAM/build_program(): nothing to lint",
-                hint="plan a program via DMacSession, or export PROGRAM",
-            )
-        ]
-    )
+    for plan, plan_context in captured:
+        report.extend(lint_plan(plan, _merge_budgets(plan_context, context), suppress))
+    if not captured:
+        report.extend(
+            [
+                Diagnostic(
+                    rule="DM000",
+                    severity=Severity.WARNING,
+                    message=f"{path} never planned a program through "
+                    "DMacSession: nothing to lint",
+                    hint="plan a program via DMacSession",
+                )
+            ]
+        )
     return report
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import ExecutionError
 from repro.lang.expr import (
     ScalarBinaryExpr,
@@ -11,6 +9,7 @@ from repro.lang.expr import (
     ScalarExpr,
     ScalarRefExpr,
     ScalarUnaryExpr,
+    scalar_arithmetic,
 )
 
 
@@ -23,22 +22,12 @@ def evaluate_scalar(expr: ScalarExpr, scalars: dict[str, float]) -> float:
             raise ExecutionError(f"scalar {expr.name!r} referenced before computation")
         return scalars[expr.name]
     if isinstance(expr, ScalarBinaryExpr):
-        left = evaluate_scalar(expr.left, scalars)
-        right = evaluate_scalar(expr.right, scalars)
-        if expr.op == "add":
-            return left + right
-        if expr.op == "subtract":
-            return left - right
-        if expr.op == "multiply":
-            return left * right
-        if right == 0:
-            raise ExecutionError("scalar division by zero at run time")
-        return left / right
-    if isinstance(expr, ScalarUnaryExpr):
-        child = evaluate_scalar(expr.child, scalars)
-        if expr.op == "negate":
-            return -child
-        if child < 0:
-            raise ExecutionError(f"sqrt of negative value {child}")
-        return math.sqrt(child)
-    raise ExecutionError(f"unknown scalar expression {type(expr).__name__}")
+        operands = (evaluate_scalar(expr.left, scalars), evaluate_scalar(expr.right, scalars))
+    elif isinstance(expr, ScalarUnaryExpr):
+        operands = (evaluate_scalar(expr.child, scalars),)
+    else:
+        raise ExecutionError(f"unknown scalar expression {type(expr).__name__}")
+    try:
+        return scalar_arithmetic(expr.op, *operands)
+    except (ZeroDivisionError, ValueError) as error:
+        raise ExecutionError(f"{error} at run time") from None

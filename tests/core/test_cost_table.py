@@ -35,7 +35,7 @@ from repro.lang.program import ProgramBuilder
 from repro.lint import LintContext, lint_plan
 from repro.planopt import PASSES, optimize_plan
 from repro.programs.registry import ALL_APPS, build_workload
-from tests.core.test_properties import random_programs
+from tests.program_strategy import matrix_programs
 
 GOLDEN = json.loads(
     pathlib.Path(__file__).with_name("golden_costs.json").read_text()
@@ -205,13 +205,12 @@ def test_paper_pricing_is_the_same_walk_with_n_replicas():
 
 
 @given(
-    random_programs(),
+    matrix_programs(),
     st.sampled_from([1, 2, 4, 7]),
     st.sampled_from(["worst", "average"]),
     st.booleans(),
 )
-def test_table_invariants_on_random_programs(generated, workers, mode, optimize):
-    program, __ = generated
+def test_table_invariants_on_random_programs(program, workers, mode, optimize):
     plan = schedule_stages(
         DMacPlanner(program, workers, estimation_mode=mode).plan()
     )

@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.config import ClusterConfig
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.errors import ExecutionError
+from repro.frontend import Matrix, matrix_input, matrix_program
+from repro.frontend.dsl import output, sqrt
 from repro.lang.expr import (
+    SCALAR_BINARY_OPS,
+    SCALAR_UNARY_OPS,
     ScalarBinaryExpr,
     ScalarConst,
     ScalarRefExpr,
@@ -156,3 +162,30 @@ class TestScalarEvaluation:
     def test_sqrt_of_negative(self):
         with pytest.raises(ExecutionError):
             evaluate_scalar(ScalarUnaryExpr("sqrt", ScalarConst(-1.0)), {})
+
+    # At x = 99.122, ``x ** 0.5`` and ``math.sqrt(x)`` differ in the last bit.
+    @example(x=99.122, y=3.0)
+    @given(x=st.floats(0, 1e6), y=st.floats(1e-3, 1e6))
+    def test_folding_equals_evaluation_bit_for_bit(self, x, y):
+        """Folding (two ways) and run-time evaluation agree to the last bit."""
+        exprs = [ScalarBinaryExpr(op, ScalarConst(x), ScalarConst(y)) for op in SCALAR_BINARY_OPS]
+        exprs += [ScalarUnaryExpr(op, ScalarConst(x)) for op in SCALAR_UNARY_OPS]
+        evaluated = [evaluate_scalar(expr, {}).hex() for expr in exprs]
+        pb = ProgramBuilder()
+        for index, expr in enumerate(exprs):
+            pb.scalar(f"k{index}", expr)
+        assert [op.expr.value.hex() for op in pb.build().ops] == evaluated
+        program = folded.compile(A=matrix_input((1, 1)), x=x, y=y)
+        assert [op.scalar.hex() for op in program.ops[1:]] == evaluated
+
+
+# A scaled by each scalar operator, in SCALAR_BINARY_OPS + SCALAR_UNARY_OPS order.
+@matrix_program
+def folded(A: Matrix, x: float, y: float):
+    B = A * (x + y)
+    B = A * (x - y)
+    B = A * (x * y)
+    B = A * (x / y)
+    B = A * sqrt(x)
+    B = A * -x
+    output(B)

@@ -3,7 +3,7 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import optimal
@@ -18,7 +18,7 @@ from repro.matrix.schemes import Scheme
 from repro.planopt import optimize_plan
 from repro.programs.registry import ALL_APPS, WorkloadParams, build_workload
 
-from tests.core.test_properties import random_programs
+from tests.program_strategy import matrix_programs
 
 R, C, B = Scheme.ROW, Scheme.COL, Scheme.BROADCAST
 
@@ -156,36 +156,11 @@ class TestGreedyVsOptimal:
             assert greedy <= max(optimal * 3, optimal + 1)
 
 
-@st.composite
-def small_programs(draw):
-    """Small random programs (<= ~9 operators) for greedy-vs-optimal."""
-    pb = ProgramBuilder()
-    m = draw(st.integers(2, 6))
-    n = draw(st.integers(2, 6))
-    a = pb.load("A", (m, n), sparsity=draw(st.sampled_from([0.2, 1.0])))
-    b = pb.load("B", (m, n), sparsity=1.0)
-    pool = [(a, (m, n)), (b, (m, n))]
-    for index in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["gram", "cell", "matmulT"]))
-        left, shape = pool[draw(st.integers(0, len(pool) - 1))]
-        if kind == "gram":
-            out = pb.assign(f"G{index}", left.T @ left)
-            pool.append((out, (shape[1], shape[1])))
-        elif kind == "cell":
-            peers = [(h, s) for h, s in pool if s == shape]
-            right, __ = peers[draw(st.integers(0, len(peers) - 1))]
-            out = pb.assign(f"C{index}", left * right)
-            pool.append((out, shape))
-        else:
-            peers = [(h, s) for h, s in pool if s[1] == shape[1]]
-            right, rshape = peers[draw(st.integers(0, len(peers) - 1))]
-            out = pb.assign(f"M{index}", left @ right.T)
-            pool.append((out, (shape[0], rshape[0])))
-    pb.output(pool[-1][0])
-    return pb.build()
+#: The exhaustive search is exponential in the operator count.
+SMALL = matrix_programs(max_ops=3)
 
 
-@given(small_programs(), st.integers(2, 5))
+@given(SMALL, st.integers(2, 5))
 def test_property_greedy_at_least_optimal(program, workers):
     plan = DMacPlanner(program, workers).plan()
     greedy = paper_cost_of_plan(plan, workers)
@@ -193,14 +168,31 @@ def test_property_greedy_at_least_optimal(program, workers):
     assert greedy >= optimal
 
 
-@given(random_programs(), st.integers(2, 5))
-def test_pruning_dead_matrices_keeps_the_optimum(drawn, workers):
+@given(SMALL, st.integers(2, 5))
+def test_pruning_dead_matrices_keeps_the_optimum(program, workers):
     """Dropping the instances of matrices no later operator reads from the
     memo state changes no optimum."""
-    program, __ = drawn
     with mock.patch.object(optimal, "_prune", lambda state, dead: state):
         unpruned = optimal_cost(program, workers)
     assert optimal_cost(program, workers) == unpruned
+
+
+def test_the_pruning_property_prunes():
+    """Some derandomized draw prunes: the pruning property is not vacuous."""
+    pruned, prune = [], optimal._prune
+
+    def recording(state, dead):
+        pruned.append(not state.isdisjoint(dead))
+        return prune(state, dead)
+
+    @settings(derandomize=True, database=None)
+    @given(SMALL, st.integers(2, 5))
+    def search(program, workers):
+        optimal_cost(program, workers)
+
+    with mock.patch.object(optimal, "_prune", recording):
+        search()
+    assert any(pruned)
 
 
 #: Every straight-line registry app (``powiter`` is staged) at its

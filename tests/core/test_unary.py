@@ -105,18 +105,6 @@ class TestLanguageAndPlanning:
         plan = DMacPlanner(pb.build(), 4).plan()
         assert plan.predicted_bytes == 0
 
-    def test_distributed_matches_local(self, rng):
-        from repro.baselines.rlocal import run_local
-
-        array = rng.random((20, 12)) - 0.5
-        pb = ProgramBuilder()
-        a = pb.load("A", (20, 12))
-        pb.output(pb.assign("B", (a.sigmoid() - 0.5).abs()))
-        program = pb.build()
-        dist = session(block=4).run(program, {"A": array})
-        local = run_local(program, {"A": array})
-        np.testing.assert_allclose(dist.matrices["B"], local.matrices["B"], atol=1e-12)
-
 
 class TestLogisticRegression:
     def make_data(self, rng, examples=400, features=12):

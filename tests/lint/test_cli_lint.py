@@ -168,3 +168,9 @@ class TestApps:
         )
         assert main(["lint", str(script)]) == EXIT_OK
         assert "0 error(s)" in capsys.readouterr().out
+
+    def test_python_file_that_plans_nothing_warns_dm000(self, tmp_path, capsys):
+        script = tmp_path / "unplanned.py"
+        script.write_text("from repro import ProgramBuilder\nPROGRAM = ProgramBuilder().build()\n")
+        assert main(["lint", str(script)]) == EXIT_OK
+        assert "DM000" in capsys.readouterr().out

@@ -22,7 +22,7 @@ from repro.lint import LintContext, lint_plan
 from repro.lint.selftest import CORRUPTIONS
 from repro.runtime.graph import StageGraph
 
-from tests.core.test_planner_invariants import programs, workers_strategy
+from tests.program_strategy import matrix_programs
 
 CORRUPTION_BY_RULE = {c.rule: c for c in CORRUPTIONS}
 
@@ -31,7 +31,7 @@ def planned(program, workers):
     return schedule_stages(DMacPlanner(program, workers).plan())
 
 
-@given(programs(), workers_strategy)
+@given(matrix_programs(), st.integers(1, 6))
 def test_planner_output_always_lints_error_clean(program, workers):
     """Algorithm 1 never emits a plan the analyzer rejects."""
     plan = planned(program, workers)
@@ -39,7 +39,7 @@ def test_planner_output_always_lints_error_clean(program, workers):
     assert not report.errors, report.format_human()
 
 
-@given(programs(), workers_strategy)
+@given(matrix_programs(), st.integers(1, 6))
 def test_lint_clean_implies_runtime_stage_invariant(program, workers):
     """Zero error findings => the stage graph reports no wide-edge defect."""
     plan = planned(program, workers)
@@ -52,7 +52,7 @@ def test_lint_clean_implies_runtime_stage_invariant(program, workers):
     max_examples=25,
     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
 )
-@given(programs(), st.integers(2, 6), st.sampled_from(sorted(CORRUPTION_BY_RULE)))
+@given(matrix_programs(), st.integers(2, 6), st.sampled_from(sorted(CORRUPTION_BY_RULE)))
 def test_corruptions_caught_by_exactly_their_rule(program, workers, rule_id):
     """Applying a corruption to a *random* plan adds exactly the
     corruption's rule to the baseline findings -- no false positives from

@@ -25,7 +25,7 @@ from repro.errors import PlanError
 from repro.frontend.staged import segments_of
 from repro.planopt import coalesce, optimize_plan
 from repro.programs.registry import SPECS, WorkloadParams, build_workload
-from tests.core.test_properties import random_programs
+from tests.program_strategy import matrix_programs
 
 #: Small data: the plans' shape, not their sizes, decides the cascades.
 SMALL = dict(scale=1e-3, rows=400, features=40, factors=8)
@@ -156,11 +156,10 @@ def optimized(plan, workers, mode):
 
 
 @settings(derandomize=True)
-@given(random_programs(), st.integers(2, 7), st.sampled_from(("worst", "average")))
-def test_the_skip_changes_no_plan_on_random_programs(generated, workers, mode):
+@given(matrix_programs(), st.integers(2, 7), st.sampled_from(("worst", "average")))
+def test_the_skip_changes_no_plan_on_random_programs(program, workers, mode):
     """Each draw optimized twice in one process (a derandomized seed comes
     from the test function: never compare draws across processes)."""
-    program, __ = generated
     plan = schedule_stages(DMacPlanner(program, workers).plan())
     skipping, counts = optimized(plan, workers, mode)
     with no_skip(), no_certificate():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, DMacSession
-from repro.cli import APPS
 from repro.core.cost import CostModel
 from repro.core.defuse import DefUse
 from repro.core.plan import CellwiseStep, MatMulStep
@@ -15,6 +14,7 @@ from repro.lang.program import ProgramBuilder
 from repro.planopt import optimize_plan, pipeline
 from repro.planopt.associate import reassociate
 from repro.planopt.common import AppliedRewrite, clone_plan
+from repro.programs.registry import PAPER_APPS
 from repro.verify import certify, value_summary
 from repro.verify.certify import OBLIGATIONS
 
@@ -137,7 +137,7 @@ def test_the_broken_pass_really_changes_the_results():
     assert any(not np.array_equal(good[name], bad[name]) for name in good)
 
 
-@pytest.mark.parametrize("app", APPS)
+@pytest.mark.parametrize("app", PAPER_APPS)
 def test_every_optimizer_rewrite_on_the_paper_apps_is_certified(app):
     program, __, ___ = small_workload(app)
     session = DMacSession(ClusterConfig(num_workers=4), optimize=True)

@@ -14,9 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import ClusterConfig, DMacSession
-from repro.cli import APPS
 from repro.core.plan import MatMulStep
-from repro.programs.registry import WorkloadParams, build_workload
+from repro.programs.registry import PAPER_APPS, WorkloadParams, build_workload
 from repro.runtime import backend
 from repro.verify import memory, predict_peak_memory
 
@@ -48,12 +47,12 @@ def _assert_sound_and_within_2x(app: str, max_concurrent_stages) -> None:
         )
 
 
-@pytest.mark.parametrize("app", APPS)
+@pytest.mark.parametrize("app", PAPER_APPS)
 def test_serial_bound_is_sound_and_within_2x(app):
     _assert_sound_and_within_2x(app, max_concurrent_stages=1)
 
 
-@pytest.mark.parametrize("app", APPS)
+@pytest.mark.parametrize("app", PAPER_APPS)
 def test_concurrent_bound_stays_sound(app):
     """At the default stage concurrency the bound charges only stages the
     happens-before order lets run together, so it is within 2x as well."""
