@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Union
 
 from repro.errors import ProgramError
@@ -42,35 +43,38 @@ SCALAR_BINARY_OPS = ("add", "subtract", "multiply", "divide")
 SCALAR_UNARY_OPS = ("sqrt", "negate")
 
 
-def scalar_arithmetic(op: str, left: float, right: float = 0.0) -> float:
-    """One scalar operator: a binary op on ``left`` and ``right`` or a unary
-    op on ``left``.
+#: The driver-side scalar operators as functions of their operands.
+_SCALAR_FUNCS = {
+    "add": operator.add,
+    "subtract": operator.sub,
+    "multiply": operator.mul,
+    "divide": operator.truediv,
+    "negate": operator.neg,
+    "sqrt": math.sqrt,
+}
+
+
+def scalar_arithmetic(op: str, *operands: float) -> float:
+    """One scalar operator: a binary op on two operands or a unary op on one.
 
     The one definition of this arithmetic: ``ProgramBuilder``'s constant
     folding, the frontend's number folding and run-time evaluation all call
     it, so a folded constant equals, bit for bit, what the program computes
     when it runs.
-    Raises :class:`ZeroDivisionError` (divide by zero) or
-    :class:`ValueError` (sqrt of a negative value); each caller re-raises
-    as its own error type.
+    Raises :class:`ZeroDivisionError` (divide by zero; numpy scalars would
+    return ``inf``) or :class:`ValueError` (sqrt of a negative value); each
+    caller re-raises as its own error type.
     """
-    if op == "add":
-        return left + right
-    if op == "subtract":
-        return left - right
-    if op == "multiply":
-        return left * right
-    if op == "divide":
-        if right == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return left / right
-    if op == "negate":
-        return -left
-    if op == "sqrt":
-        if left < 0:
-            raise ValueError(f"sqrt of negative value {left}")
-        return math.sqrt(left)
-    raise ProgramError(f"unknown scalar operator {op!r}")
+    arity = 2 if op in SCALAR_BINARY_OPS else 1 if op in SCALAR_UNARY_OPS else 0
+    if not arity:
+        raise ProgramError(f"unknown scalar operator {op!r}")
+    if len(operands) != arity:
+        raise ProgramError(f"scalar {op} takes {arity} operand(s), got {len(operands)}")
+    if op == "divide" and operands[1] == 0:
+        raise ZeroDivisionError("scalar division by zero")
+    if op == "sqrt" and operands[0] < 0:
+        raise ValueError(f"sqrt of negative value {operands[0]}")
+    return _SCALAR_FUNCS[op](*operands)
 
 
 # ---------------------------------------------------------------------------

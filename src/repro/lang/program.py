@@ -516,9 +516,9 @@ class ProgramBuilder:
         raise ProgramError(f"cannot flatten scalar expression {type(expr).__name__}")
 
 
-def _fold(op: str, left: float, right: float = 0.0) -> float:
+def _fold(op: str, *operands: float) -> float:
     try:
-        return scalar_arithmetic(op, left, right)
+        return scalar_arithmetic(op, *operands)
     except (ZeroDivisionError, ValueError) as error:
         raise ProgramError(str(error)) from None
 

@@ -18,6 +18,7 @@ CELLWISE = {"add": operator.add, "subtract": operator.sub, "multiply": operator.
 KINDS = ("gram", "matmul_t", *CELLWISE, "scalar", "unary", "rowsum", "sum")
 UNARY_FUNCS = ("abs", "sigmoid", "exp")
 DENSITIES = (0.1, 0.2, 0.5, 0.6, 1.0)
+LOAD_DENSITY = st.sampled_from(DENSITIES)
 
 
 @st.composite
@@ -25,9 +26,9 @@ def matrix_programs(draw, max_ops=6, with_inputs=False):
     """1 to ``max_ops`` operators over 1 to 3 ``m x n`` loads (``2 <= m, n
     <= 10``), each reading matrices made before it and named after its kind
     (a unary after its function); with ``with_inputs``, ``(program, input
-    arrays)``.  An input of density ``d`` holds ``floor(d * m * n)``
-    nonzeros: its declared sparsity ``d`` bounds the measured one, as the
-    paper's offline statistics do (Section 5.1)."""
+    arrays)``.  Each entry of an input is nonzero with the load's drawn
+    density; the load declares the *measured* sparsity, as the paper's
+    estimator takes it pre-computed offline (Section 5.1)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m, n = draw(st.integers(2, 10)), draw(st.integers(2, 10))
     pb, inputs, pool = ProgramBuilder(), {}, []
@@ -36,10 +37,10 @@ def matrix_programs(draw, max_ops=6, with_inputs=False):
         return draw(st.sampled_from([h for h in pool if fits(pb.shape_of(h.name))]))
 
     for index in range(draw(st.integers(1, 3))):
-        density = draw(st.sampled_from(DENSITIES))
+        density = draw(LOAD_DENSITY)
         array = inputs[f"I{index}"] = rng.random((m, n))
-        array.flat[rng.permutation(m * n)[int(density * m * n):]] = 0.0
-        pool.append(pb.load(f"I{index}", (m, n), sparsity=density))
+        array[rng.random((m, n)) > density] = 0.0
+        pool.append(pb.load(f"I{index}", (m, n), sparsity=np.count_nonzero(array) / array.size))
     for index in range(draw(st.integers(1, max_ops))):
         name, left = draw(st.sampled_from(KINDS)), pick()
         shape = pb.shape_of(left.name)
